@@ -59,7 +59,7 @@ pub use p2p::{RecvBuf, RecvStatus, SendData};
 pub use recovery::{revoke, shrink, shrink_with_fault, Checkpointer, ShrinkReport};
 pub use request::{PersistentRecv, PersistentSend, RecvDone, Request};
 pub use runtime::{last_event_stats, run, Backend, ClusterSpec, ObsConfig, Rank};
-pub use sink::{PioSink, RegionSource, StagingLease, StagingLedger};
+pub use sink::{PioSink, StagingLease, StagingLedger};
 pub use tuning::{CollectiveAlgo, IntegrityMode, NoncontigMode, OverloadPolicy, Tuning};
 
 /// Thin infallible wrapper over the `Result`-based surface: `.done()`

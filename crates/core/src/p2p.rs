@@ -802,19 +802,18 @@ pub(crate) fn recv_into_inner(
                 attrib::merge_waited(clock, arrival, WaitKind::LateSender, Some(env.src as u32));
                 attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_recv_cost);
                 let slot_off = ring.slot_offset(slot);
-                // Unpack straight out of the (receiver-local) ring.
-                let mut data = vec![0u8; len];
-                ring.region
-                    .segment()
-                    .mem()
-                    .read(slot_off, &mut data)
-                    .expect("slot read in range");
+                // The slot is this receiver's from the sender's
+                // notification until the release below: verify and unpack
+                // it where it lies.
+                let slot_mem = ring.region.segment().mem();
                 if let Some(expect) = crc {
                     // EndToEnd framing: verify the slot image and
                     // acknowledge. A NACK keeps the slot held so the
                     // sender can rewrite it in place.
                     attrib::advance(clock, Bucket::Pack, world.crc_cost(len));
-                    let ok = crc32(&data) == expect;
+                    let ok = slot_mem
+                        .with_bytes(slot_off, len, |image| crc32(image) == expect)
+                        .expect("slot in range");
                     attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_send_cost);
                     let ack_arrival = clock.now() + world.ctrl_latency(rank, env.src);
                     world.mailboxes[env.src].post_ctrl(
@@ -837,7 +836,12 @@ pub(crate) fn recv_into_inner(
                         continue; // await the retransmission (or abort)
                     }
                 }
-                unpack_into(world, clock, &mut into, skip, &data, true);
+                // Unpack straight out of the (receiver-local) ring.
+                slot_mem
+                    .with_bytes(slot_off, len, |image| {
+                        unpack_into(world, clock, &mut into, skip, image, true)
+                    })
+                    .expect("slot in range");
                 ring.release(slot, clock.now());
                 skip += len;
                 if last {

@@ -5,8 +5,9 @@
 //! strictly ascending addresses, so the adapter's stream buffers can merge
 //! them — no intermediate pack buffer exists at all (Figure 4, bottom).
 //!
-//! [`RegionSource`] is the receive-side mirror: `unpack_ff` pulls the
-//! packed stream directly out of the (receiver-local) ring-buffer region.
+//! The receive side needs no mirror type: `unpack_ff` reads the packed
+//! stream out of a borrowed view of the (receiver-local) ring slot
+//! (`SharedMem::with_bytes`).
 //!
 //! [`StagingLedger`] governs the *buffered* engines' memory: paths that
 //! stage packed data in an intermediate buffer (DMA pack buffers, the
@@ -15,8 +16,8 @@
 //! instead of growing staging memory without bound (see
 //! `docs/BACKPRESSURE.md`).
 
-use mpi_datatype::{PackSink, UnpackSource};
-use sci_fabric::{PioStream, SciError, SharedMem};
+use mpi_datatype::PackSink;
+use sci_fabric::{PioStream, SciError};
 use simclock::Clock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -147,43 +148,6 @@ impl PackSink for PioSink<'_> {
     }
 }
 
-/// An [`UnpackSource`] that reads a packed stream sequentially from a
-/// shared-memory region (used by the receiver to unpack straight out of
-/// the ring buffer).
-pub struct RegionSource<'a> {
-    mem: &'a SharedMem,
-    pos: usize,
-    bytes: usize,
-}
-
-impl<'a> RegionSource<'a> {
-    /// Read from `mem` starting at `offset`.
-    pub fn new(mem: &'a SharedMem, offset: usize) -> Self {
-        RegionSource {
-            mem,
-            pos: offset,
-            bytes: 0,
-        }
-    }
-
-    /// Bytes consumed so far.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl UnpackSource for RegionSource<'_> {
-    type Error = SciError;
-
-    #[inline]
-    fn take(&mut self, dst: &mut [u8]) -> Result<(), SciError> {
-        self.mem.read(self.pos, dst)?;
-        self.pos += dst.len();
-        self.bytes += dst.len();
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,29 +177,6 @@ mod tests {
         let mut got = vec![0u8; dt.size()];
         seg.mem().read(64, &mut got).unwrap();
         assert_eq!(got, sink.data);
-    }
-
-    #[test]
-    fn region_source_unpacks_from_shared_memory() {
-        let fabric = Fabric::new(FabricSpec::default());
-        let seg = fabric.export(NodeId(0), 4096);
-        let dt = Datatype::vector(4, 1, 3, &Datatype::int());
-        let c = Committed::commit(&dt);
-
-        // Place a known packed stream in the region.
-        let packed: Vec<u8> = (0..dt.size()).map(|i| (i * 3) as u8).collect();
-        seg.mem().write(128, &packed).unwrap();
-
-        let mut dst = vec![0u8; dt.extent()];
-        let mut source = RegionSource::new(seg.mem(), 128);
-        let stats = ff::unpack_ff(&c, 1, &mut dst, 0, 0, usize::MAX, &mut source).unwrap();
-        assert_eq!(stats.bytes, dt.size());
-        assert_eq!(source.bytes(), dt.size());
-
-        // Cross-check with the generic engine.
-        let mut dst2 = vec![0u8; dt.extent()];
-        mpi_datatype::tree::unpack(&dt, 1, &mut dst2, 0, &packed);
-        assert_eq!(dst, dst2);
     }
 
     #[test]

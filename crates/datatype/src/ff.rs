@@ -16,7 +16,7 @@
 //! locates the resume point in O(N)+O(D), then `copy_leaf_basic` emits
 //! whole blocks (partial at the boundaries).
 
-use crate::flat::{Committed, FfPosition};
+use crate::flat::Committed;
 use crate::tree::PackStats;
 use core::convert::Infallible;
 use core::ops::ControlFlow;
@@ -86,10 +86,130 @@ impl UnpackSource for SliceSource<'_> {
     }
 }
 
+/// A run of equally long, equally spaced basic blocks: block `i` of `n`
+/// covers `len` bytes at displacement `disp + i * stride` (relative to the
+/// buffer origin). A partial block at either end of a byte range is a run
+/// of one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Run {
+    /// Displacement of the first block.
+    pub disp: i64,
+    /// Bytes per block.
+    pub len: usize,
+    /// Byte distance between consecutive blocks (may be negative).
+    pub stride: i64,
+    /// Number of blocks, at least 1.
+    pub n: usize,
+}
+
+impl Run {
+    /// Offsets of the run's blocks in a buffer of `buf_len` bytes whose
+    /// displacement 0 is byte `origin`. Panics if any block lies outside.
+    fn offsets(self, origin: usize, buf_len: usize) -> impl Iterator<Item = usize> {
+        let first = origin as i64 + self.disp;
+        let last = first + (self.n as i64 - 1) * self.stride;
+        let (lo, hi) = (first.min(last), first.max(last) + self.len as i64);
+        assert!(
+            lo >= 0 && hi as usize <= buf_len,
+            "ff segment [{lo}, {hi}) outside buffer of {buf_len} bytes"
+        );
+        (0..self.n as i64).map(move |i| (first + i * self.stride) as usize)
+    }
+}
+
+/// Drive `f` over the byte range `[skip, skip + max)` of the pack stream of
+/// `count` instances, one [`Run`] per stretch of whole blocks along a
+/// leaf's innermost stack level. This is the core loop of Figure 6, with
+/// the stack resolved to a displacement once per run instead of an
+/// odometer walked once per block.
+///
+/// The returned stats count one block and one stack visit per basic block
+/// handed to `f`, a run `f` breaks on included whole.
+pub fn for_each_run(
+    c: &Committed,
+    count: usize,
+    skip: usize,
+    max: usize,
+    mut f: impl FnMut(Run) -> ControlFlow<()>,
+) -> PackStats {
+    let mut stats = PackStats::default();
+    if max == 0 {
+        return stats;
+    }
+    // find initial position for partial sends (paper Figure 6).
+    let Some((j0, k0, within0)) = c.locate(skip, count) else {
+        return stats;
+    };
+    let ext = c.extent() as i64;
+    let mut remaining = max;
+    let mut within = within0;
+    for j in j0..count {
+        let leaf_start = if j == j0 { k0 } else { 0 };
+        for leaf in &c.leaves()[leaf_start..] {
+            let len = leaf.len;
+            let (outer, inner_n, inner_ext) = match leaf.stack.split_last() {
+                Some((inner, outer)) => (outer, inner.count, inner.extent),
+                None => (&leaf.stack[..], 1, 0),
+            };
+            let rows: usize = outer.iter().map(|level| level.count).product();
+            // Position in the leaf: row of the outer levels, column along
+            // the innermost one, byte inside the block. Only the resume
+            // leaf starts anywhere but at its beginning.
+            let (mut row, mut col, mut intra) = match std::mem::take(&mut within) {
+                0 => (0, 0, 0),
+                w => (w / len / inner_n, w / len % inner_n, w % len),
+            };
+            while row < rows {
+                // Row -> displacement (copy_leaf_basic's stack, innermost
+                // level fastest).
+                let mut disp = leaf.first + j as i64 * ext + col as i64 * inner_ext;
+                let mut o = row;
+                for level in outer.iter().rev() {
+                    disp += (o % level.count) as i64 * level.extent;
+                    o /= level.count;
+                }
+                let run = if intra > 0 || remaining < len {
+                    // Split block (resume point or end of the range).
+                    Run {
+                        disp: disp + intra as i64,
+                        len: (len - intra).min(remaining),
+                        stride: 0,
+                        n: 1,
+                    }
+                } else {
+                    let rest_of_row = inner_n - col;
+                    Run {
+                        disp,
+                        len,
+                        stride: inner_ext,
+                        n: if remaining >= rest_of_row * len {
+                            rest_of_row
+                        } else {
+                            remaining / len
+                        },
+                    }
+                };
+                intra = 0;
+                col += run.n;
+                if col == inner_n {
+                    (row, col) = (row + 1, 0);
+                }
+                remaining -= run.n * run.len;
+                stats.bytes += run.n * run.len;
+                stats.blocks += run.n;
+                stats.visits += run.n;
+                if f(run).is_break() || remaining == 0 {
+                    return stats;
+                }
+            }
+        }
+    }
+    stats
+}
+
 /// Drive `f(disp, len)` over every (possibly partial) basic block of the
-/// byte range `[skip, skip + max)` of the pack stream of `count` instances.
-/// Displacements are relative to the buffer origin. This is the core loop
-/// of Figure 6; [`pack_ff`] and [`unpack_ff`] are thin wrappers.
+/// byte range `[skip, skip + max)` of the pack stream of `count` instances:
+/// [`for_each_run`] with every run spelled out block by block.
 pub fn for_each_block(
     c: &Committed,
     count: usize,
@@ -97,83 +217,9 @@ pub fn for_each_block(
     max: usize,
     mut f: impl FnMut(i64, usize) -> ControlFlow<()>,
 ) -> PackStats {
-    let mut stats = PackStats::default();
-    if max == 0 {
-        return stats;
-    }
-    // find initial position for partial sends (paper Figure 6).
-    let Some(pos) = c.find_position(skip, count) else {
-        return stats;
-    };
-    let FfPosition {
-        instance: j0,
-        leaf: k0,
-        indices: start_indices,
-        intra: intra0,
-    } = pos;
-    let ext = c.extent() as i64;
-    let mut remaining = max;
-    let mut first_block = true;
-
-    'outer: for j in j0..count {
-        let leaf_start = if j == j0 { k0 } else { 0 };
-        for (k, leaf) in c.leaves().iter().enumerate().skip(leaf_start) {
-            if j != j0 || k != k0 {
-                first_block = false;
-            }
-            let depth = leaf.stack.len();
-            let mut idx: Vec<usize> = if first_block {
-                start_indices.clone()
-            } else {
-                vec![0; depth]
-            };
-            let mut intra = if first_block { intra0 } else { 0 };
-            first_block = false;
-            // Odometer over the repeat-pattern stack (copy_leaf_basic).
-            loop {
-                let mut disp = leaf.first + j as i64 * ext;
-                for (i, level) in leaf.stack.iter().enumerate() {
-                    disp += idx[i] as i64 * level.extent;
-                }
-                let avail = leaf.len - intra;
-                let take = avail.min(remaining);
-                if take > 0 {
-                    stats.bytes += take;
-                    stats.blocks += 1;
-                    stats.visits += 1;
-                    if f(disp + intra as i64, take).is_break() {
-                        break 'outer;
-                    }
-                    remaining -= take;
-                }
-                if remaining == 0 {
-                    break 'outer;
-                }
-                intra = 0;
-                // Advance the odometer (innermost level fastest).
-                let mut level = depth;
-                loop {
-                    if level == 0 {
-                        break;
-                    }
-                    level -= 1;
-                    idx[level] += 1;
-                    if idx[level] < leaf.stack[level].count {
-                        break;
-                    }
-                    idx[level] = 0;
-                    if level == 0 {
-                        level = usize::MAX; // signal exhaustion
-                        break;
-                    }
-                }
-                if depth == 0 || level == usize::MAX {
-                    break; // leaf exhausted
-                }
-            }
-        }
-    }
-    stats
+    for_each_run(c, count, skip, max, |run| {
+        (0..run.n as i64).try_for_each(|i| f(run.disp + i * run.stride, run.len))
+    })
 }
 
 /// Pack `[skip, skip+max)` of the stream of `count` instances of `c` from
@@ -191,28 +237,17 @@ pub fn pack_ff<S: PackSink>(
     if skip > 0 {
         obs::inc(obs::Counter::FfPartialResumes);
     }
-    let mut err = None;
-    let stats = for_each_block(c, count, skip, max, |disp, len| {
-        let start = origin as i64 + disp;
-        assert!(
-            start >= 0 && (start as usize) + len <= src.len(),
-            "ff segment [{start}, {}) outside buffer of {} bytes",
-            start + len as i64,
-            src.len()
-        );
-        let at = start as usize;
-        match sink.put(&src[at..at + len]) {
+    let mut res = Ok(());
+    let stats = for_each_run(c, count, skip, max, |run| {
+        res = run
+            .offsets(origin, src.len())
+            .try_for_each(|at| sink.put(&src[at..at + run.len]));
+        match res {
             Ok(()) => ControlFlow::Continue(()),
-            Err(e) => {
-                err = Some(e);
-                ControlFlow::Break(())
-            }
+            Err(_) => ControlFlow::Break(()),
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(stats),
-    }
+    res.map(|()| stats)
 }
 
 /// Unpack `[skip, skip+max)` of the stream into `count` instances of `c`
@@ -231,28 +266,17 @@ pub fn unpack_ff<S: UnpackSource>(
     if skip > 0 {
         obs::inc(obs::Counter::FfPartialResumes);
     }
-    let mut err = None;
-    let stats = for_each_block(c, count, skip, max, |disp, len| {
-        let start = origin as i64 + disp;
-        assert!(
-            start >= 0 && (start as usize) + len <= dst.len(),
-            "ff segment [{start}, {}) outside buffer of {} bytes",
-            start + len as i64,
-            dst.len()
-        );
-        let at = start as usize;
-        match source.take(&mut dst[at..at + len]) {
+    let mut res = Ok(());
+    let stats = for_each_run(c, count, skip, max, |run| {
+        res = run
+            .offsets(origin, dst.len())
+            .try_for_each(|at| source.take(&mut dst[at..at + run.len]));
+        match res {
             Ok(()) => ControlFlow::Continue(()),
-            Err(e) => {
-                err = Some(e);
-                ControlFlow::Break(())
-            }
+            Err(_) => ControlFlow::Break(()),
         }
     });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(stats),
-    }
+    res.map(|()| stats)
 }
 
 #[cfg(test)]

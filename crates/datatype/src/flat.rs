@@ -189,6 +189,25 @@ impl Committed {
     /// Returns `None` if the type is empty or `skip` lands beyond the
     /// requested `count` instances.
     pub fn find_position(&self, skip: usize, count: usize) -> Option<FfPosition> {
+        let (instance, leaf, mut rem) = self.locate(skip, count)?;
+        let stack = &self.leaves()[leaf].stack;
+        let mut indices = Vec::with_capacity(stack.len());
+        for level in stack {
+            indices.push(rem / level.below);
+            rem %= level.below;
+        }
+        Some(FfPosition {
+            instance,
+            leaf,
+            indices,
+            intra: rem,
+        })
+    }
+
+    /// Resolve pack-stream byte offset `skip` to `(instance, leaf, byte
+    /// offset within that leaf's stream)` — the O(log N) half of
+    /// [`Self::find_position`], which the pack loop resumes from directly.
+    pub(crate) fn locate(&self, skip: usize, count: usize) -> Option<(usize, usize, usize)> {
         let size = self.size();
         if size == 0 || count == 0 {
             return None;
@@ -202,20 +221,8 @@ impl Committed {
         // so k indexes a real leaf (empty leaf lists never reach here:
         // size > 0 implies at least one leaf).
         let prefix = &self.layout.prefix;
-        let leaf_idx = prefix.partition_point(|&p| p <= rem) - 1;
-        let leaf = self.leaves().get(leaf_idx)?;
-        let mut rem = rem - prefix[leaf_idx];
-        let mut indices = Vec::with_capacity(leaf.stack.len());
-        for level in &leaf.stack {
-            indices.push(rem / level.below);
-            rem %= level.below;
-        }
-        Some(FfPosition {
-            instance,
-            leaf: leaf_idx,
-            indices,
-            intra: rem,
-        })
+        let leaf = prefix.partition_point(|&p| p <= rem) - 1;
+        (leaf < self.leaves().len()).then(|| (instance, leaf, rem - prefix[leaf]))
     }
 }
 

@@ -19,6 +19,7 @@ use crate::topology::{LinkId, Route};
 use simclock::{SimDuration, SplitMix64};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Errors surfaced by the fabric.
@@ -198,6 +199,12 @@ pub struct FaultInjector {
     config: FaultConfig,
     seed: u64,
     state: Mutex<InjectorState>,
+    /// `state.down_links.len()`, readable without the lock:
+    /// [`Self::check_route`] runs once per store burst and on a fabric
+    /// with every cable plugged in has nothing to look up. Written under
+    /// the `state` lock; `SeqCst` so a cable pulled by one thread is seen
+    /// by the next check on any other.
+    links_down: AtomicUsize,
 }
 
 #[derive(Debug)]
@@ -226,6 +233,7 @@ impl FaultInjector {
                 dead_nodes: HashSet::new(),
                 pair_rngs: HashMap::new(),
             }),
+            links_down: AtomicUsize::new(0),
         }
     }
 
@@ -236,12 +244,16 @@ impl FaultInjector {
 
     /// Administratively fail a link (pull the cable).
     pub fn fail_link(&self, link: LinkId) {
-        self.state.lock().unwrap().down_links.insert(link.0);
+        let mut st = self.state.lock().unwrap();
+        st.down_links.insert(link.0);
+        self.links_down.store(st.down_links.len(), Ordering::SeqCst);
     }
 
     /// Restore a failed link.
     pub fn restore_link(&self, link: LinkId) {
-        self.state.lock().unwrap().down_links.remove(&link.0);
+        let mut st = self.state.lock().unwrap();
+        st.down_links.remove(&link.0);
+        self.links_down.store(st.down_links.len(), Ordering::SeqCst);
     }
 
     /// Mark a node as dead (crash).
@@ -261,6 +273,9 @@ impl FaultInjector {
 
     /// Check a route for failed links.
     pub fn check_route(&self, route: &Route) -> Result<(), SciError> {
+        if self.links_down.load(Ordering::SeqCst) == 0 {
+            return Ok(());
+        }
         let st = self.state.lock().unwrap();
         for l in &route.links {
             if st.down_links.contains(&l.0) {

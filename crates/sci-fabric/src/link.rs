@@ -43,6 +43,13 @@ pub struct LinkRegistry {
     /// sequence is deterministic; under the thread backend it is host
     /// order unless the program pins it (see `docs/ASYNC.md`).
     next_seq: AtomicU64,
+    /// Bumped after every change to any segment's `active` count (a stream
+    /// opening or closing). [`Self::effective_bandwidth`] reads nothing
+    /// else that can change, so a caller may reuse its last result while
+    /// this stands still. Bumped with `Release` *after* the counts move
+    /// and read with `Acquire` *before* they are read: whoever sees the
+    /// new generation sees the new counts.
+    generation: AtomicU64,
 }
 
 impl LinkRegistry {
@@ -53,6 +60,7 @@ impl LinkRegistry {
         LinkRegistry {
             links,
             next_seq: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
         }
     }
 
@@ -74,6 +82,7 @@ impl LinkRegistry {
             self.links[l.0].active.fetch_add(1, Ordering::Relaxed);
             self.links[l.0].open.lock().unwrap().push(seq);
         }
+        self.generation.fetch_add(1, Ordering::Release);
         StreamGuard {
             registry: Arc::clone(self),
             links,
@@ -93,6 +102,14 @@ impl LinkRegistry {
     /// pins arrivals itself.
     pub fn open_streams(&self, link: LinkId) -> Vec<u64> {
         self.links[link.0].open.lock().unwrap().clone()
+    }
+
+    /// The contention generation: changes whenever a stream opens or
+    /// closes anywhere on the fabric, i.e. whenever
+    /// [`Self::effective_bandwidth`] may answer differently for the same
+    /// route and demand.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Total streams ever opened on this registry.
@@ -207,6 +224,7 @@ impl Drop for StreamGuard {
                 .unwrap()
                 .retain(|&s| s != self.seq);
         }
+        self.registry.generation.fetch_add(1, Ordering::Release);
     }
 }
 

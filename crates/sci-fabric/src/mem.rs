@@ -120,6 +120,26 @@ impl SharedMem {
         Ok(())
     }
 
+    /// Run `f` over a borrowed view of `[offset, offset+len)`: what
+    /// [`Self::read`] would copy out, without the copy. The range must
+    /// not be written while `f` runs — the same discipline every other
+    /// access here relies on (a receiver looks at a ring slot only
+    /// between the sender's notification and its own release).
+    pub fn with_bytes<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, OutOfBounds> {
+        self.check(offset, len)?;
+        // SAFETY: bounds checked above, and `UnsafeCell<u8>` has the
+        // layout of `u8`; no write to the range overlaps the borrow, per
+        // the synchronisation discipline of the module docs.
+        let view =
+            unsafe { core::slice::from_raw_parts(self.buf.as_ptr().add(offset) as *const u8, len) };
+        Ok(f(view))
+    }
+
     /// Fill `[offset, offset+len)` with `value`.
     pub fn fill(&self, offset: usize, len: usize, value: u8) -> Result<(), OutOfBounds> {
         self.check(offset, len)?;
@@ -155,10 +175,7 @@ impl SharedMem {
     /// FNV-1a checksum of a range, used by integrity tests to verify that
     /// modelled transfers really moved the right bytes.
     pub fn checksum(&self, offset: usize, len: usize) -> Result<u64, OutOfBounds> {
-        self.check(offset, len)?;
-        let mut buf = vec![0u8; len];
-        self.read(offset, &mut buf)?;
-        Ok(fnv1a(&buf))
+        self.with_bytes(offset, len, fnv1a)
     }
 }
 
@@ -183,6 +200,16 @@ mod tests {
         let mut out = [0u8; 4];
         m.read(8, &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn with_bytes_views_what_read_copies() {
+        let m = SharedMem::new(64);
+        m.write(8, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(m.with_bytes(8, 4, |b| b.to_vec()).unwrap(), [1, 2, 3, 4]);
+        assert_eq!(m.with_bytes(64, 0, |b| b.len()).unwrap(), 0);
+        assert!(m.with_bytes(61, 4, |_| ()).is_err());
+        assert!(m.with_bytes(usize::MAX, 2, |_| ()).is_err());
     }
 
     #[test]

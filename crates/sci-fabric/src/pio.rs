@@ -57,12 +57,37 @@ pub struct PioStream {
     silent_faults: u64,
     /// True if a silent fault hit the current sequence-check interval.
     seq_tainted: bool,
-    /// Write-combining batch staged by [`Self::write_batched`]: start
-    /// offset and the contiguous bytes accumulated so far, waiting either
-    /// for a batch-aligned boundary or an explicit [`Self::flush_wc`].
-    wc_pending: Option<(usize, Vec<u8>)>,
+    /// Write-combining window staged by [`Self::write_batched`]: the
+    /// contiguous bytes `wc_buf[..wc_len]` belong at segment offset
+    /// `wc_start`, waiting either to reach `wc_boundary` (the next
+    /// batch-aligned offset past `wc_start`) or for an explicit
+    /// [`Self::flush_wc`]. The window never spans a batch boundary, so
+    /// one `wc_batch_bytes`-sized buffer, allocated at the first staged
+    /// store, serves the stream for its lifetime.
+    wc_buf: Vec<u8>,
+    wc_start: usize,
+    wc_len: usize,
+    wc_boundary: usize,
+    /// The last burst's streaming rate and cost (see [`Priced`]).
+    priced: Option<Priced>,
     /// Link-contention registration for the stream's lifetime.
     _guard: Option<StreamGuard>,
+}
+
+/// Memo of the streaming term of the burst cost model. The rate a burst
+/// streams at is a function of the stream's demand, its route and the
+/// active-stream counts on that route's segments; its cost additionally of
+/// the burst length. `bw` is reused while `demand` and the link registry's
+/// contention generation (bumped by every stream that opens or closes)
+/// stand still, `cost` while `len` does too; a route switch discards the
+/// memo. Anything else re-prices exactly as an unmemoised call would.
+#[derive(Clone, Copy, Debug)]
+struct Priced {
+    generation: u64,
+    demand: simclock::Bandwidth,
+    bw: simclock::Bandwidth,
+    len: usize,
+    cost: SimDuration,
 }
 
 impl PioStream {
@@ -82,7 +107,11 @@ impl PioStream {
             demand_cap: None,
             silent_faults: 0,
             seq_tainted: false,
-            wc_pending: None,
+            wc_buf: Vec::new(),
+            wc_start: 0,
+            wc_len: 0,
+            wc_boundary: 0,
+            priced: None,
             _guard: guard,
         }
     }
@@ -118,6 +147,7 @@ impl PioStream {
         self.mapping.route = route;
         self._guard = Some(self.fabric.links().start_stream(&self.mapping.route));
         self.next_offset = None;
+        self.priced = None;
     }
 
     /// After a hard transaction failure, try to switch to the other route
@@ -260,10 +290,8 @@ impl PioStream {
         if data.is_empty() {
             return Ok(());
         }
-        let fabric = Arc::clone(&self.fabric);
-        let params = fabric.params();
-
         if self.mapping.is_local() {
+            let params = self.fabric.params();
             // Intra-node: a plain memcpy through the cache hierarchy —
             // never subject to fabric faults.
             self.mapping.segment.mem().write(offset, data)?;
@@ -282,6 +310,7 @@ impl PioStream {
         // A degraded stream returns to its primary route the moment that
         // route is healthy again.
         self.maybe_heal();
+        let params = self.fabric.params();
         let continues = self.next_offset == Some(offset);
         let misaligned_thrash = !continues
             && !offset.is_multiple_of(params.write_combine_bytes)
@@ -299,13 +328,7 @@ impl PioStream {
             let outcome = self.transact_with_failover(clock, stores)?;
             self.land(offset, data, 8)?;
             clock.advance(cost + outcome.extra_latency);
-            let arrival =
-                clock.now() + params.wire_latency(self.mapping.route.hops()) + outcome.jitter;
-            self.outstanding = self.outstanding.max(arrival);
-            self.next_offset = Some(offset + data.len());
-            self.fabric
-                .links()
-                .account(params, &self.mapping.route, data.len() as u64);
+            self.posted(clock, offset, data.len(), outcome.jitter);
             return Ok(());
         }
         let mut cost = SimDuration::ZERO;
@@ -331,30 +354,49 @@ impl PioStream {
         if let Some(cap) = self.demand_cap {
             demand = demand.min(cap);
         }
-        let stream_bw =
-            self.fabric
-                .links()
-                .effective_bandwidth(params, &self.mapping.route, demand);
-        cost += stream_bw.cost(data.len() as u64);
+        let links = self.fabric.links();
+        let generation = links.generation();
+        let mut priced = match self.priced {
+            Some(p) if p.generation == generation && p.demand == demand => p,
+            _ => Priced {
+                generation,
+                demand,
+                bw: links.effective_bandwidth(params, &self.mapping.route, demand),
+                len: 0,
+                cost: SimDuration::ZERO,
+            },
+        };
+        if priced.len != data.len() {
+            priced.len = data.len();
+            priced.cost = priced.bw.cost(data.len() as u64);
+        }
+        self.priced = Some(priced);
+        cost += priced.cost;
 
         // Fault injection: retries add latency and delivery jitter, one
         // die roll per SCI transaction.
-        let txns = data.len().div_ceil(params.stream_buffer_bytes) as u64;
+        let stream_buffer_bytes = params.stream_buffer_bytes;
+        let txns = data.len().div_ceil(stream_buffer_bytes) as u64;
         let outcome = self.transact_with_failover(clock, txns)?;
-        self.land(offset, data, params.stream_buffer_bytes)?;
+        self.land(offset, data, stream_buffer_bytes)?;
         cost += outcome.extra_latency;
 
         clock.advance(cost);
-        let arrival = clock.now()
-            + self.fabric.params().wire_latency(self.mapping.route.hops())
-            + outcome.jitter;
-        self.outstanding = self.outstanding.max(arrival);
-        self.next_offset = Some(offset + data.len());
+        self.posted(clock, offset, data.len(), outcome.jitter);
+        Ok(())
+    }
 
+    /// Book a burst that has been issued and landed: its arrival time on
+    /// the (possibly just switched) route, the offset a continuing store
+    /// would start at, and its traffic.
+    fn posted(&mut self, clock: &Clock, offset: usize, len: usize, jitter: SimDuration) {
+        let params = self.fabric.params();
+        let arrival = clock.now() + params.wire_latency(self.mapping.route.hops()) + jitter;
+        self.outstanding = self.outstanding.max(arrival);
+        self.next_offset = Some(offset + len);
         self.fabric
             .links()
-            .account(params, &self.mapping.route, data.len() as u64);
-        Ok(())
+            .account(params, &self.mapping.route, len as u64);
     }
 
     /// Issue stores of `data` to `offset` through the **write-combining
@@ -388,19 +430,12 @@ impl PioStream {
         let params = self.fabric.params();
         let batch = params.wc_batch_bytes.max(1);
         let store_cost = params.wc_store_cost;
-        if let Some((start, buf)) = self.wc_pending.as_mut() {
-            let end = *start + buf.len();
-            if offset >= *start && offset <= end {
+        if self.wc_len > 0 {
+            if offset >= self.wc_start && offset <= self.wc_start + self.wc_len {
                 // Adjacent or overlapping: merge into the combine window.
-                let rel = offset - *start;
-                let new_end = rel + data.len();
-                if buf.len() < new_end {
-                    buf.resize(new_end, 0);
-                }
-                buf[rel..new_end].copy_from_slice(data);
                 obs::inc(obs::Counter::WcCoalescedStores);
                 clock.advance(store_cost);
-                return self.drain_aligned(clock, batch);
+                return self.stage(clock, batch, offset, data);
             }
             // Discontiguous: the window closes and the new store starts a
             // fresh batch.
@@ -411,29 +446,38 @@ impl PioStream {
             return self.write(clock, offset, data);
         }
         clock.advance(store_cost);
-        self.wc_pending = Some((offset, data.to_vec()));
-        self.drain_aligned(clock, batch)
+        self.wc_start = offset;
+        self.wc_boundary = (offset / batch + 1) * batch;
+        self.stage(clock, batch, offset, data)
     }
 
-    /// Flush every complete `batch`-aligned chunk from the front of the
-    /// combine window, keeping the unaligned tail staged.
-    fn drain_aligned(&mut self, clock: &mut Clock, batch: usize) -> Result<(), SciError> {
-        let Some((mut start, mut buf)) = self.wc_pending.take() else {
-            return Ok(());
-        };
-        loop {
-            let boundary = (start / batch + 1) * batch;
-            let chunk = boundary - start;
-            if buf.len() < chunk {
-                break;
-            }
-            let rest = buf.split_off(chunk);
-            self.write(clock, start, &buf)?;
-            start = boundary;
-            buf = rest;
+    /// Copy `data` into the combine window at `offset` (inside the window
+    /// or at its end), issuing the window as one burst each time it fills
+    /// up to the next `batch`-aligned boundary and keeping the unaligned
+    /// tail staged. If a burst fails, the window is left empty and the
+    /// rest of `data` is not staged.
+    fn stage(
+        &mut self,
+        clock: &mut Clock,
+        batch: usize,
+        mut offset: usize,
+        mut data: &[u8],
+    ) -> Result<(), SciError> {
+        if self.wc_buf.len() != batch {
+            self.wc_buf.resize(batch, 0);
         }
-        if !buf.is_empty() {
-            self.wc_pending = Some((start, buf));
+        while !data.is_empty() {
+            let rel = offset - self.wc_start;
+            let n = data.len().min(self.wc_boundary - offset);
+            self.wc_buf[rel..rel + n].copy_from_slice(&data[..n]);
+            self.wc_len = self.wc_len.max(rel + n);
+            offset += n;
+            data = &data[n..];
+            if self.wc_start + self.wc_len == self.wc_boundary {
+                self.flush_wc(clock)?;
+                self.wc_start = self.wc_boundary;
+                self.wc_boundary += batch;
+            }
         }
         Ok(())
     }
@@ -441,15 +485,21 @@ impl PioStream {
     /// Flush the write-combining window: issue whatever is staged as one
     /// final (possibly partial) chunk. No-op when nothing is pending.
     pub fn flush_wc(&mut self, clock: &mut Clock) -> Result<(), SciError> {
-        if let Some((start, buf)) = self.wc_pending.take() {
-            self.write(clock, start, &buf)?;
+        if self.wc_len == 0 {
+            return Ok(());
         }
-        Ok(())
+        let len = std::mem::take(&mut self.wc_len);
+        // Lend the window to `write` and take it back: no copy, and the
+        // window is already empty should the burst fail.
+        let buf = std::mem::take(&mut self.wc_buf);
+        let res = self.write(clock, self.wc_start, &buf[..len]);
+        self.wc_buf = buf;
+        res
     }
 
     /// Bytes currently staged in the write-combining window (diagnostics).
     pub fn wc_pending_bytes(&self) -> usize {
-        self.wc_pending.as_ref().map_or(0, |(_, b)| b.len())
+        self.wc_len
     }
 
     /// Convenience: a strided series of equal-sized writes starting at
@@ -481,9 +531,7 @@ impl PioStream {
         // barrier; a batch still staged here would otherwise lose bytes.
         // Errors were already surfaced at stage time by the eager bounds
         // check, so a best-effort flush is safe.
-        if self.wc_pending.is_some() {
-            let _ = self.flush_wc(clock);
-        }
+        let _ = self.flush_wc(clock);
         clock.merge(self.outstanding);
         clock.advance(self.fabric.params().store_barrier);
         self.next_offset = None;
@@ -741,6 +789,106 @@ mod tests {
         s.write_batched(&mut c, 0, &[7u8; 4096]).unwrap();
         assert_eq!(s.wc_pending_bytes(), 0, "large store must not stage");
         assert!(seg.mem().snapshot()[..4096].iter().all(|&b| b == 7));
+    }
+
+    #[test]
+    fn batched_window_crosses_boundaries_of_any_batch_size() {
+        // A 24-byte window (not the default, not a power of two): an
+        // overlapping rewrite grows the window across a boundary, and a
+        // long adjacent store is cut at every boundary it crosses.
+        let spec = || FabricSpec {
+            topology: Topology::ringlet(2),
+            params: crate::SciParams {
+                wc_batch_bytes: 24,
+                ..crate::SciParams::default()
+            },
+            ..FabricSpec::default()
+        };
+        let f = Fabric::new(spec());
+        let seg = f.export(NodeId(1), 256);
+        let mut s = f.pio_stream(NodeId(0), &seg, 256);
+        let mut c = Clock::new();
+        s.write_batched(&mut c, 10, &[1; 8]).unwrap();
+        assert_eq!(s.wc_pending_bytes(), 8);
+        s.write_batched(&mut c, 14, &[2; 20]).unwrap();
+        assert_eq!(s.wc_pending_bytes(), 10, "[10, 24) left, [24, 34) staged");
+        s.write_batched(&mut c, 34, &[3; 40]).unwrap();
+        assert_eq!(s.wc_pending_bytes(), 2, "[24, 48) and [48, 72) left");
+        s.flush_wc(&mut c).unwrap();
+        assert_eq!(s.wc_pending_bytes(), 0);
+
+        // The same bursts, spelled out on an unbatched stream.
+        let g = Fabric::new(spec());
+        let seg2 = g.export(NodeId(1), 256);
+        let mut plain = g.pio_stream(NodeId(0), &seg2, 256);
+        let mut c2 = Clock::new();
+        c2.advance(g.params().wc_store_cost.saturating_mul(3));
+        let mut image = [0u8; 74];
+        image[10..14].fill(1);
+        image[14..34].fill(2);
+        image[34..74].fill(3);
+        for (at, end) in [(10, 24), (24, 48), (48, 72), (72, 74)] {
+            plain.write(&mut c2, at, &image[at..end]).unwrap();
+        }
+        assert_eq!(c.now(), c2.now());
+        assert_eq!(s.outstanding(), plain.outstanding());
+        assert_eq!(s.bytes_written(), 64);
+        assert_eq!(seg.mem().snapshot(), seg2.mem().snapshot());
+        assert_eq!(&seg.mem().snapshot()[..74], &image[..]);
+    }
+
+    #[test]
+    fn failed_drain_leaves_the_window_empty() {
+        // The eager range check keeps bounds errors out of a drain; a
+        // severed route (no failover on a ringlet) is what can fail one.
+        let f = fabric();
+        let seg = f.export(NodeId(1), 4096);
+        let mut s = f.pio_stream(NodeId(0), &seg, 4096);
+        let mut c = Clock::new();
+        s.write_batched(&mut c, 0, &[1; 40]).unwrap();
+        f.faults().fail_link(crate::LinkId(0));
+        assert!(matches!(
+            s.write_batched(&mut c, 40, &[2; 40]),
+            Err(SciError::LinkDown(_))
+        ));
+        assert_eq!(s.wc_pending_bytes(), 0);
+        f.faults().restore_link(crate::LinkId(0));
+        s.flush_wc(&mut c).unwrap();
+        assert_eq!(s.bytes_written(), 0, "nothing was left to flush");
+        assert!(seg.mem().snapshot().iter().all(|&b| b == 0));
+        // The stream is usable again.
+        s.write_batched(&mut c, 64, &[3; 64]).unwrap();
+        assert!(seg.mem().snapshot()[64..128].iter().all(|&b| b == 3));
+    }
+
+    #[test]
+    fn burst_price_follows_contention_and_demand() {
+        let f = fabric();
+        let seg = f.export(NodeId(1), 1 << 20);
+        let data = [0u8; 4096];
+        // Each store opens a new aligned burst, so its cost is the
+        // transaction overhead plus the streaming term alone.
+        let cost = |s: &mut PioStream, at: usize| {
+            let mut c = Clock::new();
+            s.write(&mut c, at, &data).unwrap();
+            c.now()
+        };
+        let mut s = f.pio_stream(NodeId(0), &seg, 4096);
+        let alone = cost(&mut s, 0);
+        assert_eq!(cost(&mut s, 8192), alone);
+        let rivals: Vec<_> = (0..5).map(|_| f.pio_stream(NodeId(0), &seg, 0)).collect();
+        let shared = cost(&mut s, 16384);
+        assert!(shared > alone, "six streams on the segment share it");
+        drop(rivals);
+        assert_eq!(cost(&mut s, 24576), alone, "and it is whole again");
+        // A demand cap set mid-stream prices like one set at the start.
+        let cap = simclock::Bandwidth::from_mib_per_sec(40);
+        s.cap_demand(cap);
+        let capped = cost(&mut s, 32768);
+        assert!(capped > alone);
+        let mut fresh = f.pio_stream(NodeId(0), &seg, 4096);
+        fresh.cap_demand(cap);
+        assert_eq!(cost(&mut fresh, 40960), capped);
     }
 
     #[test]

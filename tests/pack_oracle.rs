@@ -6,13 +6,16 @@
 //! generic engine, with the flattened-layout cache both enabled and
 //! disabled. A second suite sweeps *every* byte-offset boundary of the
 //! datatype-gallery types through `find_position`, checking that resumed
-//! partial packs splice back into the full stream bit-identically.
+//! partial packs splice back into the full stream bit-identically. A third
+//! holds the run-granular pack loop, for every `(skip, max)`, against a
+//! block-by-block expansion of the committed leaves.
 //!
 //! `PACK_ORACLE_SEED=<n>` re-seeds the random trees (CI runs three fixed
 //! seeds); the default seed is used otherwise.
 
 use mpi_datatype::{ff, layout_cache, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition};
 use simclock::SplitMix64;
+use std::ops::ControlFlow;
 
 fn oracle_seed() -> u64 {
     std::env::var("PACK_ORACLE_SEED")
@@ -254,4 +257,167 @@ fn degenerate_types_pack_to_empty_or_exact_streams() {
             assert_eq!(sink.data.len(), dt.size() * count);
         }
     }
+}
+
+/// Block-by-block reference: every basic block of `count` instances in
+/// pack order, each leaf expanded by a plain odometer over its stack.
+fn reference_blocks(c: &Committed, count: usize) -> Vec<(i64, usize)> {
+    let mut out = Vec::new();
+    for j in 0..count {
+        for leaf in c.leaves() {
+            let mut idx = vec![0usize; leaf.stack.len()];
+            'leaf: loop {
+                let disp = leaf.first
+                    + (j * c.extent()) as i64
+                    + idx
+                        .iter()
+                        .zip(&leaf.stack)
+                        .map(|(&i, level)| i as i64 * level.extent)
+                        .sum::<i64>();
+                out.push((disp, leaf.len));
+                // Innermost level fastest.
+                let mut level = idx.len();
+                loop {
+                    if level == 0 {
+                        break 'leaf;
+                    }
+                    level -= 1;
+                    idx[level] += 1;
+                    if idx[level] < leaf.stack[level].count {
+                        break;
+                    }
+                    idx[level] = 0;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The bytes `[skip, skip + max)` of the stream `blocks` spell out, as
+/// (possibly split) blocks.
+fn reference_range(blocks: &[(i64, usize)], skip: usize, max: usize) -> Vec<(i64, usize)> {
+    let end = skip.saturating_add(max);
+    let mut out = Vec::new();
+    let mut at = 0usize;
+    for &(disp, len) in blocks {
+        let (lo, hi) = (skip.max(at), end.min(at + len));
+        if lo < hi {
+            out.push((disp + (lo - at) as i64, hi - lo));
+        }
+        at += len;
+    }
+    out
+}
+
+/// The types the run sweep walks: the `partial_packs_reassemble` vector,
+/// the gallery, and leaves of stack depth 0 and 2, single-block inner
+/// levels, multi-leaf types and types with zero-count parts.
+fn run_sweep_types() -> Vec<(Datatype, usize)> {
+    let strided = Datatype::vector(4, 1, 2, &Datatype::int());
+    let mut types = vec![
+        (Datatype::vector(6, 3, 5, &Datatype::int()), 3),
+        (Datatype::contiguous(9, &Datatype::int()), 2),
+        (Datatype::hvector(3, 1, 100, &strided), 2),
+        (
+            Datatype::hvector(2, 1, 400, &Datatype::hvector(3, 1, 100, &strided)),
+            1,
+        ),
+        (Datatype::hvector(5, 1, 12, &Datatype::byte()), 3),
+        (
+            Datatype::structure(&[
+                (2, 0, Datatype::int()),
+                (1, 16, Datatype::vector(3, 1, 2, &Datatype::double())),
+            ]),
+            2,
+        ),
+        (
+            Datatype::indexed(&[(0, 3), (2, 0), (0, 9), (1, 5)], &Datatype::int()),
+            3,
+        ),
+        (
+            Datatype::structure(&[
+                (0, 0, Datatype::int()),
+                (1, 4, Datatype::int()),
+                (3, 16, Datatype::contiguous(0, &Datatype::double())),
+                (2, 24, Datatype::vector(3, 1, 3, &Datatype::float())),
+            ]),
+            2,
+        ),
+    ];
+    types.extend(gallery().into_iter().map(|dt| (dt, 2)));
+    types
+}
+
+/// Run emission against the block-by-block reference, for every
+/// `(skip, max)`: the same (split) blocks in the same order, whole blocks
+/// only inside multi-block runs, and `PackStats` counting one block and
+/// one visit per emitted block — virtual pack cost is charged from them.
+#[test]
+fn runs_spell_out_the_reference_blocks_for_every_skip_and_max() {
+    for (dt, count) in run_sweep_types() {
+        let c = Committed::commit(&dt);
+        let total = c.size() * count;
+        let blocks = reference_blocks(&c, count);
+        assert_eq!(blocks.iter().map(|b| b.1).sum::<usize>(), total, "{dt}");
+        let src = source_buffer(&dt, count);
+        let maxes = |skip: usize| (0..=total - skip + 1).chain([usize::MAX]);
+        for (skip, max) in (0..=total).flat_map(|skip| maxes(skip).map(move |max| (skip, max))) {
+            let expect = reference_range(&blocks, skip, max);
+
+            let mut by_block = Vec::new();
+            let stats = ff::for_each_block(&c, count, skip, max, |disp, len| {
+                by_block.push((disp, len));
+                ControlFlow::Continue(())
+            });
+            assert_eq!(by_block, expect, "blocks of {dt} at ({skip}, {max})");
+            assert_eq!(
+                (stats.bytes, stats.blocks, stats.visits),
+                (
+                    expect.iter().map(|b| b.1).sum::<usize>(),
+                    expect.len(),
+                    expect.len()
+                ),
+                "stats of {dt} at ({skip}, {max})"
+            );
+
+            let mut by_run = Vec::new();
+            ff::for_each_run(&c, count, skip, max, |run| {
+                assert!(run.n >= 1 && run.len >= 1, "empty run for {dt}");
+                by_run.extend((0..run.n as i64).map(|i| (run.disp + i * run.stride, run.len)));
+                ControlFlow::Continue(())
+            });
+            assert_eq!(by_run, expect, "runs of {dt} at ({skip}, {max})");
+
+            // And the packer built on the runs reports the same stats.
+            let mut sink = ff::VecSink::default();
+            let packed = ff::pack_ff(&c, count, &src, 0, skip, max, &mut sink).unwrap();
+            assert_eq!(packed, stats, "pack_ff stats of {dt} at ({skip}, {max})");
+        }
+    }
+}
+
+/// The inner level of a strided leaf comes out as one run per row, not as
+/// one call per block.
+#[test]
+fn whole_rows_are_single_runs() {
+    let c = Committed::commit(&Datatype::hvector(
+        3,
+        1,
+        100,
+        &Datatype::vector(4, 1, 2, &Datatype::int()),
+    ));
+    let mut runs = Vec::new();
+    ff::for_each_run(&c, 2, 0, usize::MAX, |run| {
+        runs.push((run.disp, run.len, run.stride, run.n));
+        ControlFlow::Continue(())
+    });
+    let row = |disp| (disp, 4, 8, 4);
+    let ext = c.extent() as i64;
+    assert_eq!(
+        runs,
+        [0, 100, 200, ext, ext + 100, ext + 200].map(row),
+        "leaves: {:?}",
+        c.leaves()
+    );
 }
