@@ -66,7 +66,7 @@ fn spec(algo: CollectiveAlgo, noncontig: NoncontigMode) -> ClusterSpec {
 }
 
 /// Time `op` on `spec`: one warmup round, then `ROUNDS` measured rounds
-/// between barriers. Returns the per-round virtual latency [µs], taken
+/// between barriers. Returns the per-round virtual latency in µs, taken
 /// as the slowest rank's elapsed time.
 fn measure<F>(spec: ClusterSpec, op: F) -> f64
 where

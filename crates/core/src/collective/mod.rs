@@ -4,7 +4,7 @@
 //! of point-to-point messages. The reproduction grew the same way — one
 //! linear/binomial schedule per operation — and this module generalises
 //! that into an *engine*: every collective is a rank-symmetric
-//! communication plan ([`plan`]) walked by an executor ([`algos`]) over
+//! communication plan (`plan`) walked by an executor (`algos`) over
 //! the runtime's primitives — symmetric sendrecv exchanges, nonblocking
 //! requests, and one-sided PSCW windows.
 //!
@@ -20,7 +20,7 @@
 //! binomial tree) — the `coll.algo.*` counters always record the
 //! schedule that actually executed. Selection inputs are symmetric by
 //! construction: buffer length for the symmetric-count collectives, a
-//! control-plane agreement (one [`Rank::collective_gather`]) for ragged
+//! control-plane agreement (one `Rank::collective_gather`) for ragged
 //! `allgather` under `Auto`, and the `MPI_Alltoall` uniform-block
 //! contract for `alltoall` (identical block sizes everywhere, so a
 //! purely local predicate already agrees) — every member derives the

@@ -530,9 +530,10 @@ pub(crate) struct WorldState {
     /// Barriers for shrunken epochs, registered by the survivor leader
     /// and keyed by epoch number (epoch 0 uses `barrier`).
     pub epoch_barriers: Mutex<HashMap<u64, Arc<TimeBarrier>>>,
-    /// Eager flow-control credit pools, keyed by (sender, receiver)
-    /// world-rank pair and created lazily like `rings`.
-    pub credits: Mutex<HashMap<(usize, usize), Arc<PairCredits>>>,
+    /// Eager flow-control credit pools, indexed by sending world rank
+    /// and keyed by receiver, created lazily like `rings`. A sender's
+    /// barrier walks only its own pools.
+    pub credits: Vec<Mutex<HashMap<usize, Arc<PairCredits>>>>,
     /// Per-rank bytes currently charged against the window memory
     /// budget ([`Tuning::window_budget_bytes`]). Indexed by world rank;
     /// only that rank's thread charges or releases, so the balance is
@@ -579,8 +580,8 @@ impl WorldState {
 
     /// The eager credit pool for messages `src → dst`, created lazily.
     pub fn credit(&self, src: usize, dst: usize) -> Arc<PairCredits> {
-        let mut credits = self.credits.lock().unwrap();
-        Arc::clone(credits.entry((src, dst)).or_insert_with(|| {
+        let mut credits = self.credits[src].lock().unwrap();
+        Arc::clone(credits.entry(dst).or_insert_with(|| {
             Arc::new(PairCredits::new(
                 self.tuning.eager_credits_bytes,
                 self.tuning.eager_credit_slots,
@@ -592,15 +593,7 @@ impl WorldState {
     /// `me`. Called at barriers: the depositing receivers passed the
     /// same barrier, so every pending grant is in `me`'s causal past.
     pub fn collect_credits(&self, me: usize) {
-        let pairs: Vec<Arc<PairCredits>> = {
-            let credits = self.credits.lock().unwrap();
-            credits
-                .iter()
-                .filter(|(&(s, _), _)| s == me)
-                .map(|(_, c)| Arc::clone(c))
-                .collect()
-        };
-        for c in pairs {
+        for c in self.credits[me].lock().unwrap().values() {
             c.collect_ready();
         }
     }
@@ -609,10 +602,13 @@ impl WorldState {
     /// rank, so a sender stalled on credits owed by the dead rank makes
     /// progress once the shrink installs the new epoch.
     pub fn reclaim_credits(&self, dead: &[usize]) {
-        let credits = self.credits.lock().unwrap();
-        for (&(s, d), c) in credits.iter() {
-            if dead.contains(&s) || dead.contains(&d) {
-                c.reset_full();
+        for (s, credits) in self.credits.iter().enumerate() {
+            let credits = credits.lock().unwrap();
+            let sender_dead = dead.contains(&s);
+            for (d, c) in credits.iter() {
+                if sender_dead || dead.contains(d) {
+                    c.reset_full();
+                }
             }
         }
     }
@@ -1164,7 +1160,7 @@ where
         revoke: Mutex::new(None),
         current_epoch: AtomicU64::new(0),
         epoch_barriers: Mutex::new(HashMap::new()),
-        credits: Mutex::new(HashMap::new()),
+        credits: (0..size).map(|_| Mutex::new(HashMap::new())).collect(),
         window_bytes: (0..size)
             .map(|_| std::sync::atomic::AtomicUsize::new(0))
             .collect(),
@@ -1174,6 +1170,8 @@ where
         epoch_waiters: sched::WaitQueue::new(),
     });
 
+    // One launch membership for every rank, not a `size`-long copy each.
+    let launch_members: Arc<Vec<usize>> = Arc::new((0..size).collect());
     let rank_body = |rank: usize, world: Arc<WorldState>, f: &F| -> T {
         let mut r = Rank {
             rank,
@@ -1183,7 +1181,7 @@ where
             coll_seq: 0,
             drop_bin: Arc::new(crate::request::DropBin::default()),
             pending_requests: 0,
-            members: Arc::new((0..size).collect()),
+            members: Arc::clone(&launch_members),
             my_index: rank,
             epoch: 0,
             epoch_barrier: None,
@@ -1427,6 +1425,54 @@ mod tests {
                 assert!(r.now() >= future);
                 ring.release(s1, r.now());
                 ring.release(s2, r.now());
+            }
+        });
+    }
+
+    #[test]
+    fn credit_collection_and_reclaim_touch_exactly_their_pairs() {
+        run(ClusterSpec::ringlet(4), |r| {
+            if r.rank() != 0 {
+                return;
+            }
+            let w = &r.world;
+            let full = (w.tuning.eager_credits_bytes, w.tuning.eager_credit_slots);
+            let pairs: Vec<(usize, usize)> = (0..4)
+                .flat_map(|s| (0..4).map(move |d| (s, d)))
+                .filter(|(s, d)| s != d)
+                .collect();
+            // Every ordered pair spends a distinct amount and has the
+            // grant for it deposited, uncollected.
+            let len = |s: usize, d: usize| 100 + 10 * s + d;
+            let spent = |s, d| (full.0 - len(s, d), full.1 - 1);
+            for &(s, d) in &pairs {
+                let c = w.credit(s, d);
+                assert!(c.try_consume(len(s, d)));
+                c.deposit(len(s, d), r.now());
+            }
+            // A barrier on rank 1 folds in rank 1's own pools only.
+            w.collect_credits(1);
+            for &(s, d) in &pairs {
+                let want = if s == 1 { full } else { spent(s, d) };
+                assert_eq!(w.credit(s, d).available(), want, "collect: pair {s}->{d}");
+            }
+            // Rank 2 dies: every pair it sends or receives on is reset,
+            // pending grants included; no other pair moves.
+            w.reclaim_credits(&[2]);
+            for &(s, d) in &pairs {
+                let want = if s == 1 || s == 2 || d == 2 {
+                    full
+                } else {
+                    spent(s, d)
+                };
+                assert_eq!(w.credit(s, d).available(), want, "reclaim: pair {s}->{d}");
+            }
+            // The untouched pairs still hold their grants: 0->1 and 0->3
+            // fold in at rank 0's barrier, 3->0 and 3->1 stay spent.
+            w.collect_credits(0);
+            for &(s, d) in &pairs {
+                let want = if s == 3 && d != 2 { spent(s, d) } else { full };
+                assert_eq!(w.credit(s, d).available(), want, "second collect: {s}->{d}");
             }
         });
     }

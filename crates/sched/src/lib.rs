@@ -38,14 +38,24 @@
 //! consecutive stall rounds without progress mean a genuine deadlock and
 //! panic with a task-table dump instead of hanging CI.
 //!
+//! ## Handoff
+//!
+//! The successor is *chosen* under the scheduler mutex and the token is
+//! *granted* outside it: the chooser stores the grant in the successor's
+//! own flag and unparks its thread; a waiting task loops on that flag and
+//! never on the mutex. A task that chooses itself (after a stall round)
+//! keeps running without a syscall.
+//!
 //! See `docs/SCHEDULER.md` for the full model.
 
 use simclock::SimTime;
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::panic_any;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// Sentinel panic payload used to unwind tasks after another task has
 /// aborted the run. Wrappers around task bodies treat it as "shut down
@@ -58,10 +68,44 @@ pub struct Aborted;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// A producer woke this task; its condition may now hold.
-    Woken,
+    Woken = 1,
     /// Scheduler stall round: nothing else can run. Re-check liveness
     /// (dead peers, revocation, cancellation) and park again.
-    Stalled,
+    Stalled = 2,
+}
+
+/// [`Parker::grant`] while no grant is pending; otherwise a [`Wake`].
+const NO_GRANT: u8 = 0;
+
+/// One task's end of the handoff, created at adoption: the flag its
+/// thread waits on and the thread to poke. The task table holds it so a
+/// granter can reach it, the task's thread-local so the wait never takes
+/// the scheduler mutex.
+struct Parker {
+    /// The [`Wake`] this task was granted the run token with, until the
+    /// task consumes it. Stored (`Release`) by the granter after it chose
+    /// the task under the scheduler lock, swapped out (`Acquire`) by the
+    /// task: everything the granter did before parking is visible to it.
+    grant: AtomicU8,
+    thread: Thread,
+}
+
+impl Parker {
+    fn grant(&self, wake: Wake) {
+        self.grant.store(wake as u8, Ordering::Release);
+        self.thread.unpark();
+    }
+}
+
+/// Outcome of [`Scheduler::choose`].
+enum Next {
+    /// No grant: the run aborted, the root gate is shut, or no live task
+    /// remains.
+    Nobody,
+    /// The chooser itself is next and keeps running.
+    Me(Wake),
+    /// Another task is next; the chooser grants it outside the lock.
+    Task(Arc<Parker>, Wake),
 }
 
 /// Identifies a task within its [`Scheduler`].
@@ -94,9 +138,11 @@ struct Task {
     /// The pending dispatch is a stall round, not a producer wake.
     stalled: bool,
     root: bool,
-    /// Per-task condvar (all waiting on the scheduler mutex) so a grant
-    /// wakes exactly one thread instead of storming all 10k of them.
-    cv: Arc<Condvar>,
+    /// Set at adoption, dropped at retirement (with the thread handle
+    /// it holds): an exited task keeps only its plain fields.
+    parker: Option<Arc<Parker>>,
+    /// Index of this task in [`Inner::live`] while it is live.
+    live_slot: usize,
     /// Tasks parked in `join` on this task's exit.
     exit_waiters: Vec<usize>,
 }
@@ -115,16 +161,27 @@ struct Inner {
     /// must be in the heap before the next pop, or adoption timing
     /// (real time!) would leak into dispatch order.
     incoming: usize,
-    blocked: usize,
-    live: usize,
+    /// Ids of the tasks created and not yet retired, in no particular
+    /// order: what stall rounds and aborts walk, so neither pays for the
+    /// tasks that have come and gone.
+    live: Vec<usize>,
     next_seq: u64,
     /// Unparks + adoptions + retirements — the progress measure that
     /// separates productive stall rounds from deadlock.
     progress: u64,
     progress_at_stall: u64,
     barren_stalls: u32,
-    aborted: bool,
     stats: Stats,
+}
+
+impl Inner {
+    /// Mark `id` ready and queue it under its `(time, rank, seq, id)` key.
+    fn push_ready(&mut self, id: usize) {
+        let t = &mut self.tasks[id];
+        t.status = Status::Ready;
+        self.ready.push(Reverse((t.time, t.rank, t.seq, id)));
+        self.stats.ready_high_water = self.stats.ready_high_water.max(self.ready.len());
+    }
 }
 
 /// Scheduler run statistics, for benches and the megascale smoke test.
@@ -143,8 +200,12 @@ pub struct Stats {
 /// A deterministic cooperative scheduler over OS-thread-backed tasks.
 pub struct Scheduler {
     inner: Mutex<Inner>,
-    /// Signalled on adoption; dispatchers wait here while `incoming > 0`.
+    /// Signalled on adoption; choosers wait here while `incoming > 0`.
     adopt_cv: Condvar,
+    /// The run aborted. Raised under `inner`'s lock (so a chooser waiting
+    /// on `adopt_cv` cannot miss it) and read without it by every task
+    /// waiting for a grant.
+    aborted: AtomicBool,
     /// First non-[`Aborted`] panic payload, re-thrown by the launcher.
     first_panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
@@ -167,22 +228,25 @@ impl Scheduler {
                 running: None,
                 gate: roots,
                 incoming: 0,
-                blocked: 0,
-                live: 0,
+                live: Vec::with_capacity(roots),
                 next_seq: 0,
                 progress: 0,
                 progress_at_stall: 0,
                 barren_stalls: 0,
-                aborted: false,
                 stats: Stats::default(),
             }),
             adopt_cv: Condvar::new(),
+            aborted: AtomicBool::new(false),
             first_panic: Mutex::new(None),
         })
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         relock(self.inner.lock())
+    }
+
+    fn is_aborted(&self) -> bool {
+        self.aborted.load(Ordering::Acquire)
     }
 
     /// Create a root task for `rank` starting at virtual time zero.
@@ -221,16 +285,19 @@ impl Scheduler {
             pending_wake: false,
             stalled: false,
             root,
-            cv: Arc::new(Condvar::new()),
+            parker: None,
+            live_slot: g.live.len(),
             exit_waiters: Vec::new(),
         });
-        g.live += 1;
-        g.stats.tasks_high_water = g.stats.tasks_high_water.max(g.live);
-        TaskId(g.tasks.len() - 1)
+        let id = g.tasks.len() - 1;
+        g.live.push(id);
+        g.stats.tasks_high_water = g.stats.tasks_high_water.max(g.live.len());
+        TaskId(id)
     }
 
     /// Abort the run: store the first real panic payload and wake every
-    /// task so it unwinds with the [`Aborted`] sentinel.
+    /// task so it unwinds with the [`Aborted`] sentinel (a running task at
+    /// its next park, a waiting one now).
     pub fn abort_with(&self, payload: Box<dyn Any + Send + 'static>) {
         {
             let mut fp = relock(self.first_panic.lock());
@@ -238,13 +305,17 @@ impl Scheduler {
                 *fp = Some(payload);
             }
         }
-        let mut g = self.lock();
-        if g.aborted {
+        let g = self.lock();
+        if self.aborted.swap(true, Ordering::SeqCst) {
             return;
         }
-        g.aborted = true;
-        for t in &g.tasks {
-            t.cv.notify_all();
+        // A waiter that read the flag before the store is either not yet
+        // in `thread::park` — then this token makes it return at once —
+        // or in it and woken; a task adopted after this sees the flag.
+        for &id in &g.live {
+            if let Some(p) = &g.tasks[id].parker {
+                p.thread.unpark();
+            }
         }
         self.adopt_cv.notify_all();
     }
@@ -271,13 +342,9 @@ impl Scheduler {
     fn unpark_in(g: &mut Inner, id: usize) {
         match g.tasks[id].status {
             Status::Blocked => {
-                g.tasks[id].status = Status::Ready;
                 g.tasks[id].stalled = false;
-                g.blocked -= 1;
                 g.progress += 1;
-                let key = (g.tasks[id].time, g.tasks[id].rank, g.tasks[id].seq, id);
-                g.ready.push(Reverse(key));
-                g.stats.ready_high_water = g.stats.ready_high_water.max(g.ready.len());
+                g.push_ready(id);
             }
             Status::Ready => {
                 if g.tasks[id].stalled {
@@ -293,15 +360,15 @@ impl Scheduler {
         }
     }
 
-    /// Hand the run token to the best ready task. Called with no task
-    /// running; returns once a grant happened, the run aborted, or no
-    /// live task remains. Blocks (deterministically) while spawned tasks
-    /// have not yet been adopted.
-    fn dispatch<'a>(&'a self, mut g: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+    /// Choose the best ready task as the next holder of the run token
+    /// and release the lock; the caller delivers the grant. Called with
+    /// no task running, by `me` (parking, adopting or retiring). Blocks
+    /// (deterministically) while spawned tasks have not yet been adopted.
+    fn choose(&self, mut g: MutexGuard<'_, Inner>, me: usize) -> Next {
         debug_assert!(g.running.is_none());
         loop {
-            if g.aborted || g.gate > 0 || g.live == 0 {
-                return g;
+            if self.is_aborted() || g.gate > 0 || g.live.is_empty() {
+                return Next::Nobody;
             }
             if g.incoming > 0 {
                 g = relock(self.adopt_cv.wait(g));
@@ -311,8 +378,19 @@ impl Scheduler {
                 debug_assert_eq!(g.tasks[id].status, Status::Ready);
                 g.tasks[id].status = Status::Running;
                 g.running = Some(id);
-                g.tasks[id].cv.notify_all();
-                return g;
+                let wake = if std::mem::take(&mut g.tasks[id].stalled) {
+                    Wake::Stalled
+                } else {
+                    Wake::Woken
+                };
+                if id == me {
+                    return Next::Me(wake);
+                }
+                let parker = g.tasks[id]
+                    .parker
+                    .as_ref()
+                    .expect("ready tasks are adopted");
+                return Next::Task(Arc::clone(parker), wake);
             }
             // Ready heap empty, nothing incoming, nothing running, yet
             // live tasks exist: everyone is blocked. Stall round.
@@ -336,22 +414,22 @@ impl Scheduler {
         }
         g.stats.stalls += 1;
         g.progress_at_stall = g.progress;
-        for id in 0..g.tasks.len() {
+        for slot in 0..g.live.len() {
+            let id = g.live[slot];
             if g.tasks[id].status == Status::Blocked {
-                g.tasks[id].status = Status::Ready;
                 g.tasks[id].stalled = true;
-                g.blocked -= 1;
-                let key = (g.tasks[id].time, g.tasks[id].rank, g.tasks[id].seq, id);
-                g.ready.push(Reverse(key));
+                g.push_ready(id);
             }
         }
-        g.stats.ready_high_water = g.stats.ready_high_water.max(g.ready.len());
     }
 
     fn render_tasks(g: &Inner) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("task table (first 64):\n");
-        for (id, t) in g.tasks.iter().enumerate().take(64) {
+        let mut live = g.live.clone();
+        live.sort_unstable();
+        let mut out = String::from("task table (first 64 live):\n");
+        for &id in live.iter().take(64) {
+            let t = &g.tasks[id];
             let _ = writeln!(
                 out,
                 "  #{id} rank={} seq={} {:?} t={:?}{}",
@@ -362,42 +440,53 @@ impl Scheduler {
                 if t.root { " root" } else { "" }
             );
         }
-        if g.tasks.len() > 64 {
-            let _ = writeln!(out, "  … {} more", g.tasks.len() - 64);
+        if live.len() > 64 {
+            let _ = writeln!(out, "  … {} more", live.len() - 64);
         }
         out
     }
 
-    /// Park body shared by `park`, `join` and adoption: caller has set up
-    /// the task's blocked/ready state; waits until granted the run token.
-    fn wait_for_grant<'a>(
-        &'a self,
-        mut g: MutexGuard<'a, Inner>,
-        me: usize,
-    ) -> (MutexGuard<'a, Inner>, Wake) {
-        let cv = Arc::clone(&g.tasks[me].cv);
+    /// Deliver `next`'s grant, then wait for this task's own: until its
+    /// flag holds one, or the run aborts. Never touches the scheduler
+    /// mutex. `thread::park` tokens are advisory — `thread::scope`, `mpsc`
+    /// and any other std primitive park and unpark the same threads — so
+    /// the loop trusts only the two flags.
+    fn hand_over(&self, next: Next, mine: &Parker) -> Wake {
+        match next {
+            Next::Me(wake) => return wake,
+            Next::Task(parker, wake) => parker.grant(wake),
+            Next::Nobody => {}
+        }
         loop {
-            if g.aborted {
-                drop(g);
+            if self.is_aborted() {
                 panic_any(Aborted);
             }
-            if g.tasks[me].status == Status::Running {
-                let stalled = std::mem::take(&mut g.tasks[me].stalled);
-                let wake = if stalled { Wake::Stalled } else { Wake::Woken };
-                return (g, wake);
+            match mine.grant.swap(NO_GRANT, Ordering::Acquire) {
+                NO_GRANT => std::thread::park(),
+                w if w == Wake::Stalled as u8 => return Wake::Stalled,
+                _ => return Wake::Woken,
             }
-            g = relock(cv.wait(g));
         }
+    }
+
+    /// Give up the run token held by `me` as a blocked task and wait to
+    /// be granted it again.
+    fn block(&self, mut g: MutexGuard<'_, Inner>, me: usize, mine: &Parker) -> Wake {
+        g.tasks[me].status = Status::Blocked;
+        g.tasks[me].stalled = false;
+        g.running = None;
+        let next = self.choose(g, me);
+        self.hand_over(next, mine)
     }
 
     /// Park the current task (`me`) at virtual time `now` (or its last
     /// recorded time if `None`) and hand the token over. Returns when the
     /// task is granted the token again.
-    fn park_task(&self, me: usize, now: Option<SimTime>) -> Wake {
+    fn park_task(&self, me: usize, mine: &Parker, now: Option<SimTime>) -> Wake {
         let mut g = self.lock();
         g.stats.events += 1;
         debug_assert_eq!(g.running, Some(me));
-        if g.aborted {
+        if self.is_aborted() {
             drop(g);
             panic_any(Aborted);
         }
@@ -407,39 +496,39 @@ impl Scheduler {
         if std::mem::take(&mut g.tasks[me].pending_wake) {
             return Wake::Woken;
         }
-        g.tasks[me].status = Status::Blocked;
-        g.tasks[me].stalled = false;
-        g.blocked += 1;
-        g.running = None;
-        g = self.dispatch(g);
-        let (_g, wake) = self.wait_for_grant(g, me);
-        wake
+        self.block(g, me, mine)
     }
 
-    /// Retire the current task (`me`): mark it exited, wake joiners,
-    /// dispatch a successor. The task's thread must not touch the
-    /// scheduler afterwards.
+    /// Retire the current task (`me`): mark it exited, release what only
+    /// a live task needs, wake joiners, grant a successor. The task's
+    /// thread must not touch the scheduler afterwards.
     fn retire_task(&self, me: usize) {
         let mut g = self.lock();
         g.stats.events += 1;
         g.tasks[me].status = Status::Exited;
-        g.live -= 1;
         g.progress += 1;
-        let waiters = std::mem::take(&mut g.tasks[me].exit_waiters);
-        for w in waiters {
+        let slot = g.tasks[me].live_slot;
+        g.live.swap_remove(slot);
+        if let Some(&moved) = g.live.get(slot) {
+            g.tasks[moved].live_slot = slot;
+        }
+        g.tasks[me].parker = None;
+        for w in std::mem::take(&mut g.tasks[me].exit_waiters) {
             Self::unpark_in(&mut g, w);
         }
         if g.running == Some(me) {
             g.running = None;
-            let _g = self.dispatch(g);
+            if let Next::Task(parker, wake) = self.choose(g, me) {
+                parker.grant(wake);
+            }
         }
     }
 
     /// Block the current task (`me`) until `target` exits.
-    fn join_task_inner(&self, me: usize, target: usize) {
+    fn join_task_inner(&self, me: usize, mine: &Parker, target: usize) {
         loop {
             let mut g = self.lock();
-            if g.aborted {
+            if self.is_aborted() {
                 drop(g);
                 panic_any(Aborted);
             }
@@ -454,38 +543,34 @@ impl Scheduler {
             if std::mem::take(&mut g.tasks[me].pending_wake) {
                 continue;
             }
-            g.tasks[me].status = Status::Blocked;
-            g.tasks[me].stalled = false;
-            g.blocked += 1;
-            g.running = None;
-            g = self.dispatch(g);
-            let (_g, _wake) = self.wait_for_grant(g, me);
-            // Re-check the target (stall rounds wake joiners too).
+            // Re-check the target after any wake (stall rounds wake
+            // joiners too).
+            self.block(g, me, mine);
         }
     }
 
-    /// Adopt `id` on the calling thread: register it with the scheduler,
-    /// install the thread-local handle, and wait for the first grant.
-    fn adopt_task(self: &Arc<Self>, id: usize) {
-        let mut g = self.lock();
-        debug_assert_eq!(g.tasks[id].status, Status::Created);
-        g.tasks[id].status = Status::Ready;
-        let key = (g.tasks[id].time, g.tasks[id].rank, g.tasks[id].seq, id);
-        g.ready.push(Reverse(key));
-        g.stats.ready_high_water = g.stats.ready_high_water.max(g.ready.len());
-        if g.tasks[id].root {
-            g.gate -= 1;
-            if g.gate == 0 {
-                // Last root opens the gate and runs the first dispatch.
-                debug_assert!(g.running.is_none());
-                g = self.dispatch(g);
+    /// Adopt `id` on the calling thread, whose parker is `mine`:
+    /// register it with the scheduler and wait for the first grant.
+    fn adopt_task(&self, id: usize, mine: &Arc<Parker>) {
+        let next = {
+            let mut g = self.lock();
+            debug_assert_eq!(g.tasks[id].status, Status::Created);
+            g.tasks[id].parker = Some(Arc::clone(mine));
+            g.push_ready(id);
+            if g.tasks[id].root {
+                g.gate -= 1;
+                // The last root opens the gate and makes the first choice.
+                self.choose(g, id)
+            } else {
+                g.incoming -= 1;
+                g.progress += 1;
+                self.adopt_cv.notify_all();
+                Next::Nobody
             }
-        } else {
-            g.incoming -= 1;
-            g.progress += 1;
-            self.adopt_cv.notify_all();
-        }
-        let (_g, _wake) = self.wait_for_grant(g, id);
+            // The lock is released here at the latest: the wait below
+            // must not hold it.
+        };
+        self.hand_over(next, mine);
     }
 }
 
@@ -512,20 +597,23 @@ impl Handle {
     /// granted the run token. From then on the thread runs under the
     /// scheduler until [`retire`].
     pub fn adopt(&self) {
+        let parker = Arc::new(Parker {
+            grant: AtomicU8::new(NO_GRANT),
+            thread: std::thread::current(),
+        });
         CURRENT.with(|c| {
             debug_assert!(c.borrow().is_none(), "thread already runs a task");
-            *c.borrow_mut() = Some(self.clone());
+            *c.borrow_mut() = Some(Current {
+                handle: self.clone(),
+                parker: Arc::clone(&parker),
+            });
         });
-        self.sched.adopt_task(self.id.0);
+        self.sched.adopt_task(self.id.0, &parker);
     }
 
     /// Wake this task if parked (remembering the wake otherwise).
     pub fn unpark(&self) {
         self.sched.unpark(self.id);
-    }
-
-    fn same_task(&self, other: &Handle) -> bool {
-        self.id == other.id && Arc::ptr_eq(&self.sched, &other.sched)
     }
 }
 
@@ -535,13 +623,27 @@ impl std::fmt::Debug for Handle {
     }
 }
 
+/// The task a thread runs, from [`Handle::adopt`] to [`retire`].
+struct Current {
+    handle: Handle,
+    parker: Arc<Parker>,
+}
+
 thread_local! {
-    static CURRENT: std::cell::RefCell<Option<Handle>> = const { std::cell::RefCell::new(None) };
+    static CURRENT: std::cell::RefCell<Option<Current>> = const { std::cell::RefCell::new(None) };
+}
+
+/// Run `f` on the current thread's task, if it runs one, without cloning
+/// its handle. The borrow is held across a park: nothing re-enters
+/// `CURRENT` mutably before [`retire`], which runs after `f` returned or
+/// unwound.
+fn with_current<R>(f: impl FnOnce(&Current) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_ref().map(f))
 }
 
 /// The current thread's task handle, if it runs under a scheduler.
 pub fn current() -> Option<Handle> {
-    CURRENT.with(|c| c.borrow().clone())
+    with_current(|cur| cur.handle.clone())
 }
 
 /// Whether the current thread is an event-scheduler task. Blocking
@@ -554,25 +656,30 @@ pub fn is_event_task() -> bool {
 /// Park the current task at virtual time `now`. Panics (by design) if
 /// the thread is not a task — callers must check [`is_event_task`].
 pub fn park(now: SimTime) -> Wake {
-    let h = current().expect("sched::park outside a task");
-    h.sched.park_task(h.id.0, Some(now))
+    park_current(Some(now)).expect("sched::park outside a task")
 }
 
 /// Park at the task's last recorded virtual time — for blocking sites
 /// with no timestamp of their own (turn tickets, joins), keeping the
 /// dispatch key deterministic.
 pub fn park_stale() -> Wake {
-    let h = current().expect("sched::park_stale outside a task");
-    h.sched.park_task(h.id.0, None)
+    park_current(None).expect("sched::park_stale outside a task")
+}
+
+fn park_current(now: Option<SimTime>) -> Option<Wake> {
+    with_current(|cur| {
+        let h = &cur.handle;
+        h.sched.park_task(h.id.0, &cur.parker, now)
+    })
 }
 
 /// Retire the current task and clear the thread-local binding. The
 /// thread may outlive the task (e.g. to return a value) but must not
 /// call back into the scheduler.
 pub fn retire() {
-    let h = CURRENT.with(|c| c.borrow_mut().take());
-    if let Some(h) = h {
-        h.sched.retire_task(h.id.0);
+    let cur = CURRENT.with(|c| c.borrow_mut().take());
+    if let Some(cur) = cur {
+        cur.handle.sched.retire_task(cur.handle.id.0);
     }
 }
 
@@ -581,30 +688,29 @@ pub fn retire() {
 /// backend). The returned handle must be [`Handle::adopt`]ed by the new
 /// task's thread before the simulation can advance.
 pub fn spawn_handle(rank: u32, time: SimTime) -> Option<Handle> {
-    current().map(|h| h.sched.create_task(rank, time))
+    with_current(|cur| cur.handle.sched.create_task(rank, time))
 }
 
 /// Block the current task until `target` retires. No-op (falls through
 /// to the caller's real `JoinHandle::join`) when the current thread is
 /// not a task of the same scheduler.
 pub fn join_task(target: &Handle) {
-    if let Some(me) = current() {
+    with_current(|cur| {
+        let me = &cur.handle;
         if Arc::ptr_eq(&me.sched, &target.sched) {
-            me.sched.join_task_inner(me.id.0, target.id.0);
+            me.sched.join_task_inner(me.id.0, &cur.parker, target.id.0);
         }
-    }
+    });
 }
 
 /// Abort the current task's run with `payload` (stored as the run's
 /// first panic unless it is the [`Aborted`] sentinel). No-op outside a
 /// task.
 pub fn abort_current(payload: Box<dyn Any + Send + 'static>) {
-    if let Some(h) = current() {
-        h.sched.abort_with(payload);
-    }
+    with_current(|cur| cur.handle.sched.abort_with(payload));
 }
 
-/// A list of parked tasks waiting on one condition — the event-backend
+/// A set of parked tasks waiting on one condition — the event-backend
 /// twin of a `Condvar`. Consumers register *before* re-checking their
 /// condition and park while still holding the run token (producers are
 /// tasks too, so no wake can slip between check and park); producers
@@ -612,26 +718,31 @@ pub fn abort_current(payload: Box<dyn Any + Send + 'static>) {
 /// the thread backend.
 #[derive(Default)]
 pub struct WaitQueue {
-    waiters: Mutex<Vec<Handle>>,
+    /// Keyed by (scheduler address, task id): a repeated registration is
+    /// found without a scan, and one scheduler's tasks are adjacent, so
+    /// `wake_all` takes each scheduler's lock once. The handle keeps the
+    /// scheduler alive, so the address names it for as long as the entry
+    /// exists. Wake order is immaterial: the ready-heap key is total.
+    waiters: Mutex<BTreeMap<(usize, usize), Handle>>,
 }
 
 impl WaitQueue {
     /// A fresh, empty queue.
     pub const fn new() -> Self {
         WaitQueue {
-            waiters: Mutex::new(Vec::new()),
+            waiters: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// Register the current task (if any); duplicates are ignored, so
     /// re-registering on every loop iteration is fine.
     pub fn register_current(&self) {
-        if let Some(h) = current() {
-            let mut w = relock(self.waiters.lock());
-            if !w.iter().any(|x| x.same_task(&h)) {
-                w.push(h);
-            }
-        }
+        with_current(|cur| {
+            let h = &cur.handle;
+            relock(self.waiters.lock())
+                .entry((Arc::as_ptr(&h.sched) as usize, h.id.0))
+                .or_insert_with(|| h.clone());
+        });
     }
 
     /// Wake every registered task and clear the queue.
@@ -643,8 +754,13 @@ impl WaitQueue {
             }
             std::mem::take(&mut *w)
         };
-        for h in drained {
-            h.unpark();
+        let mut drained = drained.into_values().peekable();
+        while let Some(first) = drained.next() {
+            let mut g = first.sched.lock();
+            Scheduler::unpark_in(&mut g, first.id.0);
+            while let Some(h) = drained.next_if(|h| Arc::ptr_eq(&h.sched, &first.sched)) {
+                Scheduler::unpark_in(&mut g, h.id.0);
+            }
         }
     }
 }
@@ -819,6 +935,85 @@ mod tests {
         let p = r.expect_err("panic must propagate");
         let msg = p.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "boom in task 0");
+    }
+
+    #[test]
+    fn exited_tasks_keep_no_parker_thread_or_waiters() {
+        // 10 000 spawn/join cycles, the shape of a nonblocking request:
+        // what a task needs only while live goes at `retire`, and stall
+        // rounds and aborts walk the live tasks, not everyone ever made.
+        const CYCLES: usize = 10_000;
+        let parkers = Arc::new(Mutex::new(Vec::<std::sync::Weak<Parker>>::new()));
+        let sched_out = Arc::new(Mutex::new(None));
+        let (p, so) = (Arc::clone(&parkers), Arc::clone(&sched_out));
+        let stats = run_tasks(vec![Box::new(move || {
+            let sched = Arc::clone(current().unwrap().scheduler());
+            for i in 0..CYCLES {
+                let child = spawn_handle(0, SimTime::ZERO).unwrap();
+                let (hc, pc) = (child.clone(), Arc::clone(&p));
+                let jh = std::thread::spawn(move || {
+                    hc.adopt();
+                    let mine = with_current(|cur| Arc::downgrade(&cur.parker)).unwrap();
+                    pc.lock().unwrap().push(mine);
+                    retire();
+                });
+                join_task(&child);
+                jh.join().unwrap();
+                if i % 1000 == 0 {
+                    assert_eq!(sched.lock().live, vec![0], "cycle {i}");
+                    // A stall round with 1 + i exited tasks in the table.
+                    assert_eq!(park(SimTime::ZERO), Wake::Stalled);
+                    // Joining a task long gone returns at once.
+                    join_task(&child);
+                }
+            }
+            *so.lock().unwrap() = Some(sched);
+        })]);
+        assert_eq!(stats.tasks_high_water, 2);
+        let parkers = parkers.lock().unwrap();
+        assert_eq!(parkers.len(), CYCLES);
+        assert!(
+            parkers.iter().all(|p| p.upgrade().is_none()),
+            "an exited task's parker (and its Thread handle) outlived the task"
+        );
+        let sched = sched_out.lock().unwrap().take().unwrap();
+        let g = sched.lock();
+        assert!(g.live.is_empty());
+        assert_eq!(g.tasks.len(), 1 + CYCLES);
+        assert!(g.tasks.iter().all(|t| t.status == Status::Exited
+            && t.parker.is_none()
+            && t.exit_waiters.capacity() == 0));
+    }
+
+    #[test]
+    fn double_registration_is_one_wake_and_no_extra_event() {
+        // Task 0 registers `regs` times and parks; task 1 wakes the queue.
+        // A second wake would be remembered (`pending_wake`) and turn the
+        // unregistered park that follows from Stalled into Woken.
+        fn scenario(regs: usize) -> (Vec<Wake>, Stats) {
+            let wq = Arc::new(WaitQueue::new());
+            let wakes = Arc::new(Mutex::new(Vec::new()));
+            let (w0, w1, seen) = (Arc::clone(&wq), Arc::clone(&wq), Arc::clone(&wakes));
+            let stats = run_tasks(vec![
+                Box::new(move || {
+                    for _ in 0..regs {
+                        w0.register_current();
+                    }
+                    let first = park(SimTime::ZERO);
+                    let second = park(SimTime::ZERO);
+                    seen.lock().unwrap().extend([first, second]);
+                }),
+                Box::new(move || w1.wake_all()),
+            ]);
+            let wakes = wakes.lock().unwrap().clone();
+            (wakes, stats)
+        }
+        let (once, stats_once) = scenario(1);
+        let (twice, stats_twice) = scenario(2);
+        assert_eq!(once, vec![Wake::Woken, Wake::Stalled]);
+        assert_eq!(twice, once);
+        assert_eq!(stats_twice.events, stats_once.events);
+        assert_eq!(stats_twice.stalls, stats_once.stalls);
     }
 
     #[test]

@@ -235,9 +235,21 @@ impl Topology {
         }
     }
 
-    /// Ring distance (request hops) from `src` to `dst`.
+    /// Ring distance (request hops) from `src` to `dst`: the hop count of
+    /// [`Topology::route`], computed without building the route.
     pub fn distance(&self, src: NodeId, dst: NodeId) -> usize {
-        self.route(src, dst).hops()
+        if src == dst {
+            return 0;
+        }
+        let (ring_s, pos_s, len_s) = self.locate(src);
+        let (ring_d, pos_d, _) = self.locate(dst);
+        if ring_s == ring_d {
+            (pos_d + len_s - pos_s) % len_s
+        } else {
+            // To the source ring's switch port, one crossing, from the
+            // target ring's port.
+            (len_s - pos_s) % len_s + 1 + pos_d
+        }
     }
 
     /// Iterate over all node ids.
@@ -299,6 +311,25 @@ mod tests {
         assert_eq!(t.distance(NodeId(0), NodeId(7)), 7);
         assert_eq!(t.distance(NodeId(7), NodeId(0)), 1);
         assert_eq!(t.distance(NodeId(3), NodeId(3)), 0);
+    }
+
+    #[test]
+    fn distance_is_the_route_hop_count() {
+        let ringlets = (1..=9).map(Topology::ringlet);
+        let multi = (2..=3).flat_map(|r| (1..=5).map(move |n| Topology::multi_ring(r, n)));
+        for t in ringlets.chain(multi) {
+            for s in t.nodes() {
+                for d in t.nodes() {
+                    assert_eq!(t.distance(s, d), t.route(s, d).hops(), "{t:?} {s}->{d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside topology")]
+    fn distance_checks_its_nodes() {
+        let _ = Topology::ringlet(4).distance(NodeId(0), NodeId(4));
     }
 
     #[test]
