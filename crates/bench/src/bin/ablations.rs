@@ -44,10 +44,12 @@ fn main() {
             NoncontigCase::DirectPackFf,
             128,
             NONCONTIG_TOTAL,
-        );
+        )
+        .0;
         let mut spec = internode_spec();
         spec.params = sci_fabric::SciParams::default().with_write_combining_disabled();
-        let ablated = noncontig_bandwidth(spec, NoncontigCase::DirectPackFf, 128, NONCONTIG_TOTAL);
+        let ablated =
+            noncontig_bandwidth(spec, NoncontigCase::DirectPackFf, 128, NONCONTIG_TOTAL).0;
         t.push_row(vec![
             "write combining off".to_string(),
             "ff bw @128B [MiB/s]".to_string(),
@@ -71,7 +73,7 @@ fn main() {
                 rendezvous_chunk: chunk,
                 ..Tuning::default()
             };
-            noncontig_bandwidth(spec, NoncontigCase::DirectPackFf, 1024, NONCONTIG_TOTAL)
+            noncontig_bandwidth(spec, NoncontigCase::DirectPackFf, 1024, NONCONTIG_TOTAL).0
         };
         let base = bw_for(64 * 1024); // <= L2 (256 kiB)
         let ablated = bw_for(2 * 1024 * 1024); // >> L2: thrashing regime
@@ -127,11 +129,11 @@ fn main() {
     {
         let auto = |block: usize| {
             let spec = internode_spec(); // default tuning = Auto
-            noncontig_bandwidth(spec, NoncontigCase::DirectPackFf, block, NONCONTIG_TOTAL)
+            noncontig_bandwidth(spec, NoncontigCase::DirectPackFf, block, NONCONTIG_TOTAL).0
         };
         let forced_ff_8 = auto(8);
         let gen_8 =
-            noncontig_bandwidth(internode_spec(), NoncontigCase::Generic, 8, NONCONTIG_TOTAL);
+            noncontig_bandwidth(internode_spec(), NoncontigCase::Generic, 8, NONCONTIG_TOTAL).0;
         t.push_row(vec![
             "ff forced at 8B".to_string(),
             "bw @8B [MiB/s]".to_string(),
@@ -220,5 +222,5 @@ fn main() {
 
     println!("== Ablations (DESIGN.md section 5) ==\n");
     println!("{}", t.render());
-    doc.write_and_report();
+    doc.write_and_report(None);
 }

@@ -27,7 +27,8 @@ use mpi_datatype::{Committed, Datatype};
 use obs::Counter;
 use repro_bench::{BenchDoc, BenchPoint};
 use scimpi::{
-    Backend, ClusterSpec, CollectiveAlgo, NoncontigMode, ObsConfig, Rank, ReduceOp, Tuning,
+    Backend, ClusterSpec, CollectiveAlgo, NoncontigMode, ObsConfig, Rank, ReduceOp, RunReport,
+    Tuning,
 };
 use simclock::stats::fmt_bytes;
 
@@ -67,12 +68,12 @@ fn spec(algo: CollectiveAlgo, noncontig: NoncontigMode) -> ClusterSpec {
 
 /// Time `op` on `spec`: one warmup round, then `ROUNDS` measured rounds
 /// between barriers. Returns the per-round virtual latency in µs, taken
-/// as the slowest rank's elapsed time.
-fn measure<F>(spec: ClusterSpec, op: F) -> f64
+/// as the slowest rank's elapsed time, and the run's report.
+fn measure<F>(spec: ClusterSpec, op: F) -> (f64, RunReport)
 where
     F: Fn(&mut Rank) + Send + Sync,
 {
-    let per_rank = scimpi::run(spec, move |r| {
+    let (per_rank, report) = scimpi::run_report(spec, move |r| {
         op(r); // warmup: window + layout caches
         r.barrier();
         let t0 = r.now();
@@ -81,7 +82,7 @@ where
         }
         (r.now() - t0).as_us_f64() / ROUNDS as f64
     });
-    per_rank.into_iter().fold(0.0, f64::max)
+    (per_rank.into_iter().fold(0.0, f64::max), report)
 }
 
 fn bcast_op(r: &mut Rank, size: usize) {
@@ -134,7 +135,7 @@ fn main() {
             let mut naive_us = f64::NAN;
             let mut auto_us = f64::NAN;
             for (algo, label) in ALGOS {
-                let us = measure(spec(algo, NoncontigMode::Auto), move |r| op(r, size));
+                let (us, _) = measure(spec(algo, NoncontigMode::Auto), move |r| op(r, size));
                 doc.push(
                     &format!("{coll} {label}"),
                     BenchPoint::at(size as f64).mean_us(us),
@@ -157,6 +158,7 @@ fn main() {
     }
 
     println!("-- typed collectives vs explicit pack+send --");
+    let mut profiled = None;
     for size in SIZES[1..].iter().copied() {
         for (name, typed_run) in [("bcast_typed", true), ("allreduce_typed", false)] {
             let op = move |r: &mut Rank| {
@@ -172,21 +174,22 @@ fn main() {
                         .unwrap();
                 }
             };
-            let typed_us = measure(spec(CollectiveAlgo::Auto, NoncontigMode::Auto), op);
-            let packed_after_typed = obs::counter_value(Counter::CollPackedBytes);
-            let pack_us = measure(spec(CollectiveAlgo::Auto, NoncontigMode::Generic), op);
-            let packed_after_pack = obs::counter_value(Counter::CollPackedBytes);
+            let (typed_us, typed) = measure(spec(CollectiveAlgo::Auto, NoncontigMode::Auto), op);
+            let (pack_us, packed) = measure(spec(CollectiveAlgo::Auto, NoncontigMode::Generic), op);
             // Counter-assert which path won: the adaptive arm must have
             // gone direct (zero staged bytes), the forced arm must have
             // actually paid for pack+send.
             assert_eq!(
-                packed_after_typed, 0,
+                typed.counters[Counter::CollPackedBytes],
+                0,
                 "{name} @ {size}: adaptive selector staged bytes on a 32 B-block layout"
             );
             assert!(
-                packed_after_pack > 0,
+                packed.counters[Counter::CollPackedBytes] > 0,
                 "{name} @ {size}: Generic arm recorded no packed bytes"
             );
+            // The document's PROFILE is the last pack+send run's.
+            profiled = Some(packed);
             assert!(
                 typed_us <= pack_us,
                 "{name} @ {size}: typed path ({typed_us:.1} us) lost to \
@@ -207,5 +210,5 @@ fn main() {
         }
     }
 
-    doc.write_and_report();
+    doc.write_and_report(profiled.as_ref());
 }

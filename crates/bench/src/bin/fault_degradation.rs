@@ -59,9 +59,10 @@ fn spec_for(rate: f64) -> ClusterSpec {
     spec
 }
 
-/// Run the workload and return aggregate throughput in MiB/s.
-fn throughput_at(rate: f64) -> f64 {
-    let times: Vec<SimTime> = scimpi::run(spec_for(rate), |r| {
+/// Run the workload and return aggregate throughput in MiB/s with the
+/// run's counter table.
+fn throughput_at(rate: f64) -> (f64, obs::CounterTable) {
+    let (times, report): (Vec<SimTime>, _) = scimpi::run_report(spec_for(rate), |r| {
         let size = r.size();
         let mem = r.alloc_mem(PUT_SIZE).unwrap();
         let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
@@ -83,7 +84,8 @@ fn throughput_at(rate: f64) -> f64 {
     });
     let total_bytes = (times.len() * ROUNDS * PUT_SIZE) as f64;
     let max_time = times.into_iter().max().expect("nonempty cluster");
-    total_bytes / (1024.0 * 1024.0) / max_time.as_secs_f64()
+    let mbps = total_bytes / (1024.0 * 1024.0) / max_time.as_secs_f64();
+    (mbps, report.counters)
 }
 
 /// Same streaming workload, but one seeded rank dies halfway through:
@@ -145,11 +147,9 @@ fn main() {
     let mut points = Vec::new();
     let mut baseline = 0.0;
     for &rate in &RATES {
-        let mbps = throughput_at(rate);
-        let counters: Vec<(&str, u64)> = RECOVERY
-            .iter()
-            .map(|&(name, c)| (name, obs::counter_value(c)))
-            .collect();
+        let (mbps, swept) = throughput_at(rate);
+        let counters: Vec<(&str, u64)> =
+            RECOVERY.iter().map(|&(name, c)| (name, swept[c])).collect();
         let total_recoveries: u64 = counters.iter().map(|&(_, v)| v).sum();
         if rate == 0.0 {
             baseline = mbps;
@@ -158,7 +158,7 @@ fn main() {
                 "a healthy fabric must not trip any recovery counter"
             );
             assert_eq!(
-                obs::counter_value(Counter::Retransmits),
+                swept[Counter::Retransmits],
                 0,
                 "a healthy fabric must not trip an integrity retransmission"
             );
@@ -168,8 +168,6 @@ fn main() {
                 "error rate {rate} engaged no recovery machinery"
             );
         }
-        // Runs after the counter snapshot: the kill-one scenario trips
-        // death/agreement counters that must not pollute the sweep's.
         let survivor_mbps = survivor_throughput_at(rate);
         assert!(
             survivor_mbps < mbps,

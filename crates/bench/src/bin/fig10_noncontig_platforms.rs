@@ -59,6 +59,7 @@ fn main() {
                 b,
                 NONCONTIG_TOTAL,
             )
+            .0
             .mib_per_sec(),
         );
         sci_c.push(
@@ -69,6 +70,7 @@ fn main() {
                 b,
                 NONCONTIG_TOTAL,
             )
+            .0
             .mib_per_sec(),
         );
         shm_nc.push(
@@ -79,6 +81,7 @@ fn main() {
                 b,
                 NONCONTIG_TOTAL,
             )
+            .0
             .mib_per_sec(),
         );
         shm_c.push(
@@ -89,6 +92,7 @@ fn main() {
                 b,
                 NONCONTIG_TOTAL,
             )
+            .0
             .mib_per_sec(),
         );
         eprint!(".");
@@ -115,7 +119,7 @@ fn main() {
     for s in &series {
         doc.push_bw_series(s);
     }
-    doc.write_and_report();
+    doc.write_and_report(None);
 
     println!("observations reproduced (paper section 5.3):");
     println!("  - no platform's generic engine keeps nc near c across the sweep;");

@@ -67,7 +67,7 @@ fn main() {
             doc.push(&l.label, BenchPoint::at(x).mean_us(us).mbps(mbps));
         }
     }
-    doc.write_and_report();
+    doc.write_and_report(None);
 
     // §5.3 VIA comparison at 1024 B.
     let via = platforms::by_id("VIA").expect("VIA model present");

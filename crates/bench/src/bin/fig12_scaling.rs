@@ -64,7 +64,7 @@ fn main() {
     for s in &series {
         doc.push_bw_series(s);
     }
-    doc.write_and_report();
+    doc.write_and_report(None);
 
     println!("observations reproduced:");
     println!("  - SCI constant ~120 MiB/s per node up to 5 nodes, then the 166 MHz");

@@ -108,7 +108,7 @@ fn main() {
             doc.push(&format!("bandwidth {}", s.label), BenchPoint::at(x).mbps(y));
         }
     }
-    doc.write_and_report();
+    doc.write_and_report(None);
 
     println!("note: PIO-write dip past 128k reproduces the ServerSet III LE");
     println!("memory-bandwidth ceiling (paper footnote 2); PIO read is the");

@@ -8,7 +8,6 @@
 //!
 //! Run: `cargo run --release -p repro-bench --bin fig7_noncontig`
 
-use mpi_datatype::layout_cache;
 use repro_bench::{
     internode_spec, intranode_spec, noncontig_bandwidth, sweep, BenchDoc, BenchPoint,
     NoncontigCase, NONCONTIG_TOTAL,
@@ -37,23 +36,21 @@ fn main() {
             (5, intranode_spec(), NoncontigCase::Contiguous),
         ];
         for (idx, spec, case) in cases {
-            let bw = noncontig_bandwidth(spec, case, blocksize, NONCONTIG_TOTAL);
+            let (bw, _) = noncontig_bandwidth(spec, case, blocksize, NONCONTIG_TOTAL);
             series[idx].push(blocksize as f64, bw.mib_per_sec());
         }
         // Pack-engine ablation arm: the same ff transfer with the
         // flattened-layout cache and write-combining store batching off
-        // (every commit re-flattens; every sub-transaction store pays its
-        // own partial flush).
-        layout_cache::set_enabled(false);
+        // (every commit is charged a re-flatten; every sub-transaction
+        // store pays its own partial flush).
         let mut off_spec = internode_spec();
         off_spec.tuning = off_spec.tuning.without_pack_engine();
-        let bw = noncontig_bandwidth(
+        let (bw, _) = noncontig_bandwidth(
             off_spec,
             NoncontigCase::DirectPackFf,
             blocksize,
             NONCONTIG_TOTAL,
         );
-        layout_cache::set_enabled(true);
         series[6].push(blocksize as f64, bw.mib_per_sec());
         eprint!(".");
     }
@@ -63,14 +60,15 @@ fn main() {
     // A representative traced run: rerun one point with the recorder on
     // so the Chrome trace and counter dump land next to the JSON table.
     // The run re-commits the datatype every repetition, so everything
-    // after the first resolve is a layout-cache hit.
+    // after its first resolve is a layout-cache hit.
     let traced = internode_spec().obs(
         ObsConfig::with_trace("TRACE_fig7_noncontig.json")
             .and_counters("COUNTERS_fig7_noncontig.jsonl"),
     );
-    noncontig_bandwidth(traced, NoncontigCase::DirectPackFf, 128, NONCONTIG_TOTAL);
+    let (_, traced) =
+        noncontig_bandwidth(traced, NoncontigCase::DirectPackFf, 128, NONCONTIG_TOTAL);
     println!("wrote TRACE_fig7_noncontig.json, COUNTERS_fig7_noncontig.jsonl");
-    let cache_hits = obs::counter_value(obs::Counter::LayoutCacheHits);
+    let cache_hits = traced.counters[obs::Counter::LayoutCacheHits];
     assert!(
         cache_hits > 0,
         "repeated sends of one datatype must hit the layout cache"
@@ -91,7 +89,7 @@ fn main() {
         "layout_cache_hits",
         BenchPoint::at(128.0).mean_us(cache_hits as f64),
     );
-    doc.write_and_report();
+    doc.write_and_report(Some(&traced));
 
     // Acceptance check: at fine granularity the pack engine (layout cache
     // + WC batching) must cut the per-transfer virtual time by >= 15%.

@@ -40,7 +40,7 @@ fn main() {
         eprint!(".");
     }
     eprintln!();
-    doc.write_and_report();
+    doc.write_and_report(None);
 
     // Representative traced run (shared-window puts at 4 kiB accesses).
     let traced = internode_spec().obs(

@@ -58,9 +58,9 @@ fn spec_for(mode: IntegrityMode, corrupt: f64) -> ClusterSpec {
 }
 
 /// Ring-shift rendezvous messages plus fenced one-sided puts; returns
-/// aggregate goodput in MiB/s.
-fn throughput(mode: IntegrityMode, corrupt: f64) -> f64 {
-    let times: Vec<SimTime> = scimpi::run(spec_for(mode, corrupt), |r| {
+/// aggregate goodput in MiB/s with the run's counter table.
+fn throughput(mode: IntegrityMode, corrupt: f64) -> (f64, obs::CounterTable) {
+    let (times, report): (Vec<SimTime>, _) = scimpi::run_report(spec_for(mode, corrupt), |r| {
         let size = r.size();
         let right = (r.rank() + 1) % size;
         let left = (r.rank() + size - 1) % size;
@@ -89,7 +89,8 @@ fn throughput(mode: IntegrityMode, corrupt: f64) -> f64 {
     });
     let total_bytes = (times.len() * ROUNDS * (MSG_SIZE + PUT_SIZE)) as f64;
     let max_time = times.into_iter().max().expect("nonempty cluster");
-    total_bytes / (1024.0 * 1024.0) / max_time.as_secs_f64()
+    let mbps = total_bytes / (1024.0 * 1024.0) / max_time.as_secs_f64();
+    (mbps, report.counters)
 }
 
 fn main() {
@@ -106,11 +107,11 @@ fn main() {
     let mut points = Vec::new();
     let mut baseline = 0.0;
     for &(mode, corrupt) in &POINTS {
-        let mbps = throughput(mode, corrupt);
-        let injected = obs::counter_value(Counter::CorruptionsInjected);
-        let detected = obs::counter_value(Counter::CorruptionsDetected);
-        let retransmits = obs::counter_value(Counter::Retransmits);
-        let undetected = obs::counter_value(Counter::UndetectedAtOff);
+        let (mbps, counters) = throughput(mode, corrupt);
+        let injected = counters[Counter::CorruptionsInjected];
+        let detected = counters[Counter::CorruptionsDetected];
+        let retransmits = counters[Counter::Retransmits];
+        let undetected = counters[Counter::UndetectedAtOff];
         if corrupt == 0.0 {
             assert_eq!(injected, 0, "a healthy fabric must not inject");
             assert_eq!(

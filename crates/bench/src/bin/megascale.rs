@@ -47,7 +47,7 @@ fn spec(ranks: usize) -> ClusterSpec {
 /// One full run: returns the cluster-wide virtual finish time and the
 /// scheduler statistics of the run.
 fn megascale_run(ranks: usize) -> (SimTime, sched::Stats) {
-    let times = scimpi::run(spec(ranks), move |r| {
+    let (times, report) = scimpi::run_report(spec(ranks), move |r| {
         let me = r.rank();
         let n = r.size();
         let right = (me + 1) % n;
@@ -75,7 +75,7 @@ fn megascale_run(ranks: usize) -> (SimTime, sched::Stats) {
         r.now()
     });
     let finish = times.into_iter().max().expect("nonempty cluster");
-    let stats = scimpi::last_event_stats().expect("event backend ran");
+    let stats = report.event_stats.expect("event backend ran");
     (finish, stats)
 }
 

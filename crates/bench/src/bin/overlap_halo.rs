@@ -53,9 +53,10 @@ struct RunStats {
     credited_ns: u64,
 }
 
-/// One full run of the halo loop.
-fn halo_run(nonblocking: bool, compute: SimDuration) -> RunStats {
-    let times = scimpi::run(spec(), move |r| {
+/// One full run of the halo loop: its statistics and the profile they
+/// were read from.
+fn halo_run(nonblocking: bool, compute: SimDuration) -> (RunStats, obs::Profile) {
+    let (times, report) = scimpi::run_report(spec(), move |r| {
         let me = r.rank();
         let n = r.size();
         let right = (me + 1) % n;
@@ -105,8 +106,8 @@ fn halo_run(nonblocking: bool, compute: SimDuration) -> RunStats {
         r.now()
     });
     let finish = times.into_iter().max().expect("nonempty cluster");
-    let profile = obs::report::last_profile().expect("observability enabled");
-    RunStats {
+    let profile = report.profile.expect("observability enabled");
+    let stats = RunStats {
         finish,
         wait_ps: profile.total_wait_ps(),
         request_wait_ps: profile
@@ -114,13 +115,14 @@ fn halo_run(nonblocking: bool, compute: SimDuration) -> RunStats {
             .iter()
             .map(|r| r.wait_ps[WaitKind::RequestWait as usize])
             .sum(),
-        credited_ns: obs::counter_value(Counter::OverlapSavedNs),
-    }
+        credited_ns: report.counters[Counter::OverlapSavedNs],
+    };
+    (stats, profile)
 }
 
 fn main() {
     // Calibrate: the blocking arm with zero compute is pure exchange.
-    let comm_only = halo_run(false, SimDuration::ZERO).finish;
+    let comm_only = halo_run(false, SimDuration::ZERO).0.finish;
     let comm_per_iter = SimDuration::from_ps(comm_only.as_ps() / ITERS as u64);
     println!(
         "== Overlap on a {RANKS}-rank ring halo exchange \
@@ -145,8 +147,8 @@ fn main() {
     let mut saving_at_parity = 0.0;
     for &grain in &GRAINS {
         let compute = SimDuration::from_ps((comm_per_iter.as_ps() as f64 * grain) as u64);
-        let blocking = halo_run(false, compute);
-        let nonblocking = halo_run(true, compute);
+        let (blocking, _) = halo_run(false, compute);
+        let (nonblocking, _) = halo_run(true, compute);
         let t_blocking = blocking.finish;
         let t_nonblocking = nonblocking.finish;
         let credited_ns = nonblocking.credited_ns;
@@ -244,8 +246,8 @@ fn main() {
     // earns a credit that depends on engine-thread arbitration order,
     // which never moves any clock and so is allowed to jitter.
     let compute = comm_per_iter;
-    let once = halo_run(true, compute);
-    let twice = halo_run(true, compute);
+    let (once, _) = halo_run(true, compute);
+    let (twice, profile) = halo_run(true, compute);
     assert_eq!(
         (once.finish, once.wait_ps, once.request_wait_ps),
         (twice.finish, twice.wait_ps, twice.request_wait_ps),
@@ -272,9 +274,9 @@ fn main() {
     }
     // The wait-state profile of the last (parity-grain) run travels next
     // to the bench document, like every BenchDoc-based binary.
-    match obs::report::write_profile_for("overlap_halo") {
-        Ok(Some(path)) => println!("wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("PROFILE_overlap_halo.json not written: {e}"),
+    let path = std::path::Path::new("PROFILE_overlap_halo.json");
+    match std::fs::write(path, obs::report::profile_json(&profile)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("{} not written: {e}", path.display()),
     }
 }

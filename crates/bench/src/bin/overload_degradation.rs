@@ -28,7 +28,9 @@
 
 use obs::Counter;
 use repro_bench::{BenchDoc, BenchPoint};
-use scimpi::{ClusterSpec, ErrorMode, ObsConfig, OverloadPolicy, Source, TagSel, Tuning};
+use scimpi::{
+    ClusterSpec, ErrorMode, ObsConfig, OverloadPolicy, RunReport, Source, TagSel, Tuning,
+};
 use simclock::stats::Table;
 use simclock::SimDuration;
 
@@ -92,17 +94,19 @@ struct RunOut {
     goodput_mbps: f64,
     delivered: usize,
     peak_eager_bytes: u64,
+    report: RunReport,
 }
 
 /// One flood at one (policy, gap) point; asserts delivery and returns
-/// the measured goodput plus the receiver's backlog high-water mark.
+/// the measured goodput plus the receiver's backlog high-water mark and
+/// the run's report.
 fn one_run(policy: OverloadPolicy, gap_us: u64) -> RunOut {
     let delivered = if lossy(policy) {
         LOSSY_DELIVERED
     } else {
         COUNT
     };
-    let times = scimpi::run(spec(policy), move |r| {
+    let (times, report) = scimpi::run_report(spec(policy), move |r| {
         if r.rank() == 0 {
             let mut refused = 0usize;
             for i in 0..COUNT {
@@ -142,7 +146,8 @@ fn one_run(policy: OverloadPolicy, gap_us: u64) -> RunOut {
     let makespan_us = makespan.as_ps() as f64 / 1e6;
     let goodput_mbps =
         (delivered * MSG) as f64 / (1024.0 * 1024.0) / (makespan.as_ps() as f64 / 1e12);
-    let peak_eager_bytes = obs::peak_backlogs()
+    let peak_eager_bytes = report
+        .peak_backlogs
         .iter()
         .find(|p| p.rank == 1)
         .map(|p| p.eager_bytes)
@@ -152,12 +157,13 @@ fn one_run(policy: OverloadPolicy, gap_us: u64) -> RunOut {
         goodput_mbps,
         delivered,
         peak_eager_bytes,
+        report,
     }
 }
 
-/// One full sweep: the bench document, the profile JSON of the final
-/// run, and the human table.
-fn build() -> (BenchDoc, String, Table) {
+/// One full sweep: the bench document, the report of the final run, and
+/// the human table.
+fn build() -> (BenchDoc, RunReport, Table) {
     let mut doc = BenchDoc::new("overload_degradation");
     let mut table = Table::new(vec![
         "policy",
@@ -168,15 +174,16 @@ fn build() -> (BenchDoc, String, Table) {
         "peak backlog [B]",
         "stalls/degr/shed/denied",
     ]);
+    let mut last = None;
     for policy in POLICIES {
         let name = policy_name(policy);
         let mut goodputs = Vec::new();
         for gap_us in GAPS_US {
             let out = one_run(policy, gap_us);
-            let stalls = obs::counter_value(Counter::EagerCreditStalls);
-            let degraded = obs::counter_value(Counter::DegradedPaths);
-            let shed = obs::counter_value(Counter::MessagesShed);
-            let denied = obs::counter_value(Counter::BudgetDenials);
+            let stalls = out.report.counters[Counter::EagerCreditStalls];
+            let degraded = out.report.counters[Counter::DegradedPaths];
+            let shed = out.report.counters[Counter::MessagesShed];
+            let denied = out.report.counters[Counter::BudgetDenials];
             assert!(
                 out.peak_eager_bytes <= BUDGET as u64,
                 "{name} gap {gap_us}: backlog {} exceeds the {BUDGET}-byte budget",
@@ -188,7 +195,7 @@ fn build() -> (BenchDoc, String, Table) {
             );
             if gap_us == 0 {
                 // The saturation run's high-water marks go into the doc.
-                doc.record_peak_backlog(name);
+                doc.record_peak_backlog(name, &out.report);
                 match policy {
                     OverloadPolicy::Stall => assert!(stalls > 0, "saturation must stall"),
                     OverloadPolicy::Degrade => assert!(degraded > 0, "saturation must degrade"),
@@ -212,6 +219,7 @@ fn build() -> (BenchDoc, String, Table) {
                     .mean_us(out.makespan_us)
                     .mbps(out.goodput_mbps),
             );
+            last = Some(out.report);
         }
         if !lossy(policy) {
             // Underloaded points (gap > service) are bounded by their
@@ -231,26 +239,25 @@ fn build() -> (BenchDoc, String, Table) {
             );
         }
     }
-    let profile = obs::report::last_profile()
-        .map(|p| obs::report::profile_json(&p))
-        .expect("obs-enabled run builds a profile");
-    (doc, profile, table)
+    (doc, last.expect("the sweep is not empty"), table)
 }
 
 fn main() {
-    let (doc, profile, table) = build();
-    let (doc2, profile2, _) = build();
+    let (doc, last, table) = build();
+    let (doc2, last2, _) = build();
     assert_eq!(
         doc.to_json(),
         doc2.to_json(),
         "same seed must reproduce byte-identical results"
     );
+    assert!(last.profile.is_some(), "obs-enabled run builds a profile");
     assert_eq!(
-        profile, profile2,
+        last.profile_json(),
+        last2.profile_json(),
         "same seed must reproduce a byte-identical profile"
     );
 
     println!("== Offered load vs goodput per overload policy ==\n");
     println!("{}", table.render());
-    doc.write_and_report();
+    doc.write_and_report(Some(&last));
 }

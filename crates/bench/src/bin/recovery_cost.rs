@@ -19,7 +19,7 @@
 use obs::json::num;
 use obs::Counter;
 use sci_fabric::death_schedule;
-use scimpi::{shrink, Checkpointer, ClusterSpec, ErrorMode, ObsConfig, ReduceOp};
+use scimpi::{shrink, Checkpointer, ClusterSpec, ErrorMode, ObsConfig, ReduceOp, RunReport};
 use simclock::stats::Table;
 use simclock::{SimDuration, SimTime};
 
@@ -41,9 +41,9 @@ fn spec(n: usize) -> ClusterSpec {
 }
 
 /// Run the compute loop checkpointing every `interval` rounds (never for
-/// 0); returns the makespan and the checkpoint counter totals.
-fn checkpoint_run(interval: usize) -> (SimTime, u64, u64) {
-    let times = scimpi::run(spec(4), move |r| {
+/// 0); returns the makespan and the run's counter table.
+fn checkpoint_run(interval: usize) -> (SimTime, obs::CounterTable) {
+    let (times, report) = scimpi::run_report(spec(4), move |r| {
         let mut state = vec![(r.rank() + 1) as f64; WORDS];
         let mut ckpt = (interval > 0).then(|| Checkpointer::new(r, IMAGE).unwrap());
         let image = vec![0xA5u8; IMAGE];
@@ -66,18 +66,15 @@ fn checkpoint_run(interval: usize) -> (SimTime, u64, u64) {
         r.now()
     });
     let makespan = times.into_iter().max().expect("nonempty cluster");
-    (
-        makespan,
-        obs::counter_value(Counter::CheckpointsTaken),
-        obs::counter_value(Counter::CheckpointBytes),
-    )
+    (makespan, report.counters)
 }
 
 /// Kill one seeded victim on an `n`-rank ring and measure the slowest
-/// survivor's shrink → restore → rebind span.
-fn recover_run(n: usize) -> (SimDuration, u64, u64) {
+/// survivor's shrink → restore → rebind span; returned with the run's
+/// report.
+fn recover_run(n: usize) -> (SimDuration, RunReport) {
     let victim = death_schedule(SEED, n, 1, SimDuration::from_ms(10))[0].node;
-    let durations = scimpi::run(spec(n), move |r| {
+    let (durations, report) = scimpi::run_report(spec(n), move |r| {
         let mut ckpt = Checkpointer::new(r, IMAGE).unwrap();
         ckpt.checkpoint(r, &vec![r.rank() as u8; IMAGE]).unwrap();
         r.barrier();
@@ -96,11 +93,7 @@ fn recover_run(n: usize) -> (SimDuration, u64, u64) {
         recovered
     });
     let slowest = durations.into_iter().max().expect("nonempty cluster");
-    (
-        slowest,
-        obs::counter_value(Counter::AgreementRounds),
-        obs::counter_value(Counter::PeersDeclaredDead),
-    )
+    (slowest, report)
 }
 
 /// One full sweep: returns the bench JSON document, the profile JSON of
@@ -116,12 +109,13 @@ fn build() -> (String, String, Table, Table) {
     let mut ckpt_points = Vec::new();
     let mut baseline_us = 0.0;
     for &interval in &INTERVALS {
-        let (makespan, taken, bytes) = checkpoint_run(interval);
+        let (makespan, counters) = checkpoint_run(interval);
+        let taken = counters[Counter::CheckpointsTaken];
+        let bytes = counters[Counter::CheckpointBytes];
         let expect = 4 * ROUNDS.checked_div(interval).unwrap_or(0) as u64;
         assert_eq!(taken, expect, "interval {interval} checkpoint count");
         assert_eq!(
-            obs::counter_value(Counter::Revocations)
-                + obs::counter_value(Counter::RecoveryRestores),
+            counters[Counter::Revocations] + counters[Counter::RecoveryRestores],
             0,
             "a fault-free sweep must not touch the recovery paths"
         );
@@ -157,8 +151,12 @@ fn build() -> (String, String, Table, Table) {
         "peers declared dead",
     ]);
     let mut rec_points = Vec::new();
+    let mut last = None;
     for &n in &SIZES {
-        let (recover, exchanges, declared) = recover_run(n);
+        let (recover, report) = recover_run(n);
+        let exchanges = report.counters[Counter::AgreementRounds];
+        let declared = report.counters[Counter::PeersDeclaredDead];
+        last = Some(report);
         let us = recover.as_ps() as f64 / 1e6;
         rec_table.push_row(vec![
             format!("{n}"),
@@ -177,10 +175,9 @@ fn build() -> (String, String, Table, Table) {
         ckpt_points.join(",\n"),
         rec_points.join(",\n")
     );
-    let profile = obs::report::last_profile()
-        .map(|p| obs::report::profile_json(&p))
-        .expect("obs-enabled run builds a profile");
-    (json, profile, ckpt_table, rec_table)
+    let last = last.expect("the sweep is not empty");
+    assert!(last.profile.is_some(), "obs-enabled run builds a profile");
+    (json, last.profile_json(), ckpt_table, rec_table)
 }
 
 fn main() {

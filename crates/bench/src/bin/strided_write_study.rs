@@ -80,12 +80,12 @@ fn main() {
             &mut doc,
         );
         println!("\n(paper: disabling WC avoids the drops but costs ~50% bandwidth)");
-        doc.write_and_report();
+        doc.write_and_report(None);
     } else {
         let mut doc = BenchDoc::new("strided_write_study");
         run_study(SciParams::default(), "write combining enabled", &mut doc);
         println!("\nstrides that are multiples of 32 (the P-III write-combine");
         println!("buffer) deliver the maxima; rerun with --no-wc to compare.");
-        doc.write_and_report();
+        doc.write_and_report(None);
     }
 }

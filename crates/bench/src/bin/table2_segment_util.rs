@@ -71,5 +71,5 @@ fn main() {
     println!("paper: the worst-case bandwidth increases linearly with the ring");
     println!("bandwidth, so 8 nodes per ringlet become reasonable (512-node");
     println!("systems with a 3D-torus of ringlets).");
-    doc.write_and_report();
+    doc.write_and_report(None);
 }

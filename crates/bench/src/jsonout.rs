@@ -17,6 +17,7 @@
 //! deviation of that time where repetitions are measured individually.
 
 use obs::json::{escape, num};
+use scimpi::RunReport;
 use simclock::stats::Series;
 use std::path::PathBuf;
 
@@ -116,13 +117,13 @@ impl BenchDoc {
         }
     }
 
-    /// Snapshot the per-rank peak-backlog gauges of the run that just
-    /// finished (`obs::peak_backlogs`, recorded at teardown from the
-    /// mailbox's virtual-time event log) under `label`. The document
-    /// gains a `"peak_backlog"` section listing every snapshot taken.
-    pub fn record_peak_backlog(&mut self, label: &str) {
+    /// File `report`'s per-rank peak-backlog gauges (recorded at teardown
+    /// from the mailbox's virtual-time event log) under `label`. The
+    /// document gains a `"peak_backlog"` section listing every snapshot
+    /// taken.
+    pub fn record_peak_backlog(&mut self, label: &str, report: &RunReport) {
         self.backlogs
-            .push((label.to_string(), obs::peak_backlogs()));
+            .push((label.to_string(), report.peak_backlogs.clone()));
     }
 
     /// Render the whole document.
@@ -173,19 +174,23 @@ impl BenchDoc {
     }
 
     /// Write `BENCH_<name>.json` in the current directory and return the
-    /// path. When the run recorded a wait-state profile (observability
-    /// enabled), the matching `PROFILE_<name>.json` is written next to it
-    /// so the regression gate and CI artifacts always travel as a pair.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
+    /// path. `profiled` names the run whose wait-state profile the bench
+    /// publishes: its `PROFILE_<name>.json` is written next to the
+    /// document so the regression gate and CI artifacts always travel as
+    /// a pair (nothing is written for `None` or an unprofiled run).
+    pub fn write(&self, profiled: Option<&RunReport>) -> std::io::Result<PathBuf> {
         let path = PathBuf::from(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json())?;
-        obs::report::write_profile_for(&self.name)?;
+        if let Some(report) = profiled.filter(|r| r.profile.is_some()) {
+            let path = format!("PROFILE_{}.json", self.name);
+            std::fs::write(path, report.profile_json())?;
+        }
         Ok(path)
     }
 
     /// [`BenchDoc::write`], reporting the path (or the error) on stdout.
-    pub fn write_and_report(&self) {
-        match self.write() {
+    pub fn write_and_report(&self, profiled: Option<&RunReport>) {
+        match self.write(profiled) {
             Ok(path) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("BENCH_{}.json not written: {e}", self.name),
         }

@@ -4,7 +4,9 @@
 //! of different figures are mutually consistent.
 
 use mpi_datatype::{Committed, Datatype};
-use scimpi::{run, ClusterSpec, Rank, Source, TagSel, Tuning, WinMemory, Window};
+use scimpi::{
+    run, run_report, ClusterSpec, Rank, RunReport, Source, TagSel, Tuning, WinMemory, Window,
+};
 use simclock::{Bandwidth, SimDuration, SimTime};
 
 /// The paper's noncontig payload: 256 kiB of doubles per transfer.
@@ -44,20 +46,20 @@ pub enum NoncontigCase {
 }
 
 /// Run the noncontig micro-benchmark (§3.4) between ranks 0 → 1 of
-/// `spec` and return the achieved bandwidth.
+/// `spec` and return the achieved bandwidth with the run's report.
 pub fn noncontig_bandwidth(
     mut spec: ClusterSpec,
     case: NoncontigCase,
     blocksize: usize,
     total: usize,
-) -> Bandwidth {
+) -> (Bandwidth, RunReport) {
     spec.tuning = match case {
         NoncontigCase::Generic => spec.tuning.generic_only(),
         _ => spec.tuning.full_ff_comparison(),
     };
     let committed = noncontig_type(blocksize, total);
     let reps = 4usize;
-    let out = run(spec, move |r| {
+    let (out, report) = run_report(spec, move |r| {
         if r.size() < 2 {
             panic!("noncontig benchmark needs 2 ranks");
         }
@@ -115,7 +117,7 @@ pub fn noncontig_bandwidth(
             }
         }
     });
-    Bandwidth::observed((total * reps) as u64, out[1])
+    (Bandwidth::observed((total * reps) as u64, out[1]), report)
 }
 
 /// Direction of a sparse-benchmark access.
@@ -320,8 +322,9 @@ mod tests {
 
     #[test]
     fn ff_bandwidth_rises_with_blocksize() {
-        let b16 = noncontig_bandwidth(internode_spec(), NoncontigCase::DirectPackFf, 16, 64 * 1024);
-        let b1k = noncontig_bandwidth(
+        let (b16, _) =
+            noncontig_bandwidth(internode_spec(), NoncontigCase::DirectPackFf, 16, 64 * 1024);
+        let (b1k, _) = noncontig_bandwidth(
             internode_spec(),
             NoncontigCase::DirectPackFf,
             1024,
@@ -333,8 +336,9 @@ mod tests {
     #[test]
     fn ff_beats_generic_at_128b() {
         let total = 64 * 1024;
-        let ff = noncontig_bandwidth(internode_spec(), NoncontigCase::DirectPackFf, 128, total);
-        let gen = noncontig_bandwidth(internode_spec(), NoncontigCase::Generic, 128, total);
+        let (ff, _) =
+            noncontig_bandwidth(internode_spec(), NoncontigCase::DirectPackFf, 128, total);
+        let (gen, _) = noncontig_bandwidth(internode_spec(), NoncontigCase::Generic, 128, total);
         assert!(
             ff.mib_per_sec() > 1.5 * gen.mib_per_sec(),
             "ff {ff} vs generic {gen}"

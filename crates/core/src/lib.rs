@@ -58,7 +58,9 @@ pub use osc::{AccumulateOp, WinMemory, Window};
 pub use p2p::{RecvBuf, RecvStatus, SendData};
 pub use recovery::{revoke, shrink, shrink_with_fault, Checkpointer, ShrinkReport};
 pub use request::{PersistentRecv, PersistentSend, RecvDone, Request};
-pub use runtime::{last_event_stats, run, Backend, ClusterSpec, ObsConfig, Rank};
+pub use runtime::{run, run_report, Backend, ClusterSpec, ObsConfig, Rank, RunReport};
+/// Scheduler statistics of a [`Backend::Event`] run (`RunReport::event_stats`).
+pub use sched::Stats as EventStats;
 pub use sink::{PioSink, StagingLease, StagingLedger};
 pub use tuning::{CollectiveAlgo, IntegrityMode, NoncontigMode, OverloadPolicy, Tuning};
 
@@ -94,7 +96,7 @@ pub mod prelude {
     pub use crate::p2p::{RecvBuf, RecvStatus, SendData};
     pub use crate::recovery::{revoke, shrink, shrink_with_fault, Checkpointer, ShrinkReport};
     pub use crate::request::{PersistentRecv, PersistentSend, RecvDone, Request};
-    pub use crate::runtime::{run, Backend, ClusterSpec, ObsConfig, Rank};
+    pub use crate::runtime::{run, run_report, Backend, ClusterSpec, ObsConfig, Rank, RunReport};
     pub use crate::tuning::{CollectiveAlgo, IntegrityMode, OverloadPolicy, Tuning};
     pub use crate::Done;
 }

@@ -1356,10 +1356,11 @@ impl Rank {
                 let world = Arc::clone(&world);
                 let task = task.clone();
                 move || {
-                    // Bind the helper to the rank's trace lane but leave
-                    // it out of attribution (its clock is a fork; the
-                    // rank accounts the join below as a request-wait).
-                    obs::set_thread_rank(rank as u32);
+                    // Bind the helper to the run's recorder and the rank's
+                    // trace lane but leave it out of attribution (its
+                    // clock is a fork; the rank accounts the join below
+                    // as a request-wait).
+                    let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
                     match task {
                         Some(h) => {
                             let out =

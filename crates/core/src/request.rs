@@ -204,8 +204,9 @@ impl<T: Send + 'static> Request<T> {
         // its blocking sites park in virtual time like any rank.
         let task = sched::spawn_handle(id, clock.now());
         let child_task = task.clone();
+        let recorder = rank.world.obs.clone();
         let handle = std::thread::spawn(move || {
-            obs::set_thread_rank(id);
+            let _bound = recorder.as_ref().map(|o| o.bind(id));
             match child_task {
                 Some(h) => {
                     // Adoption sits inside the catch_unwind: waiting for

@@ -56,14 +56,34 @@ pub enum Backend {
     Event,
 }
 
-/// Statistics of the most recent [`Backend::Event`] run on this thread's
-/// process (None before the first event run). Benchmarks read the event
-/// count and queue high-water mark from here.
-static LAST_EVENT_STATS: Mutex<Option<sched::Stats>> = Mutex::new(None);
+/// What one run observed about itself, returned by [`run_report`]. With
+/// [`ObsConfig::enabled`] off only `event_stats` is filled in: the
+/// counters are all zero, the lists empty and there is no profile.
+#[derive(Debug, Default)]
+pub struct RunReport {
+    /// Final counter values, indexed by [`obs::Counter`].
+    pub counters: obs::CounterTable,
+    /// Every recorded trace event, in recording order (not deterministic
+    /// across threads under [`Backend::Thread`]).
+    pub events: Vec<obs::TraceEvent>,
+    /// Per-link traffic snapshots (one, `"end-of-run"`).
+    pub link_snapshots: Vec<obs::LinkSnapshot>,
+    /// Per-rank mailbox high-water marks, sorted by rank.
+    pub peak_backlogs: Vec<obs::PeakBacklog>,
+    /// Attribution table, span histograms and critical path.
+    pub profile: Option<obs::Profile>,
+    /// Scheduler statistics of a [`Backend::Event`] run.
+    pub event_stats: Option<sched::Stats>,
+}
 
-/// Scheduler statistics of the most recent [`Backend::Event`] run.
-pub fn last_event_stats() -> Option<sched::Stats> {
-    *LAST_EVENT_STATS.lock().unwrap()
+impl RunReport {
+    /// The profile as `PROFILE_<name>.json` text; empty without one.
+    pub fn profile_json(&self) -> String {
+        self.profile
+            .as_ref()
+            .map(obs::report::profile_json)
+            .unwrap_or_default()
+    }
 }
 
 /// Everything needed to launch a simulated cluster run.
@@ -545,6 +565,9 @@ pub(crate) struct WorldState {
     /// Event-backend tasks parked waiting for a shrink leader to publish
     /// a new membership epoch (see `recovery::shrink`).
     pub epoch_waiters: sched::WaitQueue,
+    /// The run's recorder (`None` with observability off). Every thread
+    /// working for the run binds it on entry.
+    pub obs: Option<Arc<obs::Recorder>>,
 }
 
 pub(crate) struct CollSlot {
@@ -1114,6 +1137,17 @@ where
     F: Fn(&mut Rank) -> T + Send + Sync,
     T: Send,
 {
+    run_report(spec, f).0
+}
+
+/// [`run`], also returning what the run observed about itself. The
+/// report is a function of this run alone: nothing else the process
+/// runs, before or concurrently, shows up in it.
+pub fn run_report<F, T>(spec: ClusterSpec, f: F) -> (Vec<T>, RunReport)
+where
+    F: Fn(&mut Rank) -> T + Send + Sync,
+    T: Send,
+{
     assert!(
         spec.topology.node_count() > 0 && spec.procs_per_node > 0,
         "cluster needs at least one node and one proc per node"
@@ -1121,14 +1155,9 @@ where
     if let Err(e) = spec.tuning.validate() {
         panic!("invalid cluster spec: {e}");
     }
-    if spec.obs.enabled {
-        if spec.obs.reset_on_start {
-            obs::reset();
-        }
-        obs::enable();
-    } else {
-        obs::disable();
-    }
+    let recorder = spec.obs.enabled.then(obs::Recorder::new);
+    // Hooks fired from set-up and teardown on this thread count too.
+    let _bound = recorder.as_ref().map(|r| r.bind(0));
     let fabric = Fabric::new(FabricSpec {
         topology: spec.topology.clone(),
         params: spec.params.clone(),
@@ -1168,6 +1197,7 @@ where
             .map(|_| crate::sink::StagingLedger::new(spec.tuning.staging_budget_bytes))
             .collect(),
         epoch_waiters: sched::WaitQueue::new(),
+        obs: recorder.clone(),
     });
 
     // One launch membership for every rank, not a `size`-long copy each.
@@ -1196,6 +1226,7 @@ where
         out
     };
 
+    let mut report = RunReport::default();
     let results = match spec.backend {
         Backend::Thread => std::thread::scope(|scope| {
             let mut joins = Vec::with_capacity(size);
@@ -1204,7 +1235,7 @@ where
                 let f = &f;
                 let rank_body = &rank_body;
                 joins.push(scope.spawn(move || {
-                    obs::set_thread_rank(rank as u32);
+                    let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
                     // Only rank threads contribute to time attribution;
                     // engine/helper threads with forked clocks stay unmarked
                     // so no picosecond is charged twice.
@@ -1235,7 +1266,7 @@ where
                     joins.push(
                         builder
                             .spawn_scoped(scope, move || {
-                                obs::set_thread_rank(rank as u32);
+                                let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
                                 obs::attrib::set_thread_attrib(true);
                                 // Adoption must sit inside the catch_unwind:
                                 // waiting for the first grant can itself
@@ -1265,9 +1296,7 @@ where
                     .map(|j| j.join().unwrap_or(None))
                     .collect()
             });
-            *LAST_EVENT_STATS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(sched.stats());
+            report.event_stats = Some(sched.stats());
             if let Some(p) = sched.take_panic() {
                 std::panic::resume_unwind(p);
             }
@@ -1281,7 +1310,7 @@ where
         }
     };
 
-    if spec.obs.enabled {
+    if let Some(rec) = &recorder {
         // Deterministic peak-backlog gauge: each mailbox logged
         // (virtual time, Δmessages, Δeager-bytes) events at post and at
         // match time; sweeping them in virtual-time order — removals
@@ -1302,11 +1331,15 @@ where
                 peak_msgs = peak_msgs.max(msgs);
                 peak_bytes = peak_bytes.max(bytes);
             }
-            obs::record_peak_backlog(rank as u32, peak_msgs as u64, peak_bytes as u64);
+            report.peak_backlogs.push(obs::PeakBacklog {
+                rank: rank as u32,
+                msgs: peak_msgs as u64,
+                eager_bytes: peak_bytes as u64,
+            });
         }
-        obs::record_link_snapshot(
-            "end-of-run".to_string(),
-            world
+        report.link_snapshots.push(obs::LinkSnapshot {
+            label: "end-of-run".to_string(),
+            per_link: world
                 .fabric
                 .links()
                 .traffic()
@@ -1314,30 +1347,31 @@ where
                 .iter()
                 .map(|(id, t)| (id.0, t.data_bytes, t.fc_bytes))
                 .collect(),
-        );
-        // Build the profile (attribution table, span histograms,
-        // critical path) from a snapshot of the events so the trace
-        // exporter below still sees them; the profile stays readable
-        // in-process via `obs::report::last_profile()`.
-        let events = obs::events_snapshot();
-        obs::report::set_last(obs::report::build(&events));
+        });
+        report.counters = rec.counters();
+        // The profile and the trace file are built from a borrow of the
+        // events, which stay in the report.
+        report.events = rec.take_events();
+        let profile = obs::report::build(rec, &report.events);
         if let Some(path) = &spec.obs.trace_path {
-            if let Err(e) = obs::write_chrome_trace(path) {
+            if let Err(e) = std::fs::write(path, obs::chrome_trace_json(&report.events)) {
                 eprintln!("obs: failed to write trace {}: {e}", path.display());
             }
         }
         if let Some(path) = &spec.obs.counters_path {
-            if let Err(e) = obs::write_counters_jsonl(path) {
+            let doc = obs::counters_jsonl(&report.counters, &report.link_snapshots);
+            if let Err(e) = std::fs::write(path, doc) {
                 eprintln!("obs: failed to write counters {}: {e}", path.display());
             }
         }
         if let Some(path) = &spec.obs.profile_path {
-            if let Err(e) = obs::report::write_last(path) {
+            if let Err(e) = std::fs::write(path, obs::report::profile_json(&profile)) {
                 eprintln!("obs: failed to write profile {}: {e}", path.display());
             }
         }
+        report.profile = Some(profile);
     }
-    results
+    (results, report)
 }
 
 #[cfg(test)]

@@ -349,7 +349,7 @@ impl Tuning {
     /// a full re-flatten (proportional to the memoised
     /// [`Committed::flatten_ops`]) when it is off. A pure function of the
     /// tuning and the committed type, so simulated time stays deterministic
-    /// regardless of the process-global cache state.
+    /// regardless of what the process-wide layout memo already holds.
     pub fn layout_resolve_cost(&self, c: &Committed) -> SimDuration {
         if self.layout_cache {
             self.layout_lookup_cost

@@ -86,9 +86,9 @@ pub struct LayoutDensity {
 
 /// The memoised product of flattening one datatype: the optimised leaf
 /// list plus the index tables `find_position` needs. Shared by `Arc`
-/// between every [`Committed`] of a structurally equal type when the
-/// [`layout_cache`] is enabled, so repeated commits of the same type skip
-/// the tree walk entirely.
+/// between every [`Committed`] of a structurally equal type through the
+/// process-wide layout memo, so repeated commits of the same type skip the
+/// tree walk entirely.
 #[derive(Debug)]
 pub struct Layout {
     leaves: Vec<FlatLeaf>,
@@ -101,6 +101,9 @@ pub struct Layout {
     /// without the cache; the protocol layer charges virtual time
     /// proportional to it when the cache is off.
     flatten_ops: usize,
+    /// Adjacent-leaf merges the flattening performed; credited to
+    /// `ff_leaf_merges` once per run that commits the type.
+    merges: u64,
     density: LayoutDensity,
     /// Revalidation fields: a 64-bit signature collision would hand back
     /// the layout of a different type, so every cache hit cross-checks
@@ -120,7 +123,7 @@ pub struct Committed {
 
 impl Committed {
     /// Commit `dt`: resolve the flattened representation through the
-    /// [`layout_cache`] (building and optimising it on a miss).
+    /// process-wide layout memo (building and optimising it on a miss).
     pub fn commit(dt: &Datatype) -> Committed {
         let (layout, cache_hit) = layout_cache::resolve(dt);
         Committed {
@@ -231,9 +234,9 @@ impl Committed {
 fn build_layout(dt: &Datatype) -> Layout {
     let mut ops = 0usize;
     let mut leaves = collect(dt, 0, &mut ops);
-    merge_adjacent(&mut leaves);
+    let mut merges = merge_adjacent(&mut leaves);
     refold(&mut leaves);
-    merge_adjacent(&mut leaves);
+    merges += merge_adjacent(&mut leaves);
     // Commit-time invariant: no zero-length blocks and no count-0 levels.
     // None of the current constructors can produce them (empty subtrees
     // collapse before they reach here), but a degenerate leaf that slipped
@@ -270,83 +273,52 @@ fn build_layout(dt: &Datatype) -> Layout {
         leaves,
         prefix,
         flatten_ops: ops,
+        merges,
         density,
         size,
         extent,
     }
 }
 
-/// Process-global commit-time layout cache, keyed by the structural
-/// [`Datatype::signature`]. A hit returns the shared `Arc<Layout>` without
-/// re-walking the type tree; `layout_cache_hits`/`layout_cache_misses`
-/// counters record the behaviour. Enabled by default; benches toggle it to
-/// measure the cost of re-flattening (the protocol layer charges virtual
-/// time from `Tuning`, so the flag here only controls memoisation, never
-/// simulated-time determinism).
-pub mod layout_cache {
+/// Process-wide commit-time layout memo, keyed by the structural
+/// [`Datatype::signature`] — a pure function of the type: a hit returns
+/// the shared `Arc<Layout>` without re-walking the type tree. The
+/// `layout_cache_hits`/`layout_cache_misses` counters do not report this
+/// table's state but whether the *run* has committed the signature before
+/// ([`obs::count_layout_commit`]), and virtual time never depends on
+/// either (the protocol layer charges flattening from `Tuning`).
+mod layout_cache {
     use super::{build_layout, Layout};
     use crate::types::Datatype;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::{Arc, LazyLock, Mutex};
 
-    static ENABLED: AtomicBool = AtomicBool::new(true);
+    static TABLE: LazyLock<Mutex<HashMap<u64, Arc<Layout>>>> = LazyLock::new(Default::default);
 
-    fn table() -> &'static Mutex<HashMap<u64, Arc<Layout>>> {
-        static TABLE: OnceLock<Mutex<HashMap<u64, Arc<Layout>>>> = OnceLock::new();
-        TABLE.get_or_init(|| Mutex::new(HashMap::new()))
-    }
-
-    /// Turn memoisation on or off (process-wide). Off, every commit
-    /// re-flattens; entries already cached are kept but not consulted.
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether commits currently consult the cache.
-    pub fn is_enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Drop all cached layouts (used by benches to measure cold commits).
-    pub fn clear() {
-        table().lock().expect("layout cache poisoned").clear();
-    }
-
-    /// Number of distinct layouts currently cached.
-    pub fn len() -> usize {
-        table().lock().expect("layout cache poisoned").len()
-    }
-
-    /// Resolve `dt`'s layout: cached `Arc` on a hit, freshly built (and
+    /// Resolve `dt`'s layout: memoised `Arc` on a hit, freshly built (and
     /// inserted) on a miss. The second tuple field reports whether the
-    /// cache served the layout.
+    /// memo served the layout. One lock spans lookup, build and insert, so
+    /// concurrent first commits of one type build it exactly once.
     pub(super) fn resolve(dt: &Datatype) -> (Arc<Layout>, bool) {
-        if !is_enabled() {
-            obs::inc(obs::Counter::LayoutCacheMisses);
-            return (Arc::new(build_layout(dt)), false);
-        }
         let sig = dt.signature();
-        if let Some(hit) = table()
-            .lock()
-            .expect("layout cache poisoned")
-            .get(&sig)
-            .cloned()
-        {
+        let (layout, hit) = {
+            let mut table = TABLE.lock().expect("layout cache poisoned");
             // Reject (astronomically unlikely) signature collisions: the
-            // cached layout must describe a type of identical footprint.
-            if hit.size == dt.size() && hit.extent == dt.extent() {
-                obs::inc(obs::Counter::LayoutCacheHits);
-                return (hit, true);
+            // memoised layout must describe a type of identical footprint.
+            let cached = table
+                .get(&sig)
+                .filter(|l| l.size == dt.size() && l.extent == dt.extent());
+            match cached {
+                Some(l) => (Arc::clone(l), true),
+                None => {
+                    let l = Arc::new(build_layout(dt));
+                    table.insert(sig, Arc::clone(&l));
+                    (l, false)
+                }
             }
-        }
-        obs::inc(obs::Counter::LayoutCacheMisses);
-        let layout = Arc::new(build_layout(dt));
-        table()
-            .lock()
-            .expect("layout cache poisoned")
-            .insert(sig, Arc::clone(&layout));
-        (layout, false)
+        };
+        obs::count_layout_commit(sig, layout.merges);
+        (layout, hit)
     }
 }
 
@@ -490,16 +462,17 @@ fn replicate(
 
 /// Adjacent-leaf merge: identical stacks and byte-adjacent blocks become
 /// one longer block; densify afterwards since the merge may have closed
-/// the last gap.
-fn merge_adjacent(leaves: &mut Vec<FlatLeaf>) {
+/// the last gap. Returns the number of merges performed.
+fn merge_adjacent(leaves: &mut Vec<FlatLeaf>) -> u64 {
     for leaf in leaves.iter_mut() {
         optimise(leaf);
     }
+    let mut merges = 0;
     let mut merged: Vec<FlatLeaf> = Vec::with_capacity(leaves.len());
     for leaf in leaves.drain(..) {
         if let Some(prev) = merged.last_mut() {
             if prev.stack == leaf.stack && prev.first + prev.len as i64 == leaf.first {
-                obs::inc(obs::Counter::FfLeafMerges);
+                merges += 1;
                 prev.len += leaf.len;
                 optimise(prev);
                 continue;
@@ -508,6 +481,7 @@ fn merge_adjacent(leaves: &mut Vec<FlatLeaf>) {
         merged.push(leaf);
     }
     *leaves = merged;
+    merges
 }
 
 /// Recover stack levels from unrolled runs: a run of leaves with equal
@@ -802,9 +776,8 @@ mod tests {
     #[test]
     fn layout_cache_shares_layout_across_commits() {
         // Two commits of structurally equal (but separately built) types
-        // must share one Arc'd layout when the cache is on. This test
-        // keeps the global flag enabled (other tests in this binary run
-        // concurrently); an unusual stride keeps the key private to it.
+        // must share one Arc'd layout; an unusual stride keeps the key
+        // private to this test.
         let a = Datatype::vector(13, 3, 11, &Datatype::double());
         let b = Datatype::vector(13, 3, 11, &Datatype::double());
         let ca = Committed::commit(&a);
@@ -813,6 +786,30 @@ mod tests {
         assert!(cb.cache_hit());
         assert_eq!(ca.leaves(), cb.leaves());
         assert_eq!(ca.flatten_ops(), cb.flatten_ops());
+    }
+
+    #[test]
+    fn concurrent_first_commits_build_the_layout_once() {
+        // Eight threads commit one never-seen type at the same moment:
+        // the table lock spans lookup + build + insert, so exactly one of
+        // them flattens and the other seven share its layout.
+        let t = Datatype::vector(17, 5, 23, &Datatype::double());
+        let start = std::sync::Barrier::new(8);
+        let commits: Vec<Committed> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        Committed::commit(&t)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(commits.iter().filter(|c| !c.cache_hit()).count(), 1);
+        assert!(commits
+            .iter()
+            .all(|c| Arc::ptr_eq(&c.layout, &commits[0].layout)));
     }
 
     #[test]

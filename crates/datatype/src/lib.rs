@@ -42,7 +42,7 @@ pub mod typed;
 pub mod types;
 
 pub use ff::{pack_ff, unpack_ff, PackSink, SliceSource, UnpackSource, VecSink};
-pub use flat::{layout_cache, Committed, FfPosition, FlatLeaf, LayoutDensity, StackLevel};
+pub use flat::{Committed, FfPosition, FlatLeaf, LayoutDensity, StackLevel};
 pub use subarray::{subarray, ArrayOrder};
 pub use tree::{pack, pack_range, unpack, unpack_range, PackStats};
 pub use types::{BasicType, Datatype, TypeKind};

@@ -112,7 +112,7 @@ pub(crate) struct TypeNode {
     /// parameters, structurally equal children) hash to the same value.
     /// Child signatures fold in O(1), so construction stays linear in the
     /// constructor's own argument list. Keys the commit-time layout cache
-    /// (see [`crate::flat::layout_cache`]).
+    /// (see [`crate::flat::Committed::commit`]).
     signature: u64,
 }
 

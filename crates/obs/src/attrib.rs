@@ -19,11 +19,10 @@
 //! unmarked so forked clocks are not double-counted — their time shows
 //! up at rank level as a request-wait when the completion time merges).
 
-use crate::recorder::{self, is_enabled};
+use crate::recorder::{self, is_enabled, with_bound};
 use simclock::{Clock, SimDuration, SimTime};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Buckets for time a rank spends moving its own clock forward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,22 +124,18 @@ impl WaitEvent {
     }
 }
 
+/// The attribution state of one run, owned by its
+/// [`Recorder`](crate::Recorder).
 #[derive(Default)]
-struct AttribState {
+pub(crate) struct AttribState {
     /// Per-rank busy sums in picoseconds, indexed by [`Bucket`].
-    busy: BTreeMap<u32, [u64; BUCKET_COUNT]>,
+    pub(crate) busy: BTreeMap<u32, [u64; BUCKET_COUNT]>,
     /// Every classified wait, in recording order (order is *not*
     /// deterministic across threads; consumers must sort).
-    waits: Vec<WaitEvent>,
+    pub(crate) waits: Vec<WaitEvent>,
     /// Per-rank final clock value at teardown, ps.
-    makespans: BTreeMap<u32, u64>,
+    pub(crate) makespans: BTreeMap<u32, u64>,
 }
-
-static STATE: Mutex<AttribState> = Mutex::new(AttribState {
-    busy: BTreeMap::new(),
-    waits: Vec::new(),
-    makespans: BTreeMap::new(),
-});
 
 thread_local! {
     static THREAD_ATTRIB: Cell<bool> = const { Cell::new(false) };
@@ -176,15 +171,17 @@ fn active() -> bool {
 }
 
 /// Charge `dur` of busy time to `bucket` on the calling thread's rank.
-/// No-op unless the recorder is enabled and the thread is marked.
+/// No-op unless the thread is bound to a recorder and marked.
 #[inline]
 pub fn busy(bucket: Bucket, dur: SimDuration) {
     if !active() || dur.is_zero() {
         return;
     }
     let rank = recorder::thread_rank();
-    let mut st = STATE.lock().unwrap();
-    st.busy.entry(rank).or_default()[bucket as usize] += dur.as_ps();
+    with_bound(|r| {
+        let mut st = r.attrib.lock().unwrap();
+        st.busy.entry(rank).or_default()[bucket as usize] += dur.as_ps();
+    });
 }
 
 /// Record a classified wait over `[start, end)` on the calling thread's
@@ -194,12 +191,14 @@ pub fn wait(kind: WaitKind, start: SimTime, end: SimTime, peer: Option<u32>) {
         return;
     }
     let rank = recorder::thread_rank();
-    STATE.lock().unwrap().waits.push(WaitEvent {
-        rank,
-        kind,
-        start_ps: start.as_ps(),
-        end_ps: end.as_ps(),
-        peer,
+    with_bound(|r| {
+        r.attrib.lock().unwrap().waits.push(WaitEvent {
+            rank,
+            kind,
+            start_ps: start.as_ps(),
+            end_ps: end.as_ps(),
+            peer,
+        })
     });
 }
 
@@ -243,77 +242,35 @@ pub fn charged<R>(clock: &mut Clock, bucket: Bucket, f: impl FnOnce(&mut Clock) 
 
 /// Record rank `rank`'s final clock value. The runtime calls this as
 /// each rank thread finishes; the report uses it as the makespan the
-/// buckets must sum to.
+/// buckets must sum to. No-op when unbound.
 pub fn record_makespan(rank: u32, t: SimTime) {
-    if !is_enabled() {
-        return;
-    }
-    let mut st = STATE.lock().unwrap();
-    let entry = st.makespans.entry(rank).or_insert(0);
-    *entry = (*entry).max(t.as_ps());
-}
-
-/// Clear all attribution state (called from `obs::reset`).
-pub(crate) fn reset() {
-    let mut st = STATE.lock().unwrap();
-    st.busy.clear();
-    st.waits.clear();
-    st.makespans.clear();
-}
-
-/// Per-rank busy sums `(rank, [compute, pack, transfer])` in ps, sorted
-/// by rank.
-pub fn busy_table() -> Vec<(u32, [u64; BUCKET_COUNT])> {
-    STATE
-        .lock()
-        .unwrap()
-        .busy
-        .iter()
-        .map(|(&r, &b)| (r, b))
-        .collect()
-}
-
-/// Clone of every recorded wait event (recording order; sort before
-/// using in anything that must be deterministic).
-pub fn wait_events() -> Vec<WaitEvent> {
-    STATE.lock().unwrap().waits.clone()
-}
-
-/// Per-rank makespans `(rank, ps)`, sorted by rank.
-pub fn makespans() -> Vec<(u32, u64)> {
-    STATE
-        .lock()
-        .unwrap()
-        .makespans
-        .iter()
-        .map(|(&r, &m)| (r, m))
-        .collect()
+    with_bound(|r| {
+        let mut st = r.attrib.lock().unwrap();
+        let entry = st.makespans.entry(rank).or_insert(0);
+        *entry = (*entry).max(t.as_ps());
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
+    use crate::Recorder;
+    use std::sync::Arc;
 
-    // Attribution state is process-global; serialize tests.
-    static LOCK: StdMutex<()> = StdMutex::new(());
-
-    fn with_clean<R>(f: impl FnOnce() -> R) -> R {
-        let _g = LOCK.lock().unwrap();
-        crate::recorder::reset();
-        crate::recorder::enable();
+    /// Run `f` on this thread bound to a fresh recorder as an
+    /// attributing rank 0, handing `f` the recorder to inspect.
+    fn with_clean<R>(f: impl FnOnce(&Arc<Recorder>) -> R) -> R {
+        let rec = Recorder::new();
+        let _bound = rec.bind(0);
         set_thread_attrib(true);
-        crate::recorder::set_thread_rank(0);
-        let r = f();
+        let r = f(&rec);
         set_thread_attrib(false);
-        crate::recorder::disable();
-        crate::recorder::reset();
         r
     }
 
     #[test]
     fn helpers_mutate_clock_identically() {
-        with_clean(|| {
+        with_clean(|_| {
             let mut a = Clock::new();
             let mut b = Clock::new();
             a.advance(SimDuration::from_ns(50));
@@ -331,7 +288,7 @@ mod tests {
 
     #[test]
     fn busy_and_waits_accumulate_per_rank() {
-        with_clean(|| {
+        with_clean(|rec| {
             let mut c = Clock::new();
             advance(&mut c, Bucket::Compute, SimDuration::from_ns(10));
             advance(&mut c, Bucket::Compute, SimDuration::from_ns(5));
@@ -339,11 +296,11 @@ mod tests {
             merge_waited(&mut c, SimTime::from_ps(100_000), WaitKind::Barrier, None);
             // Merge into the past: no wait recorded.
             merge_waited(&mut c, SimTime::ZERO, WaitKind::Barrier, None);
-            let busy = busy_table();
-            assert_eq!(busy.len(), 1);
-            assert_eq!(busy[0].1[Bucket::Compute as usize], 15_000);
-            assert_eq!(busy[0].1[Bucket::Transfer as usize], 2_000);
-            let waits = wait_events();
+            let st = rec.attrib.lock().unwrap();
+            assert_eq!(st.busy.len(), 1);
+            assert_eq!(st.busy[&0][Bucket::Compute as usize], 15_000);
+            assert_eq!(st.busy[&0][Bucket::Transfer as usize], 2_000);
+            let waits = &st.waits;
             assert_eq!(waits.len(), 1);
             assert_eq!(waits[0].kind, WaitKind::Barrier);
             assert_eq!(waits[0].start_ps, 17_000);
@@ -353,7 +310,7 @@ mod tests {
 
     #[test]
     fn unmarked_threads_do_not_contribute() {
-        with_clean(|| {
+        with_clean(|rec| {
             paused(|| {
                 let mut c = Clock::new();
                 advance(&mut c, Bucket::Compute, SimDuration::from_ns(10));
@@ -361,13 +318,13 @@ mod tests {
                 assert_eq!(c.now(), SimTime::from_ps(10_000));
             });
             // ... but nothing was attributed.
-            assert!(busy_table().is_empty());
+            assert!(rec.attrib.lock().unwrap().busy.is_empty());
         });
     }
 
     #[test]
     fn charged_brackets_inner_motion() {
-        with_clean(|| {
+        with_clean(|rec| {
             let mut c = Clock::new();
             let out = charged(&mut c, Bucket::Transfer, |c| {
                 c.advance(SimDuration::from_ns(7));
@@ -375,8 +332,8 @@ mod tests {
                 42
             });
             assert_eq!(out, 42);
-            let busy = busy_table();
-            assert_eq!(busy[0].1[Bucket::Transfer as usize], 12_000);
+            let st = rec.attrib.lock().unwrap();
+            assert_eq!(st.busy[&0][Bucket::Transfer as usize], 12_000);
         });
     }
 }

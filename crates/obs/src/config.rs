@@ -5,14 +5,14 @@ use std::path::PathBuf;
 
 /// Observability configuration for one simulated run.
 ///
-/// `scimpi::run` applies this before spawning rank threads: it enables or
-/// disables the global recorder, and at teardown writes the requested
-/// export files (after recording an end-of-run per-link traffic
-/// snapshot).
+/// `scimpi::run_report` applies this before spawning rank threads: when
+/// enabled it creates the run's recorder and binds every thread of the
+/// run to it, and at teardown it writes the requested export files
+/// (after recording an end-of-run per-link traffic snapshot).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Master switch. When `false`, every hook in the stack is one
-    /// relaxed atomic load and a branch.
+    /// Master switch. When `false`, the run has no recorder and every
+    /// hook in the stack is one thread-local load and a branch.
     pub enabled: bool,
     /// If set, write a Chrome `trace_event` JSON here at teardown.
     pub trace_path: Option<PathBuf>,
@@ -21,10 +21,6 @@ pub struct ObsConfig {
     /// If set, write the `PROFILE` report (attribution table, span
     /// histograms, critical path) here at teardown.
     pub profile_path: Option<PathBuf>,
-    /// Reset counters/events when the run starts (default `true`), so a
-    /// run's exports describe only that run. Set to `false` to
-    /// accumulate across several `run` calls.
-    pub reset_on_start: bool,
 }
 
 impl ObsConfig {
@@ -33,14 +29,11 @@ impl ObsConfig {
         ObsConfig::default()
     }
 
-    /// Recording on, nothing written to disk (inspect via the `obs` API).
+    /// Recording on, nothing written to disk (inspect the `RunReport`).
     pub fn enabled() -> Self {
         ObsConfig {
             enabled: true,
-            trace_path: None,
-            counters_path: None,
-            profile_path: None,
-            reset_on_start: true,
+            ..ObsConfig::default()
         }
     }
 
@@ -66,12 +59,6 @@ impl ObsConfig {
         self.enabled = true;
         self
     }
-
-    /// Keep counters/events from previous runs instead of resetting.
-    pub fn accumulate(mut self) -> Self {
-        self.reset_on_start = false;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +74,5 @@ mod tests {
             .and_profile("/tmp/p.json");
         assert!(c.enabled && c.trace_path.is_some() && c.counters_path.is_some());
         assert!(c.profile_path.is_some());
-        assert!(c.reset_on_start);
-        assert!(!c.accumulate().reset_on_start);
     }
 }

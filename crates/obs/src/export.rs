@@ -7,9 +7,7 @@
 //! fields; each rank gets its own `tid` lane under one `pid`.
 
 use crate::json::{escape, num};
-use crate::recorder::{self, Arg, EventKind, TraceEvent};
-use std::io::Write;
-use std::path::Path;
+use crate::recorder::{Arg, CounterTable, EventKind, LinkSnapshot, TraceEvent};
 
 fn args_json(args: &[(&'static str, Arg)]) -> String {
     let body: Vec<String> = args
@@ -70,28 +68,20 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     )
 }
 
-/// Drain the recorder's events and write them to `path` as Chrome trace
-/// JSON.
-pub fn write_chrome_trace(path: &Path) -> std::io::Result<()> {
-    let events = recorder::take_events();
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(chrome_trace_json(&events).as_bytes())
-}
-
-/// Render the counter registry and link snapshots as JSON Lines: one
-/// `{"counter":name,"value":v}` record per counter, then one
+/// Render a counter table and link snapshots as JSON Lines: one `{"counter":name,"value":v}` record per
+/// counter, then one
 /// `{"link_snapshot":label,"links":[{"link":i,"data_bytes":d,"fc_bytes":f},..]}`
 /// record per snapshot.
-pub fn counters_jsonl() -> String {
+pub fn counters_jsonl(counters: &CounterTable, links: &[LinkSnapshot]) -> String {
     let mut out = String::new();
-    for (name, value) in recorder::counters_snapshot() {
+    for (name, value) in counters.iter() {
         out.push_str(&format!(
             "{{\"counter\":\"{}\",\"value\":{}}}\n",
             escape(name),
             value
         ));
     }
-    for snap in recorder::link_snapshots() {
+    for snap in links {
         let links: Vec<String> = snap
             .per_link
             .iter()
@@ -104,12 +94,6 @@ pub fn counters_jsonl() -> String {
         ));
     }
     out
-}
-
-/// Write [`counters_jsonl`] to `path`.
-pub fn write_counters_jsonl(path: &Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(counters_jsonl().as_bytes())
 }
 
 #[cfg(test)]
@@ -152,7 +136,12 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_shape() {
-        let doc = counters_jsonl();
+        let snap = LinkSnapshot {
+            label: "end-of-run".into(),
+            per_link: vec![(0, 1, 2)],
+        };
+        let doc = counters_jsonl(&CounterTable::default(), &[snap]);
+        assert_eq!(doc.lines().count(), crate::recorder::COUNTER_COUNT + 1);
         for line in doc.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }

@@ -14,26 +14,32 @@
 //! * **exporters**: Chrome `trace_event` JSON (open in `chrome://tracing`
 //!   or [Perfetto](https://ui.perfetto.dev)) and a JSONL counter dump.
 //!
-//! The recorder is a process-wide static so instrumentation hooks deep in
-//! the pack/protocol code never thread a handle through their signatures.
-//! When disabled (the default) every hook bails after **one relaxed atomic
-//! load** — no locks, no allocation, no formatting. `scimpi::run` flips
-//! the switch from [`ObsConfig`] in `ClusterSpec` and writes the export
-//! files at teardown.
+//! A run returns its report: `scimpi::run_report` creates one
+//! [`Recorder`] per launch, binds every thread working for that run to it
+//! ([`Recorder::bind`]) and hands the recording back as the `RunReport`.
+//! Nothing is process-wide, so runs in one process — concurrent or not —
+//! never see each other's numbers. The instrumentation hooks deep in the
+//! pack/protocol code stay free functions ([`inc`], [`span`],
+//! [`attrib::advance`], ...) that resolve through the calling thread's
+//! binding, so no handle is threaded through their signatures; on an
+//! unbound thread (recording off, the default) every hook bails after
+//! **one thread-local load** — no locks, no allocation, no formatting.
 //!
 //! ```
 //! use simclock::SimTime;
 //!
-//! obs::reset();
-//! obs::enable();
-//! obs::set_thread_rank(0);
-//! obs::inc(obs::Counter::EagerSends);
-//! obs::span("send", SimTime::ZERO, SimTime::from_ps(2_000_000), vec![
-//!     ("bytes", obs::Arg::U64(128)),
-//!     ("path", obs::Arg::Str("eager".into())),
-//! ]);
-//! assert_eq!(obs::counter_value(obs::Counter::EagerSends), 1);
-//! obs::disable();
+//! let rec = obs::Recorder::new();
+//! {
+//!     let _lane = rec.bind(0);
+//!     obs::inc(obs::Counter::EagerSends);
+//!     obs::span("send", SimTime::ZERO, SimTime::from_ps(2_000_000), vec![
+//!         ("bytes", obs::Arg::U64(128)),
+//!         ("path", obs::Arg::Str("eager".into())),
+//!     ]);
+//! }
+//! obs::inc(obs::Counter::EagerSends); // unbound again: dropped
+//! assert_eq!(rec.counters()[obs::Counter::EagerSends], 1);
+//! assert_eq!(rec.take_events().len(), 1);
 //! ```
 
 pub mod attrib;
@@ -47,12 +53,10 @@ pub mod report;
 
 pub use attrib::{Bucket, WaitKind};
 pub use config::ObsConfig;
-pub use export::{chrome_trace_json, counters_jsonl, write_chrome_trace, write_counters_jsonl};
+pub use export::{chrome_trace_json, counters_jsonl};
 pub use histogram::Histogram;
 pub use recorder::{
-    add, counter_value, counters_snapshot, disable, enable, events_snapshot, inc, instant,
-    is_enabled, link_snapshots, max, peak_backlogs, record_link_snapshot, record_peak_backlog,
-    reset, set_thread_rank, span, take_events, thread_rank, Arg, Counter, EventKind, LinkSnapshot,
-    PeakBacklog, TraceEvent,
+    add, count_layout_commit, inc, instant, is_enabled, max, span, thread_rank, Arg, Bound,
+    Counter, CounterTable, EventKind, LinkSnapshot, PeakBacklog, Recorder, TraceEvent,
 };
 pub use report::Profile;

@@ -1,13 +1,20 @@
-//! The process-wide recorder: enabled flag, counters, trace events and
-//! link snapshots.
+//! The run-scoped recorder: counters, trace events and attribution state
+//! of one run.
 //!
-//! Everything funnels through one static `Recorder`. Hooks check the
-//! enabled flag with a single `Relaxed` atomic load before doing any
-//! work, so a disabled recorder costs one predictable branch per hook.
+//! There is no process-wide state. Each run owns a [`Recorder`]; the
+//! threads working for that run bind it ([`Recorder::bind`]) and the
+//! hook functions resolve through that thread-local binding, so hooks
+//! deep in the pack/protocol code never thread a handle through their
+//! signatures. An unbound thread pays one thread-local load and a
+//! branch per hook.
 
+use crate::attrib::AttribState;
 use simclock::SimTime;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// The protocol decision points counted by the registry.
 ///
@@ -229,6 +236,31 @@ impl Counter {
 /// Number of counters in the registry.
 pub const COUNTER_COUNT: usize = 55;
 
+/// The counter values of one run, indexed by [`Counter`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CounterTable([u64; COUNTER_COUNT]);
+
+impl Default for CounterTable {
+    fn default() -> Self {
+        CounterTable([0; COUNTER_COUNT])
+    }
+}
+
+impl std::ops::Index<Counter> for CounterTable {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
+}
+
+impl CounterTable {
+    /// `(export name, value)` pairs in declaration order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Counter::NAMES.iter().copied().zip(self.0)
+    }
+}
+
 /// A trace-event argument value.
 #[derive(Clone, Debug)]
 pub enum Arg {
@@ -289,258 +321,233 @@ pub struct PeakBacklog {
     pub eager_bytes: u64,
 }
 
-struct Recorder {
-    enabled: AtomicBool,
+/// One run's recording: counters, trace events and the attribution state
+/// behind the profile.
+///
+/// `scimpi::run_report` creates one per launch and hands its contents
+/// back as the `RunReport`; the hook functions of this crate
+/// ([`inc`], [`span`], [`crate::attrib::advance`], ...) reach it through
+/// the calling thread's binding (see [`Recorder::bind`]).
+pub struct Recorder {
     counters: [AtomicU64; COUNTER_COUNT],
     events: Mutex<Vec<TraceEvent>>,
-    links: Mutex<Vec<LinkSnapshot>>,
-    backlogs: Mutex<Vec<PeakBacklog>>,
+    pub(crate) attrib: Mutex<AttribState>,
+    /// Datatype signatures this run has committed (see
+    /// [`count_layout_commit`]).
+    layouts: Mutex<HashSet<u64>>,
 }
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-
-static GLOBAL: Recorder = Recorder {
-    enabled: AtomicBool::new(false),
-    counters: [ZERO; COUNTER_COUNT],
-    events: Mutex::new(Vec::new()),
-    links: Mutex::new(Vec::new()),
-    backlogs: Mutex::new(Vec::new()),
-};
 
 thread_local! {
-    static THREAD_RANK: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// The recorder this thread's hooks write to and the rank lane its
+    /// events land on, if any.
+    static BOUND: RefCell<Option<(Arc<Recorder>, u32)>> = const { RefCell::new(None) };
 }
 
-/// Bind the calling thread to a rank lane. `scimpi::run` calls this at
-/// the top of every rank thread; events recorded on the thread land in
-/// that rank's lane.
-pub fn set_thread_rank(rank: u32) {
-    THREAD_RANK.with(|r| r.set(rank));
+/// Keeps the calling thread bound to a [`Recorder`]; dropping it
+/// restores whatever binding (or none) the thread had before.
+pub struct Bound {
+    prev: Option<(Arc<Recorder>, u32)>,
+    /// The binding lives in this thread's locals.
+    _not_send: PhantomData<*const ()>,
 }
 
-/// The rank lane the calling thread is bound to (0 if never bound).
+impl Drop for Bound {
+    fn drop(&mut self) {
+        BOUND.set(self.prev.take());
+    }
+}
+
+impl Recorder {
+    /// A fresh, empty recorder.
+    pub fn new() -> Arc<Recorder> {
+        Arc::new(Recorder {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            events: Mutex::default(),
+            attrib: Mutex::default(),
+            layouts: Mutex::default(),
+        })
+    }
+
+    /// Bind the calling thread to this recorder and to `rank`'s trace
+    /// lane until the returned guard drops. `scimpi::run_report` does
+    /// this at the top of every rank and helper thread.
+    pub fn bind(self: &Arc<Self>, rank: u32) -> Bound {
+        Bound {
+            prev: BOUND.replace(Some((Arc::clone(self), rank))),
+            _not_send: PhantomData,
+        }
+    }
+
+    fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Current value of every counter.
+    pub fn counters(&self) -> CounterTable {
+        CounterTable(std::array::from_fn(|i| {
+            self.counters[i].load(Ordering::Relaxed)
+        }))
+    }
+
+    /// Drain and return all buffered trace events (oldest first).
+    pub fn take_events(&self) -> Vec<TraceEvent> {
+        std::mem::take(&mut *self.events.lock().unwrap())
+    }
+}
+
+/// Run `f` on the calling thread's recorder, if it is bound to one.
+#[inline]
+pub(crate) fn with_bound(f: impl FnOnce(&Recorder)) {
+    BOUND.with_borrow(|b| {
+        if let Some((r, _)) = b {
+            f(r)
+        }
+    });
+}
+
+/// The rank lane the calling thread is bound to (0 if unbound).
 pub fn thread_rank() -> u32 {
-    THREAD_RANK.with(|r| r.get())
+    BOUND.with_borrow(|b| b.as_ref().map_or(0, |b| b.1))
 }
 
-/// Turn recording on.
-pub fn enable() {
-    GLOBAL.enabled.store(true, Ordering::Relaxed);
-}
-
-/// Turn recording off. Hooks become a single load-and-branch.
-pub fn disable() {
-    GLOBAL.enabled.store(false, Ordering::Relaxed);
-}
-
-/// Is the recorder currently enabled?
+/// Is the calling thread bound to a recorder? When not, every hook is
+/// this one thread-local load and a branch.
 #[inline]
 pub fn is_enabled() -> bool {
-    GLOBAL.enabled.load(Ordering::Relaxed)
+    BOUND.with_borrow(Option::is_some)
 }
 
-/// Zero every counter and drop all buffered events and snapshots.
-/// Does not change the enabled flag.
-pub fn reset() {
-    for c in &GLOBAL.counters {
-        c.store(0, Ordering::Relaxed);
-    }
-    GLOBAL.events.lock().unwrap().clear();
-    GLOBAL.links.lock().unwrap().clear();
-    GLOBAL.backlogs.lock().unwrap().clear();
-    crate::attrib::reset();
-    crate::report::reset();
-}
-
-/// Increment a counter by one. No-op when disabled.
+/// Increment a counter by one. No-op when unbound.
 #[inline]
 pub fn inc(counter: Counter) {
     add(counter, 1);
 }
 
-/// Increment a counter by `n`. No-op when disabled.
+/// Increment a counter by `n`. No-op when unbound.
 #[inline]
 pub fn add(counter: Counter, n: u64) {
-    if !is_enabled() {
-        return;
-    }
-    GLOBAL.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    with_bound(|r| r.add(counter, n));
 }
 
 /// Raise a counter to at least `v` (a high-water gauge). No-op when
-/// disabled.
+/// unbound.
 #[inline]
 pub fn max(counter: Counter, v: u64) {
-    if !is_enabled() {
-        return;
-    }
-    GLOBAL.counters[counter as usize].fetch_max(v, Ordering::Relaxed);
+    with_bound(|r| {
+        r.counters[counter as usize].fetch_max(v, Ordering::Relaxed);
+    });
 }
 
-/// Current value of a counter.
-pub fn counter_value(counter: Counter) -> u64 {
-    GLOBAL.counters[counter as usize].load(Ordering::Relaxed)
-}
-
-/// Snapshot of all counters as `(name, value)` pairs, in declaration
-/// order.
-pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
-    Counter::NAMES
-        .iter()
-        .zip(&GLOBAL.counters)
-        .map(|(&n, c)| (n, c.load(Ordering::Relaxed)))
-        .collect()
+/// Count one datatype commit: a `layout_cache_miss` plus the
+/// `ff_leaf_merges` flattening performed (`merges`) the first time the
+/// bound run commits `signature`, a `layout_cache_hit` every time after.
+/// A function of the run alone, whatever the process-wide layout memo
+/// already holds. No-op when unbound.
+pub fn count_layout_commit(signature: u64, merges: u64) {
+    with_bound(|r| {
+        if r.layouts.lock().unwrap().insert(signature) {
+            r.add(Counter::LayoutCacheMisses, 1);
+            r.add(Counter::FfLeafMerges, merges);
+        } else {
+            r.add(Counter::LayoutCacheHits, 1);
+        }
+    });
 }
 
 /// Record a span covering `[start, end)` of virtual time on the calling
-/// thread's rank lane. No-op when disabled.
+/// thread's rank lane. No-op when unbound.
 pub fn span(name: &'static str, start: SimTime, end: SimTime, args: Vec<(&'static str, Arg)>) {
-    if !is_enabled() {
-        return;
-    }
     let dur_ps = end.as_ps().saturating_sub(start.as_ps());
-    push_event(TraceEvent {
-        rank: THREAD_RANK.with(|r| r.get()),
-        name,
-        kind: EventKind::Span { dur_ps },
-        ts_ps: start.as_ps(),
-        args,
-    });
+    push_event(name, EventKind::Span { dur_ps }, start, args);
 }
 
 /// Record an instant at virtual time `at` on the calling thread's rank
-/// lane. No-op when disabled.
+/// lane. No-op when unbound.
 pub fn instant(name: &'static str, at: SimTime, args: Vec<(&'static str, Arg)>) {
-    if !is_enabled() {
-        return;
-    }
-    push_event(TraceEvent {
-        rank: THREAD_RANK.with(|r| r.get()),
-        name,
-        kind: EventKind::Instant,
-        ts_ps: at.as_ps(),
-        args,
+    push_event(name, EventKind::Instant, at, args);
+}
+
+fn push_event(name: &'static str, kind: EventKind, at: SimTime, args: Vec<(&'static str, Arg)>) {
+    with_bound(|r| {
+        r.events.lock().unwrap().push(TraceEvent {
+            rank: thread_rank(),
+            name,
+            kind,
+            ts_ps: at.as_ps(),
+            args,
+        })
     });
-}
-
-fn push_event(ev: TraceEvent) {
-    GLOBAL.events.lock().unwrap().push(ev);
-}
-
-/// Record a per-link traffic snapshot. No-op when disabled.
-pub fn record_link_snapshot(label: String, per_link: Vec<(usize, u64, u64)>) {
-    if !is_enabled() {
-        return;
-    }
-    GLOBAL
-        .links
-        .lock()
-        .unwrap()
-        .push(LinkSnapshot { label, per_link });
-}
-
-/// Drain and return all buffered trace events (oldest first).
-pub fn take_events() -> Vec<TraceEvent> {
-    std::mem::take(&mut *GLOBAL.events.lock().unwrap())
-}
-
-/// Clone the buffered trace events without draining them (the report
-/// builder reads them at teardown while leaving them for the trace
-/// exporter or in-process inspection).
-pub fn events_snapshot() -> Vec<TraceEvent> {
-    GLOBAL.events.lock().unwrap().clone()
-}
-
-/// Clone the recorded link snapshots.
-pub fn link_snapshots() -> Vec<LinkSnapshot> {
-    GLOBAL.links.lock().unwrap().clone()
-}
-
-/// Record one rank's mailbox peak backlog (taken at teardown by
-/// `scimpi::run`). No-op when disabled.
-pub fn record_peak_backlog(rank: u32, msgs: u64, eager_bytes: u64) {
-    if !is_enabled() {
-        return;
-    }
-    GLOBAL.backlogs.lock().unwrap().push(PeakBacklog {
-        rank,
-        msgs,
-        eager_bytes,
-    });
-}
-
-/// Per-rank mailbox peak backlogs recorded by the most recent run,
-/// sorted by rank. Cleared by [`reset`].
-pub fn peak_backlogs() -> Vec<PeakBacklog> {
-    let mut v = GLOBAL.backlogs.lock().unwrap().clone();
-    v.sort_by_key(|b| b.rank);
-    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The recorder is process-global; tests in this module serialize on
-    // a lock so their deltas do not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
-    fn disabled_recorder_drops_everything() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        disable();
-        let before = counter_value(Counter::EagerSends);
+    fn unbound_thread_drops_everything() {
+        let rec = Recorder::new();
         inc(Counter::EagerSends);
         span("x", SimTime::ZERO, SimTime::from_ps(10), vec![]);
         instant("y", SimTime::ZERO, vec![]);
-        record_link_snapshot("s".into(), vec![(0, 1, 2)]);
-        assert_eq!(counter_value(Counter::EagerSends), before);
-        assert!(take_events().is_empty());
-        assert!(link_snapshots().is_empty());
+        count_layout_commit(1, 3);
+        assert!(!is_enabled());
+        assert_eq!(rec.counters(), CounterTable::default());
+        assert!(rec.take_events().is_empty());
     }
 
     #[test]
-    fn enabled_recorder_counts_and_buffers() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        enable();
-        set_thread_rank(3);
+    fn bound_thread_counts_and_buffers() {
+        let rec = Recorder::new();
+        let bound = rec.bind(3);
         inc(Counter::RendezvousSends);
         add(Counter::RendezvousChunks, 4);
+        max(Counter::CreditBytesPeak, 10);
+        max(Counter::CreditBytesPeak, 5);
         span(
             "send",
             SimTime::from_ps(100),
             SimTime::from_ps(400),
             vec![("bytes", Arg::U64(64))],
         );
-        assert_eq!(counter_value(Counter::RendezvousSends), 1);
-        assert_eq!(counter_value(Counter::RendezvousChunks), 4);
-        let evs = take_events();
+        drop(bound);
+        inc(Counter::RendezvousSends);
+        let counters = rec.counters();
+        assert_eq!(counters[Counter::RendezvousSends], 1);
+        assert_eq!(counters[Counter::RendezvousChunks], 4);
+        assert_eq!(counters[Counter::CreditBytesPeak], 10);
+        let evs = rec.take_events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].rank, 3);
         assert_eq!(evs[0].kind, EventKind::Span { dur_ps: 300 });
-        disable();
-        reset();
     }
 
     #[test]
-    fn max_and_peak_backlogs_record_when_enabled() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        enable();
-        max(Counter::CreditBytesPeak, 10);
-        max(Counter::CreditBytesPeak, 5);
-        assert_eq!(counter_value(Counter::CreditBytesPeak), 10);
-        record_peak_backlog(1, 3, 4096);
-        record_peak_backlog(0, 2, 64);
-        let p = peak_backlogs();
-        assert_eq!((p[0].rank, p[0].msgs, p[0].eager_bytes), (0, 2, 64));
-        assert_eq!((p[1].rank, p[1].msgs, p[1].eager_bytes), (1, 3, 4096));
-        disable();
-        reset();
-        assert!(peak_backlogs().is_empty());
+    fn bindings_nest_and_restore() {
+        let (outer, inner) = (Recorder::new(), Recorder::new());
+        let _o = outer.bind(1);
+        {
+            let _i = inner.bind(2);
+            assert_eq!(thread_rank(), 2);
+            inc(Counter::EagerSends);
+        }
+        assert_eq!(thread_rank(), 1);
+        inc(Counter::EagerSends);
+        inc(Counter::EagerSends);
+        assert_eq!(inner.counters()[Counter::EagerSends], 1);
+        assert_eq!(outer.counters()[Counter::EagerSends], 2);
+    }
+
+    #[test]
+    fn layout_commits_are_a_function_of_the_recorder() {
+        let rec = Recorder::new();
+        let _b = rec.bind(0);
+        count_layout_commit(7, 2);
+        count_layout_commit(7, 2);
+        count_layout_commit(9, 0);
+        let counters = rec.counters();
+        assert_eq!(counters[Counter::LayoutCacheMisses], 2);
+        assert_eq!(counters[Counter::LayoutCacheHits], 1);
+        assert_eq!(counters[Counter::FfLeafMerges], 2);
     }
 
     #[test]

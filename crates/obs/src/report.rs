@@ -2,22 +2,19 @@
 //! histograms, and the critical path, serialized as
 //! `PROFILE_<name>.json`.
 //!
-//! `scimpi::run` builds the profile at teardown (after the per-rank
-//! makespans are recorded) and stores it as the process-wide "last
-//! profile"; harnesses read it back in-process via [`last_profile`] or
-//! write it next to their `BENCH_<name>.json` via [`write_profile_for`].
-//! Every field is an integer picosecond/nanosecond count, so same-seed
-//! runs serialize byte-identically.
+//! `scimpi::run_report` builds the profile at teardown (after the
+//! per-rank makespans are recorded) and returns it in the run's
+//! `RunReport`; harnesses read it from there or write its
+//! [`profile_json`] next to their `BENCH_<name>.json`. Every field is an integer
+//! picosecond/nanosecond count, so same-seed runs serialize
+//! byte-identically.
 
-use crate::attrib::{self, Bucket, WaitKind, BUCKET_COUNT, WAIT_KIND_COUNT};
+use crate::attrib::{Bucket, WaitKind, BUCKET_COUNT, WAIT_KIND_COUNT};
 use crate::critpath::{self, CriticalPath};
 use crate::histogram::Histogram;
 use crate::json::escape;
-use crate::recorder::{EventKind, TraceEvent};
+use crate::recorder::{EventKind, Recorder, TraceEvent};
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// One rank's virtual-time decomposition. The identity
 /// `compute + pack + transfer + wait + other == makespan` holds exactly.
@@ -82,13 +79,12 @@ impl Profile {
     }
 }
 
-/// Build a profile from the attribution state and the given trace
+/// Build a profile from `rec`'s attribution state and the given trace
 /// events (span durations feed the histograms; attribution and
-/// makespans come from [`crate::attrib`]).
-pub fn build(events: &[TraceEvent]) -> Profile {
-    let busy = attrib::busy_table();
-    let waits = attrib::wait_events();
-    let makespans = attrib::makespans();
+/// makespans were recorded through [`crate::attrib`]).
+pub fn build(rec: &Recorder, events: &[TraceEvent]) -> Profile {
+    let st = rec.attrib.lock().unwrap();
+    let makespans: Vec<(u32, u64)> = st.makespans.iter().map(|(&r, &m)| (r, m)).collect();
 
     let mut ranks: BTreeMap<u32, RankProfile> = BTreeMap::new();
     fn touch(map: &mut BTreeMap<u32, RankProfile>, r: u32) -> &mut RankProfile {
@@ -97,10 +93,10 @@ pub fn build(events: &[TraceEvent]) -> Profile {
             ..RankProfile::default()
         })
     }
-    for (r, b) in &busy {
+    for (r, b) in &st.busy {
         touch(&mut ranks, *r).busy_ps = *b;
     }
-    for w in &waits {
+    for w in &st.waits {
         touch(&mut ranks, w.rank).wait_ps[w.kind as usize] += w.dur_ps();
     }
     for (r, m) in &makespans {
@@ -139,7 +135,7 @@ pub fn build(events: &[TraceEvent]) -> Profile {
                 hist,
             })
             .collect(),
-        critical_path: critpath::extract(&makespans, &waits),
+        critical_path: critpath::extract(&makespans, &st.waits),
     }
 }
 
@@ -224,45 +220,6 @@ pub fn profile_json(p: &Profile) -> String {
     out.push_str(&hops.join(",\n"));
     out.push_str("\n]}}\n");
     out
-}
-
-static LAST: Mutex<Option<Profile>> = Mutex::new(None);
-
-/// Store `p` as the process-wide last profile (`scimpi::run` does this
-/// at teardown).
-pub fn set_last(p: Profile) {
-    *LAST.lock().unwrap() = Some(p);
-}
-
-/// Clone of the most recently built profile, if any.
-pub fn last_profile() -> Option<Profile> {
-    LAST.lock().unwrap().clone()
-}
-
-/// Clear the stored profile (called from `obs::reset`).
-pub(crate) fn reset() {
-    *LAST.lock().unwrap() = None;
-}
-
-/// Write the last profile to `path`. No-op (Ok) when none was built.
-pub fn write_last(path: &Path) -> std::io::Result<()> {
-    if let Some(p) = last_profile() {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(profile_json(&p).as_bytes())?;
-    }
-    Ok(())
-}
-
-/// Write the last profile as `PROFILE_<name>.json` in the current
-/// directory (the convention next to `BENCH_<name>.json`). Returns the
-/// path written, or `None` when no profile was built.
-pub fn write_profile_for(name: &str) -> std::io::Result<Option<PathBuf>> {
-    if last_profile().is_none() {
-        return Ok(None);
-    }
-    let path = PathBuf::from(format!("PROFILE_{name}.json"));
-    write_last(&path)?;
-    Ok(Some(path))
 }
 
 /// Render a compact human-readable attribution table (used by examples
@@ -361,7 +318,7 @@ mod tests {
             args: vec![("bytes", Arg::U64(1))],
         };
         let events = vec![ev("a", 10), ev("b", 20), ev("a", 30)];
-        let p = build(&events);
+        let p = build(&Recorder::new(), &events);
         assert_eq!(p.families.len(), 2);
         assert_eq!(p.family("a").unwrap().count(), 2);
         assert_eq!(p.family("b").unwrap().count(), 1);

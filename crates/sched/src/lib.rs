@@ -185,7 +185,7 @@ impl Inner {
 }
 
 /// Scheduler run statistics, for benches and the megascale smoke test.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Total park/dispatch events processed.
     pub events: u64,

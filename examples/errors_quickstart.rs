@@ -21,7 +21,7 @@ fn main() {
         .errors(ErrorMode::ErrorsReturn)
         .obs(ObsConfig::enabled());
 
-    run(spec, |rank| {
+    let (_, report) = run_report(spec, |rank| {
         let mem = rank.alloc_mem(4096).done();
         let mut win = rank.win_create(WinMemory::Alloc(mem)).done();
         win.fence(rank).expect("clean fence");
@@ -70,7 +70,7 @@ fn main() {
     });
 
     println!("\nrecovery machinery engaged:");
-    for (name, value) in obs::counters_snapshot() {
+    for (name, value) in report.counters.iter() {
         if value > 0 && (name.starts_with("osc_") || name.contains("route")) {
             println!("  {name:<22} {value}");
         }

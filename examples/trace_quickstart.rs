@@ -1,6 +1,7 @@
 //! Observability quickstart: run a tiny workload with the recorder on,
-//! inspect counters and the wait-state profile in-process, and write
-//! the Chrome trace + counter dump + `PROFILE` document.
+//! inspect the counters and the wait-state profile of the report the run
+//! returns, and write the Chrome trace + counter dump + `PROFILE`
+//! document.
 //!
 //! Run: `cargo run --release --example trace_quickstart`
 //! Then open `trace_quickstart.json` in Perfetto (ui.perfetto.dev) or
@@ -15,7 +16,7 @@ fn main() {
             .and_profile("PROFILE_trace_quickstart.json"),
     );
 
-    run(spec, |rank| {
+    let (_, report) = run_report(spec, |rank| {
         // A small eager message and a large rendezvous message 0 -> 1.
         if rank.rank() == 0 {
             rank.send(1, 0, &[1u8; 256]).done();
@@ -39,18 +40,17 @@ fn main() {
         win.fence(rank).done();
     });
 
-    // Counters survive the run (the files were written at teardown, but
-    // the registry is still readable until the next reset).
+    // The run returns its report (the files were written at teardown from
+    // the same recording).
     println!("protocol decisions taken:");
-    for (name, value) in obs::counters_snapshot() {
+    for (name, value) in report.counters.iter() {
         if value > 0 {
             println!("  {name:<22} {value}");
         }
     }
-    // The wait-state profile is also readable in-process: where each
-    // rank's virtual time went, and which dependency chain bounded the
-    // run.
-    let profile = obs::report::last_profile().expect("profile built at teardown");
+    // So is the wait-state profile: where each rank's virtual time went,
+    // and which dependency chain bounded the run.
+    let profile = report.profile.expect("profile built at teardown");
     println!("\n{}", obs::report::render_table(&profile));
     println!("{}", obs::report::render_critical_path(&profile));
 

@@ -13,15 +13,10 @@
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::FaultConfig;
 use scimpi::{
-    revoke, run, shrink, AccumulateOp, Backend, ClusterSpec, ErrorMode, IntegrityMode,
+    revoke, run_report, shrink, AccumulateOp, Backend, ClusterSpec, ErrorMode, IntegrityMode,
     OverloadPolicy, Rank, ReduceOp, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::{SimDuration, SimTime};
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec)
-/// is process-global: every test in this binary serialises on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// Everything observable from one run: per-rank scenario output bytes,
 /// per-rank finish times, the counter table, and the profile JSON.
@@ -38,20 +33,15 @@ fn capture<F>(spec: ClusterSpec, f: F) -> Artifacts
 where
     F: Fn(&mut Rank) -> Vec<u8> + Send + Sync,
 {
-    // The layout cache is process-global and would otherwise hand the
-    // second run free hits the first run paid misses for.
-    mpi_datatype::layout_cache::clear();
     let spec = spec.obs(obs::ObsConfig::enabled());
-    let per_rank = run(spec, |r| {
+    let (per_rank, report) = run_report(spec, |r| {
         let bytes = f(r);
         (bytes, r.now())
     });
     Artifacts {
         per_rank,
-        counters: obs::counters_snapshot(),
-        profile: obs::report::last_profile()
-            .map(|p| obs::report::profile_json(&p))
-            .unwrap_or_default(),
+        counters: report.counters.iter().collect(),
+        profile: report.profile_json(),
     }
 }
 
@@ -62,7 +52,6 @@ fn diff<F>(name: &str, spec: ClusterSpec, f: F)
 where
     F: Fn(&mut Rank) -> Vec<u8> + Send + Sync,
 {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let thread = capture(spec.clone().backend(Backend::Thread), &f);
     let event = capture(spec.backend(Backend::Event), &f);
     for (rank, (t, e)) in thread.per_rank.iter().zip(&event.per_rank).enumerate() {
@@ -676,7 +665,6 @@ fn check_workload(seed: u64) {
 /// sweeps several); unset, a fixed small set runs.
 #[test]
 fn seed_sweep_randomized_workloads() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     if let Ok(seed) = std::env::var("BACKEND_DIFF_SEED") {
         let seed: u64 = seed.parse().expect("BACKEND_DIFF_SEED must be an integer");
         for s in [seed, seed.wrapping_mul(3).wrapping_add(1)] {
@@ -694,7 +682,6 @@ fn seed_sweep_randomized_workloads() {
 /// then task sequence), not merely agree with the thread backend.
 #[test]
 fn event_backend_self_deterministic() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let w = Workload::draw(7);
     let run_one = || {
         let w = w.clone();

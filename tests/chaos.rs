@@ -18,15 +18,10 @@
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::LinkId;
 use scimpi::{
-    death_delay, revoke, run, AccumulateOp, ClusterSpec, CollectiveAlgo, ErrorMode, IntegrityMode,
-    Rank, ReduceOp, ScimpiError, Source, TagSel, Tuning, WinMemory,
+    death_delay, revoke, run, run_report, AccumulateOp, Backend, ClusterSpec, CollectiveAlgo,
+    ErrorMode, IntegrityMode, Rank, ReduceOp, ScimpiError, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::SimDuration;
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec) is
-/// process-global: every test in this binary serialises on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// CI sweeps `CHAOS_SEED` to exercise the fault schedules under several
 /// RNG streams; the scenarios themselves are seed-independent. When
@@ -59,11 +54,10 @@ fn chaos_spec() -> ClusterSpec {
 /// traffic over the alternate ring direction, bit-perfectly.
 #[test]
 fn link_failure_reroutes_rendezvous_traffic() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let payload: Vec<u8> = (0..200_000).map(|i| (i * 37) as u8).collect();
     let expect = payload.clone();
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         // Sever node1→node2, the middle of the primary route 0→2.
         if r.rank() == 0 {
             r.fabric().faults().fail_link(LinkId(1));
@@ -87,7 +81,7 @@ fn link_failure_reroutes_rendezvous_traffic() {
         r.barrier();
     });
     assert!(
-        obs::counter_value(obs::Counter::RouteFailovers) > 0,
+        report.counters[obs::Counter::RouteFailovers] > 0,
         "the reroute must be visible in the failover counter"
     );
 }
@@ -96,9 +90,8 @@ fn link_failure_reroutes_rendezvous_traffic() {
 /// pulled and heals back to the primary route once it is restored.
 #[test]
 fn window_stream_fails_over_and_heals() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         let mem = r.alloc_mem(1 << 16).unwrap();
         let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
         win.fence(r).unwrap();
@@ -120,9 +113,9 @@ fn window_stream_fails_over_and_heals() {
         }
         win.fence(r).unwrap();
     });
-    assert!(obs::counter_value(obs::Counter::RouteFailovers) > 0);
+    assert!(report.counters[obs::Counter::RouteFailovers] > 0);
     assert!(
-        obs::counter_value(obs::Counter::RouteHeals) > 0,
+        report.counters[obs::Counter::RouteHeals] > 0,
         "restoring the link must heal the stream back to the primary route"
     );
 }
@@ -132,9 +125,8 @@ fn window_stream_fails_over_and_heals() {
 /// delivering, and re-promotes at the fence after the links come back.
 #[test]
 fn one_sided_falls_back_to_emulation_and_repromotes() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         let mem = r.alloc_mem(1 << 16).unwrap();
         let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
         win.fence(r).unwrap();
@@ -172,11 +164,11 @@ fn one_sided_falls_back_to_emulation_and_repromotes() {
         win.fence(r).unwrap();
     });
     assert!(
-        obs::counter_value(obs::Counter::OscFallbacks) > 0,
+        report.counters[obs::Counter::OscFallbacks] > 0,
         "the demotion must be counted"
     );
     assert!(
-        obs::counter_value(obs::Counter::OscRepromotions) > 0,
+        report.counters[obs::Counter::OscRepromotions] > 0,
         "the fence-time probe must re-promote the healed target"
     );
 }
@@ -189,9 +181,8 @@ fn one_sided_falls_back_to_emulation_and_repromotes() {
 /// `EndToEnd` retransmission) on top of the severed-route emulation.
 #[test]
 fn emulated_one_sided_sweep_under_link_failure() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         let mem = r.alloc_mem(1 << 16).unwrap();
         let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
         win.fence(r).unwrap();
@@ -268,11 +259,11 @@ fn emulated_one_sided_sweep_under_link_failure() {
         win.fence(r).unwrap();
     });
     assert!(
-        obs::counter_value(obs::Counter::OscFallbacks) > 0,
+        report.counters[obs::Counter::OscFallbacks] > 0,
         "the severed routes must demote the target"
     );
     assert!(
-        obs::counter_value(obs::Counter::OscRepromotions) > 0,
+        report.counters[obs::Counter::OscRepromotions] > 0,
         "the healed fence must re-promote"
     );
 }
@@ -281,7 +272,6 @@ fn emulated_one_sided_sweep_under_link_failure() {
 /// deterministic timeout/backoff budget — no hang, no real-time dependence.
 #[test]
 fn dead_peer_is_detected_within_the_virtual_time_budget() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     run(chaos_spec(), move |r| {
         r.barrier();
@@ -309,7 +299,6 @@ fn dead_peer_is_detected_within_the_virtual_time_budget() {
 /// per-rank virtual times and payload digests across two same-seed runs.
 #[test]
 fn chaos_outcome_is_deterministic() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let payload = vec![0x5A; 100_000];
     let scenario = || {
         run(chaos_spec(), |r| {
@@ -369,35 +358,46 @@ const F64_RDV: usize = 20_000;
 /// touch the victim, hence guaranteed `PeerDead` — then revokes the
 /// communicator to unblock survivors stranded on live-but-aborted peers.
 ///
-/// The revoke is held back behind a real-time pause: whether a rank
-/// blocked on the *dead* peer observes `PeerDead` or `Revoked` first
-/// depends on which check its poll loop hits first, so installing the
-/// revocation only after the fault has quiesced keeps the error-site map
-/// a pure function of the collective's structure. The pause costs no
-/// virtual time (determinism is virtual-time determinism).
+/// Whether a rank blocked on the *dead* peer observes `PeerDead` or
+/// `Revoked` first depends on which check its wait loop hits first, so
+/// the revoker probes the corpse once more before revoking: under the
+/// event backend that receive parks until the next stall round, by which
+/// time every other rank blocked on the corpse has surfaced its
+/// `PeerDead` — a rendezvous in virtual time, no host clock in it. The
+/// thread backend cannot pin these times on a loaded host: segment shares
+/// of back-to-back rendezvous transfers resolve in host order there
+/// (docs/SCHEDULER.md).
 ///
-/// Returns per-rank `(outcome, virtual elapsed since the barrier)`.
+/// Returns per-rank `(outcome, virtual elapsed since the barrier)`, the
+/// same from two same-seed runs.
 fn dying_collective<F>(victim: usize, revoker: usize, op: F) -> Vec<(String, SimDuration)>
 where
     F: Fn(&mut Rank) -> Result<(), ScimpiError> + Send + Sync,
 {
-    run(chaos_spec(), move |r| {
-        r.barrier();
-        let t0 = r.now();
-        if r.rank() == victim {
-            r.fabric().faults().kill_node(victim);
-            return ("dead".to_string(), r.now() - t0);
-        }
-        let outcome = match op(r) {
-            Ok(()) => "ok".to_string(),
-            Err(e) => format!("{e:?}"),
-        };
-        if r.rank() == revoker {
-            std::thread::sleep(std::time::Duration::from_millis(800));
-            revoke(r);
-        }
-        (outcome, r.now() - t0)
-    })
+    let scenario = || {
+        run(chaos_spec().backend(Backend::Event), |r| {
+            r.barrier();
+            let t0 = r.now();
+            if r.rank() == victim {
+                r.fabric().faults().kill_node(victim);
+                return ("dead".to_string(), r.now() - t0);
+            }
+            let outcome = match op(r) {
+                Ok(()) => "ok".to_string(),
+                Err(e) => format!("{e:?}"),
+            };
+            let elapsed = r.now() - t0;
+            if r.rank() == revoker {
+                r.recv(Source::Rank(victim), TagSel::Value(0), &mut [0u8; 1])
+                    .expect_err("the corpse stays dead");
+                revoke(r);
+            }
+            (outcome, elapsed)
+        })
+    };
+    let (a, b) = (scenario(), scenario());
+    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
+    a
 }
 
 /// Assert the per-rank outcome map (`"ok"`, `"dead"`, `"pd"` =
@@ -441,28 +441,24 @@ fn check_dying_outcomes(
 /// while the subtree served before the death completes bit-perfectly.
 #[test]
 fn dying_interior_rank_cuts_bcast_deterministically() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     // Binomial tree from root 0 over 8 ranks: 0→{4,2,1}, 2→3, 4→{6,5},
     // 6→7, and the root sends highest-mask-first. Victim 2: rank 0 serves
     // 4's subtree, then dies on the send to 2 (never reaching 1); rank 3
     // dies on the recv from its parent 2.
-    let scenario = || {
-        dying_collective(2, 3, |r| {
-            let mut buf = vec![0u8; RDV];
-            if r.rank() == 0 {
-                for (i, b) in buf.iter_mut().enumerate() {
-                    *b = (i * 31) as u8;
-                }
+    let a = dying_collective(2, 3, |r| {
+        let mut buf = vec![0u8; RDV];
+        if r.rank() == 0 {
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = (i * 31) as u8;
             }
-            r.bcast(0, &mut buf)?;
-            for (i, b) in buf.iter().enumerate() {
-                assert_eq!(*b, (i * 31) as u8, "completed bcast must be bit-perfect");
-            }
-            Ok(())
-        })
-    };
-    let a = scenario();
+        }
+        r.bcast(0, &mut buf)?;
+        for (i, b) in buf.iter().enumerate() {
+            assert_eq!(*b, (i * 31) as u8, "completed bcast must be bit-perfect");
+        }
+        Ok(())
+    });
     check_dying_outcomes(
         "bcast",
         2,
@@ -476,8 +472,6 @@ fn dying_interior_rank_cuts_bcast_deterministically() {
         a[3].1, budget,
         "child of the corpse pays exactly the schedule"
     );
-    let b = scenario();
-    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
 }
 
 /// All-reduce with the dying rank being the reduce root: every survivor
@@ -485,15 +479,11 @@ fn dying_interior_rank_cuts_bcast_deterministically() {
 /// rest finish the reduce but strand in the broadcast and get `Revoked`.
 #[test]
 fn dying_root_fails_allreduce_on_every_survivor() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
-    let scenario = || {
-        dying_collective(0, 1, |r| {
-            let mut buf = vec![1.0f64; F64_RDV];
-            r.allreduce(&mut buf, ReduceOp::Sum)
-        })
-    };
-    let a = scenario();
+    let a = dying_collective(0, 1, |r| {
+        let mut buf = vec![1.0f64; F64_RDV];
+        r.allreduce(&mut buf, ReduceOp::Sum)
+    });
     check_dying_outcomes(
         "allreduce",
         0,
@@ -501,8 +491,6 @@ fn dying_root_fails_allreduce_on_every_survivor() {
         &a,
         budget,
     );
-    let b = scenario();
-    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
 }
 
 /// Gatherv with a dying contributor: the root collects the ranks before
@@ -511,15 +499,11 @@ fn dying_root_fails_allreduce_on_every_survivor() {
 /// the revocation instead of hanging on a live peer.
 #[test]
 fn dying_sender_mid_gather_strands_then_revokes() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
-    let scenario = || {
-        dying_collective(3, 0, |r| {
-            let mine = vec![r.rank() as u8; RDV];
-            r.gatherv(0, &mine).map(|_| ())
-        })
-    };
-    let a = scenario();
+    let a = dying_collective(3, 0, |r| {
+        let mine = vec![r.rank() as u8; RDV];
+        r.gatherv(0, &mine).map(|_| ())
+    });
     check_dying_outcomes(
         "gatherv",
         3,
@@ -527,8 +511,6 @@ fn dying_sender_mid_gather_strands_then_revokes() {
         &a,
         budget,
     );
-    let b = scenario();
-    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
 }
 
 /// All-gather with a dying contributor: the gather phase dies at the
@@ -537,15 +519,11 @@ fn dying_sender_mid_gather_strands_then_revokes() {
 /// must be released by the revocation.
 #[test]
 fn dying_contributor_fails_allgather_everywhere() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
-    let scenario = || {
-        dying_collective(5, 0, |r| {
-            let mine = vec![r.rank() as u8; RDV];
-            r.allgather(&mine).map(|_| ())
-        })
-    };
-    let a = scenario();
+    let a = dying_collective(5, 0, |r| {
+        let mine = vec![r.rank() as u8; RDV];
+        r.allgather(&mine).map(|_| ())
+    });
     check_dying_outcomes(
         "allgather",
         5,
@@ -553,8 +531,6 @@ fn dying_contributor_fails_allgather_everywhere() {
         &a,
         budget,
     );
-    let b = scenario();
-    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
 }
 
 /// Prefix-sum chain with a dying middle link: ranks before the corpse
@@ -562,22 +538,18 @@ fn dying_contributor_fails_allgather_everywhere() {
 /// and the tail of the chain is stranded until the revocation.
 #[test]
 fn dying_link_in_scan_chain_splits_outcomes() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
-    let scenario = || {
-        dying_collective(4, 5, |r| {
-            let me = r.rank();
-            let mut out = vec![1.0f64; F64_RDV];
-            r.scan(&mut out, ReduceOp::Sum)?;
-            assert_eq!(
-                out[0],
-                (me + 1) as f64,
-                "completed scan must hold the exact prefix"
-            );
-            Ok(())
-        })
-    };
-    let a = scenario();
+    let a = dying_collective(4, 5, |r| {
+        let me = r.rank();
+        let mut out = vec![1.0f64; F64_RDV];
+        r.scan(&mut out, ReduceOp::Sum)?;
+        assert_eq!(
+            out[0],
+            (me + 1) as f64,
+            "completed scan must hold the exact prefix"
+        );
+        Ok(())
+    });
     check_dying_outcomes(
         "scan",
         4,
@@ -591,8 +563,6 @@ fn dying_link_in_scan_chain_splits_outcomes() {
         a[5].1, budget,
         "successor of the corpse pays exactly the schedule"
     );
-    let b = scenario();
-    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
 }
 
 /// Pairwise all-to-all with a dying rank: each step's partner of the
@@ -600,16 +570,12 @@ fn dying_link_in_scan_chain_splits_outcomes() {
 /// step-partners aborted earlier are stranded until the revocation.
 #[test]
 fn dying_rank_aborts_alltoall_pairwise_exchange() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
-    let scenario = || {
-        dying_collective(6, 5, |r| {
-            let me = r.rank();
-            let blocks: Vec<Vec<u8>> = (0..8).map(|d| vec![(me * 8 + d) as u8; RDV]).collect();
-            r.alltoall(&blocks).map(|_| ())
-        })
-    };
-    let a = scenario();
+    let a = dying_collective(6, 5, |r| {
+        let me = r.rank();
+        let blocks: Vec<Vec<u8>> = (0..8).map(|d| vec![(me * 8 + d) as u8; RDV]).collect();
+        r.alltoall(&blocks).map(|_| ())
+    });
     check_dying_outcomes(
         "alltoall",
         6,
@@ -617,6 +583,4 @@ fn dying_rank_aborts_alltoall_pairwise_exchange() {
         &a,
         budget,
     );
-    let b = scenario();
-    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
 }

@@ -1,0 +1,177 @@
+//! Observability is owned by the run: five different clusters launched
+//! from five host threads at the same moment each return the report they
+//! return when run alone — counter table, profile JSON, peak backlogs and
+//! scheduler statistics, byte for byte — and a run with recording off
+//! records nothing, neither in its own report nor in a recorder its
+//! launching thread is bound to, while recording runs are live beside it.
+
+use mpi_datatype::{Committed, Datatype};
+use scimpi::{
+    run_report, Backend, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory,
+};
+use simclock::SimTime;
+use std::sync::Barrier;
+
+/// Everything of a run that must not depend on what else the process is
+/// running: per-rank results and finish times, then the report's counter
+/// table, profile JSON, peak backlogs, scheduler statistics and trace
+/// event count (the events' recording order is host order under the
+/// thread backend).
+type Outcome = (
+    Vec<(u64, SimTime)>,
+    obs::CounterTable,
+    String,
+    Vec<obs::PeakBacklog>,
+    Option<scimpi::EventStats>,
+    usize,
+);
+
+type Scenario = (usize, Backend, fn() -> ObsConfig, fn(&mut Rank) -> u64);
+
+fn outcome(&(ranks, backend, recording, body): &Scenario) -> Outcome {
+    let spec = ClusterSpec::ringlet(ranks)
+        .backend(backend)
+        .obs(recording());
+    // A recording-off run is launched under a live binding of its own:
+    // whatever its hooks reached would show up there.
+    let outer = obs::Recorder::new();
+    let bound = (!spec.obs.enabled).then(|| outer.bind(0));
+    let (per_rank, report) = run_report(spec.seed(20020415), |r| (body(r), r.now()));
+    drop(bound);
+    assert_eq!(outer.counters(), obs::CounterTable::default());
+    assert!(outer.take_events().is_empty());
+    let profile = report.profile_json();
+    (
+        per_rank,
+        report.counters,
+        profile,
+        report.peak_backlogs,
+        report.event_stats,
+        report.events.len(),
+    )
+}
+
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0, |d, &b| {
+        d.wrapping_mul(1_000_003).wrapping_add(u64::from(b))
+    })
+}
+
+/// The rendezvous pair `backend_diff::diff_p2p_rendezvous_pair` pins
+/// across backends: a 600 KB transfer and a small message back.
+fn pingpong(r: &mut Rank) -> u64 {
+    let mut buf = vec![0u8; 600_000];
+    if r.rank() == 0 {
+        let data: Vec<u8> = (0..600_000).map(|i| (i * 13) as u8).collect();
+        r.send(1, 7, &data).unwrap();
+        r.recv(Source::Rank(1), TagSel::Value(8), &mut buf[..32])
+            .unwrap();
+    } else {
+        r.recv(Source::Rank(0), TagSel::Value(7), &mut buf).unwrap();
+        r.send(0, 8, &buf[..32]).unwrap();
+    }
+    digest(&buf)
+}
+
+/// The traffic `obs_paths` attributes path by path, in one program: an
+/// eager send, a put into a shared window, a fence.
+fn send_put_fence(r: &mut Rank) -> u64 {
+    let mem = r.alloc_mem(1024).unwrap();
+    let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
+    let mut buf = [0u8; 128];
+    if r.rank() == 0 {
+        r.send(1, 0, &[7u8; 128]).unwrap();
+        win.put(r, 1, 0, &[3u8; 64]).unwrap();
+    } else {
+        r.recv(Source::Rank(0), TagSel::Value(0), &mut buf).unwrap();
+    }
+    win.fence(r).unwrap();
+    digest(&buf)
+}
+
+/// An allreduce, then every even rank sends its odd neighbour a strided
+/// vector that both sides commit inside the run.
+fn allreduce_typed(r: &mut Rank) -> u64 {
+    let mut sum = [r.rank() as f64 + 1.0];
+    r.allreduce(&mut sum, ReduceOp::Sum).unwrap();
+    let c = Committed::commit(&Datatype::vector(19, 3, 7, &Datatype::double()));
+    let mut buf: Vec<u8> = (0..c.extent()).map(|i| (i * 5 + r.rank()) as u8).collect();
+    if r.rank().is_multiple_of(2) {
+        r.send_typed(r.rank() + 1, 3, &c, 1, &buf, 0).unwrap();
+    } else {
+        let from = Source::Rank(r.rank() - 1);
+        r.recv_typed(from, TagSel::Value(3), &c, 1, &mut buf, 0)
+            .unwrap();
+    }
+    r.barrier();
+    digest(&buf).wrapping_add(sum[0] as u64)
+}
+
+/// Two rounds of a ring halo: post both receives and both sends, then
+/// wait for all four.
+fn halo(r: &mut Rank) -> u64 {
+    let (me, n) = (r.rank(), r.size());
+    let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+    let mut d = 0u64;
+    for round in 0..2i32 {
+        let row = vec![(me * 31 + round as usize) as u8; 24 * 1024];
+        let mut recvs = Vec::new();
+        let mut sends = Vec::new();
+        for peer in [left, right] {
+            let from = Source::Rank(peer);
+            recvs.push(r.irecv(from, TagSel::Value(round), row.len()).unwrap());
+            sends.push(r.isend(peer, round, &row).unwrap());
+        }
+        r.waitall(&mut sends).unwrap();
+        for done in r.waitall(&mut recvs).unwrap() {
+            d = d.wrapping_add(digest(&done.data));
+        }
+        r.barrier();
+    }
+    d
+}
+
+#[test]
+fn concurrent_runs_report_what_they_report_alone() {
+    let scenarios: [Scenario; 5] = [
+        (2, Backend::Thread, ObsConfig::enabled, pingpong),
+        (8, Backend::Event, ObsConfig::enabled, allreduce_typed),
+        (2, Backend::Event, ObsConfig::disabled, pingpong),
+        (16, Backend::Event, ObsConfig::enabled, halo),
+        (2, Backend::Thread, ObsConfig::disabled, send_put_fence),
+    ];
+    let alone: Vec<Outcome> = scenarios.iter().map(outcome).collect();
+    assert!(alone[0].1[obs::Counter::RendezvousSends] > 0);
+    assert!(alone[1].1[obs::Counter::LayoutCacheMisses] > 0);
+    assert!(alone[3].1[obs::Counter::RequestsPosted] > 0);
+    assert!(alone[1].4.is_some() && alone[0].4.is_none());
+    for off in [&alone[2], &alone[4]] {
+        assert_eq!(
+            (off.1, off.2.as_str(), off.3.len(), off.5),
+            (obs::CounterTable::default(), "", 0, 0),
+            "an obs-off run reports nothing"
+        );
+    }
+
+    for round in 0..20 {
+        let start = Barrier::new(scenarios.len());
+        let together: Vec<Outcome> = std::thread::scope(|s| {
+            let handles: Vec<_> = scenarios
+                .iter()
+                .map(|sc| {
+                    s.spawn(|| {
+                        start.wait();
+                        outcome(sc)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, (t, a)) in together.iter().zip(&alone).enumerate() {
+            assert_eq!(
+                t, a,
+                "round {round}: scenario {i} differs from its solo run"
+            );
+        }
+    }
+}

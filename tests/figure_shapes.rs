@@ -81,7 +81,11 @@ fn fig1_pio_write_dips_past_l2() {
 fn fig7_crossovers() {
     use repro_bench::{internode_spec, noncontig_bandwidth, NoncontigCase};
     let total = 64 * 1024;
-    let bw = |case, block| noncontig_bandwidth(internode_spec(), case, block, total).mib_per_sec();
+    let bw = |case, block| {
+        noncontig_bandwidth(internode_spec(), case, block, total)
+            .0
+            .mib_per_sec()
+    };
 
     // 8 B: generic wins inter-node (paper's only generic win). The 2002
     // stack had no software store batcher, so this shape is asserted with
@@ -90,7 +94,9 @@ fn fig7_crossovers() {
     let bw_paper = |case, block| {
         let mut spec = internode_spec();
         spec.tuning = spec.tuning.without_pack_engine();
-        noncontig_bandwidth(spec, case, block, total).mib_per_sec()
+        noncontig_bandwidth(spec, case, block, total)
+            .0
+            .mib_per_sec()
     };
     assert!(bw_paper(NoncontigCase::Generic, 8) > bw_paper(NoncontigCase::DirectPackFf, 8));
     assert!(bw(NoncontigCase::DirectPackFf, 8) > bw(NoncontigCase::Generic, 8));
@@ -130,11 +136,13 @@ fn fig7_intranode_ff_can_beat_contiguous() {
         .iter()
         .map(|&b| {
             noncontig_bandwidth(intranode_spec(), NoncontigCase::DirectPackFf, b, total)
+                .0
                 .mib_per_sec()
         })
         .fold(0.0f64, f64::max);
-    let contig =
-        noncontig_bandwidth(intranode_spec(), NoncontigCase::Contiguous, 4096, total).mib_per_sec();
+    let contig = noncontig_bandwidth(intranode_spec(), NoncontigCase::Contiguous, 4096, total)
+        .0
+        .mib_per_sec();
     assert!(
         best_ff > 0.93 * contig,
         "intranode ff ({best_ff}) should be at least near contiguous ({contig})"

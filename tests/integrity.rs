@@ -14,14 +14,9 @@
 
 use sci_fabric::FaultConfig;
 use scimpi::{
-    run, AccumulateOp, ClusterSpec, ErrorMode, IntegrityMode, ScimpiError, Source, TagSel, Tuning,
-    WinMemory,
+    run, run_report, AccumulateOp, ClusterSpec, ErrorMode, IntegrityMode, ScimpiError, Source,
+    TagSel, Tuning, WinMemory,
 };
-use std::sync::Mutex;
-
-/// The obs recorder (counters and the enable switch `run` flips per spec)
-/// is process-global: every test in this binary serialises on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// CI sweeps `INTEGRITY_SEED` to exercise the fault streams under several
 /// RNGs; the assertions themselves are seed-independent.
@@ -51,11 +46,10 @@ fn lossy_spec(ranks: usize, mode: IntegrityMode, corrupt: f64, drop: f64) -> Clu
 /// (per-chunk CRC handshake with retransmission).
 #[test]
 fn end_to_end_delivers_bit_identical_p2p() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = lossy_spec(2, IntegrityMode::EndToEnd, 3e-4, 1e-4).obs(obs::ObsConfig::enabled());
     let eager: Vec<u8> = (0..4096).map(|i| (i * 13) as u8).collect();
     let large: Vec<u8> = (0..600_000).map(|i| (i * 31) as u8).collect();
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         if r.rank() == 0 {
             r.send(1, 1, &eager).unwrap();
             r.send(1, 2, &large).unwrap();
@@ -69,15 +63,15 @@ fn end_to_end_delivers_bit_identical_p2p() {
         }
     });
     assert!(
-        obs::counter_value(obs::Counter::CorruptionsInjected) > 0,
+        report.counters[obs::Counter::CorruptionsInjected] > 0,
         "the fault streams must actually have injected corruption"
     );
     assert!(
-        obs::counter_value(obs::Counter::CorruptionsDetected) > 0,
+        report.counters[obs::Counter::CorruptionsDetected] > 0,
         "every injected fault on a checked path must be detected"
     );
     assert_eq!(
-        obs::counter_value(obs::Counter::UndetectedAtOff),
+        report.counters[obs::Counter::UndetectedAtOff],
         0,
         "EndToEnd leaves no path uncovered"
     );
@@ -87,7 +81,6 @@ fn end_to_end_delivers_bit_identical_p2p() {
 /// broadcast tree with no collective-specific code.
 #[test]
 fn end_to_end_collective_delivers() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = lossy_spec(4, IntegrityMode::EndToEnd, 3e-4, 1e-4);
     let expect: Vec<u8> = (0..100_000).map(|i| (i * 17) as u8).collect();
     run(spec, move |r| {
@@ -106,7 +99,6 @@ fn end_to_end_collective_delivers() {
 /// emulated path of a private window — delivers exactly under faults.
 #[test]
 fn end_to_end_one_sided_paths_deliver() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = lossy_spec(2, IntegrityMode::EndToEnd, 3e-4, 1e-4);
     run(spec, |r| {
         let mem = r.alloc_mem(1 << 16).unwrap();
@@ -175,10 +167,9 @@ fn end_to_end_one_sided_paths_deliver() {
 /// and the `UndetectedAtOff` counter records the exposure.
 #[test]
 fn off_mode_observably_corrupts() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = lossy_spec(2, IntegrityMode::Off, 1.0, 0.0).obs(obs::ObsConfig::enabled());
     let payload: Vec<u8> = (0..4096).map(|i| (i * 11) as u8).collect();
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         let mem = r.alloc_mem(8192).unwrap();
         let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
         win.fence(r).unwrap();
@@ -203,15 +194,15 @@ fn off_mode_observably_corrupts() {
         win.fence(r).unwrap();
     });
     assert!(
-        obs::counter_value(obs::Counter::CorruptionsInjected) > 0,
+        report.counters[obs::Counter::CorruptionsInjected] > 0,
         "rate 1.0 must inject"
     );
     assert!(
-        obs::counter_value(obs::Counter::UndetectedAtOff) > 0,
+        report.counters[obs::Counter::UndetectedAtOff] > 0,
         "Off-mode faults must be counted as uncovered"
     );
     assert_eq!(
-        obs::counter_value(obs::Counter::Retransmits),
+        report.counters[obs::Counter::Retransmits],
         0,
         "Off never retransmits"
     );
@@ -222,11 +213,10 @@ fn off_mode_observably_corrupts() {
 /// ends, and the one-sided epoch guard trips at the fence.
 #[test]
 fn sequence_check_detects_and_errors() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = lossy_spec(2, IntegrityMode::SequenceCheck, 1.0, 0.0)
         .errors(ErrorMode::ErrorsReturn)
         .obs(obs::ObsConfig::enabled());
-    run(spec, |r| {
+    let (_, report) = run_report(spec, |r| {
         // Eager: the sender's sequence bracket catches the flipped burst
         // before posting; nothing is delivered.
         if r.rank() == 0 {
@@ -270,9 +260,9 @@ fn sequence_check_detects_and_errors() {
         }
         r.barrier();
     });
-    assert!(obs::counter_value(obs::Counter::CorruptionsDetected) > 0);
+    assert!(report.counters[obs::Counter::CorruptionsDetected] > 0);
     assert_eq!(
-        obs::counter_value(obs::Counter::Retransmits),
+        report.counters[obs::Counter::Retransmits],
         0,
         "SequenceCheck detects but never repairs"
     );
@@ -282,9 +272,8 @@ fn sequence_check_detects_and_errors() {
 /// detections, and — the contract the bench relies on — zero retransmits.
 #[test]
 fn zero_fault_rate_end_to_end_never_retransmits() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = lossy_spec(2, IntegrityMode::EndToEnd, 0.0, 0.0).obs(obs::ObsConfig::enabled());
-    run(spec, |r| {
+    let (_, report) = run_report(spec, |r| {
         let mem = r.alloc_mem(8192).unwrap();
         let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
         win.fence(r).unwrap();
@@ -300,17 +289,16 @@ fn zero_fault_rate_end_to_end_never_retransmits() {
         }
         win.fence(r).unwrap();
     });
-    assert_eq!(obs::counter_value(obs::Counter::CorruptionsInjected), 0);
-    assert_eq!(obs::counter_value(obs::Counter::CorruptionsDetected), 0);
-    assert_eq!(obs::counter_value(obs::Counter::Retransmits), 0);
-    assert_eq!(obs::counter_value(obs::Counter::UndetectedAtOff), 0);
+    assert_eq!(report.counters[obs::Counter::CorruptionsInjected], 0);
+    assert_eq!(report.counters[obs::Counter::CorruptionsDetected], 0);
+    assert_eq!(report.counters[obs::Counter::Retransmits], 0);
+    assert_eq!(report.counters[obs::Counter::UndetectedAtOff], 0);
 }
 
 /// Identical seeds give identical virtual-time traces even while faults
 /// are injected, detected, and retransmitted.
 #[test]
 fn lossy_end_to_end_is_deterministic() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let payload: Vec<u8> = (0..150_000).map(|i| (i * 3) as u8).collect();
     let scenario = |payload: Vec<u8>| {
         run(

@@ -1,16 +1,12 @@
 //! The observability counters must attribute each protocol decision to
 //! the right path: eager vs rendezvous sends, shared vs emulated window
-//! accesses — and stay silent when the recorder is disabled.
-//!
-//! The recorder is process-global, so all scenarios run sequentially
-//! inside one test function (the harness would otherwise interleave
-//! them).
+//! accesses. Each scenario reads the report of its own run (that a run
+//! with the recorder off reports nothing is `tests/concurrent_runs.rs`).
 
 use obs::Counter;
-use scimpi::{run, ClusterSpec, ObsConfig, Rank, Source, TagSel, WinMemory};
+use scimpi::{run_report, ClusterSpec, ObsConfig, Rank, Source, TagSel, WinMemory};
 
 fn enabled_spec() -> ClusterSpec {
-    // `reset_on_start` wipes the previous scenario's counters.
     ClusterSpec::ringlet(2).obs(ObsConfig::enabled())
 }
 
@@ -22,7 +18,7 @@ fn shared_window(r: &mut Rank, len: usize) -> scimpi::Window {
 #[test]
 fn counters_attribute_protocol_paths() {
     // --- 1. Small message: eager, no rendezvous traffic. ---
-    run(enabled_spec(), |r| {
+    let (_, report) = run_report(enabled_spec(), |r| {
         if r.rank() == 0 {
             r.send(1, 0, &[7u8; 128]).unwrap();
         } else {
@@ -30,16 +26,16 @@ fn counters_attribute_protocol_paths() {
             r.recv(Source::Rank(0), TagSel::Value(0), &mut buf).unwrap();
         }
     });
-    assert_eq!(obs::counter_value(Counter::EagerSends), 1);
-    assert_eq!(obs::counter_value(Counter::RendezvousSends), 0);
-    assert_eq!(obs::counter_value(Counter::RendezvousChunks), 0);
+    assert_eq!(report.counters[Counter::EagerSends], 1);
+    assert_eq!(report.counters[Counter::RendezvousSends], 0);
+    assert_eq!(report.counters[Counter::RendezvousChunks], 0);
 
     // --- 2. Large message: rendezvous, chunked through the pair ring. ---
     let spec = enabled_spec();
     let total = 160 * 1024;
     assert!(total > spec.tuning.eager_threshold);
     let expected_chunks = total.div_ceil(spec.tuning.rendezvous_chunk) as u64;
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         if r.rank() == 0 {
             r.send(1, 0, &vec![1u8; total]).unwrap();
         } else {
@@ -47,39 +43,36 @@ fn counters_attribute_protocol_paths() {
             r.recv(Source::Rank(0), TagSel::Value(0), &mut buf).unwrap();
         }
     });
-    assert_eq!(obs::counter_value(Counter::EagerSends), 0);
-    assert_eq!(obs::counter_value(Counter::RendezvousSends), 1);
-    assert_eq!(
-        obs::counter_value(Counter::RendezvousChunks),
-        expected_chunks
-    );
+    assert_eq!(report.counters[Counter::EagerSends], 0);
+    assert_eq!(report.counters[Counter::RendezvousSends], 1);
+    assert_eq!(report.counters[Counter::RendezvousChunks], expected_chunks);
 
     // --- 3. Put into a shared (MPI_Alloc_mem) window: direct path. ---
-    run(enabled_spec(), |r| {
+    let (_, report) = run_report(enabled_spec(), |r| {
         let mut win = shared_window(r, 1024);
         if r.rank() == 0 {
             win.put(r, 1, 0, &[3u8; 64]).unwrap();
         }
         win.fence(r).unwrap();
     });
-    assert_eq!(obs::counter_value(Counter::OscPutShared), 1);
-    assert_eq!(obs::counter_value(Counter::OscPutEmulated), 0);
+    assert_eq!(report.counters[Counter::OscPutShared], 1);
+    assert_eq!(report.counters[Counter::OscPutEmulated], 0);
 
     // --- 4. Put into a private window: emulation path. ---
-    run(enabled_spec(), |r| {
+    let (_, report) = run_report(enabled_spec(), |r| {
         let mut win = r.win_create(WinMemory::Private(1024)).unwrap();
         if r.rank() == 0 {
             win.put(r, 1, 0, &[4u8; 64]).unwrap();
         }
         win.fence(r).unwrap();
     });
-    assert_eq!(obs::counter_value(Counter::OscPutShared), 0);
-    assert_eq!(obs::counter_value(Counter::OscPutEmulated), 1);
+    assert_eq!(report.counters[Counter::OscPutShared], 0);
+    assert_eq!(report.counters[Counter::OscPutEmulated], 1);
 
     // --- 5. Gets split by the remote-put conversion threshold. ---
     let spec = enabled_spec();
     let threshold = spec.tuning.get_remote_put_threshold;
-    run(spec, move |r| {
+    let (_, report) = run_report(spec, move |r| {
         let mut win = shared_window(r, 2 * threshold);
         win.fence(r).unwrap();
         if r.rank() == 0 {
@@ -90,27 +83,6 @@ fn counters_attribute_protocol_paths() {
         }
         win.fence(r).unwrap();
     });
-    assert_eq!(obs::counter_value(Counter::OscGetDirect), 1);
-    assert_eq!(obs::counter_value(Counter::OscGetRemotePut), 1);
-
-    // --- 6. Disabled recorder: the same traffic moves no counter. ---
-    obs::reset();
-    run(ClusterSpec::ringlet(2).obs(ObsConfig::disabled()), |r| {
-        let mut win = shared_window(r, 1024);
-        if r.rank() == 0 {
-            r.send(1, 0, &[7u8; 128]).unwrap();
-            win.put(r, 1, 0, &[3u8; 64]).unwrap();
-        } else {
-            let mut buf = [0u8; 128];
-            r.recv(Source::Rank(0), TagSel::Value(0), &mut buf).unwrap();
-        }
-        win.fence(r).unwrap();
-    });
-    for (name, value) in obs::counters_snapshot() {
-        assert_eq!(value, 0, "counter {name} moved while disabled");
-    }
-    assert!(
-        obs::take_events().is_empty(),
-        "events recorded while disabled"
-    );
+    assert_eq!(report.counters[Counter::OscGetDirect], 1);
+    assert_eq!(report.counters[Counter::OscGetRemotePut], 1);
 }

@@ -12,15 +12,10 @@
 //! so every policy is exercised against rank death.
 
 use scimpi::{
-    revoke, run, shrink, ClusterSpec, ErrorMode, OverloadPolicy, ReduceOp, ScimpiError, Source,
-    TagSel, Tuning,
+    revoke, run, run_report, shrink, ClusterSpec, ErrorMode, OverloadPolicy, ReduceOp, RunReport,
+    ScimpiError, Source, TagSel, Tuning,
 };
 use simclock::{SimDuration, SimTime};
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec)
-/// is process-global: tests that read counters serialise on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// Eager-byte budget used by the governed floods: the minimum
 /// `Tuning::validate` allows (one full eager-threshold message).
@@ -63,9 +58,9 @@ fn pattern(i: usize) -> Vec<u8> {
 /// Fast sender, slow receiver: rank 0 fires `COUNT` eager messages
 /// back-to-back while rank 1 pays 200 µs of compute before each
 /// receive, checking every byte in order. Returns per-rank
-/// `(finish time, payload digest)`.
-fn flood(spec: ClusterSpec) -> Vec<(SimTime, u64)> {
-    run(spec, |r| {
+/// `(finish time, payload digest)` and the run's report.
+fn flood(spec: ClusterSpec) -> (Vec<(SimTime, u64)>, RunReport) {
+    run_report(spec, |r| {
         let mut digest = 0u64;
         if r.rank() == 0 {
             for i in 0..COUNT {
@@ -90,8 +85,9 @@ fn flood(spec: ClusterSpec) -> Vec<(SimTime, u64)> {
 
 /// The receiver's peak simultaneously queued eager bytes, from the
 /// deterministic virtual-time backlog sweep recorded at teardown.
-fn receiver_peak_eager_bytes() -> u64 {
-    obs::peak_backlogs()
+fn receiver_peak_eager_bytes(report: &RunReport) -> u64 {
+    report
+        .peak_backlogs
         .iter()
         .find(|p| p.rank == 1)
         .expect("rank 1 backlog gauge recorded")
@@ -104,43 +100,42 @@ fn receiver_peak_eager_bytes() -> u64 {
 /// it), and the governed outcome is bit-deterministic across runs.
 #[test]
 fn stall_flood_bounds_backlog_and_delivers_identically() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = || {
         seeded(ClusterSpec::ringlet(2))
             .tuning(governed(OverloadPolicy::Stall))
             .obs(obs::ObsConfig::enabled())
     };
-    let a = flood(spec());
-    let peak_a = receiver_peak_eager_bytes();
+    let (a, report) = flood(spec());
+    let peak_a = receiver_peak_eager_bytes(&report);
     assert!(
         peak_a <= BUDGET as u64,
         "stall: peak queued eager bytes {peak_a} exceed the {BUDGET}-byte budget"
     );
     assert!(
-        obs::counter_value(obs::Counter::EagerCreditStalls) > 0,
+        report.counters[obs::Counter::EagerCreditStalls] > 0,
         "an 8×-oversubscribed flood must actually stall"
     );
-    let credit_peak = obs::counter_value(obs::Counter::CreditBytesPeak);
+    let credit_peak = report.counters[obs::Counter::CreditBytesPeak];
     assert!(
         credit_peak > 0 && credit_peak <= BUDGET as u64,
         "credit high-water mark {credit_peak} must be within the budget"
     );
 
     // Same seed, same governed run: bit-identical times, digests, peak.
-    let b = flood(spec());
+    let (b, report_b) = flood(spec());
     assert_eq!(a, b, "governed flood must be deterministic");
-    assert_eq!(peak_a, receiver_peak_eager_bytes());
+    assert_eq!(peak_a, receiver_peak_eager_bytes(&report_b));
 
     // Unbounded baseline (default 4 MiB budget): same bytes delivered,
     // but the queue grows far past the governed bound — the budget binds.
-    let base = flood(
+    let (base, base_report) = flood(
         seeded(ClusterSpec::ringlet(2))
             .tuning(Tuning::default())
             .obs(obs::ObsConfig::enabled()),
     );
     assert_eq!(a[1].1, base[1].1, "flow control must not change one byte");
     assert!(
-        receiver_peak_eager_bytes() > BUDGET as u64,
+        receiver_peak_eager_bytes(&base_report) > BUDGET as u64,
         "the ungoverned flood must overrun the governed bound, else the test proves nothing"
     );
 }
@@ -151,26 +146,25 @@ fn stall_flood_bounds_backlog_and_delivers_identically() {
 /// byte-identical, and the degradations are counted.
 #[test]
 fn degrade_flood_bounds_backlog_via_rendezvous() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = || {
         seeded(ClusterSpec::ringlet(2))
             .tuning(governed(OverloadPolicy::Degrade))
             .obs(obs::ObsConfig::enabled())
     };
-    let a = flood(spec());
-    let peak = receiver_peak_eager_bytes();
+    let (a, report) = flood(spec());
+    let peak = receiver_peak_eager_bytes(&report);
     assert!(
         peak <= BUDGET as u64,
         "degrade: peak queued eager bytes {peak} exceed the {BUDGET}-byte budget"
     );
     assert!(
-        obs::counter_value(obs::Counter::DegradedPaths) > 0,
+        report.counters[obs::Counter::DegradedPaths] > 0,
         "the oversubscribed flood must take the degraded path"
     );
-    let b = flood(spec());
+    let (b, _) = flood(spec());
     assert_eq!(a, b, "degraded flood must be deterministic");
 
-    let base = flood(seeded(ClusterSpec::ringlet(2)).obs(obs::ObsConfig::enabled()));
+    let (base, _) = flood(seeded(ClusterSpec::ringlet(2)).obs(obs::ObsConfig::enabled()));
     assert_eq!(a[1].1, base[1].1, "degradation must not change one byte");
 }
 
@@ -181,17 +175,16 @@ fn degrade_flood_bounds_backlog_via_rendezvous() {
 /// the new key.
 #[test]
 fn stall_wait_time_is_conserved_in_backpressure_bucket() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let profile_path = std::env::temp_dir().join(format!(
         "scimpi_overload_profile_{}.json",
         std::process::id()
     ));
-    let finish = flood(
+    let (finish, report) = flood(
         seeded(ClusterSpec::ringlet(2))
             .tuning(governed(OverloadPolicy::Stall))
             .obs(obs::ObsConfig::enabled().and_profile(&profile_path)),
     );
-    let profile = obs::report::last_profile().expect("profile built at teardown");
+    let profile = report.profile.expect("profile built at teardown");
     for p in &profile.ranks {
         assert_eq!(
             p.total_busy_ps() + p.total_wait_ps() + p.other_ps,
@@ -223,7 +216,6 @@ fn stall_wait_time_is_conserved_in_backpressure_bucket() {
 /// delivered, the rest are counted as shed, and nothing blocks.
 #[test]
 fn shed_policy_drops_overflow_deterministically() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const SLOTS: usize = 4;
     const TOTAL: usize = 12;
     let tuning = Tuning {
@@ -232,7 +224,7 @@ fn shed_policy_drops_overflow_deterministically() {
         overload_policy: OverloadPolicy::Shed,
         ..Tuning::default()
     };
-    run(
+    let (_, report) = run_report(
         seeded(ClusterSpec::ringlet(2))
             .tuning(tuning)
             .obs(obs::ObsConfig::enabled()),
@@ -259,7 +251,7 @@ fn shed_policy_drops_overflow_deterministically() {
         },
     );
     assert_eq!(
-        obs::counter_value(obs::Counter::MessagesShed),
+        report.counters[obs::Counter::MessagesShed],
         (TOTAL - SLOTS) as u64,
         "everything past the slot budget is shed"
     );
@@ -270,14 +262,13 @@ fn shed_policy_drops_overflow_deterministically() {
 /// is whole again.
 #[test]
 fn error_policy_surfaces_resource_exhausted_and_recovers() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tuning = Tuning {
         eager_credit_slots: 2,
         eager_credits_bytes: BUDGET,
         overload_policy: OverloadPolicy::Error,
         ..Tuning::default()
     };
-    run(
+    let (_, report) = run_report(
         seeded(ClusterSpec::ringlet(2))
             .tuning(tuning)
             .errors(ErrorMode::ErrorsReturn)
@@ -322,7 +313,7 @@ fn error_policy_surfaces_resource_exhausted_and_recovers() {
         },
     );
     assert!(
-        obs::counter_value(obs::Counter::BudgetDenials) > 0,
+        report.counters[obs::Counter::BudgetDenials] > 0,
         "the refusal must be counted"
     );
 }
@@ -363,12 +354,11 @@ fn credit_gauge_tracks_consumption_and_barrier_return() {
 /// drop-bin reaper at the next sync point returns the capacity.
 #[test]
 fn drop_bin_reaper_returns_inflight_budget() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tuning = Tuning {
         max_inflight_requests: 2,
         ..Tuning::default()
     };
-    run(
+    let (_, report) = run_report(
         seeded(ClusterSpec::ringlet(2))
             .tuning(tuning)
             .errors(ErrorMode::ErrorsReturn)
@@ -411,11 +401,11 @@ fn drop_bin_reaper_returns_inflight_budget() {
         },
     );
     assert!(
-        obs::counter_value(obs::Counter::BudgetDenials) > 0,
+        report.counters[obs::Counter::BudgetDenials] > 0,
         "the refused post must be counted"
     );
     assert_eq!(
-        obs::counter_value(obs::Counter::RequestsCompletedByDrop),
+        report.counters[obs::Counter::RequestsCompletedByDrop],
         2,
         "both unwaited isends complete through the drop bin"
     );

@@ -3,8 +3,8 @@
 //! Random datatype trees — including zero-count and zero-extent
 //! degenerate shapes that the ordinary constructors allow — are driven
 //! through `direct_pack_ff` and compared bit-for-bit against the naive
-//! generic engine, with the flattened-layout cache both enabled and
-//! disabled. A second suite sweeps *every* byte-offset boundary of the
+//! generic engine, on the commit that flattens each tree and on one
+//! served from the layout memo. A second suite sweeps *every* byte-offset boundary of the
 //! datatype-gallery types through `find_position`, checking that resumed
 //! partial packs splice back into the full stream bit-identically. A third
 //! holds the run-granular pack loop, for every `(skip, max)`, against a
@@ -13,7 +13,7 @@
 //! `PACK_ORACLE_SEED=<n>` re-seeds the random trees (CI runs three fixed
 //! seeds); the default seed is used otherwise.
 
-use mpi_datatype::{ff, layout_cache, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition};
+use mpi_datatype::{ff, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition};
 use simclock::SplitMix64;
 use std::ops::ControlFlow;
 
@@ -140,40 +140,16 @@ fn assert_ff_matches_reference(dt: &Datatype, count: usize) {
     }
 }
 
-/// Differential oracle with the layout cache ON (the default).
+/// Differential oracle over fresh random trees.
 #[test]
-fn oracle_ff_equals_reference_with_cache() {
+fn oracle_ff_equals_reference() {
     let mut rng = SplitMix64::new(oracle_seed());
     for _ in 0..300 {
         let dt = random_datatype(&mut rng, 3);
         let count = rng.next_range(1, 3) as usize;
         assert_ff_matches_reference(&dt, count);
-        // A second commit of the identical tree (a cache hit whenever the
-        // global cache is on) must behave identically too.
-        assert_ff_matches_reference(&dt, count);
-    }
-}
-
-/// Differential oracle with the layout cache OFF: memoisation must be a
-/// pure performance artefact, never a behavioural one.
-#[test]
-fn oracle_ff_equals_reference_without_cache() {
-    // The cache flag is global to the process; run this suite's commits
-    // in a scope that disables it and always restore on exit.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            layout_cache::set_enabled(true);
-        }
-    }
-    let _restore = Restore;
-    layout_cache::set_enabled(false);
-    let mut rng = SplitMix64::new(oracle_seed() ^ 0x5EED);
-    for _ in 0..300 {
-        let dt = random_datatype(&mut rng, 3);
-        let count = rng.next_range(1, 3) as usize;
-        let c = Committed::commit(&dt);
-        assert!(!c.cache_hit(), "disabled cache must never report a hit");
+        // A second commit of the identical tree (served from the layout
+        // memo) must behave identically too.
         assert_ff_matches_reference(&dt, count);
     }
 }

@@ -3,12 +3,8 @@
 //! `PROFILE_*.json` documents, and the per-rank decomposition must be
 //! conservative — `compute + pack + transfer + wait + other ==
 //! makespan`, exactly, for every rank.
-//!
-//! The recorder is process-global, so all scenarios run sequentially
-//! inside one test function (the harness would otherwise interleave
-//! them).
 
-use scimpi::{run, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
+use scimpi::{run, run_report, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
 use simclock::{SimDuration, SimTime};
 
 const RANKS: usize = 4;
@@ -84,8 +80,9 @@ fn profiler_is_deterministic_and_conservative() {
     // --- 1. Attribution must not move any clock: the same seed gives
     // bit-identical per-rank finish times with the recorder enabled,
     // with it disabled, and across repeated enabled runs. ---
-    let with_obs = run(spec(ObsConfig::enabled()), workload);
-    let conservation = obs::report::last_profile().expect("profile built at teardown");
+    let (with_obs, report) = run_report(spec(ObsConfig::enabled()), workload);
+    let first_json = report.profile_json();
+    let conservation = report.profile.expect("profile built at teardown");
     let without_obs = run(spec(ObsConfig::disabled()), workload);
     assert_eq!(
         with_obs, without_obs,
@@ -126,20 +123,16 @@ fn profiler_is_deterministic_and_conservative() {
         "no critical path extracted"
     );
 
-    // --- 3. Same seed, same bytes: two profiled runs serialize
-    // identical PROFILE documents. ---
-    let dir = std::env::temp_dir();
-    let a = dir.join(format!("scimpi_profile_{}_a.json", std::process::id()));
-    let b = dir.join(format!("scimpi_profile_{}_b.json", std::process::id()));
-    run(spec(ObsConfig::enabled().and_profile(&a)), workload);
-    run(spec(ObsConfig::enabled().and_profile(&b)), workload);
-    let doc_a = std::fs::read_to_string(&a).unwrap();
-    let doc_b = std::fs::read_to_string(&b).unwrap();
-    let _ = std::fs::remove_file(&a);
-    let _ = std::fs::remove_file(&b);
+    // --- 3. Same seed, same bytes: a second profiled run returns, and
+    // writes, the PROFILE document of the first. ---
+    let path = std::env::temp_dir().join(format!("scimpi_profile_{}.json", std::process::id()));
+    let (_, again) = run_report(spec(ObsConfig::enabled().and_profile(&path)), workload);
+    let written = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
     assert!(
-        doc_a.contains("\"schema\":\"scimpi-profile-v1\""),
+        written.contains("\"schema\":\"scimpi-profile-v1\""),
         "profile document missing schema marker"
     );
-    assert_eq!(doc_a, doc_b, "same-seed PROFILE documents differ");
+    assert_eq!(written, again.profile_json(), "file is not the report");
+    assert_eq!(written, first_json, "same-seed PROFILE documents differ");
 }

@@ -15,15 +15,10 @@
 
 use sci_fabric::death_schedule;
 use scimpi::{
-    revoke, run, shrink, shrink_with_fault, Checkpointer, ClusterSpec, ErrorMode, Rank, ReduceOp,
-    ScimpiError,
+    revoke, run, run_report, shrink, shrink_with_fault, Checkpointer, ClusterSpec, ErrorMode, Rank,
+    ReduceOp, ScimpiError,
 };
 use simclock::SimDuration;
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec)
-/// is process-global: tests that read counters serialise on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// Words of per-rank application state (2 KiB images: eager-sized, so
 /// the failure scenarios exercise the recv-side death detection too).
@@ -240,7 +235,6 @@ fn seeded_death_sweep_recovers_within_one_epoch() {
 /// and the only recovery-side cost is the checkpoints themselves.
 #[test]
 fn fault_free_recovery_charges_zero_recovery_time() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const ROUNDS: u64 = 3;
     let workload = |r: &mut Rank| {
         let mut state = init_state(r.world_rank());
@@ -257,18 +251,15 @@ fn fault_free_recovery_charges_zero_recovery_time() {
         .errors(ErrorMode::ErrorsReturn)
         .obs(obs::ObsConfig::enabled());
     spec.seed = 20020415;
-    let with_obs = run(spec, workload);
-    let profile = obs::report::last_profile().expect("profile built at teardown");
+    let (with_obs, report) = run_report(spec, workload);
+    let profile = report.profile.as_ref().expect("profile built at teardown");
 
-    assert_eq!(obs::counter_value(obs::Counter::Revocations), 0);
-    assert_eq!(obs::counter_value(obs::Counter::RevokesObserved), 0);
-    assert_eq!(obs::counter_value(obs::Counter::RecoveryRestores), 0);
+    assert_eq!(report.counters[obs::Counter::Revocations], 0);
+    assert_eq!(report.counters[obs::Counter::RevokesObserved], 0);
+    assert_eq!(report.counters[obs::Counter::RecoveryRestores], 0);
+    assert_eq!(report.counters[obs::Counter::CheckpointsTaken], 4 * ROUNDS);
     assert_eq!(
-        obs::counter_value(obs::Counter::CheckpointsTaken),
-        4 * ROUNDS
-    );
-    assert_eq!(
-        obs::counter_value(obs::Counter::CheckpointBytes),
+        report.counters[obs::Counter::CheckpointBytes],
         4 * ROUNDS * (WORDS as u64) * 8
     );
     for p in &profile.ranks {

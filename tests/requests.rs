@@ -5,15 +5,10 @@
 //! fault injection. CI sweeps `REQUESTS_SEED` over several values.
 
 use scimpi::{
-    death_delay, run, Backend, ClusterSpec, ErrorMode, IntegrityMode, RecvBuf, ScimpiError,
-    SendData, Source, TagSel, Tuning, WinMemory,
+    death_delay, run, run_report, Backend, ClusterSpec, ErrorMode, IntegrityMode, RecvBuf,
+    ScimpiError, SendData, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::{SimDuration, SimTime};
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec)
-/// is process-global: tests that read counters serialise on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// Above the eager threshold, so transfers take the rendezvous path and
 /// actually have wire time to hide.
@@ -271,9 +266,8 @@ fn iget_overlap_composes_with_integrity_checking() {
 
 #[test]
 fn request_counters_balance_and_overlap_is_credited() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = seeded(ClusterSpec::ringlet(2)).obs(obs::ObsConfig::enabled());
-    run(spec, |r| {
+    let (_, report) = run_report(spec, |r| {
         if r.rank() == 0 {
             let data = vec![8u8; RDV];
             let mut req = r.isend(1, 0, &data).unwrap();
@@ -291,14 +285,14 @@ fn request_counters_balance_and_overlap_is_credited() {
         r.barrier();
         assert_eq!(r.pending_requests(), 0, "all requests retired");
     });
-    let posted = obs::counter_value(obs::Counter::RequestsPosted);
-    let completed = obs::counter_value(obs::Counter::RequestsCompleted);
-    let dropped = obs::counter_value(obs::Counter::RequestsCompletedByDrop);
+    let posted = report.counters[obs::Counter::RequestsPosted];
+    let completed = report.counters[obs::Counter::RequestsCompleted];
+    let dropped = report.counters[obs::Counter::RequestsCompletedByDrop];
     assert_eq!(posted, 2);
     assert_eq!(completed, 2, "waited + dropped both count as completed");
     assert_eq!(dropped, 1);
     assert!(
-        obs::counter_value(obs::Counter::OverlapSavedNs) > 0,
+        report.counters[obs::Counter::OverlapSavedNs] > 0,
         "hiding a rendezvous transfer behind 2 ms of compute saves time"
     );
 }
@@ -339,11 +333,10 @@ fn wait_surfaces_engine_detected_peer_death() {
 /// not silently swallowed in the drop bin).
 #[test]
 fn dropped_failing_request_routes_through_error_handler() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = seeded(ClusterSpec::ringlet(2))
         .errors(ErrorMode::ErrorsReturn)
         .obs(obs::ObsConfig::enabled());
-    run(spec, |r| {
+    let (_, report) = run_report(spec, |r| {
         r.barrier();
         if r.rank() == 0 {
             r.fabric().faults().kill_node(1);
@@ -357,14 +350,12 @@ fn dropped_failing_request_routes_through_error_handler() {
         assert_eq!(r.pending_requests(), 0, "the dropped request is retired");
     });
     assert_eq!(
-        obs::counter_value(obs::Counter::RequestsCompletedByDrop),
+        report.counters[obs::Counter::RequestsCompletedByDrop],
         1,
         "the dropped request still completes through the drop bin"
     );
     assert!(
-        obs::events_snapshot()
-            .iter()
-            .any(|e| e.name == "req.dropped_error"),
+        report.events.iter().any(|e| e.name == "req.dropped_error"),
         "the dropped request's PeerDead must surface through the error handler trace"
     );
 }
