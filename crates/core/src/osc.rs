@@ -769,7 +769,7 @@ impl Window {
                 let mut err = None;
                 let stats = ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
                     let src_at = (origin as i64 + disp) as usize;
-                    let dst_at = base + target_off + disp as usize;
+                    let dst_at = ((base + target_off) as i64 + disp) as usize;
                     let data = &buf[src_at..src_at + len];
                     let res = if use_wc {
                         stream.write_batched(clock, dst_at, data)

@@ -21,7 +21,7 @@ use crate::mailbox::{Ctrl, Envelope, Head, Source, Tag, TagSel};
 use crate::runtime::{Rank, WorldState, POLL_SLICE};
 use crate::sink::PioSink;
 use crate::tuning::{IntegrityMode, OverloadPolicy, PackPath, Tuning};
-use mpi_datatype::{ff, tree, Committed, PackStats, SliceSource};
+use mpi_datatype::{ff, Committed, PackStats, SliceSource};
 use obs::attrib::{self, Bucket, WaitKind};
 use sci_fabric::{crc32, SeqStatus};
 use simclock::{Clock, SimDuration};
@@ -165,7 +165,10 @@ fn use_ff(t: &Tuning, c: &Committed, total: usize) -> bool {
 }
 
 /// CPU cost of locally packing/unpacking `stats` worth of blocks with the
-/// given engine, including the memcpy itself.
+/// given engine, including the memcpy itself. Both engines walk the same
+/// runs; they differ in what a copy is — `ff` handles every basic block
+/// with a stack operation, the generic baseline pays a tree traversal per
+/// coalesced segment.
 fn local_copy_cost(
     world: &WorldState,
     stats: &PackStats,
@@ -173,14 +176,14 @@ fn local_copy_cost(
     ff_engine: bool,
 ) -> SimDuration {
     let t = &world.tuning;
-    let per_block = if ff_engine {
-        t.ff_block_cost
+    let (per_copy, copies) = if ff_engine {
+        (t.ff_block_cost, stats.blocks as u64)
     } else {
-        t.generic_visit_cost
+        (t.generic_visit_cost, stats.segments as u64)
     };
     let cache = &world.fabric.params().cache;
-    per_block.saturating_mul(stats.blocks as u64)
-        + cache.per_block_overhead.saturating_mul(stats.blocks as u64)
+    per_copy.saturating_mul(copies)
+        + cache.per_block_overhead.saturating_mul(copies)
         + cache.copy_bw(working_set).cost(stats.bytes as u64)
 }
 
@@ -197,8 +200,8 @@ fn pack_local(
     match data {
         SendData::Bytes(b) => {
             let end = b.len().min(skip.saturating_add(max));
-            // No pack needed: the transfer reads straight from the user
-            // buffer.
+            // Contiguous data needs no pack engine and is charged none:
+            // the copy only gives the caller an owned wire image.
             b[skip..end].to_vec()
         }
         SendData::Typed {
@@ -209,19 +212,17 @@ fn pack_local(
         } => {
             let total = c.size() * count;
             let ff_engine = use_ff(&world.tuning, c, total);
-            let mut out = Vec::new();
+            let mut sink = ff::VecSink::default();
             let stats = if ff_engine {
-                let mut sink = ff::VecSink::default();
-                let stats = ff::pack_ff(c, *count, buf, *origin, skip, max, &mut sink)
-                    .expect("VecSink is infallible");
-                out = sink.data;
-                stats
+                ff::pack_ff(c, *count, buf, *origin, skip, max, &mut sink)
             } else {
-                tree::pack_range(c.datatype(), *count, buf, *origin, skip, max, &mut out)
-            };
+                obs::inc(obs::Counter::GenericPackCalls);
+                ff::pack_runs(c, *count, buf, *origin, skip, max, &mut sink)
+            }
+            .expect("VecSink is infallible");
             let cost = local_copy_cost(world, &stats, total, ff_engine);
             attrib::advance(clock, Bucket::Pack, cost);
-            out
+            sink.data
         }
     }
 }
@@ -599,13 +600,14 @@ fn unpack_into(
         } => {
             let total = c.size() * *count;
             let ff_engine = use_ff(&world.tuning, c, total);
+            let mut source = SliceSource::new(data);
             let stats = if ff_engine {
-                let mut source = SliceSource::new(data);
                 ff::unpack_ff(c, *count, buf, *origin, skip, data.len(), &mut source)
-                    .expect("SliceSource is infallible")
             } else {
-                tree::unpack_range(c.datatype(), *count, buf, *origin, skip, data)
-            };
+                obs::inc(obs::Counter::GenericPackCalls);
+                ff::unpack_runs(c, *count, buf, *origin, skip, data.len(), &mut source)
+            }
+            .expect("SliceSource is infallible");
             let cost = local_copy_cost(world, &stats, total.min(data.len().max(1)), ff_engine);
             attrib::advance(clock, Bucket::Pack, cost);
         }

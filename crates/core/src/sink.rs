@@ -16,6 +16,8 @@
 //! instead of growing staging memory without bound (see
 //! `docs/BACKPRESSURE.md`).
 
+use core::mem::MaybeUninit;
+use mpi_datatype::ff::{gather, Run};
 use mpi_datatype::PackSink;
 use sci_fabric::{PioStream, SciError};
 use simclock::Clock;
@@ -90,12 +92,12 @@ impl Drop for StagingLease<'_> {
 }
 
 /// A [`PackSink`] that streams blocks into remote memory through a
-/// [`PioStream`] at consecutive ascending offsets.
+/// [`PioStream`] at consecutive ascending offsets, one
+/// [`PioStream::write_run`] per run of the datatype.
 pub struct PioSink<'a> {
     stream: &'a mut PioStream,
     clock: &'a mut Clock,
     offset: usize,
-    bytes: usize,
     batching: bool,
 }
 
@@ -107,7 +109,6 @@ impl<'a> PioSink<'a> {
             stream,
             clock,
             offset,
-            bytes: 0,
             batching: false,
         }
     }
@@ -119,11 +120,6 @@ impl<'a> PioSink<'a> {
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
         self
-    }
-
-    /// Bytes written so far.
-    pub fn bytes(&self) -> usize {
-        self.bytes
     }
 
     /// Flush any store still staged in the write-combining window.
@@ -143,7 +139,27 @@ impl PackSink for PioSink<'_> {
             self.stream.write(self.clock, self.offset, src)?;
         }
         self.offset += src.len();
-        self.bytes += src.len();
+        Ok(())
+    }
+
+    #[inline]
+    fn put_run(&mut self, src: &[u8], run: Run) -> Result<(), SciError> {
+        self.stream.write_run(
+            self.clock,
+            self.offset,
+            run.len,
+            run.n,
+            self.batching,
+            |i| &src[run.at(i)..][..run.len],
+            |stores, dst| {
+                let (disp, n) = (run.at(stores.start) as i64, stores.len());
+                // SAFETY: `u8` and `MaybeUninit<u8>` share a layout, and
+                // `gather` only ever writes initialised bytes.
+                let dst = unsafe { &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>]) };
+                gather(src, Run { disp, n, ..run }, dst)
+            },
+        )?;
+        self.offset += run.n * run.len;
         Ok(())
     }
 }

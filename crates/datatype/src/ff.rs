@@ -14,29 +14,181 @@
 //! The algorithm supports packing any byte range `[skip, skip+max)` of the
 //! stream — the "split blocks" handling of Figure 6: `find_position`
 //! locates the resume point in O(N)+O(D), then `copy_leaf_basic` emits
-//! whole blocks (partial at the boundaries).
+//! whole blocks (partial at the boundaries) — as [`Run`]s of equal blocks,
+//! which a sink takes whole ([`PackSink::put_run`]): the [`gather`] and
+//! [`scatter`] kernels check their ranges and pick their copy once per
+//! run, not once per block.
 
 use crate::flat::Committed;
 use crate::tree::PackStats;
 use core::convert::Infallible;
+use core::mem::MaybeUninit;
 use core::ops::ControlFlow;
 
-/// Destination of a pack stream. `put` is called once per (possibly
-/// partial) basic block, in stream order.
+/// A run of equally long, equally spaced basic blocks: block `i` of `n`
+/// covers `len` bytes at displacement `disp + i * stride` — relative to the
+/// buffer origin as [`for_each_run`] emits it, to the start of the buffer
+/// as the sinks, sources and copy kernels take it. A partial block at
+/// either end of a byte range is a run of one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Run {
+    /// Displacement of the first block.
+    pub disp: i64,
+    /// Bytes per block.
+    pub len: usize,
+    /// Byte distance between consecutive blocks (may be negative).
+    pub stride: i64,
+    /// Number of blocks, at least 1.
+    pub n: usize,
+}
+
+impl Run {
+    /// The run with its displacements counted from the start of a buffer
+    /// whose displacement 0 is byte `origin`.
+    fn in_buffer(self, origin: usize) -> Run {
+        let disp = self.disp + origin as i64;
+        Run { disp, ..self }
+    }
+
+    /// Index of block `i`. A block before the buffer comes out as an index
+    /// past any buffer.
+    pub fn at(self, i: usize) -> usize {
+        (self.disp + i as i64 * self.stride) as usize
+    }
+
+    /// Panic unless each of the `n >= 1` blocks lies inside a buffer of
+    /// `buf_len` bytes: a caller that returns from here may touch every
+    /// block unchecked.
+    fn check_inside(self, buf_len: usize) {
+        // Nothing here can leave an `i128`.
+        let (first, reach) = (
+            self.disp as i128,
+            (self.n as i128 - 1) * self.stride as i128,
+        );
+        let (lo, hi) = (
+            first + reach.min(0),
+            first + reach.max(0) + self.len as i128,
+        );
+        assert!(
+            lo >= 0 && hi <= buf_len as i128,
+            "{self:?} outside buffer of {buf_len} bytes"
+        );
+    }
+}
+
+/// Destination of a pack stream. The stream arrives in order, one
+/// [`Run`] at a time.
 pub trait PackSink {
     /// Error the sink can raise (e.g. a remote write failure).
     type Error;
     /// Consume the next `src.len()` bytes of the stream.
     fn put(&mut self, src: &[u8]) -> Result<(), Self::Error>;
+    /// Consume the blocks of `run` in `src`. Unless overridden, one
+    /// [`Self::put`] per block.
+    fn put_run(&mut self, src: &[u8], run: Run) -> Result<(), Self::Error> {
+        (0..run.n).try_for_each(|i| self.put(&src[run.at(i)..][..run.len]))
+    }
 }
 
-/// Source of an unpack stream. `take` is called once per (possibly
-/// partial) basic block, in stream order.
+/// Source of an unpack stream, the mirror of [`PackSink`].
 pub trait UnpackSource {
     /// Error the source can raise.
     type Error;
     /// Fill `dst` with the next `dst.len()` bytes of the stream.
     fn take(&mut self, dst: &mut [u8]) -> Result<(), Self::Error>;
+    /// Deliver the blocks of `run` in `dst`. Unless overridden, one
+    /// [`Self::take`] per block.
+    fn take_run(&mut self, dst: &mut [u8], run: Run) -> Result<(), Self::Error> {
+        (0..run.n).try_for_each(|i| self.take(&mut dst[run.at(i)..][..run.len]))
+    }
+}
+
+/// Copy `n` blocks of `len` bytes, block `i` from `src + i * src_stride` to
+/// `dst + i * dst_stride`: one dispatch on `len` per run, fixed-size moves
+/// for the common power-of-two blocks.
+///
+/// # Safety
+///
+/// Every block must be readable at its source and writable at its
+/// destination, and no source block may overlap a destination block.
+#[inline]
+unsafe fn copy_blocks(
+    src: *const u8,
+    src_stride: isize,
+    dst: *mut u8,
+    dst_stride: isize,
+    len: usize,
+    n: usize,
+) {
+    // With a constant length the copy compiles to a fixed-size move.
+    macro_rules! copy {
+        ($len:expr) => {
+            for i in 0..n as isize {
+                // SAFETY: the caller's contract, block by block.
+                unsafe {
+                    let (from, to) = (src.offset(i * src_stride), dst.offset(i * dst_stride));
+                    core::ptr::copy_nonoverlapping(from, to, $len);
+                }
+            }
+        };
+    }
+    match len {
+        8 => copy!(8),
+        16 => copy!(16),
+        32 => copy!(32),
+        64 => copy!(64),
+        _ => copy!(len),
+    }
+}
+
+/// Gather the blocks of `run` in `src` back to back into `dst`, which must
+/// be exactly `n * len` long. Panics if a block lies outside `src`.
+pub fn gather(src: &[u8], run: Run, dst: &mut [MaybeUninit<u8>]) {
+    assert_eq!(Some(dst.len()), run.n.checked_mul(run.len), "{run:?}");
+    if run.n == 0 {
+        return;
+    }
+    run.check_inside(src.len());
+    // SAFETY: `check_inside` proved every source block inside `src`, the
+    // length assert proved every destination block inside `dst`, and a `&`
+    // and a `&mut` slice cannot overlap.
+    unsafe {
+        let (from, to) = (src.as_ptr().add(run.at(0)), dst.as_mut_ptr().cast());
+        copy_blocks(
+            from,
+            run.stride as isize,
+            to,
+            run.len as isize,
+            run.len,
+            run.n,
+        );
+    }
+}
+
+/// Scatter the `n * len` bytes of `src` to the blocks of `run` in `dst` —
+/// [`gather`] with the copy direction swapped. Panics if a block lies
+/// outside `dst`.
+pub fn scatter(src: &[u8], dst: &mut [u8], run: Run) {
+    assert_eq!(Some(src.len()), run.n.checked_mul(run.len), "{run:?}");
+    if run.n == 0 {
+        return;
+    }
+    run.check_inside(dst.len());
+    // SAFETY: the length assert proved every source block inside `src`,
+    // `check_inside` proved every destination block inside `dst`, and a `&`
+    // and a `&mut` slice cannot overlap. Destination blocks that overlap
+    // each other (a stride below the block length) are written in order.
+    unsafe {
+        let (from, to) = (src.as_ptr(), dst.as_mut_ptr().add(run.at(0)));
+        copy_blocks(
+            from,
+            run.len as isize,
+            to,
+            run.stride as isize,
+            run.len,
+            run.n,
+        );
+    }
 }
 
 /// A sink appending to a `Vec<u8>` (local packing).
@@ -51,6 +203,18 @@ impl PackSink for VecSink {
     #[inline]
     fn put(&mut self, src: &[u8]) -> Result<(), Infallible> {
         self.data.extend_from_slice(src);
+        Ok(())
+    }
+
+    #[inline]
+    fn put_run(&mut self, src: &[u8], run: Run) -> Result<(), Infallible> {
+        let bytes = run.n * run.len;
+        self.data.reserve(bytes);
+        // Straight into the spare capacity: zero-filling it first would
+        // write every byte twice.
+        gather(src, run, &mut self.data.spare_capacity_mut()[..bytes]);
+        // SAFETY: `gather` initialised the first `bytes` spare bytes.
+        unsafe { self.data.set_len(self.data.len() + bytes) };
         Ok(())
     }
 }
@@ -72,48 +236,29 @@ impl<'a> SliceSource<'a> {
     pub fn consumed(&self) -> usize {
         self.pos
     }
+
+    /// The next `len` bytes of the stream.
+    fn next(&mut self, len: usize) -> &'a [u8] {
+        let end = self.pos + len;
+        assert!(end <= self.data.len(), "unpack source exhausted");
+        let bytes = &self.data[self.pos..end];
+        self.pos = end;
+        bytes
+    }
 }
 
 impl UnpackSource for SliceSource<'_> {
     type Error = Infallible;
     #[inline]
     fn take(&mut self, dst: &mut [u8]) -> Result<(), Infallible> {
-        let end = self.pos + dst.len();
-        assert!(end <= self.data.len(), "unpack source exhausted");
-        dst.copy_from_slice(&self.data[self.pos..end]);
-        self.pos = end;
+        dst.copy_from_slice(self.next(dst.len()));
         Ok(())
     }
-}
 
-/// A run of equally long, equally spaced basic blocks: block `i` of `n`
-/// covers `len` bytes at displacement `disp + i * stride` (relative to the
-/// buffer origin). A partial block at either end of a byte range is a run
-/// of one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Run {
-    /// Displacement of the first block.
-    pub disp: i64,
-    /// Bytes per block.
-    pub len: usize,
-    /// Byte distance between consecutive blocks (may be negative).
-    pub stride: i64,
-    /// Number of blocks, at least 1.
-    pub n: usize,
-}
-
-impl Run {
-    /// Offsets of the run's blocks in a buffer of `buf_len` bytes whose
-    /// displacement 0 is byte `origin`. Panics if any block lies outside.
-    fn offsets(self, origin: usize, buf_len: usize) -> impl Iterator<Item = usize> {
-        let first = origin as i64 + self.disp;
-        let last = first + (self.n as i64 - 1) * self.stride;
-        let (lo, hi) = (first.min(last), first.max(last) + self.len as i64);
-        assert!(
-            lo >= 0 && hi as usize <= buf_len,
-            "ff segment [{lo}, {hi}) outside buffer of {buf_len} bytes"
-        );
-        (0..self.n as i64).map(move |i| (first + i * self.stride) as usize)
+    #[inline]
+    fn take_run(&mut self, dst: &mut [u8], run: Run) -> Result<(), Infallible> {
+        scatter(self.next(run.n * run.len), dst, run);
+        Ok(())
     }
 }
 
@@ -124,7 +269,11 @@ impl Run {
 /// odometer walked once per block.
 ///
 /// The returned stats count one block and one stack visit per basic block
-/// handed to `f`, a run `f` breaks on included whole.
+/// handed to `f`, and one segment per maximal stretch of blocks that lie
+/// back to back in the buffer (a run starting where the previous one ended
+/// continues its stretch) — the copies the generic engine's coalescing
+/// walker makes over the same byte range. A run `f` breaks on is included
+/// whole.
 pub fn for_each_run(
     c: &Committed,
     count: usize,
@@ -143,6 +292,8 @@ pub fn for_each_run(
     let ext = c.extent() as i64;
     let mut remaining = max;
     let mut within = within0;
+    // Displacement just past the last block emitted so far.
+    let mut stream_end = i64::MIN;
     for j in j0..count {
         let leaf_start = if j == j0 { k0 } else { 0 };
         for leaf in &c.leaves()[leaf_start..] {
@@ -198,6 +349,12 @@ pub fn for_each_run(
                 stats.bytes += run.n * run.len;
                 stats.blocks += run.n;
                 stats.visits += run.n;
+                // Commit folds an innermost level whose extent is its block
+                // length into the block, so a run's blocks never lie back
+                // to back: each opens a segment, except the first where it
+                // starts at the end of the previous run.
+                stats.segments += run.n - (run.disp == stream_end) as usize;
+                stream_end = run.disp + (run.n as i64 - 1) * run.stride + run.len as i64;
                 if f(run).is_break() || remaining == 0 {
                     return stats;
                 }
@@ -233,21 +390,8 @@ pub fn pack_ff<S: PackSink>(
     max: usize,
     sink: &mut S,
 ) -> Result<PackStats, S::Error> {
-    obs::inc(obs::Counter::FfPackCalls);
-    if skip > 0 {
-        obs::inc(obs::Counter::FfPartialResumes);
-    }
-    let mut res = Ok(());
-    let stats = for_each_run(c, count, skip, max, |run| {
-        res = run
-            .offsets(origin, src.len())
-            .try_for_each(|at| sink.put(&src[at..at + run.len]));
-        match res {
-            Ok(()) => ControlFlow::Continue(()),
-            Err(_) => ControlFlow::Break(()),
-        }
-    });
-    res.map(|()| stats)
+    count_ff_call(skip);
+    pack_runs(c, count, src, origin, skip, max, sink)
 }
 
 /// Unpack `[skip, skip+max)` of the stream into `count` instances of `c`
@@ -262,15 +406,62 @@ pub fn unpack_ff<S: UnpackSource>(
     max: usize,
     source: &mut S,
 ) -> Result<PackStats, S::Error> {
+    count_ff_call(skip);
+    unpack_runs(c, count, dst, origin, skip, max, source)
+}
+
+fn count_ff_call(skip: usize) {
     obs::inc(obs::Counter::FfPackCalls);
     if skip > 0 {
         obs::inc(obs::Counter::FfPartialResumes);
     }
+}
+
+/// [`pack_ff`] without its counters: one [`PackSink::put_run`] per
+/// [`Run`]. For callers that book the traversal under another engine's
+/// name (the generic baseline is a cost mode over the same runs).
+pub fn pack_runs<S: PackSink>(
+    c: &Committed,
+    count: usize,
+    src: &[u8],
+    origin: usize,
+    skip: usize,
+    max: usize,
+    sink: &mut S,
+) -> Result<PackStats, S::Error> {
     let mut res = Ok(());
     let stats = for_each_run(c, count, skip, max, |run| {
-        res = run
-            .offsets(origin, dst.len())
-            .try_for_each(|at| source.take(&mut dst[at..at + run.len]));
+        let run = run.in_buffer(origin);
+        res = match run.n {
+            1 => sink.put(&src[run.at(0)..][..run.len]),
+            _ => sink.put_run(src, run),
+        };
+        match res {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(_) => ControlFlow::Break(()),
+        }
+    });
+    res.map(|()| stats)
+}
+
+/// [`unpack_ff`] without its counters: one [`UnpackSource::take_run`] per
+/// [`Run`] (see [`pack_runs`]).
+pub fn unpack_runs<S: UnpackSource>(
+    c: &Committed,
+    count: usize,
+    dst: &mut [u8],
+    origin: usize,
+    skip: usize,
+    max: usize,
+    source: &mut S,
+) -> Result<PackStats, S::Error> {
+    let mut res = Ok(());
+    let stats = for_each_run(c, count, skip, max, |run| {
+        let run = run.in_buffer(origin);
+        res = match run.n {
+            1 => source.take(&mut dst[run.at(0)..][..run.len]),
+            _ => source.take_run(dst, run),
+        };
         match res {
             Ok(()) => ControlFlow::Continue(()),
             Err(_) => ControlFlow::Break(()),
@@ -451,6 +642,30 @@ mod tests {
         let mut sink = FailAfter(20);
         let err = pack_ff(&c, 1, &src, 0, 0, usize::MAX, &mut sink).unwrap_err();
         assert_eq!(err, "sink full");
+    }
+
+    #[test]
+    fn vec_sink_gathers_into_spare_capacity() {
+        // A run lands in the spare capacity and only then joins the
+        // stream: no zero-fill ahead of the copy (it would write every
+        // byte twice), so a gather that panics leaves the stream as it was.
+        let src: Vec<u8> = (0..64).collect();
+        let run = |n| Run {
+            disp: 4,
+            len: 8,
+            stride: 16,
+            n,
+        };
+        let mut sink = VecSink::default();
+        sink.put_run(&src, run(3)).unwrap();
+        assert_eq!(sink.data[..8], src[4..12]);
+        assert_eq!(sink.data[16..], src[36..44]);
+        let before = sink.data.clone();
+        let past_the_end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = sink.put_run(&src, run(5));
+        }));
+        assert!(past_the_end.is_err(), "block 4 ends at byte 76 of 64");
+        assert_eq!(sink.data, before);
     }
 
     #[test]

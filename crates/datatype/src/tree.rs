@@ -22,8 +22,13 @@ use core::ops::ControlFlow;
 pub struct PackStats {
     /// Payload bytes moved.
     pub bytes: usize,
-    /// Contiguous blocks copied (after coalescing).
+    /// Contiguous blocks copied: coalesced segments for the generic engine,
+    /// basic blocks of the committed leaves for `ff`.
     pub blocks: usize,
+    /// Maximal stretches of bytes that lie back to back in the buffer, in
+    /// pack order — what the blocks coalesce into. Equal to `blocks` for the
+    /// generic engine.
+    pub segments: usize,
     /// Datatype-tree node visits performed (the generic engine's CPU
     /// overhead driver).
     pub visits: usize,
@@ -34,6 +39,7 @@ impl PackStats {
     pub fn merge(&mut self, other: PackStats) {
         self.bytes += other.bytes;
         self.blocks += other.blocks;
+        self.segments += other.segments;
         self.visits += other.visits;
     }
 }
@@ -229,6 +235,7 @@ pub fn pack_range(
         out.extend_from_slice(&src[idx..idx + (to - from)]);
         stats.bytes += to - from;
         stats.blocks += 1;
+        stats.segments += 1;
         if cursor >= end {
             ControlFlow::Break(())
         } else {
@@ -269,6 +276,7 @@ pub fn unpack_range(
         dst[idx..idx + (to - from)].copy_from_slice(&data[src_at..src_at + (to - from)]);
         stats.bytes += to - from;
         stats.blocks += 1;
+        stats.segments += 1;
         if cursor >= end {
             ControlFlow::Break(())
         } else {

@@ -271,6 +271,18 @@ impl FaultInjector {
         self.state.lock().unwrap().dead_nodes.contains(&node)
     }
 
+    /// True while no transaction can fail, retry, arrive late or be
+    /// silently altered: every fault rate is zero and every cable is
+    /// plugged in. While this holds, equal bursts on one route have equal
+    /// outcomes and roll no dice.
+    pub fn is_quiet(&self) -> bool {
+        let c = &self.config;
+        c.error_rate <= 0.0
+            && c.corrupt_rate <= 0.0
+            && c.drop_rate <= 0.0
+            && self.links_down.load(Ordering::SeqCst) == 0
+    }
+
     /// Check a route for failed links.
     pub fn check_route(&self, route: &Route) -> Result<(), SciError> {
         if self.links_down.load(Ordering::SeqCst) == 0 {

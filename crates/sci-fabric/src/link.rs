@@ -163,14 +163,23 @@ impl LinkRegistry {
     /// Account traffic for a transfer of `payload` bytes over `route`:
     /// payload on the request path, flow-control echoes on the echo path.
     pub fn account(&self, params: &SciParams, route: &Route, payload: u64) {
+        self.account_bursts(params, route, payload, 1);
+    }
+
+    /// [`Self::account`] for `bursts` transfers of `payload` bytes each:
+    /// the flow-control share is truncated to whole bytes per transfer, as
+    /// accounting them one by one would.
+    pub fn account_bursts(&self, params: &SciParams, route: &Route, payload: u64, bursts: u64) {
         let fc = (payload as f64 * params.flow_control_overhead) as u64;
         for l in &route.links {
             self.links[l.0]
                 .data_bytes
-                .fetch_add(payload, Ordering::Relaxed);
+                .fetch_add(payload * bursts, Ordering::Relaxed);
         }
         for l in &route.echo_links {
-            self.links[l.0].fc_bytes.fetch_add(fc, Ordering::Relaxed);
+            self.links[l.0]
+                .fc_bytes
+                .fetch_add(fc * bursts, Ordering::Relaxed);
         }
     }
 

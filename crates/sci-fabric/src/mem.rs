@@ -140,6 +140,27 @@ impl SharedMem {
         Ok(f(view))
     }
 
+    /// Run `f` over a mutable view of `[offset, offset+len)`: what
+    /// [`Self::write`] would copy in, produced in place. Nothing else may
+    /// touch the range while `f` runs — the discipline of
+    /// [`Self::with_bytes`], from the writer's side.
+    pub fn with_bytes_mut<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, OutOfBounds> {
+        self.check(offset, len)?;
+        // SAFETY: bounds checked above, `UnsafeCell<u8>` has the layout of
+        // `u8` and makes the bytes writable through `&self`; no other
+        // access to the range overlaps the borrow, per the synchronisation
+        // discipline of the module docs.
+        let view = unsafe {
+            core::slice::from_raw_parts_mut(self.buf.as_ptr().add(offset) as *mut u8, len)
+        };
+        Ok(f(view))
+    }
+
     /// Fill `[offset, offset+len)` with `value`.
     pub fn fill(&self, offset: usize, len: usize, value: u8) -> Result<(), OutOfBounds> {
         self.check(offset, len)?;

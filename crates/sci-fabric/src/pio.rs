@@ -328,9 +328,31 @@ impl PioStream {
             let outcome = self.transact_with_failover(clock, stores)?;
             self.land(offset, data, 8)?;
             clock.advance(cost + outcome.extra_latency);
-            self.posted(clock, offset, data.len(), outcome.jitter);
+            self.posted(clock, offset, data.len(), 1, outcome.jitter);
             return Ok(());
         }
+        let mut cost = self.burst_cost(continues, data.len());
+
+        // Fault injection: retries add latency and delivery jitter, one
+        // die roll per SCI transaction.
+        let stream_buffer_bytes = self.fabric.params().stream_buffer_bytes;
+        let txns = data.len().div_ceil(stream_buffer_bytes) as u64;
+        let outcome = self.transact_with_failover(clock, txns)?;
+        self.land(offset, data, stream_buffer_bytes)?;
+        cost += outcome.extra_latency;
+
+        clock.advance(cost);
+        self.posted(clock, offset, data.len(), 1, outcome.jitter);
+        Ok(())
+    }
+
+    /// Issue cost of one burst of `len` bytes off the misaligned-thrash
+    /// path: the route and (re)start penalties plus the memoised streaming
+    /// term. This is the one place a burst is priced — [`Self::write`]
+    /// charges it burst by burst, [`Self::write_run`] once for a stretch
+    /// of equal continuing bursts.
+    fn burst_cost(&mut self, continues: bool, len: usize) -> SimDuration {
+        let params = self.fabric.params();
         let mut cost = SimDuration::ZERO;
         if self.mapping.route.degraded {
             cost += params.degraded_route_latency;
@@ -343,14 +365,14 @@ impl PioStream {
             // buffer's gather window open (§3.4's 8-byte-granularity
             // penalty).
             cost += params.block_issue_overhead;
-            if data.len() < params.min_txn_bytes {
+            if len < params.min_txn_bytes {
                 cost += params.sub_txn_flush;
-            } else if data.len() < params.stream_buffer_bytes {
-                let missing = (params.stream_buffer_bytes - data.len()) as u64;
+            } else if len < params.stream_buffer_bytes {
+                let missing = (params.stream_buffer_bytes - len) as u64;
                 cost += params.partial_flush_per_byte.saturating_mul(missing);
             }
         }
-        let mut demand = params.pio_stream_bw(self.source_working_set.max(data.len()));
+        let mut demand = params.pio_stream_bw(self.source_working_set.max(len));
         if let Some(cap) = self.demand_cap {
             demand = demand.min(cap);
         }
@@ -366,37 +388,33 @@ impl PioStream {
                 cost: SimDuration::ZERO,
             },
         };
-        if priced.len != data.len() {
-            priced.len = data.len();
-            priced.cost = priced.bw.cost(data.len() as u64);
+        if priced.len != len {
+            priced.len = len;
+            priced.cost = priced.bw.cost(len as u64);
         }
         self.priced = Some(priced);
-        cost += priced.cost;
-
-        // Fault injection: retries add latency and delivery jitter, one
-        // die roll per SCI transaction.
-        let stream_buffer_bytes = params.stream_buffer_bytes;
-        let txns = data.len().div_ceil(stream_buffer_bytes) as u64;
-        let outcome = self.transact_with_failover(clock, txns)?;
-        self.land(offset, data, stream_buffer_bytes)?;
-        cost += outcome.extra_latency;
-
-        clock.advance(cost);
-        self.posted(clock, offset, data.len(), outcome.jitter);
-        Ok(())
+        cost + priced.cost
     }
 
-    /// Book a burst that has been issued and landed: its arrival time on
+    /// Book `bursts` back-to-back bursts of `len` bytes from `offset` on,
+    /// the last of them issued and landed just now: its arrival time on
     /// the (possibly just switched) route, the offset a continuing store
-    /// would start at, and its traffic.
-    fn posted(&mut self, clock: &Clock, offset: usize, len: usize, jitter: SimDuration) {
+    /// would start at, and the traffic of each.
+    fn posted(
+        &mut self,
+        clock: &Clock,
+        offset: usize,
+        len: usize,
+        bursts: usize,
+        jitter: SimDuration,
+    ) {
         let params = self.fabric.params();
         let arrival = clock.now() + params.wire_latency(self.mapping.route.hops()) + jitter;
         self.outstanding = self.outstanding.max(arrival);
-        self.next_offset = Some(offset + len);
+        self.next_offset = Some(offset + len * bursts);
         self.fabric
             .links()
-            .account(params, &self.mapping.route, len as u64);
+            .account_bursts(params, &self.mapping.route, len as u64, bursts as u64);
     }
 
     /// Issue stores of `data` to `offset` through the **write-combining
@@ -500,6 +518,96 @@ impl PioStream {
     /// Bytes currently staged in the write-combining window (diagnostics).
     pub fn wc_pending_bytes(&self) -> usize {
         self.wc_len
+    }
+
+    /// Issue `n` stores of `len` bytes landing back to back from `offset`
+    /// on, store `i` carrying `store(i)`, through [`Self::write_batched`]
+    /// if `batched` and [`Self::write`] otherwise; `gather(stores, dst)`
+    /// must copy the stores `stores` back to back into `dst`.
+    ///
+    /// This *is* that loop — same clock, arrival, byte and traffic counts,
+    /// write-combining window, `WcCoalescedStores` ticks, landed bytes and
+    /// first error — but where no burst can differ from the next (a quiet
+    /// fabric, the primary route, the range in bounds, stores that divide
+    /// the batch) only the *head* is walked, until the stream continues
+    /// and the window is empty on a batch boundary. The *interior* of `k`
+    /// equal continuing bursts is priced as `k` times the one burst price
+    /// [`Self::write`] charges, booked once and moved by one `gather` into
+    /// segment memory; the *tail* is walked again. Everywhere else every
+    /// store takes the calls above, which stay the only definition of what
+    /// a store costs (`docs/PACK_ENGINE.md` §4).
+    #[allow(clippy::too_many_arguments)]
+    pub fn write_run<'a>(
+        &mut self,
+        clock: &mut Clock,
+        offset: usize,
+        len: usize,
+        n: usize,
+        batched: bool,
+        store: impl Fn(usize) -> &'a [u8],
+        gather: impl FnOnce(core::ops::Range<usize>, &mut [u8]),
+    ) -> Result<(), SciError> {
+        let one = |s: &mut Self, clock: &mut Clock, i: usize| {
+            if batched {
+                s.write_batched(clock, offset + i * len, store(i))
+            } else {
+                s.write(clock, offset + i * len, store(i))
+            }
+        };
+        let batch = self.fabric.params().wc_batch_bytes.max(1);
+        // Small stores stage in the window and leave it as whole batches;
+        // the rest are one burst each.
+        let staged = batched && len < batch;
+        let uniform = n > 1
+            && len > 0
+            && (!staged || batch.is_multiple_of(len))
+            && !self.mapping.is_local()
+            && !self.mapping.route.degraded
+            && self.fabric.faults().is_quiet()
+            && n.checked_mul(len).is_some_and(|bytes| {
+                let mem = self.mapping.segment.mem();
+                mem.check_range(offset, bytes).is_ok()
+            });
+        if !uniform {
+            return (0..n).try_for_each(|i| one(self, clock, i));
+        }
+        // Head: until the next store opens a continuing burst of its own
+        // (and, if it stages, a fresh window on a batch boundary).
+        let interior_starts = |s: &Self, at: usize| {
+            s.next_offset == Some(at)
+                && (!batched || s.wc_len == 0)
+                && (!staged || at.is_multiple_of(batch))
+        };
+        let mut i = 0;
+        while i < n && !interior_starts(self, offset + i * len) {
+            one(self, clock, i)?;
+            i += 1;
+        }
+        let per_burst = if staged { batch / len } else { 1 };
+        let bursts = (n - i) / per_burst;
+        if bursts > 0 {
+            let (at, stores) = (offset + i * len, bursts * per_burst);
+            let mut cost = self
+                .burst_cost(true, per_burst * len)
+                .saturating_mul(bursts as u64);
+            if staged {
+                // Every store pays the staging cost; all but the one that
+                // opens its batch's window merge into it.
+                let store_cost = self.fabric.params().wc_store_cost;
+                cost += store_cost.saturating_mul(stores as u64);
+                obs::add(obs::Counter::WcCoalescedStores, (stores - bursts) as u64);
+            }
+            let mem = self.mapping.segment.mem();
+            mem.with_bytes_mut(at, stores * len, |dst| gather(i..i + stores, dst))?;
+            self.bytes += (stores * len) as u64;
+            clock.advance(cost);
+            // Arrivals only grow along the run: the last burst's is the
+            // one `outstanding` keeps.
+            self.posted(clock, at, per_burst * len, bursts, SimDuration::ZERO);
+            i += stores;
+        }
+        // Tail: the stores short of a whole batch.
+        (i..n).try_for_each(|i| one(self, clock, i))
     }
 
     /// Convenience: a strided series of equal-sized writes starting at

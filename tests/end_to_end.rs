@@ -2,7 +2,9 @@
 //! public API (fabric → SMI → datatypes → MPI runtime).
 
 use mpi_datatype::{typed, Committed, Datatype};
-use scimpi::{run, AccumulateOp, ClusterSpec, ReduceOp, Source, TagSel, Tuning, WinMemory};
+use scimpi::{
+    run, AccumulateOp, Backend, ClusterSpec, ReduceOp, Source, TagSel, Tuning, WinMemory,
+};
 use simclock::SimDuration;
 
 /// The same deterministic seed and workload must produce bit-identical
@@ -112,6 +114,38 @@ fn typed_rma_roundtrip_through_stack() {
                     }
                 }
             }
+        }
+        win.fence(r).unwrap();
+    });
+}
+
+/// A datatype may reach below its origin: the direct shared-window arm of
+/// `put_typed` must resolve a negative displacement like the emulated and
+/// DMA arms do, in the debug profile (where `usize` overflow panics, and
+/// the peer would wait in `fence` for ever) as in release.
+#[test]
+fn typed_put_with_negative_displacement_lands_where_it_points() {
+    let spec = ClusterSpec::ringlet(2).backend(Backend::Event);
+    run(spec, |r| {
+        let dt = Datatype::hindexed(&[(8, -16), (8, 0), (8, 24)], &Datatype::byte());
+        let c = Committed::commit(&dt);
+        let mem = r.alloc_mem(128).unwrap();
+        let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
+        win.fence(r).unwrap();
+        let src: Vec<u8> = (1..=64).collect();
+        if r.rank() == 0 {
+            // Displacement 0 is byte 32 of the buffer, byte 64 of the window.
+            win.put_typed(r, 1, 64, &c, 1, &src, 32).unwrap();
+        }
+        win.fence(r).unwrap();
+        if r.rank() == 1 {
+            let mut got = vec![0u8; 128];
+            win.read_local(r, 0, &mut got);
+            let mut expect = vec![0u8; 128];
+            expect[48..56].copy_from_slice(&src[16..24]);
+            expect[64..72].copy_from_slice(&src[32..40]);
+            expect[88..96].copy_from_slice(&src[56..64]);
+            assert_eq!(got, expect);
         }
         win.fence(r).unwrap();
     });

@@ -8,7 +8,11 @@
 //! datatype-gallery types through `find_position`, checking that resumed
 //! partial packs splice back into the full stream bit-identically. A third
 //! holds the run-granular pack loop, for every `(skip, max)`, against a
-//! block-by-block expansion of the committed leaves.
+//! block-by-block expansion of the committed leaves — and its segment
+//! count against the reference engine's coalescing walker, which the
+//! generic cost mode is charged from. The last two hold the `gather` and
+//! `scatter` kernels against a byte loop and the run-taking sinks against
+//! the block-taking ones.
 //!
 //! `PACK_ORACLE_SEED=<n>` re-seeds the random trees (CI runs three fixed
 //! seeds); the default seed is used otherwise.
@@ -396,4 +400,174 @@ fn whole_rows_are_single_runs() {
         "leaves: {:?}",
         c.leaves()
     );
+}
+
+/// `for_each_run`'s segment and byte counts at `(skip, max)` against the
+/// reference engine's, which coalesces adjacent blocks as it walks the
+/// tree: the generic cost mode charges one traversal per segment.
+fn assert_segments_match_reference(dt: &Datatype, c: &Committed, count: usize, src: &[u8]) {
+    let total = c.size() * count;
+    // Every (skip, max) of a short stream; every skip and the maxes around
+    // both ends of a long one. Not `max == 0`: the reference books an empty
+    // copy there when `skip` falls inside a segment, and nothing packs zero
+    // bytes of a stream.
+    let maxes = |skip: usize| {
+        let rest = total - skip;
+        let ends = [1, 2, 3, 5, 8, 13, rest.saturating_sub(1), rest, rest + 1];
+        let pick: Vec<usize> = if total <= 80 {
+            (1..=rest + 1).collect()
+        } else {
+            ends.into_iter()
+                .filter(|m| (1..=rest + 1).contains(m))
+                .collect()
+        };
+        pick.into_iter().chain([usize::MAX])
+    };
+    for skip in 0..=total {
+        for max in maxes(skip) {
+            let reference = tree::pack_range(dt, count, src, 0, skip, max, &mut Vec::new());
+            let runs = ff::for_each_run(c, count, skip, max, |_| ControlFlow::Continue(()));
+            assert_eq!(
+                (runs.segments, runs.bytes),
+                (reference.blocks, reference.bytes),
+                "segments of {dt} x{count} at ({skip}, {max})"
+            );
+        }
+    }
+}
+
+#[test]
+fn run_segments_equal_the_reference_block_count() {
+    let mut rng = SplitMix64::new(oracle_seed());
+    let random = (0..300).map(|_| {
+        let dt = random_datatype(&mut rng, 3);
+        (dt, rng.next_range(1, 3) as usize)
+    });
+    // `count = 3` of a type that ends where its next instance begins: the
+    // junction between instances merges.
+    let abutting = Datatype::hindexed(&[(4, 8), (2, 20), (6, 26)], &Datatype::byte());
+    for (dt, count) in random
+        .chain(run_sweep_types())
+        .chain([(abutting, 3)])
+        .collect::<Vec<_>>()
+    {
+        let c = Committed::commit(&dt);
+        let src = source_buffer(&dt, count);
+        assert_segments_match_reference(&dt, &c, count, &src);
+    }
+}
+
+/// The two copy kernels against a byte loop, for block lengths on both
+/// sides of every fixed-size move, strides of either sign and none, and
+/// empty runs.
+#[test]
+fn gather_and_scatter_equal_a_byte_loop() {
+    let buf: Vec<u8> = (0..40 * 200 + 130).map(|i| (i * 31 + 5) as u8).collect();
+    for len in 1..=130usize {
+        for stride in [
+            len as i64,
+            len as i64 + 7,
+            200,
+            0,
+            -(len as i64),
+            -200,
+            3,
+            -3,
+        ] {
+            for n in [0usize, 1, 2, 3, 7, 40] {
+                // Far enough in for a negative stride to stay inside.
+                let first = if stride < 0 { buf.len() - len } else { 0 };
+                if (n as i64 - 1).max(0) * stride.abs() + len as i64 > buf.len() as i64 {
+                    continue;
+                }
+                let at = |i: usize| (first as i64 + i as i64 * stride) as usize;
+                let run = ff::Run {
+                    disp: first as i64,
+                    len,
+                    stride,
+                    n,
+                };
+                let packed: Vec<u8> = (0..n)
+                    .flat_map(|i| buf[at(i)..at(i) + len].to_vec())
+                    .collect();
+
+                let mut gathered = Vec::with_capacity(n * len);
+                ff::gather(&buf, run, &mut gathered.spare_capacity_mut()[..n * len]);
+                // SAFETY: gather initialised exactly n * len bytes.
+                unsafe { gathered.set_len(n * len) };
+                assert_eq!(gathered, packed, "gather len {len} stride {stride} n {n}");
+
+                // Blocks that overlap in the destination land in order.
+                let mut expect = vec![0xEEu8; buf.len()];
+                for (i, block) in packed.chunks_exact(len).enumerate() {
+                    expect[at(i)..at(i) + len].copy_from_slice(block);
+                }
+                let mut scattered = vec![0xEEu8; buf.len()];
+                ff::scatter(&packed, &mut scattered, run);
+                assert_eq!(scattered, expect, "scatter len {len} stride {stride} n {n}");
+            }
+        }
+    }
+}
+
+/// A sink that only knows `put` (so every run reaches it block by block
+/// through the trait's default) and a source that only knows `take`.
+#[derive(Default)]
+struct ByBlock {
+    data: Vec<u8>,
+    pos: usize,
+}
+
+impl ff::PackSink for ByBlock {
+    type Error = std::convert::Infallible;
+    fn put(&mut self, src: &[u8]) -> Result<(), Self::Error> {
+        self.data.extend_from_slice(src);
+        Ok(())
+    }
+}
+
+impl ff::UnpackSource for ByBlock {
+    type Error = std::convert::Infallible;
+    fn take(&mut self, dst: &mut [u8]) -> Result<(), Self::Error> {
+        dst.copy_from_slice(&self.data[self.pos..self.pos + dst.len()]);
+        self.pos += dst.len();
+        Ok(())
+    }
+}
+
+/// Sinks and sources that override the run methods see the stream the
+/// default per-block loop delivers, whole and from every resume point.
+#[test]
+fn run_sinks_receive_the_stream_block_sinks_do() {
+    let mut rng = SplitMix64::new(oracle_seed());
+    let random = (0..100).map(|_| (random_datatype(&mut rng, 3), 2));
+    for (dt, count) in random.chain(run_sweep_types()).collect::<Vec<_>>() {
+        let c = Committed::commit(&dt);
+        let src = source_buffer(&dt, count);
+        let total = c.size() * count;
+        for (skip, max) in [
+            (0, usize::MAX),
+            (total / 3, total / 2),
+            (1, 7),
+            (total / 2, usize::MAX),
+        ] {
+            let mut by_block = ByBlock::default();
+            let mut by_run = ff::VecSink::default();
+            let a = ff::pack_ff(&c, count, &src, 0, skip, max, &mut by_block).unwrap();
+            let b = ff::pack_ff(&c, count, &src, 0, skip, max, &mut by_run).unwrap();
+            assert_eq!(a, b, "pack stats of {dt} at ({skip}, {max})");
+            assert_eq!(
+                by_block.data, by_run.data,
+                "stream of {dt} at ({skip}, {max})"
+            );
+
+            let (mut into_a, mut into_b) = (vec![0xEEu8; src.len()], vec![0xEEu8; src.len()]);
+            let len = by_run.data.len();
+            let mut source = ff::SliceSource::new(&by_run.data);
+            ff::unpack_ff(&c, count, &mut into_a, 0, skip, len, &mut by_block).unwrap();
+            ff::unpack_ff(&c, count, &mut into_b, 0, skip, len, &mut source).unwrap();
+            assert_eq!(into_a, into_b, "unpack of {dt} at ({skip}, {max})");
+            assert_eq!((by_block.pos, source.consumed()), (len, len));
+        }
+    }
 }
