@@ -1,0 +1,340 @@
+//! Golden pin of the nonblocking request engine, end to end.
+//!
+//! Nine programs on `Backend::Event` with the recorder on — the 16-rank
+//! four-neighbour halo at 8 KiB (eager) and at 150 000 B (rendezvous, so
+//! the `isend`s have engines too), `waitany` over mixed sizes, a
+//! `test`/`compute` polling loop, two fire-and-forget `isend`s reaped at
+//! a barrier, `ialltoall` overlapped with `compute` at 2 KiB and at
+//! 150 000 B blocks (at the larger size its engine forks `sendrecv`'s
+//! send half from inside a dynamic task), persistent send/recv restarted
+//! five times, `irecv_typed` of a strided vector — on three fabrics
+//! (healthy, `lossy(0.01)`, `silent(2e-4, 5e-5)` under `EndToEnd` with
+//! `max_retransmits` 64). Each case folds every rank's received-payload
+//! checksum and finish time in picoseconds, the whole counter table, the
+//! scheduler's `event_stats` and the profile JSON into one digest.
+//!
+//! The constants were recorded at commit 34d510c (PR 18), while every
+//! engine was an OS thread of its own that adopted its task in real
+//! time. They pin that *which* thread runs an engine task is invisible:
+//! the same tasks with the same `(time, rank, seq, id)` keys dispatch in
+//! the same order, so virtual time, the counters, the scheduler's
+//! statistics and every delivered byte stay where they were. Debug and
+//! release record the same table. A deliberate model change must
+//! re-record them (a mismatch prints the table) and say so.
+
+use mpi_datatype::{Committed, Datatype};
+use sci_fabric::{fnv1a, FaultConfig};
+use scimpi::{
+    run_report, Backend, ClusterSpec, IntegrityMode, Rank, ReduceOp, Source, TagSel, Tuning,
+};
+use simclock::SimDuration;
+
+/// Above the eager threshold (16 KiB): the rendezvous path.
+const RDV: usize = 150_000;
+
+fn fold(h: &mut u64, v: u64) {
+    *h = (*h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+/// `len` bytes only `(who, round)` produce.
+fn payload(who: usize, round: usize, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i * 7 + who * 31 + round * 13) as u8)
+        .collect()
+}
+
+/// Rank count, name and body of one program; the body returns the
+/// checksum of what the rank received.
+type Program = (usize, &'static str, fn(&mut Rank) -> u64);
+
+const PROGRAMS: [Program; 9] = [
+    (16, "halo.8k", |r| halo(r, 8 * 1024, 3)),
+    (16, "halo.rdv", |r| halo(r, RDV, 2)),
+    (4, "waitany.mixed", waitany_mixed),
+    (2, "test.poll", test_poll),
+    (2, "forget.barrier", fire_and_forget),
+    (4, "ialltoall.2k", |r| ialltoall(r, 2048)),
+    (4, "ialltoall.rdv", |r| ialltoall(r, RDV)),
+    (2, "persistent.x5", persistent),
+    (2, "irecv_typed.vector", typed_vector),
+];
+
+/// The hostbench `halo_requests` exchange: four receives, four sends,
+/// compute, wait for all eight, an allreduce.
+fn halo(r: &mut Rank, bytes: usize, rounds: usize) -> u64 {
+    const NEIGHBOURS: [isize; 4] = [-2, -1, 1, 2];
+    let (me, n) = (r.rank(), r.size());
+    let peer = |d: isize| (me as isize + d).rem_euclid(n as isize) as usize;
+    let mut h = 0;
+    for round in 0..rounds {
+        let mine = payload(me, round, bytes);
+        // Tag by direction: ranks two apart exchange two messages.
+        let mut recvs: Vec<_> = (0..4)
+            .map(|k| {
+                let from = Source::Rank(peer(NEIGHBOURS[k]));
+                r.irecv(from, TagSel::Value(3 - k as i32), bytes).unwrap()
+            })
+            .collect();
+        let mut sends: Vec<_> = (0..4)
+            .map(|k| r.isend(peer(NEIGHBOURS[k]), k as i32, &mine).unwrap())
+            .collect();
+        r.compute(SimDuration::from_us(50));
+        for (done, d) in r.waitall(&mut recvs).unwrap().iter().zip(NEIGHBOURS) {
+            assert_eq!(done.data, payload(peer(d), round, bytes), "wrong halo");
+            fold(&mut h, fnv1a(&done.data));
+        }
+        r.waitall(&mut sends).unwrap();
+        let mut sum = [(me + round) as f64];
+        r.allreduce(&mut sum, ReduceOp::Sum).unwrap();
+        fold(&mut h, sum[0] as u64);
+    }
+    r.barrier();
+    h
+}
+
+/// Rank 0 reaps four receives of very different sizes in completion
+/// order; the order is part of the checksum.
+fn waitany_mixed(r: &mut Rank) -> u64 {
+    const POSTS: [(usize, i32, usize); 4] = [(1, 0, RDV), (2, 0, 32), (3, 0, 40_000), (1, 1, 4096)];
+    let mut h = 0;
+    if r.rank() == 0 {
+        let mut reqs: Vec<_> = POSTS
+            .iter()
+            .map(|&(from, tag, len)| {
+                r.irecv(Source::Rank(from), TagSel::Value(tag), len)
+                    .unwrap()
+            })
+            .collect();
+        for _ in 0..POSTS.len() {
+            let (idx, done) = r.waitany(&mut reqs);
+            fold(&mut h, idx as u64);
+            fold(&mut h, fnv1a(&done.unwrap().data));
+        }
+    } else {
+        let me = r.rank();
+        for &(_, tag, len) in POSTS.iter().filter(|p| p.0 == me) {
+            r.send(0, tag, &payload(me, tag as usize, len)).unwrap();
+        }
+    }
+    r.barrier();
+    h
+}
+
+/// Both sides poll their request between slices of compute; the poll
+/// counts are part of the checksum.
+fn test_poll(r: &mut Rank) -> u64 {
+    let mut h = 0;
+    if r.rank() == 0 {
+        let mut req = r.isend(1, 0, &payload(0, 0, RDV)).unwrap();
+        while r.test(&mut req).is_none() {
+            fold(&mut h, 1);
+            r.compute(SimDuration::from_us(100));
+        }
+    } else {
+        let mut req = r.irecv(Source::Rank(0), TagSel::Value(0), RDV).unwrap();
+        let done = loop {
+            match r.test(&mut req) {
+                Some(done) => break done.unwrap(),
+                None => {
+                    fold(&mut h, 2);
+                    r.compute(SimDuration::from_us(70));
+                }
+            }
+        };
+        fold(&mut h, fnv1a(&done.data));
+    }
+    r.barrier();
+    h
+}
+
+/// A rendezvous and an eager `isend`, both dropped unwaited.
+fn fire_and_forget(r: &mut Rank) -> u64 {
+    let mut h = 0;
+    if r.rank() == 0 {
+        drop(r.isend(1, 0, &payload(0, 0, RDV)).unwrap());
+        drop(r.isend(1, 1, &payload(0, 1, 16)).unwrap());
+        assert_eq!(r.pending_requests(), 2);
+        r.barrier();
+        assert_eq!(r.pending_requests(), 0, "the barrier reaps the drop bin");
+    } else {
+        for (tag, len) in [(0, RDV), (1, 16)] {
+            let mut buf = vec![0u8; len];
+            r.recv(Source::Rank(0), TagSel::Value(tag), &mut buf)
+                .unwrap();
+            fold(&mut h, fnv1a(&buf));
+        }
+        r.barrier();
+    }
+    h
+}
+
+fn ialltoall(r: &mut Rank, block: usize) -> u64 {
+    let blocks: Vec<Vec<u8>> = (0..r.size())
+        .map(|to| payload(r.rank(), to, block))
+        .collect();
+    let mut req = r.ialltoall(&blocks).unwrap();
+    r.compute(SimDuration::from_us(200));
+    let got = r.wait(&mut req).unwrap();
+    r.barrier();
+    let mut h = 0;
+    for (from, data) in got.iter().enumerate() {
+        assert_eq!(*data, payload(from, r.rank(), block), "wrong block");
+        fold(&mut h, fnv1a(data));
+    }
+    h
+}
+
+fn persistent(r: &mut Rank) -> u64 {
+    let mut h = 0;
+    if r.rank() == 0 {
+        let send = r.send_init(1, 5, &payload(0, 5, RDV));
+        for _ in 0..5 {
+            let mut req = send.start(r).unwrap();
+            r.compute(SimDuration::from_us(500));
+            r.wait(&mut req).unwrap();
+        }
+    } else {
+        let recv = r.recv_init(Source::Rank(0), TagSel::Value(5), RDV);
+        for _ in 0..5 {
+            let mut req = recv.start(r).unwrap();
+            r.compute(SimDuration::from_us(300));
+            fold(&mut h, fnv1a(&r.wait(&mut req).unwrap().data));
+        }
+    }
+    r.barrier();
+    h
+}
+
+/// A strided vector, eager (100 × 24 B) then rendezvous (1000 × 64 B).
+fn typed_vector(r: &mut Rank) -> u64 {
+    let mut h = 0;
+    for (tag, (blocks, len)) in [(100, 24), (1000, 64)].into_iter().enumerate() {
+        let dt = Datatype::vector(blocks, len, 2 * len as isize + 8, &Datatype::byte());
+        let c = Committed::commit(&dt);
+        if r.rank() == 0 {
+            let src = payload(0, tag, c.extent());
+            let mut req = r.isend_typed(1, tag as i32, &c, 1, &src, 0).unwrap();
+            r.compute(SimDuration::from_us(40));
+            r.wait(&mut req).unwrap();
+        } else {
+            let from = Source::Rank(0);
+            let mut req = r
+                .irecv_typed(from, TagSel::Value(tag as i32), &c, 1)
+                .unwrap();
+            r.compute(SimDuration::from_us(25));
+            let done = r.wait(&mut req).unwrap();
+            fold(&mut h, done.status.len as u64);
+            fold(&mut h, fnv1a(&done.data));
+        }
+    }
+    r.barrier();
+    h
+}
+
+/// One program on one fabric; the digest of what the run left.
+fn case(&(ranks, _, body): &Program, faults: FaultConfig, tuning: Tuning) -> u64 {
+    let spec = ClusterSpec::ringlet(ranks)
+        .tuning(tuning)
+        .faults(faults)
+        .seed(0x7E57_0019)
+        .backend(Backend::Event)
+        .obs(obs::ObsConfig::enabled());
+    let (per_rank, report) = run_report(spec, move |r| (body(r), r.now().as_ps()));
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (checksum, finish_ps) in per_rank {
+        fold(&mut h, checksum);
+        fold(&mut h, finish_ps);
+    }
+    for (name, value) in report.counters.iter() {
+        fold(&mut h, fnv1a(name.as_bytes()));
+        fold(&mut h, value);
+    }
+    let stats = report.event_stats.expect("event backend");
+    fold(&mut h, stats.events);
+    fold(&mut h, stats.ready_high_water as u64);
+    fold(&mut h, stats.tasks_high_water as u64);
+    fold(&mut h, stats.stalls);
+    fold(&mut h, fnv1a(report.profile_json().as_bytes()));
+    h
+}
+
+/// Every program on one fabric, in [`PROGRAMS`] order.
+fn check(fabric: &str, faults: FaultConfig, tuning: Tuning, expect: &[u64; PROGRAMS.len()]) {
+    let got: Vec<u64> = PROGRAMS
+        .iter()
+        .map(|p| case(p, faults.clone(), tuning.clone()))
+        .collect();
+    if got != expect {
+        let moved: Vec<&str> = (PROGRAMS.iter().zip(&got).zip(expect))
+            .filter(|((_, got), want)| got != want)
+            .map(|((p, _), _)| p.1)
+            .collect();
+        let table: Vec<String> = got
+            .chunks(3)
+            .map(|row| {
+                let row: Vec<String> = row.iter().map(|d| format!("{d:#018x}")).collect();
+                format!("    {},", row.join(", "))
+            })
+            .collect();
+        panic!(
+            "{fabric}: moved: {moved:?}\nthe table as run:\n{}",
+            table.join("\n")
+        );
+    }
+}
+
+#[test]
+fn healthy_fabric_matches_the_recorded_requests() {
+    check(
+        "healthy",
+        FaultConfig::default(),
+        Tuning::default(),
+        &HEALTHY,
+    );
+}
+
+#[test]
+fn lossy_fabric_matches_the_recorded_requests() {
+    check(
+        "lossy(0.01)",
+        FaultConfig::lossy(0.01),
+        Tuning::default(),
+        &LOSSY,
+    );
+}
+
+#[test]
+fn silently_faulty_fabric_under_end_to_end_matches_the_recorded_requests() {
+    let tuning = Tuning {
+        integrity_mode: IntegrityMode::EndToEnd,
+        max_retransmits: 64,
+        ..Tuning::default()
+    };
+    check(
+        "silent(2e-4, 5e-5), EndToEnd",
+        FaultConfig::silent(2e-4, 5e-5),
+        tuning,
+        &SILENT,
+    );
+}
+
+#[rustfmt::skip]
+const HEALTHY: [u64; 9] = [
+    0x257bd54bc3bd4b8e, 0xbb82d4c1c2c39dd6, 0x3744d10a2483d6a2,
+    0x231882dfa68f78bb, 0x5eed0814e7271197, 0x1be53459da706597,
+    0xfcb4c2bebccd1f10, 0x8c17f70abc696673, 0x507af0c91643d137,
+];
+
+#[rustfmt::skip]
+const LOSSY: [u64; 9] = [
+    0x257bd54bc3bd4b8e, 0x5c6c551e69075631, 0xc52e28b230acb998,
+    0xaf9c8ba9c4a15d1e, 0x73addcbd52e9901c, 0x1be53459da706597,
+    0x32539e528e8f9c1c, 0xafa5093fdecd356e, 0xf652dfe1fefd51e2,
+];
+
+#[rustfmt::skip]
+const SILENT: [u64; 9] = [
+    0x906a11f7ae5a1e40, 0x2491ba8f0842c9c8, 0xd23f0587408a2507,
+    0xf364aa0c3b28e248, 0x8799f12b5df7b331, 0xdc7de02bb52c51d7,
+    0xecfa0b9d14542f09, 0x9c45fa0bf0e53451, 0x88aa31a5c5ea5b38,
+];
