@@ -4,9 +4,13 @@
 //! # Overlap model
 //!
 //! A nonblocking operation forks the posting rank's [`simclock::Clock`]
-//! at post time and drives the transfer protocol on an *engine thread*
-//! against the fork, while the rank's own clock keeps advancing through
-//! [`Rank::compute`]. Completion merges the fork back:
+//! at post time and drives the transfer protocol on an *engine* against
+//! the fork, while the rank's own clock keeps advancing through
+//! [`Rank::compute`]. Under the event backend the engine is a scheduler
+//! task run by one of the scheduler's pooled workers ([`sched::spawn`]:
+//! a request costs a handoff, not a thread); the thread backend has no
+//! scheduler and gives each engine a thread of its own. Completion merges
+//! the fork back:
 //!
 //! ```text
 //! completion = max(compute frontier, link-drain time of the transfer)
@@ -18,9 +22,9 @@
 //! saved relative to a blocking call, `min(end, now) - posted_at`, is
 //! accumulated in the [`obs::Counter::OverlapSavedNs`] counter.
 //!
-//! Everything stays deterministic: the engine thread charges cost to its
-//! forked clock only, turn tickets and receive tickets are taken on the
-//! posting rank's own thread at post time (program order — see
+//! Everything stays deterministic: the engine charges cost to its
+//! forked clock only, turn tickets and receive tickets are taken by the
+//! posting rank itself at post time (program order — see
 //! [`crate::mailbox::Mailbox::post_recv`] and the send-turn ticketing on
 //! `PairRing`), and completion verdicts compare virtual times, never
 //! real ones. Same seed, same answer, bit for bit.
@@ -37,7 +41,7 @@
 //! ```
 //!
 //! Dropping a request without waiting is *allowed* (fire-and-forget
-//! puts/sends): the drop joins the engine thread — so the peer is never
+//! puts/sends): the drop joins the engine — so the peer is never
 //! left mid-handshake — and parks the completion time in the rank's
 //! [`DropBin`]; the next synchronisation point merges it. A dropped
 //! request that completed with an error parks the error alongside the
@@ -58,8 +62,8 @@ use simclock::{Clock, SimTime};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Completion times of requests that were dropped unwaited. Engine
-/// threads deposit here from [`Request::drop`]; the owning rank drains
+/// Completion times of requests that were dropped unwaited.
+/// [`Request::drop`] deposits here; the owning rank drains
 /// it at every synchronisation point ([`Rank::compute`],
 /// [`Rank::barrier`], teardown) so the virtual time of a
 /// fire-and-forget transfer is never lost.
@@ -93,7 +97,7 @@ fn escalates(e: &ScimpiError) -> bool {
 /// A completed receive: the matched status plus the received bytes.
 ///
 /// `irecv` cannot borrow the destination buffer for the lifetime of the
-/// transfer (the engine thread outlives the call), so the payload lands
+/// transfer (the engine outlives the call), so the payload lands
 /// in an owned buffer handed back at completion. For
 /// [`Rank::irecv`] the data is truncated to the received length; for
 /// [`Rank::irecv_typed`] it is the full typed extent (gaps zeroed).
@@ -105,8 +109,8 @@ pub struct RecvDone {
     pub data: Vec<u8>,
 }
 
-/// What an in-flight isend owns (the engine thread needs `'static`
-/// data; borrowing the caller's buffer would tie the request to it).
+/// What an in-flight isend owns (the engine needs `'static` data;
+/// borrowing the caller's buffer would tie the request to it).
 enum OwnedSend {
     Bytes(Vec<u8>),
     Typed {
@@ -136,15 +140,36 @@ impl OwnedSend {
     }
 }
 
+/// Where an engine leaves the fork's final time and the result.
+type Completion<T> = Arc<Mutex<Option<(SimTime, Result<T, ScimpiError>)>>>;
+
+/// What drives a running request.
+enum Engine {
+    /// Event backend: a pooled scheduler task, joined in virtual time.
+    Task(sched::Handle),
+    /// Thread backend: an OS thread of its own.
+    Thread(JoinHandle<()>),
+}
+
+impl Engine {
+    /// Wait for the engine to finish; `Err` is an engine thread's panic.
+    /// A panicking engine *task* aborts the run, and the join unwinds
+    /// with every other task.
+    fn join(self) -> std::thread::Result<()> {
+        match self {
+            Engine::Task(h) => {
+                sched::join_task(&h);
+                Ok(())
+            }
+            Engine::Thread(t) => t.join(),
+        }
+    }
+}
+
 enum State<T> {
-    /// The transfer is being driven on an engine thread against a forked
-    /// clock; the handle yields the fork's final state and the result.
-    /// Under the event backend the engine thread is also a scheduler
-    /// task, carried here so completion can join it in virtual time.
-    Running(
-        JoinHandle<(Clock, Result<T, ScimpiError>)>,
-        Option<sched::Handle>,
-    ),
+    /// The transfer is being driven by an engine against a forked clock;
+    /// a joined engine has filled the completion.
+    Running(Engine, Completion<T>),
     /// The transfer's virtual end time is known but the completion has
     /// not been folded into the rank's clock yet.
     Ready(SimTime, Result<T, ScimpiError>),
@@ -187,8 +212,8 @@ impl<T: Send + 'static> Request<T> {
         }
     }
 
-    /// A request driven by `f` on an engine thread against `clock` (a
-    /// fork of the rank's clock taken at post time).
+    /// A request driven by `f` on an engine against `clock` (a fork of
+    /// the rank's clock taken at post time).
     pub(crate) fn spawn<F>(
         rank: &Rank,
         kind: &'static str,
@@ -200,74 +225,45 @@ impl<T: Send + 'static> Request<T> {
         F: FnOnce(&mut Clock) -> Result<T, ScimpiError> + Send + 'static,
     {
         let id = rank.rank as u32;
+        let recorder = rank.world.obs.clone();
+        let completion = Completion::default();
+        let filled = Arc::clone(&completion);
+        let now = clock.now();
+        let job: sched::Job = Box::new(move || {
+            let _bound = recorder.as_ref().map(|o| o.bind(id));
+            let res = f(&mut clock);
+            *filled.lock().unwrap() = Some((clock.now(), res));
+        });
         // Under the event backend the engine runs as a scheduler task so
         // its blocking sites park in virtual time like any rank.
-        let task = sched::spawn_handle(id, clock.now());
-        let child_task = task.clone();
-        let recorder = rank.world.obs.clone();
-        let handle = std::thread::spawn(move || {
-            let _bound = recorder.as_ref().map(|o| o.bind(id));
-            match child_task {
-                Some(h) => {
-                    // Adoption sits inside the catch_unwind: waiting for
-                    // the first grant can itself abort if another task
-                    // panics before this one ever runs.
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        h.adopt();
-                        f(&mut clock)
-                    }));
-                    match out {
-                        Ok(res) => {
-                            sched::retire();
-                            (clock, res)
-                        }
-                        Err(p) => {
-                            // Record the real payload with the scheduler
-                            // (first panic wins), release the run token,
-                            // and surface the teardown sentinel through
-                            // the JoinHandle for settle()/drop to see.
-                            sched::abort_current(p);
-                            sched::retire();
-                            std::panic::panic_any(sched::Aborted);
-                        }
-                    }
-                }
-                None => {
-                    let res = f(&mut clock);
-                    (clock, res)
-                }
-            }
-        });
+        let engine = match sched::spawn(id, now, job) {
+            Ok(task) => Engine::Task(task),
+            Err(job) => Engine::Thread(std::thread::spawn(job)),
+        };
         Request {
-            state: Some(State::Running(handle, task)),
+            state: Some(State::Running(engine, completion)),
             posted_at,
             kind,
             drop_bin: Arc::clone(&rank.drop_bin),
         }
     }
 
-    /// Join the engine thread if still running, leaving the state at
-    /// `Ready` or `Done`. Blocks real time only; the completion verdict
-    /// stays a pure virtual-time comparison.
+    /// Join the engine if still running, leaving the state at `Ready` or
+    /// `Done`. Blocks real time only; the completion verdict stays a pure
+    /// virtual-time comparison.
     fn settle(&mut self) {
-        if let Some(State::Running(..)) = self.state {
-            let Some(State::Running(handle, task)) = self.state.take() else {
-                unreachable!()
-            };
-            // Event backend: wait for the engine task in virtual time
-            // first — joining the OS thread directly while holding the
-            // run token would deadlock the scheduler.
-            if let Some(h) = &task {
-                sched::join_task(h);
-            }
-            let (clock, res) = match handle.join() {
-                Ok(v) => v,
-                // The engine thread panicked (ErrorsAreFatal escalation):
-                // the run is being torn down — propagate.
-                Err(p) => std::panic::resume_unwind(p),
-            };
-            self.state = Some(State::Ready(clock.now(), res));
+        let running = |s: &mut State<T>| matches!(s, State::Running(..));
+        let Some(State::Running(engine, completion)) = self.state.take_if(running) else {
+            return;
+        };
+        if let Err(p) = engine.join() {
+            // The engine thread panicked (ErrorsAreFatal escalation): the
+            // run is being torn down — propagate.
+            std::panic::resume_unwind(p);
         }
+        let (end, res) =
+            (completion.lock().unwrap().take()).expect("a joined engine has left its completion");
+        self.state = Some(State::Ready(end, res));
     }
 
     fn end_time(&mut self) -> SimTime {
@@ -285,42 +281,37 @@ impl<T: Send + 'static> Request<T> {
 
 impl<T> Drop for Request<T> {
     fn drop(&mut self) {
-        match self.state.take() {
-            None | Some(State::Done(..)) => {}
-            Some(State::Running(handle, task)) => {
-                if let Some(h) = &task {
-                    if std::thread::panicking() {
-                        // Dropped mid-unwind on the event backend:
-                        // parking to join would panic again (the abort
-                        // sentinel) and turn the unwind into an abort.
-                        // Detach — the scheduler's abort broadcast wakes
-                        // and retires the engine task on its own.
-                        return;
-                    }
-                    sched::join_task(h);
+        let (end, res) = match self.state.take() {
+            None | Some(State::Done(..)) => return,
+            Some(State::Ready(end, res)) => (end, res),
+            Some(State::Running(engine, completion)) => {
+                let unwinding = std::thread::panicking();
+                if unwinding && matches!(engine, Engine::Task(_)) {
+                    // Dropped mid-unwind on the event backend: parking to
+                    // join would panic again (the abort sentinel) and turn
+                    // the unwind into an abort. Detach — the scheduler's
+                    // abort broadcast wakes and retires the engine task on
+                    // its own.
+                    return;
                 }
-                match handle.join() {
-                    Ok((clock, res)) => {
-                        obs::inc(obs::Counter::RequestsCompleted);
-                        obs::inc(obs::Counter::RequestsCompletedByDrop);
-                        self.drop_bin.push(clock.now(), res.err());
-                    }
-                    Err(p) => {
-                        // Engine-thread panic (fatal escalation). If we are
-                        // already unwinding, swallow it — a double panic
-                        // aborts without a message.
-                        if !std::thread::panicking() {
-                            std::panic::resume_unwind(p);
-                        }
-                    }
+                match engine.join() {
+                    Ok(()) => match completion.lock().unwrap().take() {
+                        Some(done) => done,
+                        // Only off the run's threads (a request that
+                        // outlived its run): nobody is left to merge it.
+                        None => return,
+                    },
+                    // Engine-thread panic (fatal escalation). If we are
+                    // already unwinding, swallow it — a double panic
+                    // aborts without a message.
+                    Err(_) if unwinding => return,
+                    Err(p) => std::panic::resume_unwind(p),
                 }
             }
-            Some(State::Ready(end, res)) => {
-                obs::inc(obs::Counter::RequestsCompleted);
-                obs::inc(obs::Counter::RequestsCompletedByDrop);
-                self.drop_bin.push(end, res.err());
-            }
-        }
+        };
+        obs::inc(obs::Counter::RequestsCompleted);
+        obs::inc(obs::Counter::RequestsCompletedByDrop);
+        self.drop_bin.push(end, res.err());
     }
 }
 
@@ -433,7 +424,7 @@ impl Rank {
     /// Nonblocking send (`MPI_Isend`) of contiguous bytes. The payload
     /// is captured at post time (standard-mode buffering); eager sends
     /// complete immediately, rendezvous sends progress on an engine
-    /// thread while this rank computes.
+    /// while this rank computes.
     pub fn isend(
         &mut self,
         dst: usize,
@@ -478,10 +469,17 @@ impl Rank {
         // same costs a blocking send charges before it can return to
         // the application (RTS post, eager burst). `start_send`
         // translates the caller's logical destination into a world rank;
-        // the engine thread below must reuse that translation.
-        let (dst, kind) = {
-            let op = self.start_send(dst, tag, owned.as_data())?;
-            (op.dst, op.kind)
+        // the engine below must reuse that translation.
+        let started = self.start_send(dst, tag, owned.as_data());
+        let (dst, kind) = match started.map(|op| (op.dst, op.kind)) {
+            Ok(started) => started,
+            Err(e) => {
+                // No request will exist to complete this post, so it
+                // completes here: a refused isend leaves nothing in flight.
+                self.pending_requests -= 1;
+                obs::inc(obs::Counter::RequestsCompleted);
+                return Err(e);
+            }
         };
         match kind {
             SendOpKind::Done => {
@@ -513,8 +511,8 @@ impl Rank {
     /// Nonblocking receive (`MPI_Irecv`) into an owned buffer of
     /// `max_len` bytes. The receive ticket is taken here, in program
     /// order — posted receives match arrivals with MPI's posted-queue
-    /// semantics even while the transfer itself progresses on an engine
-    /// thread. The payload comes back in [`RecvDone::data`], truncated
+    /// semantics even while the transfer itself progresses on an
+    /// engine. The payload comes back in [`RecvDone::data`], truncated
     /// to the received length.
     pub fn irecv(
         &mut self,
@@ -597,7 +595,7 @@ impl Rank {
 
     /// Kick off a nonblocking all-to-all exchange (`MPI_Ialltoall`,
     /// pairwise algorithm): the whole collective progresses on an engine
-    /// thread while this rank computes. At most one collective may be in
+    /// while this rank computes. At most one collective may be in
     /// flight per rank at a time, and wildcard (`Source::Any`) receives
     /// must not be posted while it runs — both mirror MPI's
     /// one-outstanding-collective-per-communicator rule.
@@ -680,9 +678,9 @@ impl Rank {
                 self.account_complete(req.kind, req.posted_at, end);
                 // First observation of the completion: communication
                 // faults route through the rank's error handler *here*,
-                // on the owning thread — an engine thread that saw the
-                // peer die only produced the verdict, it must not decide
-                // the response to it.
+                // on the owning rank — an engine that saw the peer die
+                // only produced the verdict, it must not decide the
+                // response to it.
                 let res = match res {
                     Err(e) if escalates(&e) => Err(self.world.escalate(e)),
                     other => other,

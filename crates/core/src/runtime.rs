@@ -1218,9 +1218,9 @@ where
             coll_win: None,
         };
         let out = f(&mut r);
-        // Teardown: requests dropped inside `f` completed on
-        // their engine threads; fold their virtual time in so a
-        // fire-and-forget isend is never lost.
+        // Teardown: requests dropped inside `f` completed on their
+        // engines; fold their virtual time in so a fire-and-forget
+        // isend is never lost.
         r.reap_dropped();
         obs::attrib::record_makespan(rank as u32, r.clock.now());
         out
@@ -1297,6 +1297,9 @@ where
                     .collect()
             });
             report.event_stats = Some(sched.stats());
+            // The pooled workers that ran the request engines die with
+            // the run.
+            sched.join_workers();
             if let Some(p) = sched.take_panic() {
                 std::panic::resume_unwind(p);
             }

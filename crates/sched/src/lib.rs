@@ -2,7 +2,7 @@
 //!
 //! Replaces free-running thread-per-rank execution with a **cooperative
 //! virtual-time scheduler**: every rank (and every request-engine worker)
-//! is a *task* backed by an OS thread, but exactly one task holds the
+//! is a *task* run by an OS thread, but exactly one task holds the
 //! **run token** at any moment. A task keeps the token until it reaches a
 //! blocking site (mailbox match, ring-slot acquisition, barrier, lock,
 //! request wait, backpressure stall) and parks; parking hands the token to
@@ -10,6 +10,12 @@
 //! key. Dispatch order is therefore a pure function of the simulation
 //! state — same seed, same interleaving, bit for bit — and wall-clock
 //! cost per rank is one parked thread, not one spinning poll loop.
+//!
+//! Ranks bring their own thread ([`Handle::adopt`]); request engines are
+//! handed over as a closure ([`spawn`]) and run on a pool of parked
+//! workers the scheduler owns. Such a task is created *ready*, under the
+//! key it would have had on a thread of its own, so which OS thread runs
+//! it changes nothing about the order.
 //!
 //! The protocol code stays *scheduler-agnostic*: blocking primitives call
 //! [`is_event_task`] and either park here (event backend) or fall through
@@ -55,7 +61,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::Thread;
+use std::thread::{JoinHandle, Thread};
 
 /// Sentinel panic payload used to unwind tasks after another task has
 /// aborted the run. Wrappers around task bodies treat it as "shut down
@@ -77,10 +83,10 @@ pub enum Wake {
 /// [`Parker::grant`] while no grant is pending; otherwise a [`Wake`].
 const NO_GRANT: u8 = 0;
 
-/// One task's end of the handoff, created at adoption: the flag its
-/// thread waits on and the thread to poke. The task table holds it so a
-/// granter can reach it, the task's thread-local so the wait never takes
-/// the scheduler mutex.
+/// One task's end of the handoff, created at adoption (a pooled task
+/// uses its worker's): the flag its thread waits on and the thread to
+/// poke. The task table holds it so a granter can reach it, the task's
+/// thread-local so the wait never takes the scheduler mutex.
 struct Parker {
     /// The [`Wake`] this task was granted the run token with, until the
     /// task consumes it. Stored (`Release`) by the granter after it chose
@@ -106,6 +112,79 @@ enum Next {
     Me(Wake),
     /// Another task is next; the chooser grants it outside the lock.
     Task(Arc<Parker>, Wake),
+}
+
+/// The body of a pooled task ([`spawn`]).
+pub type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// What a pool worker finds in its inbox.
+enum Order {
+    /// Run this task: wait for its first grant, then call the job.
+    Run(Current, Job),
+    /// The run is over.
+    Exit,
+}
+
+/// The scheduler's end of one pool thread: held by the task it runs
+/// while that is live, by [`Inner::idle`] in between.
+struct Worker {
+    parker: Arc<Parker>,
+    /// Filled under the scheduler lock; an unpark of the thread always
+    /// follows (the task's first grant, an abort, or teardown).
+    inbox: Arc<Mutex<Option<Order>>>,
+    thread: JoinHandle<()>,
+}
+
+impl Worker {
+    /// Start a parked worker. Its parker is built from the `JoinHandle`,
+    /// so nobody waits for the thread to come up.
+    fn start() -> Box<Worker> {
+        let inbox = Arc::new(Mutex::new(None));
+        let theirs = Arc::clone(&inbox);
+        let thread = std::thread::Builder::new()
+            .name("sched-worker".into())
+            .spawn(move || Worker::run(&theirs))
+            .expect("spawn pool worker");
+        let parker = Arc::new(Parker {
+            grant: AtomicU8::new(NO_GRANT),
+            thread: thread.thread().clone(),
+        });
+        Box::new(Worker {
+            parker,
+            inbox,
+            thread,
+        })
+    }
+
+    /// The worker thread: the one place a pooled task is adopted, run
+    /// and retired.
+    fn run(inbox: &Mutex<Option<Order>>) {
+        loop {
+            let order = relock(inbox.lock()).take();
+            let (cur, job) = match order {
+                // Park tokens are advisory: only the inbox counts.
+                None => {
+                    std::thread::park();
+                    continue;
+                }
+                Some(Order::Exit) => return,
+                Some(Order::Run(cur, job)) => (cur, job),
+            };
+            let (sched, mine) = (Arc::clone(&cur.handle.sched), Arc::clone(&cur.parker));
+            CURRENT.with(|c| *c.borrow_mut() = Some(cur));
+            // The first grant is awaited inside the catch, like `adopt` in
+            // a task thread's wrapper: a task queued but never granted
+            // when the run aborts retires without its job having run.
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sched.hand_over(Next::Nobody, &mine);
+                job()
+            }));
+            if let Err(p) = out {
+                sched.abort_with(p);
+            }
+            retire();
+        }
+    }
 }
 
 /// Identifies a task within its [`Scheduler`].
@@ -141,6 +220,9 @@ struct Task {
     /// Set at adoption, dropped at retirement (with the thread handle
     /// it holds): an exited task keeps only its plain fields.
     parker: Option<Arc<Parker>>,
+    /// The pool worker running this task if it was [`spawn`]ed, until it
+    /// retires. Boxed: most tasks have none.
+    worker: Option<Box<Worker>>,
     /// Index of this task in [`Inner::live`] while it is live.
     live_slot: usize,
     /// Tasks parked in `join` on this task's exit.
@@ -165,6 +247,13 @@ struct Inner {
     /// order: what stall rounds and aborts walk, so neither pays for the
     /// tasks that have come and gone.
     live: Vec<usize>,
+    /// Pool workers between tasks: the pool grows to the peak number of
+    /// pooled tasks live at once and never shrinks within a run. The
+    /// boxes move between here and [`Task::worker`] unopened.
+    #[allow(clippy::vec_box)]
+    idle: Vec<Box<Worker>>,
+    /// [`Scheduler::join_workers`] ran: a retiring worker now exits.
+    closed: bool,
     next_seq: u64,
     /// Unparks + adoptions + retirements — the progress measure that
     /// separates productive stall rounds from deadlock.
@@ -229,6 +318,8 @@ impl Scheduler {
                 gate: roots,
                 incoming: 0,
                 live: Vec::with_capacity(roots),
+                idle: Vec::new(),
+                closed: false,
                 next_seq: 0,
                 progress: 0,
                 progress_at_stall: 0,
@@ -261,9 +352,10 @@ impl Scheduler {
         }
     }
 
-    /// Create a dynamic task (request engine, sendrecv fork) starting at
-    /// `time`. The creating task keeps running; dispatch will not pop the
-    /// heap again until the new task's thread has adopted it.
+    /// Create a dynamic task (sendrecv fork) starting at `time`, to be
+    /// adopted by a thread of its own. The creating task keeps running;
+    /// dispatch will not pop the heap again until that thread has adopted
+    /// it.
     pub fn create_task(self: &Arc<Self>, rank: u32, time: SimTime) -> Handle {
         let mut g = self.lock();
         g.incoming += 1;
@@ -272,6 +364,66 @@ impl Scheduler {
             sched: Arc::clone(self),
             id,
         }
+    }
+
+    /// Create a dynamic task that runs `job` on a pool worker. Unlike
+    /// [`Scheduler::create_task`]'s it is born *ready*, in the lock hold
+    /// that creates it: no thread has to come up and adopt it.
+    fn spawn_pooled(self: Arc<Self>, rank: u32, time: SimTime, job: Job) -> Handle {
+        let mut g = self.lock();
+        let worker = match g.idle.pop() {
+            Some(w) => w,
+            None => {
+                // Only the run-token holder spawns, so nothing that
+                // decides order can happen while the lock is released.
+                drop(g);
+                let w = Worker::start();
+                g = self.lock();
+                w
+            }
+        };
+        let id = Self::create_in(&mut g, rank, time, false);
+        let cur = Current {
+            handle: Handle {
+                sched: Arc::clone(&self),
+                id,
+            },
+            parker: Arc::clone(&worker.parker),
+        };
+        *relock(worker.inbox.lock()) = Some(Order::Run(cur, job));
+        if self.is_aborted() {
+            // No grant will come: the worker has to see the flag.
+            worker.parker.thread.unpark();
+        }
+        g.tasks[id.0].parker = Some(Arc::clone(&worker.parker));
+        g.tasks[id.0].worker = Some(worker);
+        g.progress += 1;
+        g.push_ready(id.0);
+        drop(g);
+        Handle { sched: self, id }
+    }
+
+    /// End of the run, called by the launcher once the roots are joined:
+    /// tell the idle pool workers to exit and join them; returns how many
+    /// that was. A worker still inside a task (a request leaked past its
+    /// run, a straggler unwinding from an abort) is detached and exits
+    /// when that task retires.
+    pub fn join_workers(&self) -> usize {
+        let idle = {
+            let mut g = self.lock();
+            g.closed = true;
+            std::mem::take(&mut g.idle)
+        };
+        for w in &idle {
+            *relock(w.inbox.lock()) = Some(Order::Exit);
+            w.parker.thread.unpark();
+        }
+        let joined = idle.len();
+        for w in idle {
+            // Only a scheduler bug panics a worker outside its catch.
+            let _ = w.thread.join();
+        }
+        joined
     }
 
     fn create_in(g: &mut Inner, rank: u32, time: SimTime, root: bool) -> TaskId {
@@ -286,6 +438,7 @@ impl Scheduler {
             stalled: false,
             root,
             parker: None,
+            worker: None,
             live_slot: g.live.len(),
             exit_waiters: Vec::new(),
         });
@@ -513,6 +666,14 @@ impl Scheduler {
             g.tasks[moved].live_slot = slot;
         }
         g.tasks[me].parker = None;
+        // Before the joiners wake: what they spawn next finds it idle.
+        if let Some(w) = g.tasks[me].worker.take() {
+            if g.closed {
+                *relock(w.inbox.lock()) = Some(Order::Exit);
+            } else {
+                g.idle.push(w);
+            }
+        }
         for w in std::mem::take(&mut g.tasks[me].exit_waiters) {
             Self::unpark_in(&mut g, w);
         }
@@ -623,7 +784,8 @@ impl std::fmt::Debug for Handle {
     }
 }
 
-/// The task a thread runs, from [`Handle::adopt`] to [`retire`].
+/// The task a thread runs, from [`Handle::adopt`] (or a pool worker
+/// picking it up) to [`retire`].
 struct Current {
     handle: Handle,
     parker: Arc<Parker>,
@@ -689,6 +851,19 @@ pub fn retire() {
 /// task's thread before the simulation can advance.
 pub fn spawn_handle(rank: u32, time: SimTime) -> Option<Handle> {
     with_current(|cur| cur.handle.sched.create_task(rank, time))
+}
+
+/// Spawn a dynamic task for `rank` starting at `time` under the current
+/// task's scheduler, with `job` as its body on a pool worker. The task is
+/// ready at once, under the key [`spawn_handle`] would have given it; the
+/// scheduler adopts it, stores a panic of the job as the run's and
+/// retires it. On a non-task thread (thread backend) nothing happens and
+/// the job comes back.
+pub fn spawn(rank: u32, time: SimTime, job: Job) -> Result<Handle, Job> {
+    match with_current(|cur| Arc::clone(&cur.handle.sched)) {
+        Some(sched) => Ok(sched.spawn_pooled(rank, time, job)),
+        None => Err(job),
+    }
 }
 
 /// Block the current task until `target` retires. No-op (falls through
@@ -780,6 +955,12 @@ mod tests {
 
     /// Run `bodies` as root tasks under one scheduler; returns stats.
     fn run_tasks(bodies: Vec<Box<dyn FnOnce() + Send>>) -> Stats {
+        run_pooled(bodies).0
+    }
+
+    /// [`run_tasks`], also returning how many pool workers teardown
+    /// joined.
+    fn run_pooled(bodies: Vec<Box<dyn FnOnce() + Send>>) -> (Stats, usize) {
         let sched = Scheduler::new(bodies.len());
         let handles: Vec<Handle> = (0..bodies.len())
             .map(|i| sched.create_root(i as u32))
@@ -801,10 +982,12 @@ mod tests {
                 });
             }
         });
+        let joined = sched.join_workers();
+        assert!(sched.lock().idle.is_empty());
         if let Some(p) = sched.take_panic() {
             std::panic::resume_unwind(p);
         }
-        sched.stats()
+        (sched.stats(), joined)
     }
 
     #[test]
@@ -983,6 +1166,61 @@ mod tests {
         assert!(g.tasks.iter().all(|t| t.status == Status::Exited
             && t.parker.is_none()
             && t.exit_waiters.capacity() == 0));
+    }
+
+    #[test]
+    fn pooled_tasks_reuse_their_workers() {
+        // `live` tasks at once, over and over — the shape of a rank with
+        // `live` requests in flight per iteration: the pool grows to the
+        // peak and no further, and teardown joins every worker it made.
+        for (live, rounds) in [(1usize, 10_000usize), (5, 1_000)] {
+            let (stats, joined) = run_pooled(vec![Box::new(move || {
+                let sched = Arc::clone(current().unwrap().scheduler());
+                let done = Arc::new(AtomicUsize::new(0));
+                for round in 1..=rounds {
+                    let tasks: Vec<Handle> = (0..live)
+                        .map(|_| {
+                            let done = Arc::clone(&done);
+                            let job = Box::new(move || {
+                                done.fetch_add(1, Ordering::Relaxed);
+                            });
+                            spawn(0, SimTime::ZERO, job).ok().expect("a task spawns")
+                        })
+                        .collect();
+                    tasks.iter().for_each(join_task);
+                    // What a job did is visible to whoever joined it.
+                    assert_eq!(done.load(Ordering::Relaxed), round * live);
+                    let g = sched.lock();
+                    assert_eq!(g.live, vec![0], "round {round}");
+                    assert_eq!(g.idle.len(), live, "round {round}");
+                }
+            })]);
+            assert_eq!(joined, live, "one worker per simultaneously live task");
+            assert_eq!(stats.tasks_high_water, 1 + live);
+        }
+    }
+
+    #[test]
+    fn panicking_job_aborts_the_run_and_queued_jobs_never_run() {
+        // The root queues two pooled tasks and joins the first, whose job
+        // panics; the second is ready but never granted.
+        let (second_ran, closed) = std::sync::mpsc::channel();
+        let joined = Arc::new(AtomicBool::new(false));
+        let returned = Arc::clone(&joined);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_tasks(vec![Box::new(move || {
+                let first = spawn(0, SimTime::ZERO, Box::new(|| panic!("boom in a job")));
+                let second = Box::new(move || second_ran.send(()).unwrap());
+                let _ = spawn(0, SimTime::ZERO, second);
+                join_task(&first.ok().expect("a task spawns"));
+                returned.store(true, Ordering::SeqCst);
+            })]);
+        }));
+        let p = r.expect_err("the launcher re-throws the job's panic, not Aborted");
+        assert_eq!(p.downcast_ref::<&str>(), Some(&"boom in a job"));
+        assert!(!joined.load(Ordering::SeqCst), "the join unwinds instead");
+        // Its worker drops the second job unrun: the channel closes empty.
+        assert!(closed.recv().is_err());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   duplicate registration, wakes that arrive before the park
 //!   (`pending_wake`, from a peer, from the task itself and from a
 //!   non-task thread), stall rounds and a stall round upgraded to a real
-//!   wake, `park_stale`, and dynamic `spawn_handle` / `adopt` /
-//!   `join_task` children;
+//!   wake, `park_stale`, and dynamic children — `spawn_handle` / `adopt`
+//!   on a thread of their own in one pass, `sched::spawn` onto the
+//!   scheduler's pooled workers in a second: same tasks, same keys, so
+//!   the same log and `Stats`;
 //! * [`abort_program`] — eight roots and a dynamic child, one root
 //!   panicking while the rest are parked, ready or joining.
 //!
@@ -27,7 +29,7 @@ use sched::{Aborted, Handle, Scheduler, Stats, WaitQueue, Wake};
 use simclock::{SimDuration, SimTime, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Arc, Mutex, Once};
 use std::thread::Scope;
 
 const SEED: u64 = 20020415;
@@ -36,6 +38,8 @@ const ROOTS: usize = 12;
 const QUEUES: usize = 3;
 const STEPS: usize = 48;
 const CHILDREN_PER_ROOT: u32 = 3;
+/// Children of [`main_program`] live at its busiest moment.
+const POOL_PEAK: usize = 7;
 const BOOM: &str = "golden boom";
 
 // Log record kinds beside the two `Wake`s.
@@ -207,7 +211,12 @@ fn child_body(sh: &Shared, label: u32, parent: usize, t: SimTime) {
     a.log(EXIT);
 }
 
-fn root_body<'scope>(scope: &'scope Scope<'scope, '_>, sh: &'scope Shared, me: usize) {
+fn root_body<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    sh: &'scope Arc<Shared>,
+    me: usize,
+    pooled: bool,
+) {
     let mut a = Actor::new(sh, me as u32, SimTime::ZERO);
     a.log(GRANTED);
 
@@ -255,13 +264,22 @@ fn root_body<'scope>(scope: &'scope Scope<'scope, '_>, sh: &'scope Shared, me: u
                 children += 1;
                 let label = 100 + me as u32 * 10 + children;
                 let at = a.t + SimDuration::from_ns(5);
-                let child = sched::spawn_handle(me as u32, at).expect("roots run as tasks");
-                let theirs = child.clone();
-                let thread =
-                    scope.spawn(move || run_task(sh, theirs, || child_body(sh, label, me, at)));
+                let (child, thread) = if pooled {
+                    let sh = Arc::clone(sh);
+                    let body = Box::new(move || child_body(&sh, label, me, at));
+                    let child = sched::spawn(me as u32, at, body);
+                    (child.ok().expect("roots run as tasks"), None)
+                } else {
+                    let child = sched::spawn_handle(me as u32, at).expect("roots run as tasks");
+                    let theirs = child.clone();
+                    let body = move || run_task(sh, theirs, || child_body(sh, label, me, at));
+                    (child, Some(scope.spawn(body)))
+                };
                 sched::join_task(&child);
                 a.log(JOINED);
-                thread.join().expect("child thread");
+                if let Some(thread) = thread {
+                    thread.join().expect("child thread");
+                }
             }
             6 => {
                 // A wake from a thread that is no task: of a parked or
@@ -294,15 +312,19 @@ fn root_body<'scope>(scope: &'scope Scope<'scope, '_>, sh: &'scope Shared, me: u
     a.log(EXIT);
 }
 
-fn main_program() -> Golden {
+/// `pooled` selects who runs the children: a thread of their own that
+/// adopts the task, or the scheduler's workers.
+fn main_program(pooled: bool) -> Golden {
     let sched = Scheduler::new(ROOTS);
-    let sh = Shared::new(&sched, ROOTS);
+    let sh = Arc::new(Shared::new(&sched, ROOTS));
     std::thread::scope(|s| {
         for i in 0..ROOTS {
             let sh = &sh;
-            s.spawn(move || run_task(sh, sh.roots[i].clone(), || root_body(s, sh, i)));
+            s.spawn(move || run_task(sh, sh.roots[i].clone(), || root_body(s, sh, i, pooled)));
         }
     });
+    // One worker per child live at the busiest moment, none for threads.
+    assert_eq!(sched.join_workers(), if pooled { POOL_PEAK } else { 0 });
     assert!(
         sched.take_panic().is_none(),
         "main program must finish clean"
@@ -374,19 +396,28 @@ fn abort_program() -> Golden {
     sh.golden(sched.stats())
 }
 
+const MAIN: Golden = Golden {
+    log_len: 744,
+    log_digest: 5728820178882251505,
+    events: 882,
+    ready_high_water: 19,
+    tasks_high_water: 19,
+    stalls: 25,
+};
+
 #[test]
 fn main_program_dispatch_order_is_pinned() {
     quiet_expected_panics();
-    let want = Golden {
-        log_len: 744,
-        log_digest: 5728820178882251505,
-        events: 882,
-        ready_high_water: 19,
-        tasks_high_water: 19,
-        stalls: 25,
-    };
     for round in 0..LOOPS {
-        assert_eq!(main_program(), want, "loop {round}");
+        assert_eq!(main_program(false), MAIN, "loop {round}");
+    }
+}
+
+#[test]
+fn pooled_children_dispatch_in_the_pinned_order() {
+    quiet_expected_panics();
+    for round in 0..LOOPS {
+        assert_eq!(main_program(true), MAIN, "loop {round}");
     }
 }
 

@@ -22,9 +22,29 @@ fn seeded(spec: ClusterSpec) -> ClusterSpec {
     spec
 }
 
+/// Run `scenario` on a thread per engine and on pooled engine tasks:
+/// after the join a request is one code path, whoever drove it.
+fn on_both_backends(scenario: impl Fn(Backend)) {
+    for backend in [Backend::Thread, Backend::Event] {
+        scenario(backend);
+    }
+}
+
+/// The message of a panic payload, as `panic!` produces them.
+fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "<not a panic! message>".into())
+}
+
 #[test]
 fn wait_after_complete_is_idempotent() {
-    let out = run(seeded(ClusterSpec::ringlet(2)), |r| {
+    on_both_backends(wait_after_complete);
+}
+
+fn wait_after_complete(backend: Backend) {
+    let out = run(seeded(ClusterSpec::ringlet(2)).backend(backend), |r| {
         if r.rank() == 0 {
             let mut req = r.irecv(Source::Rank(1), TagSel::Value(3), 64).unwrap();
             let first = r.wait(&mut req).unwrap();
@@ -50,7 +70,11 @@ fn wait_after_complete_is_idempotent() {
 
 #[test]
 fn waitany_returns_earliest_virtual_completion() {
-    run(seeded(ClusterSpec::ringlet(3)), |r| {
+    on_both_backends(waitany_earliest);
+}
+
+fn waitany_earliest(backend: Backend) {
+    run(seeded(ClusterSpec::ringlet(3)).backend(backend), |r| {
         if r.rank() == 0 {
             // Two receives: rank 2's small eager message drains long
             // before rank 1's rendezvous bulk. waitany must pick it
@@ -76,9 +100,14 @@ fn waitany_returns_earliest_virtual_completion() {
 
 #[test]
 fn persistent_restart_matches_fresh_requests() {
+    on_both_backends(persistent_restart);
+}
+
+fn persistent_restart(backend: Backend) {
     // N iterations through persistent handles must be bit-identical in
     // virtual time to N fresh isend/irecv posts of the same arguments.
-    let persistent = run(seeded(ClusterSpec::ringlet(2)), |r| {
+    let spec = || seeded(ClusterSpec::ringlet(2)).backend(backend);
+    let persistent = run(spec(), |r| {
         if r.rank() == 0 {
             let data = vec![9u8; RDV];
             let ps = r.send_init(1, 5, &data);
@@ -99,7 +128,7 @@ fn persistent_restart_matches_fresh_requests() {
         r.barrier();
         r.now()
     });
-    let fresh = run(seeded(ClusterSpec::ringlet(2)), |r| {
+    let fresh = run(spec(), |r| {
         if r.rank() == 0 {
             let data = vec![9u8; RDV];
             for _ in 0..3 {
@@ -230,10 +259,14 @@ fn nonblocking_halo_payloads_are_exact_across_same_seed_runs() {
 
 #[test]
 fn iget_overlap_composes_with_integrity_checking() {
+    on_both_backends(iget_overlap);
+}
+
+fn iget_overlap(backend: Backend) {
     // The clock-swap fork in iget must not disturb the one-sided epoch
     // ledger: bytes verified end-to-end, stall hidden behind compute.
     let spec = {
-        let mut spec = seeded(ClusterSpec::ringlet(2));
+        let mut spec = seeded(ClusterSpec::ringlet(2)).backend(backend);
         spec.faults.corrupt_rate = 1e-4;
         spec.tuning(Tuning {
             integrity_mode: IntegrityMode::EndToEnd,
@@ -266,7 +299,13 @@ fn iget_overlap_composes_with_integrity_checking() {
 
 #[test]
 fn request_counters_balance_and_overlap_is_credited() {
-    let spec = seeded(ClusterSpec::ringlet(2)).obs(obs::ObsConfig::enabled());
+    on_both_backends(counters_balance);
+}
+
+fn counters_balance(backend: Backend) {
+    let spec = seeded(ClusterSpec::ringlet(2))
+        .backend(backend)
+        .obs(obs::ObsConfig::enabled());
     let (_, report) = run_report(spec, |r| {
         if r.rank() == 0 {
             let data = vec![8u8; RDV];
@@ -297,14 +336,20 @@ fn request_counters_balance_and_overlap_is_credited() {
     );
 }
 
-/// A peer death detected on the engine thread must come back through
-/// `wait` as an error value under `ErrorsReturn` — the engine helper
-/// only records it; the rank's error mode is consulted at the sync point.
+/// A peer death detected by the engine must come back through `wait` as
+/// an error value under `ErrorsReturn` — the engine only records it; the
+/// rank's error mode is consulted at the sync point.
 #[test]
 fn wait_surfaces_engine_detected_peer_death() {
+    on_both_backends(engine_detected_peer_death);
+}
+
+fn engine_detected_peer_death(backend: Backend) {
     let budget = death_delay(&Tuning::default());
     run(
-        seeded(ClusterSpec::ringlet(2)).errors(ErrorMode::ErrorsReturn),
+        seeded(ClusterSpec::ringlet(2))
+            .backend(backend)
+            .errors(ErrorMode::ErrorsReturn),
         move |r| {
             r.barrier();
             if r.rank() == 0 {
@@ -333,7 +378,12 @@ fn wait_surfaces_engine_detected_peer_death() {
 /// not silently swallowed in the drop bin).
 #[test]
 fn dropped_failing_request_routes_through_error_handler() {
+    on_both_backends(dropped_failing_request);
+}
+
+fn dropped_failing_request(backend: Backend) {
     let spec = seeded(ClusterSpec::ringlet(2))
+        .backend(backend)
         .errors(ErrorMode::ErrorsReturn)
         .obs(obs::ObsConfig::enabled());
     let (_, report) = run_report(spec, |r| {
@@ -358,4 +408,86 @@ fn dropped_failing_request_routes_through_error_handler() {
         report.events.iter().any(|e| e.name == "req.dropped_error"),
         "the dropped request's PeerDead must surface through the error handler trace"
     );
+}
+
+/// A post that returns `Err` leaves nothing in flight: with the peer dead
+/// and its eager credits used up, the refused `isend` must not keep the
+/// in-flight slot `account_post` gave it.
+#[test]
+fn refused_isend_leaves_nothing_in_flight() {
+    let spec = seeded(ClusterSpec::ringlet(2))
+        .backend(Backend::Event)
+        .errors(ErrorMode::ErrorsReturn)
+        .obs(obs::ObsConfig::enabled());
+    let (_, report) = run_report(spec, |r| {
+        r.barrier();
+        if r.rank() == 0 {
+            r.fabric().faults().kill_node(1);
+            let mut kept = Vec::new();
+            let refused = loop {
+                match r.isend(1, 0, &[7u8; 4096]) {
+                    Ok(req) => kept.push(req),
+                    Err(e) => break e,
+                }
+                assert!(kept.len() < 10_000, "the credits never ran out");
+            };
+            assert_eq!(refused, ScimpiError::PeerDead { peer: 1 });
+            assert!(!kept.is_empty());
+            assert_eq!(r.pending_requests(), kept.len(), "the refused post");
+            r.waitall(&mut kept).unwrap();
+            assert_eq!(r.pending_requests(), 0);
+            r.fabric().faults().revive_node(1);
+        }
+        r.barrier();
+    });
+    assert_eq!(
+        report.counters[obs::Counter::RequestsPosted],
+        report.counters[obs::Counter::RequestsCompleted],
+        "a refused post counts as posted and completed"
+    );
+}
+
+/// Under `ErrorsAreFatal` the engine task that finds the rendezvous peer
+/// dead panics on a pool worker. The run must end with that panic — not
+/// with the `Aborted` sentinel the other tasks unwind with, not hung.
+#[test]
+fn fatal_engine_error_comes_out_of_run_as_the_original_panic() {
+    let spec = seeded(ClusterSpec::ringlet(2)).backend(Backend::Event);
+    let outcome = std::panic::catch_unwind(|| {
+        run(spec, |r| {
+            r.barrier();
+            if r.rank() == 0 {
+                r.fabric().faults().kill_node(1);
+                let mut req = r.isend(1, 9, &vec![3u8; RDV]).unwrap();
+                let _ = r.wait(&mut req);
+                unreachable!("the engine's panic aborts the run inside wait");
+            }
+            r.barrier();
+        })
+    });
+    let message = panic_message(&*outcome.expect_err("the run must panic"));
+    assert!(
+        message.starts_with("fatal communication error"),
+        "got {message:?}"
+    );
+}
+
+/// A request dropped while its rank unwinds from an unrelated panic must
+/// not panic again (that would abort the process): the drop detaches and
+/// the abort broadcast retires the pooled engine task.
+#[test]
+fn request_dropped_during_unwind_does_not_double_panic() {
+    let spec = seeded(ClusterSpec::ringlet(2)).backend(Backend::Event);
+    let outcome = std::panic::catch_unwind(|| {
+        run(spec, |r| {
+            if r.rank() == 0 {
+                // Never matched: the engine task is parked when we unwind.
+                let _req = r.irecv(Source::Rank(1), TagSel::Value(1), RDV).unwrap();
+                panic!("unrelated failure");
+            }
+            r.barrier();
+        })
+    });
+    let message = panic_message(&*outcome.expect_err("the run must panic"));
+    assert_eq!(message, "unrelated failure");
 }
