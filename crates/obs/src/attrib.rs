@@ -19,9 +19,8 @@
 //! unmarked so forked clocks are not double-counted — their time shows
 //! up at rank level as a request-wait when the completion time merges).
 
-use crate::recorder::{self, is_enabled, with_bound};
+use crate::recorder::{with_bound, with_lane};
 use simclock::{Clock, SimDuration, SimTime};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Buckets for time a rank spends moving its own clock forward.
@@ -130,75 +129,68 @@ impl WaitEvent {
 pub(crate) struct AttribState {
     /// Per-rank busy sums in picoseconds, indexed by [`Bucket`].
     pub(crate) busy: BTreeMap<u32, [u64; BUCKET_COUNT]>,
-    /// Every classified wait, in recording order (order is *not*
-    /// deterministic across threads; consumers must sort).
+    /// Every classified wait, lane by lane in the order the bindings
+    /// dropped (*not* deterministic across threads; consumers must
+    /// sort).
     pub(crate) waits: Vec<WaitEvent>,
     /// Per-rank final clock value at teardown, ps.
     pub(crate) makespans: BTreeMap<u32, u64>,
 }
 
-thread_local! {
-    static THREAD_ATTRIB: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Mark (or unmark) the calling thread as contributing to attribution.
-/// The runtime marks rank threads; engine/helper threads with forked
-/// clocks must stay unmarked to keep the per-rank sums conservative.
+/// Mark (or unmark) the calling thread's binding as contributing to
+/// attribution; no-op when unbound. The runtime marks rank threads;
+/// engine/helper threads with forked clocks must stay unmarked to keep
+/// the per-rank sums conservative.
 pub fn set_thread_attrib(on: bool) {
-    THREAD_ATTRIB.with(|a| a.set(on));
+    with_lane(|lane| lane.attributing = on);
 }
 
-/// Is the calling thread marked for attribution?
+/// Is the calling thread bound and marked for attribution?
 pub fn thread_attrib() -> bool {
-    THREAD_ATTRIB.with(|a| a.get())
+    with_lane(|lane| lane.attributing).unwrap_or(false)
 }
 
 /// Run `f` with attribution suppressed on this thread, restoring the
-/// previous state after. Used around speculative clock excursions that
-/// are later rolled back (e.g. `iget` running on a forked-then-restored
-/// clock), which must not inflate the rank's busy sums.
+/// previous state after (also when `f` unwinds). Used around speculative
+/// clock excursions that are later rolled back (e.g. `iget` running on a
+/// forked-then-restored clock), which must not inflate the rank's busy
+/// sums.
 pub fn paused<R>(f: impl FnOnce() -> R) -> R {
-    let was = thread_attrib();
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_thread_attrib(self.0);
+        }
+    }
+    let _restore = Restore(thread_attrib());
     set_thread_attrib(false);
-    let r = f();
-    set_thread_attrib(was);
-    r
-}
-
-#[inline]
-fn active() -> bool {
-    is_enabled() && thread_attrib()
+    f()
 }
 
 /// Charge `dur` of busy time to `bucket` on the calling thread's rank.
 /// No-op unless the thread is bound to a recorder and marked.
 #[inline]
 pub fn busy(bucket: Bucket, dur: SimDuration) {
-    if !active() || dur.is_zero() {
-        return;
-    }
-    let rank = recorder::thread_rank();
-    with_bound(|r| {
-        let mut st = r.attrib.lock().unwrap();
-        st.busy.entry(rank).or_default()[bucket as usize] += dur.as_ps();
+    with_lane(|lane| {
+        if lane.attributing {
+            lane.busy[bucket as usize] += dur.as_ps();
+        }
     });
 }
 
 /// Record a classified wait over `[start, end)` on the calling thread's
-/// rank. Zero-length waits are dropped. No-op unless active.
+/// rank. Zero-length waits are dropped. No-op unless bound and marked.
 pub fn wait(kind: WaitKind, start: SimTime, end: SimTime, peer: Option<u32>) {
-    if !active() || end <= start {
-        return;
-    }
-    let rank = recorder::thread_rank();
-    with_bound(|r| {
-        r.attrib.lock().unwrap().waits.push(WaitEvent {
-            rank,
-            kind,
-            start_ps: start.as_ps(),
-            end_ps: end.as_ps(),
-            peer,
-        })
+    with_lane(|lane| {
+        if lane.attributing && end > start {
+            lane.waits.push(WaitEvent {
+                rank: lane.rank,
+                kind,
+                start_ps: start.as_ps(),
+                end_ps: end.as_ps(),
+                peer,
+            });
+        }
     });
 }
 
@@ -255,22 +247,24 @@ pub fn record_makespan(rank: u32, t: SimTime) {
 mod tests {
     use super::*;
     use crate::Recorder;
-    use std::sync::Arc;
+    use std::panic::{catch_unwind, resume_unwind};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
-    /// Run `f` on this thread bound to a fresh recorder as an
-    /// attributing rank 0, handing `f` the recorder to inspect.
-    fn with_clean<R>(f: impl FnOnce(&Arc<Recorder>) -> R) -> R {
+    /// Run `f` on this thread bound to a fresh recorder as an attributing
+    /// rank 0; return the recorder once the binding has dropped.
+    fn recorded(f: impl FnOnce()) -> Arc<Recorder> {
         let rec = Recorder::new();
-        let _bound = rec.bind(0);
+        let bound = rec.bind(0);
         set_thread_attrib(true);
-        let r = f(&rec);
-        set_thread_attrib(false);
-        r
+        f();
+        drop(bound);
+        rec
     }
 
     #[test]
     fn helpers_mutate_clock_identically() {
-        with_clean(|_| {
+        recorded(|| {
             let mut a = Clock::new();
             let mut b = Clock::new();
             a.advance(SimDuration::from_ns(50));
@@ -288,7 +282,7 @@ mod tests {
 
     #[test]
     fn busy_and_waits_accumulate_per_rank() {
-        with_clean(|rec| {
+        let rec = recorded(|| {
             let mut c = Clock::new();
             advance(&mut c, Bucket::Compute, SimDuration::from_ns(10));
             advance(&mut c, Bucket::Compute, SimDuration::from_ns(5));
@@ -296,35 +290,39 @@ mod tests {
             merge_waited(&mut c, SimTime::from_ps(100_000), WaitKind::Barrier, None);
             // Merge into the past: no wait recorded.
             merge_waited(&mut c, SimTime::ZERO, WaitKind::Barrier, None);
-            let st = rec.attrib.lock().unwrap();
-            assert_eq!(st.busy.len(), 1);
-            assert_eq!(st.busy[&0][Bucket::Compute as usize], 15_000);
-            assert_eq!(st.busy[&0][Bucket::Transfer as usize], 2_000);
-            let waits = &st.waits;
-            assert_eq!(waits.len(), 1);
-            assert_eq!(waits[0].kind, WaitKind::Barrier);
-            assert_eq!(waits[0].start_ps, 17_000);
-            assert_eq!(waits[0].end_ps, 100_000);
         });
+        let st = rec.attrib.lock().unwrap();
+        assert_eq!(st.busy.len(), 1);
+        assert_eq!(st.busy[&0][Bucket::Compute as usize], 15_000);
+        assert_eq!(st.busy[&0][Bucket::Transfer as usize], 2_000);
+        let waits = &st.waits;
+        assert_eq!(waits.len(), 1);
+        assert_eq!(waits[0].kind, WaitKind::Barrier);
+        assert_eq!(waits[0].start_ps, 17_000);
+        assert_eq!(waits[0].end_ps, 100_000);
     }
 
     #[test]
     fn unmarked_threads_do_not_contribute() {
-        with_clean(|rec| {
+        let rec = recorded(|| {
             paused(|| {
                 let mut c = Clock::new();
                 advance(&mut c, Bucket::Compute, SimDuration::from_ns(10));
                 // The clock still moved (the helper is transparent) ...
                 assert_eq!(c.now(), SimTime::from_ps(10_000));
             });
-            // ... but nothing was attributed.
-            assert!(rec.attrib.lock().unwrap().busy.is_empty());
+            assert!(thread_attrib());
         });
+        // ... but nothing was attributed.
+        assert!(rec.attrib.lock().unwrap().busy.is_empty());
+        // An unbound thread has no mark to set.
+        set_thread_attrib(true);
+        assert!(!thread_attrib());
     }
 
     #[test]
     fn charged_brackets_inner_motion() {
-        with_clean(|rec| {
+        let rec = recorded(|| {
             let mut c = Clock::new();
             let out = charged(&mut c, Bucket::Transfer, |c| {
                 c.advance(SimDuration::from_ns(7));
@@ -332,8 +330,144 @@ mod tests {
                 42
             });
             assert_eq!(out, 42);
-            let st = rec.attrib.lock().unwrap();
-            assert_eq!(st.busy[&0][Bucket::Transfer as usize], 12_000);
         });
+        let st = rec.attrib.lock().unwrap();
+        assert_eq!(st.busy[&0][Bucket::Transfer as usize], 12_000);
+    }
+
+    /// Charge `ns` of compute and record one 1 ns lock wait.
+    fn attribute(ns: u64) {
+        let mut c = Clock::new();
+        advance(&mut c, Bucket::Compute, SimDuration::from_ns(ns));
+        let t = c.now() + SimDuration::from_ns(1);
+        merge_waited(&mut c, t, WaitKind::Lock, None);
+    }
+
+    #[test]
+    fn attribution_stays_in_the_lane_until_the_binding_drops() {
+        let rec = Recorder::new();
+        let bound = rec.bind(4);
+        set_thread_attrib(true);
+        attribute(10);
+        attribute(20);
+        {
+            let st = rec.attrib.lock().unwrap();
+            assert!(st.busy.is_empty() && st.waits.is_empty());
+        }
+        drop(bound);
+        let st = rec.attrib.lock().unwrap();
+        assert_eq!(st.busy[&4], [30_000, 0, 0]);
+        assert_eq!(st.waits.len(), 2);
+        assert!(st.waits.iter().all(|w| w.rank == 4 && w.dur_ps() == 1_000));
+    }
+
+    #[test]
+    fn two_threads_binding_one_rank_fold_into_one_row() {
+        let rec = Recorder::new();
+        std::thread::scope(|s| {
+            for ns in [3, 4] {
+                let rec = &rec;
+                s.spawn(move || {
+                    let _bound = rec.bind(5);
+                    set_thread_attrib(true);
+                    attribute(ns);
+                });
+            }
+        });
+        let st = rec.attrib.lock().unwrap();
+        assert_eq!(st.busy.len(), 1);
+        assert_eq!(st.busy[&5], [7_000, 0, 0]);
+        assert_eq!(st.waits.len(), 2);
+    }
+
+    #[test]
+    fn a_lane_that_attributed_nothing_takes_no_lock_on_drop() {
+        let rec = Recorder::new();
+        let held = rec.attrib.lock().unwrap();
+        let (done, dropped) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let bound = rec.bind(0);
+                set_thread_attrib(true);
+                crate::inc(crate::Counter::EagerSends);
+                crate::span("x", SimTime::ZERO, SimTime::from_ps(10), vec![]);
+                busy(Bucket::Pack, SimDuration::ZERO);
+                wait(WaitKind::Lock, SimTime::ZERO, SimTime::ZERO, None);
+                drop(bound);
+                done.send(()).unwrap();
+            });
+            // Were the drop to lock, it would block until `held` goes.
+            let finished = dropped.recv_timeout(Duration::from_secs(20));
+            drop(held);
+            assert!(finished.is_ok(), "an empty lane's drop waited for the lock");
+        });
+    }
+
+    #[test]
+    fn nested_bindings_restore_the_outer_lane_with_its_sums() {
+        let (outer, inner) = (Recorder::new(), Recorder::new());
+        let o = outer.bind(1);
+        set_thread_attrib(true);
+        attribute(10);
+        {
+            let _i = inner.bind(2);
+            // A fresh binding does not inherit the mark.
+            assert!(!thread_attrib());
+            attribute(100);
+            set_thread_attrib(true);
+            attribute(7);
+        }
+        assert_eq!(inner.attrib.lock().unwrap().busy[&2], [7_000, 0, 0]);
+        assert!(thread_attrib());
+        attribute(5);
+        assert!(outer.attrib.lock().unwrap().busy.is_empty());
+        drop(o);
+        let st = outer.attrib.lock().unwrap();
+        assert_eq!(st.busy.len(), 1);
+        assert_eq!(st.busy[&1], [15_000, 0, 0]);
+        assert_eq!(st.waits.len(), 2);
+    }
+
+    #[test]
+    fn paused_restores_the_mark_when_its_closure_panics() {
+        recorded(|| {
+            // `resume_unwind` unwinds like a panic without the hook's
+            // message on stderr.
+            let out = catch_unwind(|| paused(|| resume_unwind(Box::new("excursion failed"))));
+            assert!(out.is_err());
+            assert!(thread_attrib());
+        });
+    }
+
+    #[test]
+    fn a_binding_dropped_while_unwinding_folds_into_a_poisoned_recorder() {
+        let rec = Recorder::new();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = rec.attrib.lock().unwrap();
+                resume_unwind(Box::new("poison"));
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && rec.attrib.is_poisoned());
+
+        // A second panic inside the unwinding drop would abort the test
+        // process instead of returning from `join`.
+        let rank = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _bound = rec.bind(3);
+                set_thread_attrib(true);
+                attribute(9);
+                resume_unwind(Box::new("rank failed"));
+            })
+            .join()
+        });
+        assert!(rank.is_err());
+        let st = rec
+            .attrib
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        assert_eq!(st.busy[&3], [9_000, 0, 0]);
+        assert_eq!(st.waits.len(), 1);
     }
 }

@@ -12,7 +12,10 @@
 //! Extraction is deterministic: waits are sorted by
 //! `(rank, end, start, kind, peer)` before the walk and every selection
 //! is a maximum under that total order, so same-seed runs produce the
-//! same path byte for byte.
+//! same path byte for byte. The walk costs O(waits · log waits + hops):
+//! each rank owns one range of the sorted table and a pick is a binary
+//! search in it (`tests/critpath_oracle.rs` keeps the scan-per-hop walk
+//! this replaced and holds the two equal).
 
 use crate::attrib::{WaitEvent, WaitKind};
 
@@ -53,10 +56,17 @@ pub struct CriticalPath {
     pub hops: Vec<Hop>,
     /// Sum of wait-hop durations along the path, ps.
     pub total_slack_ps: u64,
+    /// The walk stopped at the hop cap with a dependency still to follow:
+    /// `hops` holds only the newest part of the path and `total_slack_ps`
+    /// covers only that part (`hops[0]` starts after the epoch).
+    pub truncated: bool,
 }
 
-/// Safety valve: a path longer than this is truncated (cannot trigger
-/// in practice because each wait is followed at most once).
+/// The walk stops once it has collected this many hops, which a run whose
+/// path changes rank at every message (a ping-pong) reaches after about
+/// 2 000 messages. It starts at the finish, so the hops nearest the finish
+/// are the ones kept; a step adds up to two hops, so the vector can hold
+/// `MAX_HOPS + 1`.
 const MAX_HOPS: usize = 4096;
 
 /// Extract the critical path from per-rank makespans and the classified
@@ -71,21 +81,49 @@ pub fn extract(makespans: &[(u32, u64)], waits: &[WaitEvent]) -> CriticalPath {
     let mut rank = origin;
 
     let mut sorted: Vec<&WaitEvent> = waits.iter().collect();
-    sorted.sort_by_key(|w| (w.rank, w.end_ps, w.start_ps, w.kind, w.peer));
+    // Waits that compare equal under the key are equal structs.
+    sorted.sort_unstable_by_key(|w| (w.rank, w.end_ps, w.start_ps, w.kind, w.peer));
+    let mut used = vec![false; sorted.len()];
+
+    // `(rank, lo, cursor)`: the range of `sorted` each rank owns. At or
+    // past a rank's cursor every wait is used or ends after `t` — for
+    // good, because `t` never increases along the walk: every arm below
+    // sets it to the start or end of a wait that ended at or before it
+    // (a recorded wait starts before it ends).
+    let mut owned: Vec<(u32, usize, usize)> = Vec::new();
+    for (i, w) in sorted.iter().enumerate() {
+        match owned.last_mut() {
+            Some(range) if range.0 == w.rank => range.2 = i + 1,
+            _ => owned.push((w.rank, i, i + 1)),
+        }
+    }
+    // Barrier waits by `(end, start, rank, position)`: the waits one
+    // barrier released are adjacent, the latest arriver last.
+    let mut barriers: Vec<usize> = (0..sorted.len())
+        .filter(|&i| sorted[i].kind == WaitKind::Barrier)
+        .collect();
+    barriers.sort_unstable_by_key(|&i| (sorted[i].end_ps, sorted[i].start_ps, sorted[i].rank, i));
 
     let mut t = makespan;
     let mut rev: Vec<Hop> = Vec::new();
-    let mut used = vec![false; sorted.len()];
 
-    while rev.len() < MAX_HOPS {
+    let truncated = loop {
+        if rev.len() >= MAX_HOPS {
+            // `t > 0` here: at least the busy time back to the epoch is
+            // dropped.
+            break true;
+        }
         // Latest unused wait on `rank` ending at or before `t`; the sort
-        // order makes "last match wins" the deterministic maximum.
-        let pick = sorted
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| !used[*i] && w.rank == rank && w.end_ps <= t)
-            .map(|(i, _)| i)
-            .next_back();
+        // order makes the last one the deterministic maximum.
+        let range = owned.binary_search_by_key(&rank, |range| range.0).ok();
+        let pick = range.and_then(|r| {
+            let (_, lo, cursor) = &mut owned[r];
+            *cursor = *lo + sorted[*lo..*cursor].partition_point(|w| w.end_ps <= t);
+            while *cursor > *lo && used[*cursor - 1] {
+                *cursor -= 1;
+            }
+            (*cursor > *lo).then(|| *cursor - 1)
+        });
 
         let Some(i) = pick else {
             // No earlier dependency on this timeline: everything back to
@@ -99,7 +137,7 @@ pub fn extract(makespans: &[(u32, u64)], waits: &[WaitEvent]) -> CriticalPath {
                     peer: None,
                 });
             }
-            break;
+            break false;
         };
         used[i] = true;
         let w = sorted[i];
@@ -134,17 +172,16 @@ pub fn extract(makespans: &[(u32, u64)], waits: &[WaitEvent]) -> CriticalPath {
                 // wait with the latest start is the closest proxy for
                 // the last arriver (which itself waited zero time and
                 // left no event).
-                let co = sorted
+                let released = barriers.partition_point(|&j| sorted[j].end_ps <= w.end_ps);
+                let co = barriers[..released]
                     .iter()
-                    .enumerate()
-                    .filter(|(j, v)| {
-                        !used[*j] && v.kind == WaitKind::Barrier && v.end_ps == w.end_ps
-                    })
-                    .max_by_key(|(_, v)| (v.start_ps, v.rank));
-                if let Some((j, v)) = co {
+                    .rev()
+                    .take_while(|&&j| sorted[j].end_ps == w.end_ps)
+                    .find(|&&j| !used[j]);
+                if let Some(&j) = co {
                     used[j] = true;
-                    rank = v.rank;
-                    t = v.start_ps;
+                    rank = sorted[j].rank;
+                    t = sorted[j].start_ps;
                 } else {
                     t = w.start_ps;
                 }
@@ -156,9 +193,9 @@ pub fn extract(makespans: &[(u32, u64)], waits: &[WaitEvent]) -> CriticalPath {
             }
         }
         if t == 0 {
-            break;
+            break false;
         }
-    }
+    };
 
     rev.reverse();
     let total_slack_ps = rev.iter().map(Hop::slack_ps).sum();
@@ -167,6 +204,7 @@ pub fn extract(makespans: &[(u32, u64)], waits: &[WaitEvent]) -> CriticalPath {
         bound_rank: origin,
         hops: rev,
         total_slack_ps,
+        truncated,
     }
 }
 
@@ -291,6 +329,44 @@ mod tests {
         let p = extract(&makespans, &waits);
         assert!(p.hops.len() <= 6);
         assert_eq!(p.makespan_ps, 100);
+    }
+
+    /// A 2-rank ping-pong of `n` messages: each rank waits 60 ps for the
+    /// other's message, which took the other 40 ps of work to send. The
+    /// run ends with the last message's arrival.
+    fn ping_pong(n: u64) -> CriticalPath {
+        let waits: Vec<WaitEvent> = (0..n)
+            .map(|k| {
+                let rank = (k % 2) as u32;
+                let (start, end) = (100 * k + 40, 100 * (k + 1));
+                w(rank, WaitKind::LateSender, start, end, Some(1 - rank))
+            })
+            .collect();
+        let last = ((n - 1) % 2) as u32;
+        extract(&[(last, 100 * n), (1 - last, 100 * n - 60)], &waits)
+    }
+
+    #[test]
+    fn a_path_cut_at_the_hop_cap_says_so_and_keeps_the_newest_hops() {
+        let p = ping_pong(5_000);
+        assert!(p.truncated);
+        // The last wait, then two hops per message: 4 095 hops are short
+        // of the cap and the next step adds two.
+        assert_eq!(p.hops.len(), MAX_HOPS + 1);
+        assert_eq!(p.hops.last().unwrap().end_ps, p.makespan_ps);
+        let kept = MAX_HOPS as u64 / 2 + 1;
+        assert_eq!(p.hops[0].start_ps, 100 * (5_000 - kept) + 40);
+        assert_eq!(p.total_slack_ps, 60 * kept);
+    }
+
+    #[test]
+    fn a_path_short_of_the_cap_reaches_the_epoch() {
+        let p = ping_pong(100);
+        assert!(!p.truncated);
+        assert_eq!(p.hops.len(), 200);
+        assert_eq!(p.hops[0].start_ps, 0);
+        assert_eq!(p.hops.last().unwrap().end_ps, p.makespan_ps);
+        assert_eq!(p.total_slack_ps, 60 * 100);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl Default for Histogram {
     }
 }
 
-/// Bucket index for a duration: 0 for 0, else `65 - leading_zeros` so
+/// Bucket index for a duration: 0 for 0, else `64 - leading_zeros` so
 /// `[2^(i-1), 2^i)` lands in bucket `i`.
 fn bucket_of(dur_ps: u64) -> usize {
     (u64::BITS - dur_ps.leading_zeros()) as usize

@@ -24,6 +24,12 @@
 //! binding, so no handle is threaded through their signatures; on an
 //! unbound thread (recording off, the default) every hook bails after
 //! **one thread-local load** — no locks, no allocation, no formatting.
+//! A bound thread pays per hook, by kind: time attribution
+//! ([`attrib::advance`], [`attrib::merge_waited`]) goes to the binding's
+//! own lane — an add or a push on memory only that thread touches, folded
+//! into the recorder when the binding drops; a counter is one relaxed
+//! atomic add; an event is one lock and one push on the run's event
+//! vector. `examples/hook_cost.rs` measures each.
 //!
 //! ```
 //! use simclock::SimTime;

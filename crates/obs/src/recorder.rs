@@ -6,15 +6,19 @@
 //! hook functions resolve through that thread-local binding, so hooks
 //! deep in the pack/protocol code never thread a handle through their
 //! signatures. An unbound thread pays one thread-local load and a
-//! branch per hook.
+//! branch per hook. A bound thread reaches its lane through that same
+//! load and then pays by kind: attribution stays in the lane (an add or
+//! a push on thread-owned memory, folded into the recorder when the
+//! binding drops), a counter is one relaxed atomic add, an event is one
+//! lock and one push on the run's shared event vector.
 
-use crate::attrib::AttribState;
+use crate::attrib::{AttribState, WaitEvent, BUCKET_COUNT};
 use simclock::SimTime;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The protocol decision points counted by the registry.
 ///
@@ -337,23 +341,59 @@ pub struct Recorder {
     layouts: Mutex<HashSet<u64>>,
 }
 
-thread_local! {
-    /// The recorder this thread's hooks write to and the rank lane its
-    /// events land on, if any.
-    static BOUND: RefCell<Option<(Arc<Recorder>, u32)>> = const { RefCell::new(None) };
+/// What a bound thread holds: its recorder, its rank's trace lane, and
+/// the attribution it has charged since it bound. Only the owning thread
+/// touches a lane, so charging takes no lock; [`Bound`]'s drop folds it
+/// into [`Recorder::attrib`].
+pub(crate) struct Lane {
+    recorder: Arc<Recorder>,
+    pub(crate) rank: u32,
+    /// Does this thread contribute to attribution (see
+    /// [`crate::attrib::set_thread_attrib`])?
+    pub(crate) attributing: bool,
+    /// Busy picoseconds by [`crate::attrib::Bucket`].
+    pub(crate) busy: [u64; BUCKET_COUNT],
+    pub(crate) waits: Vec<WaitEvent>,
 }
 
-/// Keeps the calling thread bound to a [`Recorder`]; dropping it
-/// restores whatever binding (or none) the thread had before.
+impl Lane {
+    /// Add what this lane attributed to its recorder's state, in one lock
+    /// hold — none if it attributed nothing (a request-engine or helper
+    /// binding never does). Runs in `Drop`, possibly while the thread
+    /// unwinds, so it must not panic: a poisoned lock still holds sums
+    /// that every update left valid.
+    fn fold(mut self) {
+        if self.busy == [0; BUCKET_COUNT] && self.waits.is_empty() {
+            return;
+        }
+        let mut st = (self.recorder.attrib.lock()).unwrap_or_else(PoisonError::into_inner);
+        let row = st.busy.entry(self.rank).or_default();
+        for (sum, ps) in row.iter_mut().zip(self.busy) {
+            *sum += ps;
+        }
+        st.waits.append(&mut self.waits);
+    }
+}
+
+thread_local! {
+    /// The calling thread's binding, if any.
+    static LANE: RefCell<Option<Lane>> = const { RefCell::new(None) };
+}
+
+/// Keeps the calling thread bound to a [`Recorder`]; dropping it hands
+/// what the thread attributed to the recorder and restores whatever
+/// binding (or none) the thread had before.
 pub struct Bound {
-    prev: Option<(Arc<Recorder>, u32)>,
+    prev: Option<Lane>,
     /// The binding lives in this thread's locals.
     _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for Bound {
     fn drop(&mut self) {
-        BOUND.set(self.prev.take());
+        if let Some(lane) = LANE.replace(self.prev.take()) {
+            lane.fold();
+        }
     }
 }
 
@@ -370,10 +410,19 @@ impl Recorder {
 
     /// Bind the calling thread to this recorder and to `rank`'s trace
     /// lane until the returned guard drops. `scimpi::run_report` does
-    /// this at the top of every rank and helper thread.
+    /// this at the top of every rank and helper thread. The binding
+    /// starts out not attributing; what it attributes reaches the
+    /// recorder when the guard drops.
     pub fn bind(self: &Arc<Self>, rank: u32) -> Bound {
+        let lane = Lane {
+            recorder: Arc::clone(self),
+            rank,
+            attributing: false,
+            busy: [0; BUCKET_COUNT],
+            waits: Vec::new(),
+        };
         Bound {
-            prev: BOUND.replace(Some((Arc::clone(self), rank))),
+            prev: LANE.replace(Some(lane)),
             _not_send: PhantomData,
         }
     }
@@ -395,26 +444,29 @@ impl Recorder {
     }
 }
 
+/// Run `f` on the calling thread's lane, if it is bound. `f` must not
+/// call back into a hook.
+#[inline]
+pub(crate) fn with_lane<R>(f: impl FnOnce(&mut Lane) -> R) -> Option<R> {
+    LANE.with_borrow_mut(|lane| lane.as_mut().map(f))
+}
+
 /// Run `f` on the calling thread's recorder, if it is bound to one.
 #[inline]
 pub(crate) fn with_bound(f: impl FnOnce(&Recorder)) {
-    BOUND.with_borrow(|b| {
-        if let Some((r, _)) = b {
-            f(r)
-        }
-    });
+    with_lane(|lane| f(&lane.recorder));
 }
 
 /// The rank lane the calling thread is bound to (0 if unbound).
 pub fn thread_rank() -> u32 {
-    BOUND.with_borrow(|b| b.as_ref().map_or(0, |b| b.1))
+    with_lane(|lane| lane.rank).unwrap_or(0)
 }
 
 /// Is the calling thread bound to a recorder? When not, every hook is
 /// this one thread-local load and a branch.
 #[inline]
 pub fn is_enabled() -> bool {
-    BOUND.with_borrow(Option::is_some)
+    LANE.with_borrow(Option::is_some)
 }
 
 /// Increment a counter by one. No-op when unbound.
@@ -468,9 +520,9 @@ pub fn instant(name: &'static str, at: SimTime, args: Vec<(&'static str, Arg)>) 
 }
 
 fn push_event(name: &'static str, kind: EventKind, at: SimTime, args: Vec<(&'static str, Arg)>) {
-    with_bound(|r| {
-        r.events.lock().unwrap().push(TraceEvent {
-            rank: thread_rank(),
+    with_lane(|lane| {
+        lane.recorder.events.lock().unwrap().push(TraceEvent {
+            rank: lane.rank,
             name,
             kind,
             ts_ps: at.as_ps(),

@@ -255,6 +255,12 @@ pub fn render_critical_path(p: &Profile) -> String {
         cp.makespan_ps as f64 / 1e6,
         cp.total_slack_ps as f64 / 1e6
     );
+    if cp.truncated {
+        out.push_str(&format!(
+            "  (newest {} hops kept, older ones dropped; the slack covers the kept hops)\n",
+            cp.hops.len()
+        ));
+    }
     for h in &cp.hops {
         let label = match (h.wait, h.peer) {
             (Some(k), Some(peer)) => format!("wait[{}] on rank {}", k.name(), peer),

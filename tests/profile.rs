@@ -4,7 +4,9 @@
 //! conservative — `compute + pack + transfer + wait + other ==
 //! makespan`, exactly, for every rank.
 
-use scimpi::{run, run_report, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
+use scimpi::{
+    run, run_report, Backend, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory,
+};
 use simclock::{SimDuration, SimTime};
 
 const RANKS: usize = 4;
@@ -69,6 +71,31 @@ fn workload(r: &mut Rank) -> SimTime {
     r.now()
 }
 
+/// Every rank's decomposition sums to its makespan exactly, the makespan
+/// is the rank's final clock value, and some of it is busy time.
+fn assert_conservative(profile: &obs::Profile, finished: &[SimTime]) {
+    assert_eq!(profile.ranks.len(), finished.len());
+    for p in &profile.ranks {
+        assert_eq!(
+            p.total_busy_ps() + p.total_wait_ps() + p.other_ps,
+            p.makespan_ps,
+            "rank {} decomposition does not sum to its makespan",
+            p.rank
+        );
+        assert_eq!(
+            p.makespan_ps,
+            finished[p.rank as usize].as_ps(),
+            "rank {} profiled makespan disagrees with its clock",
+            p.rank
+        );
+        assert!(
+            p.total_busy_ps() > 0,
+            "rank {} recorded no busy time",
+            p.rank
+        );
+    }
+}
+
 fn spec(obs: ObsConfig) -> ClusterSpec {
     let mut spec = ClusterSpec::ringlet(RANKS).obs(obs);
     spec.seed = 20020415;
@@ -92,26 +119,7 @@ fn profiler_is_deterministic_and_conservative() {
     // --- 2. Conservation: every rank's decomposition sums to its
     // makespan exactly, with real time in every class this workload
     // exercises. ---
-    assert_eq!(conservation.ranks.len(), RANKS);
-    for p in &conservation.ranks {
-        assert_eq!(
-            p.total_busy_ps() + p.total_wait_ps() + p.other_ps,
-            p.makespan_ps,
-            "rank {} decomposition does not sum to its makespan",
-            p.rank
-        );
-        assert_eq!(
-            p.makespan_ps,
-            with_obs[p.rank as usize].as_ps(),
-            "rank {} profiled makespan disagrees with its clock",
-            p.rank
-        );
-        assert!(
-            p.total_busy_ps() > 0,
-            "rank {} recorded no busy time",
-            p.rank
-        );
-    }
+    assert_conservative(&conservation, &with_obs);
     // The skewed grains force someone to wait.
     assert!(conservation.total_wait_ps() > 0, "no wait time classified");
     assert!(
@@ -135,4 +143,59 @@ fn profiler_is_deterministic_and_conservative() {
     );
     assert_eq!(written, again.profile_json(), "file is not the report");
     assert_eq!(written, first_json, "same-seed PROFILE documents differ");
+}
+
+/// A 2-rank ping-pong long enough that its critical path — which changes
+/// rank at every message — runs into the extraction's hop cap, and that
+/// each rank thread hands a few thousand waits to the recorder when its
+/// binding drops.
+#[test]
+fn long_ping_pong_profile_is_exact_deterministic_and_says_it_is_truncated() {
+    const ROUND_TRIPS: usize = 3_000;
+    fn ping_pong(r: &mut Rank) -> SimTime {
+        let peer = 1 - r.rank();
+        let mut buf = [r.rank() as u8; 64];
+        for _ in 0..ROUND_TRIPS {
+            if r.rank() == 0 {
+                r.send(peer, 3, &buf).unwrap();
+                r.recv(Source::Rank(peer), TagSel::Value(3), &mut buf)
+                    .unwrap();
+            } else {
+                r.recv(Source::Rank(peer), TagSel::Value(3), &mut buf)
+                    .unwrap();
+                r.send(peer, 3, &buf).unwrap();
+            }
+        }
+        r.now()
+    }
+    let spec = |obs| {
+        let mut spec = ClusterSpec::ringlet(2).backend(Backend::Event).obs(obs);
+        spec.seed = 20020415;
+        spec
+    };
+
+    let (with_obs, report) = run_report(spec(ObsConfig::enabled()), ping_pong);
+    let without_obs = run(spec(ObsConfig::disabled()), ping_pong);
+    assert_eq!(
+        with_obs, without_obs,
+        "recording attribution perturbed virtual time"
+    );
+
+    let json = report.profile_json();
+    let profile = report.profile.expect("profile built at teardown");
+    assert_conservative(&profile, &with_obs);
+    assert!(profile.ranks.iter().all(|p| p.total_wait_ps() > 0));
+
+    let path = &profile.critical_path;
+    assert!(path.truncated, "{} hops and not truncated", path.hops.len());
+    assert_eq!(path.hops.last().unwrap().end_ps, path.makespan_ps);
+    assert!(path.hops[0].start_ps > 0);
+    assert!(obs::report::render_critical_path(&profile).contains("hops kept, older ones dropped"));
+
+    let (_, again) = run_report(spec(ObsConfig::enabled()), ping_pong);
+    assert_eq!(
+        json,
+        again.profile_json(),
+        "same-seed PROFILE documents differ"
+    );
 }
