@@ -687,3 +687,242 @@ mod tests {
         assert_eq!(got, 100);
     }
 }
+
+/// Thread-arm stress: two OS threads (no scheduler, so every wait is a
+/// real-time slice) driving the public verbs hard enough that a lost
+/// wake-up, a double pop or a slice expiry with side effects shows.
+#[cfg(test)]
+mod thread_arm_stress {
+    use super::*;
+    use std::sync::Arc;
+    use std::thread;
+    use std::time::Duration;
+
+    const ROUNDS: u64 = 20_000;
+    const SLICE: Duration = Duration::from_millis(1);
+    /// A slice no healthy hand-off outlives: an expiry is a lost wake-up.
+    const PATIENT: Duration = Duration::from_secs(60);
+
+    fn env(src: usize, tag: Tag, seq: u64) -> Envelope {
+        Envelope {
+            src,
+            tag,
+            arrival: SimTime::from_ps(seq),
+            head: Head::Eager {
+                data: vec![],
+                blocks: 0,
+                crc: None,
+            },
+        }
+    }
+
+    /// `rounds` envelope round trips between two mailboxes, each side
+    /// retrying on slice expiry; returns how many slices expired.
+    fn envelope_ping_pong(rounds: u64, slice: Duration) -> u64 {
+        let boxes = Arc::new([Mailbox::new(), Mailbox::new()]);
+        let side = |me: usize| {
+            let boxes = Arc::clone(&boxes);
+            thread::spawn(move || {
+                let (mine, theirs) = (&boxes[me], &boxes[1 - me]);
+                let mut expired = 0;
+                for i in 0..rounds {
+                    let tag = (i % 5) as Tag;
+                    if me == 0 {
+                        theirs.post(env(me, tag, i));
+                    }
+                    let got = loop {
+                        let now = SimTime::from_ps(i);
+                        match mine.match_recv_for(
+                            Source::Rank(1 - me),
+                            TagSel::Value(tag),
+                            slice,
+                            now,
+                        ) {
+                            Some(e) => break e,
+                            None => expired += 1,
+                        }
+                    };
+                    assert_eq!((got.src, got.tag), (1 - me, tag));
+                    assert_eq!(got.arrival, SimTime::from_ps(i), "round {i}");
+                    if me == 1 {
+                        theirs.post(env(me, tag, i));
+                    }
+                }
+                expired
+            })
+        };
+        let (a, b) = (side(0), side(1));
+        let expired = a.join().unwrap() + b.join().unwrap();
+        assert_eq!((boxes[0].backlog(), boxes[1].backlog()), (0, 0));
+        expired
+    }
+
+    #[test]
+    fn envelope_hand_offs_lose_no_wake_up() {
+        assert_eq!(envelope_ping_pong(2_000, PATIENT), 0);
+    }
+
+    #[test]
+    fn envelope_ping_pong_with_1ms_slices() {
+        envelope_ping_pong(ROUNDS, SLICE);
+    }
+
+    #[test]
+    fn streamed_envelopes_match_once_each_in_order_per_tag() {
+        // The producer runs free, so the queue is deep and the consumer's
+        // pattern skips over envelopes of the other tags.
+        const TAGS: u64 = 4;
+        let mb = Arc::new(Mailbox::new());
+        let producer = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    mb.post(env(0, (i % TAGS) as Tag, i));
+                }
+            })
+        };
+        // Tag by tag, last tag first: each pass leaves the rest queued.
+        for tag in (0..TAGS).rev() {
+            for k in 0..ROUNDS / TAGS {
+                let got = loop {
+                    let sel = TagSel::Value(tag as Tag);
+                    if let Some(e) = mb.match_recv_for(Source::Rank(0), sel, SLICE, SimTime::ZERO) {
+                        break e;
+                    }
+                };
+                assert_eq!(got.arrival, SimTime::from_ps(k * TAGS + tag));
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(mb.backlog(), 0, "an envelope was matched twice or never");
+    }
+
+    #[test]
+    fn posted_receives_claim_streamed_envelopes_in_posted_order() {
+        let mb = Arc::new(Mailbox::new());
+        let producer = {
+            let mb = Arc::clone(&mb);
+            thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    mb.post(env((i % 3) as usize, 9, i));
+                }
+            })
+        };
+        for i in 0..ROUNDS {
+            // A wildcard and a source-specific receive alternate; both
+            // must take the oldest envelope that satisfies them.
+            let src = if i % 2 == 0 {
+                Source::Any
+            } else {
+                Source::Rank((i % 3) as usize)
+            };
+            let ticket = mb.post_recv(src, TagSel::Value(9));
+            let got = loop {
+                if let Some(e) = mb.match_recv_posted_for(ticket, SLICE, SimTime::ZERO) {
+                    break e;
+                }
+            };
+            if let Source::Rank(r) = src {
+                assert_eq!(got.src, r);
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(mb.backlog(), 0);
+    }
+
+    /// `rounds` ctrl-packet round trips on rotating handles.
+    fn ctrl_ping_pong(rounds: u64, slice: Duration) -> u64 {
+        let boxes = Arc::new([Mailbox::new(), Mailbox::new()]);
+        let side = |me: usize| {
+            let boxes = Arc::clone(&boxes);
+            thread::spawn(move || {
+                let (mine, theirs) = (&boxes[me], &boxes[1 - me]);
+                let mut expired = 0;
+                for i in 0..rounds {
+                    let handle = i % 3;
+                    let signal = Ctrl::Signal {
+                        arrival: SimTime::from_ps(i),
+                        data: vec![me as u8],
+                    };
+                    if me == 0 {
+                        theirs.post_ctrl(handle, signal);
+                    }
+                    let got = loop {
+                        match mine.wait_ctrl_for(handle, slice) {
+                            Some(c) => break c,
+                            None => expired += 1,
+                        }
+                    };
+                    match got {
+                        Ctrl::Signal { arrival, data } => {
+                            assert_eq!(arrival, SimTime::from_ps(i), "round {i}");
+                            assert_eq!(data, vec![(1 - me) as u8]);
+                        }
+                        other => panic!("unexpected packet {other:?}"),
+                    }
+                    if me == 1 {
+                        let arrival = SimTime::from_ps(i);
+                        theirs.post_ctrl(
+                            handle,
+                            Ctrl::Signal {
+                                arrival,
+                                data: vec![1],
+                            },
+                        );
+                    }
+                }
+                expired
+            })
+        };
+        let (a, b) = (side(0), side(1));
+        let expired = a.join().unwrap() + b.join().unwrap();
+        for mb in boxes.iter() {
+            for handle in 0..3 {
+                assert!(mb.wait_ctrl_for(handle, Duration::ZERO).is_none());
+            }
+        }
+        expired
+    }
+
+    #[test]
+    fn ctrl_hand_offs_lose_no_wake_up() {
+        assert_eq!(ctrl_ping_pong(2_000, PATIENT), 0);
+    }
+
+    #[test]
+    fn ctrl_ping_pong_with_1ms_slices() {
+        ctrl_ping_pong(ROUNDS, SLICE);
+    }
+
+    #[test]
+    fn slice_expiry_returns_none_and_leaves_the_queues_alone() {
+        let mb = Mailbox::new();
+        mb.post(env(1, 10, 0));
+        mb.post_ctrl(
+            7,
+            Ctrl::Cts {
+                arrival: SimTime::ZERO,
+            },
+        );
+        let ticket = mb.post_recv(Source::Rank(2), TagSel::Any);
+        for slice in [Duration::ZERO, SLICE] {
+            let now = SimTime::from_ps(5);
+            assert!(mb
+                .match_recv_for(Source::Rank(2), TagSel::Any, slice, now)
+                .is_none());
+            assert!(mb.match_recv_posted_for(ticket, slice, now).is_none());
+            assert!(mb.wait_ctrl_for(8, slice).is_none());
+        }
+        assert_eq!(mb.backlog(), 1);
+        assert!(mb.probe(Source::Rank(1), TagSel::Value(10)).is_some());
+        assert!(matches!(mb.wait_ctrl_for(7, SLICE), Some(Ctrl::Cts { .. })));
+        // The posted receive is still registered: it claims its envelope.
+        mb.post(env(2, 3, 1));
+        assert_eq!(
+            mb.match_recv_posted_for(ticket, SLICE, SimTime::ZERO)
+                .unwrap()
+                .src,
+            2
+        );
+    }
+}

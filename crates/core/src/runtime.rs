@@ -1562,3 +1562,143 @@ mod tests {
         );
     }
 }
+
+/// Thread-arm stress for the pair primitives: two OS threads with no
+/// scheduler, 1 ms slices (see `mailbox::thread_arm_stress`).
+#[cfg(test)]
+mod thread_arm_stress {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    const ROUNDS: u64 = 20_000;
+    const SLICE: Duration = Duration::from_millis(1);
+    const SLOTS: usize = 2;
+
+    fn ring() -> Arc<PairRing> {
+        let fabric = Fabric::new(FabricSpec {
+            topology: Topology::ringlet(2),
+            ..FabricSpec::default()
+        });
+        let region = SmiWorld::one_per_node(fabric).create_region(ProcId(1), SLOTS * 64);
+        Arc::new(PairRing::new(region, SLOTS, 64))
+    }
+
+    #[test]
+    fn ring_slots_are_held_once_and_their_free_times_merged() {
+        let ring = ring();
+        let held: Arc<[AtomicBool; SLOTS]> = Arc::default();
+        let (filled, drain) = mpsc::channel::<(usize, u64)>();
+        let receiver = {
+            let (ring, held) = (Arc::clone(&ring), Arc::clone(&held));
+            thread::spawn(move || {
+                for (slot, i) in drain {
+                    assert!(
+                        held[slot].swap(false, Ordering::SeqCst),
+                        "slot {slot} not held"
+                    );
+                    ring.release(slot, SimTime::from_ps(1_000 * (i + 1)));
+                }
+            })
+        };
+        let mut clock = Clock::new();
+        for i in 0..ROUNDS {
+            let slot = loop {
+                let before = clock.now();
+                match ring.acquire_for(&mut clock, SLICE) {
+                    Some(s) => break s,
+                    None => assert_eq!(clock.now(), before, "an expired slice moved the clock"),
+                }
+            };
+            assert!(
+                !held[slot].swap(true, Ordering::SeqCst),
+                "slot {slot} handed out twice"
+            );
+            // The slot's previous tenant was message `i - SLOTS`.
+            if i >= SLOTS as u64 {
+                assert!(clock.now() >= SimTime::from_ps(1_000 * (i + 1 - SLOTS as u64)));
+            }
+            filled.send((slot, i)).unwrap();
+        }
+        drop(filled);
+        receiver.join().unwrap();
+        // Every slot came back exactly once; the free list is whole.
+        let mut free: Vec<usize> = (0..SLOTS)
+            .map(|_| {
+                ring.acquire_for(&mut clock, Duration::ZERO)
+                    .expect("slot free")
+            })
+            .collect();
+        free.sort_unstable();
+        assert_eq!(free, (0..SLOTS).collect::<Vec<_>>());
+        let before = clock.now();
+        assert_eq!(ring.acquire_for(&mut clock, SLICE), None);
+        assert_eq!(clock.now(), before);
+    }
+
+    #[test]
+    fn send_turns_come_up_in_ticket_order_across_threads() {
+        let ring = ring();
+        for i in 0..ROUNDS {
+            assert_eq!(ring.take_turn_ticket(), i);
+        }
+        let order = Arc::new(AtomicU64::new(0));
+        let side = |parity: u64| {
+            let (ring, order) = (Arc::clone(&ring), Arc::clone(&order));
+            thread::spawn(move || {
+                for ticket in (parity..ROUNDS).step_by(2) {
+                    let turn = ring.await_turn(ticket);
+                    assert_eq!(order.fetch_add(1, Ordering::SeqCst), ticket);
+                    drop(turn);
+                }
+            })
+        };
+        let (even, odd) = (side(0), side(1));
+        even.join().unwrap();
+        odd.join().unwrap();
+        assert_eq!(order.load(Ordering::SeqCst), ROUNDS);
+    }
+
+    #[test]
+    fn credit_grants_are_popped_once_each() {
+        const LEN: usize = 300;
+        let credits = Arc::new(PairCredits::new(1_000, 4));
+        let (sent, matched) = mpsc::channel::<u64>();
+        let receiver = {
+            let credits = Arc::clone(&credits);
+            thread::spawn(move || {
+                for i in matched {
+                    credits.deposit(LEN, SimTime::from_ps(i));
+                }
+            })
+        };
+        let mut popped = 0u64;
+        let mut last_grant = None;
+        for i in 0..ROUNDS {
+            while !credits.try_consume(LEN) {
+                let before = credits.available();
+                match credits.await_grant_for(SLICE) {
+                    Some((len, at)) => {
+                        assert_eq!(len, LEN);
+                        // FIFO: grants come back in deposit order.
+                        assert!(last_grant < Some(at), "grant {at:?} popped twice or late");
+                        last_grant = Some(at);
+                        popped += 1;
+                        credits.restore(len);
+                    }
+                    None => assert_eq!(credits.available(), before),
+                }
+            }
+            sent.send(i).unwrap();
+        }
+        drop(sent);
+        receiver.join().unwrap();
+        while credits.await_grant_for(Duration::ZERO).is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, ROUNDS, "a grant was lost or popped twice");
+        assert!(credits.await_grant_for(SLICE).is_none());
+    }
+}

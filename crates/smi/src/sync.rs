@@ -489,3 +489,88 @@ mod tests {
         assert_eq!(t.join().unwrap(), c2.now());
     }
 }
+
+/// Thread-arm stress: OS threads with no scheduler, so every wait is the
+/// condvar's (see `scimpi`'s `mailbox::thread_arm_stress`).
+#[cfg(test)]
+mod thread_arm_stress {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::thread;
+
+    #[test]
+    fn a_withdrawn_party_leaves_the_generation_for_the_others_to_finish() {
+        // Each round: party 1 arrives and blocks; party 2 arrives
+        // cancellable and withdraws; only then does party 0 arrive (the
+        // channel forces it, or 2 could be the last arriver and complete
+        // instead), 2 arrives again and the generation completes. A
+        // second, plain generation follows: 300 in all.
+        const ROUNDS: u64 = 150;
+        let barrier = Arc::new(TimeBarrier::new(3, SimDuration::from_us(1)));
+        let (withdrawn, seen) = mpsc::channel::<()>();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let party = |me: u64, withdrawn: Option<mpsc::Sender<()>>| {
+            let (barrier, cancel) = (Arc::clone(&barrier), Arc::clone(&cancel));
+            thread::spawn(move || {
+                let mut clock = Clock::new();
+                let mut out = Vec::new();
+                for round in 0..ROUNDS {
+                    clock.advance(SimDuration::from_us(1 + me));
+                    if let Some(withdrawn) = &withdrawn {
+                        let at = clock.now() + SimDuration::from_us(3);
+                        let polled = barrier.wait_cancel(&mut clock, || {
+                            cancel.load(Ordering::SeqCst).then_some(at)
+                        });
+                        assert_eq!(polled, Err(at), "round {round}");
+                        cancel.store(false, Ordering::SeqCst);
+                        withdrawn.send(()).unwrap();
+                    }
+                    barrier.wait(&mut clock);
+                    out.push(clock.now());
+                    assert!(barrier.wait_cancel(&mut clock, || None).is_ok());
+                    out.push(clock.now());
+                }
+                out
+            })
+        };
+        let (one, two) = (party(1, None), party(2, Some(withdrawn)));
+        let mut clock = Clock::new();
+        let mut mine = Vec::new();
+        for _ in 0..ROUNDS {
+            clock.advance(SimDuration::from_us(1));
+            cancel.store(true, Ordering::SeqCst);
+            seen.recv().unwrap();
+            barrier.wait(&mut clock);
+            mine.push(clock.now());
+            barrier.wait(&mut clock);
+            mine.push(clock.now());
+        }
+        assert_eq!(mine.len() as u64, 2 * ROUNDS);
+        assert_eq!(one.join().unwrap(), mine);
+        assert_eq!(two.join().unwrap(), mine);
+        assert!(mine.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn a_waiter_on_a_poisoned_barrier_panics_instead_of_hanging() {
+        // Three parties, so neither arrival below is the leader. The
+        // second one's `cancel` runs under the state lock and panics.
+        let barrier = Arc::new(TimeBarrier::new(3, SimDuration::ZERO));
+        let waiter = {
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || barrier.wait_cancel(&mut Clock::new(), || None))
+        };
+        let poisoner = {
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || {
+                barrier.wait_cancel(&mut Clock::new(), || panic!("cancel panicked"))
+            })
+        };
+        assert!(poisoner.join().is_err());
+        // Asleep by now or not yet arrived: either way it must find out.
+        assert!(waiter.join().is_err());
+        let late = thread::spawn(move || barrier.wait(&mut Clock::new()));
+        assert!(late.join().is_err());
+    }
+}
