@@ -115,6 +115,9 @@ fn main() {
         stats.tasks_high_water, ranks,
         "every rank must be a live task at the first barrier"
     );
+    // Every waiter is a task: a wake is a load, never a `futex_wake`
+    // whose cost grows with the parked threads (docs/SCHEDULER.md).
+    assert_eq!(stats.thread_notifies, 0, "a wake found a thread asleep");
 
     let json = format!(
         "{{\"bench\":\"megascale\",\"backend\":\"event\",\"ranks\":{ranks},\

@@ -14,7 +14,7 @@
 
 use simclock::SimTime;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// MPI message tag.
 pub type Tag = i32;
@@ -221,9 +221,7 @@ fn env_matches(e: &Envelope, src: Source, tag: TagSel) -> bool {
 #[derive(Default)]
 pub struct Mailbox {
     q: Mutex<Queues>,
-    cv: Condvar,
-    /// Event-backend tasks parked on an empty match (`docs/SCHEDULER.md`);
-    /// empty — and the wakes free — under the thread backend.
+    /// Whoever waits for a match or a protocol packet (`docs/SCHEDULER.md`).
     waiters: sched::WaitQueue,
 }
 
@@ -239,7 +237,6 @@ impl Mailbox {
         q.log_posted(&env);
         q.msgs.push_back(env);
         drop(q);
-        self.cv.notify_all();
         self.waiters.wake_all();
     }
 
@@ -252,41 +249,42 @@ impl Mailbox {
             .entry(handle)
             .or_default()
             .push_back(ctrl);
-        self.cv.notify_all();
         self.waiters.wake_all();
     }
 
-    /// Block until an envelope matching `(src, tag)` is available and
-    /// remove it (first match in arrival order — MPI non-overtaking).
-    /// `now` is the caller's virtual time at the call, feeding the
-    /// backlog gauge (it never affects matching or the clock).
-    pub fn match_recv(&self, src: Source, tag: TagSel, now: SimTime) -> Envelope {
+    /// Take what `take` finds in the queues, waiting for it (a task parks
+    /// at `at`, a thread sleeps up to `slice`) until a wait stalls.
+    fn take_for<T>(
+        &self,
+        at: Option<SimTime>,
+        slice: std::time::Duration,
+        mut take: impl FnMut(&mut Queues) -> Option<T>,
+    ) -> Option<T> {
         let mut q = self.q.lock().unwrap();
         loop {
-            if let Some(idx) = q.msgs.iter().position(|e| {
-                (match src {
-                    Source::Any => true,
-                    Source::Rank(r) => e.src == r,
-                }) && (match tag {
-                    TagSel::Any => true,
-                    TagSel::Value(t) => e.tag == t,
-                })
-            }) {
-                let env = q.msgs.remove(idx).expect("index valid under lock");
-                q.log_removed(&env, now);
-                return env;
+            if let Some(found) = take(&mut q) {
+                return Some(found);
             }
-            q = self.cv.wait(q).unwrap();
+            let (relocked, wake) = self.waiters.wait(&self.q, q, at, slice);
+            if wake == sched::Wake::Stalled {
+                return None;
+            }
+            q = relocked;
         }
     }
 
-    /// Like [`Self::match_recv`], but give up after `timeout` of *real*
-    /// time. Returns `None` on expiry without removing anything.
+    /// Wait for an envelope matching `(src, tag)` and remove it (first
+    /// match in arrival order — MPI non-overtaking), giving up when a
+    /// wait stalls: a scheduler stall round for a task, `timeout` of
+    /// *real* time without a post for a thread. Returns `None` then,
+    /// without removing anything. `now` is the caller's virtual time at
+    /// the call: a task parks at it, and it feeds the backlog gauge (it
+    /// never affects matching or the clock).
     ///
     /// The timeout is a polling slice, not a protocol decision: callers
     /// loop on it, checking peer liveness between slices, and charge
     /// virtual time only from the deterministic timeout schedule — never
-    /// from real-time expiry.
+    /// from real-time expiry. A zero timeout checks once and never waits.
     pub fn match_recv_for(
         &self,
         src: Source,
@@ -294,47 +292,12 @@ impl Mailbox {
         timeout: std::time::Duration,
         now: SimTime,
     ) -> Option<Envelope> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            // Event backend: park instead of polling real time. A stall
-            // round plays the role of slice expiry — return None so the
-            // caller re-checks liveness, exactly like a timed-out wait.
-            let mut q = self.q.lock().unwrap();
-            loop {
-                if let Some(idx) = q.msgs.iter().position(|e| env_matches(e, src, tag)) {
-                    let env = q.msgs.remove(idx).expect("index valid under lock");
-                    q.log_removed(&env, now);
-                    return Some(env);
-                }
-                self.waiters.register_current();
-                drop(q);
-                if sched::park(now) == sched::Wake::Stalled {
-                    return None;
-                }
-                q = self.q.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(idx) = q.msgs.iter().position(|e| {
-                (match src {
-                    Source::Any => true,
-                    Source::Rank(r) => e.src == r,
-                }) && (match tag {
-                    TagSel::Any => true,
-                    TagSel::Value(t) => e.tag == t,
-                })
-            }) {
-                let env = q.msgs.remove(idx).expect("index valid under lock");
-                q.log_removed(&env, now);
-                return Some(env);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            q = self.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
+        self.take_for(Some(now), timeout, |q| {
+            let idx = q.msgs.iter().position(|e| env_matches(e, src, tag))?;
+            let env = q.msgs.remove(idx).expect("index valid under lock");
+            q.log_removed(&env, now);
+            Some(env)
+        })
     }
 
     /// Non-blocking probe: does a matching envelope exist? Returns its
@@ -343,82 +306,29 @@ impl Mailbox {
         let q = self.q.lock().unwrap();
         q.msgs
             .iter()
-            .find(|e| {
-                (match src {
-                    Source::Any => true,
-                    Source::Rank(r) => e.src == r,
-                }) && (match tag {
-                    TagSel::Any => true,
-                    TagSel::Value(t) => e.tag == t,
-                })
-            })
+            .find(|e| env_matches(e, src, tag))
             .map(|e| (e.src, e.tag, e.arrival))
     }
 
-    /// Block until a protocol packet for `handle` arrives and remove it.
-    pub fn wait_ctrl(&self, handle: u64) -> Ctrl {
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(dq) = q.ctrl.get_mut(&handle) {
-                if let Some(c) = dq.pop_front() {
-                    if dq.is_empty() {
-                        q.ctrl.remove(&handle);
-                    }
-                    return c;
-                }
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Like [`Self::wait_ctrl`], but give up after `timeout` of *real*
-    /// time. Returns `None` on expiry. See [`Self::match_recv_for`] for
-    /// the virtual-time contract.
+    /// Wait for a protocol packet for `handle` and remove it; `None` when
+    /// a wait stalls. See [`Self::match_recv_for`] for the virtual-time
+    /// contract. Ctrl waits carry no timestamp of their own: a task parks
+    /// at its last recorded virtual time.
     pub fn wait_ctrl_for(&self, handle: u64, timeout: std::time::Duration) -> Option<Ctrl> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut q = self.q.lock().unwrap();
-            loop {
-                if let Some(dq) = q.ctrl.get_mut(&handle) {
-                    if let Some(c) = dq.pop_front() {
-                        if dq.is_empty() {
-                            q.ctrl.remove(&handle);
-                        }
-                        return Some(c);
-                    }
-                }
-                self.waiters.register_current();
-                drop(q);
-                // Ctrl waits carry no timestamp of their own: park at the
-                // task's last recorded virtual time.
-                if sched::park_stale() == sched::Wake::Stalled {
-                    return None;
-                }
-                q = self.q.lock().unwrap();
+        self.take_for(None, timeout, |q| {
+            let dq = q.ctrl.get_mut(&handle)?;
+            let c = dq.pop_front()?;
+            if dq.is_empty() {
+                q.ctrl.remove(&handle);
             }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(dq) = q.ctrl.get_mut(&handle) {
-                if let Some(c) = dq.pop_front() {
-                    if dq.is_empty() {
-                        q.ctrl.remove(&handle);
-                    }
-                    return Some(c);
-                }
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            q = self.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
+            Some(c)
+        })
     }
 
     /// Register a receive in the posted-receive queue. Must be called on
     /// the posting rank's own thread so tickets reflect program order;
-    /// the matching itself ([`Self::match_recv_posted`]) may then run on
-    /// an engine thread.
+    /// the matching itself ([`Self::match_recv_posted_for`]) may then run
+    /// on an engine thread.
     pub fn post_recv(&self, src: Source, tag: TagSel) -> u64 {
         let mut q = self.q.lock().unwrap();
         let ticket = q.next_ticket;
@@ -435,69 +345,29 @@ impl Mailbox {
         if let Some(i) = q.posted.iter().position(|p| p.ticket == ticket) {
             q.posted.remove(i);
             drop(q);
-            self.cv.notify_all();
             self.waiters.wake_all();
         }
     }
 
-    /// Block until the posted receive `ticket` can claim an envelope (no
-    /// earlier-posted unmatched receive also matches it) and remove it.
-    pub fn match_recv_posted(&self, ticket: u64, now: SimTime) -> Envelope {
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(env) = q.gated_match(ticket) {
-                q.log_removed(&env, now);
-                // Our posted entry left the queue: later receives it was
-                // shadowing may now be eligible.
-                self.cv.notify_all();
-                self.waiters.wake_all();
-                return env;
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Like [`Self::match_recv_posted`], but give up after `timeout` of
-    /// *real* time (polling slice — see [`Self::match_recv_for`] for the
-    /// virtual-time contract). The posted entry stays registered on
-    /// expiry.
+    /// Wait until the posted receive `ticket` can claim an envelope (no
+    /// earlier-posted unmatched receive also matches it) and remove it;
+    /// `None` when a wait stalls (polling slice — see
+    /// [`Self::match_recv_for`] for the virtual-time contract). The posted
+    /// entry stays registered then.
     pub fn match_recv_posted_for(
         &self,
         ticket: u64,
         timeout: std::time::Duration,
         now: SimTime,
     ) -> Option<Envelope> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut q = self.q.lock().unwrap();
-            loop {
-                if let Some(env) = q.gated_match(ticket) {
-                    q.log_removed(&env, now);
-                    self.cv.notify_all();
-                    self.waiters.wake_all();
-                    return Some(env);
-                }
-                self.waiters.register_current();
-                drop(q);
-                if sched::park(now) == sched::Wake::Stalled {
-                    return None;
-                }
-                q = self.q.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(env) = q.gated_match(ticket) {
-                q.log_removed(&env, now);
-                self.cv.notify_all();
-                return Some(env);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            q = self.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
+        self.take_for(Some(now), timeout, |q| {
+            let env = q.gated_match(ticket)?;
+            q.log_removed(&env, now);
+            // Our posted entry left the queue: later receives it was
+            // shadowing may now be eligible.
+            self.waiters.wake_all();
+            Some(env)
+        })
     }
 
     /// Number of queued (unmatched) messages — diagnostics only.
@@ -519,6 +389,9 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// Longer than any hand-off in these tests: an expiry is a failure.
+    const PATIENT: std::time::Duration = std::time::Duration::from_secs(60);
+
     fn env(src: usize, tag: Tag) -> Envelope {
         Envelope {
             src,
@@ -532,17 +405,22 @@ mod tests {
         }
     }
 
+    fn recv(mb: &Mailbox, src: Source, tag: TagSel) -> Envelope {
+        mb.match_recv_for(src, tag, PATIENT, SimTime::ZERO)
+            .expect("a matching envelope arrives")
+    }
+
     #[test]
     fn matching_by_source_and_tag() {
         let mb = Mailbox::new();
         mb.post(env(1, 10));
         mb.post(env(2, 10));
         mb.post(env(1, 20));
-        let e = mb.match_recv(Source::Rank(2), TagSel::Value(10), SimTime::ZERO);
+        let e = recv(&mb, Source::Rank(2), TagSel::Value(10));
         assert_eq!(e.src, 2);
-        let e = mb.match_recv(Source::Rank(1), TagSel::Value(20), SimTime::ZERO);
+        let e = recv(&mb, Source::Rank(1), TagSel::Value(20));
         assert_eq!(e.tag, 20);
-        let e = mb.match_recv(Source::Any, TagSel::Any, SimTime::ZERO);
+        let e = recv(&mb, Source::Any, TagSel::Any);
         assert_eq!((e.src, e.tag), (1, 10));
     }
 
@@ -555,7 +433,7 @@ mod tests {
             mb.post(e);
         }
         for i in 0..5 {
-            let e = mb.match_recv(Source::Rank(3), TagSel::Value(7), SimTime::ZERO);
+            let e = recv(&mb, Source::Rank(3), TagSel::Value(7));
             assert_eq!(e.arrival, SimTime::from_ps(i), "overtook at {i}");
         }
     }
@@ -564,8 +442,7 @@ mod tests {
     fn blocking_recv_wakes_on_post() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let t =
-            thread::spawn(move || mb2.match_recv(Source::Any, TagSel::Value(42), SimTime::ZERO));
+        let t = thread::spawn(move || recv(&mb2, Source::Any, TagSel::Value(42)));
         thread::sleep(std::time::Duration::from_millis(20));
         mb.post(env(0, 41)); // wrong tag: should not satisfy
         mb.post(env(0, 42));
@@ -594,8 +471,14 @@ mod tests {
                 crc: None,
             },
         );
-        assert!(matches!(mb.wait_ctrl(9), Ctrl::Cts { .. }));
-        assert!(matches!(mb.wait_ctrl(9), Ctrl::Chunk { last: true, .. }));
+        assert!(matches!(
+            mb.wait_ctrl_for(9, PATIENT),
+            Some(Ctrl::Cts { .. })
+        ));
+        assert!(matches!(
+            mb.wait_ctrl_for(9, PATIENT),
+            Some(Ctrl::Chunk { last: true, .. })
+        ));
     }
 
     #[test]
@@ -636,7 +519,7 @@ mod tests {
         assert!(mb
             .match_recv_posted_for(b, std::time::Duration::ZERO, SimTime::ZERO)
             .is_none());
-        let e = mb.match_recv_posted(a, SimTime::ZERO);
+        let e = mb.match_recv_posted_for(a, PATIENT, SimTime::ZERO).unwrap();
         assert_eq!(e.src, 2);
         // With the wildcard gone, a fresh envelope satisfies b.
         mb.post(env(2, 5));
@@ -678,8 +561,8 @@ mod tests {
         let mut got = 0;
         for h in 0..4u64 {
             for _ in 0..25 {
-                let c = mb.wait_ctrl(h);
-                assert!(matches!(c, Ctrl::Signal { .. }));
+                let c = mb.wait_ctrl_for(h, PATIENT);
+                assert!(matches!(c, Some(Ctrl::Signal { .. })));
                 got += 1;
             }
         }

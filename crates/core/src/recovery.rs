@@ -42,7 +42,6 @@ use sci_fabric::crc32;
 use simclock::SimTime;
 use smi::TimeBarrier;
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 thread_local! {
@@ -302,40 +301,37 @@ fn shrink_inner(
         // Survivor leader: reclaim the eager flow-control credits owed
         // by (or to) the dead ranks — a sender backpressure-stalled on
         // grants a dead receiver will never return must find its budget
-        // restored, or flow control would deadlock recovery. Then
-        // register the new epoch's barrier, lift the revocation and
-        // publish the epoch. By the time the leader finishes agreement
+        // restored, or flow control would deadlock recovery. Then lift
+        // the revocation and publish the epoch by registering its
+        // barrier. By the time the leader finishes agreement
         // every survivor has entered shrink (its final-sweep partners
         // must have posted), so no rank still needs the revocation to
         // escape a blocked wait.
         world.reclaim_credits(&dead);
         let barrier = Arc::new(TimeBarrier::new(members.len(), world.tuning.barrier_hop));
+        world.clear_revoke();
         world
             .epoch_barriers
             .lock()
             .unwrap()
             .insert(new_epoch, barrier);
-        world.clear_revoke();
-        world.current_epoch.store(new_epoch, Ordering::SeqCst);
         world.epoch_waiters.wake_all();
     }
-    // Everyone (leader included): pick up the new epoch's barrier. Real
-    // time only — no virtual cost for registration latency.
+    // Everyone (leader included): pick up the new epoch's barrier, which
+    // publishes the epoch. Real time only — no virtual cost for
+    // registration latency.
+    let mut barriers = world.epoch_barriers.lock().unwrap();
     let barrier = loop {
-        if world.current_epoch.load(Ordering::SeqCst) >= new_epoch {
-            if let Some(b) = world.epoch_barriers.lock().unwrap().get(&new_epoch) {
-                break Arc::clone(b);
-            }
+        if let Some(b) = barriers.get(&new_epoch) {
+            break Arc::clone(b);
         }
-        if sched::is_event_task() {
-            // Park until the leader publishes the epoch; a stalled wake
-            // simply re-runs the check like a sleep expiry would.
-            world.epoch_waiters.register_current();
-            sched::park_stale();
-        } else {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
+        // A stalled wake simply re-runs the check.
+        barriers = world
+            .epoch_waiters
+            .wait(&world.epoch_barriers, barriers, None, POLL_SLICE)
+            .0;
     };
+    drop(barriers);
     rank.members = Arc::new(members);
     rank.my_index = my_index;
     rank.epoch = new_epoch;

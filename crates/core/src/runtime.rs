@@ -7,8 +7,8 @@
 //! Two execution backends share one protocol implementation (selected by
 //! [`ClusterSpec::backend`], see `docs/SCHEDULER.md`):
 //!
-//! * [`Backend::Thread`] — one free-running OS thread per rank, blocking
-//!   on condvars with real-time poll slices (the reference backend);
+//! * [`Backend::Thread`] — one free-running OS thread per rank, sleeping
+//!   on its wait queues in real-time poll slices (the reference backend);
 //! * [`Backend::Event`] — ranks are cooperative tasks under a
 //!   deterministic discrete-event scheduler; exactly one task runs at a
 //!   time and blocking sites park on the virtual-time event queue, which
@@ -25,7 +25,7 @@ use smi::{ProcId, SharedRegion, ShregAllocator, SmiWorld, TimeBarrier};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Size of each rank's `MPI_Alloc_mem` shared-segment pool.
 pub const ALLOC_POOL_BYTES: usize = 8 << 20;
@@ -215,7 +215,6 @@ pub(crate) struct PairRing {
     /// and taking the front slot keeps the sender's virtual wait
     /// independent of real-time thread interleaving (determinism).
     free: Mutex<std::collections::VecDeque<(usize, SimTime)>>,
-    cv: Condvar,
     /// Bytes per slot.
     pub chunk: usize,
     /// Send-turn ticketing: with nonblocking sends, two rendezvous
@@ -228,10 +227,9 @@ pub(crate) struct PairRing {
     /// in posted order. Blocking sends pass straight through (their ticket
     /// is always current) at zero virtual cost.
     turn: Mutex<TurnState>,
-    turn_cv: Condvar,
-    /// Event-backend tasks parked on an empty free list.
+    /// Senders waiting on an empty free list.
     waiters: sched::WaitQueue,
-    /// Event-backend tasks parked on a turn ticket.
+    /// Senders waiting for their turn ticket to come up.
     turn_waiters: sched::WaitQueue,
 }
 
@@ -246,10 +244,8 @@ impl PairRing {
         PairRing {
             region,
             free: Mutex::new((0..slots).map(|s| (s, SimTime::ZERO)).collect()),
-            cv: Condvar::new(),
             chunk,
             turn: Mutex::new(TurnState::default()),
-            turn_cv: Condvar::new(),
             waiters: sched::WaitQueue::new(),
             turn_waiters: sched::WaitQueue::new(),
         }
@@ -270,18 +266,10 @@ impl PairRing {
     /// and panic paths, so a failed send never wedges the pair.
     pub fn await_turn(&self, ticket: u64) -> TurnGuard<'_> {
         let mut t = self.turn.lock().unwrap();
-        if sched::is_event_task() {
-            while t.current != ticket {
-                self.turn_waiters.register_current();
-                drop(t);
-                // Turns carry no timestamp: park at the task's last time.
-                sched::park_stale();
-                t = self.turn.lock().unwrap();
-            }
-        } else {
-            while t.current != ticket {
-                t = self.turn_cv.wait(t).unwrap();
-            }
+        while t.current != ticket {
+            // Turns carry no timestamp: park at the task's last time. A
+            // stalled wait has nothing else to check.
+            t = self.turn_waiters.wait(&self.turn, t, None, POLL_SLICE).0;
         }
         TurnGuard { ring: self, ticket }
     }
@@ -299,7 +287,6 @@ impl Drop for TurnGuard<'_> {
         debug_assert_eq!(t.current, self.ticket, "turn released out of order");
         t.current = self.ticket + 1;
         drop(t);
-        self.ring.turn_cv.notify_all();
         self.ring.turn_waiters.wake_all();
     }
 }
@@ -307,28 +294,12 @@ impl Drop for TurnGuard<'_> {
 impl PairRing {
     /// Acquire the earliest-freed slot (merging the slot's free-time into
     /// the clock — the sender virtually waits for the receiver to drain),
-    /// giving up after `timeout` of *real* time. Returns `None` on expiry
-    /// without touching the clock — callers loop, checking receiver
+    /// giving up when a wait stalls (a stall round for a task, `timeout`
+    /// of *real* time without a release for a thread). Returns `None`
+    /// then, without touching the clock — callers loop, checking receiver
     /// liveness between slices, and charge virtual time only from the
     /// deterministic timeout schedule.
     pub fn acquire_for(&self, clock: &mut Clock, timeout: std::time::Duration) -> Option<usize> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut free = self.free.lock().unwrap();
-            loop {
-                if let Some((slot, freed_at)) = free.pop_front() {
-                    drop(free);
-                    clock.merge(freed_at);
-                    return Some(slot);
-                }
-                self.waiters.register_current();
-                drop(free);
-                if sched::park(clock.now()) == sched::Wake::Stalled {
-                    return None;
-                }
-                free = self.free.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
         let mut free = self.free.lock().unwrap();
         loop {
             if let Some((slot, freed_at)) = free.pop_front() {
@@ -336,18 +307,19 @@ impl PairRing {
                 clock.merge(freed_at);
                 return Some(slot);
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let (relocked, wake) = self
+                .waiters
+                .wait(&self.free, free, Some(clock.now()), timeout);
+            if wake == sched::Wake::Stalled {
                 return None;
             }
-            free = self.cv.wait_timeout(free, deadline - now).unwrap().0;
+            free = relocked;
         }
     }
 
     /// Return a slot drained at virtual time `at`.
     pub fn release(&self, slot: usize, at: SimTime) {
         self.free.lock().unwrap().push_back((slot, at));
-        self.cv.notify_all();
         self.waiters.wake_all();
     }
 
@@ -388,8 +360,7 @@ pub(crate) struct PairCredits {
     /// collecting the front grant keeps the sender's virtual wait
     /// independent of real-time interleaving.
     granted: Mutex<std::collections::VecDeque<(usize, SimTime)>>,
-    cv: Condvar,
-    /// Event-backend tasks parked in a backpressure stall.
+    /// The sender, waiting in a backpressure stall.
     waiters: sched::WaitQueue,
     /// Full budget, for peak-outstanding accounting and recovery resets.
     budget_bytes: usize,
@@ -401,7 +372,6 @@ impl PairCredits {
         PairCredits {
             avail: Mutex::new((bytes, slots)),
             granted: Mutex::new(std::collections::VecDeque::new()),
-            cv: Condvar::new(),
             waiters: sched::WaitQueue::new(),
             budget_bytes: bytes,
             budget_slots: slots,
@@ -430,7 +400,6 @@ impl PairCredits {
     /// sender at virtual time `at`.
     pub fn deposit(&self, len: usize, at: SimTime) {
         self.granted.lock().unwrap().push_back((len, at));
-        self.cv.notify_all();
         self.waiters.wake_all();
     }
 
@@ -450,40 +419,26 @@ impl PairCredits {
         }
     }
 
-    /// Sender side, inside a backpressure stall: block (real time only)
-    /// for the earliest deposited grant, giving up after `timeout`.
-    /// Returns `None` on expiry without touching any state — callers
-    /// loop, checking receiver liveness and revocation between slices.
-    /// The popped grant is NOT yet spendable: the caller merges its
-    /// timestamp and then folds it in with [`PairCredits::restore`].
+    /// Sender side, inside a backpressure stall: wait (real time only)
+    /// for the earliest deposited grant, giving up when a wait stalls (a
+    /// stall round, or `timeout` without a deposit). Returns `None` then,
+    /// without touching any state — callers loop, checking receiver
+    /// liveness and revocation between slices. The popped grant is NOT
+    /// yet spendable: the caller merges its timestamp and then folds it
+    /// in with [`PairCredits::restore`].
     pub fn await_grant_for(&self, timeout: std::time::Duration) -> Option<(usize, SimTime)> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut g = self.granted.lock().unwrap();
-            loop {
-                if let Some(grant) = g.pop_front() {
-                    return Some(grant);
-                }
-                self.waiters.register_current();
-                drop(g);
-                // Grant waits carry no timestamp: park at the task's
-                // last recorded time.
-                if sched::park_stale() == sched::Wake::Stalled {
-                    return None;
-                }
-                g = self.granted.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
         let mut g = self.granted.lock().unwrap();
         loop {
             if let Some(grant) = g.pop_front() {
                 return Some(grant);
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            // Grant waits carry no timestamp: park at the task's last
+            // recorded time.
+            let (relocked, wake) = self.waiters.wait(&self.granted, g, None, timeout);
+            if wake == sched::Wake::Stalled {
                 return None;
             }
-            g = self.cv.wait_timeout(g, deadline - now).unwrap().0;
+            g = relocked;
         }
     }
 
@@ -507,7 +462,6 @@ impl PairCredits {
     pub fn reset_full(&self) {
         self.granted.lock().unwrap().clear();
         *self.avail.lock().unwrap() = (self.budget_bytes, self.budget_slots);
-        self.cv.notify_all();
         self.waiters.wake_all();
     }
 }
@@ -544,9 +498,6 @@ pub(crate) struct WorldState {
     /// The active revocation, min-merged on `(at, by)` so concurrent
     /// revokers converge on one deterministic front. Cleared at `shrink`.
     pub revoke: Mutex<Option<RevokeInfo>>,
-    /// The membership epoch most recently installed by `shrink` (0 = the
-    /// initial full-world membership).
-    pub current_epoch: AtomicU64,
     /// Barriers for shrunken epochs, registered by the survivor leader
     /// and keyed by epoch number (epoch 0 uses `barrier`).
     pub epoch_barriers: Mutex<HashMap<u64, Arc<TimeBarrier>>>,
@@ -562,8 +513,8 @@ pub(crate) struct WorldState {
     /// Per-rank staging-buffer ledgers governing pack-path selection
     /// ([`Tuning::staging_budget_bytes`]). Indexed by world rank.
     pub staging: Vec<crate::sink::StagingLedger>,
-    /// Event-backend tasks parked waiting for a shrink leader to publish
-    /// a new membership epoch (see `recovery::shrink`).
+    /// Survivors waiting for the shrink leader to publish a new
+    /// membership epoch, under `epoch_barriers` (see `recovery::shrink`).
     pub epoch_waiters: sched::WaitQueue,
     /// The run's recorder (`None` with observability off). Every thread
     /// working for the run binds it on entry.
@@ -1059,7 +1010,7 @@ impl Rank {
         match barrier.wait_cancel(&mut self.clock, || {
             world.revoke_arrival(me).map(|(at, _)| at)
         }) {
-            Ok(()) => {
+            Ok(_) => {
                 // Every member passed the barrier, so credits returned
                 // by receivers before it are in our causal past: fold
                 // them back into the spendable pools.
@@ -1187,7 +1138,6 @@ where
         windows: Mutex::new(HashMap::new()),
         errors: spec.errors,
         revoke: Mutex::new(None),
-        current_epoch: AtomicU64::new(0),
         epoch_barriers: Mutex::new(HashMap::new()),
         credits: (0..size).map(|_| Mutex::new(HashMap::new())).collect(),
         window_bytes: (0..size)

@@ -17,11 +17,11 @@
 //! key it would have had on a thread of its own, so which OS thread runs
 //! it changes nothing about the order.
 //!
-//! The protocol code stays *scheduler-agnostic*: blocking primitives call
-//! [`is_event_task`] and either park here (event backend) or fall through
-//! to their existing `Condvar` timeout loop (thread backend). Producers
-//! call [`WaitQueue::wake_all`] next to their existing `notify_all`; on
-//! the thread backend the queue is empty and the call is a no-op.
+//! The protocol code stays *scheduler-agnostic*: a blocking site holds a
+//! mutex and a [`WaitQueue`] and loops over its predicate around
+//! [`WaitQueue::wait`], which parks a task (event backend) or puts a plain
+//! thread to sleep for one real-time slice (thread backend). Producers
+//! change the predicate under the mutex and call [`WaitQueue::wake_all`].
 //!
 //! ## Ordering and tie-break
 //!
@@ -59,9 +59,10 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
+use std::time::Duration;
 
 /// Sentinel panic payload used to unwind tasks after another task has
 /// aborted the run. Wrappers around task bodies treat it as "shut down
@@ -284,6 +285,10 @@ pub struct Stats {
     pub tasks_high_water: usize,
     /// Stall rounds run (deterministic liveness sweeps).
     pub stalls: u64,
+    /// Times a task's [`WaitQueue::wake_all`] found a plain thread asleep
+    /// on the queue and had to notify its condvar. Zero on a run whose
+    /// every waiter is a task.
+    pub thread_notifies: u64,
 }
 
 /// A deterministic cooperative scheduler over OS-thread-backed tasks.
@@ -885,12 +890,23 @@ pub fn abort_current(payload: Box<dyn Any + Send + 'static>) {
     with_current(|cur| cur.handle.sched.abort_with(payload));
 }
 
-/// A set of parked tasks waiting on one condition — the event-backend
-/// twin of a `Condvar`. Consumers register *before* re-checking their
-/// condition and park while still holding the run token (producers are
-/// tasks too, so no wake can slip between check and park); producers
-/// `wake_all` right after their `notify_all`. Empty (and nearly free) on
-/// the thread backend.
+/// The one thing a blocking site waits on: the tasks parked on its
+/// condition (event backend) and the condvar plain threads sleep on
+/// (thread backend). The site pairs it with the mutex that guards the
+/// condition; consumers loop over the condition around [`WaitQueue::wait`],
+/// producers change it *under that mutex* and then [`WaitQueue::wake_all`].
+///
+/// Why no wake-up is lost. A task registers and parks while it still
+/// holds the run token, and producers are tasks too, so none runs between
+/// its check and its park. A thread counts itself into `sleepers` under
+/// the site's mutex, before the condvar wait releases it. A producer that
+/// took the mutex after that sees the count when it wakes and notifies;
+/// one that took it before has already changed what the sleeper checked
+/// under the same hold. The count drops only once the sleeper is awake
+/// again, so it errs high at worst, and a stale-high count costs one
+/// futile notify. With no sleeper — every event-backend run — a wake is
+/// a load, not a `futex_wake` whose cost grows with the process's parked
+/// threads.
 #[derive(Default)]
 pub struct WaitQueue {
     /// Keyed by (scheduler address, task id): a repeated registration is
@@ -899,6 +915,20 @@ pub struct WaitQueue {
     /// scheduler alive, so the address names it for as long as the entry
     /// exists. Wake order is immaterial: the ready-heap key is total.
     waiters: Mutex<BTreeMap<(usize, usize), Handle>>,
+    cv: Condvar,
+    /// Threads inside `cv`'s wait, or just about to be, or just out.
+    sleepers: AtomicUsize,
+}
+
+/// One thread's unit of [`WaitQueue::sleepers`], given back on drop so a
+/// waiter that unwinds (a poisoned relock) cannot leave the count high
+/// for good.
+struct Sleeper<'a>(&'a AtomicUsize);
+
+impl Drop for Sleeper<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl WaitQueue {
@@ -906,22 +936,75 @@ impl WaitQueue {
     pub const fn new() -> Self {
         WaitQueue {
             waiters: Mutex::new(BTreeMap::new()),
+            cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
         }
+    }
+
+    fn register(&self, h: &Handle) {
+        relock(self.waiters.lock())
+            .entry((Arc::as_ptr(&h.sched) as usize, h.id.0))
+            .or_insert_with(|| h.clone());
     }
 
     /// Register the current task (if any); duplicates are ignored, so
     /// re-registering on every loop iteration is fine.
     pub fn register_current(&self) {
-        with_current(|cur| {
-            let h = &cur.handle;
-            relock(self.waiters.lock())
-                .entry((Arc::as_ptr(&h.sched) as usize, h.id.0))
-                .or_insert_with(|| h.clone());
-        });
+        with_current(|cur| self.register(&cur.handle));
     }
 
-    /// Wake every registered task and clear the queue.
+    /// Wait for a [`WaitQueue::wake_all`], having found the condition
+    /// false under `guard` (a hold of `lock`). A task registers, releases
+    /// the guard and parks at virtual time `at` (its last recorded time if
+    /// `None`); a stall round resumes it with [`Wake::Stalled`]. A plain
+    /// thread sleeps on the condvar for at most `slice` of real time and
+    /// reports expiry as [`Wake::Stalled`]. Either way the lock is held
+    /// again on return and the caller re-checks. A zero `slice` does not
+    /// wait at all: `Stalled`, at once.
+    ///
+    /// Panics if `lock` is poisoned, like the `lock().unwrap()` that
+    /// produced `guard`.
+    pub fn wait<'a, T>(
+        &self,
+        lock: &'a Mutex<T>,
+        guard: MutexGuard<'a, T>,
+        at: Option<SimTime>,
+        slice: Duration,
+    ) -> (MutexGuard<'a, T>, Wake) {
+        if slice.is_zero() {
+            return (guard, Wake::Stalled);
+        }
+        let mut guard = Some(guard);
+        let parked = with_current(|cur| {
+            self.register(&cur.handle);
+            drop(guard.take());
+            cur.handle.sched.park_task(cur.handle.id.0, &cur.parker, at)
+        });
+        if let Some(wake) = parked {
+            return (lock.lock().expect("wait-site mutex poisoned"), wake);
+        }
+        let guard = guard.expect("kept by a thread that runs no task");
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let _asleep = Sleeper(&self.sleepers);
+        let (guard, timeout) = self
+            .cv
+            .wait_timeout(guard, slice)
+            .expect("wait-site mutex poisoned");
+        let wake = if timeout.timed_out() {
+            Wake::Stalled
+        } else {
+            Wake::Woken
+        };
+        (guard, wake)
+    }
+
+    /// Wake every registered task and clear the queue; notify the condvar
+    /// only if a thread sleeps on it.
     pub fn wake_all(&self) {
+        if self.sleepers.load(Ordering::SeqCst) != 0 {
+            with_current(|cur| cur.handle.sched.lock().stats.thread_notifies += 1);
+            self.cv.notify_all();
+        }
         let drained = {
             let mut w = relock(self.waiters.lock());
             if w.is_empty() {
@@ -1275,5 +1358,148 @@ mod tests {
                 w2.wake_all();
             }),
         ]);
+    }
+
+    /// Longer than any hand-off below: a wait that stalls lost its wake.
+    const PATIENT: Duration = Duration::from_secs(60);
+
+    /// Spin until a thread is counted asleep on `wq`.
+    fn until_asleep(wq: &WaitQueue) {
+        while wq.sleepers.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn waking_tasks_never_touches_the_condvar() {
+        // Task 0 waits on the queue 1 000 times; task 1 wakes it. No
+        // thread ever sleeps there, so no wake is a notify.
+        let site = Arc::new((Mutex::new(0u32), WaitQueue::new()));
+        let (waiter, waker) = (Arc::clone(&site), Arc::clone(&site));
+        let stats = run_tasks(vec![
+            Box::new(move || {
+                let (lock, wq) = &*waiter;
+                let mut seen = lock.lock().unwrap();
+                while *seen < 1_000 {
+                    seen = wq.wait(lock, seen, Some(SimTime::ZERO), PATIENT).0;
+                }
+            }),
+            Box::new(move || {
+                let (lock, wq) = &*waker;
+                for _ in 0..1_000 {
+                    *lock.lock().unwrap() += 1;
+                    wq.wake_all();
+                    park(SimTime::ZERO);
+                }
+            }),
+        ]);
+        assert_eq!(stats.thread_notifies, 0);
+        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_task_waking_a_sleeping_thread_counts_a_notify() {
+        let site = Arc::new((Mutex::new(false), WaitQueue::new()));
+        let theirs = Arc::clone(&site);
+        let sleeper = std::thread::spawn(move || {
+            let (lock, wq) = &*theirs;
+            let mut done = lock.lock().unwrap();
+            while !*done {
+                let (g, wake) = wq.wait(lock, done, None, PATIENT);
+                assert_eq!(wake, Wake::Woken);
+                done = g;
+            }
+        });
+        let ours = Arc::clone(&site);
+        let stats = run_tasks(vec![Box::new(move || {
+            let (lock, wq) = &*ours;
+            until_asleep(wq);
+            *lock.lock().unwrap() = true;
+            wq.wake_all();
+        })]);
+        sleeper.join().unwrap();
+        assert!(stats.thread_notifies >= 1);
+        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn the_sleeper_count_returns_to_zero() {
+        // After a slice expiry, and after a zero slice that never slept.
+        let (lock, wq) = (Mutex::new(()), WaitQueue::new());
+        for slice in [Duration::from_millis(1), Duration::ZERO] {
+            let (_g, wake) = wq.wait(&lock, lock.lock().unwrap(), None, slice);
+            assert_eq!(wake, Wake::Stalled);
+            assert_eq!(wq.sleepers.load(Ordering::SeqCst), 0);
+        }
+        // After a relock that finds the mutex poisoned: the waiter
+        // unwinds out of `wait`, and its unit goes with it.
+        let site = Arc::new((Mutex::new(()), WaitQueue::new()));
+        let theirs = Arc::clone(&site);
+        let waiter = std::thread::spawn(move || {
+            let (lock, wq) = &*theirs;
+            let _ = wq.wait(lock, lock.lock().unwrap(), None, PATIENT);
+        });
+        until_asleep(&site.1);
+        let poison = Arc::clone(&site);
+        let poisoner = std::thread::spawn(move || {
+            let _held = poison.0.lock().unwrap();
+            panic!("poison the site's mutex");
+        });
+        assert!(poisoner.join().is_err());
+        site.1.wake_all();
+        assert!(waiter.join().is_err(), "the waiter panics on the poison");
+        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_task_that_unwinds_out_of_wait_leaves_the_site_usable() {
+        let site = Arc::new((Mutex::new(()), WaitQueue::new()));
+        let theirs = Arc::clone(&site);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_tasks(vec![
+                Box::new(move || {
+                    let (lock, wq) = &*theirs;
+                    let mut g = lock.lock().unwrap();
+                    loop {
+                        g = wq.wait(lock, g, Some(SimTime::ZERO), PATIENT).0;
+                    }
+                }),
+                Box::new(|| panic!("boom beside a waiter")),
+            ]);
+        }));
+        assert!(r.is_err());
+        // The guard went before the park: not held, not poisoned.
+        assert!(site.0.try_lock().is_ok());
+        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn two_threads_hand_off_100_000_times_without_a_lost_wake() {
+        const ROUNDS: u64 = 100_000;
+        let site = Arc::new((Mutex::new(0u64), WaitQueue::new()));
+        let side = |parity: u64| {
+            let site = Arc::clone(&site);
+            std::thread::spawn(move || {
+                let (lock, wq) = &*site;
+                let mut turn = lock.lock().unwrap();
+                while *turn < ROUNDS {
+                    if *turn % 2 == parity {
+                        *turn += 1;
+                        drop(turn);
+                        wq.wake_all();
+                        turn = lock.lock().unwrap();
+                    } else {
+                        let (g, wake) = wq.wait(lock, turn, None, PATIENT);
+                        assert_eq!(wake, Wake::Woken, "a wake-up was lost");
+                        turn = g;
+                    }
+                }
+            })
+        };
+        let (even, odd) = (side(0), side(1));
+        even.join().unwrap();
+        odd.join().unwrap();
+        assert_eq!(*site.0.lock().unwrap(), ROUNDS);
+        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
     }
 }

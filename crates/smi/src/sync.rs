@@ -15,15 +15,15 @@
 //! virtual release time.
 //!
 //! Under the event backend (`docs/SCHEDULER.md`) a contended acquisition
-//! or barrier arrival parks the calling *task* instead of blocking on the
-//! condvar: release/completion wakes the registered waiters through a
+//! or barrier arrival parks the calling *task* instead of blocking its
+//! thread: release/completion wakes the registered waiters through a
 //! [`sched::WaitQueue`], so dispatch order — and therefore lock handover
 //! order — is the scheduler's deterministic `(time, rank, seq)` order.
 
 use crate::{ProcId, SmiWorld};
 use simclock::{clock::barrier_release, Clock, SimDuration, SimTime};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 /// A lock whose lock word lives in the shared memory of `owner`'s node.
 #[derive(Debug)]
@@ -172,8 +172,7 @@ pub struct TimeBarrier {
     n: usize,
     per_hop: SimDuration,
     state: Mutex<BarrierState>,
-    cv: Condvar,
-    /// Event-backend tasks parked waiting for the generation to advance.
+    /// Arrivals waiting for the generation to advance.
     waiters: sched::WaitQueue,
 }
 
@@ -194,7 +193,6 @@ impl TimeBarrier {
             n,
             per_hop,
             state: Mutex::new(BarrierState::default()),
-            cv: Condvar::new(),
             waiters: sched::WaitQueue::new(),
         }
     }
@@ -204,62 +202,30 @@ impl TimeBarrier {
         self.n
     }
 
-    /// Enter the barrier; blocks the thread until all `n` participants
-    /// arrive, then merges every clock to the common release time.
-    /// Returns `true` on the "leader" (last arriver), mirroring
-    /// `std::sync::Barrier`.
+    /// Real time a blocked thread lets pass between two polls of its
+    /// `cancel`; a blocked task polls once per scheduler stall round.
+    const CANCEL_POLL: std::time::Duration = std::time::Duration::from_millis(10);
+
+    /// Enter the barrier; blocks until all `n` participants arrive, then
+    /// merges every clock to the common release time. Returns `true` on
+    /// the "leader" (last arriver), mirroring `std::sync::Barrier`.
     pub fn wait(&self, clock: &mut Clock) -> bool {
-        obs::inc(obs::Counter::BarrierCrossings);
-        let mut st = self.state.lock().unwrap();
-        st.arrived += 1;
-        st.max_arrival = st.max_arrival.max(clock.now());
-        if st.arrived == self.n {
-            let arrivals = [st.max_arrival];
-            st.release = barrier_release(&arrivals, self.per_hop, self.n);
-            st.arrived = 0;
-            st.max_arrival = SimTime::ZERO;
-            st.generation += 1;
-            let release = st.release;
-            drop(st);
-            self.cv.notify_all();
-            self.waiters.wake_all();
-            obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-            true
-        } else {
-            let gen = st.generation;
-            if sched::is_event_task() {
-                while st.generation == gen {
-                    self.waiters.register_current();
-                    drop(st);
-                    sched::park(clock.now());
-                    st = self.state.lock().unwrap();
-                }
-            } else {
-                while st.generation == gen {
-                    st = self.cv.wait(st).unwrap();
-                }
-            }
-            let release = st.release;
-            drop(st);
-            obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-            false
-        }
+        self.wait_cancel(clock, || None)
+            .expect("a barrier wait that cannot be cancelled completes")
     }
 
     /// Enter the barrier, but keep polling `cancel` while blocked: if it
     /// returns `Some(at)` before the barrier completes, withdraw this
     /// participant's arrival and return `Err(at)` (the caller converts
     /// `at` into its own cancellation accounting). The leader path — the
-    /// last arriver — always completes the barrier exactly like
-    /// [`TimeBarrier::wait`], and a completion that races a cancellation
-    /// wins: the generation change is checked before `cancel` under the
-    /// same lock. With a `cancel` that never fires, the virtual-time
-    /// semantics are identical to `wait`.
+    /// last arriver, `Ok(true)` — always completes the barrier, and a
+    /// completion that races a cancellation wins: the generation change
+    /// is checked before `cancel` under the same lock.
     pub fn wait_cancel(
         &self,
         clock: &mut Clock,
         mut cancel: impl FnMut() -> Option<SimTime>,
-    ) -> Result<(), SimTime> {
+    ) -> Result<bool, SimTime> {
         obs::inc(obs::Counter::BarrierCrossings);
         let mut st = self.state.lock().unwrap();
         st.arrived += 1;
@@ -272,10 +238,9 @@ impl TimeBarrier {
             st.generation += 1;
             let release = st.release;
             drop(st);
-            self.cv.notify_all();
             self.waiters.wake_all();
             obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-            return Ok(());
+            return Ok(true);
         }
         let gen = st.generation;
         loop {
@@ -283,26 +248,14 @@ impl TimeBarrier {
                 let release = st.release;
                 drop(st);
                 obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-                return Ok(());
+                return Ok(false);
             }
             if let Some(at) = cancel() {
                 st.arrived -= 1;
                 return Err(at);
             }
-            if sched::is_event_task() {
-                // A stall round re-runs `cancel` — the event-backend
-                // equivalent of this condvar's 10 ms poll slice.
-                self.waiters.register_current();
-                drop(st);
-                sched::park(clock.now());
-                st = self.state.lock().unwrap();
-            } else {
-                let (guard, _timeout) = self
-                    .cv
-                    .wait_timeout(st, std::time::Duration::from_millis(10))
-                    .unwrap();
-                st = guard;
-            }
+            let now = Some(clock.now());
+            st = self.waiters.wait(&self.state, st, now, Self::CANCEL_POLL).0;
         }
     }
 }

@@ -40,6 +40,11 @@ fn outcome(&(ranks, backend, recording, body): &Scenario) -> Outcome {
     drop(bound);
     assert_eq!(outer.counters(), obs::CounterTable::default());
     assert!(outer.take_events().is_empty());
+    let notifies = report.event_stats.map_or(0, |s| s.thread_notifies);
+    assert_eq!(
+        notifies, 0,
+        "a wake of an event-backend run found a thread asleep"
+    );
     let profile = report.profile_json();
     (
         per_rank,

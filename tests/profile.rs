@@ -181,6 +181,11 @@ fn long_ping_pong_profile_is_exact_deterministic_and_says_it_is_truncated() {
         "recording attribution perturbed virtual time"
     );
 
+    // 6 000 messages and every wake of them a load: no thread sleeps on
+    // a wait queue of an event-backend run, so no condvar was notified.
+    let stats = report.event_stats.expect("event backend ran");
+    assert_eq!(stats.thread_notifies, 0);
+
     let json = report.profile_json();
     let profile = report.profile.expect("profile built at teardown");
     assert_conservative(&profile, &with_obs);

@@ -5,7 +5,7 @@
 //! fault injection. CI sweeps `REQUESTS_SEED` over several values.
 
 use scimpi::{
-    death_delay, run, run_report, Backend, ClusterSpec, ErrorMode, IntegrityMode, RecvBuf,
+    death_delay, Backend, ClusterSpec, ErrorMode, IntegrityMode, Rank, RecvBuf, RunReport,
     ScimpiError, SendData, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::{SimDuration, SimTime};
@@ -20,6 +20,23 @@ fn seeded(spec: ClusterSpec) -> ClusterSpec {
         spec.seed = seed.parse().expect("REQUESTS_SEED must be an integer");
     }
     spec
+}
+
+/// `scimpi::run_report`, checked on the way out: every waiter of an
+/// event-backend run is a task, so none of its wakes notified a condvar.
+fn run_report<T: Send>(
+    spec: ClusterSpec,
+    f: impl Fn(&mut Rank) -> T + Send + Sync,
+) -> (Vec<T>, RunReport) {
+    let (out, report) = scimpi::run_report(spec, f);
+    if let Some(stats) = report.event_stats {
+        assert_eq!(stats.thread_notifies, 0, "a wake found a thread asleep");
+    }
+    (out, report)
+}
+
+fn run<T: Send>(spec: ClusterSpec, f: impl Fn(&mut Rank) -> T + Send + Sync) -> Vec<T> {
+    run_report(spec, f).0
 }
 
 /// Run `scenario` on a thread per engine and on pooled engine tasks:
