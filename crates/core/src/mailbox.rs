@@ -252,27 +252,6 @@ impl Mailbox {
         self.waiters.wake_all();
     }
 
-    /// Take what `take` finds in the queues, waiting for it (a task parks
-    /// at `at`, a thread sleeps up to `slice`) until a wait stalls.
-    fn take_for<T>(
-        &self,
-        at: Option<SimTime>,
-        slice: std::time::Duration,
-        mut take: impl FnMut(&mut Queues) -> Option<T>,
-    ) -> Option<T> {
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(found) = take(&mut q) {
-                return Some(found);
-            }
-            let (relocked, wake) = self.waiters.wait(&self.q, q, at, slice);
-            if wake == sched::Wake::Stalled {
-                return None;
-            }
-            q = relocked;
-        }
-    }
-
     /// Wait for an envelope matching `(src, tag)` and remove it (first
     /// match in arrival order — MPI non-overtaking), giving up when a
     /// wait stalls: a scheduler stall round for a task, `timeout` of
@@ -292,7 +271,7 @@ impl Mailbox {
         timeout: std::time::Duration,
         now: SimTime,
     ) -> Option<Envelope> {
-        self.take_for(Some(now), timeout, |q| {
+        self.waiters.take_for(&self.q, Some(now), timeout, |q| {
             let idx = q.msgs.iter().position(|e| env_matches(e, src, tag))?;
             let env = q.msgs.remove(idx).expect("index valid under lock");
             q.log_removed(&env, now);
@@ -315,7 +294,7 @@ impl Mailbox {
     /// contract. Ctrl waits carry no timestamp of their own: a task parks
     /// at its last recorded virtual time.
     pub fn wait_ctrl_for(&self, handle: u64, timeout: std::time::Duration) -> Option<Ctrl> {
-        self.take_for(None, timeout, |q| {
+        self.waiters.take_for(&self.q, None, timeout, |q| {
             let dq = q.ctrl.get_mut(&handle)?;
             let c = dq.pop_front()?;
             if dq.is_empty() {
@@ -360,7 +339,7 @@ impl Mailbox {
         timeout: std::time::Duration,
         now: SimTime,
     ) -> Option<Envelope> {
-        self.take_for(Some(now), timeout, |q| {
+        self.waiters.take_for(&self.q, Some(now), timeout, |q| {
             let env = q.gated_match(ticket)?;
             q.log_removed(&env, now);
             // Our posted entry left the queue: later receives it was

@@ -300,21 +300,12 @@ impl PairRing {
     /// liveness between slices, and charge virtual time only from the
     /// deterministic timeout schedule.
     pub fn acquire_for(&self, clock: &mut Clock, timeout: std::time::Duration) -> Option<usize> {
-        let mut free = self.free.lock().unwrap();
-        loop {
-            if let Some((slot, freed_at)) = free.pop_front() {
-                drop(free);
-                clock.merge(freed_at);
-                return Some(slot);
-            }
-            let (relocked, wake) = self
-                .waiters
-                .wait(&self.free, free, Some(clock.now()), timeout);
-            if wake == sched::Wake::Stalled {
-                return None;
-            }
-            free = relocked;
-        }
+        let now = Some(clock.now());
+        let (slot, freed_at) = self
+            .waiters
+            .take_for(&self.free, now, timeout, |free| free.pop_front())?;
+        clock.merge(freed_at);
+        Some(slot)
     }
 
     /// Return a slot drained at virtual time `at`.
@@ -427,19 +418,10 @@ impl PairCredits {
     /// yet spendable: the caller merges its timestamp and then folds it
     /// in with [`PairCredits::restore`].
     pub fn await_grant_for(&self, timeout: std::time::Duration) -> Option<(usize, SimTime)> {
-        let mut g = self.granted.lock().unwrap();
-        loop {
-            if let Some(grant) = g.pop_front() {
-                return Some(grant);
-            }
-            // Grant waits carry no timestamp: park at the task's last
-            // recorded time.
-            let (relocked, wake) = self.waiters.wait(&self.granted, g, None, timeout);
-            if wake == sched::Wake::Stalled {
-                return None;
-            }
-            g = relocked;
-        }
+        // Grant waits carry no timestamp: park at the task's last
+        // recorded time.
+        self.waiters
+            .take_for(&self.granted, None, timeout, |g| g.pop_front())
     }
 
     /// Fold a grant popped by [`PairCredits::await_grant_for`] into the

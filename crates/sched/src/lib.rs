@@ -998,6 +998,29 @@ impl WaitQueue {
         (guard, wake)
     }
 
+    /// The loop most sites are: `take` from what `lock` guards, waiting
+    /// ([`WaitQueue::wait`]) while it yields nothing; `None` once a wait
+    /// stalls, so the caller can re-check liveness and call again.
+    pub fn take_for<S, T>(
+        &self,
+        lock: &Mutex<S>,
+        at: Option<SimTime>,
+        slice: Duration,
+        mut take: impl FnMut(&mut S) -> Option<T>,
+    ) -> Option<T> {
+        let mut guard = lock.lock().expect("wait-site mutex poisoned");
+        loop {
+            if let Some(found) = take(&mut guard) {
+                return Some(found);
+            }
+            let (relocked, wake) = self.wait(lock, guard, at, slice);
+            if wake == Wake::Stalled {
+                return None;
+            }
+            guard = relocked;
+        }
+    }
+
     /// Wake every registered task and clear the queue; notify the condvar
     /// only if a thread sleeps on it.
     pub fn wake_all(&self) {
