@@ -11,7 +11,7 @@
 //! over several values. See `docs/SCHEDULER.md` for the execution model.
 
 use mpi_datatype::{Committed, Datatype};
-use sci_fabric::FaultConfig;
+use sci_fabric::{fnv1a, FaultConfig};
 use scimpi::{
     revoke, run_report, shrink, AccumulateOp, Backend, ClusterSpec, ErrorMode, IntegrityMode,
     OverloadPolicy, Rank, ReduceOp, Source, TagSel, Tuning, WinMemory,
@@ -45,9 +45,50 @@ where
     }
 }
 
+fn fold(h: &mut u64, v: u64) {
+    *h = (*h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+impl Artifacts {
+    /// Everything in the artifacts folded into one FNV digest: payload
+    /// bytes, finish times in ps, the counter table, the profile JSON.
+    fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for (bytes, finish) in &self.per_rank {
+            fold(&mut h, bytes.len() as u64);
+            fold(&mut h, fnv1a(bytes));
+            fold(&mut h, finish.as_ps());
+        }
+        for (name, value) in &self.counters {
+            fold(&mut h, fnv1a(name.as_bytes()));
+            fold(&mut h, *value);
+        }
+        fold(&mut h, fnv1a(self.profile.as_bytes()));
+        h
+    }
+}
+
+/// The digest each scenario recorded, by the name it passes to [`diff`];
+/// debug and release record the same table.
+const SCENARIO_DIGESTS: [(&str, u64); 12] = [
+    ("p2p_eager_ring", 0xbfce60fb80c7af23),
+    ("p2p_rendezvous", 0x406bf8418add73aa),
+    ("collectives", 0xbaed6f03eb75dbbc),
+    ("one_sided", 0x1946853fdfc9e275),
+    ("arbitration", 0xc7860fe1f7107ddc),
+    ("nonblocking", 0x12a4cd985c169ded),
+    ("chaos_death", 0x788d48670db90a18),
+    ("integrity", 0x80d7e63a927d201f),
+    ("overload_Stall", 0xa9e529ad652f9796),
+    ("overload_Degrade", 0x9a43c3c3231b0f8d),
+    ("overload_shed", 0x9c3f35a26bbc7835),
+    ("overload_error", 0xcff0db9b16d49195),
+];
+
 /// The heart of the suite: run the scenario on both backends and demand
 /// byte-identical artifacts, with a targeted message per artifact class
-/// so a divergence names what broke.
+/// so a divergence names what broke; then demand the digest recorded for
+/// the scenario in [`SCENARIO_DIGESTS`].
 fn diff<F>(name: &str, spec: ClusterSpec, f: F)
 where
     F: Fn(&mut Rank) -> Vec<u8> + Send + Sync,
@@ -73,6 +114,12 @@ where
     assert_eq!(
         thread.profile, event.profile,
         "[{name}] profile JSON diverged between backends"
+    );
+    let pinned = SCENARIO_DIGESTS.iter().find(|(n, _)| *n == name);
+    let (got, pinned) = (event.digest(), pinned.expect("a recorded digest").1);
+    assert_eq!(
+        got, pinned,
+        "[{name}] digest moved: as run {got:#018x}, recorded {pinned:#018x}"
     );
 }
 
@@ -624,8 +671,18 @@ impl Workload {
     }
 }
 
+/// Recorded digests of the seeds the suite runs by default; a
+/// `BACKEND_DIFF_SEED` outside this table is cross-checked only.
+const SEED_DIGESTS: [(u64, u64); 4] = [
+    (1, 0xb746d65930097e81),
+    (7, 0x383e104a59485c47),
+    (20020415, 0x11c3764cdc4a0131),
+    (0xDEAD_BEEF, 0xd908ac8b27c6cced),
+];
+
 /// Cross-check one drawn workload between the backends, printing a
-/// minimized reproduction recipe on mismatch.
+/// minimized reproduction recipe on mismatch; a seed of [`SEED_DIGESTS`]
+/// must also produce its recorded digest.
 fn check_workload(seed: u64) {
     let w = Workload::draw(seed);
     let run_one = |backend: Backend| {
@@ -659,6 +716,13 @@ fn check_workload(seed: u64) {
         }
         panic!("seed {seed}: backends diverged (see repro above)");
     }
+    if let Some(&(_, pinned)) = SEED_DIGESTS.iter().find(|(s, _)| *s == seed) {
+        let got = event.digest();
+        assert_eq!(
+            got, pinned,
+            "seed {seed}: digest moved: as run {got:#018x}, recorded {pinned:#018x}"
+        );
+    }
 }
 
 /// The sweep: `BACKEND_DIFF_SEED` pins a single seed (the CI matrix
@@ -688,4 +752,5 @@ fn event_backend_self_deterministic() {
         capture(w.spec().backend(Backend::Event), move |r| w.body(r))
     };
     assert_eq!(run_one(), run_one(), "event backend diverged from itself");
+    check_workload(7);
 }
