@@ -46,13 +46,13 @@ const EVENT_TASK_STACK: usize = 1 << 20;
 pub enum Backend {
     /// One free-running OS thread per rank (the reference
     /// implementation). Wall-clock cost scales with rank count.
-    #[default]
     Thread,
     /// Deterministic discrete-event scheduler: ranks are cooperative
     /// tasks dispatched in `(virtual time, rank, sequence)` order by a
     /// single run token. Bit-identical results to [`Backend::Thread`]
     /// (enforced by `tests/backend_diff.rs`) at a fraction of the
     /// scheduling cost for large rank counts.
+    #[default]
     Event,
 }
 
