@@ -27,8 +27,7 @@ use mpi_datatype::{Committed, Datatype};
 use obs::Counter;
 use repro_bench::{BenchDoc, BenchPoint};
 use scimpi::{
-    Backend, ClusterSpec, CollectiveAlgo, NoncontigMode, ObsConfig, Rank, ReduceOp, RunReport,
-    Tuning,
+    ClusterSpec, CollectiveAlgo, NoncontigMode, ObsConfig, Rank, ReduceOp, RunReport, Tuning,
 };
 use simclock::stats::fmt_bytes;
 
@@ -51,11 +50,10 @@ const ALGOS: [(CollectiveAlgo, &str); 6] = [
 ];
 
 fn spec(algo: CollectiveAlgo, noncontig: NoncontigMode) -> ClusterSpec {
-    // The event backend keeps saturated-segment arbitration (and with it
-    // every virtual time below) deterministic run-to-run, so the curves
-    // can sit in the bench-regression gate at exact tolerance.
+    // Saturated-segment arbitration (and with it every virtual time
+    // below) resolves in dispatch order, so the curves sit in the
+    // bench-regression gate at exact tolerance.
     let mut s = ClusterSpec::ringlet(RANKS)
-        .backend(Backend::Event)
         .tuning(Tuning {
             collective_algo: algo,
             noncontig,

@@ -18,7 +18,7 @@
 use obs::json::num;
 use obs::Counter;
 use sci_fabric::{death_schedule, FaultConfig};
-use scimpi::{shrink, Backend, ClusterSpec, ErrorMode, ObsConfig, Tuning, WinMemory};
+use scimpi::{shrink, ClusterSpec, ErrorMode, ObsConfig, Tuning, WinMemory};
 use simclock::stats::Table;
 use simclock::{SimDuration, SimTime};
 
@@ -39,11 +39,9 @@ const RECOVERY: [(&str, Counter); 8] = [
 ];
 
 fn spec_for(rate: f64) -> ClusterSpec {
-    // The event backend: retry draws of all ranks come off one shared RNG
-    // stream, and free-running rank threads interleave them in host
-    // order, which moved the rate-0.01 row from run to run.
+    // Retry draws of all ranks come off one shared RNG stream, in
+    // dispatch order: every row reproduces from the seed.
     let mut spec = ClusterSpec::multi_ring(2, 4)
-        .backend(Backend::Event)
         .errors(ErrorMode::ErrorsReturn)
         .tuning(Tuning {
             osc_fallback_threshold: 1,

@@ -1,7 +1,6 @@
-//! Megascale smoke test for the event-driven backend: can the
-//! deterministic scheduler carry four orders of magnitude more ranks
-//! than the thread backend's free-running OS threads ever see in the
-//! differential suite, at bounded memory and bounded wall-clock?
+//! Megascale smoke test for the event scheduler: can it carry four
+//! orders of magnitude more ranks than the determinism suite ever runs,
+//! at bounded memory and bounded wall-clock?
 //!
 //! Every rank runs a tiny but representative slice of the runtime —
 //! a barrier, a parity-split eager ring exchange, and an allreduce —
@@ -23,7 +22,7 @@
 //! Run: `cargo run --release -p repro-bench --bin megascale`
 
 use obs::json::num;
-use scimpi::{Backend, ClusterSpec, ReduceOp, Source, TagSel};
+use scimpi::{ClusterSpec, ReduceOp, Source, TagSel};
 use simclock::SimTime;
 
 const MSG_BYTES: usize = 64; // firmly eager: one mailbox deposit per hop
@@ -39,7 +38,7 @@ fn ranks_from_env() -> usize {
 }
 
 fn spec(ranks: usize) -> ClusterSpec {
-    let mut spec = ClusterSpec::ringlet(ranks).backend(Backend::Event);
+    let mut spec = ClusterSpec::ringlet(ranks);
     spec.seed = 20020415; // IPPS 2002
     spec
 }
@@ -75,7 +74,7 @@ fn megascale_run(ranks: usize) -> (SimTime, sched::Stats) {
         r.now()
     });
     let finish = times.into_iter().max().expect("nonempty cluster");
-    let stats = report.event_stats.expect("event backend ran");
+    let stats = report.event_stats.expect("scheduler statistics");
     (finish, stats)
 }
 
@@ -115,9 +114,6 @@ fn main() {
         stats.tasks_high_water, ranks,
         "every rank must be a live task at the first barrier"
     );
-    // Every waiter is a task: a wake is a load, never a `futex_wake`
-    // whose cost grows with the parked threads (docs/SCHEDULER.md).
-    assert_eq!(stats.thread_notifies, 0, "a wake found a thread asleep");
 
     let json = format!(
         "{{\"bench\":\"megascale\",\"backend\":\"event\",\"ranks\":{ranks},\

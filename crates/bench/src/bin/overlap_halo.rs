@@ -21,7 +21,7 @@
 
 use obs::json::num;
 use obs::{Counter, WaitKind};
-use scimpi::{Backend, ClusterSpec, ObsConfig, RecvBuf, SendData, Source, TagSel};
+use scimpi::{ClusterSpec, ObsConfig, RecvBuf, SendData, Source, TagSel};
 use simclock::stats::Table;
 use simclock::{SimDuration, SimTime};
 
@@ -34,12 +34,10 @@ const ITERS: usize = 6;
 /// per-iteration communication time.
 const GRAINS: [f64; 4] = [0.25, 0.5, 1.0, 2.0];
 
-/// On the event backend: its engine tasks draw eager credits in dispatch
-/// order, so the document reproduces byte for byte.
+/// The engine tasks draw eager credits in dispatch order, so the
+/// document reproduces byte for byte.
 fn spec() -> ClusterSpec {
-    let mut spec = ClusterSpec::ringlet(RANKS)
-        .backend(Backend::Event)
-        .obs(ObsConfig::enabled());
+    let mut spec = ClusterSpec::ringlet(RANKS).obs(ObsConfig::enabled());
     spec.seed = 20020415; // IPPS 2002
     spec
 }

@@ -1,7 +1,7 @@
 //! Host cost of a run by phase and world size: microseconds per rank for
 //! cluster launch, a barrier, one ring round (a 64-byte send and receive
-//! per rank), one 8-byte allreduce and teardown, on
-//! `Backend::Event` at 256 / 1 024 / 2 048 / 4 096 ranks — the shape of
+//! per rank), one 8-byte allreduce and teardown, at
+//! 256 / 1 024 / 2 048 / 4 096 ranks — the shape of
 //! `scale_ring` in `benchmark/` and of the `megascale` bin. A phase whose
 //! per-rank cost grows with the rank count has a world-size term in it.
 //!
@@ -23,7 +23,7 @@
 //! is the median of [`RUNS`] runs. docs/SCHEDULER.md, "Measured: where a
 //! megascale run spends its host time", keeps the readings.
 
-use scimpi::{run_report, Backend, ClusterSpec, ReduceOp, Source, TagSel};
+use scimpi::{run, ClusterSpec, ReduceOp, Source, TagSel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -61,8 +61,7 @@ fn one_run(ranks: usize) -> [f64; 7] {
         t0: Instant::now(),
         earliest: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
     };
-    let spec = ClusterSpec::ringlet(ranks).backend(Backend::Event);
-    let (_, report) = run_report(spec, |r| {
+    run(ClusterSpec::ringlet(ranks), |r| {
         marks.mark(0);
         let (me, n) = (r.rank(), r.size());
         let (right, left) = ((me + 1) % n, (me + n - 1) % n);
@@ -94,8 +93,6 @@ fn one_run(ranks: usize) -> [f64; 7] {
         marks.mark(4);
     });
     let end = marks.t0.elapsed().as_secs_f64();
-    let stats = report.event_stats.expect("event backend ran");
-    assert_eq!(stats.thread_notifies, 0, "a wake found a thread asleep");
     let at = |edge: usize| marks.earliest[edge].load(Ordering::Relaxed) as f64 / 1e9;
     let barrier = at(2) - at(1);
     [

@@ -4,8 +4,7 @@
 //! the paper's own primitives: symmetric [`Rank::sendrecv`] exchanges,
 //! nonblocking requests (`irecv` + blocking sends for the all-to-all
 //! family), and one-sided PSCW window puts (the pipelined ring
-//! broadcast). All blocking goes through the existing park/wake sites,
-//! so the thread and event backends stay byte-identical.
+//! broadcast). All blocking goes through the existing park/wake sites.
 //!
 //! Like the naive reference, every schedule runs as a *reliable section*
 //! (lossy overload policies fall back to `Stall` inside a collective)

@@ -618,33 +618,6 @@ impl Rank {
         }
         algos::alltoallv_requests(self, sendbuf, counts, displs)
     }
-
-    /// Reduce onto `root` over `f64` slices.
-    #[deprecated(note = "use the element-generic `Rank::reduce` instead")]
-    pub fn reduce_f64(
-        &mut self,
-        root: usize,
-        values: &[f64],
-        op: ReduceOp,
-    ) -> Result<Option<Vec<f64>>, ScimpiError> {
-        self.reduce(root, values, op)
-    }
-
-    /// All-reduce over `f64` slices, returning a fresh vector.
-    #[deprecated(note = "use the element-generic, in-place `Rank::allreduce` instead")]
-    pub fn allreduce_f64(&mut self, values: &[f64], op: ReduceOp) -> Result<Vec<f64>, ScimpiError> {
-        let mut v = values.to_vec();
-        self.allreduce(&mut v, op)?;
-        Ok(v)
-    }
-
-    /// Inclusive prefix sum over `f64` slices, returning a fresh vector.
-    #[deprecated(note = "use the element-generic, in-place `Rank::scan` with `ReduceOp::Sum`")]
-    pub fn scan_sum_f64(&mut self, values: &[f64]) -> Result<Vec<f64>, ScimpiError> {
-        let mut v = values.to_vec();
-        self.scan(&mut v, ReduceOp::Sum)?;
-        Ok(v)
-    }
 }
 
 #[cfg(test)]
@@ -825,21 +798,6 @@ mod tests {
         assert_eq!(out[0].2, 3.0);
         assert_eq!(out[0].3, vec![7u8]);
         assert_eq!(out[0].4, (vec![1, 2], vec![2], vec![0]));
-    }
-
-    #[test]
-    fn deprecated_f64_shims_still_work() {
-        #[allow(deprecated)]
-        let out = run(ClusterSpec::ringlet(3), |r| {
-            let s = r.allreduce_f64(&[r.rank() as f64], ReduceOp::Sum).unwrap();
-            let p = r.scan_sum_f64(&[1.0]).unwrap();
-            let m = r.reduce_f64(0, &[r.rank() as f64], ReduceOp::Max).unwrap();
-            (s[0], p[0], m.map(|v| v[0]))
-        });
-        assert!(out.iter().all(|&(s, _, _)| s == 3.0));
-        assert_eq!(out[1].1, 2.0);
-        assert_eq!(out[0].2, Some(2.0));
-        assert_eq!(out[2].2, None);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!    for private ones, with remote-put conversion for large gets
 //!    ([`osc`]).
 //!
-//! Ranks run as OS threads with per-rank virtual clocks; all timing is the
-//! fabric cost model's, so results are deterministic.
+//! Ranks run as tasks of a deterministic event scheduler with per-rank
+//! virtual clocks; all timing is the fabric cost model's, so a run is a
+//! function of its spec.
 //!
 //! Every communication verb returns `Result<_, ScimpiError>`; under the
 //! default [`ErrorMode::ErrorsAreFatal`] a communication error aborts the
@@ -59,7 +60,7 @@ pub use p2p::{RecvBuf, RecvStatus, SendData};
 pub use recovery::{revoke, shrink, shrink_with_fault, Checkpointer, ShrinkReport};
 pub use request::{PersistentRecv, PersistentSend, RecvDone, Request};
 pub use runtime::{run, run_report, Backend, ClusterSpec, ObsConfig, Rank, RunReport};
-/// Scheduler statistics of a [`Backend::Event`] run (`RunReport::event_stats`).
+/// Scheduler statistics of a run (`RunReport::event_stats`).
 pub use sched::Stats as EventStats;
 pub use sink::{PioSink, StagingLease, StagingLedger};
 pub use tuning::{CollectiveAlgo, IntegrityMode, NoncontigMode, OverloadPolicy, Tuning};

@@ -18,13 +18,13 @@
 
 use crate::error::ScimpiError;
 use crate::mailbox::{Ctrl, Envelope, Head, Source, Tag, TagSel};
-use crate::runtime::{Rank, WorldState, POLL_SLICE};
+use crate::runtime::{Rank, WorldState};
 use crate::sink::PioSink;
 use crate::tuning::{IntegrityMode, OverloadPolicy, PackPath, Tuning};
 use mpi_datatype::{ff, Committed, PackStats, SliceSource};
 use obs::attrib::{self, Bucket, WaitKind};
 use sci_fabric::{crc32, SeqStatus};
-use simclock::{Clock, SimDuration};
+use simclock::{Clock, SimDuration, SimTime};
 use smi::ProcId;
 use std::sync::Arc;
 
@@ -295,11 +295,11 @@ pub(crate) fn finish_send_inner(
         // wait forever.
         let slot_wait_start = clock.now();
         let slot = loop {
-            if let Some(s) = ring.acquire_for(clock, POLL_SLICE) {
+            if let Some(s) = ring.acquire(clock) {
                 break s;
             }
             if world.revoke_arrival(rank).is_some() {
-                if let Some(s) = ring.acquire_for(clock, std::time::Duration::ZERO) {
+                if let Some(s) = ring.try_acquire(clock) {
                     break s;
                 }
                 let err = world
@@ -310,7 +310,7 @@ pub(crate) fn finish_send_inner(
             if !world.peer_dead(dst) {
                 continue;
             }
-            if let Some(s) = ring.acquire_for(clock, std::time::Duration::ZERO) {
+            if let Some(s) = ring.try_acquire(clock) {
                 break s;
             }
             return Err(world.escalate(world.declare_dead(clock, dst, "ring slot")));
@@ -635,19 +635,13 @@ pub(crate) fn recv_into_inner(
     }
     let env = match src {
         Source::Any => loop {
-            if let Some(e) =
-                world.mailboxes[rank].match_recv_posted_for(ticket, POLL_SLICE, clock.now())
-            {
+            if let Some(e) = world.mailboxes[rank].match_recv_posted(ticket, clock.now()) {
                 break e;
             }
             // A wildcard receive has no single peer to monitor, so only a
             // communicator revocation can unblock it early.
             if world.revoke_arrival(rank).is_some() {
-                if let Some(e) = world.mailboxes[rank].match_recv_posted_for(
-                    ticket,
-                    std::time::Duration::ZERO,
-                    clock.now(),
-                ) {
+                if let Some(e) = world.mailboxes[rank].try_match_recv_posted(ticket, clock.now()) {
                     break e;
                 }
                 world.mailboxes[rank].abandon_recv(ticket);
@@ -658,17 +652,11 @@ pub(crate) fn recv_into_inner(
             }
         },
         Source::Rank(peer) => loop {
-            if let Some(e) =
-                world.mailboxes[rank].match_recv_posted_for(ticket, POLL_SLICE, clock.now())
-            {
+            if let Some(e) = world.mailboxes[rank].match_recv_posted(ticket, clock.now()) {
                 break e;
             }
             if world.revoke_arrival(rank).is_some() {
-                if let Some(e) = world.mailboxes[rank].match_recv_posted_for(
-                    ticket,
-                    std::time::Duration::ZERO,
-                    clock.now(),
-                ) {
+                if let Some(e) = world.mailboxes[rank].try_match_recv_posted(ticket, clock.now()) {
                     break e;
                 }
                 world.mailboxes[rank].abandon_recv(ticket);
@@ -680,13 +668,9 @@ pub(crate) fn recv_into_inner(
             if !world.peer_dead(peer) {
                 continue;
             }
-            // Final drain: the message may have landed between the last
-            // poll slice and the death check.
-            if let Some(e) = world.mailboxes[rank].match_recv_posted_for(
-                ticket,
-                std::time::Duration::ZERO,
-                clock.now(),
-            ) {
+            // Final drain: the message may have landed between the stall
+            // and the death check.
+            if let Some(e) = world.mailboxes[rank].try_match_recv_posted(ticket, clock.now()) {
                 break e;
             }
             world.mailboxes[rank].abandon_recv(ticket);
@@ -1049,8 +1033,8 @@ impl Rank {
                 // The guard mirrors `WorldState::await_ctrl`: a revoked
                 // communicator or a dead receiver must unblock the
                 // stall, or backpressure would deadlock recovery.
-                let collect = |clock: &mut Clock, timeout| -> bool {
-                    match credits.await_grant_for(timeout) {
+                let collect = |clock: &mut Clock, grant: Option<(usize, SimTime)>| -> bool {
+                    match grant {
                         Some((glen, at)) => {
                             attrib::merge_waited(
                                 clock,
@@ -1065,7 +1049,7 @@ impl Rank {
                     }
                 };
                 loop {
-                    if collect(&mut self.clock, POLL_SLICE) {
+                    if collect(&mut self.clock, credits.await_grant()) {
                         if credits.try_consume(len) {
                             return Ok(CreditVerdict::Granted);
                         }
@@ -1073,8 +1057,8 @@ impl Rank {
                     }
                     if world.revoke_arrival(self.rank).is_some() {
                         // Final drain: a grant may have landed between
-                        // expiry and the revocation check.
-                        if collect(&mut self.clock, std::time::Duration::ZERO) {
+                        // the stall and the revocation check.
+                        if collect(&mut self.clock, credits.try_grant()) {
                             if credits.try_consume(len) {
                                 return Ok(CreditVerdict::Granted);
                             }
@@ -1088,7 +1072,7 @@ impl Rank {
                     if !world.peer_dead(dst) {
                         continue;
                     }
-                    if collect(&mut self.clock, std::time::Duration::ZERO) {
+                    if collect(&mut self.clock, credits.try_grant()) {
                         if credits.try_consume(len) {
                             return Ok(CreditVerdict::Granted);
                         }
@@ -1349,50 +1333,28 @@ impl Rank {
                 .map(|st| self.status_to_logical(st));
         }
         let mut send_clock = self.clock.clone();
-        // Event backend: the send half runs as its own scheduler task so
-        // its blocking sites (ring slots, CTS waits) park in virtual time
-        // concurrently with the recv half below.
-        let task = sched::spawn_handle(rank as u32, send_clock.now());
+        // The send half runs as its own scheduler task so its blocking
+        // sites (ring slots, CTS waits) park in virtual time concurrently
+        // with the recv half below.
+        let task = sched::spawn_handle(rank as u32, send_clock.now())
+            .expect("sendrecv outside a task: a rank runs under the scheduler");
         std::thread::scope(|scope| {
             let sender = scope.spawn({
-                let world = Arc::clone(&world);
-                let task = task.clone();
+                let (world, task) = (Arc::clone(&world), task.clone());
                 move || {
                     // Bind the helper to the run's recorder and the rank's
                     // trace lane but leave it out of attribution (its
                     // clock is a fork; the rank accounts the join below
                     // as a request-wait).
                     let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
-                    match task {
-                        Some(h) => {
-                            let out =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    h.adopt();
-                                    finish_send_inner(&world, rank, &mut send_clock, op)
-                                }));
-                            match out {
-                                Ok(res) => {
-                                    sched::retire();
-                                    (res, send_clock)
-                                }
-                                Err(p) => {
-                                    sched::abort_current(p);
-                                    sched::retire();
-                                    std::panic::panic_any(sched::Aborted);
-                                }
-                            }
-                        }
-                        None => {
-                            let res = finish_send_inner(&world, rank, &mut send_clock, op);
-                            (res, send_clock)
-                        }
-                    }
+                    let res = task.run(|| finish_send_inner(&world, rank, &mut send_clock, op));
+                    // Unwound: the run is aborting, and so does the join.
+                    let res = res.unwrap_or_else(|| std::panic::panic_any(sched::Aborted));
+                    (res, send_clock)
                 }
             });
             let status = recv_into_inner(&world, rank, &mut self.clock, ticket, src, rbuf);
-            if let Some(h) = &task {
-                sched::join_task(h);
-            }
+            sched::join_task(&task);
             let (send_res, send_clock) = sender.join().expect("send side panicked");
             // Joining the helper's forked clock: any jump is the rank
             // blocked on its own outstanding send half.

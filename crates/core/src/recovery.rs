@@ -35,7 +35,7 @@
 use crate::error::ScimpiError;
 use crate::mailbox::Ctrl;
 use crate::osc::{AllocMem, WinMemory, Window};
-use crate::runtime::{Rank, POLL_SLICE};
+use crate::runtime::Rank;
 use crate::tuning::IntegrityMode;
 use obs::attrib::{self, Bucket, WaitKind};
 use sci_fabric::crc32;
@@ -137,15 +137,15 @@ fn await_agree_signal(rank: &mut Rank, handle: u64, partner_w: usize) -> Option<
         (arrival, u64::from_le_bytes(bytes))
     };
     loop {
-        if let Some(c) = world.mailboxes[me_w].wait_ctrl_for(handle, POLL_SLICE) {
+        if let Some(c) = world.mailboxes[me_w].wait_ctrl(handle) {
             return Some(decode(c));
         }
         if !world.peer_dead(partner_w) {
             continue;
         }
         // The partner is dead: drain once more to close the race where
-        // its last pre-death signal landed between expiry and the check.
-        if let Some(c) = world.mailboxes[me_w].wait_ctrl_for(handle, std::time::Duration::ZERO) {
+        // its last pre-death signal landed between the stall and the check.
+        if let Some(c) = world.mailboxes[me_w].try_ctrl(handle) {
             return Some(decode(c));
         }
         let _ = world.declare_dead(&mut rank.clock, partner_w, "agreement signal");
@@ -328,7 +328,7 @@ fn shrink_inner(
         // A stalled wake simply re-runs the check.
         barriers = world
             .epoch_waiters
-            .wait(&world.epoch_barriers, barriers, None, POLL_SLICE)
+            .wait(&world.epoch_barriers, barriers, None)
             .0;
     };
     drop(barriers);

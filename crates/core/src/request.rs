@@ -6,11 +6,9 @@
 //! A nonblocking operation forks the posting rank's [`simclock::Clock`]
 //! at post time and drives the transfer protocol on an *engine* against
 //! the fork, while the rank's own clock keeps advancing through
-//! [`Rank::compute`]. Under the event backend the engine is a scheduler
-//! task run by one of the scheduler's pooled workers ([`sched::spawn`]:
-//! a request costs a handoff, not a thread); the thread backend has no
-//! scheduler and gives each engine a thread of its own. Completion merges
-//! the fork back:
+//! [`Rank::compute`]. The engine is a scheduler task run by one of the
+//! scheduler's pooled workers ([`sched::spawn`]: a request costs a
+//! handoff, not a thread). Completion merges the fork back:
 //!
 //! ```text
 //! completion = max(compute frontier, link-drain time of the transfer)
@@ -60,7 +58,6 @@ use crate::runtime::Rank;
 use mpi_datatype::Committed;
 use simclock::{Clock, SimTime};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Completion times of requests that were dropped unwaited.
 /// [`Request::drop`] deposits here; the owning rank drains
@@ -143,33 +140,12 @@ impl OwnedSend {
 /// Where an engine leaves the fork's final time and the result.
 type Completion<T> = Arc<Mutex<Option<(SimTime, Result<T, ScimpiError>)>>>;
 
-/// What drives a running request.
-enum Engine {
-    /// Event backend: a pooled scheduler task, joined in virtual time.
-    Task(sched::Handle),
-    /// Thread backend: an OS thread of its own.
-    Thread(JoinHandle<()>),
-}
-
-impl Engine {
-    /// Wait for the engine to finish; `Err` is an engine thread's panic.
-    /// A panicking engine *task* aborts the run, and the join unwinds
-    /// with every other task.
-    fn join(self) -> std::thread::Result<()> {
-        match self {
-            Engine::Task(h) => {
-                sched::join_task(&h);
-                Ok(())
-            }
-            Engine::Thread(t) => t.join(),
-        }
-    }
-}
-
 enum State<T> {
-    /// The transfer is being driven by an engine against a forked clock;
-    /// a joined engine has filled the completion.
-    Running(Engine, Completion<T>),
+    /// The transfer is being driven by an engine (a pooled scheduler
+    /// task, joined in virtual time) against a forked clock; a joined
+    /// engine has filled the completion. A panicking engine aborts the
+    /// run, and the join unwinds with every other task.
+    Running(sched::Handle, Completion<T>),
     /// The transfer's virtual end time is known but the completion has
     /// not been folded into the rank's clock yet.
     Ready(SimTime, Result<T, ScimpiError>),
@@ -234,12 +210,9 @@ impl<T: Send + 'static> Request<T> {
             let res = f(&mut clock);
             *filled.lock().unwrap() = Some((clock.now(), res));
         });
-        // Under the event backend the engine runs as a scheduler task so
-        // its blocking sites park in virtual time like any rank.
-        let engine = match sched::spawn(id, now, job) {
-            Ok(task) => Engine::Task(task),
-            Err(job) => Engine::Thread(std::thread::spawn(job)),
-        };
+        // The engine runs as a scheduler task so its blocking sites park
+        // in virtual time like any rank.
+        let engine = sched::spawn(id, now, job);
         Request {
             state: Some(State::Running(engine, completion)),
             posted_at,
@@ -249,18 +222,14 @@ impl<T: Send + 'static> Request<T> {
     }
 
     /// Join the engine if still running, leaving the state at `Ready` or
-    /// `Done`. Blocks real time only; the completion verdict stays a pure
+    /// `Done`. Costs no virtual time; the completion verdict stays a pure
     /// virtual-time comparison.
     fn settle(&mut self) {
         let running = |s: &mut State<T>| matches!(s, State::Running(..));
         let Some(State::Running(engine, completion)) = self.state.take_if(running) else {
             return;
         };
-        if let Err(p) = engine.join() {
-            // The engine thread panicked (ErrorsAreFatal escalation): the
-            // run is being torn down — propagate.
-            std::panic::resume_unwind(p);
-        }
+        sched::join_task(&engine);
         let (end, res) =
             (completion.lock().unwrap().take()).expect("a joined engine has left its completion");
         self.state = Some(State::Ready(end, res));
@@ -285,27 +254,19 @@ impl<T> Drop for Request<T> {
             None | Some(State::Done(..)) => return,
             Some(State::Ready(end, res)) => (end, res),
             Some(State::Running(engine, completion)) => {
-                let unwinding = std::thread::panicking();
-                if unwinding && matches!(engine, Engine::Task(_)) {
-                    // Dropped mid-unwind on the event backend: parking to
-                    // join would panic again (the abort sentinel) and turn
-                    // the unwind into an abort. Detach — the scheduler's
-                    // abort broadcast wakes and retires the engine task on
-                    // its own.
+                if std::thread::panicking() {
+                    // Dropped mid-unwind: parking to join would panic
+                    // again (the abort sentinel) and turn the unwind into
+                    // an abort. Detach — the scheduler's abort broadcast
+                    // wakes and retires the engine task on its own.
                     return;
                 }
-                match engine.join() {
-                    Ok(()) => match completion.lock().unwrap().take() {
-                        Some(done) => done,
-                        // Only off the run's threads (a request that
-                        // outlived its run): nobody is left to merge it.
-                        None => return,
-                    },
-                    // Engine-thread panic (fatal escalation). If we are
-                    // already unwinding, swallow it — a double panic
-                    // aborts without a message.
-                    Err(_) if unwinding => return,
-                    Err(p) => std::panic::resume_unwind(p),
+                sched::join_task(&engine);
+                match completion.lock().unwrap().take() {
+                    Some(done) => done,
+                    // Only off the run's threads (a request that
+                    // outlived its run): nobody is left to merge it.
+                    None => return,
                 }
             }
         };

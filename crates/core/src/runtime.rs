@@ -4,16 +4,12 @@
 //! through the [`crate::mailbox`] transport and the SCI fabric. Virtual
 //! time lives in each rank's [`simclock::Clock`]; `MPI_Wtime` reads it.
 //!
-//! Two execution backends share one protocol implementation (selected by
-//! [`ClusterSpec::backend`], see `docs/SCHEDULER.md`):
-//!
-//! * [`Backend::Thread`] — one free-running OS thread per rank, sleeping
-//!   on its wait queues in real-time poll slices (the reference backend);
-//! * [`Backend::Event`] — ranks are cooperative tasks under a
-//!   deterministic discrete-event scheduler; exactly one task runs at a
-//!   time and blocking sites park on the virtual-time event queue, which
-//!   decouples simulated rank count from host threads' wall-clock cost
-//!   and scales to 10k+ ranks.
+//! There is one execution model (`docs/SCHEDULER.md`): ranks are
+//! cooperative tasks under the deterministic discrete-event scheduler of
+//! the `sched` crate. Exactly one task runs at a time and blocking sites
+//! park on the virtual-time event queue, so a run is a function of its
+//! spec — results, counters, profile and trace alike — and simulated rank
+//! count is decoupled from the host threads' wall-clock cost (10k+ ranks).
 
 use crate::error::{ErrorMode, ScimpiError};
 use crate::mailbox::Mailbox;
@@ -30,28 +26,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Size of each rank's `MPI_Alloc_mem` shared-segment pool.
 pub const ALLOC_POOL_BYTES: usize = 8 << 20;
 
-/// Real-time polling slice for liveness-guarded protocol waits. Purely a
-/// responsiveness/CPU trade-off: virtual time never depends on it. Under
-/// the event backend the same waits park on the scheduler instead and a
-/// stall round substitutes for slice expiry.
-pub(crate) const POLL_SLICE: std::time::Duration = std::time::Duration::from_millis(10);
-
-/// Stack size for event-backend rank tasks. Parked tasks touch only a
-/// few pages, so 10k ranks cost ~10 GiB of *address space* but only the
-/// touched pages of RSS; the thread backend keeps the platform default.
-const EVENT_TASK_STACK: usize = 1 << 20;
-
-/// Execution backend for [`run`].
+/// How [`run`] executes the ranks. A vestige: there is one way, and the
+/// enum, its `Default` and [`ClusterSpec::backend`] stay *only* because
+/// the frozen `benchmark/` package names `Backend::Event`,
+/// `Backend::default()` and `.backend(..)`. They go with the next
+/// `benchmark` PR.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// One free-running OS thread per rank (the reference
-    /// implementation). Wall-clock cost scales with rank count.
-    Thread,
     /// Deterministic discrete-event scheduler: ranks are cooperative
     /// tasks dispatched in `(virtual time, rank, sequence)` order by a
-    /// single run token. Bit-identical results to [`Backend::Thread`]
-    /// (enforced by `tests/backend_diff.rs`) at a fraction of the
-    /// scheduling cost for large rank counts.
+    /// single run token.
     #[default]
     Event,
 }
@@ -63,8 +47,8 @@ pub enum Backend {
 pub struct RunReport {
     /// Final counter values, indexed by [`obs::Counter`].
     pub counters: obs::CounterTable,
-    /// Every recorded trace event, in recording order (not deterministic
-    /// across threads under [`Backend::Thread`]).
+    /// Every recorded trace event, in recording order: the order the run
+    /// token visited the hooks, the same for every run of one spec.
     pub events: Vec<obs::TraceEvent>,
     /// Per-link traffic snapshots (one, `"end-of-run"`).
     pub link_snapshots: Vec<obs::LinkSnapshot>,
@@ -72,7 +56,7 @@ pub struct RunReport {
     pub peak_backlogs: Vec<obs::PeakBacklog>,
     /// Attribution table, span histograms and critical path.
     pub profile: Option<obs::Profile>,
-    /// Scheduler statistics of a [`Backend::Event`] run.
+    /// Scheduler statistics of the run (always `Some`).
     pub event_stats: Option<sched::Stats>,
 }
 
@@ -107,8 +91,7 @@ pub struct ClusterSpec {
     /// (the default) or hand errors back through the `Result` returned by
     /// every communication verb.
     pub errors: ErrorMode,
-    /// Execution backend: free-running threads (default) or the
-    /// deterministic event scheduler.
+    /// Execution backend: a vestige with one value, see [`Backend`].
     pub backend: Backend,
 }
 
@@ -179,7 +162,8 @@ impl ClusterSpec {
         self
     }
 
-    /// Builder: replace the execution backend.
+    /// Builder: replace the execution backend. A no-op kept for the
+    /// frozen `benchmark/` package, see [`Backend`].
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -213,16 +197,15 @@ pub(crate) struct PairRing {
     /// Slot bookkeeping: free slot indices with the virtual time they were
     /// freed. FIFO: the receiver drains slots in ascending virtual time,
     /// and taking the front slot keeps the sender's virtual wait
-    /// independent of real-time thread interleaving (determinism).
+    /// independent of which engine task got there first.
     free: Mutex<std::collections::VecDeque<(usize, SimTime)>>,
     /// Bytes per slot.
     pub chunk: usize,
     /// Send-turn ticketing: with nonblocking sends, two rendezvous
     /// transfers to the same destination can be in flight at once, and
-    /// their engine threads would race for ring slots — making the
-    /// `freed_at` merge order depend on real-time interleaving. Each
+    /// their engine tasks would interleave their ring slots. Each
     /// rendezvous send takes a turn ticket when its RTS is posted (program
-    /// order on the sending rank's thread) and the chunk loop runs only
+    /// order on the sending rank) and the chunk loop runs only
     /// when its ticket comes up, so the per-pair data stream is serialised
     /// in posted order. Blocking sends pass straight through (their ticket
     /// is always current) at zero virtual cost.
@@ -251,9 +234,8 @@ impl PairRing {
         }
     }
 
-    /// Take the next send-turn ticket. Must be called on the sending
-    /// rank's own thread (at RTS-post time) so tickets reflect program
-    /// order.
+    /// Take the next send-turn ticket. Must be called by the sending
+    /// rank itself (at RTS-post time) so tickets reflect program order.
     pub fn take_turn_ticket(&self) -> u64 {
         let mut t = self.turn.lock().unwrap();
         let ticket = t.next_ticket;
@@ -261,15 +243,15 @@ impl PairRing {
         ticket
     }
 
-    /// Block (real time only) until `ticket`'s turn comes up, returning a
-    /// guard that passes the turn on when dropped — including on error
-    /// and panic paths, so a failed send never wedges the pair.
+    /// Block (at no virtual cost) until `ticket`'s turn comes up,
+    /// returning a guard that passes the turn on when dropped — including
+    /// on error and panic paths, so a failed send never wedges the pair.
     pub fn await_turn(&self, ticket: u64) -> TurnGuard<'_> {
         let mut t = self.turn.lock().unwrap();
         while t.current != ticket {
             // Turns carry no timestamp: park at the task's last time. A
             // stalled wait has nothing else to check.
-            t = self.turn_waiters.wait(&self.turn, t, None, POLL_SLICE).0;
+            t = self.turn_waiters.wait(&self.turn, t, None).0;
         }
         TurnGuard { ring: self, ticket }
     }
@@ -294,16 +276,26 @@ impl Drop for TurnGuard<'_> {
 impl PairRing {
     /// Acquire the earliest-freed slot (merging the slot's free-time into
     /// the clock — the sender virtually waits for the receiver to drain),
-    /// giving up when a wait stalls (a stall round for a task, `timeout`
-    /// of *real* time without a release for a thread). Returns `None`
-    /// then, without touching the clock — callers loop, checking receiver
-    /// liveness between slices, and charge virtual time only from the
-    /// deterministic timeout schedule.
-    pub fn acquire_for(&self, clock: &mut Clock, timeout: std::time::Duration) -> Option<usize> {
+    /// giving up when the wait stalls (a scheduler stall round). Returns
+    /// `None` then, without touching the clock — callers loop, checking
+    /// receiver liveness in between, and charge virtual time only from
+    /// the deterministic timeout schedule.
+    pub fn acquire(&self, clock: &mut Clock) -> Option<usize> {
         let now = Some(clock.now());
-        let (slot, freed_at) = self
+        let popped = self
             .waiters
-            .take_for(&self.free, now, timeout, |free| free.pop_front())?;
+            .take_or_wait(&self.free, now, |free| free.pop_front());
+        Self::merge_freed(clock, popped)
+    }
+
+    /// [`Self::acquire`] that looks once and never parks: the final drain
+    /// after the receiver's death or a revocation.
+    pub fn try_acquire(&self, clock: &mut Clock) -> Option<usize> {
+        Self::merge_freed(clock, self.free.lock().unwrap().pop_front())
+    }
+
+    fn merge_freed(clock: &mut Clock, popped: Option<(usize, SimTime)>) -> Option<usize> {
+        let (slot, freed_at) = popped?;
         clock.merge(freed_at);
         Some(slot)
     }
@@ -325,31 +317,28 @@ impl PairRing {
 /// The sender owns a finite eager budget
 /// ([`Tuning::eager_credits_bytes`] payload bytes plus
 /// [`Tuning::eager_credit_slots`] envelope slots) and spends from it at
-/// post time on its own thread; the receiver *returns* credits by
+/// post time, in program order; the receiver *returns* credits by
 /// depositing a timestamped grant when the message is matched and
 /// unpacked. Grants flow back into the spendable pool either inside a
-/// backpressure stall ([`PairCredits::await_grant_for`] — the sender
+/// backpressure stall ([`PairCredits::await_grant`] — the sender
 /// merges the grant time, virtually waiting for the receiver to drain)
 /// or in bulk at synchronisation points
 /// ([`PairCredits::collect_ready`]).
 ///
-/// Keeping the spendable pool strictly sender-thread-local is what makes
-/// the overload verdict — and thus the virtual timeline — deterministic:
-/// a grant deposited concurrently by the receiver's thread is never
-/// observed by a non-blocking read, only by a blocking collect whose
-/// timestamp is merged, or by a barrier that already orders it into the
-/// sender's causal past.
+/// Keeping the spendable pool strictly sender-local is what makes the
+/// overload verdict a function of the sender's own history: a grant the
+/// receiver has deposited is never observed by a non-blocking read, only
+/// by a blocking collect whose timestamp is merged, or by a barrier that
+/// already orders it into the sender's causal past.
 pub(crate) struct PairCredits {
     /// Spendable (payload bytes, envelope slots). Only the sending
-    /// rank's own thread mutates this (consume + collect), so its value
+    /// rank itself mutates this (consume + collect), so its value
     /// at any program point is a deterministic function of the rank's
     /// send/collect history.
     avail: Mutex<(usize, usize)>,
     /// Returned credits awaiting collection: payload length and the
     /// virtual time the grant reaches the sender (receiver match time
-    /// plus one control-packet latency). FIFO, like `PairRing::free`:
-    /// collecting the front grant keeps the sender's virtual wait
-    /// independent of real-time interleaving.
+    /// plus one control-packet latency). FIFO, like `PairRing::free`.
     granted: Mutex<std::collections::VecDeque<(usize, SimTime)>>,
     /// The sender, waiting in a backpressure stall.
     waiters: sched::WaitQueue,
@@ -410,21 +399,26 @@ impl PairCredits {
         }
     }
 
-    /// Sender side, inside a backpressure stall: wait (real time only)
-    /// for the earliest deposited grant, giving up when a wait stalls (a
-    /// stall round, or `timeout` without a deposit). Returns `None` then,
-    /// without touching any state — callers loop, checking receiver
-    /// liveness and revocation between slices. The popped grant is NOT
-    /// yet spendable: the caller merges its timestamp and then folds it
-    /// in with [`PairCredits::restore`].
-    pub fn await_grant_for(&self, timeout: std::time::Duration) -> Option<(usize, SimTime)> {
+    /// Sender side, inside a backpressure stall: wait (at no virtual
+    /// cost) for the earliest deposited grant, giving up when the wait
+    /// stalls (a scheduler stall round). Returns `None` then, without
+    /// touching any state — callers loop, checking receiver liveness and
+    /// revocation in between. The popped grant is NOT yet spendable: the
+    /// caller merges its timestamp and then folds it in with
+    /// [`PairCredits::restore`].
+    pub fn await_grant(&self) -> Option<(usize, SimTime)> {
         // Grant waits carry no timestamp: park at the task's last
         // recorded time.
         self.waiters
-            .take_for(&self.granted, None, timeout, |g| g.pop_front())
+            .take_or_wait(&self.granted, None, |g| g.pop_front())
     }
 
-    /// Fold a grant popped by [`PairCredits::await_grant_for`] into the
+    /// [`Self::await_grant`] that looks once and never parks.
+    pub fn try_grant(&self) -> Option<(usize, SimTime)> {
+        self.granted.lock().unwrap().pop_front()
+    }
+
+    /// Fold a grant popped by [`PairCredits::await_grant`] into the
     /// spendable pool (after the caller merged its timestamp).
     pub fn restore(&self, len: usize) {
         let mut a = self.avail.lock().unwrap();
@@ -713,10 +707,10 @@ impl WorldState {
     /// Wait for a protocol packet for `handle` on `rank`'s mailbox,
     /// guarding against `peer` dying mid-handshake.
     ///
-    /// Real time is polled in slices; a healthy-but-slow peer costs no
-    /// virtual time (determinism). Only when `peer`'s node is confirmed
-    /// dead does the waiter charge the full timeout/backoff schedule and
-    /// report [`ScimpiError::PeerDead`].
+    /// A healthy-but-slow peer costs no virtual time: liveness is
+    /// re-checked once per scheduler stall round, and only when `peer`'s
+    /// node is confirmed dead does the waiter charge the full
+    /// timeout/backoff schedule and report [`ScimpiError::PeerDead`].
     pub fn await_ctrl(
         &self,
         rank: usize,
@@ -726,16 +720,14 @@ impl WorldState {
         what: &'static str,
     ) -> Result<crate::mailbox::Ctrl, ScimpiError> {
         loop {
-            if let Some(c) = self.mailboxes[rank].wait_ctrl_for(handle, POLL_SLICE) {
+            if let Some(c) = self.mailboxes[rank].wait_ctrl(handle) {
                 return Ok(c);
             }
             if self.revoke_arrival(rank).is_some() {
                 // Revoked: drain once more (the packet may have landed
-                // between expiry and the check), then error out at the
+                // between the stall and the check), then error out at the
                 // gossip-front arrival time.
-                if let Some(c) =
-                    self.mailboxes[rank].wait_ctrl_for(handle, std::time::Duration::ZERO)
-                {
+                if let Some(c) = self.mailboxes[rank].try_ctrl(handle) {
                     return Ok(c);
                 }
                 return Err(self
@@ -746,8 +738,8 @@ impl WorldState {
                 continue;
             }
             // The peer is dead: drain once more to close the race where
-            // its last packet arrived between expiry and the check.
-            if let Some(c) = self.mailboxes[rank].wait_ctrl_for(handle, std::time::Duration::ZERO) {
+            // its last packet arrived between the stall and the check.
+            if let Some(c) = self.mailboxes[rank].try_ctrl(handle) {
                 return Ok(c);
             }
             return Err(self.declare_dead(clock, peer, what));
@@ -1134,12 +1126,18 @@ where
 
     // One launch membership for every rank, not a `size`-long copy each.
     let launch_members: Arc<Vec<usize>> = Arc::new((0..size).collect());
-    let rank_body = |rank: usize, world: Arc<WorldState>, f: &F| -> T {
+    // Every rank is a root task of one scheduler (`docs/SCHEDULER.md`).
+    let (results, stats) = sched::run_roots(size, |rank| {
+        let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
+        // Only ranks contribute to time attribution; engine and helper
+        // tasks with forked clocks stay unmarked so no picosecond is
+        // charged twice.
+        obs::attrib::set_thread_attrib(true);
         let mut r = Rank {
             rank,
             size,
             clock: Clock::new(),
-            world,
+            world: Arc::clone(&world),
             coll_seq: 0,
             drop_bin: Arc::new(crate::request::DropBin::default()),
             pending_requests: 0,
@@ -1156,93 +1154,10 @@ where
         r.reap_dropped();
         obs::attrib::record_makespan(rank as u32, r.clock.now());
         out
-    };
-
-    let mut report = RunReport::default();
-    let results = match spec.backend {
-        Backend::Thread => std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(size);
-            for rank in 0..size {
-                let world = Arc::clone(&world);
-                let f = &f;
-                let rank_body = &rank_body;
-                joins.push(scope.spawn(move || {
-                    let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
-                    // Only rank threads contribute to time attribution;
-                    // engine/helper threads with forked clocks stay unmarked
-                    // so no picosecond is charged twice.
-                    obs::attrib::set_thread_attrib(true);
-                    rank_body(rank, world, f)
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| match j.join() {
-                    Ok(v) => v,
-                    Err(p) => std::panic::resume_unwind(p),
-                })
-                .collect()
-        }),
-        Backend::Event => {
-            let sched = sched::Scheduler::new(size);
-            let mut outs: Vec<Option<T>> = std::thread::scope(|scope| {
-                let mut joins = Vec::with_capacity(size);
-                for rank in 0..size {
-                    let world = Arc::clone(&world);
-                    let f = &f;
-                    let rank_body = &rank_body;
-                    let h = sched.create_root(rank as u32);
-                    let builder = std::thread::Builder::new()
-                        .name(format!("rank-{rank}"))
-                        .stack_size(EVENT_TASK_STACK);
-                    joins.push(
-                        builder
-                            .spawn_scoped(scope, move || {
-                                let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
-                                obs::attrib::set_thread_attrib(true);
-                                // Adoption must sit inside the catch_unwind:
-                                // waiting for the first grant can itself
-                                // abort if another task panics first.
-                                let out =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        h.adopt();
-                                        rank_body(rank, world, f)
-                                    }));
-                                match out {
-                                    Ok(v) => {
-                                        sched::retire();
-                                        Some(v)
-                                    }
-                                    Err(p) => {
-                                        sched::abort_current(p);
-                                        sched::retire();
-                                        None
-                                    }
-                                }
-                            })
-                            .expect("spawn rank task"),
-                    );
-                }
-                joins
-                    .into_iter()
-                    .map(|j| j.join().unwrap_or(None))
-                    .collect()
-            });
-            report.event_stats = Some(sched.stats());
-            // The pooled workers that ran the request engines die with
-            // the run.
-            sched.join_workers();
-            if let Some(p) = sched.take_panic() {
-                std::panic::resume_unwind(p);
-            }
-            outs.iter_mut()
-                .enumerate()
-                .map(|(rank, o)| {
-                    o.take()
-                        .unwrap_or_else(|| panic!("rank {rank} produced no result"))
-                })
-                .collect()
-        }
+    });
+    let mut report = RunReport {
+        event_stats: Some(stats),
+        ..RunReport::default()
     };
 
     if let Some(rec) = &recorder {
@@ -1250,8 +1165,7 @@ where
         // (virtual time, Δmessages, Δeager-bytes) events at post and at
         // match time; sweeping them in virtual-time order — removals
         // before additions at equal times, so a credit recycled at time
-        // T never double-counts — yields the peak queue depth
-        // independent of real-time thread interleaving.
+        // T never double-counts — yields the peak queue depth.
         for (rank, mb) in world.mailboxes.iter().enumerate() {
             let mut events = mb.take_backlog_events();
             if events.is_empty() {
@@ -1379,9 +1293,8 @@ mod tests {
         let spec = ClusterSpec::ringlet(2);
         run(spec, |r| {
             if r.rank() == 0 {
-                let grab = |ring: &PairRing, clock: &mut Clock| {
-                    ring.acquire_for(clock, POLL_SLICE).expect("slot free")
-                };
+                let grab =
+                    |ring: &PairRing, clock: &mut Clock| ring.acquire(clock).expect("slot free");
                 let ring = r.world.ring(0, 1);
                 let s0 = grab(&ring, &mut r.clock);
                 let s1 = grab(&ring, &mut r.clock);
@@ -1395,6 +1308,51 @@ mod tests {
                 ring.release(s1, r.now());
                 ring.release(s2, r.now());
             }
+        });
+    }
+
+    #[test]
+    fn a_stalled_wait_leaves_the_free_list_the_credits_and_the_clock_alone() {
+        let spec = ClusterSpec::ringlet(2);
+        let slots = spec.tuning.ring_slots;
+        run(spec, |r| {
+            if r.rank() != 0 {
+                return;
+            }
+            // Every slot held and nobody to release one: the wait ends in
+            // a stall round.
+            let ring = r.world.ring(0, 1);
+            let held: Vec<usize> = (0..slots)
+                .map(|_| ring.try_acquire(&mut r.clock).expect("slot free"))
+                .collect();
+            let before = r.now();
+            assert_eq!(ring.acquire(&mut r.clock), None);
+            assert_eq!(ring.try_acquire(&mut r.clock), None);
+            assert_eq!(r.now(), before, "a stalled wait moved the clock");
+            for &s in &held {
+                ring.release(s, before);
+            }
+            let mut free: Vec<usize> = (0..slots)
+                .map(|_| {
+                    ring.try_acquire(&mut r.clock)
+                        .expect("every slot came back")
+                })
+                .collect();
+            free.sort_unstable();
+            assert_eq!(free, (0..slots).collect::<Vec<_>>());
+            // No grant deposited: likewise, and the pool is as spent as
+            // it was.
+            let credits = r.world.credit(0, 1);
+            assert!(credits.try_consume(300));
+            let spent = credits.available();
+            assert_eq!(credits.await_grant(), None);
+            assert_eq!(credits.try_grant(), None);
+            assert_eq!(credits.available(), spent);
+            // A deposited grant is popped once, unspendable until restored.
+            credits.deposit(300, before);
+            assert_eq!(credits.await_grant(), Some((300, before)));
+            assert_eq!(credits.try_grant(), None);
+            assert_eq!(credits.available(), spent);
         });
     }
 
@@ -1492,145 +1450,5 @@ mod tests {
             out[6],
             out[1]
         );
-    }
-}
-
-/// Thread-arm stress for the pair primitives: two OS threads with no
-/// scheduler, 1 ms slices (see `mailbox::thread_arm_stress`).
-#[cfg(test)]
-mod thread_arm_stress {
-    use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::mpsc;
-    use std::thread;
-    use std::time::Duration;
-
-    const ROUNDS: u64 = 20_000;
-    const SLICE: Duration = Duration::from_millis(1);
-    const SLOTS: usize = 2;
-
-    fn ring() -> Arc<PairRing> {
-        let fabric = Fabric::new(FabricSpec {
-            topology: Topology::ringlet(2),
-            ..FabricSpec::default()
-        });
-        let region = SmiWorld::one_per_node(fabric).create_region(ProcId(1), SLOTS * 64);
-        Arc::new(PairRing::new(region, SLOTS, 64))
-    }
-
-    #[test]
-    fn ring_slots_are_held_once_and_their_free_times_merged() {
-        let ring = ring();
-        let held: Arc<[AtomicBool; SLOTS]> = Arc::default();
-        let (filled, drain) = mpsc::channel::<(usize, u64)>();
-        let receiver = {
-            let (ring, held) = (Arc::clone(&ring), Arc::clone(&held));
-            thread::spawn(move || {
-                for (slot, i) in drain {
-                    assert!(
-                        held[slot].swap(false, Ordering::SeqCst),
-                        "slot {slot} not held"
-                    );
-                    ring.release(slot, SimTime::from_ps(1_000 * (i + 1)));
-                }
-            })
-        };
-        let mut clock = Clock::new();
-        for i in 0..ROUNDS {
-            let slot = loop {
-                let before = clock.now();
-                match ring.acquire_for(&mut clock, SLICE) {
-                    Some(s) => break s,
-                    None => assert_eq!(clock.now(), before, "an expired slice moved the clock"),
-                }
-            };
-            assert!(
-                !held[slot].swap(true, Ordering::SeqCst),
-                "slot {slot} handed out twice"
-            );
-            // The slot's previous tenant was message `i - SLOTS`.
-            if i >= SLOTS as u64 {
-                assert!(clock.now() >= SimTime::from_ps(1_000 * (i + 1 - SLOTS as u64)));
-            }
-            filled.send((slot, i)).unwrap();
-        }
-        drop(filled);
-        receiver.join().unwrap();
-        // Every slot came back exactly once; the free list is whole.
-        let mut free: Vec<usize> = (0..SLOTS)
-            .map(|_| {
-                ring.acquire_for(&mut clock, Duration::ZERO)
-                    .expect("slot free")
-            })
-            .collect();
-        free.sort_unstable();
-        assert_eq!(free, (0..SLOTS).collect::<Vec<_>>());
-        let before = clock.now();
-        assert_eq!(ring.acquire_for(&mut clock, SLICE), None);
-        assert_eq!(clock.now(), before);
-    }
-
-    #[test]
-    fn send_turns_come_up_in_ticket_order_across_threads() {
-        let ring = ring();
-        for i in 0..ROUNDS {
-            assert_eq!(ring.take_turn_ticket(), i);
-        }
-        let order = Arc::new(AtomicU64::new(0));
-        let side = |parity: u64| {
-            let (ring, order) = (Arc::clone(&ring), Arc::clone(&order));
-            thread::spawn(move || {
-                for ticket in (parity..ROUNDS).step_by(2) {
-                    let turn = ring.await_turn(ticket);
-                    assert_eq!(order.fetch_add(1, Ordering::SeqCst), ticket);
-                    drop(turn);
-                }
-            })
-        };
-        let (even, odd) = (side(0), side(1));
-        even.join().unwrap();
-        odd.join().unwrap();
-        assert_eq!(order.load(Ordering::SeqCst), ROUNDS);
-    }
-
-    #[test]
-    fn credit_grants_are_popped_once_each() {
-        const LEN: usize = 300;
-        let credits = Arc::new(PairCredits::new(1_000, 4));
-        let (sent, matched) = mpsc::channel::<u64>();
-        let receiver = {
-            let credits = Arc::clone(&credits);
-            thread::spawn(move || {
-                for i in matched {
-                    credits.deposit(LEN, SimTime::from_ps(i));
-                }
-            })
-        };
-        let mut popped = 0u64;
-        let mut last_grant = None;
-        for i in 0..ROUNDS {
-            while !credits.try_consume(LEN) {
-                let before = credits.available();
-                match credits.await_grant_for(SLICE) {
-                    Some((len, at)) => {
-                        assert_eq!(len, LEN);
-                        // FIFO: grants come back in deposit order.
-                        assert!(last_grant < Some(at), "grant {at:?} popped twice or late");
-                        last_grant = Some(at);
-                        popped += 1;
-                        credits.restore(len);
-                    }
-                    None => assert_eq!(credits.available(), before),
-                }
-            }
-            sent.send(i).unwrap();
-        }
-        drop(sent);
-        receiver.join().unwrap();
-        while credits.await_grant_for(Duration::ZERO).is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, ROUNDS, "a grant was lost or popped twice");
-        assert!(credits.await_grant_for(SLICE).is_none());
     }
 }

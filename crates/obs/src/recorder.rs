@@ -266,7 +266,7 @@ impl CounterTable {
 }
 
 /// A trace-event argument value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Arg {
     /// Unsigned integer (sizes, counts, hops).
     U64(u64),
@@ -289,7 +289,7 @@ pub enum EventKind {
 }
 
 /// One recorded event, stamped with virtual time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Rank whose lane this event belongs to.
     pub rank: u32,

@@ -1,27 +1,28 @@
 //! # sched — deterministic discrete-event task scheduler
 //!
-//! Replaces free-running thread-per-rank execution with a **cooperative
-//! virtual-time scheduler**: every rank (and every request-engine worker)
-//! is a *task* run by an OS thread, but exactly one task holds the
-//! **run token** at any moment. A task keeps the token until it reaches a
-//! blocking site (mailbox match, ring-slot acquisition, barrier, lock,
-//! request wait, backpressure stall) and parks; parking hands the token to
-//! the runnable task with the smallest `(virtual time, rank, sequence)`
-//! key. Dispatch order is therefore a pure function of the simulation
-//! state — same seed, same interleaving, bit for bit — and wall-clock
-//! cost per rank is one parked thread, not one spinning poll loop.
+//! The one way a rank runs: a **cooperative virtual-time scheduler**.
+//! Every rank (and every request-engine worker) is a *task* run by an OS
+//! thread, but exactly one task holds the **run token** at any moment. A
+//! task keeps the token until it reaches a blocking site (mailbox match,
+//! ring-slot acquisition, barrier, lock, request wait, backpressure
+//! stall) and parks; parking hands the token to the runnable task with
+//! the smallest `(virtual time, rank, sequence)` key. Dispatch order is
+//! therefore a pure function of the simulation state — same seed, same
+//! interleaving, bit for bit — and wall-clock cost per rank is one parked
+//! thread, not one spinning poll loop.
 //!
-//! Ranks bring their own thread ([`Handle::adopt`]); request engines are
-//! handed over as a closure ([`spawn`]) and run on a pool of parked
-//! workers the scheduler owns. Such a task is created *ready*, under the
-//! key it would have had on a thread of its own, so which OS thread runs
-//! it changes nothing about the order.
+//! Ranks run on threads [`run_roots`] makes for them; a forked helper
+//! brings its own ([`Handle::run`]); request engines are handed over as a
+//! closure ([`spawn`]) and run on a pool of parked workers the scheduler
+//! owns. Such a task is created *ready*, under the key it would have had
+//! on a thread of its own, so which OS thread runs it changes nothing
+//! about the order.
 //!
-//! The protocol code stays *scheduler-agnostic*: a blocking site holds a
-//! mutex and a [`WaitQueue`] and loops over its predicate around
-//! [`WaitQueue::wait`], which parks a task (event backend) or puts a plain
-//! thread to sleep for one real-time slice (thread backend). Producers
-//! change the predicate under the mutex and call [`WaitQueue::wake_all`].
+//! A blocking site holds a mutex and a [`WaitQueue`] and loops over its
+//! predicate around [`WaitQueue::wait`], which parks the calling task.
+//! Producers change the predicate under the mutex and call
+//! [`WaitQueue::wake_all`]. Only tasks may wait: a thread that runs none
+//! panics there.
 //!
 //! ## Ordering and tie-break
 //!
@@ -34,15 +35,13 @@
 //!
 //! ## Stalls — virtual-time liveness
 //!
-//! The thread backend discovers rank death, revocation, and lost grants
-//! by letting its condvar waits time out every `POLL_SLICE` of *real*
-//! time. The event backend has no real time, so when every live task is
-//! blocked and nothing is in flight the scheduler runs a **stall round**:
-//! all blocked tasks wake with [`Wake::Stalled`] and re-check liveness
-//! (dead peer? revoked epoch? cancelled barrier?) exactly as a timed-out
-//! wait would. Progress is counted (unparks, adoptions, retirements);
-//! consecutive stall rounds without progress mean a genuine deadlock and
-//! panic with a task-table dump instead of hanging CI.
+//! No wait ever times out in real time. When every live task is blocked
+//! and nothing is in flight the scheduler runs a **stall round**: all
+//! blocked tasks wake with [`Wake::Stalled`] and re-check liveness (dead
+//! peer? revoked epoch? cancelled barrier?). Progress is counted
+//! (unparks, adoptions, retirements); consecutive stall rounds without
+//! progress mean a genuine deadlock and panic with a task-table dump
+//! instead of hanging CI.
 //!
 //! ## Handoff
 //!
@@ -59,10 +58,9 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
 
 /// Sentinel panic payload used to unwind tasks after another task has
 /// aborted the run. Wrappers around task bodies treat it as "shut down
@@ -285,10 +283,6 @@ pub struct Stats {
     pub tasks_high_water: usize,
     /// Stall rounds run (deterministic liveness sweeps).
     pub stalls: u64,
-    /// Times a task's [`WaitQueue::wake_all`] found a plain thread asleep
-    /// on the queue and had to notify its condvar. Zero on a run whose
-    /// every waiter is a task.
-    pub thread_notifies: u64,
 }
 
 /// A deterministic cooperative scheduler over OS-thread-backed tasks.
@@ -777,10 +771,64 @@ impl Handle {
         self.sched.adopt_task(self.id.0, &parker);
     }
 
+    /// Run `body` as this task on the calling thread, the one way a
+    /// thread becomes a task: adopt, run, retire. Adoption sits inside
+    /// the catch because waiting for the first grant unwinds with
+    /// [`Aborted`] if another task panics first; a panic of `body` aborts
+    /// the run (stored as its first panic unless it is the sentinel).
+    /// `None` if either unwound.
+    pub fn run<T>(&self, body: impl FnOnce() -> T) -> Option<T> {
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.adopt();
+            body()
+        }));
+        let out = out.map_err(abort_current).ok();
+        retire();
+        out
+    }
+
     /// Wake this task if parked (remembering the wake otherwise).
     pub fn unpark(&self) {
         self.sched.unpark(self.id);
     }
+}
+
+/// Stack size of a root task's thread. Parked tasks touch only a few
+/// pages, so 10k roots cost ~10 GiB of *address space* but only the
+/// touched pages of RSS.
+const ROOT_STACK: usize = 1 << 20;
+
+/// Run `body(i)` for every `i` in `0..roots` as the root tasks of a fresh
+/// scheduler, each on a thread of its own (`rank-<i>`), and return what
+/// they returned, indexed by `i`, with the run's statistics. The pooled
+/// workers die with the run. A panic in any task aborts the run and comes
+/// out of this call as that panic.
+pub fn run_roots<T: Send>(roots: usize, body: impl Fn(usize) -> T + Sync) -> (Vec<T>, Stats) {
+    let sched = Scheduler::new(roots);
+    let outs: Vec<Option<T>> = std::thread::scope(|scope| {
+        let joins: Vec<_> = (0..roots)
+            .map(|i| {
+                let (h, body) = (sched.create_root(i as u32), &body);
+                std::thread::Builder::new()
+                    .name(format!("rank-{i}"))
+                    .stack_size(ROOT_STACK)
+                    .spawn_scoped(scope, move || h.run(|| body(i)))
+                    .expect("spawn root task")
+            })
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().unwrap_or(None))
+            .collect()
+    });
+    let stats = sched.stats();
+    sched.join_workers();
+    if let Some(p) = sched.take_panic() {
+        std::panic::resume_unwind(p);
+    }
+    let outs = outs.into_iter().enumerate();
+    let outs = outs.map(|(i, o)| o.unwrap_or_else(|| panic!("root {i} produced no result")));
+    (outs.collect(), stats)
 }
 
 impl std::fmt::Debug for Handle {
@@ -813,15 +861,8 @@ pub fn current() -> Option<Handle> {
     with_current(|cur| cur.handle.clone())
 }
 
-/// Whether the current thread is an event-scheduler task. Blocking
-/// primitives branch on this: park here vs the thread backend's condvar
-/// timeout loop.
-pub fn is_event_task() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// Park the current task at virtual time `now`. Panics (by design) if
-/// the thread is not a task — callers must check [`is_event_task`].
+/// the thread is not a task.
 pub fn park(now: SimTime) -> Wake {
     park_current(Some(now)).expect("sched::park outside a task")
 }
@@ -851,9 +892,9 @@ pub fn retire() {
 }
 
 /// Spawn a dynamic task for `rank` starting at `time` under the current
-/// task's scheduler. Returns `None` on a non-task thread (thread
-/// backend). The returned handle must be [`Handle::adopt`]ed by the new
-/// task's thread before the simulation can advance.
+/// task's scheduler. Returns `None` on a thread that runs no task. The
+/// new task's thread must take the returned handle up ([`Handle::run`])
+/// before the simulation can advance.
 pub fn spawn_handle(rank: u32, time: SimTime) -> Option<Handle> {
     with_current(|cur| cur.handle.sched.create_task(rank, time))
 }
@@ -862,18 +903,16 @@ pub fn spawn_handle(rank: u32, time: SimTime) -> Option<Handle> {
 /// task's scheduler, with `job` as its body on a pool worker. The task is
 /// ready at once, under the key [`spawn_handle`] would have given it; the
 /// scheduler adopts it, stores a panic of the job as the run's and
-/// retires it. On a non-task thread (thread backend) nothing happens and
-/// the job comes back.
-pub fn spawn(rank: u32, time: SimTime, job: Job) -> Result<Handle, Job> {
-    match with_current(|cur| Arc::clone(&cur.handle.sched)) {
-        Some(sched) => Ok(sched.spawn_pooled(rank, time, job)),
-        None => Err(job),
-    }
+/// retires it. Panics if the calling thread runs no task.
+pub fn spawn(rank: u32, time: SimTime, job: Job) -> Handle {
+    let sched = with_current(|cur| Arc::clone(&cur.handle.sched));
+    let sched = sched.expect("sched::spawn outside a task: only a task spawns a task");
+    sched.spawn_pooled(rank, time, job)
 }
 
-/// Block the current task until `target` retires. No-op (falls through
-/// to the caller's real `JoinHandle::join`) when the current thread is
-/// not a task of the same scheduler.
+/// Block the current task until `target` retires. No-op when the
+/// current thread is not a task of the same scheduler (a request that
+/// outlived its run).
 pub fn join_task(target: &Handle) {
     with_current(|cur| {
         let me = &cur.handle;
@@ -891,22 +930,14 @@ pub fn abort_current(payload: Box<dyn Any + Send + 'static>) {
 }
 
 /// The one thing a blocking site waits on: the tasks parked on its
-/// condition (event backend) and the condvar plain threads sleep on
-/// (thread backend). The site pairs it with the mutex that guards the
-/// condition; consumers loop over the condition around [`WaitQueue::wait`],
-/// producers change it *under that mutex* and then [`WaitQueue::wake_all`].
+/// condition. The site pairs it with the mutex that guards the condition;
+/// consumers loop over the condition around [`WaitQueue::wait`], producers
+/// change it *under that mutex* and then [`WaitQueue::wake_all`].
 ///
 /// Why no wake-up is lost. A task registers and parks while it still
 /// holds the run token, and producers are tasks too, so none runs between
-/// its check and its park. A thread counts itself into `sleepers` under
-/// the site's mutex, before the condvar wait releases it. A producer that
-/// took the mutex after that sees the count when it wakes and notifies;
-/// one that took it before has already changed what the sleeper checked
-/// under the same hold. The count drops only once the sleeper is awake
-/// again, so it errs high at worst, and a stale-high count costs one
-/// futile notify. With no sleeper — every event-backend run — a wake is
-/// a load, not a `futex_wake` whose cost grows with the process's parked
-/// threads.
+/// its check and its park. A wake is a map drain and never enters the
+/// kernel.
 #[derive(Default)]
 pub struct WaitQueue {
     /// Keyed by (scheduler address, task id): a repeated registration is
@@ -915,20 +946,6 @@ pub struct WaitQueue {
     /// scheduler alive, so the address names it for as long as the entry
     /// exists. Wake order is immaterial: the ready-heap key is total.
     waiters: Mutex<BTreeMap<(usize, usize), Handle>>,
-    cv: Condvar,
-    /// Threads inside `cv`'s wait, or just about to be, or just out.
-    sleepers: AtomicUsize,
-}
-
-/// One thread's unit of [`WaitQueue::sleepers`], given back on drop so a
-/// waiter that unwinds (a poisoned relock) cannot leave the count high
-/// for good.
-struct Sleeper<'a>(&'a AtomicUsize);
-
-impl Drop for Sleeper<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 impl WaitQueue {
@@ -936,8 +953,6 @@ impl WaitQueue {
     pub const fn new() -> Self {
         WaitQueue {
             waiters: Mutex::new(BTreeMap::new()),
-            cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
         }
     }
 
@@ -954,58 +969,40 @@ impl WaitQueue {
     }
 
     /// Wait for a [`WaitQueue::wake_all`], having found the condition
-    /// false under `guard` (a hold of `lock`). A task registers, releases
-    /// the guard and parks at virtual time `at` (its last recorded time if
-    /// `None`); a stall round resumes it with [`Wake::Stalled`]. A plain
-    /// thread sleeps on the condvar for at most `slice` of real time and
-    /// reports expiry as [`Wake::Stalled`]. Either way the lock is held
-    /// again on return and the caller re-checks. A zero `slice` does not
-    /// wait at all: `Stalled`, at once.
+    /// false under `guard` (a hold of `lock`): register, release the
+    /// guard and park at virtual time `at` (the task's last recorded time
+    /// if `None`). A stall round resumes the task with [`Wake::Stalled`].
+    /// Either way the lock is held again on return and the caller
+    /// re-checks.
     ///
-    /// Panics if `lock` is poisoned, like the `lock().unwrap()` that
-    /// produced `guard`.
+    /// Panics if the calling thread runs no task (whoever would wake it
+    /// is a task, and tasks only run while it does not), or if `lock` is
+    /// poisoned, like the `lock().unwrap()` that produced `guard`.
     pub fn wait<'a, T>(
         &self,
         lock: &'a Mutex<T>,
         guard: MutexGuard<'a, T>,
         at: Option<SimTime>,
-        slice: Duration,
     ) -> (MutexGuard<'a, T>, Wake) {
-        if slice.is_zero() {
-            return (guard, Wake::Stalled);
-        }
-        let mut guard = Some(guard);
-        let parked = with_current(|cur| {
+        let wake = with_current(|cur| {
             self.register(&cur.handle);
-            drop(guard.take());
+            drop(guard);
             cur.handle.sched.park_task(cur.handle.id.0, &cur.parker, at)
         });
-        if let Some(wake) = parked {
-            return (lock.lock().expect("wait-site mutex poisoned"), wake);
-        }
-        let guard = guard.expect("kept by a thread that runs no task");
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let _asleep = Sleeper(&self.sleepers);
-        let (guard, timeout) = self
-            .cv
-            .wait_timeout(guard, slice)
-            .expect("wait-site mutex poisoned");
-        let wake = if timeout.timed_out() {
-            Wake::Stalled
-        } else {
-            Wake::Woken
-        };
-        (guard, wake)
+        let wake = wake.expect(
+            "WaitQueue::wait on a thread that runs no task: every blocking site \
+             runs under the scheduler (sched::run_roots, Handle::run, sched::spawn)",
+        );
+        (lock.lock().expect("wait-site mutex poisoned"), wake)
     }
 
     /// The loop most sites are: `take` from what `lock` guards, waiting
     /// ([`WaitQueue::wait`]) while it yields nothing; `None` once a wait
     /// stalls, so the caller can re-check liveness and call again.
-    pub fn take_for<S, T>(
+    pub fn take_or_wait<S, T>(
         &self,
         lock: &Mutex<S>,
         at: Option<SimTime>,
-        slice: Duration,
         mut take: impl FnMut(&mut S) -> Option<T>,
     ) -> Option<T> {
         let mut guard = lock.lock().expect("wait-site mutex poisoned");
@@ -1013,7 +1010,7 @@ impl WaitQueue {
             if let Some(found) = take(&mut guard) {
                 return Some(found);
             }
-            let (relocked, wake) = self.wait(lock, guard, at, slice);
+            let (relocked, wake) = self.wait(lock, guard, at);
             if wake == Wake::Stalled {
                 return None;
             }
@@ -1021,13 +1018,8 @@ impl WaitQueue {
         }
     }
 
-    /// Wake every registered task and clear the queue; notify the condvar
-    /// only if a thread sleeps on it.
+    /// Wake every registered task and clear the queue.
     pub fn wake_all(&self) {
-        if self.sleepers.load(Ordering::SeqCst) != 0 {
-            with_current(|cur| cur.handle.sched.lock().stats.thread_notifies += 1);
-            self.cv.notify_all();
-        }
         let drained = {
             let mut w = relock(self.waiters.lock());
             if w.is_empty() {
@@ -1061,39 +1053,9 @@ mod tests {
 
     /// Run `bodies` as root tasks under one scheduler; returns stats.
     fn run_tasks(bodies: Vec<Box<dyn FnOnce() + Send>>) -> Stats {
-        run_pooled(bodies).0
-    }
-
-    /// [`run_tasks`], also returning how many pool workers teardown
-    /// joined.
-    fn run_pooled(bodies: Vec<Box<dyn FnOnce() + Send>>) -> (Stats, usize) {
-        let sched = Scheduler::new(bodies.len());
-        let handles: Vec<Handle> = (0..bodies.len())
-            .map(|i| sched.create_root(i as u32))
-            .collect();
-        std::thread::scope(|s| {
-            for (h, body) in handles.into_iter().zip(bodies) {
-                s.spawn(move || {
-                    // Adoption itself can unwind with the Aborted
-                    // sentinel (another task died before our first
-                    // grant), so it lives inside the catch too.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        h.adopt();
-                        body()
-                    }));
-                    if let Err(p) = r {
-                        abort_current(p);
-                    }
-                    retire();
-                });
-            }
-        });
-        let joined = sched.join_workers();
-        assert!(sched.lock().idle.is_empty());
-        if let Some(p) = sched.take_panic() {
-            std::panic::resume_unwind(p);
-        }
-        (sched.stats(), joined)
+        let bodies: Vec<_> = bodies.into_iter().map(|b| Mutex::new(Some(b))).collect();
+        let once = |i: usize| (bodies[i].lock().unwrap().take().expect("a root runs once"))();
+        run_roots(bodies.len(), once).1
     }
 
     #[test]
@@ -1196,11 +1158,7 @@ mod tests {
             let child = spawn_handle(0, SimTime::ZERO + SimDuration::from_ns(5)).unwrap();
             let lc = Arc::clone(&l);
             let hc = child.clone();
-            let jh = std::thread::spawn(move || {
-                hc.adopt();
-                lc.lock().unwrap().push("child");
-                retire();
-            });
+            let jh = std::thread::spawn(move || hc.run(|| lc.lock().unwrap().push("child")));
             join_task(&child);
             l.lock().unwrap().push("parent-after-join");
             jh.join().unwrap();
@@ -1241,10 +1199,10 @@ mod tests {
                 let child = spawn_handle(0, SimTime::ZERO).unwrap();
                 let (hc, pc) = (child.clone(), Arc::clone(&p));
                 let jh = std::thread::spawn(move || {
-                    hc.adopt();
-                    let mine = with_current(|cur| Arc::downgrade(&cur.parker)).unwrap();
-                    pc.lock().unwrap().push(mine);
-                    retire();
+                    hc.run(|| {
+                        let mine = with_current(|cur| Arc::downgrade(&cur.parker)).unwrap();
+                        pc.lock().unwrap().push(mine);
+                    })
                 });
                 join_task(&child);
                 jh.join().unwrap();
@@ -1280,7 +1238,9 @@ mod tests {
         // `live` requests in flight per iteration: the pool grows to the
         // peak and no further, and teardown joins every worker it made.
         for (live, rounds) in [(1usize, 10_000usize), (5, 1_000)] {
-            let (stats, joined) = run_pooled(vec![Box::new(move || {
+            let sched_out = Arc::new(Mutex::new(None));
+            let so = Arc::clone(&sched_out);
+            let stats = run_tasks(vec![Box::new(move || {
                 let sched = Arc::clone(current().unwrap().scheduler());
                 let done = Arc::new(AtomicUsize::new(0));
                 for round in 1..=rounds {
@@ -1290,7 +1250,7 @@ mod tests {
                             let job = Box::new(move || {
                                 done.fetch_add(1, Ordering::Relaxed);
                             });
-                            spawn(0, SimTime::ZERO, job).ok().expect("a task spawns")
+                            spawn(0, SimTime::ZERO, job)
                         })
                         .collect();
                     tasks.iter().for_each(join_task);
@@ -1300,8 +1260,12 @@ mod tests {
                     assert_eq!(g.live, vec![0], "round {round}");
                     assert_eq!(g.idle.len(), live, "round {round}");
                 }
+                *so.lock().unwrap() = Some(Arc::clone(&sched));
             })]);
-            assert_eq!(joined, live, "one worker per simultaneously live task");
+            // One worker per simultaneously live task (above), and
+            // teardown took every one of them.
+            let sched = sched_out.lock().unwrap().take().unwrap();
+            assert!(sched.lock().closed && sched.lock().idle.is_empty());
             assert_eq!(stats.tasks_high_water, 1 + live);
         }
     }
@@ -1318,7 +1282,7 @@ mod tests {
                 let first = spawn(0, SimTime::ZERO, Box::new(|| panic!("boom in a job")));
                 let second = Box::new(move || second_ran.send(()).unwrap());
                 let _ = spawn(0, SimTime::ZERO, second);
-                join_task(&first.ok().expect("a task spawns"));
+                join_task(&first);
                 returned.store(true, Ordering::SeqCst);
             })]);
         }));
@@ -1383,28 +1347,18 @@ mod tests {
         ]);
     }
 
-    /// Longer than any hand-off below: a wait that stalls lost its wake.
-    const PATIENT: Duration = Duration::from_secs(60);
-
-    /// Spin until a thread is counted asleep on `wq`.
-    fn until_asleep(wq: &WaitQueue) {
-        while wq.sleepers.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
-    fn waking_tasks_never_touches_the_condvar() {
-        // Task 0 waits on the queue 1 000 times; task 1 wakes it. No
-        // thread ever sleeps there, so no wake is a notify.
+    fn a_task_waits_on_its_queue_1000_times() {
+        // Task 0 waits until task 1 has counted to 1 000, re-checking
+        // under the relocked guard after every wake.
         let site = Arc::new((Mutex::new(0u32), WaitQueue::new()));
         let (waiter, waker) = (Arc::clone(&site), Arc::clone(&site));
-        let stats = run_tasks(vec![
+        run_tasks(vec![
             Box::new(move || {
                 let (lock, wq) = &*waiter;
                 let mut seen = lock.lock().unwrap();
                 while *seen < 1_000 {
-                    seen = wq.wait(lock, seen, Some(SimTime::ZERO), PATIENT).0;
+                    seen = wq.wait(lock, seen, Some(SimTime::ZERO)).0;
                 }
             }),
             Box::new(move || {
@@ -1416,62 +1370,29 @@ mod tests {
                 }
             }),
         ]);
-        assert_eq!(stats.thread_notifies, 0);
-        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
+        assert_eq!(*site.0.lock().unwrap(), 1_000);
     }
 
     #[test]
-    fn a_task_waking_a_sleeping_thread_counts_a_notify() {
-        let site = Arc::new((Mutex::new(false), WaitQueue::new()));
+    fn a_stalled_wait_takes_nothing_and_a_thread_that_runs_no_task_may_not_wait() {
+        let site = Arc::new((Mutex::new(None::<u8>), WaitQueue::new()));
         let theirs = Arc::clone(&site);
-        let sleeper = std::thread::spawn(move || {
-            let (lock, wq) = &*theirs;
-            let mut done = lock.lock().unwrap();
-            while !*done {
-                let (g, wake) = wq.wait(lock, done, None, PATIENT);
-                assert_eq!(wake, Wake::Woken);
-                done = g;
-            }
-        });
-        let ours = Arc::clone(&site);
         let stats = run_tasks(vec![Box::new(move || {
-            let (lock, wq) = &*ours;
-            until_asleep(wq);
-            *lock.lock().unwrap() = true;
-            wq.wake_all();
-        })]);
-        sleeper.join().unwrap();
-        assert!(stats.thread_notifies >= 1);
-        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn the_sleeper_count_returns_to_zero() {
-        // After a slice expiry, and after a zero slice that never slept.
-        let (lock, wq) = (Mutex::new(()), WaitQueue::new());
-        for slice in [Duration::from_millis(1), Duration::ZERO] {
-            let (_g, wake) = wq.wait(&lock, lock.lock().unwrap(), None, slice);
-            assert_eq!(wake, Wake::Stalled);
-            assert_eq!(wq.sleepers.load(Ordering::SeqCst), 0);
-        }
-        // After a relock that finds the mutex poisoned: the waiter
-        // unwinds out of `wait`, and its unit goes with it.
-        let site = Arc::new((Mutex::new(()), WaitQueue::new()));
-        let theirs = Arc::clone(&site);
-        let waiter = std::thread::spawn(move || {
             let (lock, wq) = &*theirs;
-            let _ = wq.wait(lock, lock.lock().unwrap(), None, PATIENT);
-        });
-        until_asleep(&site.1);
-        let poison = Arc::clone(&site);
-        let poisoner = std::thread::spawn(move || {
-            let _held = poison.0.lock().unwrap();
-            panic!("poison the site's mutex");
-        });
-        assert!(poisoner.join().is_err());
-        site.1.wake_all();
-        assert!(waiter.join().is_err(), "the waiter panics on the poison");
-        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
+            // Nobody fills the slot: the wait ends in a stall round.
+            assert_eq!(wq.take_or_wait(lock, None, |slot| slot.take()), None);
+            *lock.lock().unwrap() = Some(7);
+            assert_eq!(wq.take_or_wait(lock, None, |slot| slot.take()), Some(7));
+        })]);
+        assert_eq!((stats.stalls, stats.events), (1, 2), "one park, one retire");
+        let (lock, wq) = &*site;
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = wq.wait(lock, lock.lock().unwrap(), None);
+        }));
+        let p = r.expect_err("a plain thread must not sleep on a wait queue");
+        assert!(p.downcast_ref::<String>().unwrap().contains("runs no task"));
+        // The guard went with the panic: not held, not poisoned.
+        assert!(lock.try_lock().is_ok());
     }
 
     #[test]
@@ -1484,7 +1405,7 @@ mod tests {
                     let (lock, wq) = &*theirs;
                     let mut g = lock.lock().unwrap();
                     loop {
-                        g = wq.wait(lock, g, Some(SimTime::ZERO), PATIENT).0;
+                        g = wq.wait(lock, g, Some(SimTime::ZERO)).0;
                     }
                 }),
                 Box::new(|| panic!("boom beside a waiter")),
@@ -1493,36 +1414,5 @@ mod tests {
         assert!(r.is_err());
         // The guard went before the park: not held, not poisoned.
         assert!(site.0.try_lock().is_ok());
-        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn two_threads_hand_off_100_000_times_without_a_lost_wake() {
-        const ROUNDS: u64 = 100_000;
-        let site = Arc::new((Mutex::new(0u64), WaitQueue::new()));
-        let side = |parity: u64| {
-            let site = Arc::clone(&site);
-            std::thread::spawn(move || {
-                let (lock, wq) = &*site;
-                let mut turn = lock.lock().unwrap();
-                while *turn < ROUNDS {
-                    if *turn % 2 == parity {
-                        *turn += 1;
-                        drop(turn);
-                        wq.wake_all();
-                        turn = lock.lock().unwrap();
-                    } else {
-                        let (g, wake) = wq.wait(lock, turn, None, PATIENT);
-                        assert_eq!(wake, Wake::Woken, "a wake-up was lost");
-                        turn = g;
-                    }
-                }
-            })
-        };
-        let (even, odd) = (side(0), side(1));
-        even.join().unwrap();
-        odd.join().unwrap();
-        assert_eq!(*site.0.lock().unwrap(), ROUNDS);
-        assert_eq!(site.1.sleepers.load(Ordering::SeqCst), 0);
     }
 }

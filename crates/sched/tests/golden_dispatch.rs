@@ -9,8 +9,8 @@
 //!   duplicate registration, wakes that arrive before the park
 //!   (`pending_wake`, from a peer, from the task itself and from a
 //!   non-task thread), stall rounds and a stall round upgraded to a real
-//!   wake, `park_stale`, and dynamic children — `spawn_handle` / `adopt`
-//!   on a thread of their own in one pass, `sched::spawn` onto the
+//!   wake, `park_stale`, and dynamic children — `spawn_handle` /
+//!   `Handle::run` on a thread of their own in one pass, `sched::spawn` onto the
 //!   scheduler's pooled workers in a second: same tasks, same keys, so
 //!   the same log and `Stats`;
 //! * [`abort_program`] — eight roots and a dynamic child, one root
@@ -114,20 +114,17 @@ fn quiet_expected_panics() {
     });
 }
 
-/// Task thread wrapper, the shape the runtime uses: adoption inside the
-/// catch (it can unwind with `Aborted`), abort on a panic, always retire.
+/// Task thread wrapper: the runtime's ([`Handle::run`]), counting the
+/// bodies that unwound with `Aborted` on the way.
 fn run_task(sh: &Shared, h: Handle, body: impl FnOnce()) {
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        h.adopt();
-        body()
-    }));
-    if let Err(p) = r {
-        if p.is::<Aborted>() {
-            sh.aborted_unwinds.fetch_add(1, Ordering::SeqCst);
+    h.run(|| {
+        if let Err(p) = catch_unwind(AssertUnwindSafe(body)) {
+            if p.is::<Aborted>() {
+                sh.aborted_unwinds.fetch_add(1, Ordering::SeqCst);
+            }
+            std::panic::resume_unwind(p);
         }
-        sched::abort_current(p);
-    }
-    sched::retire();
+    });
 }
 
 struct Actor<'a> {
@@ -267,8 +264,7 @@ fn root_body<'scope>(
                 let (child, thread) = if pooled {
                     let sh = Arc::clone(sh);
                     let body = Box::new(move || child_body(&sh, label, me, at));
-                    let child = sched::spawn(me as u32, at, body);
-                    (child.ok().expect("roots run as tasks"), None)
+                    (sched::spawn(me as u32, at, body), None)
                 } else {
                     let child = sched::spawn_handle(me as u32, at).expect("roots run as tasks");
                     let theirs = child.clone();

@@ -38,10 +38,10 @@ struct LinkState {
 pub struct LinkRegistry {
     links: Vec<LinkState>,
     /// Monotonic arrival stamp handed to each stream as it opens. The
-    /// assignment order *is* the arbitration order: under the event
-    /// backend streams open in virtual-time dispatch order, so the
-    /// sequence is deterministic; under the thread backend it is host
-    /// order unless the program pins it (see `docs/ASYNC.md`).
+    /// assignment order *is* the arbitration order: ranks of a `scimpi`
+    /// run open their streams in virtual-time dispatch order, so the
+    /// sequence is deterministic (see `docs/ASYNC.md`); free-running
+    /// threads using the fabric directly open them in host order.
     next_seq: AtomicU64,
     /// Bumped after every change to any segment's `active` count (a stream
     /// opening or closing). [`Self::effective_bandwidth`] reads nothing
@@ -96,10 +96,8 @@ impl LinkRegistry {
     }
 
     /// Arrival-ordered sequence numbers of the streams currently open on
-    /// `link` — the order contention shares resolve in. Deterministic
-    /// under the event backend (streams open in virtual-time dispatch
-    /// order); host order under the thread backend unless the program
-    /// pins arrivals itself.
+    /// `link` — the order contention shares resolve in: virtual-time
+    /// dispatch order in a `scimpi` run.
     pub fn open_streams(&self, link: LinkId) -> Vec<u64> {
         self.links[link.0].open.lock().unwrap().clone()
     }

@@ -7,18 +7,17 @@
 //! primitives have very low latency under little contention — and the
 //! paper explicitly warns that contended locks should be avoided.
 //!
-//! In the simulation the *mutual exclusion itself* is provided by real
-//! process-wide primitives (the rank threads genuinely block), while the
-//! *cost* is charged to virtual clocks: a local acquisition costs an atomic
-//! RMW, a remote acquisition costs an SCI read (check) plus an SCI write
-//! (set); contended acquisitions additionally wait for the holder's
-//! virtual release time.
+//! In the simulation the *mutual exclusion itself* is provided by a real
+//! mutex, while the *cost* is charged to virtual clocks: a local
+//! acquisition costs an atomic RMW, a remote acquisition costs an SCI read
+//! (check) plus an SCI write (set); contended acquisitions additionally
+//! wait for the holder's virtual release time.
 //!
-//! Under the event backend (`docs/SCHEDULER.md`) a contended acquisition
-//! or barrier arrival parks the calling *task* instead of blocking its
-//! thread: release/completion wakes the registered waiters through a
-//! [`sched::WaitQueue`], so dispatch order — and therefore lock handover
-//! order — is the scheduler's deterministic `(time, rank, seq)` order.
+//! A contended acquisition or barrier arrival parks the calling *task*
+//! (`docs/SCHEDULER.md`): release/completion wakes the registered waiters
+//! through a [`sched::WaitQueue`], so dispatch order — and therefore lock
+//! handover order — is the scheduler's deterministic `(time, rank, seq)`
+//! order.
 
 use crate::{ProcId, SmiWorld};
 use simclock::{clock::barrier_release, Clock, SimDuration, SimTime};
@@ -31,9 +30,9 @@ pub struct SmiLock {
     world: Arc<SmiWorld>,
     owner: ProcId,
     /// Virtual time at which the lock was last released, protected by the
-    /// real mutex that provides actual exclusion between rank threads.
+    /// real mutex that provides actual exclusion between ranks.
     state: Mutex<SimTime>,
-    /// Event-backend tasks parked on a contended acquire.
+    /// Tasks parked on a contended acquire.
     waiters: sched::WaitQueue,
 }
 
@@ -80,29 +79,26 @@ impl SmiLock {
         }
     }
 
-    /// Acquire the lock for process `p`, blocking the calling thread until
+    /// Acquire the lock for process `p`, parking the calling task until
     /// the real mutex is free and charging `clock` for the SCI traffic and
     /// for any virtual wait on the previous holder.
     pub fn acquire<'a>(&'a self, clock: &mut Clock, p: ProcId) -> SmiLockGuard<'a> {
-        let guard = if sched::is_event_task() {
-            // A task must never block on the real mutex while holding the
-            // run token (the holder may itself be parked): try, park,
-            // retry on wake. The scheduler's dispatch order makes the
-            // handover deterministic.
-            loop {
-                match self.state.try_lock() {
-                    Ok(g) => break g,
-                    Err(TryLockError::WouldBlock) => {
-                        self.waiters.register_current();
-                        sched::park(clock.now());
-                    }
-                    Err(TryLockError::Poisoned(e)) => {
-                        panic!("SmiLock state poisoned: {e}")
-                    }
+        // A task must never block on the real mutex while holding the run
+        // token (the holder may itself be parked): try, park, retry on
+        // wake. The scheduler's dispatch order makes the handover
+        // deterministic. A free lock never reaches the park, so a thread
+        // that runs no task can take one nobody contends.
+        let guard = loop {
+            match self.state.try_lock() {
+                Ok(g) => break g,
+                Err(TryLockError::WouldBlock) => {
+                    self.waiters.register_current();
+                    sched::park(clock.now());
+                }
+                Err(TryLockError::Poisoned(e)) => {
+                    panic!("SmiLock state poisoned: {e}")
                 }
             }
-        } else {
-            self.state.lock().unwrap()
         };
         obs::inc(obs::Counter::SmiLockAcquires);
         // Wait (in virtual time) for the previous holder's release.
@@ -157,15 +153,15 @@ impl SmiLockGuard<'_> {
 impl Drop for SmiLockGuard<'_> {
     fn drop(&mut self) {
         // Drop-without-release (poisoned paths) must still wake parked
-        // event tasks or they would stall until the next liveness sweep.
+        // tasks or they would stall until the next liveness sweep.
         if self.inner.take().is_some() {
             self.waiters.wake_all();
         }
     }
 }
 
-/// A barrier that synchronises both the real rank threads and their
-/// virtual clocks: everyone leaves with `clock.now()` equal to the common
+/// A barrier that synchronises both the rank tasks and their virtual
+/// clocks: everyone leaves with `clock.now()` equal to the common
 /// release time (latest arrival plus a logarithmic fan-in cost).
 #[derive(Debug)]
 pub struct TimeBarrier {
@@ -202,10 +198,6 @@ impl TimeBarrier {
         self.n
     }
 
-    /// Real time a blocked thread lets pass between two polls of its
-    /// `cancel`; a blocked task polls once per scheduler stall round.
-    const CANCEL_POLL: std::time::Duration = std::time::Duration::from_millis(10);
-
     /// Enter the barrier; blocks until all `n` participants arrive, then
     /// merges every clock to the common release time. Returns `true` on
     /// the "leader" (last arriver), mirroring `std::sync::Barrier`.
@@ -214,10 +206,11 @@ impl TimeBarrier {
             .expect("a barrier wait that cannot be cancelled completes")
     }
 
-    /// Enter the barrier, but keep polling `cancel` while blocked: if it
-    /// returns `Some(at)` before the barrier completes, withdraw this
-    /// participant's arrival and return `Err(at)` (the caller converts
-    /// `at` into its own cancellation accounting). The leader path — the
+    /// Enter the barrier, but poll `cancel` while blocked, once per wake
+    /// and per scheduler stall round: if it returns `Some(at)` before the
+    /// barrier completes, withdraw this participant's arrival and return
+    /// `Err(at)` (the caller converts `at` into its own cancellation
+    /// accounting). The leader path — the
     /// last arriver, `Ok(true)` — always completes the barrier, and a
     /// completion that races a cancellation wins: the generation change
     /// is checked before `cancel` under the same lock.
@@ -255,7 +248,7 @@ impl TimeBarrier {
                 return Err(at);
             }
             let now = Some(clock.now());
-            st = self.waiters.wait(&self.state, st, now, Self::CANCEL_POLL).0;
+            st = self.waiters.wait(&self.state, st, now).0;
         }
     }
 }
@@ -264,7 +257,7 @@ impl TimeBarrier {
 mod tests {
     use super::*;
     use sci_fabric::{Fabric, FabricSpec, Topology};
-    use std::thread;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn world(nodes: usize) -> Arc<SmiWorld> {
         let fabric = Fabric::new(FabricSpec {
@@ -275,31 +268,27 @@ mod tests {
     }
 
     #[test]
-    fn lock_provides_exclusion_across_threads() {
+    fn lock_provides_exclusion_across_tasks() {
         let w = world(4);
-        let lock = Arc::new(SmiLock::new(Arc::clone(&w), ProcId(0)));
-        let counter = Arc::new(Mutex::new(0u64));
-        let mut handles = Vec::new();
-        for p in 0..4 {
-            let lock = Arc::clone(&lock);
-            let counter = Arc::clone(&counter);
-            handles.push(thread::spawn(move || {
-                let mut clock = Clock::new();
-                for _ in 0..250 {
-                    let g = lock.acquire(&mut clock, ProcId(p));
-                    {
-                        let mut c = counter.lock().unwrap();
-                        *c += 1;
-                    }
-                    clock.advance(SimDuration::from_ns(50));
-                    g.release(&mut clock);
+        let lock = SmiLock::new(Arc::clone(&w), ProcId(0));
+        let (counter, contenders) = (Mutex::new(0u64), AtomicUsize::new(4));
+        sched::run_roots(4, |p| {
+            let mut clock = Clock::new();
+            for _ in 0..250 {
+                let g = lock.acquire(&mut clock, ProcId(p));
+                // Give the token away mid-update: the others find the
+                // lock held and park on it until a stall round resumes
+                // this holder.
+                let seen = *counter.lock().unwrap();
+                clock.advance(SimDuration::from_ns(50));
+                if contenders.load(Ordering::SeqCst) > 1 {
+                    sched::park(clock.now());
                 }
-                clock.now()
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+                *counter.lock().unwrap() = seen + 1;
+                g.release(&mut clock);
+            }
+            contenders.fetch_sub(1, Ordering::SeqCst);
+        });
         assert_eq!(*counter.lock().unwrap(), 1000);
     }
 
@@ -354,18 +343,13 @@ mod tests {
 
     #[test]
     fn barrier_aligns_clocks() {
-        let barrier = Arc::new(TimeBarrier::new(4, SimDuration::from_us(1)));
-        let mut handles = Vec::new();
-        for i in 0..4u64 {
-            let barrier = Arc::clone(&barrier);
-            handles.push(thread::spawn(move || {
-                let mut clock = Clock::new();
-                clock.advance(SimDuration::from_us(10 * i)); // skewed arrivals
-                barrier.wait(&mut clock);
-                clock.now()
-            }));
-        }
-        let times: Vec<SimTime> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let barrier = TimeBarrier::new(4, SimDuration::from_us(1));
+        let (times, _) = sched::run_roots(4, |i| {
+            let mut clock = Clock::new();
+            clock.advance(SimDuration::from_us(10 * i as u64)); // skewed arrivals
+            barrier.wait(&mut clock);
+            clock.now()
+        });
         // Everyone leaves at the same virtual time, at or after the latest
         // arrival (30us).
         assert!(times.iter().all(|t| *t == times[0]));
@@ -374,21 +358,25 @@ mod tests {
 
     #[test]
     fn barrier_is_reusable() {
-        let barrier = Arc::new(TimeBarrier::new(2, SimDuration::from_us(1)));
-        for round in 0..3u64 {
-            let b = Arc::clone(&barrier);
-            let t = thread::spawn(move || {
-                let mut c = Clock::new();
-                c.advance(SimDuration::from_us(round * 5));
-                b.wait(&mut c);
-                c.now()
-            });
+        let barrier = TimeBarrier::new(2, SimDuration::from_us(1));
+        let (times, _) = sched::run_roots(2, |i| {
             let mut c = Clock::new();
-            c.advance(SimDuration::from_us(100));
-            barrier.wait(&mut c);
-            let other = t.join().unwrap();
-            assert_eq!(other, c.now(), "round {round}");
-        }
+            (0..3u64)
+                .map(|round| {
+                    let skew = if i == 0 { 100 } else { round * 5 };
+                    c.advance(SimDuration::from_us(skew));
+                    // The cancellable entry completes like the plain one.
+                    if round == 2 {
+                        barrier.wait_cancel(&mut c, || None).unwrap();
+                    } else {
+                        barrier.wait(&mut c);
+                    }
+                    c.now()
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(times[0], times[1]);
+        assert!(times[0].windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -406,23 +394,8 @@ mod tests {
     }
 
     #[test]
-    fn wait_cancel_completes_like_wait_when_not_cancelled() {
-        let barrier = Arc::new(TimeBarrier::new(2, SimDuration::from_us(1)));
-        let b = Arc::clone(&barrier);
-        let t = thread::spawn(move || {
-            let mut c = Clock::new();
-            b.wait_cancel(&mut c, || None).unwrap();
-            c.now()
-        });
-        let mut c = Clock::new();
-        c.advance(SimDuration::from_us(50));
-        barrier.wait(&mut c);
-        assert_eq!(t.join().unwrap(), c.now());
-    }
-
-    #[test]
     fn wait_cancel_withdraws_and_leaves_barrier_reusable() {
-        let barrier = Arc::new(TimeBarrier::new(2, SimDuration::from_us(1)));
+        let barrier = TimeBarrier::new(2, SimDuration::from_us(1));
         let mut c = Clock::new();
         let cancel_at = SimTime::ZERO + SimDuration::from_us(7);
         let err = barrier
@@ -431,99 +404,49 @@ mod tests {
         assert_eq!(err, cancel_at);
         // The withdrawn arrival must not linger: a fresh pair of waiters
         // completes normally.
-        let b = Arc::clone(&barrier);
-        let t = thread::spawn(move || {
+        let (times, _) = sched::run_roots(2, |_| {
             let mut c = Clock::new();
-            b.wait(&mut c);
+            barrier.wait(&mut c);
             c.now()
         });
-        let mut c2 = Clock::new();
-        barrier.wait(&mut c2);
-        assert_eq!(t.join().unwrap(), c2.now());
+        assert_eq!(times[0], times[1]);
     }
-}
-
-/// Thread-arm stress: OS threads with no scheduler, so every wait is the
-/// condvar's (see `scimpi`'s `mailbox::thread_arm_stress`).
-#[cfg(test)]
-mod thread_arm_stress {
-    use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
-    use std::thread;
 
     #[test]
     fn a_withdrawn_party_leaves_the_generation_for_the_others_to_finish() {
-        // Each round: party 1 arrives and blocks; party 2 arrives
-        // cancellable and withdraws; only then does party 0 arrive (the
-        // channel forces it, or 2 could be the last arriver and complete
-        // instead), 2 arrives again and the generation completes. A
-        // second, plain generation follows: 300 in all.
-        const ROUNDS: u64 = 150;
-        let barrier = Arc::new(TimeBarrier::new(3, SimDuration::from_us(1)));
-        let (withdrawn, seen) = mpsc::channel::<()>();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let party = |me: u64, withdrawn: Option<mpsc::Sender<()>>| {
-            let (barrier, cancel) = (Arc::clone(&barrier), Arc::clone(&cancel));
-            thread::spawn(move || {
-                let mut clock = Clock::new();
-                let mut out = Vec::new();
-                for round in 0..ROUNDS {
-                    clock.advance(SimDuration::from_us(1 + me));
-                    if let Some(withdrawn) = &withdrawn {
-                        let at = clock.now() + SimDuration::from_us(3);
-                        let polled = barrier.wait_cancel(&mut clock, || {
-                            cancel.load(Ordering::SeqCst).then_some(at)
-                        });
-                        assert_eq!(polled, Err(at), "round {round}");
-                        cancel.store(false, Ordering::SeqCst);
-                        withdrawn.send(()).unwrap();
-                    }
-                    barrier.wait(&mut clock);
-                    out.push(clock.now());
-                    assert!(barrier.wait_cancel(&mut clock, || None).is_ok());
-                    out.push(clock.now());
+        // Party 1 arrives and blocks; party 2 arrives cancellable and
+        // blocks; the stall round that follows lets party 0 raise the
+        // flag, so 2's next poll withdraws while 1 stays in. Then 2
+        // arrives again, 0 arrives last and the generation completes. A
+        // second, plain generation follows.
+        let barrier = TimeBarrier::new(3, SimDuration::from_us(1));
+        let cancel = AtomicBool::new(false);
+        let (times, stats) = sched::run_roots(3, |me| {
+            let mut clock = Clock::new();
+            clock.advance(SimDuration::from_us(1 + me as u64));
+            match me {
+                0 => {
+                    assert_eq!(sched::park(clock.now()), sched::Wake::Stalled);
+                    cancel.store(true, Ordering::SeqCst);
+                    assert_eq!(sched::park(clock.now()), sched::Wake::Stalled);
                 }
-                out
-            })
-        };
-        let (one, two) = (party(1, None), party(2, Some(withdrawn)));
-        let mut clock = Clock::new();
-        let mut mine = Vec::new();
-        for _ in 0..ROUNDS {
-            clock.advance(SimDuration::from_us(1));
-            cancel.store(true, Ordering::SeqCst);
-            seen.recv().unwrap();
+                2 => {
+                    let at = clock.now() + SimDuration::from_us(3);
+                    let before = clock.now();
+                    let polled = barrier
+                        .wait_cancel(&mut clock, || cancel.load(Ordering::SeqCst).then_some(at));
+                    assert_eq!(polled, Err(at));
+                    assert_eq!(clock.now(), before, "a withdrawal moved the clock");
+                }
+                _ => {}
+            }
             barrier.wait(&mut clock);
-            mine.push(clock.now());
+            let first = clock.now();
             barrier.wait(&mut clock);
-            mine.push(clock.now());
-        }
-        assert_eq!(mine.len() as u64, 2 * ROUNDS);
-        assert_eq!(one.join().unwrap(), mine);
-        assert_eq!(two.join().unwrap(), mine);
-        assert!(mine.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn a_waiter_on_a_poisoned_barrier_panics_instead_of_hanging() {
-        // Three parties, so neither arrival below is the leader. The
-        // second one's `cancel` runs under the state lock and panics.
-        let barrier = Arc::new(TimeBarrier::new(3, SimDuration::ZERO));
-        let waiter = {
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || barrier.wait_cancel(&mut Clock::new(), || None))
-        };
-        let poisoner = {
-            let barrier = Arc::clone(&barrier);
-            thread::spawn(move || {
-                barrier.wait_cancel(&mut Clock::new(), || panic!("cancel panicked"))
-            })
-        };
-        assert!(poisoner.join().is_err());
-        // Asleep by now or not yet arrived: either way it must find out.
-        assert!(waiter.join().is_err());
-        let late = thread::spawn(move || barrier.wait(&mut Clock::new()));
-        assert!(late.join().is_err());
+            (first, clock.now())
+        });
+        assert!(times.iter().all(|t| *t == times[0]));
+        assert!(times[0].0 < times[0].1);
+        assert_eq!(stats.stalls, 2);
     }
 }

@@ -1,19 +1,20 @@
-//! Differential backend suite: every scenario runs twice — once on the
-//! reference thread-per-rank backend, once on the deterministic
-//! event-driven scheduler ([`scimpi::Backend::Event`]) — and the two
-//! runs must agree *bit for bit*: delivered payloads, per-rank virtual
-//! times, the full observability counter table, and the profile report
-//! JSON. One representative scenario per test family rides here: eager
-//! and rendezvous p2p, sendrecv, collectives, one-sided communication,
+//! Determinism suite (the file keeps the name it had as the thread-vs-
+//! event differential suite): every scenario runs twice from the same
+//! spec and the two runs must agree *bit for bit* — delivered payloads,
+//! per-rank virtual times, the full observability counter table, and the
+//! profile report JSON — and fold into the digest recorded for the
+//! scenario while the thread backend still existed and agreed with it.
+//! One representative scenario per test family rides here: eager and
+//! rendezvous p2p, sendrecv, collectives, one-sided communication,
 //! nonblocking overlap, rank death plus shrink, end-to-end integrity
-//! retransmission, and the overload policies. A seed-sweep property
-//! test cross-checks randomized workloads; CI sweeps `BACKEND_DIFF_SEED`
-//! over several values. See `docs/SCHEDULER.md` for the execution model.
+//! retransmission, and the overload policies. A seed-sweep property test
+//! replays randomized workloads; CI sweeps `BACKEND_DIFF_SEED` over
+//! several values. See `docs/SCHEDULER.md` for the execution model.
 
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::{fnv1a, FaultConfig};
 use scimpi::{
-    revoke, run_report, shrink, AccumulateOp, Backend, ClusterSpec, ErrorMode, IntegrityMode,
+    revoke, run_report, shrink, AccumulateOp, ClusterSpec, ErrorMode, IntegrityMode,
     OverloadPolicy, Rank, ReduceOp, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::{SimDuration, SimTime};
@@ -27,8 +28,8 @@ struct Artifacts {
     profile: String,
 }
 
-/// Run `f` on `spec`'s backend with observability enabled and capture
-/// the comparable artifacts.
+/// Run `f` on `spec` with observability enabled and capture the
+/// comparable artifacts.
 fn capture<F>(spec: ClusterSpec, f: F) -> Artifacts
 where
     F: Fn(&mut Rank) -> Vec<u8> + Send + Sync,
@@ -85,38 +86,44 @@ const SCENARIO_DIGESTS: [(&str, u64); 12] = [
     ("overload_error", 0xcff0db9b16d49195),
 ];
 
-/// The heart of the suite: run the scenario on both backends and demand
-/// byte-identical artifacts, with a targeted message per artifact class
-/// so a divergence names what broke; then demand the digest recorded for
-/// the scenario in [`SCENARIO_DIGESTS`].
+impl Artifacts {
+    /// What differs from `other`, one line per artifact class, so a
+    /// divergence names what broke; empty when the two are equal.
+    fn divergence(&self, other: &Artifacts) -> Vec<String> {
+        let mut lines = Vec::new();
+        for (rank, (a, b)) in self.per_rank.iter().zip(&other.per_rank).enumerate() {
+            if a != b {
+                let (first, second) = ((a.0.len(), a.1), (b.0.len(), b.1));
+                lines.push(format!(
+                    "rank {rank}: (bytes, finish) {first:?} vs {second:?}"
+                ));
+            }
+        }
+        for ((n, a), (_, b)) in self.counters.iter().zip(&other.counters) {
+            if a != b {
+                lines.push(format!("counter `{n}`: {a} vs {b}"));
+            }
+        }
+        if self.profile != other.profile {
+            lines.push("profile JSON diverged".into());
+        }
+        lines
+    }
+}
+
+/// The heart of the suite: run the scenario twice and demand
+/// byte-identical artifacts, then the digest recorded for the scenario
+/// in [`SCENARIO_DIGESTS`].
 fn diff<F>(name: &str, spec: ClusterSpec, f: F)
 where
     F: Fn(&mut Rank) -> Vec<u8> + Send + Sync,
 {
-    let thread = capture(spec.clone().backend(Backend::Thread), &f);
-    let event = capture(spec.backend(Backend::Event), &f);
-    for (rank, (t, e)) in thread.per_rank.iter().zip(&event.per_rank).enumerate() {
-        assert_eq!(
-            t.0, e.0,
-            "[{name}] rank {rank}: payload bytes diverged between backends"
-        );
-        assert_eq!(
-            t.1, e.1,
-            "[{name}] rank {rank}: virtual finish time diverged between backends"
-        );
-    }
-    for ((n, t), (_, e)) in thread.counters.iter().zip(&event.counters) {
-        assert_eq!(
-            t, e,
-            "[{name}] counter `{n}` diverged: thread={t} event={e}"
-        );
-    }
-    assert_eq!(
-        thread.profile, event.profile,
-        "[{name}] profile JSON diverged between backends"
-    );
+    let first = capture(spec.clone(), &f);
+    let second = capture(spec, &f);
+    let moved = first.divergence(&second);
+    assert!(moved.is_empty(), "[{name}] two runs diverged: {moved:#?}");
     let pinned = SCENARIO_DIGESTS.iter().find(|(n, _)| *n == name);
-    let (got, pinned) = (event.digest(), pinned.expect("a recorded digest").1);
+    let (got, pinned) = (first.digest(), pinned.expect("a recorded digest").1);
     assert_eq!(
         got, pinned,
         "[{name}] digest moved: as run {got:#018x}, recorded {pinned:#018x}"
@@ -229,12 +236,10 @@ fn diff_one_sided_fence() {
 /// open across a shared ring segment into the same target. Window
 /// streams are created lazily on first use and then stay open, so a
 /// barrier relay pins the *arrival order* — the arbitration order
-/// bandwidth shares resolve in — identically on both backends (a real
-/// happens-before edge on the thread backend, dispatch order on the
-/// event backend). The contended puts that follow then see a constant
-/// competitor count, which is exactly the scheduler-owned arbitration
-/// policy `docs/ASYNC.md` documents: contention outcomes are a function
-/// of stream lifetime, not host-scheduler timing.
+/// bandwidth shares resolve in. The contended puts that follow then see
+/// a constant competitor count, which is exactly the scheduler-owned
+/// arbitration policy `docs/ASYNC.md` documents: contention outcomes are
+/// a function of stream lifetime, not host-scheduler timing.
 #[test]
 fn diff_saturated_segment_arbitration() {
     const BLOCK: usize = 96 * 1024; // saturates the shared segment
@@ -266,7 +271,7 @@ fn diff_saturated_segment_arbitration() {
         // Phase B: contend. Both origins push a large put through the
         // saturated segment; the competitor count is pinned at two for
         // the whole phase, so every share each transfer samples is
-        // deterministic on either backend.
+        // deterministic.
         if me != 0 {
             let block = vec![me as u8; BLOCK];
             win.put(r, 0, 4096 + (me - 1) * BLOCK, &block).unwrap();
@@ -319,10 +324,7 @@ fn diff_nonblocking_overlap() {
 /// timeout/backoff schedule, and revokes; ranks 0 and 1 sit blocked on
 /// live peers and escape through the gossip front. One detector means
 /// one revocation front, so the escape times are a pure function of the
-/// spec on both backends. (With several concurrent detectors the
-/// reference thread backend races on which interim front a blocked rank
-/// observes — see docs/SCHEDULER.md — so the differential scenario pins
-/// the single-front shape.)
+/// spec.
 #[test]
 fn diff_chaos_death_and_shrink() {
     let spec = ClusterSpec::ringlet(4).errors(ErrorMode::ErrorsReturn);
@@ -439,7 +441,7 @@ fn diff_overload_stall_and_degrade() {
 }
 
 /// Overload family, `Shed`: a burst past the slot budget drops exactly
-/// the overflow; the delivered prefix arrives intact on both backends.
+/// the overflow; the delivered prefix arrives intact.
 #[test]
 fn diff_overload_shed() {
     const SLOTS: usize = 4;
@@ -477,7 +479,7 @@ fn diff_overload_shed() {
 
 /// Overload family, `Error`: exhausted slots refuse the send with
 /// `ResourceExhausted`; the verdict sequence and the delivered prefix
-/// must agree across backends.
+/// must repeat.
 #[test]
 fn diff_overload_error() {
     const SLOTS: usize = 2;
@@ -516,8 +518,8 @@ fn diff_overload_error() {
 }
 
 // ---------------------------------------------------------------------
-// Seed-sweep property test: randomized workloads cross-checked between
-// backends.
+// Seed-sweep property test: randomized workloads replayed from their
+// seed.
 // ---------------------------------------------------------------------
 
 /// Tiny deterministic PRNG (xorshift64*), so the sweep needs no
@@ -540,8 +542,8 @@ impl Prng {
 }
 
 /// One randomized workload drawn from `seed`: a ring of 2..=8 ranks
-/// (CI keeps the per-case cost low; sizes up to 32 are exercised by the
-/// dedicated scenarios above and the megascale bench), mixed eager and
+/// (CI keeps the per-case cost low; the megascale bench runs the large
+/// sizes), mixed eager and
 /// rendezvous sendrecv with per-seed message sizes, a typed-datatype
 /// transfer with a randomized vector shape, an optional collective, and
 /// an optional governed-flood segment.
@@ -672,7 +674,7 @@ impl Workload {
 }
 
 /// Recorded digests of the seeds the suite runs by default; a
-/// `BACKEND_DIFF_SEED` outside this table is cross-checked only.
+/// `BACKEND_DIFF_SEED` outside this table is replayed only.
 const SEED_DIGESTS: [(u64, u64); 4] = [
     (1, 0xb746d65930097e81),
     (7, 0x383e104a59485c47),
@@ -680,44 +682,28 @@ const SEED_DIGESTS: [(u64, u64); 4] = [
     (0xDEAD_BEEF, 0xd908ac8b27c6cced),
 ];
 
-/// Cross-check one drawn workload between the backends, printing a
-/// minimized reproduction recipe on mismatch; a seed of [`SEED_DIGESTS`]
-/// must also produce its recorded digest.
+/// Run one drawn workload twice, printing a minimized reproduction
+/// recipe if the runs differ; a seed of [`SEED_DIGESTS`] must also
+/// produce its recorded digest.
 fn check_workload(seed: u64) {
     let w = Workload::draw(seed);
-    let run_one = |backend: Backend| {
+    let run_one = || {
         let w = w.clone();
-        capture(w.spec().backend(backend), move |r| w.body(r))
+        capture(w.spec(), move |r| w.body(r))
     };
-    let thread = run_one(Backend::Thread);
-    let event = run_one(Backend::Event);
-    if thread != event {
-        eprintln!("=== backend divergence: minimized repro ===");
+    let (first, second) = (run_one(), run_one());
+    let moved = first.divergence(&second);
+    if !moved.is_empty() {
+        eprintln!("=== same-seed divergence: minimized repro ===");
         eprintln!("  BACKEND_DIFF_SEED={seed} cargo test --test backend_diff seed_sweep");
         eprintln!("  workload: {w:?}");
-        for (rank, (t, e)) in thread.per_rank.iter().zip(&event.per_rank).enumerate() {
-            if t != e {
-                eprintln!(
-                    "  rank {rank}: thread=({} bytes, {:?}) event=({} bytes, {:?})",
-                    t.0.len(),
-                    t.1,
-                    e.0.len(),
-                    e.1
-                );
-            }
+        for line in &moved {
+            eprintln!("  {line}");
         }
-        for ((n, t), (_, e)) in thread.counters.iter().zip(&event.counters) {
-            if t != e {
-                eprintln!("  counter {n}: thread={t} event={e}");
-            }
-        }
-        if thread.profile != event.profile {
-            eprintln!("  profile JSON diverged");
-        }
-        panic!("seed {seed}: backends diverged (see repro above)");
+        panic!("seed {seed}: two runs diverged (see repro above)");
     }
     if let Some(&(_, pinned)) = SEED_DIGESTS.iter().find(|(s, _)| *s == seed) {
-        let got = event.digest();
+        let got = first.digest();
         assert_eq!(
             got, pinned,
             "seed {seed}: digest moved: as run {got:#018x}, recorded {pinned:#018x}"
@@ -741,16 +727,10 @@ fn seed_sweep_randomized_workloads() {
     }
 }
 
-/// Same seed, event backend, twice: the scheduler itself must be a
-/// deterministic function of the spec (heap tie-break: time, then rank,
-/// then task sequence), not merely agree with the thread backend.
+/// One more pinned seed, under the name the test had beside the thread
+/// backend: the scheduler is a deterministic function of the spec (heap
+/// tie-break: time, then rank, then task sequence).
 #[test]
 fn event_backend_self_deterministic() {
-    let w = Workload::draw(7);
-    let run_one = || {
-        let w = w.clone();
-        capture(w.spec().backend(Backend::Event), move |r| w.body(r))
-    };
-    assert_eq!(run_one(), run_one(), "event backend diverged from itself");
     check_workload(7);
 }

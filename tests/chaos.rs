@@ -18,8 +18,8 @@
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::LinkId;
 use scimpi::{
-    death_delay, revoke, run, run_report, AccumulateOp, Backend, ClusterSpec, CollectiveAlgo,
-    ErrorMode, IntegrityMode, Rank, ReduceOp, ScimpiError, Source, TagSel, Tuning, WinMemory,
+    death_delay, revoke, run, run_report, AccumulateOp, ClusterSpec, CollectiveAlgo, ErrorMode,
+    IntegrityMode, Rank, ReduceOp, ScimpiError, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::SimDuration;
 
@@ -360,13 +360,10 @@ const F64_RDV: usize = 20_000;
 ///
 /// Whether a rank blocked on the *dead* peer observes `PeerDead` or
 /// `Revoked` first depends on which check its wait loop hits first, so
-/// the revoker probes the corpse once more before revoking: under the
-/// event backend that receive parks until the next stall round, by which
-/// time every other rank blocked on the corpse has surfaced its
-/// `PeerDead` — a rendezvous in virtual time, no host clock in it. The
-/// thread backend cannot pin these times on a loaded host: segment shares
-/// of back-to-back rendezvous transfers resolve in host order there
-/// (docs/SCHEDULER.md).
+/// the revoker probes the corpse once more before revoking: that
+/// receive parks until the next stall round, by which time every other
+/// rank blocked on the corpse has surfaced its `PeerDead` — a rendezvous
+/// in virtual time, no host clock in it.
 ///
 /// Returns per-rank `(outcome, virtual elapsed since the barrier)`, the
 /// same from two same-seed runs.
@@ -375,7 +372,7 @@ where
     F: Fn(&mut Rank) -> Result<(), ScimpiError> + Send + Sync,
 {
     let scenario = || {
-        run(chaos_spec().backend(Backend::Event), |r| {
+        run(chaos_spec(), |r| {
             r.barrier();
             let t0 = r.now();
             if r.rank() == victim {

@@ -2,8 +2,8 @@
 //!
 //! Every forced algorithm (and the `Auto` selector) must produce
 //! byte-identical results to the linear reference schedules kept as
-//! [`CollectiveAlgo::Naive`], on both scheduler backends, across pow2
-//! and non-pow2 rank counts and both sides of the size thresholds. All
+//! [`CollectiveAlgo::Naive`], across pow2 and non-pow2 rank counts and
+//! both sides of the size thresholds. All
 //! floating-point payloads are exactly-representable integers so sums
 //! are order-independent and the comparison really is `==`.
 //!
@@ -126,9 +126,9 @@ fn workload(r: &mut Rank, len: usize) -> Vec<u8> {
 
 /// Run the workload under every algorithm on `base` and demand each
 /// transcript matches the naive reference byte-for-byte.
-fn equivalence(name: &str, base: fn() -> ClusterSpec, backend: Backend, len: usize) {
+fn equivalence(name: &str, base: fn() -> ClusterSpec, len: usize) {
     let seeded = |algo| {
-        let mut s = base().tuning(tuned(algo)).backend(backend);
+        let mut s = base().tuning(tuned(algo));
         if let Some(seed) = env_seed() {
             s.seed = seed;
         }
@@ -160,39 +160,21 @@ fn multi8() -> ClusterSpec {
 }
 
 #[test]
-fn algos_agree_on_pow2_ringlet_thread() {
-    equivalence("ringlet4/small", ringlet4, Backend::Thread, 64);
-    equivalence("ringlet4/large", ringlet4, Backend::Thread, 8192);
-}
-
-#[test]
 fn algos_agree_on_pow2_ringlet_event() {
-    equivalence("ringlet4/small", ringlet4, Backend::Event, 64);
-    equivalence("ringlet4/large", ringlet4, Backend::Event, 8192);
-}
-
-#[test]
-fn algos_agree_on_nonpow2_ringlet_thread() {
-    equivalence("ringlet5/small", ringlet5, Backend::Thread, 64);
-    equivalence("ringlet5/large", ringlet5, Backend::Thread, 8192);
+    equivalence("ringlet4/small", ringlet4, 64);
+    equivalence("ringlet4/large", ringlet4, 8192);
 }
 
 #[test]
 fn algos_agree_on_nonpow2_ringlet_event() {
-    equivalence("ringlet5/small", ringlet5, Backend::Event, 64);
-    equivalence("ringlet5/large", ringlet5, Backend::Event, 8192);
-}
-
-#[test]
-fn algos_agree_across_rings_thread() {
-    equivalence("multi8/small", multi8, Backend::Thread, 64);
-    equivalence("multi8/large", multi8, Backend::Thread, 8192);
+    equivalence("ringlet5/small", ringlet5, 64);
+    equivalence("ringlet5/large", ringlet5, 8192);
 }
 
 #[test]
 fn algos_agree_across_rings_event() {
-    equivalence("multi8/small", multi8, Backend::Event, 64);
-    equivalence("multi8/large", multi8, Backend::Event, 8192);
+    equivalence("multi8/small", multi8, 64);
+    equivalence("multi8/large", multi8, 8192);
 }
 
 // --- seeded chaos sweep -------------------------------------------------

@@ -6,32 +6,27 @@
 //! launching thread is bound to, while recording runs are live beside it.
 
 use mpi_datatype::{Committed, Datatype};
-use scimpi::{
-    run_report, Backend, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory,
-};
+use scimpi::{run_report, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
 use simclock::SimTime;
 use std::sync::Barrier;
 
 /// Everything of a run that must not depend on what else the process is
 /// running: per-rank results and finish times, then the report's counter
 /// table, profile JSON, peak backlogs, scheduler statistics and trace
-/// event count (the events' recording order is host order under the
-/// thread backend).
+/// events in recording order.
 type Outcome = (
     Vec<(u64, SimTime)>,
     obs::CounterTable,
     String,
     Vec<obs::PeakBacklog>,
     Option<scimpi::EventStats>,
-    usize,
+    Vec<obs::TraceEvent>,
 );
 
-type Scenario = (usize, Backend, fn() -> ObsConfig, fn(&mut Rank) -> u64);
+type Scenario = (usize, fn() -> ObsConfig, fn(&mut Rank) -> u64);
 
-fn outcome(&(ranks, backend, recording, body): &Scenario) -> Outcome {
-    let spec = ClusterSpec::ringlet(ranks)
-        .backend(backend)
-        .obs(recording());
+fn outcome(&(ranks, recording, body): &Scenario) -> Outcome {
+    let spec = ClusterSpec::ringlet(ranks).obs(recording());
     // A recording-off run is launched under a live binding of its own:
     // whatever its hooks reached would show up there.
     let outer = obs::Recorder::new();
@@ -40,11 +35,6 @@ fn outcome(&(ranks, backend, recording, body): &Scenario) -> Outcome {
     drop(bound);
     assert_eq!(outer.counters(), obs::CounterTable::default());
     assert!(outer.take_events().is_empty());
-    let notifies = report.event_stats.map_or(0, |s| s.thread_notifies);
-    assert_eq!(
-        notifies, 0,
-        "a wake of an event-backend run found a thread asleep"
-    );
     let profile = report.profile_json();
     (
         per_rank,
@@ -52,7 +42,7 @@ fn outcome(&(ranks, backend, recording, body): &Scenario) -> Outcome {
         profile,
         report.peak_backlogs,
         report.event_stats,
-        report.events.len(),
+        report.events,
     )
 }
 
@@ -139,20 +129,20 @@ fn halo(r: &mut Rank) -> u64 {
 #[test]
 fn concurrent_runs_report_what_they_report_alone() {
     let scenarios: [Scenario; 5] = [
-        (2, Backend::Thread, ObsConfig::enabled, pingpong),
-        (8, Backend::Event, ObsConfig::enabled, allreduce_typed),
-        (2, Backend::Event, ObsConfig::disabled, pingpong),
-        (16, Backend::Event, ObsConfig::enabled, halo),
-        (2, Backend::Thread, ObsConfig::disabled, send_put_fence),
+        (2, ObsConfig::enabled, pingpong),
+        (8, ObsConfig::enabled, allreduce_typed),
+        (2, ObsConfig::disabled, pingpong),
+        (16, ObsConfig::enabled, halo),
+        (2, ObsConfig::disabled, send_put_fence),
     ];
     let alone: Vec<Outcome> = scenarios.iter().map(outcome).collect();
     assert!(alone[0].1[obs::Counter::RendezvousSends] > 0);
     assert!(alone[1].1[obs::Counter::LayoutCacheMisses] > 0);
     assert!(alone[3].1[obs::Counter::RequestsPosted] > 0);
-    assert!(alone[1].4.is_some() && alone[0].4.is_none());
+    assert!(alone.iter().all(|a| a.4.is_some()));
     for off in [&alone[2], &alone[4]] {
         assert_eq!(
-            (off.1, off.2.as_str(), off.3.len(), off.5),
+            (off.1, off.2.as_str(), off.3.len(), off.5.len()),
             (obs::CounterTable::default(), "", 0, 0),
             "an obs-off run reports nothing"
         );

@@ -2,9 +2,7 @@
 //! public API (fabric → SMI → datatypes → MPI runtime).
 
 use mpi_datatype::{typed, Committed, Datatype};
-use scimpi::{
-    run, AccumulateOp, Backend, ClusterSpec, ReduceOp, Source, TagSel, Tuning, WinMemory,
-};
+use scimpi::{run, AccumulateOp, ClusterSpec, ReduceOp, Source, TagSel, Tuning, WinMemory};
 use simclock::SimDuration;
 
 /// The same deterministic seed and workload must produce bit-identical
@@ -125,8 +123,7 @@ fn typed_rma_roundtrip_through_stack() {
 /// the peer would wait in `fence` for ever) as in release.
 #[test]
 fn typed_put_with_negative_displacement_lands_where_it_points() {
-    let spec = ClusterSpec::ringlet(2).backend(Backend::Event);
-    run(spec, |r| {
+    run(ClusterSpec::ringlet(2), |r| {
         let dt = Datatype::hindexed(&[(8, -16), (8, 0), (8, 24)], &Datatype::byte());
         let c = Committed::commit(&dt);
         let mem = r.alloc_mem(128).unwrap();

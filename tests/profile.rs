@@ -1,12 +1,11 @@
 //! The wait-state profiler's contract: attribution must never perturb
 //! virtual time, same-seed runs must serialize byte-identical
-//! `PROFILE_*.json` documents, and the per-rank decomposition must be
-//! conservative — `compute + pack + transfer + wait + other ==
-//! makespan`, exactly, for every rank.
+//! `PROFILE_*.json` documents and record the same trace events in the
+//! same order, and the per-rank decomposition must be conservative —
+//! `compute + pack + transfer + wait + other == makespan`, exactly, for
+//! every rank.
 
-use scimpi::{
-    run, run_report, Backend, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory,
-};
+use scimpi::{run, run_report, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
 use simclock::{SimDuration, SimTime};
 
 const RANKS: usize = 4;
@@ -147,8 +146,8 @@ fn profiler_is_deterministic_and_conservative() {
 
 /// A 2-rank ping-pong long enough that its critical path — which changes
 /// rank at every message — runs into the extraction's hop cap, and that
-/// each rank thread hands a few thousand waits to the recorder when its
-/// binding drops.
+/// each rank hands a few thousand waits to the recorder when its binding
+/// drops.
 #[test]
 fn long_ping_pong_profile_is_exact_deterministic_and_says_it_is_truncated() {
     const ROUND_TRIPS: usize = 3_000;
@@ -169,7 +168,7 @@ fn long_ping_pong_profile_is_exact_deterministic_and_says_it_is_truncated() {
         r.now()
     }
     let spec = |obs| {
-        let mut spec = ClusterSpec::ringlet(2).backend(Backend::Event).obs(obs);
+        let mut spec = ClusterSpec::ringlet(2).obs(obs);
         spec.seed = 20020415;
         spec
     };
@@ -180,11 +179,6 @@ fn long_ping_pong_profile_is_exact_deterministic_and_says_it_is_truncated() {
         with_obs, without_obs,
         "recording attribution perturbed virtual time"
     );
-
-    // 6 000 messages and every wake of them a load: no thread sleeps on
-    // a wait queue of an event-backend run, so no condvar was notified.
-    let stats = report.event_stats.expect("event backend ran");
-    assert_eq!(stats.thread_notifies, 0);
 
     let json = report.profile_json();
     let profile = report.profile.expect("profile built at teardown");
@@ -202,5 +196,65 @@ fn long_ping_pong_profile_is_exact_deterministic_and_says_it_is_truncated() {
         json,
         again.profile_json(),
         "same-seed PROFILE documents differ"
+    );
+}
+
+/// The trace is a function of the run: hooks fire in the order the run
+/// token visits them, so two same-seed runs record the same events in the
+/// same order and export the same Chrome trace, byte for byte.
+#[test]
+fn same_seed_runs_record_the_same_trace() {
+    fn traced(r: &mut Rank) {
+        let (me, n) = (r.rank(), r.size());
+        let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+        // Eager ring.
+        let mut small = [0u8; 64];
+        r.sendrecv(
+            right,
+            1,
+            scimpi::SendData::Bytes(&[me as u8; 64]),
+            Source::Rank(left),
+            TagSel::Value(1),
+            scimpi::RecvBuf::Bytes(&mut small),
+        )
+        .unwrap();
+        // One rendezvous sendrecv: the send half forks a task.
+        let mut big = vec![0u8; 96 * 1024];
+        r.sendrecv(
+            right,
+            2,
+            scimpi::SendData::Bytes(&vec![me as u8; 96 * 1024]),
+            Source::Rank(left),
+            TagSel::Value(2),
+            scimpi::RecvBuf::Bytes(&mut big),
+        )
+        .unwrap();
+        // An isend/irecv pair on pooled engine tasks.
+        let mut recv = r
+            .irecv(Source::Rank(left), TagSel::Value(3), 150_000)
+            .unwrap();
+        let mut send = r.isend(right, 3, &vec![me as u8; 150_000]).unwrap();
+        r.compute(SimDuration::from_us(40 * (me as u64 + 1)));
+        r.wait(&mut send).unwrap();
+        r.wait(&mut recv).unwrap();
+        // A fence epoch.
+        let mem = r.alloc_mem(256).unwrap();
+        let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
+        win.fence(r).unwrap();
+        win.put(r, right, 0, &[me as u8; 128]).unwrap();
+        win.fence(r).unwrap();
+    }
+    let spec = || ClusterSpec::ringlet(RANKS).obs(ObsConfig::enabled());
+    let (_, first) = run_report(spec(), traced);
+    let (_, second) = run_report(spec(), traced);
+    for name in ["p2p.recv", "p2p.rendezvous_data", "req.lifetime", "osc.put"] {
+        let seen = first.events.iter().any(|e| e.name == name);
+        assert!(seen, "no `{name}` event recorded");
+    }
+    assert_eq!(first.events, second.events, "recording order differs");
+    assert_eq!(
+        obs::chrome_trace_json(&first.events),
+        obs::chrome_trace_json(&second.events),
+        "same-seed trace documents differ"
     );
 }

@@ -5,8 +5,8 @@
 //! fault injection. CI sweeps `REQUESTS_SEED` over several values.
 
 use scimpi::{
-    death_delay, Backend, ClusterSpec, ErrorMode, IntegrityMode, Rank, RecvBuf, RunReport,
-    ScimpiError, SendData, Source, TagSel, Tuning, WinMemory,
+    death_delay, run, run_report, ClusterSpec, ErrorMode, IntegrityMode, RecvBuf, ScimpiError,
+    SendData, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::{SimDuration, SimTime};
 
@@ -22,31 +22,6 @@ fn seeded(spec: ClusterSpec) -> ClusterSpec {
     spec
 }
 
-/// `scimpi::run_report`, checked on the way out: every waiter of an
-/// event-backend run is a task, so none of its wakes notified a condvar.
-fn run_report<T: Send>(
-    spec: ClusterSpec,
-    f: impl Fn(&mut Rank) -> T + Send + Sync,
-) -> (Vec<T>, RunReport) {
-    let (out, report) = scimpi::run_report(spec, f);
-    if let Some(stats) = report.event_stats {
-        assert_eq!(stats.thread_notifies, 0, "a wake found a thread asleep");
-    }
-    (out, report)
-}
-
-fn run<T: Send>(spec: ClusterSpec, f: impl Fn(&mut Rank) -> T + Send + Sync) -> Vec<T> {
-    run_report(spec, f).0
-}
-
-/// Run `scenario` on a thread per engine and on pooled engine tasks:
-/// after the join a request is one code path, whoever drove it.
-fn on_both_backends(scenario: impl Fn(Backend)) {
-    for backend in [Backend::Thread, Backend::Event] {
-        scenario(backend);
-    }
-}
-
 /// The message of a panic payload, as `panic!` produces them.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<String>()
@@ -57,11 +32,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 
 #[test]
 fn wait_after_complete_is_idempotent() {
-    on_both_backends(wait_after_complete);
-}
-
-fn wait_after_complete(backend: Backend) {
-    let out = run(seeded(ClusterSpec::ringlet(2)).backend(backend), |r| {
+    let out = run(seeded(ClusterSpec::ringlet(2)), |r| {
         if r.rank() == 0 {
             let mut req = r.irecv(Source::Rank(1), TagSel::Value(3), 64).unwrap();
             let first = r.wait(&mut req).unwrap();
@@ -87,11 +58,7 @@ fn wait_after_complete(backend: Backend) {
 
 #[test]
 fn waitany_returns_earliest_virtual_completion() {
-    on_both_backends(waitany_earliest);
-}
-
-fn waitany_earliest(backend: Backend) {
-    run(seeded(ClusterSpec::ringlet(3)).backend(backend), |r| {
+    run(seeded(ClusterSpec::ringlet(3)), |r| {
         if r.rank() == 0 {
             // Two receives: rank 2's small eager message drains long
             // before rank 1's rendezvous bulk. waitany must pick it
@@ -117,13 +84,9 @@ fn waitany_earliest(backend: Backend) {
 
 #[test]
 fn persistent_restart_matches_fresh_requests() {
-    on_both_backends(persistent_restart);
-}
-
-fn persistent_restart(backend: Backend) {
     // N iterations through persistent handles must be bit-identical in
     // virtual time to N fresh isend/irecv posts of the same arguments.
-    let spec = || seeded(ClusterSpec::ringlet(2)).backend(backend);
+    let spec = || seeded(ClusterSpec::ringlet(2));
     let persistent = run(spec(), |r| {
         if r.rank() == 0 {
             let data = vec![9u8; RDV];
@@ -249,41 +212,22 @@ fn nonblocking_delivers_blocking_payloads_under_end_to_end_integrity() {
 }
 
 // The two concurrent isends to one neighbour drain on separate engine
-// tasks and draw from the injector's one per-pair fault stream; the event
-// backend makes those draws in dispatch order, so retransmit counts and
+// tasks and draw from the injector's one per-pair fault stream; the
+// scheduler makes those draws in dispatch order, so retransmit counts and
 // finish times are a function of the seed alone.
 #[test]
 fn nonblocking_halo_is_deterministic_across_same_seed_runs() {
-    let spec = || lossy_halo_spec().backend(Backend::Event);
-    let a = halo_exchange(spec(), true);
-    let b = halo_exchange(spec(), true);
-    assert_eq!(a, b, "same seed must give bit-identical times and bytes");
-}
-
-// On the default (thread) backend the same draws interleave in host order
-// (docs/SCHEDULER.md, thread-backend nondeterminism), which may move a
-// retransmit from one transfer to the other and with it the finish time.
-// What holds on every backend is that each payload arrives exact.
-#[test]
-fn nonblocking_halo_payloads_are_exact_across_same_seed_runs() {
     let a = halo_exchange(lossy_halo_spec(), true);
     let b = halo_exchange(lossy_halo_spec(), true);
-    for (rank, ((a1, a2, _), (b1, b2, _))) in a.iter().zip(b.iter()).enumerate() {
-        assert_eq!(a1, b1, "rank {rank} first halo differs between runs");
-        assert_eq!(a2, b2, "rank {rank} second halo differs between runs");
-    }
+    assert_eq!(a, b, "same seed must give bit-identical times and bytes");
 }
 
 #[test]
 fn iget_overlap_composes_with_integrity_checking() {
-    on_both_backends(iget_overlap);
-}
-
-fn iget_overlap(backend: Backend) {
     // The clock-swap fork in iget must not disturb the one-sided epoch
     // ledger: bytes verified end-to-end, stall hidden behind compute.
     let spec = {
-        let mut spec = seeded(ClusterSpec::ringlet(2)).backend(backend);
+        let mut spec = seeded(ClusterSpec::ringlet(2));
         spec.faults.corrupt_rate = 1e-4;
         spec.tuning(Tuning {
             integrity_mode: IntegrityMode::EndToEnd,
@@ -316,13 +260,7 @@ fn iget_overlap(backend: Backend) {
 
 #[test]
 fn request_counters_balance_and_overlap_is_credited() {
-    on_both_backends(counters_balance);
-}
-
-fn counters_balance(backend: Backend) {
-    let spec = seeded(ClusterSpec::ringlet(2))
-        .backend(backend)
-        .obs(obs::ObsConfig::enabled());
+    let spec = seeded(ClusterSpec::ringlet(2)).obs(obs::ObsConfig::enabled());
     let (_, report) = run_report(spec, |r| {
         if r.rank() == 0 {
             let data = vec![8u8; RDV];
@@ -358,15 +296,9 @@ fn counters_balance(backend: Backend) {
 /// rank's error mode is consulted at the sync point.
 #[test]
 fn wait_surfaces_engine_detected_peer_death() {
-    on_both_backends(engine_detected_peer_death);
-}
-
-fn engine_detected_peer_death(backend: Backend) {
     let budget = death_delay(&Tuning::default());
     run(
-        seeded(ClusterSpec::ringlet(2))
-            .backend(backend)
-            .errors(ErrorMode::ErrorsReturn),
+        seeded(ClusterSpec::ringlet(2)).errors(ErrorMode::ErrorsReturn),
         move |r| {
             r.barrier();
             if r.rank() == 0 {
@@ -395,12 +327,7 @@ fn engine_detected_peer_death(backend: Backend) {
 /// not silently swallowed in the drop bin).
 #[test]
 fn dropped_failing_request_routes_through_error_handler() {
-    on_both_backends(dropped_failing_request);
-}
-
-fn dropped_failing_request(backend: Backend) {
     let spec = seeded(ClusterSpec::ringlet(2))
-        .backend(backend)
         .errors(ErrorMode::ErrorsReturn)
         .obs(obs::ObsConfig::enabled());
     let (_, report) = run_report(spec, |r| {
@@ -433,7 +360,6 @@ fn dropped_failing_request(backend: Backend) {
 #[test]
 fn refused_isend_leaves_nothing_in_flight() {
     let spec = seeded(ClusterSpec::ringlet(2))
-        .backend(Backend::Event)
         .errors(ErrorMode::ErrorsReturn)
         .obs(obs::ObsConfig::enabled());
     let (_, report) = run_report(spec, |r| {
@@ -469,7 +395,7 @@ fn refused_isend_leaves_nothing_in_flight() {
 /// with the `Aborted` sentinel the other tasks unwind with, not hung.
 #[test]
 fn fatal_engine_error_comes_out_of_run_as_the_original_panic() {
-    let spec = seeded(ClusterSpec::ringlet(2)).backend(Backend::Event);
+    let spec = seeded(ClusterSpec::ringlet(2));
     let outcome = std::panic::catch_unwind(|| {
         run(spec, |r| {
             r.barrier();
@@ -494,7 +420,7 @@ fn fatal_engine_error_comes_out_of_run_as_the_original_panic() {
 /// the abort broadcast retires the pooled engine task.
 #[test]
 fn request_dropped_during_unwind_does_not_double_panic() {
-    let spec = seeded(ClusterSpec::ringlet(2)).backend(Backend::Event);
+    let spec = seeded(ClusterSpec::ringlet(2));
     let outcome = std::panic::catch_unwind(|| {
         run(spec, |r| {
             if r.rank() == 0 {

@@ -1,6 +1,6 @@
 //! Golden pin of the nonblocking request engine, end to end.
 //!
-//! Nine programs on `Backend::Event` with the recorder on — the 16-rank
+//! Nine programs with the recorder on — the 16-rank
 //! four-neighbour halo at 8 KiB (eager) and at 150 000 B (rendezvous, so
 //! the `isend`s have engines too), `waitany` over mixed sizes, a
 //! `test`/`compute` polling loop, two fire-and-forget `isend`s reaped at
@@ -24,9 +24,7 @@
 
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::{fnv1a, FaultConfig};
-use scimpi::{
-    run_report, Backend, ClusterSpec, IntegrityMode, Rank, ReduceOp, Source, TagSel, Tuning,
-};
+use scimpi::{run_report, ClusterSpec, IntegrityMode, Rank, ReduceOp, Source, TagSel, Tuning};
 use simclock::SimDuration;
 
 /// Above the eager threshold (16 KiB): the rendezvous path.
@@ -237,7 +235,6 @@ fn case(&(ranks, _, body): &Program, faults: FaultConfig, tuning: Tuning) -> u64
         .tuning(tuning)
         .faults(faults)
         .seed(0x7E57_0019)
-        .backend(Backend::Event)
         .obs(obs::ObsConfig::enabled());
     let (per_rank, report) = run_report(spec, move |r| (body(r), r.now().as_ps()));
     let mut h = 0xcbf2_9ce4_8422_2325;
@@ -249,7 +246,7 @@ fn case(&(ranks, _, body): &Program, faults: FaultConfig, tuning: Tuning) -> u64
         fold(&mut h, fnv1a(name.as_bytes()));
         fold(&mut h, value);
     }
-    let stats = report.event_stats.expect("event backend");
+    let stats = report.event_stats.expect("scheduler statistics");
     fold(&mut h, stats.events);
     fold(&mut h, stats.ready_high_water as u64);
     fold(&mut h, stats.tasks_high_water as u64);

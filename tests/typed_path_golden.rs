@@ -1,6 +1,6 @@
 //! Golden pin of the typed two-sided path, end to end.
 //!
-//! One typed `send_typed`/`recv_typed` per case on `Backend::Event` with
+//! One typed `send_typed`/`recv_typed` per case with
 //! the recorder on: four tunings (`full_ff_comparison()`,
 //! `generic_only()`, default, `without_pack_engine()`) × ten layouts
 //! (vectors of 8/16/24/64/128/1024-byte blocks, the Fig. 3
@@ -24,7 +24,7 @@
 
 use mpi_datatype::{subarray, tree, ArrayOrder, Committed, Datatype};
 use sci_fabric::{fnv1a, FaultConfig};
-use scimpi::{run_report, Backend, ClusterSpec, ErrorMode, IntegrityMode, Source, TagSel, Tuning};
+use scimpi::{run_report, ClusterSpec, ErrorMode, IntegrityMode, Source, TagSel, Tuning};
 use simclock::SplitMix64;
 
 /// Eager, one rendezvous chunk, five chunks and a ragged tail (default
@@ -131,7 +131,6 @@ fn case(tuning: Tuning, faults: FaultConfig, layout: &Layout) -> u64 {
         .tuning(tuning)
         .seed(0x7E57_0018)
         .errors(ErrorMode::ErrorsReturn)
-        .backend(Backend::Event)
         .obs(obs::ObsConfig::enabled());
     let (dt, count) = (layout.dt.clone(), layout.count);
     let span = (count - 1) * dt.extent() + dt.ub().max(0) as usize;
