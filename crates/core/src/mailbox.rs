@@ -418,15 +418,17 @@ mod tests {
     #[test]
     fn blocking_recv_wakes_on_post() {
         let mb = Mailbox::new();
-        let (tags, _) = sched::run_roots(2, |me| {
-            if me == 0 {
-                // Dispatched first: parks on the empty mailbox.
-                return recv_blocking(&mb, Source::Any, TagSel::Value(42)).tag;
-            }
-            mb.post(env(0, 41)); // wrong tag: wakes the receiver in vain
-            sched::park(SimTime::ZERO);
-            mb.post(env(0, 42));
-            0
+        let (tags, _) = sched::run_roots(2, |me, root| {
+            root.run(|| {
+                if me == 0 {
+                    // Dispatched first: parks on the empty mailbox.
+                    return recv_blocking(&mb, Source::Any, TagSel::Value(42)).tag;
+                }
+                mb.post(env(0, 41)); // wrong tag: wakes the receiver in vain
+                sched::park(SimTime::ZERO);
+                mb.post(env(0, 42));
+                0
+            })
         });
         assert_eq!(tags[0], 42);
         assert_eq!(mb.backlog(), 1); // the tag-41 message still queued
@@ -515,31 +517,33 @@ mod tests {
     #[test]
     fn cross_task_ctrl() {
         let mb = Mailbox::new();
-        let (got, _) = sched::run_roots(2, |me| {
-            if me == 1 {
-                for i in 0..100u64 {
-                    let (arrival, data) = (SimTime::from_ps(i), vec![]);
-                    mb.post_ctrl(i % 4, Ctrl::Signal { arrival, data });
-                    // Hand the token over so the consumer really waits.
-                    sched::park(arrival);
+        let (got, _) = sched::run_roots(2, |me, root| {
+            root.run(|| {
+                if me == 1 {
+                    for i in 0..100u64 {
+                        let (arrival, data) = (SimTime::from_ps(i), vec![]);
+                        mb.post_ctrl(i % 4, Ctrl::Signal { arrival, data });
+                        // Hand the token over so the consumer really waits.
+                        sched::park(arrival);
+                    }
+                    return 0;
                 }
-                return 0;
-            }
-            let mut got = 0;
-            for h in 0..4u64 {
-                for k in 0..25 {
-                    let c = loop {
-                        if let Some(c) = mb.wait_ctrl(h) {
-                            break c;
-                        }
-                    };
-                    // Per handle, packets come out in posted order.
-                    let want = SimTime::from_ps(4 * k + h);
-                    assert!(matches!(c, Ctrl::Signal { arrival, .. } if arrival == want));
-                    got += 1;
+                let mut got = 0;
+                for h in 0..4u64 {
+                    for k in 0..25 {
+                        let c = loop {
+                            if let Some(c) = mb.wait_ctrl(h) {
+                                break c;
+                            }
+                        };
+                        // Per handle, packets come out in posted order.
+                        let want = SimTime::from_ps(4 * k + h);
+                        assert!(matches!(c, Ctrl::Signal { arrival, .. } if arrival == want));
+                        got += 1;
+                    }
                 }
-            }
-            got
+                got
+            })
         });
         assert_eq!(got[0], 100);
     }
@@ -555,13 +559,15 @@ mod tests {
             },
         );
         let ticket = mb.post_recv(Source::Rank(2), TagSel::Any);
-        let (_, stats) = sched::run_roots(1, |_| {
-            // Nobody posts: each wait ends in a stall round.
-            let now = SimTime::from_ps(5);
-            assert!(mb.match_recv_posted(ticket, now).is_none());
-            assert!(mb.try_match_recv_posted(ticket, now).is_none());
-            assert!(mb.wait_ctrl(8).is_none());
-            assert!(mb.try_ctrl(8).is_none());
+        let (_, stats) = sched::run_roots(1, |_, root| {
+            root.run(|| {
+                // Nobody posts: each wait ends in a stall round.
+                let now = SimTime::from_ps(5);
+                assert!(mb.match_recv_posted(ticket, now).is_none());
+                assert!(mb.try_match_recv_posted(ticket, now).is_none());
+                assert!(mb.wait_ctrl(8).is_none());
+                assert!(mb.try_ctrl(8).is_none());
+            })
         });
         assert_eq!(
             stats.stalls, 2,

@@ -798,12 +798,18 @@ impl Handle {
 /// touched pages of RSS.
 const ROOT_STACK: usize = 1 << 20;
 
-/// Run `body(i)` for every `i` in `0..roots` as the root tasks of a fresh
-/// scheduler, each on a thread of its own (`rank-<i>`), and return what
-/// they returned, indexed by `i`, with the run's statistics. The pooled
-/// workers die with the run. A panic in any task aborts the run and comes
-/// out of this call as that panic.
-pub fn run_roots<T: Send>(roots: usize, body: impl Fn(usize) -> T + Sync) -> (Vec<T>, Stats) {
+/// Run a fresh scheduler's `roots` root tasks, each on a thread of its
+/// own (`rank-<i>`): `body(i, root)` runs on root `i`'s thread and must
+/// run the task — `root.run(..)`, whose result it returns. What it keeps
+/// around that call is the thread's, not the task's: a recorder binding
+/// made there folds its lane after the task has given the token up.
+/// Returns what the tasks returned, indexed by `i`, with the run's
+/// statistics. The pooled workers die with the run. A panic in any task
+/// aborts the run and comes out of this call as that panic.
+pub fn run_roots<T: Send>(
+    roots: usize,
+    body: impl Fn(usize, &Handle) -> Option<T> + Sync,
+) -> (Vec<T>, Stats) {
     let sched = Scheduler::new(roots);
     let outs: Vec<Option<T>> = std::thread::scope(|scope| {
         let joins: Vec<_> = (0..roots)
@@ -812,7 +818,7 @@ pub fn run_roots<T: Send>(roots: usize, body: impl Fn(usize) -> T + Sync) -> (Ve
                 std::thread::Builder::new()
                     .name(format!("rank-{i}"))
                     .stack_size(ROOT_STACK)
-                    .spawn_scoped(scope, move || h.run(|| body(i)))
+                    .spawn_scoped(scope, move || body(i, &h))
                     .expect("spawn root task")
             })
             .collect();
@@ -1054,8 +1060,8 @@ mod tests {
     /// Run `bodies` as root tasks under one scheduler; returns stats.
     fn run_tasks(bodies: Vec<Box<dyn FnOnce() + Send>>) -> Stats {
         let bodies: Vec<_> = bodies.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let once = |i: usize| (bodies[i].lock().unwrap().take().expect("a root runs once"))();
-        run_roots(bodies.len(), once).1
+        let once = |i: usize| bodies[i].lock().unwrap().take().expect("a root runs once");
+        run_roots(bodies.len(), |i, root| root.run(once(i))).1
     }
 
     #[test]

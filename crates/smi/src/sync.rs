@@ -272,22 +272,24 @@ mod tests {
         let w = world(4);
         let lock = SmiLock::new(Arc::clone(&w), ProcId(0));
         let (counter, contenders) = (Mutex::new(0u64), AtomicUsize::new(4));
-        sched::run_roots(4, |p| {
-            let mut clock = Clock::new();
-            for _ in 0..250 {
-                let g = lock.acquire(&mut clock, ProcId(p));
-                // Give the token away mid-update: the others find the
-                // lock held and park on it until a stall round resumes
-                // this holder.
-                let seen = *counter.lock().unwrap();
-                clock.advance(SimDuration::from_ns(50));
-                if contenders.load(Ordering::SeqCst) > 1 {
-                    sched::park(clock.now());
+        sched::run_roots(4, |p, root| {
+            root.run(|| {
+                let mut clock = Clock::new();
+                for _ in 0..250 {
+                    let g = lock.acquire(&mut clock, ProcId(p));
+                    // Give the token away mid-update: the others find the
+                    // lock held and park on it until a stall round resumes
+                    // this holder.
+                    let seen = *counter.lock().unwrap();
+                    clock.advance(SimDuration::from_ns(50));
+                    if contenders.load(Ordering::SeqCst) > 1 {
+                        sched::park(clock.now());
+                    }
+                    *counter.lock().unwrap() = seen + 1;
+                    g.release(&mut clock);
                 }
-                *counter.lock().unwrap() = seen + 1;
-                g.release(&mut clock);
-            }
-            contenders.fetch_sub(1, Ordering::SeqCst);
+                contenders.fetch_sub(1, Ordering::SeqCst);
+            })
         });
         assert_eq!(*counter.lock().unwrap(), 1000);
     }
@@ -344,11 +346,13 @@ mod tests {
     #[test]
     fn barrier_aligns_clocks() {
         let barrier = TimeBarrier::new(4, SimDuration::from_us(1));
-        let (times, _) = sched::run_roots(4, |i| {
-            let mut clock = Clock::new();
-            clock.advance(SimDuration::from_us(10 * i as u64)); // skewed arrivals
-            barrier.wait(&mut clock);
-            clock.now()
+        let (times, _) = sched::run_roots(4, |i, root| {
+            root.run(|| {
+                let mut clock = Clock::new();
+                clock.advance(SimDuration::from_us(10 * i as u64)); // skewed arrivals
+                barrier.wait(&mut clock);
+                clock.now()
+            })
         });
         // Everyone leaves at the same virtual time, at or after the latest
         // arrival (30us).
@@ -359,21 +363,23 @@ mod tests {
     #[test]
     fn barrier_is_reusable() {
         let barrier = TimeBarrier::new(2, SimDuration::from_us(1));
-        let (times, _) = sched::run_roots(2, |i| {
-            let mut c = Clock::new();
-            (0..3u64)
-                .map(|round| {
-                    let skew = if i == 0 { 100 } else { round * 5 };
-                    c.advance(SimDuration::from_us(skew));
-                    // The cancellable entry completes like the plain one.
-                    if round == 2 {
-                        barrier.wait_cancel(&mut c, || None).unwrap();
-                    } else {
-                        barrier.wait(&mut c);
-                    }
-                    c.now()
-                })
-                .collect::<Vec<_>>()
+        let (times, _) = sched::run_roots(2, |i, root| {
+            root.run(|| {
+                let mut c = Clock::new();
+                (0..3u64)
+                    .map(|round| {
+                        let skew = if i == 0 { 100 } else { round * 5 };
+                        c.advance(SimDuration::from_us(skew));
+                        // The cancellable entry completes like the plain one.
+                        if round == 2 {
+                            barrier.wait_cancel(&mut c, || None).unwrap();
+                        } else {
+                            barrier.wait(&mut c);
+                        }
+                        c.now()
+                    })
+                    .collect::<Vec<_>>()
+            })
         });
         assert_eq!(times[0], times[1]);
         assert!(times[0].windows(2).all(|w| w[0] < w[1]));
@@ -404,10 +410,12 @@ mod tests {
         assert_eq!(err, cancel_at);
         // The withdrawn arrival must not linger: a fresh pair of waiters
         // completes normally.
-        let (times, _) = sched::run_roots(2, |_| {
-            let mut c = Clock::new();
-            barrier.wait(&mut c);
-            c.now()
+        let (times, _) = sched::run_roots(2, |_, root| {
+            root.run(|| {
+                let mut c = Clock::new();
+                barrier.wait(&mut c);
+                c.now()
+            })
         });
         assert_eq!(times[0], times[1]);
     }
@@ -421,29 +429,32 @@ mod tests {
         // second, plain generation follows.
         let barrier = TimeBarrier::new(3, SimDuration::from_us(1));
         let cancel = AtomicBool::new(false);
-        let (times, stats) = sched::run_roots(3, |me| {
-            let mut clock = Clock::new();
-            clock.advance(SimDuration::from_us(1 + me as u64));
-            match me {
-                0 => {
-                    assert_eq!(sched::park(clock.now()), sched::Wake::Stalled);
-                    cancel.store(true, Ordering::SeqCst);
-                    assert_eq!(sched::park(clock.now()), sched::Wake::Stalled);
+        let (times, stats) = sched::run_roots(3, |me, root| {
+            root.run(|| {
+                let mut clock = Clock::new();
+                clock.advance(SimDuration::from_us(1 + me as u64));
+                match me {
+                    0 => {
+                        assert_eq!(sched::park(clock.now()), sched::Wake::Stalled);
+                        cancel.store(true, Ordering::SeqCst);
+                        assert_eq!(sched::park(clock.now()), sched::Wake::Stalled);
+                    }
+                    2 => {
+                        let at = clock.now() + SimDuration::from_us(3);
+                        let before = clock.now();
+                        let polled = barrier.wait_cancel(&mut clock, || {
+                            cancel.load(Ordering::SeqCst).then_some(at)
+                        });
+                        assert_eq!(polled, Err(at));
+                        assert_eq!(clock.now(), before, "a withdrawal moved the clock");
+                    }
+                    _ => {}
                 }
-                2 => {
-                    let at = clock.now() + SimDuration::from_us(3);
-                    let before = clock.now();
-                    let polled = barrier
-                        .wait_cancel(&mut clock, || cancel.load(Ordering::SeqCst).then_some(at));
-                    assert_eq!(polled, Err(at));
-                    assert_eq!(clock.now(), before, "a withdrawal moved the clock");
-                }
-                _ => {}
-            }
-            barrier.wait(&mut clock);
-            let first = clock.now();
-            barrier.wait(&mut clock);
-            (first, clock.now())
+                barrier.wait(&mut clock);
+                let first = clock.now();
+                barrier.wait(&mut clock);
+                (first, clock.now())
+            })
         });
         assert!(times.iter().all(|t| *t == times[0]));
         assert!(times[0].0 < times[0].1);
