@@ -1034,19 +1034,12 @@ impl Rank {
                 // communicator or a dead receiver must unblock the
                 // stall, or backpressure would deadlock recovery.
                 let collect = |clock: &mut Clock, grant: Option<(usize, SimTime)>| -> bool {
-                    match grant {
-                        Some((glen, at)) => {
-                            attrib::merge_waited(
-                                clock,
-                                at,
-                                WaitKind::Backpressure,
-                                Some(dst as u32),
-                            );
-                            credits.restore(glen);
-                            true
-                        }
-                        None => false,
-                    }
+                    let Some((glen, at)) = grant else {
+                        return false;
+                    };
+                    attrib::merge_waited(clock, at, WaitKind::Backpressure, Some(dst as u32));
+                    credits.restore(glen);
+                    true
                 };
                 loop {
                     if collect(&mut self.clock, credits.await_grant()) {
