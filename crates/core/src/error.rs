@@ -49,8 +49,9 @@ pub enum ScimpiError {
         /// Debug rendering of what actually arrived.
         got: String,
     },
-    /// Window creation or registration failed (missing registration,
-    /// type mismatch, exhausted shared-segment pool).
+    /// Window memory could not be provided or used (exhausted
+    /// shared-segment pool; a checkpoint slot holding no image, or a
+    /// mismatched or corrupt one).
     WindowError(String),
     /// The communicator was revoked: some rank observed a dead peer and
     /// invalidated the current membership epoch, so every blocked

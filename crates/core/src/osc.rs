@@ -19,14 +19,47 @@
 //! All three MPI-2 synchronisation modes are provided: `fence`,
 //! post/start/complete/wait, and passive-target `lock`/`unlock` built on
 //! the shared-memory locks of [`smi::SmiLock`] (reference 14).
+//!
+//! # One pipeline
+//!
+//! Every verb — `put`, `put_typed`, `put_typed_dma`, `get`, `get_typed`,
+//! `accumulate` — is `Window::access` run with its own data movers:
+//!
+//! 1. **bounds** — the window interval the operation touches (for a typed
+//!    verb the true span of its blocks, `lb` to `(count − 1) · extent +
+//!    ub`) lies inside the target's part, or the verb returns
+//!    `OutOfBounds`, untouched by the error handler;
+//! 2. **resolve** — direct if the target is shared and not demoted, and
+//!    the verb is not a get past `Tuning::get_remote_put_threshold`;
+//! 3. **direct** — the direct mover runs; success clears the target's
+//!    failure streak;
+//! 4. **demote** — its fabric error counts toward
+//!    `Tuning::osc_fallback_threshold`: below it the error is returned,
+//!    at it the target is demoted and the operation falls through;
+//! 5. **emulate** — the target must be alive; the target-executed mover
+//!    runs (a failed direct attempt may have moved some bytes; this one
+//!    lands the full payload either way);
+//! 6. **span** — one `osc.<verb>` span naming the path taken; errors
+//!    leave through the error handler ([`crate::ErrorMode`]).
+//!
+//! `EndToEnd` integrity is resolved there once, as the `verify` flag the
+//! movers receive: under it `record_put` ledgers a direct write for the
+//! epoch check at synchronisation, and everything that retries on
+//! detected corruption — a wire packet, a target-executed return, a
+//! direct read, a typed gather, an epoch record — is one attempt closure
+//! under `Window::retransmit`. A verb supplies a `Verb`, the state its
+//! movers share, and the movers.
 
 use crate::error::ScimpiError;
 use crate::mailbox::Ctrl;
 use crate::request::Request;
 use crate::runtime::Rank;
 use crate::tuning::{IntegrityMode, PackPath};
-use mpi_datatype::{ff, Committed};
+use core::convert::Infallible;
+use core::ops::ControlFlow;
+use mpi_datatype::{ff, Committed, PackStats};
 use obs::attrib::{self, Bucket, WaitKind};
+use obs::Counter;
 use sci_fabric::{crc32, ConnectionMonitor, PioStream, SciError, SeqStatus, SharedMem};
 use simclock::{SimDuration, SimTime};
 use smi::{ProcId, SharedRegion, SmiLock, TimeBarrier};
@@ -94,6 +127,32 @@ struct WindowShared {
     integrity_override: Option<IntegrityMode>,
 }
 
+impl WindowShared {
+    /// The memory behind `target`'s window part and the part's first byte
+    /// in it — what the emulation handler (and a local load or store)
+    /// touches on the target side.
+    fn mem(&self, target: usize) -> (&SharedMem, usize) {
+        match &self.targets[target].0 {
+            TargetMem::Shared { region, offset } => (region.segment().mem(), *offset),
+            TargetMem::Private { mem } => (mem, 0),
+        }
+    }
+
+    /// The pool region behind a shared `target` and the part's first byte
+    /// in it — what a direct mover maps. Private memory has none: no
+    /// remote CPU or DMA engine can reach it.
+    fn region(&self, target: usize) -> Result<(&Arc<SharedRegion>, usize), ScimpiError> {
+        match &self.targets[target].0 {
+            TargetMem::Shared { region, offset } => Ok((region, *offset)),
+            TargetMem::Private { .. } => Err(ScimpiError::InvalidArg {
+                what: "direct access to private window target",
+                got: target,
+                limit: self.targets.len(),
+            }),
+        }
+    }
+}
+
 /// Per-target direct-path health, driving the graceful degradation of §4:
 /// when transparent remote access to a shared target keeps failing (both
 /// the primary and any alternate route), the window falls back to the
@@ -143,6 +202,67 @@ pub struct Window {
 /// (handler dispatch, excluding data movement).
 const HANDLER_COST: SimDuration = SimDuration::from_us(3);
 
+/// What a verb tells [`Window::access`] about itself.
+struct Verb {
+    /// Name of its span.
+    span: &'static str,
+    /// The operation as [`ScimpiError::DataCorruption`] names it.
+    what: &'static str,
+    /// Ticked per direct attempt.
+    direct: Counter,
+    /// Ticked per target-executed attempt (emulation or remote-put).
+    emulated: Counter,
+    /// Gets: at or above `Tuning::get_remote_put_threshold` payload bytes
+    /// the target executes the operation even where the direct path is in
+    /// use — the remote-put conversion.
+    converts: bool,
+}
+
+const PUT: Verb = Verb {
+    span: "osc.put",
+    what: "one-sided put",
+    direct: Counter::OscPutShared,
+    emulated: Counter::OscPutEmulated,
+    converts: false,
+};
+const PUT_TYPED: Verb = Verb {
+    span: "osc.put_typed",
+    ..PUT
+};
+const GET: Verb = Verb {
+    span: "osc.get",
+    what: "one-sided get",
+    direct: Counter::OscGetDirect,
+    emulated: Counter::OscGetRemotePut,
+    converts: true,
+};
+const GET_TYPED: Verb = Verb {
+    span: "osc.get_typed",
+    ..GET
+};
+const ACCUMULATE: Verb = Verb {
+    span: "osc.accumulate",
+    what: "one-sided accumulate",
+    direct: Counter::OscAccShared,
+    emulated: Counter::OscAccEmulated,
+    converts: false,
+};
+
+/// What [`Window::access`] resolved for one operation, handed to the
+/// verb's movers.
+#[derive(Clone, Copy)]
+struct Op {
+    target: usize,
+    /// World rank of `target`.
+    target_w: usize,
+    /// `EndToEnd`: direct writes are ledgered for the epoch check, wire
+    /// packets and returns are verified and re-requested. Otherwise
+    /// corruption stands and is counted as uncovered.
+    verify: bool,
+    /// [`Verb::what`].
+    what: &'static str,
+}
+
 /// Record an OSC operation span (a single relaxed load when recording is
 /// off).
 fn osc_span(
@@ -171,6 +291,62 @@ fn pscw_handle(win: u64, from: usize, to: usize, phase: u64) -> u64 {
     // Window ids are globally unique; fold the conversation into a
     // collision-free 64-bit handle space.
     (win << 24) ^ ((from as u64) << 14) ^ ((to as u64) << 4) ^ phase
+}
+
+/// The window interval a contiguous access of `len` bytes at `off` touches.
+fn contiguous(off: usize, len: usize) -> (i128, i128) {
+    (off as i128, off as i128 + len as i128)
+}
+
+/// The layout of a typed verb: `count` instances of `c`, displacement 0
+/// at byte `origin` of the caller's buffer and at byte `off` of the
+/// target's window part.
+#[derive(Clone, Copy)]
+struct Layout<'a> {
+    c: &'a Committed,
+    count: usize,
+    origin: usize,
+    off: usize,
+}
+
+impl Layout<'_> {
+    /// Payload bytes.
+    fn total(&self) -> usize {
+        self.c.size() * self.count
+    }
+
+    /// The window interval the blocks touch: they land at `off + disp` for
+    /// `disp` in `[lb, (count − 1) · extent + ub)` — not in
+    /// `[0, count · extent)`, which a type with `lb != 0` leaves.
+    fn span(&self) -> (i128, i128) {
+        if self.total() == 0 {
+            return contiguous(self.off, 0);
+        }
+        let dt = self.c.datatype();
+        let last = (self.count as i128 - 1) * self.c.extent() as i128;
+        (
+            self.off as i128 + dt.lb() as i128,
+            self.off as i128 + last + dt.ub() as i128,
+        )
+    }
+
+    /// `f(buffer index, window offset, len)` over every basic block,
+    /// stopping at the first error.
+    fn each_block<E>(
+        &self,
+        mut f: impl FnMut(usize, usize, usize) -> Result<(), E>,
+    ) -> Result<PackStats, E> {
+        let at = |base: usize, disp: i64| (base as i64 + disp) as usize;
+        let mut res = Ok(());
+        let stats = ff::for_each_block(self.c, self.count, 0, usize::MAX, |disp, len| {
+            res = f(at(self.origin, disp), at(self.off, disp), len);
+            match res {
+                Ok(()) => ControlFlow::Continue(()),
+                Err(_) => ControlFlow::Break(()),
+            }
+        });
+        res.map(|()| stats)
+    }
 }
 
 impl Rank {
@@ -214,8 +390,8 @@ impl Rank {
     }
 
     /// `MPI_Win_create` (collective): expose `mem` to all ranks of the
-    /// current membership epoch. Registration failures come back as
-    /// [`ScimpiError::WindowError`].
+    /// current membership epoch. A private contribution the window budget
+    /// cannot cover comes back as [`ScimpiError::ResourceExhausted`].
     pub fn win_create(&mut self, mem: WinMemory) -> Result<Window, ScimpiError> {
         self.win_create_with_integrity(mem, None)
     }
@@ -265,8 +441,10 @@ impl Rank {
         } else {
             0
         })[0];
-        if self.rank() == 0 {
-            let shared = Arc::new(WindowShared {
+        // Rank 0 builds the state all ranks share; a third gather hands it
+        // round.
+        let built = (self.rank() == 0).then(|| {
+            Arc::new(WindowShared {
                 id,
                 locks: members
                     .iter()
@@ -276,29 +454,12 @@ impl Rank {
                 targets,
                 members: Arc::clone(&members),
                 integrity_override,
-            });
-            self.world
-                .windows
-                .lock()
-                .unwrap()
-                .insert(id, shared as Arc<dyn std::any::Any + Send + Sync>);
-        }
-        // Make the insert visible to everyone.
-        self.collective_gather(());
+            })
+        });
         let shared = self
-            .world
-            .windows
-            .lock()
-            .unwrap()
-            .get(&id)
-            .ok_or_else(|| {
-                ScimpiError::WindowError(format!("window {id} was not registered by rank 0"))
-            })?
-            .clone()
-            .downcast::<WindowShared>()
-            .map_err(|_| {
-                ScimpiError::WindowError(format!("window {id} registered with a mismatched type"))
-            })?;
+            .collective_gather(built)
+            .swap_remove(0)
+            .expect("rank 0 built the window");
         Ok(Window {
             streams: (0..size).map(|_| None).collect(),
             emu_busy: vec![SimTime::ZERO; size],
@@ -355,12 +516,13 @@ impl Window {
             .expect("rank is a member of its own window")
     }
 
-    fn check(&self, target: usize, offset: usize, len: usize) -> Result<(), SciError> {
+    /// Is the window interval `[lo, hi)` inside `target`'s part?
+    fn check(&self, target: usize, (lo, hi): (i128, i128)) -> Result<(), SciError> {
         let winlen = self.len(target);
-        if offset.checked_add(len).is_none_or(|end| end > winlen) {
+        if lo < 0 || hi > winlen as i128 {
             return Err(SciError::OutOfBounds(sci_fabric::mem::OutOfBounds {
-                offset,
-                len,
+                offset: lo.max(0) as usize,
+                len: (hi - lo) as usize,
                 capacity: winlen,
             }));
         }
@@ -396,7 +558,7 @@ impl Window {
         }
         fb.active = true;
         self.streams[target] = None;
-        obs::inc(obs::Counter::OscFallbacks);
+        obs::inc(Counter::OscFallbacks);
         if obs::is_enabled() {
             obs::instant(
                 "ft.osc_fallback",
@@ -417,6 +579,63 @@ impl Window {
         Ok(())
     }
 
+    /// The one pipeline every verb runs through (see the module docs).
+    /// `at` is the window interval the operation touches, `bytes` its
+    /// payload. `plan` runs once the interval is known to be in range, is
+    /// told whether the direct path is in use, and returns the state both
+    /// movers work on; `direct` returns the span's `path` label.
+    #[allow(clippy::too_many_arguments)]
+    fn access<P>(
+        &mut self,
+        rank: &mut Rank,
+        verb: &Verb,
+        target: usize,
+        at: (i128, i128),
+        bytes: usize,
+        plan: impl FnOnce(&mut Rank, bool) -> P,
+        direct: impl FnOnce(&mut Self, &mut Rank, Op, &mut P) -> Result<&'static str, ScimpiError>,
+        emulated: impl FnOnce(&mut Self, &mut Rank, Op, &mut P) -> Result<(), ScimpiError>,
+    ) -> Result<(), ScimpiError> {
+        self.check(target, at)?;
+        let op = Op {
+            target,
+            target_w: self.world_of(target),
+            verify: self.imode(rank) == IntegrityMode::EndToEnd,
+            what: verb.what,
+        };
+        let start = rank.clock.now();
+        let healthy = self.direct_active(target);
+        let mut state = plan(rank, healthy);
+        // Remote reads are far slower than writes: past the threshold a
+        // get is cheaper written back by the target.
+        let converted =
+            healthy && verb.converts && bytes >= rank.world.tuning.get_remote_put_threshold;
+        let served = (|| {
+            if healthy && !converted {
+                obs::inc(verb.direct);
+                match direct(self, rank, op, &mut state) {
+                    Ok(path) => {
+                        self.note_direct_success(target);
+                        return Ok(path);
+                    }
+                    Err(ScimpiError::Fabric(e)) => self.note_direct_failure(rank, target, e)?,
+                    Err(other) => return Err(other),
+                }
+            }
+            obs::inc(verb.emulated);
+            Self::ensure_alive(rank, op.target_w)?;
+            emulated(self, rank, op, &mut state)?;
+            Ok(if converted { "remote_put" } else { "emulated" })
+        })();
+        match served {
+            Ok(path) => {
+                osc_span(rank, verb.span, start, bytes, target, path);
+                Ok(())
+            }
+            Err(e) => Err(rank.world.escalate(e)),
+        }
+    }
+
     /// Apply the fabric's silent faults to a wire image travelling
     /// between the node `pair` (emulation packets and target-executed
     /// returns move through plain messages, not `SharedMem`, so the
@@ -426,153 +645,127 @@ impl Window {
         rank.world.fabric.faults().corrupt_buffer(pair, txn, wire)
     }
 
+    /// One integrity event: `counter` += `n`, plus a trace instant `name`
+    /// carrying the `path` it happened on and one `detail`.
+    fn note(
+        rank: &Rank,
+        (counter, n): (Counter, usize),
+        name: &'static str,
+        path: &'static str,
+        detail: (&'static str, usize),
+    ) {
+        obs::add(counter, n as u64);
+        if obs::is_enabled() {
+            let path = ("path", obs::Arg::Str(path.into()));
+            let detail = (detail.0, obs::Arg::U64(detail.1 as u64));
+            obs::instant(name, rank.clock.now(), vec![path, detail]);
+        }
+    }
+
     /// Count corruption that landed with no covering check (`Off`
     /// everywhere; paths outside the sequence guard in `SequenceCheck`).
     fn note_uncovered(rank: &Rank, n: usize, path: &'static str) {
         if n > 0 {
-            obs::add(obs::Counter::UndetectedAtOff, n as u64);
-            if obs::is_enabled() {
-                obs::instant(
-                    "ft.integrity.silent",
-                    rank.clock.now(),
-                    vec![
-                        ("path", obs::Arg::Str(path.into())),
-                        ("faults", obs::Arg::U64(n as u64)),
-                    ],
-                );
-            }
+            let event = (Counter::UndetectedAtOff, n);
+            Self::note(rank, event, "ft.integrity.silent", path, ("faults", n));
         }
     }
 
-    /// A detected corruption: counter plus trace instant.
+    /// A detected corruption in traffic with world rank `peer`.
     fn note_detected(rank: &Rank, path: &'static str, peer: usize) {
-        obs::inc(obs::Counter::CorruptionsDetected);
-        obs::instant(
-            "ft.integrity.detected",
-            rank.clock.now(),
-            vec![
-                ("path", obs::Arg::Str(path.into())),
-                ("peer", obs::Arg::U64(peer as u64)),
-            ],
-        );
+        let event = (Counter::CorruptionsDetected, 1);
+        Self::note(rank, event, "ft.integrity.detected", path, ("peer", peer));
     }
 
-    /// A retransmission: counter plus trace instant.
-    fn note_retransmit(rank: &Rank, path: &'static str, attempt: u32) {
-        obs::inc(obs::Counter::Retransmits);
-        obs::instant(
-            "ft.integrity.retransmit",
-            rank.clock.now(),
-            vec![
-                ("path", obs::Arg::Str(path.into())),
-                ("attempt", obs::Arg::U64(attempt as u64)),
-            ],
-        );
-    }
-
-    /// Record a put for `EndToEnd` epoch verification, charging the
-    /// origin's CRC computation over the intended image. A later access
-    /// overwriting an earlier one's region within the same epoch (ordered
-    /// accumulates, notably) supersedes its record — only the final image
-    /// can verify against memory.
-    fn record_put(&mut self, rank: &mut Rank, target: usize, offset: usize, data: &[u8]) {
-        attrib::advance(
-            &mut rank.clock,
-            Bucket::Pack,
-            rank.world.crc_cost(data.len()),
-        );
-        let (lo, hi) = (offset, offset + data.len());
-        self.put_records
-            .retain(|r| r.target != target || r.offset + r.data.len() <= lo || hi <= r.offset);
-        self.put_records.push(PutRecord {
-            target,
-            offset,
-            crc: crc32(data),
-            data: data.to_vec(),
-        });
-    }
-
-    /// Verified delivery of one emulation packet (`EndToEnd`): each
-    /// attempt sends a fresh wire image; the target's CRC verdict is
-    /// collapsed into this loop (the simulator knows ground truth),
-    /// charging a CRC per attempt and one handler round trip per
-    /// retransmission. Returns the delivered (clean) payload.
-    fn deliver_packet(
+    /// The one bounded-retransmit loop. `attempt` moves the data — it is
+    /// told whether this is a retry, so it can pay for the re-request
+    /// first — and returns how many silent faults hit it (the simulator
+    /// knows ground truth; in hardware the receiver's CRC verdict comes
+    /// back). Without `op.verify` the faults stand, counted as uncovered
+    /// under `path`. With it every attempt costs a CRC over `len` bytes
+    /// and a faulted one is repeated, until the tuning's retransmit budget
+    /// is spent and the operation fails as `DataCorruption`.
+    fn retransmit(
         rank: &mut Rank,
-        target_w: usize,
-        data: &[u8],
-        what: &'static str,
-    ) -> Result<Vec<u8>, ScimpiError> {
-        let pair = (rank.node().0, rank.world.node_of(target_w).0);
-        let mut retransmits = 0u32;
-        loop {
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Pack,
-                rank.world.crc_cost(data.len()),
-            );
-            let mut wire = data.to_vec();
-            let n = Self::corrupt_wire(rank, pair, &mut wire);
-            if n == 0 {
-                return Ok(wire);
-            }
-            Self::note_detected(rank, "osc.emulated", target_w);
-            if retransmits >= rank.world.tuning.max_retransmits {
-                return Err(ScimpiError::DataCorruption {
-                    peer: target_w,
-                    what,
-                    retransmits,
-                });
-            }
-            retransmits += 1;
-            Self::note_retransmit(rank, "osc.emulated", retransmits);
-            let roundtrip = Self::handler_roundtrip_cost(rank, target_w, data.len());
-            attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
-        }
-    }
-
-    /// Return-path (target → origin) integrity for data a target-executed
-    /// transfer landed in `dst`: `EndToEnd` re-requests a corrupted
-    /// return (bounded); the other modes let the flips stand, counted as
-    /// uncovered.
-    fn verify_return(
-        rank: &mut Rank,
-        target_w: usize,
-        mode: IntegrityMode,
-        dst: &mut [u8],
-        clean: &[u8],
-        what: &'static str,
+        op: Op,
+        path: &'static str,
+        len: usize,
+        mut attempt: impl FnMut(&mut Rank, bool) -> Result<usize, ScimpiError>,
     ) -> Result<(), ScimpiError> {
-        let pair = (rank.world.node_of(target_w).0, rank.node().0);
         let mut retransmits = 0u32;
         loop {
-            dst.copy_from_slice(clean);
-            let n = Self::corrupt_wire(rank, pair, dst);
-            if mode != IntegrityMode::EndToEnd {
-                Self::note_uncovered(rank, n, what);
+            let faults = attempt(rank, retransmits > 0)?;
+            if !op.verify {
+                Self::note_uncovered(rank, faults, path);
                 return Ok(());
             }
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Pack,
-                rank.world.crc_cost(dst.len()),
-            );
-            if n == 0 {
+            attrib::advance(&mut rank.clock, Bucket::Pack, rank.world.crc_cost(len));
+            if faults == 0 {
                 return Ok(());
             }
-            Self::note_detected(rank, what, target_w);
+            Self::note_detected(rank, path, op.target_w);
             if retransmits >= rank.world.tuning.max_retransmits {
                 return Err(ScimpiError::DataCorruption {
-                    peer: target_w,
-                    what,
+                    peer: op.target_w,
+                    what: op.what,
                     retransmits,
                 });
             }
             retransmits += 1;
-            Self::note_retransmit(rank, what, retransmits);
-            let roundtrip = Self::handler_roundtrip_cost(rank, target_w, dst.len());
-            attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
+            let (event, detail) = ((Counter::Retransmits, 1), ("attempt", retransmits as usize));
+            Self::note(rank, event, "ft.integrity.retransmit", path, detail);
         }
+    }
+
+    /// Send `data` to the target's handler as one emulation packet and
+    /// return what arrives. `EndToEnd` delivers verified — a fresh wire
+    /// image and one handler round trip per retransmission; otherwise
+    /// whatever the fabric did to the single image stands, counted under
+    /// `path`.
+    fn send_wire(
+        rank: &mut Rank,
+        op: Op,
+        path: &'static str,
+        data: &[u8],
+    ) -> Result<Vec<u8>, ScimpiError> {
+        let pair = (rank.node().0, rank.world.node_of(op.target_w).0);
+        let path = if op.verify { "osc.emulated" } else { path };
+        let mut wire = Vec::new();
+        Self::retransmit(rank, op, path, data.len(), |rank, retry| {
+            if retry {
+                let roundtrip = Self::handler_roundtrip_cost(rank, op.target_w, data.len(), 0);
+                attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
+            }
+            wire.clear();
+            wire.extend_from_slice(data);
+            Ok(Self::corrupt_wire(rank, pair, &mut wire))
+        })?;
+        Ok(wire)
+    }
+
+    /// Bring home what a target-executed transfer gathered into `dst` —
+    /// the remote-put conversion of a get, or its emulation: the handler
+    /// round trip (`blocks` basic blocks packed on the target's side),
+    /// then the return path's integrity. `EndToEnd` re-requests a
+    /// corrupted return; the other modes let the flips stand.
+    fn return_from_target(
+        rank: &mut Rank,
+        op: Op,
+        dst: &mut [u8],
+        blocks: usize,
+    ) -> Result<(), ScimpiError> {
+        let roundtrip = Self::handler_roundtrip_cost(rank, op.target_w, dst.len(), blocks);
+        attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
+        let clean = dst.to_vec();
+        let pair = (rank.world.node_of(op.target_w).0, rank.node().0);
+        Self::retransmit(rank, op, op.what, dst.len(), |rank, retry| {
+            if retry {
+                let again = Self::handler_roundtrip_cost(rank, op.target_w, dst.len(), 0);
+                attrib::advance(&mut rank.clock, Bucket::Transfer, again);
+            }
+            dst.copy_from_slice(&clean);
+            Ok(Self::corrupt_wire(rank, pair, dst))
+        })
     }
 
     /// Direct remote read with integrity handling: `EndToEnd` re-reads a
@@ -580,68 +773,43 @@ impl Window {
     /// retransmission budget; the other modes count flips as uncovered.
     fn read_direct(
         rank: &mut Rank,
+        op: Op,
         reader: &sci_fabric::PioReader,
         at: usize,
         dst: &mut [u8],
-        target_w: usize,
-        mode: IntegrityMode,
-        what: &'static str,
     ) -> Result<(), ScimpiError> {
-        let mut retransmits = 0u32;
-        loop {
-            let n = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
+        Self::retransmit(rank, op, op.what, dst.len(), |rank, _| {
+            let faults = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
                 reader.read_counted(clock, at, dst)
-            })
-            .map_err(ScimpiError::Fabric)?;
-            if mode != IntegrityMode::EndToEnd {
-                Self::note_uncovered(rank, n as usize, what);
-                return Ok(());
-            }
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Pack,
-                rank.world.crc_cost(dst.len()),
-            );
-            if n == 0 {
-                return Ok(());
-            }
-            Self::note_detected(rank, what, target_w);
-            if retransmits >= rank.world.tuning.max_retransmits {
-                return Err(ScimpiError::DataCorruption {
-                    peer: target_w,
-                    what,
-                    retransmits,
-                });
-            }
-            retransmits += 1;
-            Self::note_retransmit(rank, what, retransmits);
-        }
+            })?;
+            Ok(faults as usize)
+        })
     }
 
     /// Write into `target`'s backing window memory (the data movement of
     /// the emulated path — the handler's copy on the target side).
     fn backing_write(&self, target: usize, at: usize, data: &[u8]) -> Result<(), SciError> {
-        match &self.shared.targets[target].0 {
-            TargetMem::Shared { region, offset } => region
-                .segment()
-                .mem()
-                .write(offset + at, data)
-                .map_err(SciError::from),
-            TargetMem::Private { mem } => mem.write(at, data).map_err(SciError::from),
-        }
+        let (mem, base) = self.shared.mem(target);
+        Ok(mem.write(base + at, data)?)
     }
 
     /// Read from `target`'s backing window memory (see
     /// [`Window::backing_write`]).
     fn backing_read(&self, target: usize, at: usize, dst: &mut [u8]) -> Result<(), SciError> {
-        match &self.shared.targets[target].0 {
-            TargetMem::Shared { region, offset } => region
-                .segment()
-                .mem()
-                .read(offset + at, dst)
-                .map_err(SciError::from),
-            TargetMem::Private { mem } => mem.read(at, dst).map_err(SciError::from),
-        }
+        let (mem, base) = self.shared.mem(target);
+        Ok(mem.read(base + at, dst)?)
+    }
+
+    /// Run `f` over `target`'s whole window part in place — the handler
+    /// packing or unpacking a typed layout on the target side. The
+    /// caller's interval check keeps every block inside it.
+    fn with_backing<R>(
+        &self,
+        target: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, SciError> {
+        let (mem, base) = self.shared.mem(target);
+        Ok(mem.with_bytes_mut(base, self.len(target), f)?)
     }
 
     /// Direct-path stream to a shared target (created lazily, kept open).
@@ -651,12 +819,9 @@ impl Window {
         rank: &Rank,
         target: usize,
         working_set: usize,
-    ) -> (&'a mut PioStream, usize) {
-        let TargetMem::Shared { region, offset } = &shared.targets[target].0 else {
-            panic!("direct stream to private window");
-        };
-        let slot = &mut streams[target];
-        if slot.is_none() {
+    ) -> Result<(&'a mut PioStream, usize), ScimpiError> {
+        let (region, offset) = shared.region(target)?;
+        let stream = streams[target].get_or_insert_with(|| {
             let mut stream = region
                 .map(ProcId(rank.world_rank()))
                 .pio_stream(working_set);
@@ -664,371 +829,62 @@ impl Window {
             // saturate at the node injection cap (the Figure 12 plateau),
             // unlike short raw bursts.
             stream.cap_demand(rank.world.fabric.params().node_injection_cap);
-            *slot = Some(stream);
-        }
-        (slot.as_mut().expect("just created"), *offset)
+            stream
+        });
+        Ok((stream, offset))
     }
 
-    fn put_inner(
+    /// One contiguous direct store of `data` at window offset `at`.
+    fn write_direct(
         &mut self,
         rank: &mut Rank,
         target: usize,
-        target_off: usize,
+        at: usize,
         data: &[u8],
-    ) -> Result<(), ScimpiError> {
-        self.check(target, target_off, data.len())?;
-        let target_w = self.world_of(target);
-        let mode = self.imode(rank);
-        let start = rank.clock.now();
-        if self.direct_active(target) {
-            obs::inc(obs::Counter::OscPutShared);
-            let (stream, base) =
-                Self::stream(&mut self.streams, &self.shared, rank, target, data.len());
-            let res = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
-                stream.write(clock, base + target_off, data)
-            });
-            match res {
-                Ok(()) => {
-                    self.note_direct_success(target);
-                    if mode == IntegrityMode::EndToEnd {
-                        self.record_put(rank, target, target_off, data);
-                    }
-                    osc_span(rank, "osc.put", start, data.len(), target, "shared");
-                    return Ok(());
-                }
-                Err(e) => self.note_direct_failure(rank, target, e)?,
-            }
-        }
-        // Emulation (private windows, or shared targets under fallback):
-        // control message + remote interrupt + handler receives the data
-        // with the ordinary protocols. A failed direct write above may
-        // already have moved some bytes; the handler's copy lands the full
-        // payload either way.
-        obs::inc(obs::Counter::OscPutEmulated);
-        Self::ensure_alive(rank, target_w)?;
-        if mode == IntegrityMode::EndToEnd {
-            let wire = Self::deliver_packet(rank, target_w, data, "one-sided put")?;
-            self.backing_write(target, target_off, &wire)?;
-        } else {
-            let mut wire = data.to_vec();
-            let pair = (rank.node().0, rank.world.node_of(target_w).0);
-            let n = Self::corrupt_wire(rank, pair, &mut wire);
-            Self::note_uncovered(rank, n, "osc.put");
-            self.backing_write(target, target_off, &wire)?;
-        }
-        self.emulate(rank, target, data.len());
-        osc_span(rank, "osc.put", start, data.len(), target, "emulated");
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn put_typed_inner(
-        &mut self,
-        rank: &mut Rank,
-        target: usize,
-        target_off: usize,
-        c: &Committed,
-        count: usize,
-        buf: &[u8],
-        origin: usize,
-    ) -> Result<(), ScimpiError> {
-        let total = c.size() * count;
-        self.check(target, target_off, c.extent() * count)?;
-        let target_w = self.world_of(target);
-        let mode = self.imode(rank);
-        let start = rank.clock.now();
-        // Resolve the committed layout (cache lookup vs re-flatten), then
-        // let the adaptive selector pick the pack path from its density.
-        // DMA is only on offer where the descriptor-list engine can reach
-        // the target: a healthy shared window.
-        attrib::advance(
-            &mut rank.clock,
-            Bucket::Pack,
-            rank.world.tuning.layout_resolve_cost(c),
-        );
-        // The staging budget governs the verdict: a DMA pack buffer the
-        // ledger cannot cover degrades to the staged engine, and a
-        // staged bounce buffer it cannot cover degrades to the
-        // bufferless direct path. The lease is held for the transfer.
-        let world = Arc::clone(&rank.world);
-        let (path, _staging_lease) =
-            world.governed_path(rank.rank, c, total, self.direct_active(target));
-        if path == PackPath::Dma {
-            return self.put_typed_dma_inner(rank, target, target_off, c, count, buf, origin);
-        }
-        if self.direct_active(target) {
-            obs::inc(obs::Counter::OscPutShared);
-            let (stream, base) = Self::stream(&mut self.streams, &self.shared, rank, target, total);
-            // Pack into the window preserving the *layout* (the target
-            // datatype equals the origin datatype here): each block is
-            // written at its own displacement. With WC batching, adjacent
-            // blocks coalesce in the stream's write-combining window.
-            let use_wc = rank.world.tuning.wc_batching;
-            let ff_block_cost = rank.world.tuning.ff_block_cost;
-            let (stats, err) = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
-                let mut err = None;
-                let stats = ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-                    let src_at = (origin as i64 + disp) as usize;
-                    let dst_at = ((base + target_off) as i64 + disp) as usize;
-                    let data = &buf[src_at..src_at + len];
-                    let res = if use_wc {
-                        stream.write_batched(clock, dst_at, data)
-                    } else {
-                        stream.write(clock, dst_at, data)
-                    };
-                    match res {
-                        Ok(()) => core::ops::ControlFlow::Continue(()),
-                        Err(e) => {
-                            err = Some(e);
-                            core::ops::ControlFlow::Break(())
-                        }
-                    }
-                });
-                if err.is_none() {
-                    if let Err(e) = stream.flush_wc(clock) {
-                        err = Some(e);
-                    }
-                }
-                (stats, err)
-            });
-            match err {
-                None => {
-                    attrib::advance(
-                        &mut rank.clock,
-                        Bucket::Pack,
-                        ff_block_cost.saturating_mul(stats.blocks as u64),
-                    );
-                    self.note_direct_success(target);
-                    if mode == IntegrityMode::EndToEnd {
-                        // One epoch record per block: verification needs
-                        // the layout, not the packed stream.
-                        ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-                            let src_at = (origin as i64 + disp) as usize;
-                            self.record_put(
-                                rank,
-                                target,
-                                (target_off as i64 + disp) as usize,
-                                &buf[src_at..src_at + len],
-                            );
-                            core::ops::ControlFlow::Continue(())
-                        });
-                    }
-                    osc_span(rank, "osc.put_typed", start, total, target, "shared");
-                    return Ok(());
-                }
-                Some(e) => self.note_direct_failure(rank, target, e)?,
-            }
-        }
-        // Emulation (private windows, or shared targets under fallback).
-        obs::inc(obs::Counter::OscPutEmulated);
-        Self::ensure_alive(rank, target_w)?;
-        let mut sink = ff::VecSink::default();
-        let stats = ff::pack_ff(c, count, buf, origin, 0, usize::MAX, &mut sink)
-            .expect("VecSink infallible");
-        attrib::advance(
-            &mut rank.clock,
-            Bucket::Pack,
-            rank.world
-                .tuning
-                .ff_block_cost
-                .saturating_mul(stats.blocks as u64),
-        );
-        // The packed stream is one emulation packet on the wire.
-        let mut payload = sink.data;
-        if mode == IntegrityMode::EndToEnd {
-            payload = Self::deliver_packet(rank, target_w, &payload, "one-sided put")?;
-        } else {
-            let pair = (rank.node().0, rank.world.node_of(target_w).0);
-            let n = Self::corrupt_wire(rank, pair, &mut payload);
-            Self::note_uncovered(rank, n, "osc.put_typed");
-        }
-        // Handler unpacks at the target; data keeps its layout.
-        let mut err = None;
-        let mut pos = 0usize;
-        ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-            let at = (target_off as i64 + disp) as usize;
-            if let Err(e) = self.backing_write(target, at, &payload[pos..pos + len]) {
-                err = Some(e);
-                return core::ops::ControlFlow::Break(());
-            }
-            pos += len;
-            core::ops::ControlFlow::Continue(())
-        });
-        if let Some(e) = err {
-            return Err(e.into());
-        }
-        self.emulate(rank, target, total);
-        osc_span(rank, "osc.put_typed", start, total, target, "emulated");
-        Ok(())
-    }
-
-    /// `MPI_Put` of a committed datatype through the **DMA engine's
-    /// scatter/gather descriptor list** — the paper's outlook (§6):
-    /// non-contiguous transfers on DMA-based interconnects pay one setup
-    /// for the whole list and then stream without the CPU. Pays off for
-    /// large payloads of small blocks, where PIO per-block costs dominate.
-    /// Shared windows only.
-    #[allow(clippy::too_many_arguments)]
-    fn put_typed_dma_inner(
-        &mut self,
-        rank: &mut Rank,
-        target: usize,
-        target_off: usize,
-        c: &Committed,
-        count: usize,
-        buf: &[u8],
-        origin: usize,
-    ) -> Result<(), ScimpiError> {
-        self.check(target, target_off, c.extent() * count)?;
-        obs::inc(obs::Counter::OscPutShared);
-        let TargetMem::Shared { region, offset } = &self.shared.targets[target].0 else {
-            panic!("put_typed_dma requires a shared window");
-        };
-        let region = Arc::clone(region);
-        let base = offset + target_off;
-        let mut entries = Vec::with_capacity(c.blocks_per_instance() * count);
-        ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-            entries.push(sci_fabric::SgEntry {
-                src_offset: (origin as i64 + disp) as usize,
-                dst_offset: (base as i64 + disp) as usize,
-                len,
-            });
-            core::ops::ControlFlow::Continue(())
-        });
-        let dma = rank.world.fabric.dma_engine(rank.node(), region.segment());
-        let completion = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
-            dma.write_sg(clock, &entries, buf)
+    ) -> Result<&mut PioStream, ScimpiError> {
+        let (stream, base) =
+            Self::stream(&mut self.streams, &self.shared, rank, target, data.len())?;
+        attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
+            stream.write(clock, base + at, data)
         })?;
-        self.emu_outstanding = self.emu_outstanding.max(completion.done);
-        if self.imode(rank) == IntegrityMode::EndToEnd {
-            // The DMA engine has no sequence guard; epoch verification is
-            // the only net under the descriptor-list path.
-            ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-                let src_at = (origin as i64 + disp) as usize;
-                self.record_put(
-                    rank,
-                    target,
-                    (target_off as i64 + disp) as usize,
-                    &buf[src_at..src_at + len],
-                );
-                core::ops::ControlFlow::Continue(())
+        Ok(stream)
+    }
+
+    /// Record a direct write for `EndToEnd` epoch verification (a no-op
+    /// in the other modes), charging the origin's CRC computation over
+    /// the intended image. A later access overwriting an earlier one's
+    /// region within the same epoch (ordered accumulates, notably)
+    /// supersedes its record — only the final image can verify against
+    /// memory.
+    fn record_put(&mut self, rank: &mut Rank, op: Op, offset: usize, data: &[u8]) {
+        if !op.verify {
+            return;
+        }
+        attrib::advance(
+            &mut rank.clock,
+            Bucket::Pack,
+            rank.world.crc_cost(data.len()),
+        );
+        let (lo, hi) = (offset, offset + data.len());
+        self.put_records
+            .retain(|r| r.target != op.target || r.offset + r.data.len() <= lo || hi <= r.offset);
+        self.put_records.push(PutRecord {
+            target: op.target,
+            offset,
+            crc: crc32(data),
+            data: data.to_vec(),
+        });
+    }
+
+    /// [`Window::record_put`] per block of a typed put: verification
+    /// needs the layout, not the packed stream.
+    fn record_blocks(&mut self, rank: &mut Rank, op: Op, l: Layout, buf: &[u8]) {
+        if op.verify {
+            let Ok(_) = l.each_block(|from, at, len| {
+                self.record_put(rank, op, at, &buf[from..][..len]);
+                Ok::<_, Infallible>(())
             });
-        } else {
-            Self::note_uncovered(rank, completion.silent_faults as usize, "osc.put_dma");
         }
-        Ok(())
-    }
-
-    fn get_inner(
-        &mut self,
-        rank: &mut Rank,
-        target: usize,
-        target_off: usize,
-        dst: &mut [u8],
-    ) -> Result<(), ScimpiError> {
-        self.check(target, target_off, dst.len())?;
-        let target_w = self.world_of(target);
-        let mode = self.imode(rank);
-        let threshold = rank.world.tuning.get_remote_put_threshold;
-        let start = rank.clock.now();
-        if self.direct_active(target) {
-            let (region, offset) = match &self.shared.targets[target].0 {
-                TargetMem::Shared { region, offset } => (Arc::clone(region), *offset),
-                TargetMem::Private { .. } => unreachable!("direct_active implies shared"),
-            };
-            if dst.len() < threshold {
-                obs::inc(obs::Counter::OscGetDirect);
-                // Small: direct remote read (CPU stalls, but latency is
-                // still low compared to messaging).
-                let reader = rank.world.fabric.pio_reader(rank.node(), region.segment());
-                match Self::read_direct(
-                    rank,
-                    &reader,
-                    offset + target_off,
-                    dst,
-                    target_w,
-                    mode,
-                    "one-sided get",
-                ) {
-                    Ok(()) => {
-                        self.note_direct_success(target);
-                        osc_span(rank, "osc.get", start, dst.len(), target, "direct");
-                        return Ok(());
-                    }
-                    Err(ScimpiError::Fabric(e)) => self.note_direct_failure(rank, target, e)?,
-                    Err(other) => return Err(other),
-                }
-            } else {
-                obs::inc(obs::Counter::OscGetRemotePut);
-                // Large: remote-put conversion — the target writes the
-                // data into the origin's address space at SCI write
-                // bandwidth instead of the origin reading it at SCI
-                // read bandwidth (needs the target's CPU).
-                Self::ensure_alive(rank, target_w)?;
-                region
-                    .segment()
-                    .mem()
-                    .read(offset + target_off, dst)
-                    .map_err(SciError::from)?;
-                {
-                    let roundtrip = Self::handler_roundtrip_cost(rank, target_w, dst.len());
-                    attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
-                }
-                let clean = dst.to_vec();
-                Self::verify_return(rank, target_w, mode, dst, &clean, "one-sided get")?;
-                osc_span(rank, "osc.get", start, dst.len(), target, "remote_put");
-                return Ok(());
-            }
-        }
-        // Emulation (private windows, or shared targets under fallback —
-        // the remote-put conversion rides the direct path, so it is
-        // disabled too): interrupt the target, handler sends the data back
-        // with the ordinary protocols.
-        obs::inc(obs::Counter::OscGetRemotePut);
-        Self::ensure_alive(rank, target_w)?;
-        self.backing_read(target, target_off, dst)?;
-        let roundtrip = Self::handler_roundtrip_cost(rank, target_w, dst.len());
-        attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
-        let clean = dst.to_vec();
-        Self::verify_return(rank, target_w, mode, dst, &clean, "one-sided get")?;
-        osc_span(rank, "osc.get", start, dst.len(), target, "emulated");
-        Ok(())
-    }
-
-    /// Cost of one target-executed data return (remote-put conversion or
-    /// emulation): request + interrupt + handler + streamed write back.
-    /// `target_w` is the target's world rank.
-    fn handler_roundtrip_cost(rank: &Rank, target_w: usize, len: usize) -> SimDuration {
-        let params = rank.world.fabric.params();
-        let t = &rank.world.tuning;
-        let hops = rank
-            .world
-            .fabric
-            .topology()
-            .distance(rank.node(), rank.world.smi.node_of(ProcId(target_w)));
-        t.ctrl_send_cost
-            + params.remote_interrupt
-            + HANDLER_COST
-            + params.txn_overhead
-            + params
-                .pio_stream_bw(len)
-                .min(params.node_injection_cap)
-                .cost(len as u64)
-            + params.wire_latency(hops).saturating_mul(2)
-            + params.cache.copy_cost(len, len)
-    }
-
-    /// Route an operation result to the surface: out-of-bounds errors are
-    /// returned directly (a caller bug, not a communication fault); fabric
-    /// errors go through the error-handler machinery ([`crate::ErrorMode`]).
-    fn surface(rank: &Rank, res: Result<(), ScimpiError>) -> Result<(), ScimpiError> {
-        res.map_err(|e| {
-            if matches!(e, ScimpiError::Fabric(SciError::OutOfBounds(_))) {
-                e
-            } else {
-                rank.world.escalate(e)
-            }
-        })
     }
 
     /// `MPI_Put` of contiguous bytes.
@@ -1039,8 +895,27 @@ impl Window {
         target_off: usize,
         data: &[u8],
     ) -> Result<(), ScimpiError> {
-        let res = self.put_inner(rank, target, target_off, data);
-        Self::surface(rank, res)
+        self.access(
+            rank,
+            &PUT,
+            target,
+            contiguous(target_off, data.len()),
+            data.len(),
+            |_, _| (),
+            |win, rank, op, _| {
+                win.write_direct(rank, target, target_off, data)?;
+                win.record_put(rank, op, target_off, data);
+                Ok("shared")
+            },
+            // Control message + remote interrupt + handler receives the
+            // data with the ordinary protocols.
+            |win, rank, op, _| {
+                let wire = Self::send_wire(rank, op, "osc.put", data)?;
+                win.backing_write(target, target_off, &wire)?;
+                win.emulate(rank, target, data.len());
+                Ok(())
+            },
+        )
     }
 
     /// `MPI_Get` of contiguous bytes.
@@ -1051,12 +926,36 @@ impl Window {
         target_off: usize,
         dst: &mut [u8],
     ) -> Result<(), ScimpiError> {
-        let res = self.get_inner(rank, target, target_off, dst);
-        Self::surface(rank, res)
+        self.access(
+            rank,
+            &GET,
+            target,
+            contiguous(target_off, dst.len()),
+            dst.len(),
+            |_, _| dst,
+            // Small: direct remote read (CPU stalls, but latency is still
+            // low compared to messaging).
+            |win, rank, op, dst| {
+                let (region, base) = win.shared.region(target)?;
+                let reader = rank.world.fabric.pio_reader(rank.node(), region.segment());
+                Self::read_direct(rank, op, &reader, base + target_off, dst)?;
+                Ok("direct")
+            },
+            // Large, or no direct path: the target writes the data into
+            // the origin's address space at SCI write bandwidth instead of
+            // the origin reading it at SCI read bandwidth — interrupt the
+            // target, the handler sends the data back with the ordinary
+            // protocols (needs the target's CPU).
+            |win, rank, op, dst| {
+                win.backing_read(target, target_off, dst)?;
+                Self::return_from_target(rank, op, dst, 0)
+            },
+        )
     }
 
     /// `MPI_Put` of a committed datatype — `direct_pack_ff` streams the
-    /// blocks straight into the remote window.
+    /// blocks straight into the remote window, unless the adaptive
+    /// selector picks the DMA descriptor list ([`Window::put_typed_dma`]).
     #[allow(clippy::too_many_arguments)]
     pub fn put_typed(
         &mut self,
@@ -1068,13 +967,22 @@ impl Window {
         buf: &[u8],
         origin: usize,
     ) -> Result<(), ScimpiError> {
-        let res = self.put_typed_inner(rank, target, target_off, c, count, buf, origin);
-        Self::surface(rank, res)
+        let l = Layout {
+            c,
+            count,
+            origin,
+            off: target_off,
+        };
+        self.put_layout(rank, target, l, buf, None)
     }
 
-    /// `MPI_Put` of a committed datatype forced through the DMA
-    /// scatter/gather descriptor list (see [`Window::put_typed`], which
-    /// selects this path adaptively). Shared windows only.
+    /// `MPI_Put` of a committed datatype forced through the DMA engine's
+    /// **scatter/gather descriptor list** — the paper's outlook (§6):
+    /// non-contiguous transfers on DMA-based interconnects pay one setup
+    /// for the whole list and then stream without the CPU. Pays off for
+    /// large payloads of small blocks, where PIO per-block costs dominate.
+    /// The engine reaches shared windows only: a private target is an
+    /// [`ScimpiError::InvalidArg`], a demoted one is served by emulation.
     #[allow(clippy::too_many_arguments)]
     pub fn put_typed_dma(
         &mut self,
@@ -1086,8 +994,147 @@ impl Window {
         buf: &[u8],
         origin: usize,
     ) -> Result<(), ScimpiError> {
-        let res = self.put_typed_dma_inner(rank, target, target_off, c, count, buf, origin);
-        Self::surface(rank, res)
+        if let Err(e) = self.shared.region(target) {
+            return Err(rank.world.escalate(e));
+        }
+        let l = Layout {
+            c,
+            count,
+            origin,
+            off: target_off,
+        };
+        self.put_layout(rank, target, l, buf, Some(PackPath::Dma))
+    }
+
+    /// The typed put behind both verbs: `forced` names the direct mover,
+    /// otherwise the adaptive selector picks it.
+    fn put_layout(
+        &mut self,
+        rank: &mut Rank,
+        target: usize,
+        l: Layout,
+        buf: &[u8],
+        forced: Option<PackPath>,
+    ) -> Result<(), ScimpiError> {
+        let world = Arc::clone(&rank.world);
+        self.access(
+            rank,
+            &PUT_TYPED,
+            target,
+            l.span(),
+            l.total(),
+            |rank, healthy| match forced {
+                Some(path) => (path, None),
+                None => {
+                    // Resolve the committed layout (cache lookup vs
+                    // re-flatten), then let the adaptive selector pick
+                    // the pack path from its density. DMA is only on
+                    // offer where the descriptor-list engine can reach
+                    // the target: a healthy shared window. The staging
+                    // budget governs the verdict: a DMA pack buffer the
+                    // ledger cannot cover degrades to the staged engine,
+                    // and a staged bounce buffer it cannot cover degrades
+                    // to the bufferless direct path. The lease is held
+                    // for the transfer.
+                    let resolve = world.tuning.layout_resolve_cost(l.c);
+                    attrib::advance(&mut rank.clock, Bucket::Pack, resolve);
+                    world.governed_path(rank.rank, l.c, l.total(), healthy)
+                }
+            },
+            |win, rank, op, plan| match plan.0 {
+                PackPath::Dma => win.put_by_dma(rank, op, l, buf),
+                _ => win.put_by_pio(rank, op, l, buf),
+            },
+            // The packed stream is one emulation packet on the wire; the
+            // handler unpacks it at the target, where the data keeps its
+            // layout.
+            |win, rank, op, _| {
+                let mut packed = ff::VecSink::default();
+                let Ok(stats) =
+                    ff::pack_ff(l.c, l.count, buf, l.origin, 0, usize::MAX, &mut packed);
+                Self::charge_block_walk(rank, stats);
+                let wire = Self::send_wire(rank, op, "osc.put_typed", &packed.data)?;
+                let Ok(_) = win.with_backing(target, |part| {
+                    let mut source = ff::SliceSource::new(&wire);
+                    ff::unpack_runs(l.c, l.count, part, l.off, 0, usize::MAX, &mut source)
+                })?;
+                win.emulate(rank, target, wire.len());
+                Ok(())
+            },
+        )
+    }
+
+    /// The origin's `direct_pack_ff` walk over the blocks of `stats`.
+    fn charge_block_walk(rank: &mut Rank, stats: PackStats) {
+        let walk = rank.world.tuning.ff_block_cost;
+        attrib::advance(
+            &mut rank.clock,
+            Bucket::Pack,
+            walk.saturating_mul(stats.blocks as u64),
+        );
+    }
+
+    /// Direct mover of a typed put over PIO: pack into the window
+    /// preserving the *layout* (the target datatype equals the origin
+    /// datatype here), each block written at its own displacement. With
+    /// WC batching, adjacent blocks coalesce in the stream's
+    /// write-combining window.
+    fn put_by_pio(
+        &mut self,
+        rank: &mut Rank,
+        op: Op,
+        l: Layout,
+        buf: &[u8],
+    ) -> Result<&'static str, ScimpiError> {
+        let (stream, base) =
+            Self::stream(&mut self.streams, &self.shared, rank, op.target, l.total())?;
+        let use_wc = rank.world.tuning.wc_batching;
+        let stats = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
+            let stats = l.each_block(|from, at, len| {
+                let data = &buf[from..][..len];
+                match use_wc {
+                    true => stream.write_batched(clock, base + at, data),
+                    false => stream.write(clock, base + at, data),
+                }
+            })?;
+            stream.flush_wc(clock)?;
+            Ok::<_, SciError>(stats)
+        })?;
+        Self::charge_block_walk(rank, stats);
+        self.record_blocks(rank, op, l, buf);
+        Ok("shared")
+    }
+
+    /// Direct mover of a typed put over the DMA descriptor list.
+    fn put_by_dma(
+        &mut self,
+        rank: &mut Rank,
+        op: Op,
+        l: Layout,
+        buf: &[u8],
+    ) -> Result<&'static str, ScimpiError> {
+        let (region, base) = self.shared.region(op.target)?;
+        let mut entries = Vec::with_capacity(l.c.blocks_per_instance() * l.count);
+        let Ok(_) = l.each_block(|src_offset, at, len| {
+            entries.push(sci_fabric::SgEntry {
+                src_offset,
+                dst_offset: base + at,
+                len,
+            });
+            Ok::<_, Infallible>(())
+        });
+        let dma = rank.world.fabric.dma_engine(rank.node(), region.segment());
+        let completion = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
+            dma.write_sg(clock, &entries, buf)
+        })?;
+        self.emu_outstanding = self.emu_outstanding.max(completion.done);
+        // The DMA engine has no sequence guard; epoch verification is the
+        // only net under the descriptor-list path.
+        if !op.verify {
+            Self::note_uncovered(rank, completion.silent_faults as usize, "osc.put_dma");
+        }
+        self.record_blocks(rank, op, l, buf);
+        Ok("dma")
     }
 
     /// `MPI_Put` posted nonblocking. The store is issued inline on the
@@ -1154,155 +1201,62 @@ impl Window {
         buf: &mut [u8],
         origin: usize,
     ) -> Result<(), ScimpiError> {
-        let res = self.get_typed_inner(rank, target, target_off, c, count, buf, origin);
-        Self::surface(rank, res)
+        let l = Layout {
+            c,
+            count,
+            origin,
+            off: target_off,
+        };
+        self.access(
+            rank,
+            &GET_TYPED,
+            target,
+            l.span(),
+            l.total(),
+            |rank, _| {
+                // Unpacking at the origin resolves the same committed layout.
+                let resolve = rank.world.tuning.layout_resolve_cost(c);
+                attrib::advance(&mut rank.clock, Bucket::Pack, resolve);
+                buf
+            },
+            // One stalling read per basic block. `EndToEnd` re-reads the
+            // whole gather on a faulted pass.
+            |win, rank, op, buf| {
+                let (region, base) = win.shared.region(target)?;
+                let reader = rank.world.fabric.pio_reader(rank.node(), region.segment());
+                Self::retransmit(rank, op, "osc.get_typed", l.total(), |rank, _| {
+                    attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
+                        let mut faults = 0;
+                        l.each_block(|to, at, len| {
+                            faults +=
+                                reader.read_counted(clock, base + at, &mut buf[to..][..len])?;
+                            Ok::<_, SciError>(())
+                        })?;
+                        Ok(faults as usize)
+                    })
+                })?;
+                Ok("direct")
+            },
+            // The target's handler packs the blocks with direct_pack_ff
+            // and streams them back at write bandwidth. The packed stream
+            // is the wire image: gathered first, checked as one return,
+            // then scattered into the origin layout.
+            |win, rank, op, buf| {
+                let mut packed = ff::VecSink::default();
+                let Ok(stats) = win.with_backing(target, |part| {
+                    ff::pack_runs(c, count, part, target_off, 0, usize::MAX, &mut packed)
+                })?;
+                Self::return_from_target(rank, op, &mut packed.data, stats.blocks)?;
+                let mut source = ff::SliceSource::new(&packed.data);
+                let Ok(_) = ff::unpack_runs(c, count, buf, origin, 0, usize::MAX, &mut source);
+                Ok(())
+            },
+        )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn get_typed_inner(
-        &mut self,
-        rank: &mut Rank,
-        target: usize,
-        target_off: usize,
-        c: &Committed,
-        count: usize,
-        buf: &mut [u8],
-        origin: usize,
-    ) -> Result<(), ScimpiError> {
-        self.check(target, target_off, c.extent() * count)?;
-        let target_w = self.world_of(target);
-        let mode = self.imode(rank);
-        let total = c.size() * count;
-        // Unpacking at the origin resolves the same committed layout.
-        attrib::advance(
-            &mut rank.clock,
-            Bucket::Pack,
-            rank.world.tuning.layout_resolve_cost(c),
-        );
-        let threshold = rank.world.tuning.get_remote_put_threshold;
-        if self.direct_active(target) && total < threshold {
-            let (region, offset) = match &self.shared.targets[target].0 {
-                TargetMem::Shared { region, offset } => (Arc::clone(region), *offset),
-                TargetMem::Private { .. } => unreachable!("direct_active implies shared"),
-            };
-            obs::inc(obs::Counter::OscGetDirect);
-            // Direct path: one stalling read per basic block. `EndToEnd`
-            // re-reads the whole gather on a faulted pass (a modeled CRC
-            // handshake per attempt), bounded by the retransmit budget.
-            let reader = rank.world.fabric.pio_reader(rank.node(), region.segment());
-            let base = (offset + target_off) as i64;
-            let mut retransmits = 0u32;
-            let outcome = loop {
-                let (err, faults) = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
-                    let mut err = None;
-                    let mut faults = 0u64;
-                    ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-                        let src = (base + disp) as usize;
-                        let dst = (origin as i64 + disp) as usize;
-                        match reader.read_counted(clock, src, &mut buf[dst..dst + len]) {
-                            Ok(n) => {
-                                faults += n;
-                                core::ops::ControlFlow::Continue(())
-                            }
-                            Err(e) => {
-                                err = Some(e);
-                                core::ops::ControlFlow::Break(())
-                            }
-                        }
-                    });
-                    (err, faults)
-                });
-                if let Some(e) = err {
-                    break Some(e);
-                }
-                if mode != IntegrityMode::EndToEnd {
-                    Self::note_uncovered(rank, faults as usize, "osc.get_typed");
-                    break None;
-                }
-                attrib::advance(&mut rank.clock, Bucket::Pack, rank.world.crc_cost(total));
-                if faults == 0 {
-                    break None;
-                }
-                Self::note_detected(rank, "osc.get_typed", target_w);
-                if retransmits >= rank.world.tuning.max_retransmits {
-                    return Err(ScimpiError::DataCorruption {
-                        peer: target_w,
-                        what: "one-sided get",
-                        retransmits,
-                    });
-                }
-                retransmits += 1;
-                Self::note_retransmit(rank, "osc.get_typed", retransmits);
-            };
-            match outcome {
-                None => {
-                    self.note_direct_success(target);
-                    return Ok(());
-                }
-                Some(e) => self.note_direct_failure(rank, target, e)?,
-            }
-        }
-        obs::inc(obs::Counter::OscGetRemotePut);
-        // Remote-put conversion (or emulation for private windows and
-        // shared targets under fallback): the target's handler packs the
-        // blocks with direct_pack_ff and streams them back at write
-        // bandwidth. The packed stream is the wire image: it is gathered
-        // first, checked as one return, then scattered into the origin
-        // layout.
-        Self::ensure_alive(rank, target_w)?;
-        let base = target_off as i64;
-        let mut packed = vec![0u8; total];
-        let mut err = None;
-        let mut pos = 0usize;
-        let stats = ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-            let src = (base + disp) as usize;
-            match self.backing_read(target, src, &mut packed[pos..pos + len]) {
-                Ok(()) => {
-                    pos += len;
-                    core::ops::ControlFlow::Continue(())
-                }
-                Err(e) => {
-                    err = Some(e);
-                    core::ops::ControlFlow::Break(())
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e.into());
-        }
-        let params = rank.world.fabric.params();
-        let t = &rank.world.tuning;
-        let hops = rank
-            .world
-            .fabric
-            .topology()
-            .distance(rank.node(), rank.world.smi.node_of(ProcId(target_w)));
-        // Target-side ff pack + streamed write back + origin unpack.
-        let cost = t.ctrl_send_cost
-            + params.remote_interrupt
-            + HANDLER_COST
-            + t.ff_block_cost.saturating_mul(stats.blocks as u64)
-            + params.txn_overhead
-            + params
-                .pio_stream_bw(total)
-                .min(params.node_injection_cap)
-                .cost(total as u64)
-            + params.wire_latency(hops).saturating_mul(2)
-            + params.cache.copy_cost(total, total);
-        attrib::advance(&mut rank.clock, Bucket::Transfer, cost);
-        let clean = packed.clone();
-        Self::verify_return(rank, target_w, mode, &mut packed, &clean, "one-sided get")?;
-        let mut pos = 0usize;
-        ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-            let dst = (origin as i64 + disp) as usize;
-            buf[dst..dst + len].copy_from_slice(&packed[pos..pos + len]);
-            pos += len;
-            core::ops::ControlFlow::Continue(())
-        });
-        Ok(())
-    }
-
-    /// `MPI_Accumulate`: combine `data` into the target window.
+    /// `MPI_Accumulate`: combine `data` into the target window. The
+    /// arithmetic operators work on 8-byte elements; a payload that is
+    /// not a whole number of them is an [`ScimpiError::InvalidArg`].
     pub fn accumulate(
         &mut self,
         rank: &mut Rank,
@@ -1311,149 +1265,104 @@ impl Window {
         op: AccumulateOp,
         data: &[u8],
     ) -> Result<(), ScimpiError> {
-        let res = self.accumulate_inner(rank, target, target_off, op, data);
-        Self::surface(rank, res)
-    }
-
-    fn accumulate_inner(
-        &mut self,
-        rank: &mut Rank,
-        target: usize,
-        target_off: usize,
-        op: AccumulateOp,
-        data: &[u8],
-    ) -> Result<(), ScimpiError> {
-        self.check(target, target_off, data.len())?;
-        let target_w = self.world_of(target);
-        let mode = self.imode(rank);
+        if op != AccumulateOp::Replace && !data.len().is_multiple_of(8) {
+            return Err(rank.world.escalate(ScimpiError::InvalidArg {
+                what: "accumulate payload bytes past a whole 8-byte element",
+                got: data.len() % 8,
+                limit: 0,
+            }));
+        }
         // Read-modify-write. On the direct path this is a stalling remote
         // read plus a remote write; on the emulation path the handler does
         // the combine locally at the target.
-        let mut current = vec![0u8; data.len()];
-        let start = rank.clock.now();
-        if self.direct_active(target) {
-            let (region, offset) = match &self.shared.targets[target].0 {
-                TargetMem::Shared { region, offset } => (Arc::clone(region), *offset),
-                TargetMem::Private { .. } => unreachable!("direct_active implies shared"),
-            };
-            obs::inc(obs::Counter::OscAccShared);
-            let reader = rank.world.fabric.pio_reader(rank.node(), region.segment());
-            match Self::read_direct(
-                rank,
-                &reader,
-                offset + target_off,
-                &mut current,
-                target_w,
-                mode,
-                "one-sided accumulate",
-            ) {
-                Ok(()) => {
-                    apply_op(op, &mut current, data);
-                    let (stream, base) =
-                        Self::stream(&mut self.streams, &self.shared, rank, target, data.len());
-                    let res = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
-                        stream.write(clock, base + target_off, &current)
-                    });
-                    match res {
-                        Ok(()) => {
-                            self.note_direct_success(target);
-                            if mode == IntegrityMode::EndToEnd {
-                                // Record the *combined* image: a verify-pass
-                                // rewrite then replaces rather than re-adds.
-                                self.record_put(rank, target, target_off, &current);
-                            }
-                            osc_span(rank, "osc.accumulate", start, data.len(), target, "shared");
-                            return Ok(());
-                        }
-                        Err(e) => self.note_direct_failure(rank, target, e)?,
-                    }
-                }
-                Err(ScimpiError::Fabric(e)) => self.note_direct_failure(rank, target, e)?,
-                Err(other) => return Err(other),
-            }
-        }
-        obs::inc(obs::Counter::OscAccEmulated);
-        Self::ensure_alive(rank, target_w)?;
-        let incoming = if mode == IntegrityMode::EndToEnd {
-            Self::deliver_packet(rank, target_w, data, "one-sided accumulate")?
-        } else {
-            let mut wire = data.to_vec();
-            let pair = (rank.node().0, rank.world.node_of(target_w).0);
-            let n = Self::corrupt_wire(rank, pair, &mut wire);
-            Self::note_uncovered(rank, n, "osc.accumulate");
-            wire
-        };
-        self.backing_read(target, target_off, &mut current)?;
-        apply_op(op, &mut current, &incoming);
-        self.backing_write(target, target_off, &current)?;
-        self.emulate(rank, target, data.len());
-        osc_span(
+        self.access(
             rank,
-            "osc.accumulate",
-            start,
-            data.len(),
+            &ACCUMULATE,
             target,
-            "emulated",
-        );
-        Ok(())
+            contiguous(target_off, data.len()),
+            data.len(),
+            |_, _| vec![0u8; data.len()],
+            |win, rank, acc, current| {
+                let (region, base) = win.shared.region(target)?;
+                let reader = rank.world.fabric.pio_reader(rank.node(), region.segment());
+                Self::read_direct(rank, acc, &reader, base + target_off, current)?;
+                apply_op(op, current, data);
+                win.write_direct(rank, target, target_off, current)?;
+                // Record the *combined* image: a verify-pass rewrite then
+                // replaces rather than re-adds.
+                win.record_put(rank, acc, target_off, current);
+                Ok("shared")
+            },
+            |win, rank, acc, current| {
+                let incoming = Self::send_wire(rank, acc, "osc.accumulate", data)?;
+                win.backing_read(target, target_off, current)?;
+                apply_op(op, current, &incoming);
+                win.backing_write(target, target_off, current)?;
+                win.emulate(rank, target, data.len());
+                Ok(())
+            },
+        )
     }
 
     /// Read from this rank's own window memory (local load).
     pub fn read_local(&self, rank: &mut Rank, offset: usize, dst: &mut [u8]) {
         let me = self.local_index(rank);
-        self.check(me, offset, dst.len())
+        self.check(me, contiguous(offset, dst.len()))
+            .and_then(|()| self.backing_read(me, offset, dst))
             .expect("local read in range");
-        match &self.shared.targets[me].0 {
-            TargetMem::Shared {
-                region,
-                offset: base,
-            } => {
-                region
-                    .segment()
-                    .mem()
-                    .read(base + offset, dst)
-                    .expect("in range");
-            }
-            TargetMem::Private { mem } => {
-                mem.read(offset, dst).expect("in range");
-            }
-        }
-        let cost = rank
-            .world
-            .fabric
-            .params()
-            .cache
-            .copy_cost(dst.len(), dst.len());
-        attrib::advance(&mut rank.clock, Bucket::Pack, cost);
+        Self::charge_local_copy(rank, dst.len());
     }
 
     /// Write into this rank's own window memory (local store).
     pub fn write_local(&self, rank: &mut Rank, offset: usize, data: &[u8]) {
         let me = self.local_index(rank);
-        self.check(me, offset, data.len())
+        self.check(me, contiguous(offset, data.len()))
+            .and_then(|()| self.backing_write(me, offset, data))
             .expect("local write in range");
-        match &self.shared.targets[me].0 {
-            TargetMem::Shared {
-                region,
-                offset: base,
-            } => {
-                region
-                    .segment()
-                    .mem()
-                    .write(base + offset, data)
-                    .expect("in range");
-            }
-            TargetMem::Private { mem } => {
-                mem.write(offset, data).expect("in range");
-            }
-        }
-        let cost = rank
+        Self::charge_local_copy(rank, data.len());
+    }
+
+    fn charge_local_copy(rank: &mut Rank, len: usize) {
+        let cost = rank.world.fabric.params().cache.copy_cost(len, len);
+        attrib::advance(&mut rank.clock, Bucket::Pack, cost);
+    }
+
+    /// Hops to the target, and what its origin pays for any
+    /// target-executed operation moving `len` bytes: the control message
+    /// and the streamed transfer.
+    fn emulation_cost(rank: &Rank, target_w: usize, len: usize) -> (usize, SimDuration) {
+        let params = rank.world.fabric.params();
+        let hops = rank
             .world
             .fabric
-            .params()
-            .cache
-            .copy_cost(data.len(), data.len());
-        attrib::advance(&mut rank.clock, Bucket::Pack, cost);
+            .topology()
+            .distance(rank.node(), rank.world.node_of(target_w));
+        let stream = params.pio_stream_bw(len).min(params.node_injection_cap);
+        let cost = rank.world.tuning.ctrl_send_cost
+            + params.txn_overhead
+            + stream.cost(len as u64)
+            + params.cache.copy_cost(len, len);
+        (hops, cost)
+    }
+
+    /// Cost of one target-executed data return (remote-put conversion or
+    /// emulation): request + interrupt + handler — packing `blocks` basic
+    /// blocks when the return is typed — + streamed write back.
+    /// `target_w` is the target's world rank.
+    fn handler_roundtrip_cost(
+        rank: &Rank,
+        target_w: usize,
+        len: usize,
+        blocks: usize,
+    ) -> SimDuration {
+        let params = rank.world.fabric.params();
+        let (hops, transfer) = Self::emulation_cost(rank, target_w, len);
+        let pack = rank.world.tuning.ff_block_cost;
+        transfer
+            + params.remote_interrupt
+            + HANDLER_COST
+            + pack.saturating_mul(blocks as u64)
+            + params.wire_latency(hops).saturating_mul(2)
     }
 
     /// Model one emulation round trip (control message + remote interrupt +
@@ -1462,32 +1371,31 @@ impl Window {
     /// "the required signalling of the remote process and the message
     /// exchange involved" for every single call.
     fn emulate(&mut self, rank: &mut Rank, target: usize, len: usize) {
-        let target_w = self.world_of(target);
-        let params = rank.world.fabric.params();
-        let t = &rank.world.tuning;
-        let hops = rank
-            .world
-            .fabric
-            .topology()
-            .distance(rank.node(), rank.world.smi.node_of(ProcId(target_w)));
         // Origin: builds the request, pays the transfer.
-        let origin_cost = t.ctrl_send_cost
-            + params.txn_overhead
-            + params
-                .pio_stream_bw(len)
-                .min(params.node_injection_cap)
-                .cost(len as u64)
-            + params.cache.copy_cost(len, len);
+        let (hops, origin_cost) = Self::emulation_cost(rank, self.world_of(target), len);
         attrib::advance(&mut rank.clock, Bucket::Transfer, origin_cost);
         // Handler at the target: starts once the request has arrived AND
         // the handler is free (serialisation), then pays the interrupt
         // dispatch plus the copy-in.
+        let params = rank.world.fabric.params();
         let arrival = rank.clock.now() + params.wire_latency(hops);
         let start = arrival.max(self.emu_busy[target]);
         let done =
             start + params.remote_interrupt + HANDLER_COST + params.cache.copy_cost(len, len);
         self.emu_busy[target] = done;
         self.emu_outstanding = self.emu_outstanding.max(done);
+    }
+
+    /// Wait out the emulation handlers: waiting on remote progress, the
+    /// same class of stall as completing an outstanding request.
+    fn drain_emulation(&mut self, rank: &mut Rank) {
+        attrib::merge_waited(
+            &mut rank.clock,
+            self.emu_outstanding,
+            WaitKind::RequestWait,
+            None,
+        );
+        self.emu_outstanding = SimTime::ZERO;
     }
 
     /// Flush: merge all outstanding completions into the clock and reset
@@ -1498,15 +1406,7 @@ impl Window {
                 stream.barrier(clock)
             });
         }
-        // Draining the emulation handlers is waiting on remote progress,
-        // the same class of stall as completing an outstanding request.
-        attrib::merge_waited(
-            &mut rank.clock,
-            self.emu_outstanding,
-            WaitKind::RequestWait,
-            None,
-        );
-        self.emu_outstanding = SimTime::ZERO;
+        self.drain_emulation(rank);
     }
 
     /// Flush with integrity handling per [`crate::IntegrityMode`]: `Off`
@@ -1563,32 +1463,23 @@ impl Window {
         for stream in self.streams.iter_mut().flatten() {
             stream.take_silent_faults();
         }
-        let records = std::mem::take(&mut self.put_records);
-        for rec in &records {
-            let mut retransmits = 0u32;
-            loop {
-                attrib::advance(
-                    &mut rank.clock,
-                    Bucket::Pack,
-                    rank.world.crc_cost(rec.data.len()),
-                );
-                let mut image = vec![0u8; rec.data.len()];
-                self.backing_read(rec.target, rec.offset, &mut image)?;
-                if crc32(&image) == rec.crc {
-                    break;
+        for rec in &std::mem::take(&mut self.put_records) {
+            let op = Op {
+                target: rec.target,
+                target_w: self.world_of(rec.target),
+                verify: true,
+                what: "one-sided epoch",
+            };
+            Self::retransmit(rank, op, "osc.epoch", rec.data.len(), |rank, retry| {
+                if retry {
+                    self.rewrite(rank, rec)?;
                 }
-                Self::note_detected(rank, "osc.epoch", self.world_of(rec.target));
-                if retransmits >= rank.world.tuning.max_retransmits {
-                    return Err(ScimpiError::DataCorruption {
-                        peer: self.world_of(rec.target),
-                        what: "one-sided epoch",
-                        retransmits,
-                    });
-                }
-                retransmits += 1;
-                Self::note_retransmit(rank, "osc.epoch", retransmits);
-                self.rewrite(rank, rec)?;
-            }
+                let (mem, base) = self.shared.mem(rec.target);
+                let landed = mem
+                    .with_bytes(base + rec.offset, rec.data.len(), crc32)
+                    .map_err(SciError::from)?;
+                Ok((landed != rec.crc) as usize)
+            })?;
         }
         Ok(())
     }
@@ -1597,38 +1488,22 @@ impl Window {
     /// The fresh write is itself subject to faults; the caller re-verifies.
     fn rewrite(&mut self, rank: &mut Rank, rec: &PutRecord) -> Result<(), ScimpiError> {
         if self.direct_active(rec.target) {
-            let (stream, base) = Self::stream(
-                &mut self.streams,
-                &self.shared,
-                rank,
-                rec.target,
-                rec.data.len(),
-            );
-            attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
-                stream.write(clock, base + rec.offset, &rec.data)
-            })
-            .map_err(ScimpiError::Fabric)?;
+            let stream = self.write_direct(rank, rec.target, rec.offset, &rec.data)?;
             attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
                 stream.barrier(clock)
             });
             stream.take_silent_faults();
         } else {
-            Self::ensure_alive(rank, self.world_of(rec.target))?;
-            let pair = (
-                rank.node().0,
-                rank.world.node_of(self.world_of(rec.target)).0,
-            );
+            // The packet is exposed to the fabric like any other, but its
+            // verdict is the caller's CRC comparison, not a count here.
+            let target_w = self.world_of(rec.target);
+            Self::ensure_alive(rank, target_w)?;
+            let pair = (rank.node().0, rank.world.node_of(target_w).0);
             let mut wire = rec.data.clone();
             Self::corrupt_wire(rank, pair, &mut wire);
             self.backing_write(rec.target, rec.offset, &wire)?;
             self.emulate(rank, rec.target, rec.data.len());
-            attrib::merge_waited(
-                &mut rank.clock,
-                self.emu_outstanding,
-                WaitKind::RequestWait,
-                None,
-            );
-            self.emu_outstanding = SimTime::ZERO;
+            self.drain_emulation(rank);
         }
         Ok(())
     }
@@ -1672,7 +1547,7 @@ impl Window {
             if !self.fallback[target].active {
                 continue;
             }
-            let TargetMem::Shared { region, .. } = &self.shared.targets[target].0 else {
+            let Ok((region, _)) = self.shared.region(target) else {
                 continue;
             };
             let owner = region.segment().owner();
@@ -1684,7 +1559,7 @@ impl Window {
             });
             if probe.is_ok() {
                 self.fallback[target] = FallbackState::default();
-                obs::inc(obs::Counter::OscRepromotions);
+                obs::inc(Counter::OscRepromotions);
                 if obs::is_enabled() {
                     obs::instant(
                         "ft.osc_repromote",
@@ -1696,20 +1571,19 @@ impl Window {
         }
     }
 
-    /// `MPI_Win_post`: open an exposure epoch for `origins` (active
-    /// target, paired with [`Window::start`] at the origins).
-    pub fn post(&mut self, rank: &mut Rank, origins: &[usize]) {
+    /// Send the PSCW signal of `phase` (0 = post, 1 = complete) to `peers`.
+    fn signal(&self, rank: &mut Rank, peers: &[usize], phase: u64) {
         let me_w = rank.world_rank();
-        for &o in origins {
-            let o_w = self.world_of(o);
+        for &p in peers {
+            let p_w = self.world_of(p);
             attrib::advance(
                 &mut rank.clock,
                 Bucket::Transfer,
                 rank.world.tuning.ctrl_send_cost,
             );
-            let arrival = rank.clock.now() + rank.world.ctrl_latency(me_w, o_w);
-            rank.world.mailboxes[o_w].post_ctrl(
-                pscw_handle(self.shared.id, me_w, o_w, 0),
+            let arrival = rank.clock.now() + rank.world.ctrl_latency(me_w, p_w);
+            rank.world.mailboxes[p_w].post_ctrl(
+                pscw_handle(self.shared.id, me_w, p_w, phase),
                 Ctrl::Signal {
                     arrival,
                     data: Vec::new(),
@@ -1718,40 +1592,41 @@ impl Window {
         }
     }
 
-    /// `MPI_Win_start`: open an access epoch towards `targets` (waits
-    /// for their posts). The wait is liveness- and revocation-guarded: a
-    /// target dying before its post, or a communicator revocation,
-    /// surfaces through the error-handler machinery instead of hanging.
-    pub fn start(&mut self, rank: &mut Rank, targets: &[usize]) -> Result<(), ScimpiError> {
+    /// Wait for the PSCW signal of `phase` from every one of `peers`. The
+    /// wait is liveness- and revocation-guarded: a peer dying before its
+    /// signal, or a communicator revocation, surfaces through the
+    /// error-handler machinery instead of hanging.
+    fn await_signals(
+        &self,
+        rank: &mut Rank,
+        peers: &[usize],
+        phase: u64,
+        what: &'static str,
+    ) -> Result<(), ScimpiError> {
         let me_w = rank.world_rank();
-        for &t in targets {
-            let t_w = self.world_of(t);
+        for &p in peers {
+            let p_w = self.world_of(p);
+            let handle = pscw_handle(self.shared.id, p_w, me_w, phase);
             let c = rank
                 .world
-                .await_ctrl(
-                    me_w,
-                    &mut rank.clock,
-                    pscw_handle(self.shared.id, t_w, me_w, 0),
-                    t_w,
-                    "post signal",
-                )
+                .await_ctrl(me_w, &mut rank.clock, handle, p_w, what)
                 .map_err(|e| rank.world.escalate(e))?;
             let Ctrl::Signal { arrival, .. } = c else {
                 panic!(
                     "{}",
                     ScimpiError::ProtocolViolation {
-                        expected: "post signal",
+                        expected: what,
                         got: format!("{c:?}"),
                     }
                 );
             };
-            // Blocked until the target's post signal lands: the peer is
-            // "late" in exactly the late-sender sense.
+            // Blocked until the peer's signal lands: it is "late" in
+            // exactly the late-sender sense.
             attrib::merge_waited(
                 &mut rank.clock,
                 arrival,
                 WaitKind::LateSender,
-                Some(t_w as u32),
+                Some(p_w as u32),
             );
             attrib::advance(
                 &mut rank.clock,
@@ -1760,6 +1635,19 @@ impl Window {
             );
         }
         Ok(())
+    }
+
+    /// `MPI_Win_post`: open an exposure epoch for `origins` (active
+    /// target, paired with [`Window::start`] at the origins).
+    pub fn post(&mut self, rank: &mut Rank, origins: &[usize]) {
+        self.signal(rank, origins, 0);
+    }
+
+    /// `MPI_Win_start`: open an access epoch towards `targets` (waits
+    /// for their posts). A target dying before its post, or a
+    /// communicator revocation, is an error instead of a hang.
+    pub fn start(&mut self, rank: &mut Rank, targets: &[usize]) -> Result<(), ScimpiError> {
+        self.await_signals(rank, targets, 0, "post signal")
     }
 
     /// `MPI_Win_complete`: close the access epoch (flushes and notifies
@@ -1769,66 +1657,14 @@ impl Window {
     /// after the notifications.
     pub fn complete(&mut self, rank: &mut Rank, targets: &[usize]) -> Result<(), ScimpiError> {
         let res = self.try_flush(rank);
-        let me_w = rank.world_rank();
-        for &t in targets {
-            let t_w = self.world_of(t);
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Transfer,
-                rank.world.tuning.ctrl_send_cost,
-            );
-            let arrival = rank.clock.now() + rank.world.ctrl_latency(me_w, t_w);
-            rank.world.mailboxes[t_w].post_ctrl(
-                pscw_handle(self.shared.id, me_w, t_w, 1),
-                Ctrl::Signal {
-                    arrival,
-                    data: Vec::new(),
-                },
-            );
-        }
+        self.signal(rank, targets, 1);
         res.map_err(|e| rank.world.escalate(e))
     }
 
     /// `MPI_Win_wait`: close the exposure epoch (waits for all origins'
-    /// completes). Liveness- and revocation-guarded like
-    /// [`Window::start`].
+    /// completes). Guarded like [`Window::start`].
     pub fn wait(&mut self, rank: &mut Rank, origins: &[usize]) -> Result<(), ScimpiError> {
-        let me_w = rank.world_rank();
-        for &o in origins {
-            let o_w = self.world_of(o);
-            let c = rank
-                .world
-                .await_ctrl(
-                    me_w,
-                    &mut rank.clock,
-                    pscw_handle(self.shared.id, o_w, me_w, 1),
-                    o_w,
-                    "complete signal",
-                )
-                .map_err(|e| rank.world.escalate(e))?;
-            let Ctrl::Signal { arrival, .. } = c else {
-                panic!(
-                    "{}",
-                    ScimpiError::ProtocolViolation {
-                        expected: "complete signal",
-                        got: format!("{c:?}"),
-                    }
-                );
-            };
-            // Exposure epoch held open by a slow origin's complete.
-            attrib::merge_waited(
-                &mut rank.clock,
-                arrival,
-                WaitKind::LateSender,
-                Some(o_w as u32),
-            );
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Transfer,
-                rank.world.tuning.ctrl_recv_cost,
-            );
-        }
-        Ok(())
+        self.await_signals(rank, origins, 1, "complete signal")
     }
 
     /// `MPI_Win_lock` (exclusive, passive target): acquire the
@@ -1862,37 +1698,28 @@ impl Window {
     }
 }
 
-/// Element-wise combine for `MPI_Accumulate`.
+/// Element-wise combine for `MPI_Accumulate`. The arithmetic operators
+/// take whole 8-byte elements ([`Window::accumulate`] checks).
 fn apply_op(op: AccumulateOp, current: &mut [u8], incoming: &[u8]) {
-    match op {
-        AccumulateOp::Replace => current.copy_from_slice(incoming),
-        AccumulateOp::SumF64 | AccumulateOp::MaxF64 => {
-            assert!(
-                current.len().is_multiple_of(8),
-                "f64 accumulate needs 8-byte data"
-            );
-            for i in (0..current.len()).step_by(8) {
-                let a = f64::from_le_bytes(current[i..i + 8].try_into().expect("8 bytes"));
-                let b = f64::from_le_bytes(incoming[i..i + 8].try_into().expect("8 bytes"));
-                let r = match op {
-                    AccumulateOp::SumF64 => a + b,
-                    AccumulateOp::MaxF64 => a.max(b),
-                    _ => unreachable!(),
-                };
-                current[i..i + 8].copy_from_slice(&r.to_le_bytes());
-            }
+    let combine: fn([u8; 8], [u8; 8]) -> [u8; 8] = match op {
+        AccumulateOp::Replace => return current.copy_from_slice(incoming),
+        AccumulateOp::SumF64 => {
+            |a, b| (f64::from_le_bytes(a) + f64::from_le_bytes(b)).to_le_bytes()
         }
-        AccumulateOp::SumI64 => {
-            assert!(
-                current.len().is_multiple_of(8),
-                "i64 accumulate needs 8-byte data"
-            );
-            for i in (0..current.len()).step_by(8) {
-                let a = i64::from_le_bytes(current[i..i + 8].try_into().expect("8 bytes"));
-                let b = i64::from_le_bytes(incoming[i..i + 8].try_into().expect("8 bytes"));
-                current[i..i + 8].copy_from_slice(&a.wrapping_add(b).to_le_bytes());
-            }
-        }
+        AccumulateOp::MaxF64 => |a, b| {
+            f64::from_le_bytes(a)
+                .max(f64::from_le_bytes(b))
+                .to_le_bytes()
+        },
+        AccumulateOp::SumI64 => |a, b| {
+            i64::from_le_bytes(a)
+                .wrapping_add(i64::from_le_bytes(b))
+                .to_le_bytes()
+        },
+    };
+    for (cur, inc) in current.chunks_exact_mut(8).zip(incoming.chunks_exact(8)) {
+        let a = (&*cur).try_into().expect("8 bytes");
+        cur.copy_from_slice(&combine(a, inc.try_into().expect("8 bytes")));
     }
 }
 

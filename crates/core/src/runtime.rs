@@ -469,7 +469,6 @@ pub(crate) struct WorldState {
     /// before any rank allocates a byte.
     pub alloc_regions: Vec<OnceLock<Arc<SharedRegion>>>,
     pub coll: Mutex<HashMap<u64, CollSlot>>,
-    pub windows: Mutex<HashMap<u64, Arc<dyn Any + Send + Sync>>>,
     pub errors: ErrorMode,
     /// The active revocation, min-merged on `(at, by)` so concurrent
     /// revokers converge on one deterministic front. Cleared at `shrink`.
@@ -1109,7 +1108,6 @@ where
         alloc_pools,
         alloc_regions,
         coll: Mutex::new(HashMap::new()),
-        windows: Mutex::new(HashMap::new()),
         errors: spec.errors,
         revoke: Mutex::new(None),
         epoch_barriers: Mutex::new(HashMap::new()),

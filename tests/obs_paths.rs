@@ -86,3 +86,70 @@ fn counters_attribute_protocol_paths() {
     assert_eq!(report.counters[Counter::OscGetDirect], 1);
     assert_eq!(report.counters[Counter::OscGetRemotePut], 1);
 }
+
+/// Every one-sided verb records exactly one span, named after the verb
+/// and labelled with the path `Window::access` took. `get_typed` and the
+/// DMA put had none before they joined the skeleton.
+#[test]
+fn every_one_sided_verb_records_one_span_naming_its_path() {
+    use mpi_datatype::{Committed, Datatype};
+    use scimpi::AccumulateOp;
+
+    // (verb, shared target?, large?) → (span, path). `large` is 128 KiB of
+    // 64-byte blocks for the typed verbs (above every threshold), 4 KiB
+    // for `get`.
+    let table = [
+        ("put", true, false, "osc.put", "shared"),
+        ("put", false, false, "osc.put", "emulated"),
+        ("get", true, false, "osc.get", "direct"),
+        ("get", true, true, "osc.get", "remote_put"),
+        ("get", false, false, "osc.get", "emulated"),
+        ("accumulate", true, false, "osc.accumulate", "shared"),
+        ("accumulate", false, false, "osc.accumulate", "emulated"),
+        ("put_typed", true, false, "osc.put_typed", "shared"),
+        ("put_typed", true, true, "osc.put_typed", "dma"),
+        ("put_typed", false, true, "osc.put_typed", "emulated"),
+        ("put_typed_dma", true, false, "osc.put_typed", "dma"),
+        ("get_typed", true, false, "osc.get_typed", "direct"),
+        ("get_typed", true, true, "osc.get_typed", "remote_put"),
+        ("get_typed", false, false, "osc.get_typed", "emulated"),
+    ];
+    for (verb, shared, large, span, path) in table {
+        let (_, report) = run_report(enabled_spec(), move |r| {
+            let blocks = if large { 2048 } else { 4 };
+            let c = Committed::commit(&Datatype::vector(blocks, 64, 128, &Datatype::byte()));
+            let len = 2 * c.extent();
+            let mut win = match shared {
+                true => shared_window(r, len),
+                false => r.win_create(WinMemory::Private(len)).unwrap(),
+            };
+            win.fence(r).unwrap();
+            if r.rank() == 0 {
+                let mut buf = vec![1u8; c.extent()];
+                let contiguous = if large { 4096 } else { 64 };
+                match verb {
+                    "put" => win.put(r, 1, 0, &buf[..contiguous]),
+                    "get" => win.get(r, 1, 0, &mut buf[..contiguous]),
+                    "accumulate" => win.accumulate(r, 1, 0, AccumulateOp::SumI64, &buf[..64]),
+                    "put_typed" => win.put_typed(r, 1, 0, &c, 1, &buf, 0),
+                    "put_typed_dma" => win.put_typed_dma(r, 1, 0, &c, 1, &buf, 0),
+                    _ => win.get_typed(r, 1, 0, &c, 1, &mut buf, 0),
+                }
+                .unwrap();
+            }
+            win.fence(r).unwrap();
+        });
+        let spans: Vec<_> = report
+            .events
+            .iter()
+            .filter(|e| e.name.starts_with("osc."))
+            .map(|e| (e.name, e.args.iter().find(|a| a.0 == "path").map(|a| &a.1)))
+            .collect();
+        let expect = obs::Arg::Str(path.into());
+        assert_eq!(
+            spans,
+            [(span, Some(&expect))],
+            "{verb}, shared {shared}, large {large}"
+        );
+    }
+}

@@ -270,3 +270,163 @@ fn alloc_mem_lifecycle_with_windows() {
         r.barrier();
     });
 }
+
+/// A typed access is bounds-checked over the bytes it touches, not over
+/// `count` extents from the offset: a layout whose blocks start past the
+/// window's end, or below its start, is refused like a contiguous access
+/// there — it must not reach the neighbouring allocation of the pool
+/// segment. Windows A and B are adjacent 64-byte allocations.
+#[test]
+fn typed_access_is_bounds_checked_over_its_true_span() {
+    use mpi_datatype::{Committed, Datatype};
+    use sci_fabric::SciError;
+    use scimpi::ScimpiError;
+
+    fn refused(res: Result<(), ScimpiError>) -> bool {
+        matches!(res, Err(ScimpiError::Fabric(SciError::OutOfBounds(_))))
+    }
+
+    for shared in [true, false] {
+        run(ClusterSpec::ringlet(2), move |r| {
+            let window = |r: &mut Rank| match shared {
+                true => shared_window(r, 64),
+                false => r.win_create(WinMemory::Private(64)).unwrap(),
+            };
+            let (mut a, mut b) = (window(r), window(r));
+            if r.rank() == 1 {
+                b.write_local(r, 0, &[0xBB; 64]);
+                a.write_local(r, 0, &[0xAA; 64]);
+            }
+            a.fence(r).unwrap();
+            b.fence(r).unwrap();
+            if r.rank() == 0 {
+                let byte = Datatype::byte();
+                // lb 64, extent 8: `[0, 8)` is inside A, the block is not.
+                let past_end = Committed::commit(&Datatype::hindexed(&[(8, 64)], &byte));
+                // lb −8: the block lies below B's first byte.
+                let below_start = Committed::commit(&Datatype::hindexed(&[(8, -8)], &byte));
+                let src = [0xEE; 80];
+                assert!(refused(a.put_typed(r, 1, 0, &past_end, 1, &src, 0)));
+                assert!(refused(b.put_typed(r, 1, 0, &below_start, 1, &src, 8)));
+                if shared {
+                    assert!(refused(a.put_typed_dma(r, 1, 0, &past_end, 1, &src, 0)));
+                }
+                let mut got = [0u8; 80];
+                assert!(refused(a.get_typed(r, 1, 0, &past_end, 1, &mut got, 0)));
+                assert!(refused(b.get_typed(r, 1, 0, &below_start, 1, &mut got, 8)));
+                assert_eq!(got, [0u8; 80], "a refused get delivers nothing");
+                // The same layouts are accepted where they fit.
+                a.put_typed(r, 1, 8, &below_start, 1, &src, 8).unwrap();
+            }
+            a.fence(r).unwrap();
+            b.fence(r).unwrap();
+            if r.rank() == 1 {
+                let (mut in_a, mut in_b) = ([0u8; 64], [0u8; 64]);
+                a.read_local(r, 0, &mut in_a);
+                b.read_local(r, 0, &mut in_b);
+                let mut expect_a = [0xAA; 64];
+                expect_a[..8].fill(0xEE);
+                assert_eq!(in_a, expect_a, "only the accepted put landed in A");
+                assert_eq!(in_b, [0xBB; 64], "nothing landed in B");
+            }
+            a.fence(r).unwrap();
+            b.fence(r).unwrap();
+        });
+    }
+}
+
+/// A two-rank ringlet whose only route 0 → 1 is link 0, with errors
+/// returned and counters on.
+fn severable_spec(osc_fallback_threshold: u32) -> ClusterSpec {
+    ClusterSpec::ringlet(2)
+        .errors(scimpi::ErrorMode::ErrorsReturn)
+        .obs(scimpi::ObsConfig::enabled())
+        .tuning(scimpi::Tuning {
+            osc_fallback_threshold,
+            ..Default::default()
+        })
+}
+
+/// 4 blocks of 8 bytes, 16 apart.
+fn strided() -> mpi_datatype::Committed {
+    let dt = mpi_datatype::Datatype::vector(4, 8, 16, &mpi_datatype::Datatype::byte());
+    mpi_datatype::Committed::commit(&dt)
+}
+
+/// Rank 1 checks that the blocks of [`strided`] at offset 0 hold `value`.
+fn assert_strided_landed(win: &Window, r: &mut Rank, value: u8) {
+    let mut image = [0u8; 56];
+    win.read_local(r, 0, &mut image);
+    for blk in 0..4 {
+        assert_eq!(image[blk * 16..][..8], [value; 8], "block {blk}");
+    }
+}
+
+/// The descriptor-list engine cannot reach private memory: forcing it
+/// there is a caller error that comes back as a value.
+#[test]
+fn forced_dma_put_into_a_private_window_is_an_invalid_argument() {
+    run(severable_spec(2), |r| {
+        let mut win = r.win_create(WinMemory::Private(64)).unwrap();
+        win.fence(r).unwrap();
+        if r.rank() == 0 {
+            let err = win.put_typed_dma(r, 1, 0, &strided(), 1, &[7u8; 56], 0);
+            assert!(
+                matches!(err, Err(scimpi::ScimpiError::InvalidArg { .. })),
+                "{err:?}"
+            );
+        }
+        win.fence(r).unwrap();
+    });
+}
+
+/// A forced DMA put honours the demotion of its target: while the direct
+/// path is out of use it is served by emulation like every other verb.
+#[test]
+fn forced_dma_put_to_a_demoted_target_is_emulated() {
+    let (_, report) = scimpi::run_report(severable_spec(1), |r| {
+        let mut win = shared_window(r, 64);
+        win.fence(r).unwrap();
+        if r.rank() == 0 {
+            r.fabric().faults().fail_link(sci_fabric::LinkId(0));
+            win.put(r, 1, 60, &[1u8; 4])
+                .expect("demotes, then emulated");
+            win.put_typed_dma(r, 1, 0, &strided(), 1, &[7u8; 56], 0)
+                .expect("a demoted target is reached by emulation");
+            r.fabric().faults().restore_link(sci_fabric::LinkId(0));
+        }
+        win.fence(r).unwrap();
+        if r.rank() == 1 {
+            assert_strided_landed(&win, r, 7);
+        }
+        win.fence(r).unwrap();
+    });
+    assert_eq!(report.counters[obs::Counter::OscFallbacks], 1);
+    assert_eq!(report.counters[obs::Counter::OscPutEmulated], 2);
+}
+
+/// A failed descriptor-list write counts toward demotion like any other
+/// direct failure: the second one in a row reaches the threshold and the
+/// put is served by emulation.
+#[test]
+fn failed_dma_writes_count_toward_demotion() {
+    let (_, report) = scimpi::run_report(severable_spec(2), |r| {
+        let mut win = shared_window(r, 64);
+        win.fence(r).unwrap();
+        if r.rank() == 0 {
+            r.fabric().faults().fail_link(sci_fabric::LinkId(0));
+            let first = win.put_typed_dma(r, 1, 0, &strided(), 1, &[7u8; 56], 0);
+            assert!(first.is_err(), "no route, below the threshold");
+            win.put_typed_dma(r, 1, 0, &strided(), 1, &[9u8; 56], 0)
+                .expect("the second failure demotes; emulation serves the put");
+            r.fabric().faults().restore_link(sci_fabric::LinkId(0));
+        }
+        win.fence(r).unwrap();
+        if r.rank() == 1 {
+            assert_strided_landed(&win, r, 9);
+        }
+        win.fence(r).unwrap();
+    });
+    assert_eq!(report.counters[obs::Counter::OscFallbacks], 1);
+    assert_eq!(report.counters[obs::Counter::OscRepromotions], 1);
+}
