@@ -730,14 +730,13 @@ impl Window {
     ) -> Result<Vec<u8>, ScimpiError> {
         let pair = (rank.node().0, rank.world.node_of(op.target_w).0);
         let path = if op.verify { "osc.emulated" } else { path };
-        let mut wire = Vec::new();
+        let mut wire = data.to_vec();
         Self::retransmit(rank, op, path, data.len(), |rank, retry| {
             if retry {
                 let roundtrip = Self::handler_roundtrip_cost(rank, op.target_w, data.len(), 0);
                 attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
+                wire.copy_from_slice(data);
             }
-            wire.clear();
-            wire.extend_from_slice(data);
             Ok(Self::corrupt_wire(rank, pair, &mut wire))
         })?;
         Ok(wire)
@@ -756,14 +755,15 @@ impl Window {
     ) -> Result<(), ScimpiError> {
         let roundtrip = Self::handler_roundtrip_cost(rank, op.target_w, dst.len(), blocks);
         attrib::advance(&mut rank.clock, Bucket::Transfer, roundtrip);
-        let clean = dst.to_vec();
+        // Only a verified return is ever re-requested.
+        let clean = if op.verify { dst.to_vec() } else { Vec::new() };
         let pair = (rank.world.node_of(op.target_w).0, rank.node().0);
         Self::retransmit(rank, op, op.what, dst.len(), |rank, retry| {
             if retry {
                 let again = Self::handler_roundtrip_cost(rank, op.target_w, dst.len(), 0);
                 attrib::advance(&mut rank.clock, Bucket::Transfer, again);
+                dst.copy_from_slice(&clean);
             }
-            dst.copy_from_slice(&clean);
             Ok(Self::corrupt_wire(rank, pair, dst))
         })
     }
@@ -1327,22 +1327,15 @@ impl Window {
         attrib::advance(&mut rank.clock, Bucket::Pack, cost);
     }
 
-    /// Hops to the target, and what its origin pays for any
-    /// target-executed operation moving `len` bytes: the control message
-    /// and the streamed transfer.
-    fn emulation_cost(rank: &Rank, target_w: usize, len: usize) -> (usize, SimDuration) {
+    /// What the origin pays for any target-executed operation moving `len`
+    /// bytes: the control message and the streamed transfer.
+    fn emulation_cost(rank: &Rank, len: usize) -> SimDuration {
         let params = rank.world.fabric.params();
-        let hops = rank
-            .world
-            .fabric
-            .topology()
-            .distance(rank.node(), rank.world.node_of(target_w));
         let stream = params.pio_stream_bw(len).min(params.node_injection_cap);
-        let cost = rank.world.tuning.ctrl_send_cost
+        rank.world.tuning.ctrl_send_cost
             + params.txn_overhead
             + stream.cost(len as u64)
-            + params.cache.copy_cost(len, len);
-        (hops, cost)
+            + params.cache.copy_cost(len, len)
     }
 
     /// Cost of one target-executed data return (remote-put conversion or
@@ -1355,14 +1348,15 @@ impl Window {
         len: usize,
         blocks: usize,
     ) -> SimDuration {
-        let params = rank.world.fabric.params();
-        let (hops, transfer) = Self::emulation_cost(rank, target_w, len);
         let pack = rank.world.tuning.ff_block_cost;
-        transfer
-            + params.remote_interrupt
+        Self::emulation_cost(rank, len)
+            + rank.world.fabric.params().remote_interrupt
             + HANDLER_COST
             + pack.saturating_mul(blocks as u64)
-            + params.wire_latency(hops).saturating_mul(2)
+            + rank
+                .world
+                .ctrl_latency(rank.rank, target_w)
+                .saturating_mul(2)
     }
 
     /// Model one emulation round trip (control message + remote interrupt +
@@ -1372,13 +1366,13 @@ impl Window {
     /// exchange involved" for every single call.
     fn emulate(&mut self, rank: &mut Rank, target: usize, len: usize) {
         // Origin: builds the request, pays the transfer.
-        let (hops, origin_cost) = Self::emulation_cost(rank, self.world_of(target), len);
+        let origin_cost = Self::emulation_cost(rank, len);
         attrib::advance(&mut rank.clock, Bucket::Transfer, origin_cost);
         // Handler at the target: starts once the request has arrived AND
         // the handler is free (serialisation), then pays the interrupt
         // dispatch plus the copy-in.
         let params = rank.world.fabric.params();
-        let arrival = rank.clock.now() + params.wire_latency(hops);
+        let arrival = rank.clock.now() + rank.world.ctrl_latency(rank.rank, self.world_of(target));
         let start = arrival.max(self.emu_busy[target]);
         let done =
             start + params.remote_interrupt + HANDLER_COST + params.cache.copy_cost(len, len);
@@ -1701,25 +1695,20 @@ impl Window {
 /// Element-wise combine for `MPI_Accumulate`. The arithmetic operators
 /// take whole 8-byte elements ([`Window::accumulate`] checks).
 fn apply_op(op: AccumulateOp, current: &mut [u8], incoming: &[u8]) {
-    let combine: fn([u8; 8], [u8; 8]) -> [u8; 8] = match op {
-        AccumulateOp::Replace => return current.copy_from_slice(incoming),
-        AccumulateOp::SumF64 => {
-            |a, b| (f64::from_le_bytes(a) + f64::from_le_bytes(b)).to_le_bytes()
+    fn each_word(current: &mut [u8], incoming: &[u8], f: impl Fn([u8; 8], [u8; 8]) -> [u8; 8]) {
+        for (cur, inc) in current.chunks_exact_mut(8).zip(incoming.chunks_exact(8)) {
+            let a = (&*cur).try_into().expect("8 bytes");
+            cur.copy_from_slice(&f(a, inc.try_into().expect("8 bytes")));
         }
-        AccumulateOp::MaxF64 => |a, b| {
-            f64::from_le_bytes(a)
-                .max(f64::from_le_bytes(b))
-                .to_le_bytes()
-        },
-        AccumulateOp::SumI64 => |a, b| {
-            i64::from_le_bytes(a)
-                .wrapping_add(i64::from_le_bytes(b))
-                .to_le_bytes()
-        },
-    };
-    for (cur, inc) in current.chunks_exact_mut(8).zip(incoming.chunks_exact(8)) {
-        let a = (&*cur).try_into().expect("8 bytes");
-        cur.copy_from_slice(&combine(a, inc.try_into().expect("8 bytes")));
+    }
+    let (f, i) = (f64::from_le_bytes, i64::from_le_bytes);
+    match op {
+        AccumulateOp::Replace => current.copy_from_slice(incoming),
+        AccumulateOp::SumF64 => each_word(current, incoming, |a, b| (f(a) + f(b)).to_le_bytes()),
+        AccumulateOp::MaxF64 => each_word(current, incoming, |a, b| f(a).max(f(b)).to_le_bytes()),
+        AccumulateOp::SumI64 => each_word(current, incoming, |a, b| {
+            i(a).wrapping_add(i(b)).to_le_bytes()
+        }),
     }
 }
 
