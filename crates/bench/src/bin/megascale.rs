@@ -14,10 +14,10 @@
 //!
 //! The rank count comes from `MEGASCALE_RANKS` (default 4096, the CI
 //! budget); the acceptance run uses 10000+. Virtual finish time and
-//! every scheduler statistic are deterministic for a given rank count
-//! and pinned exactly by `bench/baselines/tolerance.json`; the
-//! wall-clock throughput (`ranks_per_sec`) is machine-dependent and
-//! carries an effectively unbounded tolerance.
+//! every scheduler statistic are deterministic for a given rank count,
+//! and they are all the JSON document holds. The wall-clock throughput
+//! (ranks per second) is machine-dependent, so it is printed only; host
+//! time is measured by `benchmark/` (`scale_ring`).
 //!
 //! Run: `cargo run --release -p repro-bench --bin megascale`
 
@@ -116,16 +116,15 @@ fn main() {
     );
 
     let json = format!(
-        "{{\"bench\":\"megascale\",\"backend\":\"event\",\"ranks\":{ranks},\
+        "{{\"bench\":\"megascale\",\"ranks\":{ranks},\
          \"msg_bytes\":{MSG_BYTES},\"finish_us\":{},\"events\":{},\
          \"ready_high_water\":{},\"tasks_high_water\":{},\"stalls\":{},\
-         \"ranks_per_sec\":{},\"deterministic\":true}}\n",
+         \"deterministic\":true}}\n",
         num(finish.as_ps() as f64 / 1e6),
         stats.events,
         stats.ready_high_water,
         stats.tasks_high_water,
         stats.stalls,
-        num(ranks_per_sec),
     );
     match std::fs::write("BENCH_megascale.json", &json) {
         Ok(()) => println!("\nwrote BENCH_megascale.json"),
