@@ -2,37 +2,33 @@
 //! `PROFILE_*.json` documents against the committed baselines under
 //! `bench/baselines/`.
 //!
-//! Every `*.json` file in the baselines directory (except
-//! `tolerance.json`) is expected to exist, with the same name, in the
-//! current directory — the bench binaries write their documents to the
-//! working directory, so CI runs the smoke benches first and this gate
-//! second. Numbers compare under a per-metric relative tolerance
-//! (default 5%, overridable per leaf key via
-//! `bench/baselines/tolerance.json`); any structural difference — a
-//! missing series, a new field, a type change — fails outright.
+//! Every `*.json` file in the baselines directory is expected to exist,
+//! with the same name, in the current directory — the bench binaries
+//! write their documents to the working directory, so CI runs the smoke
+//! benches first and this gate second. The comparison is exact: a number
+//! that differs, a missing series, a new field or a type change fails.
 //!
 //! ```text
-//! bench_diff [--baselines DIR] [--current DIR] [--tolerance F] [NAME...]
+//! bench_diff [--baselines DIR] [--current DIR] [NAME...]
 //! ```
 //!
 //! With `NAME` arguments only those baseline files are checked (`NAME`
 //! may be `overlap_halo` or `BENCH_overlap_halo.json`). Exit status is
-//! non-zero when any metric is out of tolerance, a document is missing,
-//! or a file fails to parse.
+//! non-zero when any value differs, a document is missing, or a file
+//! fails to parse.
 
-use repro_bench::diff::{self, Json, Tolerance};
+use repro_bench::diff::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
     baselines: PathBuf,
     current: PathBuf,
-    tolerance: Option<f64>,
     names: Vec<String>,
 }
 
 fn usage() -> ! {
-    eprintln!("usage: bench_diff [--baselines DIR] [--current DIR] [--tolerance F] [NAME...]");
+    eprintln!("usage: bench_diff [--baselines DIR] [--current DIR] [NAME...]");
     std::process::exit(2);
 }
 
@@ -40,7 +36,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         baselines: PathBuf::from("bench/baselines"),
         current: PathBuf::from("."),
-        tolerance: None,
         names: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -48,10 +43,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--baselines" => args.baselines = it.next().unwrap_or_else(|| usage()).into(),
             "--current" => args.current = it.next().unwrap_or_else(|| usage()).into(),
-            "--tolerance" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.tolerance = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
             "--help" | "-h" => usage(),
             _ => args.names.push(a),
         }
@@ -65,7 +56,7 @@ fn load(path: &Path) -> Result<Json, String> {
 }
 
 /// Resolve which baseline files to check: explicit names, or every
-/// `*.json` in the baselines directory except `tolerance.json`.
+/// `*.json` in the baselines directory.
 fn baseline_files(args: &Args) -> Result<Vec<PathBuf>, String> {
     if !args.names.is_empty() {
         return Ok(args
@@ -84,10 +75,7 @@ fn baseline_files(args: &Args) -> Result<Vec<PathBuf>, String> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(&args.baselines)
         .map_err(|e| format!("{}: {e}", args.baselines.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.extension().is_some_and(|x| x == "json")
-                && p.file_name().is_some_and(|f| f != "tolerance.json")
-        })
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     files.sort();
     if files.is_empty() {
@@ -99,22 +87,11 @@ fn baseline_files(args: &Args) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
-fn tolerance(args: &Args) -> Result<Tolerance, String> {
-    if let Some(flat) = args.tolerance {
-        return Ok(Tolerance::flat(flat));
-    }
-    let path = args.baselines.join("tolerance.json");
-    if path.exists() {
-        return Tolerance::from_json(&load(&path)?).map_err(|e| format!("{}: {e}", path.display()));
-    }
-    Ok(Tolerance::flat(diff::DEFAULT_TOLERANCE))
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
-    let (files, tol) = match (baseline_files(&args), tolerance(&args)) {
-        (Ok(f), Ok(t)) => (f, t),
-        (Err(e), _) | (_, Err(e)) => {
+    let files = match baseline_files(&args) {
+        Ok(f) => f,
+        Err(e) => {
             eprintln!("bench_diff: {e}");
             return ExitCode::FAILURE;
         }
@@ -128,7 +105,7 @@ fn main() -> ExitCode {
         let cur_path = args.current.join(name);
         let outcome = load(base_path).and_then(|baseline| {
             let current = load(&cur_path)?;
-            Ok(diff::compare(&baseline, &current, &tol))
+            Ok(diff::compare(&baseline, &current))
         });
         match outcome {
             Err(e) => {
@@ -138,10 +115,7 @@ fn main() -> ExitCode {
             Ok(mismatches) if mismatches.is_empty() => println!("ok   {name}"),
             Ok(mismatches) => {
                 failures += 1;
-                println!(
-                    "FAIL {name}: {} metric(s) out of tolerance",
-                    mismatches.len()
-                );
+                println!("FAIL {name}: {} value(s) differ", mismatches.len());
                 for m in mismatches.iter().take(20) {
                     println!("     {m}");
                 }
@@ -158,7 +132,7 @@ fn main() -> ExitCode {
         );
         ExitCode::FAILURE
     } else {
-        println!("bench_diff: {} document(s) within tolerance", files.len());
+        println!("bench_diff: {} document(s) identical", files.len());
         ExitCode::SUCCESS
     }
 }

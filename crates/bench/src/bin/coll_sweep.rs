@@ -51,8 +51,8 @@ const ALGOS: [(CollectiveAlgo, &str); 6] = [
 
 fn spec(algo: CollectiveAlgo, noncontig: NoncontigMode) -> ClusterSpec {
     // Saturated-segment arbitration (and with it every virtual time
-    // below) resolves in dispatch order, so the curves sit in the
-    // bench-regression gate at exact tolerance.
+    // below) resolves in dispatch order, so the curves reproduce
+    // exactly, which is how the bench-regression gate compares them.
     let mut s = ClusterSpec::ringlet(RANKS)
         .tuning(Tuning {
             collective_algo: algo,

@@ -2,18 +2,15 @@
 //! baselines — the engine behind the `bench_diff` binary.
 //!
 //! The simulation is deterministic, so a committed `BENCH_<name>.json`
-//! is an exact promise: the same seed must reproduce every number. The
-//! comparison is nevertheless *tolerance-based* (per-metric relative
-//! tolerance, keyed by the leaf field name) so that deliberate timing
-//! recalibrations can be absorbed by widening one key's tolerance in
-//! `bench/baselines/tolerance.json` instead of rewriting every file.
+//! is an exact promise: the same seed must reproduce every number, and
+//! the comparison is exact. A deliberate recalibration re-commits the
+//! baseline.
 //!
 //! Everything here is hand-rolled on purpose — the repo carries no JSON
 //! dependency. The parser is a small recursive-descent reader for the
 //! documents this workspace writes (objects, arrays, strings with the
 //! escapes [`obs::json::escape`] emits, f64 numbers, booleans, null).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed JSON value. Object keys keep insertion order (comparison is
@@ -258,54 +255,6 @@ impl Parser<'_> {
     }
 }
 
-/// Per-metric relative tolerances, keyed by the *leaf field name* of the
-/// number being compared (`mean_us`, `mbps`, `p99_ns`, ...). The default
-/// applies to every key without an override.
-#[derive(Clone, Debug)]
-pub struct Tolerance {
-    pub default: f64,
-    pub per_key: BTreeMap<String, f64>,
-}
-
-impl Tolerance {
-    /// A flat relative tolerance for every metric.
-    pub fn flat(default: f64) -> Self {
-        Tolerance {
-            default,
-            per_key: BTreeMap::new(),
-        }
-    }
-
-    /// Load overrides from a parsed `tolerance.json` document:
-    /// `{"default": 0.05, "per_key": {"mean_us": 0.10}}`.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let mut tol = Tolerance::flat(
-            doc.get("default")
-                .and_then(Json::as_f64)
-                .unwrap_or(DEFAULT_TOLERANCE),
-        );
-        if let Some(per) = doc.get("per_key") {
-            let Json::Obj(fields) = per else {
-                return Err("tolerance per_key must be an object".into());
-            };
-            for (k, v) in fields {
-                let f = v
-                    .as_f64()
-                    .ok_or_else(|| format!("tolerance for '{k}' must be a number"))?;
-                tol.per_key.insert(k.clone(), f);
-            }
-        }
-        Ok(tol)
-    }
-
-    fn for_key(&self, key: &str) -> f64 {
-        self.per_key.get(key).copied().unwrap_or(self.default)
-    }
-}
-
-/// The default relative tolerance when none is configured.
-pub const DEFAULT_TOLERANCE: f64 = 0.05;
-
 /// One baseline/current disagreement, with the JSON path that diverged.
 #[derive(Clone, Debug)]
 pub struct Mismatch {
@@ -319,13 +268,13 @@ impl fmt::Display for Mismatch {
     }
 }
 
-/// Compare `current` against `baseline` structurally. Numbers compare by
-/// relative tolerance (keyed by their field name); strings, booleans and
-/// nulls compare exactly; arrays must match element-wise; objects must
-/// carry the same keys on both sides. Returns every disagreement found.
-pub fn compare(baseline: &Json, current: &Json, tol: &Tolerance) -> Vec<Mismatch> {
+/// Compare `current` against `baseline` structurally and exactly:
+/// scalars must be equal, arrays must match element-wise, and objects
+/// must carry the same keys on both sides. Returns every disagreement
+/// found, each under the JSON path that diverged.
+pub fn compare(baseline: &Json, current: &Json) -> Vec<Mismatch> {
     let mut out = Vec::new();
-    walk(baseline, current, tol, "$", "", &mut out);
+    walk(baseline, current, "$", &mut out);
     out
 }
 
@@ -336,27 +285,12 @@ fn push(out: &mut Vec<Mismatch>, path: &str, detail: String) {
     });
 }
 
-fn walk(b: &Json, c: &Json, tol: &Tolerance, path: &str, key: &str, out: &mut Vec<Mismatch>) {
+fn walk(b: &Json, c: &Json, path: &str, out: &mut Vec<Mismatch>) {
     match (b, c) {
-        (Json::Num(x), Json::Num(y)) => {
-            let t = tol.for_key(key);
-            let scale = x.abs().max(y.abs());
-            if scale > 0.0 && (x - y).abs() / scale > t {
-                push(
-                    out,
-                    path,
-                    format!(
-                        "{y} deviates from baseline {x} by {:.2}% (tolerance {:.2}%)",
-                        (x - y).abs() / scale * 100.0,
-                        t * 100.0
-                    ),
-                );
-            }
-        }
         (Json::Obj(bf), Json::Obj(cf)) => {
             for (k, bv) in bf {
                 match c.get(k) {
-                    Some(cv) => walk(bv, cv, tol, &format!("{path}.{k}"), k, out),
+                    Some(cv) => walk(bv, cv, &format!("{path}.{k}"), out),
                     None => push(out, path, format!("missing key '{k}'")),
                 }
             }
@@ -375,7 +309,7 @@ fn walk(b: &Json, c: &Json, tol: &Tolerance, path: &str, key: &str, out: &mut Ve
                 );
             }
             for (i, (bv, cv)) in ba.iter().zip(ca).enumerate() {
-                walk(bv, cv, tol, &format!("{path}[{i}]"), key, out);
+                walk(bv, cv, &format!("{path}[{i}]"), out);
             }
         }
         _ if b == c => {}
@@ -438,31 +372,18 @@ mod tests {
     fn identical_documents_have_no_mismatches() {
         let b = parse(DOC).unwrap();
         let c = parse(DOC).unwrap();
-        assert!(compare(&b, &c, &Tolerance::flat(0.0)).is_empty());
+        assert!(compare(&b, &c).is_empty());
     }
 
     #[test]
-    fn tolerance_gates_numeric_drift() {
-        let b = parse(r#"{"mean_us":100.0}"#).unwrap();
-        let within = parse(r#"{"mean_us":104.0}"#).unwrap();
-        let beyond = parse(r#"{"mean_us":120.0}"#).unwrap();
-        let tol = Tolerance::flat(0.05);
-        assert!(compare(&b, &within, &tol).is_empty());
-        let bad = compare(&b, &beyond, &tol);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].path.contains("mean_us"), "{}", bad[0]);
-    }
-
-    #[test]
-    fn per_key_tolerance_overrides_default() {
-        let b = parse(r#"{"mean_us":100.0,"mbps":100.0}"#).unwrap();
-        let c = parse(r#"{"mean_us":108.0,"mbps":108.0}"#).unwrap();
-        let tol =
-            Tolerance::from_json(&parse(r#"{"default":0.05,"per_key":{"mean_us":0.10}}"#).unwrap())
-                .unwrap();
-        let bad = compare(&b, &c, &tol);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].path.ends_with("mbps"));
+    fn any_numeric_difference_is_a_mismatch() {
+        let b = parse(r#"{"series":[{"mean_us":100.0,"buckets":[[3,17]]}]}"#).unwrap();
+        let c = parse(r#"{"series":[{"mean_us":100.000001,"buckets":[[3,18]]}]}"#).unwrap();
+        let bad = compare(&b, &c);
+        assert_eq!(bad.len(), 2, "{bad:?}");
+        assert_eq!(bad[0].path, "$.series[0].mean_us");
+        assert_eq!(bad[1].path, "$.series[0].buckets[0][1]");
+        assert_eq!(bad[1].detail, "18 differs from baseline 17");
     }
 
     #[test]
@@ -472,21 +393,8 @@ mod tests {
         let retyped = parse(r#"{"series":[{"x":1},{"x":2}],"flag":"yes"}"#).unwrap();
         let missing = parse(r#"{"series":[{"x":1},{"x":2}]}"#).unwrap();
         let extra = parse(r#"{"series":[{"x":1},{"x":2}],"flag":true,"new":1}"#).unwrap();
-        let tol = Tolerance::flat(1.0); // numbers never fail here
         for doc in [&shorter, &retyped, &missing, &extra] {
-            assert!(!compare(&b, doc, &tol).is_empty());
+            assert!(!compare(&b, doc).is_empty());
         }
-    }
-
-    #[test]
-    fn key_context_reaches_numbers_inside_arrays() {
-        // The leaf key for numbers inside an array is the array's field
-        // name, so "buckets":[[3,17]] tightens/loosens under "buckets".
-        let b = parse(r#"{"buckets":[[3,17]]}"#).unwrap();
-        let c = parse(r#"{"buckets":[[3,18]]}"#).unwrap();
-        let mut tol = Tolerance::flat(0.0);
-        assert!(!compare(&b, &c, &tol).is_empty());
-        tol.per_key.insert("buckets".into(), 0.10);
-        assert!(compare(&b, &c, &tol).is_empty());
     }
 }
