@@ -20,6 +20,7 @@ use crate::error::ScimpiError;
 use crate::mailbox::{Source, TagSel};
 use crate::p2p::RecvBuf;
 use crate::runtime::Rank;
+use crate::tuning::COLL_RING_CHUNK;
 use crate::SendData;
 use mpi_datatype::typed;
 
@@ -581,7 +582,7 @@ pub(crate) fn alltoallv_requests(
 // ---------------------------------------------------------------------
 
 /// One-sided pipelined ring broadcast: the payload is cut into
-/// `Tuning::coll_ring_chunk` pieces that flow down the ring as PSCW
+/// `COLL_RING_CHUNK` pieces that flow down the ring as PSCW
 /// window puts — rank `v` exposes its chunk buffer to `v-1`, reads each
 /// arrived chunk locally, and puts it onward to `v+1` while the next
 /// chunk is already in flight behind it. The caller has ensured
@@ -593,7 +594,7 @@ pub(crate) fn ring_bcast_onesided(
 ) -> Result<(), ScimpiError> {
     let n = r.size();
     let me = r.rank();
-    let chunk = r.world.tuning.coll_ring_chunk;
+    let chunk = COLL_RING_CHUNK;
     let start = r.clock.now();
     let v = (me + n - root) % n;
     let pred = (root + v + n - 1) % n;

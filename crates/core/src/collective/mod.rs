@@ -59,7 +59,7 @@ pub(crate) mod plan;
 use crate::error::ScimpiError;
 use crate::osc::{WinMemory, Window};
 use crate::runtime::Rank;
-use crate::tuning::CollectiveAlgo;
+use crate::tuning::{CollectiveAlgo, COLL_RING_CHUNK};
 use mpi_datatype::typed;
 use sci_fabric::Topology;
 use simclock::SimTime;
@@ -152,11 +152,11 @@ impl_typed_float!(f32, f64);
 /// through, kept on the [`Rank`] so consecutive collectives in the same
 /// membership epoch reuse one window instead of paying `win_create`'s
 /// three barriers each time. Windows have no `win_free` in this subset,
-/// so a stale-epoch window is simply dropped (its chunk-sized budget
-/// charge persists until teardown, like every window's).
+/// so a stale-epoch window is simply dropped (its `alloc_mem` chunk stays
+/// taken until teardown, like every window's memory).
 pub(crate) struct CollWin {
     pub(crate) win: Window,
-    /// Exposed bytes (always `Tuning::coll_ring_chunk` at creation).
+    /// Exposed bytes (always `COLL_RING_CHUNK` at creation).
     cap: usize,
     /// Membership epoch the window was created in.
     epoch: u64,
@@ -200,12 +200,11 @@ impl Rank {
 
     /// Make sure [`Rank::coll_win`] holds a usable window for the current
     /// membership epoch, creating it collectively when every member can
-    /// afford the chunk buffer. Returns `false` (symmetrically, agreed
-    /// via one control-plane gather) when any member's window budget or
-    /// shared-segment pool is exhausted — callers fall back to a
-    /// two-sided schedule.
+    /// allocate the chunk buffer. Returns `false` (symmetrically, agreed
+    /// via one control-plane gather) when any member's shared-segment
+    /// pool is exhausted — callers fall back to a two-sided schedule.
     pub(crate) fn ensure_coll_win(&mut self) -> bool {
-        let chunk = self.world.tuning.coll_ring_chunk;
+        let chunk = COLL_RING_CHUNK;
         if let Some(cw) = &self.coll_win {
             if cw.epoch == self.epoch && cw.cap >= chunk {
                 return true;
@@ -213,30 +212,17 @@ impl Rank {
             // Stale epoch or undersized: drop the handle and re-create.
             self.coll_win = None;
         }
-        // Pre-check the budget: `alloc_mem` *escalates* budget exhaustion
-        // (fatal under ErrorsAreFatal), but an unaffordable window should
-        // mean "use the two-sided schedule", not "abort the run".
-        let affordable = {
-            let limit = self.world.tuning.window_budget_bytes;
-            let used = self.world.window_bytes[self.world_rank()]
-                .load(std::sync::atomic::Ordering::Relaxed);
-            used.saturating_add(chunk) <= limit
-        };
-        let mem = if affordable {
-            self.alloc_mem(chunk).ok()
-        } else {
-            None
-        };
+        let mem = self.alloc_mem(chunk).ok();
         let mine_ok = mem.is_some();
         let all_ok = self.collective_gather(mine_ok).into_iter().all(|ok| ok);
         if !all_ok {
-            // Symmetric refusal: return the charge if we took one.
+            // Symmetric refusal: return the chunk if we took one.
             if let Some(m) = mem {
                 self.free_mem(m);
             }
             return false;
         }
-        let mem = mem.expect("agreed affordable");
+        let mem = mem.expect("every member allocated");
         match self.win_create(WinMemory::Alloc(mem)) {
             Ok(win) => {
                 self.coll_win = Some(CollWin {

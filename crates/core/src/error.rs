@@ -10,11 +10,10 @@
 //!   observable) and `MPI_ERRORS_RETURN` (every communication verb
 //!   returns the error as a value through its `Result`);
 //! * [`death_delay`] is the deterministic virtual-time budget after which
-//!   a silent peer is declared dead: a bounded sequence of timeout
-//!   windows growing by `timeout_backoff`, each followed by a connection
-//!   probe.
+//!   a silent peer is declared dead: a bounded sequence of doubling
+//!   timeout windows, each followed by a connection probe.
 
-use crate::tuning::Tuning;
+use crate::tuning::{CTRL_TIMEOUT, MAX_PROTOCOL_RETRIES, PROBE_COST};
 use sci_fabric::SciError;
 use simclock::SimDuration;
 use std::fmt;
@@ -71,10 +70,10 @@ pub enum ScimpiError {
         /// Retransmissions attempted before giving up.
         retransmits: u32,
     },
-    /// A governed resource (eager credits, window memory, staging
-    /// buffers, the request engine's in-flight set) had no capacity left
-    /// for the operation and the active [`crate::OverloadPolicy`] chose
-    /// to refuse rather than stall or degrade.
+    /// A governed resource (eager credits, the request engine's
+    /// in-flight set) had no capacity left for the operation and the
+    /// active [`crate::OverloadPolicy`] chose to refuse rather than stall
+    /// or degrade.
     ResourceExhausted {
         /// Which resource ran out.
         what: &'static str,
@@ -162,28 +161,24 @@ pub enum ErrorMode {
     ErrorsReturn,
 }
 
+/// The timeout windows a silent peer is given, in order: the first
+/// `MAX_PROTOCOL_RETRIES + 1` doublings of `CTRL_TIMEOUT`. Each expiry
+/// is followed by one `PROBE_COST` connection check.
+pub(crate) fn timeout_windows() -> impl Iterator<Item = SimDuration> {
+    std::iter::successors(Some(CTRL_TIMEOUT), |w| Some(*w * 2))
+        .take(MAX_PROTOCOL_RETRIES as usize + 1)
+}
+
 /// The deterministic virtual-time budget after which a silent peer is
-/// declared dead: `max_protocol_retries + 1` timeout windows starting at
-/// `ctrl_timeout` and growing by `timeout_backoff`, each followed by one
-/// `probe_cost` connection check.
+/// declared dead: `MAX_PROTOCOL_RETRIES + 1` timeout windows starting at
+/// `CTRL_TIMEOUT` and doubling after each expiry, each followed by one
+/// `PROBE_COST` connection check — 6 220 µs in all.
 ///
 /// Every declared-dead path charges exactly this schedule to the waiting
 /// rank's clock, so the outcome is bit-identical across runs regardless
 /// of real-time thread interleaving.
-pub fn death_delay(t: &Tuning) -> SimDuration {
-    let mut total = SimDuration::ZERO;
-    let mut window = t.ctrl_timeout;
-    for _ in 0..=t.max_protocol_retries {
-        total += window + t.probe_cost;
-        window = scale_window(window, t.timeout_backoff);
-    }
-    total
-}
-
-/// One backoff step: the next timeout window, `window · factor` rounded
-/// down to whole picoseconds (deterministic).
-pub(crate) fn scale_window(window: SimDuration, factor: f64) -> SimDuration {
-    SimDuration::from_ps((window.as_ps() as f64 * factor) as u64)
+pub fn death_delay() -> SimDuration {
+    timeout_windows().map(|w| w + PROBE_COST).sum()
 }
 
 #[cfg(test)]
@@ -191,26 +186,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn death_delay_is_bounded_and_grows_with_retries() {
-        let t = Tuning::default();
-        let base = death_delay(&t);
-        assert!(base > SimDuration::ZERO);
-        let mut more = t.clone();
-        more.max_protocol_retries += 2;
-        assert!(death_delay(&more) > base);
-    }
-
-    #[test]
     fn death_delay_matches_manual_schedule() {
-        let t = Tuning {
-            ctrl_timeout: SimDuration::from_us(100),
-            timeout_backoff: 2.0,
-            max_protocol_retries: 2,
-            probe_cost: SimDuration::from_us(4),
-            ..Tuning::default()
-        };
-        // Windows 100, 200, 400 us + 3 probes of 4 us.
-        assert_eq!(death_delay(&t), SimDuration::from_us(100 + 200 + 400 + 12));
+        // Windows 200, 400, 800, 1600, 3200 us + 5 probes of 4 us = 6220 us.
+        assert_eq!(
+            death_delay(),
+            SimDuration::from_us(200 + 400 + 800 + 1600 + 3200 + 5 * 4)
+        );
     }
 
     #[test]
@@ -239,8 +220,8 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("eager credits") && s.contains("4096") && s.contains("1024"));
-        let e = ScimpiError::InvalidConfig("ring_slots must be at least 1".into());
-        assert!(e.to_string().contains("ring_slots"));
+        let e = ScimpiError::InvalidConfig("rendezvous_chunk must be at least 1".into());
+        assert!(e.to_string().contains("rendezvous_chunk"));
         let e = ScimpiError::InvalidArg {
             what: "bcast root",
             got: 9,

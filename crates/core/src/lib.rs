@@ -62,7 +62,7 @@ pub use request::{PersistentRecv, PersistentSend, RecvDone, Request};
 pub use runtime::{run, run_report, Backend, ClusterSpec, ObsConfig, Rank, RunReport};
 /// Scheduler statistics of a run (`RunReport::event_stats`).
 pub use sched::Stats as EventStats;
-pub use sink::{PioSink, StagingLease, StagingLedger};
+pub use sink::PioSink;
 pub use tuning::{CollectiveAlgo, IntegrityMode, NoncontigMode, OverloadPolicy, Tuning};
 
 /// Thin infallible wrapper over the `Result`-based surface: `.done()`

@@ -54,7 +54,9 @@ use crate::error::ScimpiError;
 use crate::mailbox::Ctrl;
 use crate::request::Request;
 use crate::runtime::Rank;
-use crate::tuning::{IntegrityMode, PackPath};
+use crate::tuning::{
+    IntegrityMode, PackPath, BARRIER_HOP, CTRL_RECV_COST, CTRL_SEND_COST, FF_BLOCK_COST, PROBE_COST,
+};
 use core::convert::Infallible;
 use core::ops::ControlFlow;
 use mpi_datatype::{ff, Committed, PackStats};
@@ -354,23 +356,13 @@ impl Rank {
     /// rank's shared-segment pool. Pool exhaustion comes back as
     /// [`ScimpiError::WindowError`].
     pub fn alloc_mem(&mut self, len: usize) -> Result<AllocMem, ScimpiError> {
-        // Governed resource: remotely accessible memory counts against
-        // `Tuning::window_budget_bytes` before the pool is consulted.
-        self.world
-            .charge_window(self.rank, len)
-            .map_err(|e| self.world.escalate(e))?;
         let alloced = self.world.alloc_pools[self.rank].lock().unwrap().alloc(len);
-        let offset = match alloced {
-            Ok(o) => o,
-            Err(e) => {
-                // The charge is returned when the pool itself refuses.
-                self.world.release_window(self.rank, len);
-                return Err(ScimpiError::WindowError(format!(
-                    "shared-segment pool exhausted allocating {len} bytes on rank {}: {e:?}",
-                    self.rank
-                )));
-            }
-        };
+        let offset = alloced.map_err(|e| {
+            ScimpiError::WindowError(format!(
+                "shared-segment pool exhausted allocating {len} bytes on rank {}: {e:?}",
+                self.rank
+            ))
+        })?;
         Ok(AllocMem {
             rank: self.rank,
             region: self.world.alloc_region(self.rank),
@@ -386,12 +378,10 @@ impl Rank {
             .unwrap()
             .free(mem.offset)
             .expect("double free of alloc_mem");
-        self.world.release_window(self.rank, mem.len);
     }
 
     /// `MPI_Win_create` (collective): expose `mem` to all ranks of the
-    /// current membership epoch. A private contribution the window budget
-    /// cannot cover comes back as [`ScimpiError::ResourceExhausted`].
+    /// current membership epoch.
     pub fn win_create(&mut self, mem: WinMemory) -> Result<Window, ScimpiError> {
         self.win_create_with_integrity(mem, None)
     }
@@ -408,8 +398,6 @@ impl Rank {
         let contrib: (TargetMem, usize) = match mem {
             WinMemory::Alloc(am) => {
                 assert_eq!(am.rank, self.world_rank(), "alloc_mem from another rank");
-                // Already charged against the window budget by
-                // `alloc_mem`; don't double-count the same bytes.
                 (
                     TargetMem::Shared {
                         region: am.region,
@@ -418,20 +406,12 @@ impl Rank {
                     am.len,
                 )
             }
-            WinMemory::Private(len) => {
-                // Private window memory is allocated here, so it is
-                // charged here (windows live until teardown; there is
-                // no `MPI_Win_free` in this subset yet).
-                self.world
-                    .charge_window(self.rank, len)
-                    .map_err(|e| self.world.escalate(e))?;
-                (
-                    TargetMem::Private {
-                        mem: Arc::new(SharedMem::new(len)),
-                    },
-                    len,
-                )
-            }
+            WinMemory::Private(len) => (
+                TargetMem::Private {
+                    mem: Arc::new(SharedMem::new(len)),
+                },
+                len,
+            ),
         };
         let size = self.size();
         let members = Arc::clone(&self.members);
@@ -450,7 +430,7 @@ impl Rank {
                     .iter()
                     .map(|&w| SmiLock::new(Arc::clone(&self.world.smi), ProcId(w)))
                     .collect(),
-                fence: TimeBarrier::new(size, self.world.tuning.barrier_hop),
+                fence: TimeBarrier::new(size, BARRIER_HOP),
                 targets,
                 members: Arc::clone(&members),
                 integrity_override,
@@ -1024,24 +1004,19 @@ impl Window {
             l.span(),
             l.total(),
             |rank, healthy| match forced {
-                Some(path) => (path, None),
+                Some(path) => path,
                 None => {
                     // Resolve the committed layout (cache lookup vs
                     // re-flatten), then let the adaptive selector pick
                     // the pack path from its density. DMA is only on
                     // offer where the descriptor-list engine can reach
-                    // the target: a healthy shared window. The staging
-                    // budget governs the verdict: a DMA pack buffer the
-                    // ledger cannot cover degrades to the staged engine,
-                    // and a staged bounce buffer it cannot cover degrades
-                    // to the bufferless direct path. The lease is held
-                    // for the transfer.
+                    // the target: a healthy shared window.
                     let resolve = world.tuning.layout_resolve_cost(l.c);
                     attrib::advance(&mut rank.clock, Bucket::Pack, resolve);
-                    world.governed_path(rank.rank, l.c, l.total(), healthy)
+                    world.tuning.select_path_recorded(l.c, l.total(), healthy)
                 }
             },
-            |win, rank, op, plan| match plan.0 {
+            |win, rank, op, path| match path {
                 PackPath::Dma => win.put_by_dma(rank, op, l, buf),
                 _ => win.put_by_pio(rank, op, l, buf),
             },
@@ -1066,12 +1041,8 @@ impl Window {
 
     /// The origin's `direct_pack_ff` walk over the blocks of `stats`.
     fn charge_block_walk(rank: &mut Rank, stats: PackStats) {
-        let walk = rank.world.tuning.ff_block_cost;
-        attrib::advance(
-            &mut rank.clock,
-            Bucket::Pack,
-            walk.saturating_mul(stats.blocks as u64),
-        );
+        let walk = FF_BLOCK_COST.saturating_mul(stats.blocks as u64);
+        attrib::advance(&mut rank.clock, Bucket::Pack, walk);
     }
 
     /// Direct mover of a typed put over PIO: pack into the window
@@ -1088,7 +1059,7 @@ impl Window {
     ) -> Result<&'static str, ScimpiError> {
         let (stream, base) =
             Self::stream(&mut self.streams, &self.shared, rank, op.target, l.total())?;
-        let use_wc = rank.world.tuning.wc_batching;
+        let use_wc = rank.world.tuning.pack_engine;
         let stats = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
             let stats = l.each_block(|from, at, len| {
                 let data = &buf[from..][..len];
@@ -1332,7 +1303,7 @@ impl Window {
     fn emulation_cost(rank: &Rank, len: usize) -> SimDuration {
         let params = rank.world.fabric.params();
         let stream = params.pio_stream_bw(len).min(params.node_injection_cap);
-        rank.world.tuning.ctrl_send_cost
+        CTRL_SEND_COST
             + params.txn_overhead
             + stream.cost(len as u64)
             + params.cache.copy_cost(len, len)
@@ -1348,11 +1319,10 @@ impl Window {
         len: usize,
         blocks: usize,
     ) -> SimDuration {
-        let pack = rank.world.tuning.ff_block_cost;
         Self::emulation_cost(rank, len)
             + rank.world.fabric.params().remote_interrupt
             + HANDLER_COST
-            + pack.saturating_mul(blocks as u64)
+            + FF_BLOCK_COST.saturating_mul(blocks as u64)
             + rank
                 .world
                 .ctrl_latency(rank.rank, target_w)
@@ -1534,7 +1504,7 @@ impl Window {
 
     /// At synchronisation, probe the primary route to every demoted target
     /// and re-promote the ones whose direct path has healed. Probes cost
-    /// `Tuning::probe_cost` and run only for targets under fallback, so
+    /// `PROBE_COST` and run only for targets under fallback, so
     /// healthy runs stay bit-identical.
     fn maybe_repromote(&mut self, rank: &mut Rank) {
         for target in 0..self.fallback.len() {
@@ -1546,8 +1516,7 @@ impl Window {
             };
             let owner = region.segment().owner();
             let primary = rank.world.fabric.topology().route(rank.node(), owner);
-            let monitor =
-                ConnectionMonitor::new(rank.world.fabric.faults(), rank.world.tuning.probe_cost);
+            let monitor = ConnectionMonitor::new(rank.world.fabric.faults(), PROBE_COST);
             let probe = attrib::charged(&mut rank.clock, Bucket::Transfer, |clock| {
                 monitor.probe(clock, owner.0, &primary)
             });
@@ -1570,11 +1539,7 @@ impl Window {
         let me_w = rank.world_rank();
         for &p in peers {
             let p_w = self.world_of(p);
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Transfer,
-                rank.world.tuning.ctrl_send_cost,
-            );
+            attrib::advance(&mut rank.clock, Bucket::Transfer, CTRL_SEND_COST);
             let arrival = rank.clock.now() + rank.world.ctrl_latency(me_w, p_w);
             rank.world.mailboxes[p_w].post_ctrl(
                 pscw_handle(self.shared.id, me_w, p_w, phase),
@@ -1622,11 +1587,7 @@ impl Window {
                 WaitKind::LateSender,
                 Some(p_w as u32),
             );
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Transfer,
-                rank.world.tuning.ctrl_recv_cost,
-            );
+            attrib::advance(&mut rank.clock, Bucket::Transfer, CTRL_RECV_COST);
         }
         Ok(())
     }

@@ -20,7 +20,10 @@ use crate::error::ScimpiError;
 use crate::mailbox::{Ctrl, Envelope, Head, Source, Tag, TagSel};
 use crate::runtime::{Rank, WorldState};
 use crate::sink::PioSink;
-use crate::tuning::{IntegrityMode, OverloadPolicy, PackPath, Tuning};
+use crate::tuning::{
+    IntegrityMode, OverloadPolicy, PackPath, Tuning, CTRL_RECV_COST, CTRL_SEND_COST, FF_BLOCK_COST,
+    GENERIC_VISIT_COST, SHORT_THRESHOLD,
+};
 use mpi_datatype::{ff, Committed, PackStats, SliceSource};
 use obs::attrib::{self, Bucket, WaitKind};
 use sci_fabric::{crc32, SeqStatus};
@@ -175,11 +178,10 @@ fn local_copy_cost(
     working_set: usize,
     ff_engine: bool,
 ) -> SimDuration {
-    let t = &world.tuning;
     let (per_copy, copies) = if ff_engine {
-        (t.ff_block_cost, stats.blocks as u64)
+        (FF_BLOCK_COST, stats.blocks as u64)
     } else {
-        (t.generic_visit_cost, stats.segments as u64)
+        (GENERIC_VISIT_COST, stats.segments as u64)
     };
     let cache = &world.fabric.params().cache;
     per_copy.saturating_mul(copies)
@@ -271,7 +273,7 @@ pub(crate) fn finish_send_inner(
     {
         Ctrl::Cts { arrival } => {
             attrib::merge_waited(clock, arrival, WaitKind::LateReceiver, Some(dst as u32));
-            attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_recv_cost);
+            attrib::advance(clock, Bucket::Transfer, CTRL_RECV_COST);
         }
         other => {
             return Err(world.escalate(ScimpiError::ProtocolViolation {
@@ -375,7 +377,7 @@ pub(crate) fn finish_send_inner(
                                 Bucket::Transfer,
                                 |clock| -> Result<_, ScimpiError> {
                                     let mut sink = PioSink::new(&mut stream, clock, slot_off)
-                                        .with_batching(world.tuning.wc_batching);
+                                        .with_batching(world.tuning.pack_engine);
                                     let stats =
                                         ff::pack_ff(c, *count, buf, *origin, skip, this, &mut sink)
                                             .map_err(|e| world.escalate(e.into()))?;
@@ -386,10 +388,7 @@ pub(crate) fn finish_send_inner(
                             attrib::advance(
                                 clock,
                                 Bucket::Pack,
-                                world
-                                    .tuning
-                                    .ff_block_cost
-                                    .saturating_mul(stats.blocks as u64),
+                                FF_BLOCK_COST.saturating_mul(stats.blocks as u64),
                             );
                             stats.blocks
                         } else {
@@ -462,7 +461,7 @@ pub(crate) fn finish_send_inner(
                     // Stop-and-wait: every chunk is acknowledged before the
                     // next slot fills (the pipelining loss is part of the
                     // integrity tax).
-                    attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_send_cost);
+                    attrib::advance(clock, Bucket::Transfer, CTRL_SEND_COST);
                     let arrival = clock.now() + world.ctrl_latency(rank, dst);
                     world.mailboxes[dst].post_ctrl(
                         receiver_handle(handle),
@@ -486,7 +485,7 @@ pub(crate) fn finish_send_inner(
                                 WaitKind::LateReceiver,
                                 Some(dst as u32),
                             );
-                            attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_recv_cost);
+                            attrib::advance(clock, Bucket::Transfer, CTRL_RECV_COST);
                             if ok {
                                 break blocks;
                             }
@@ -528,7 +527,7 @@ pub(crate) fn finish_send_inner(
         };
         skip += this;
         if mode != IntegrityMode::EndToEnd {
-            attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_send_cost);
+            attrib::advance(clock, Bucket::Transfer, CTRL_SEND_COST);
             let arrival = clock.now() + world.ctrl_latency(rank, dst);
             world.mailboxes[dst].post_ctrl(
                 receiver_handle(handle),
@@ -684,7 +683,7 @@ pub(crate) fn recv_into_inner(
         WaitKind::LateSender,
         Some(env.src as u32),
     );
-    attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_recv_cost);
+    attrib::advance(clock, Bucket::Transfer, CTRL_RECV_COST);
     match env.head {
         Head::Eager { data, crc, .. } => {
             let len = data.len();
@@ -702,14 +701,7 @@ pub(crate) fn recv_into_inner(
                     }));
                 }
             }
-            unpack_into(
-                world,
-                clock,
-                &mut into,
-                0,
-                &data,
-                len > world.tuning.short_threshold,
-            );
+            unpack_into(world, clock, &mut into, 0, &data, len > SHORT_THRESHOLD);
             // Return the message's flow-control credits to the sender:
             // the grant becomes collectable at the match time plus one
             // control-packet latency. The sender folds it in inside a
@@ -736,7 +728,7 @@ pub(crate) fn recv_into_inner(
         }
         Head::Rts { size, handle } => {
             // Clear-to-send.
-            attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_send_cost);
+            attrib::advance(clock, Bucket::Transfer, CTRL_SEND_COST);
             let cts_arrival = clock.now() + world.ctrl_latency(rank, env.src);
             world.mailboxes[env.src].post_ctrl(
                 sender_handle(handle),
@@ -771,7 +763,7 @@ pub(crate) fn recv_into_inner(
                             WaitKind::LateSender,
                             Some(env.src as u32),
                         );
-                        attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_recv_cost);
+                        attrib::advance(clock, Bucket::Transfer, CTRL_RECV_COST);
                         return Err(world.escalate(ScimpiError::DataCorruption {
                             peer: env.src,
                             what: "rendezvous transfer",
@@ -786,7 +778,7 @@ pub(crate) fn recv_into_inner(
                     }
                 };
                 attrib::merge_waited(clock, arrival, WaitKind::LateSender, Some(env.src as u32));
-                attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_recv_cost);
+                attrib::advance(clock, Bucket::Transfer, CTRL_RECV_COST);
                 let slot_off = ring.slot_offset(slot);
                 // The slot is this receiver's from the sender's
                 // notification until the release below: verify and unpack
@@ -800,7 +792,7 @@ pub(crate) fn recv_into_inner(
                     let ok = slot_mem
                         .with_bytes(slot_off, len, |image| crc32(image) == expect)
                         .expect("slot in range");
-                    attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_send_cost);
+                    attrib::advance(clock, Bucket::Transfer, CTRL_SEND_COST);
                     let ack_arrival = clock.now() + world.ctrl_latency(rank, env.src);
                     world.mailboxes[env.src].post_ctrl(
                         sender_handle(handle),
@@ -905,13 +897,13 @@ impl Rank {
         let dst = self.to_world(dst);
         let len = data.total_len();
         if let SendData::Typed { c, .. } = &data {
-            // Resolving the committed layout costs a cache lookup when the
-            // layout cache is on, or a full re-flatten when it is off; the
+            // Resolving the committed layout costs a cache lookup with the
+            // pack engine on, or a full re-flatten with it off; the
             // adaptive selector then records which pack path this layout's
-            // density chose — governed by the rank's staging budget.
+            // density chose.
             let resolve = self.world.tuning.layout_resolve_cost(c);
             attrib::advance(&mut self.clock, Bucket::Pack, resolve);
-            let _lease = self.world.governed_path(self.rank, c, len, false);
+            self.world.tuning.select_path_recorded(c, len, false);
         }
         // Eager messages (short ones included) consume flow-control
         // credits at post time; an exhausted budget resolves per
@@ -932,7 +924,6 @@ impl Rank {
                 }
             }
         }
-        let t = &self.world.tuning;
         if eager {
             obs::inc(obs::Counter::EagerSends);
             let start = self.clock.now();
@@ -961,7 +952,7 @@ impl Rank {
             // rank's own thread, so turn order is program order even when
             // the chunk loop later runs on an engine thread.
             let ticket = self.world.ring(self.rank, dst).take_turn_ticket();
-            attrib::advance(&mut self.clock, Bucket::Transfer, t.ctrl_send_cost);
+            attrib::advance(&mut self.clock, Bucket::Transfer, CTRL_SEND_COST);
             let arrival = self.clock.now() + self.world.ctrl_latency(self.rank, dst);
             self.world.mailboxes[dst].post(Envelope {
                 src: self.rank,
@@ -1096,7 +1087,6 @@ impl Rank {
 
     fn send_eager(&mut self, dst: usize, tag: Tag, data: &SendData<'_>) -> Result<(), ScimpiError> {
         let world = Arc::clone(&self.world);
-        let ctrl_cost = world.tuning.ctrl_send_cost;
         let mut payload = pack_local(&world, &mut self.clock, data, 0, usize::MAX);
         let params = world.fabric.params();
         let len = payload.len();
@@ -1108,7 +1098,7 @@ impl Rank {
         } else {
             params.txn_overhead + params.pio_stream_bw(len).cost(len as u64) + params.store_barrier
         };
-        attrib::advance(&mut self.clock, Bucket::Transfer, ctrl_cost + cpu);
+        attrib::advance(&mut self.clock, Bucket::Transfer, CTRL_SEND_COST + cpu);
         // The eager payload travels with the envelope rather than through
         // `SharedMem`, so the fabric's silent faults are applied to the
         // wire image here (same per-pair streams, same burst geometry).

@@ -14,7 +14,7 @@
 //!   [`ScimpiError::Revoked`] at its front-arrival time instead of
 //!   running a timeout schedule per dead peer.
 //! * [`shrink`] runs a **fault-tolerant agreement** over the survivors
-//!   — `Tuning::agreement_sweeps` hypercube sweeps of dead-set bitmap
+//!   — `AGREEMENT_SWEEPS` hypercube sweeps of dead-set bitmap
 //!   exchanges, tolerating further deaths mid-agreement — and installs
 //!   the next membership epoch: a dense re-ranking of the survivors
 //!   with fresh collective state. Recovery-internal protocol runs
@@ -36,7 +36,7 @@ use crate::error::ScimpiError;
 use crate::mailbox::Ctrl;
 use crate::osc::{AllocMem, WinMemory, Window};
 use crate::runtime::Rank;
-use crate::tuning::IntegrityMode;
+use crate::tuning::{IntegrityMode, AGREEMENT_SWEEPS, BARRIER_HOP, CTRL_RECV_COST, CTRL_SEND_COST};
 use obs::attrib::{self, Bucket, WaitKind};
 use sci_fabric::crc32;
 use simclock::SimTime;
@@ -154,7 +154,7 @@ fn await_agree_signal(rank: &mut Rank, handle: u64, partner_w: usize) -> Option<
 }
 
 /// Fault-tolerant agreement on the dead set (exempt callers only):
-/// `Tuning::agreement_sweeps` hypercube sweeps over the current
+/// `AGREEMENT_SWEEPS` hypercube sweeps over the current
 /// membership's logical index space, each round exchanging dead-set
 /// bitmaps with the partner at `my_index ^ (1 << round)`. Both sides
 /// post their signal *before* awaiting the partner's, so live pairs
@@ -178,14 +178,13 @@ fn agree(rank: &mut Rank, die_after_sweeps: Option<u32>) -> Result<Vec<usize>, S
     let members = Arc::clone(&rank.members);
     let n = members.len();
     let epoch = rank.epoch();
-    let sweeps = rank.world.tuning.agreement_sweeps;
     let rounds = if n <= 1 {
         0
     } else {
         usize::BITS - (n - 1).leading_zeros()
     };
     let mut bitmap: u64 = 0;
-    for sweep in 0..sweeps {
+    for sweep in 0..AGREEMENT_SWEEPS {
         if die_after_sweeps == Some(sweep) {
             let node = rank.node().0;
             rank.world.fabric.faults().kill_node(node);
@@ -203,11 +202,7 @@ fn agree(rank: &mut Rank, die_after_sweeps: Option<u32>) -> Result<Vec<usize>, S
             obs::inc(obs::Counter::AgreementRounds);
             // Post first, then await: no ordering deadlock between the
             // two sides of a pair.
-            attrib::advance(
-                &mut rank.clock,
-                Bucket::Transfer,
-                rank.world.tuning.ctrl_send_cost,
-            );
+            attrib::advance(&mut rank.clock, Bucket::Transfer, CTRL_SEND_COST);
             let arrival = rank.clock.now() + rank.world.ctrl_latency(me_w, partner_w);
             rank.world.mailboxes[partner_w].post_ctrl(
                 agree_handle(epoch, sweep, round, me_w),
@@ -228,11 +223,7 @@ fn agree(rank: &mut Rank, die_after_sweeps: Option<u32>) -> Result<Vec<usize>, S
                         WaitKind::Recovery,
                         Some(partner_w as u32),
                     );
-                    attrib::advance(
-                        &mut rank.clock,
-                        Bucket::Transfer,
-                        rank.world.tuning.ctrl_recv_cost,
-                    );
+                    attrib::advance(&mut rank.clock, Bucket::Transfer, CTRL_RECV_COST);
                     bitmap |= theirs;
                 }
                 None => bitmap |= 1u64 << partner_w,
@@ -308,7 +299,7 @@ fn shrink_inner(
         // must have posted), so no rank still needs the revocation to
         // escape a blocked wait.
         world.reclaim_credits(&dead);
-        let barrier = Arc::new(TimeBarrier::new(members.len(), world.tuning.barrier_hop));
+        let barrier = Arc::new(TimeBarrier::new(members.len(), BARRIER_HOP));
         world.clear_revoke();
         world
             .epoch_barriers

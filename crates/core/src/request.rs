@@ -55,6 +55,7 @@ use crate::error::ScimpiError;
 use crate::mailbox::{Source, TagSel};
 use crate::p2p::{finish_send_inner, recv_into_inner, RecvBuf, RecvStatus, SendData, SendOpKind};
 use crate::runtime::Rank;
+use crate::tuning::PROGRESS_POLL_COST;
 use mpi_datatype::Committed;
 use simclock::{Clock, SimTime};
 use std::sync::{Arc, Mutex};
@@ -349,11 +350,6 @@ impl Rank {
             }));
         }
         let posted_at = self.clock.now();
-        obs::attrib::advance(
-            &mut self.clock,
-            obs::Bucket::Transfer,
-            self.world.tuning.request_post_cost,
-        );
         self.pending_requests += 1;
         obs::inc(obs::Counter::RequestsPosted);
         Ok(posted_at)
@@ -656,7 +652,7 @@ impl Rank {
     /// Nonblocking completion check (`MPI_Test`): `Some(result)` once
     /// the transfer's virtual end time has been reached by this rank's
     /// clock, `None` otherwise (charging
-    /// [`crate::Tuning::progress_poll_cost`] per unsuccessful poll, like
+    /// `PROGRESS_POLL_COST` (50 ns) per unsuccessful poll, like
     /// a real progress-engine tick). The verdict compares virtual times
     /// only, so test loops are deterministic.
     pub fn test<T: Clone + Send + 'static>(
@@ -672,11 +668,7 @@ impl Rank {
         if end <= self.clock.now() {
             Some(self.wait(req))
         } else {
-            obs::attrib::advance(
-                &mut self.clock,
-                obs::Bucket::Transfer,
-                self.world.tuning.progress_poll_cost,
-            );
+            obs::attrib::advance(&mut self.clock, obs::Bucket::Transfer, PROGRESS_POLL_COST);
             None
         }
     }
@@ -807,8 +799,8 @@ mod tests {
 
     #[test]
     fn isend_wait_without_compute_matches_blocking_send() {
-        // request_post_cost defaults to zero, so posting and immediately
-        // waiting must be bit-identical to the blocking call.
+        // Posting costs nothing, so posting and immediately waiting must
+        // be bit-identical to the blocking call.
         let run_pair = |nonblocking: bool| {
             run(ClusterSpec::ringlet(2), move |r| {
                 if r.rank() == 0 {

@@ -13,7 +13,9 @@
 
 use crate::error::{ErrorMode, ScimpiError};
 use crate::mailbox::Mailbox;
-use crate::tuning::Tuning;
+use crate::tuning::{
+    Tuning, BARRIER_HOP, CRC_COST_PER_BYTE, PROBE_COST, REVOKE_HOP_COST, RING_SLOTS,
+};
 pub use obs::ObsConfig;
 use sci_fabric::{Fabric, FabricSpec, FaultConfig, SciParams, Topology};
 use simclock::{Clock, SimDuration, SimTime};
@@ -480,14 +482,6 @@ pub(crate) struct WorldState {
     /// and keyed by receiver, created lazily like `rings`. A sender's
     /// barrier walks only its own pools.
     pub credits: Vec<Mutex<HashMap<usize, Arc<PairCredits>>>>,
-    /// Per-rank bytes currently charged against the window memory
-    /// budget ([`Tuning::window_budget_bytes`]). Indexed by world rank;
-    /// only that rank's thread charges or releases, so the balance is
-    /// deterministic.
-    pub window_bytes: Vec<std::sync::atomic::AtomicUsize>,
-    /// Per-rank staging-buffer ledgers governing pack-path selection
-    /// ([`Tuning::staging_budget_bytes`]). Indexed by world rank.
-    pub staging: Vec<crate::sink::StagingLedger>,
     /// Survivors waiting for the shrink leader to publish a new
     /// membership epoch, under `epoch_barriers` (see `recovery::shrink`).
     pub epoch_waiters: sched::WaitQueue,
@@ -520,10 +514,9 @@ impl WorldState {
     pub fn ring(self: &Arc<Self>, src: usize, dst: usize) -> Arc<PairRing> {
         let mut rings = self.rings.lock().unwrap();
         Arc::clone(rings.entry((src, dst)).or_insert_with(|| {
-            let slots = self.tuning.ring_slots;
             let chunk = self.tuning.rendezvous_chunk;
-            let region = self.smi.create_region(ProcId(dst), slots * chunk);
-            Arc::new(PairRing::new(region, slots, chunk))
+            let region = self.smi.create_region(ProcId(dst), RING_SLOTS * chunk);
+            Arc::new(PairRing::new(region, RING_SLOTS, chunk))
         }))
     }
 
@@ -562,81 +555,6 @@ impl WorldState {
         }
     }
 
-    /// Pack-path selection under the staging budget: the tuning
-    /// selector's verdict is downgraded `Dma → Staged → DirectFf` when
-    /// `rank`'s staging ledger cannot cover the lease the chosen path
-    /// needs. The DMA path stages the whole message in a pinned pack
-    /// buffer; the generic staged engine recycles one
-    /// `rendezvous_chunk`-sized bounce buffer; `direct_pack_ff` streams
-    /// with no staging at all — which is why it is the terminal
-    /// degradation step. Returns the governed path plus the staging
-    /// lease held for the transfer (drop it when the transfer is done).
-    pub fn governed_path(
-        &self,
-        rank: usize,
-        c: &mpi_datatype::Committed,
-        total: usize,
-        dma_available: bool,
-    ) -> (
-        crate::tuning::PackPath,
-        Option<crate::sink::StagingLease<'_>>,
-    ) {
-        use crate::tuning::PackPath;
-        let ledger = &self.staging[rank];
-        let staged_need = self.tuning.rendezvous_chunk.min(total);
-        let (path, lease) = match self.tuning.select_path(c, total, dma_available) {
-            PackPath::Dma => match ledger.try_acquire(total) {
-                Some(l) => (PackPath::Dma, Some(l)),
-                None => {
-                    obs::inc(obs::Counter::BudgetDenials);
-                    obs::inc(obs::Counter::DegradedPaths);
-                    match ledger.try_acquire(staged_need) {
-                        Some(l) => (PackPath::Staged, Some(l)),
-                        None => (PackPath::DirectFf, None),
-                    }
-                }
-            },
-            PackPath::Staged => match ledger.try_acquire(staged_need) {
-                Some(l) => (PackPath::Staged, Some(l)),
-                None => {
-                    obs::inc(obs::Counter::BudgetDenials);
-                    obs::inc(obs::Counter::DegradedPaths);
-                    (PackPath::DirectFf, None)
-                }
-            },
-            PackPath::DirectFf => (PackPath::DirectFf, None),
-        };
-        obs::inc(match path {
-            PackPath::DirectFf => obs::Counter::PathSelectedDirectFf,
-            PackPath::Staged => obs::Counter::PathSelectedStaged,
-            PackPath::Dma => obs::Counter::PathSelectedDma,
-        });
-        (path, lease)
-    }
-
-    /// Charge `len` bytes of window / `MPI_Alloc_mem` memory on `rank`
-    /// against [`Tuning::window_budget_bytes`].
-    pub fn charge_window(&self, rank: usize, len: usize) -> Result<(), ScimpiError> {
-        let limit = self.tuning.window_budget_bytes;
-        let used = self.window_bytes[rank].load(Ordering::Relaxed);
-        if used.saturating_add(len) > limit {
-            obs::inc(obs::Counter::BudgetDenials);
-            return Err(ScimpiError::ResourceExhausted {
-                what: "window memory",
-                needed: len,
-                limit,
-            });
-        }
-        self.window_bytes[rank].fetch_add(len, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Return window memory charged by [`WorldState::charge_window`].
-    pub fn release_window(&self, rank: usize, len: usize) {
-        let prev = self.window_bytes[rank].fetch_sub(len, Ordering::Relaxed);
-        debug_assert!(prev >= len, "window budget release underflow");
-    }
-
     /// The node hosting rank `r`.
     pub fn node_of(&self, r: usize) -> sci_fabric::NodeId {
         self.smi.node_of(ProcId(r))
@@ -671,7 +589,7 @@ impl WorldState {
     ///
     /// Pure read: the front spreads as a binomial-tree gossip rooted at
     /// the revoker, so the rank at hop distance `p = (me - by) mod n`
-    /// observes it `ceil(log2(p + 1))` hops of `revoke_hop_cost` after
+    /// observes it `ceil(log2(p + 1))` hops of `REVOKE_HOP_COST` after
     /// the revoke time — a deterministic function of `(at, by, me)`
     /// regardless of which thread asks first. Returns `None` when no
     /// revocation is installed or the calling thread is running exempt
@@ -685,10 +603,7 @@ impl WorldState {
             let n = self.mailboxes.len();
             let p = (me + n - r.by) % n;
             let depth = (usize::BITS - p.leading_zeros()) as u64;
-            (
-                r.at + self.tuning.revoke_hop_cost.saturating_mul(depth),
-                r.by,
-            )
+            (r.at + REVOKE_HOP_COST.saturating_mul(depth), r.by)
         })
     }
 
@@ -746,18 +661,15 @@ impl WorldState {
     }
 
     /// Charge the deterministic timeout/backoff schedule for a peer that
-    /// stopped responding and report it dead. The schedule is a pure
-    /// function of [`Tuning`] ([`crate::error::death_delay`]), so the
-    /// waiting rank's clock ends up bit-identical across runs.
+    /// stopped responding and report it dead. The schedule is a constant
+    /// ([`crate::error::death_delay`]), so the waiting rank's clock ends
+    /// up bit-identical across runs.
     pub fn declare_dead(&self, clock: &mut Clock, peer: usize, what: &'static str) -> ScimpiError {
-        let t = &self.tuning;
         let start = clock.now();
-        let mut window = t.ctrl_timeout;
-        for _ in 0..=t.max_protocol_retries {
+        for window in crate::error::timeout_windows() {
             clock.advance(window);
             obs::inc(obs::Counter::ProtocolTimeouts);
-            clock.advance(t.probe_cost);
-            window = crate::error::scale_window(window, t.timeout_backoff);
+            clock.advance(PROBE_COST);
         }
         obs::inc(obs::Counter::PeersDeclaredDead);
         obs::span(
@@ -786,7 +698,7 @@ impl WorldState {
     /// CPU cost of computing or verifying a CRC32 over `len` payload
     /// bytes (`EndToEnd` integrity framing).
     pub fn crc_cost(&self, len: usize) -> SimDuration {
-        self.tuning.crc_cost_per_byte.saturating_mul(len as u64)
+        CRC_COST_PER_BYTE.saturating_mul(len as u64)
     }
 
     /// One-way control-packet latency from rank `src` to rank `dst`.
@@ -1102,7 +1014,7 @@ where
         smi,
         tuning: spec.tuning.clone(),
         mailboxes,
-        barrier: TimeBarrier::new(size, spec.tuning.barrier_hop),
+        barrier: TimeBarrier::new(size, BARRIER_HOP),
         rings: Mutex::new(HashMap::new()),
         next_handle: AtomicU64::new(1),
         alloc_pools,
@@ -1112,12 +1024,6 @@ where
         revoke: Mutex::new(None),
         epoch_barriers: Mutex::new(HashMap::new()),
         credits: (0..size).map(|_| Mutex::new(HashMap::new())).collect(),
-        window_bytes: (0..size)
-            .map(|_| std::sync::atomic::AtomicUsize::new(0))
-            .collect(),
-        staging: (0..size)
-            .map(|_| crate::sink::StagingLedger::new(spec.tuning.staging_budget_bytes))
-            .collect(),
         epoch_waiters: sched::WaitQueue::new(),
         obs: recorder.clone(),
     });
@@ -1316,7 +1222,6 @@ mod tests {
     #[test]
     fn a_stalled_wait_leaves_the_free_list_the_credits_and_the_clock_alone() {
         let spec = ClusterSpec::ringlet(2);
-        let slots = spec.tuning.ring_slots;
         run(spec, |r| {
             if r.rank() != 0 {
                 return;
@@ -1324,7 +1229,7 @@ mod tests {
             // Every slot held and nobody to release one: the wait ends in
             // a stall round.
             let ring = r.world.ring(0, 1);
-            let held: Vec<usize> = (0..slots)
+            let held: Vec<usize> = (0..RING_SLOTS)
                 .map(|_| ring.try_acquire(&mut r.clock).expect("slot free"))
                 .collect();
             let before = r.now();
@@ -1334,14 +1239,14 @@ mod tests {
             for &s in &held {
                 ring.release(s, before);
             }
-            let mut free: Vec<usize> = (0..slots)
+            let mut free: Vec<usize> = (0..RING_SLOTS)
                 .map(|_| {
                     ring.try_acquire(&mut r.clock)
                         .expect("every slot came back")
                 })
                 .collect();
             free.sort_unstable();
-            assert_eq!(free, (0..slots).collect::<Vec<_>>());
+            assert_eq!(free, (0..RING_SLOTS).collect::<Vec<_>>());
             // No grant deposited: likewise, and the pool is as spent as
             // it was.
             let credits = r.world.credit(0, 1);

@@ -8,88 +8,12 @@
 //! The receive side needs no mirror type: `unpack_ff` reads the packed
 //! stream out of a borrowed view of the (receiver-local) ring slot
 //! (`SharedMem::with_bytes`).
-//!
-//! [`StagingLedger`] governs the *buffered* engines' memory: paths that
-//! stage packed data in an intermediate buffer (DMA pack buffers, the
-//! generic staged engine) lease their bytes from a per-rank budget, so
-//! an overloaded rank degrades to the bufferless `direct_pack_ff` path
-//! instead of growing staging memory without bound (see
-//! `docs/BACKPRESSURE.md`).
 
 use core::mem::MaybeUninit;
 use mpi_datatype::ff::{gather, Run};
 use mpi_datatype::PackSink;
 use sci_fabric::{PioStream, SciError};
 use simclock::Clock;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A per-rank staging-buffer budget (`Tuning::staging_budget_bytes`).
-///
-/// Buffered pack paths lease bytes before allocating their staging
-/// buffers and the lease returns them on drop, so peak staging memory is
-/// capped. Only the owning rank's thread acquires leases, which keeps
-/// the grant/deny verdict — and therefore the chosen pack path —
-/// deterministic.
-pub struct StagingLedger {
-    in_use: AtomicUsize,
-    budget: usize,
-}
-
-impl StagingLedger {
-    /// A ledger with `budget` leasable bytes.
-    pub fn new(budget: usize) -> Self {
-        StagingLedger {
-            in_use: AtomicUsize::new(0),
-            budget,
-        }
-    }
-
-    /// Lease `len` bytes of staging memory, or `None` when the budget
-    /// cannot cover them (callers degrade to a less buffer-hungry path).
-    pub fn try_acquire(&self, len: usize) -> Option<StagingLease<'_>> {
-        let cur = self.in_use.load(Ordering::Relaxed);
-        if cur.saturating_add(len) > self.budget {
-            return None;
-        }
-        self.in_use.fetch_add(len, Ordering::Relaxed);
-        Some(StagingLease { ledger: self, len })
-    }
-
-    /// Bytes currently leased.
-    pub fn in_use(&self) -> usize {
-        self.in_use.load(Ordering::Relaxed)
-    }
-
-    /// The leasable budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-}
-
-/// RAII lease of staging bytes; returns them to the ledger on drop.
-pub struct StagingLease<'a> {
-    ledger: &'a StagingLedger,
-    len: usize,
-}
-
-impl StagingLease<'_> {
-    /// Bytes held by this lease.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the lease holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Drop for StagingLease<'_> {
-    fn drop(&mut self) {
-        let prev = self.ledger.in_use.fetch_sub(self.len, Ordering::Relaxed);
-        debug_assert!(prev >= self.len, "staging lease release underflow");
-    }
-}
 
 /// A [`PackSink`] that streams blocks into remote memory through a
 /// [`PioStream`] at consecutive ascending offsets, one
@@ -226,23 +150,6 @@ mod tests {
             batched_time < plain_time,
             "batched {batched_time:?} should beat unbatched {plain_time:?}"
         );
-    }
-
-    #[test]
-    fn staging_ledger_leases_and_releases() {
-        let ledger = StagingLedger::new(100);
-        let a = ledger.try_acquire(60).expect("60 of 100 fits");
-        assert_eq!(ledger.in_use(), 60);
-        assert!(ledger.try_acquire(50).is_none(), "110 > budget");
-        let b = ledger.try_acquire(40).expect("exactly fills the budget");
-        assert_eq!(b.len(), 40);
-        assert!(!b.is_empty());
-        assert_eq!(ledger.in_use(), 100);
-        drop(a);
-        assert_eq!(ledger.in_use(), 40);
-        drop(b);
-        assert_eq!(ledger.in_use(), 0);
-        assert_eq!(ledger.budget(), 100);
     }
 
     #[test]

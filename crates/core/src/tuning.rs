@@ -1,14 +1,82 @@
 //! Protocol tuning parameters of the SCI-MPICH reproduction.
 //!
-//! These correspond to the device-configuration knobs of SCI-MPICH's
-//! `ch_smi` device: protocol switch points, ring-buffer geometry, and the
-//! CPU cost constants of the two packing engines. The defaults are
-//! calibrated so the benchmark harnesses reproduce the *shapes* of the
-//! paper's figures (see EXPERIMENTS.md).
+//! [`Tuning`] holds the device-configuration knobs of SCI-MPICH's
+//! `ch_smi` device that a run may turn: protocol switch points, the
+//! engine selection, integrity, flow control and the collective
+//! crossovers. The cost model's fixed values — CPU costs of the two
+//! packing engines and of control packets, the timeout schedule, the
+//! ring geometry — are the constants below. Both are calibrated so the
+//! benchmark harnesses reproduce the *shapes* of the paper's figures
+//! (see EXPERIMENTS.md).
 
 use crate::error::ScimpiError;
 use mpi_datatype::Committed;
 use simclock::SimDuration;
+
+/// Messages up to this size travel in the control packet itself
+/// ("short" protocol).
+pub const SHORT_THRESHOLD: usize = 128;
+/// Rendezvous ring-buffer slots per sender/receiver pair (in-flight
+/// chunks).
+pub const RING_SLOTS: usize = 2;
+/// CPU overhead per contiguous segment in the generic engine (recursive
+/// tree traversal per segment).
+pub(crate) const GENERIC_VISIT_COST: SimDuration = SimDuration::from_ns(300);
+/// CPU overhead per basic block in `direct_pack_ff` (simple stack
+/// operations).
+pub(crate) const FF_BLOCK_COST: SimDuration = SimDuration::from_ns(30);
+/// Cost to assemble and send one control packet (RTS/CTS/interrupt
+/// payloads).
+pub(crate) const CTRL_SEND_COST: SimDuration = SimDuration::from_ns(900);
+/// Cost to parse one received control packet.
+pub(crate) const CTRL_RECV_COST: SimDuration = SimDuration::from_ns(500);
+/// Per-tree-level cost of the barrier used by collectives and fences.
+pub(crate) const BARRIER_HOP: SimDuration = SimDuration::from_ns(1600);
+/// First virtual-time timeout window for protocol waits (rendezvous
+/// handshake, ring slots, one-sided control); each later window doubles.
+/// Only charged when the peer turns out dead — a healthy-but-slow peer
+/// costs nothing extra.
+pub(crate) const CTRL_TIMEOUT: SimDuration = SimDuration::from_us(200);
+/// Timeout windows run through after the first before a peer is
+/// declared dead.
+pub(crate) const MAX_PROTOCOL_RETRIES: u32 = 4;
+/// Cost of one connection-monitor probe after a timeout window expires
+/// (small remote read round trip).
+pub(crate) const PROBE_COST: SimDuration = SimDuration::from_us(4);
+/// CPU cost per byte of computing/verifying a CRC32 (software
+/// checksumming on the P-III: roughly 300 MiB/s).
+pub(crate) const CRC_COST_PER_BYTE: SimDuration = SimDuration::from_ps(3200);
+/// Cost of one layout-cache lookup (hash of the type signature plus a
+/// table probe) with the pack engine on.
+pub(crate) const LAYOUT_LOOKUP_COST: SimDuration = SimDuration::from_ns(40);
+/// Cost per flattening operation (tree-node visit or unrolled leaf copy)
+/// to re-derive the layout with the pack engine off. Multiplied by
+/// `Committed::flatten_ops`.
+pub(crate) const LAYOUT_FLATTEN_OP_COST: SimDuration = SimDuration::from_ns(25);
+/// Smallest typed one-sided transfer the adaptive selector will route
+/// to DMA (descriptor posting is expensive; below this PIO always wins).
+pub(crate) const DMA_MIN_TOTAL: usize = 128 * 1024;
+/// Mean block length from which DMA scatter/gather is no longer
+/// considered: long contiguous runs stream faster through PIO than
+/// through the DMA engine, so only fine-grained layouts convert.
+pub(crate) const DMA_MAX_BLOCK: usize = 256;
+/// CPU cost charged each time `Rank::test` polls an incomplete request
+/// (the completion check against the link timeline).
+pub(crate) const PROGRESS_POLL_COST: SimDuration = SimDuration::from_ns(50);
+/// Per-hop propagation cost of the revocation gossip front: after a
+/// rank revokes the communicator at virtual time `t`, a rank at
+/// binomial-tree depth `d` from the revoker observes the revocation at
+/// `t + d * REVOKE_HOP_COST` (deterministic virtual-time gossip).
+pub(crate) const REVOKE_HOP_COST: SimDuration = SimDuration::from_us(5);
+/// Hypercube sweeps the fault-tolerant agreement collective runs over
+/// the member set. Each sweep is a full log2-round exchange of dead
+/// bitmaps; `k` sweeps tolerate `k - 1` additional deaths striking
+/// mid-agreement while still converging all survivors to the same
+/// verdict.
+pub(crate) const AGREEMENT_SWEEPS: u32 = 3;
+/// Pipeline chunk size for the one-sided ring bcast (each chunk is one
+/// window put forwarded down the ring).
+pub(crate) const COLL_RING_CHUNK: usize = 32 * 1024;
 
 /// Which engine a non-contiguous transfer should use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -122,12 +190,9 @@ pub enum CollectiveAlgo {
     Bruck,
 }
 
-/// Protocol and cost-model knobs.
+/// Protocol knobs a run may turn.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tuning {
-    /// Messages up to this size travel in the control packet itself
-    /// ("short" protocol).
-    pub short_threshold: usize,
     /// Messages up to this size are sent eagerly into the receiver's
     /// pre-posted buffer space; larger ones use rendezvous. `0`
     /// disables the eager path entirely (the rendezvous-only ablation).
@@ -135,8 +200,6 @@ pub struct Tuning {
     /// Rendezvous ring-buffer chunk size. Kept at or below the L2 capacity
     /// to avoid cache-line thrashing with `direct_pack_ff` (§3.3.2).
     pub rendezvous_chunk: usize,
-    /// Ring-buffer slots per sender/receiver pair (in-flight chunks).
-    pub ring_slots: usize,
     /// Non-contiguous engine selection.
     pub noncontig: NoncontigMode,
     /// Minimum basic-block size for which `Auto` picks `direct_pack_ff`.
@@ -144,35 +207,10 @@ pub struct Tuning {
     /// sweep; the default 16 avoids the 8-byte-granularity regime where
     /// the generic engine wins inter-node.
     pub ff_min_block: usize,
-    /// CPU overhead per basic block in the generic engine (recursive tree
-    /// traversal per block).
-    pub generic_visit_cost: SimDuration,
-    /// CPU overhead per basic block in `direct_pack_ff` (simple stack
-    /// operations).
-    pub ff_block_cost: SimDuration,
-    /// Cost to assemble and send one control packet (RTS/CTS/interrupt
-    /// payloads).
-    pub ctrl_send_cost: SimDuration,
-    /// Cost to parse one received control packet.
-    pub ctrl_recv_cost: SimDuration,
-    /// Per-tree-level cost of the barrier used by collectives and fences.
-    pub barrier_hop: SimDuration,
     /// `MPI_Get` requests at or above this size are converted to a
     /// *remote-put* executed by the target (§4.2); below it the origin
     /// reads directly (reads are slow but low-latency for small data).
     pub get_remote_put_threshold: usize,
-    /// First virtual-time timeout window for protocol waits (rendezvous
-    /// handshake, ring slots, one-sided control). Only charged when the
-    /// peer turns out dead — a healthy-but-slow peer costs nothing extra.
-    pub ctrl_timeout: SimDuration,
-    /// Multiplier applied to the timeout window after each expiry
-    /// (exponential backoff).
-    pub timeout_backoff: f64,
-    /// Timeout windows to run through before declaring a peer dead.
-    pub max_protocol_retries: u32,
-    /// Cost of one connection-monitor probe after a timeout window
-    /// expires (small remote read round trip).
-    pub probe_cost: SimDuration,
     /// Consecutive direct-path failures on a one-sided target before the
     /// window falls back to the emulated control-message path for it.
     pub osc_fallback_threshold: u32,
@@ -182,52 +220,13 @@ pub struct Tuning {
     /// rendezvous chunk, one-sided epoch region) in `EndToEnd` mode.
     /// Exhausting it surfaces [`crate::ScimpiError::DataCorruption`].
     pub max_retransmits: u32,
-    /// CPU cost per byte of computing/verifying a CRC32 (software
-    /// checksumming on the P-III: roughly 300 MiB/s).
-    pub crc_cost_per_byte: SimDuration,
-    /// Use the commit-time layout cache: typed transfers resolve the
-    /// flattened layout by signature lookup instead of re-flattening the
-    /// type tree per transfer (see [`Tuning::layout_resolve_cost`]).
-    pub layout_cache: bool,
-    /// Route `direct_pack_ff` leaf stores through the write-combining
-    /// store batcher (`PioStream::write_batched`) instead of issuing one
-    /// PIO store per leaf block.
-    pub wc_batching: bool,
-    /// Cost of one layout-cache lookup (hash of the type signature plus a
-    /// table probe) when [`Tuning::layout_cache`] is on.
-    pub layout_lookup_cost: SimDuration,
-    /// Cost per flattening operation (tree-node visit or unrolled leaf
-    /// copy) to re-derive the layout when the cache is off. Multiplied by
-    /// `Committed::flatten_ops`.
-    pub layout_flatten_op_cost: SimDuration,
-    /// Smallest typed one-sided transfer the adaptive selector will route
-    /// to DMA (descriptor posting is expensive; below this PIO always
-    /// wins).
-    pub dma_min_total: usize,
-    /// Largest mean block length for which DMA scatter/gather is
-    /// considered: long contiguous runs stream faster through PIO than
-    /// through the DMA engine, so only fine-grained layouts convert.
-    pub dma_max_block: usize,
-    /// CPU cost charged on the posting rank's clock when a nonblocking
-    /// request (`isend`/`irecv`/`iput`/`iget`/`ialltoall`) is posted:
-    /// allocating the request record and kicking the progress engine.
-    /// Defaults to zero so `isend + wait` is bit-identical to `send`;
-    /// raise it to model descriptor-queue overhead.
-    pub request_post_cost: SimDuration,
-    /// CPU cost charged each time `Rank::test` polls an incomplete
-    /// request (the completion check against the link timeline).
-    pub progress_poll_cost: SimDuration,
-    /// Per-hop propagation cost of the revocation gossip front: after a
-    /// rank revokes the communicator at virtual time `t`, a rank at
-    /// binomial-tree depth `d` from the revoker observes the revocation
-    /// at `t + d * revoke_hop_cost` (deterministic virtual-time gossip).
-    pub revoke_hop_cost: SimDuration,
-    /// Hypercube sweeps the fault-tolerant agreement collective runs over
-    /// the member set. Each sweep is a full log2-round exchange of dead
-    /// bitmaps; `k` sweeps tolerate `k - 1` additional deaths striking
-    /// mid-agreement while still converging all survivors to the same
-    /// verdict.
-    pub agreement_sweeps: u32,
+    /// The adaptive pack engine: typed transfers resolve the flattened
+    /// layout by signature lookup instead of re-flattening the type tree
+    /// per transfer (see [`Tuning::layout_resolve_cost`]), and
+    /// `direct_pack_ff` leaf stores go through the write-combining store
+    /// batcher (`PioStream::write_batched`) instead of one PIO store per
+    /// leaf block.
+    pub pack_engine: bool,
     /// Per sender/receiver pair eager-buffer byte budget: the sum of
     /// eager payload bytes a sender may have posted but not yet credited
     /// back by the receiver. Models the finite pre-posted receive buffer
@@ -239,15 +238,6 @@ pub struct Tuning {
     pub eager_credit_slots: usize,
     /// What a sender does when the pair's eager credits run out.
     pub overload_policy: OverloadPolicy,
-    /// Per-rank byte budget for one-sided window and `alloc_mem`
-    /// registrations; exceeding it surfaces
-    /// [`ScimpiError::ResourceExhausted`]. `usize::MAX` = ungoverned.
-    pub window_budget_bytes: usize,
-    /// Per-rank byte budget for staged pack buffers. When a transfer the
-    /// selector would stage (or DMA) does not fit the remaining budget,
-    /// the path degrades Dma → Staged → DirectFf instead of allocating.
-    /// `usize::MAX` = ungoverned.
-    pub staging_budget_bytes: usize,
     /// Cap on one rank's simultaneously pending nonblocking requests;
     /// posting past it surfaces [`ScimpiError::ResourceExhausted`].
     /// `usize::MAX` = ungoverned.
@@ -267,55 +257,28 @@ pub struct Tuning {
     /// Largest equal-size alltoall block for which `Auto` picks the
     /// Bruck schedule over pairwise exchange.
     pub coll_bruck_max: usize,
-    /// Pipeline chunk size for the one-sided ring bcast (each chunk is
-    /// one window put forwarded down the ring).
-    pub coll_ring_chunk: usize,
 }
 
 impl Default for Tuning {
     fn default() -> Self {
         Tuning {
-            short_threshold: 128,
             eager_threshold: 16 * 1024,
             rendezvous_chunk: 64 * 1024,
-            ring_slots: 2,
             noncontig: NoncontigMode::Auto,
             ff_min_block: 16,
-            generic_visit_cost: SimDuration::from_ns(300),
-            ff_block_cost: SimDuration::from_ns(30),
-            ctrl_send_cost: SimDuration::from_ns(900),
-            ctrl_recv_cost: SimDuration::from_ns(500),
-            barrier_hop: SimDuration::from_us_f64(1.6),
             get_remote_put_threshold: 512,
-            ctrl_timeout: SimDuration::from_us(200),
-            timeout_backoff: 2.0,
-            max_protocol_retries: 4,
-            probe_cost: SimDuration::from_us(4),
             osc_fallback_threshold: 2,
             integrity_mode: IntegrityMode::Off,
             max_retransmits: 4,
-            crc_cost_per_byte: SimDuration::from_ps(3200),
-            layout_cache: true,
-            wc_batching: true,
-            layout_lookup_cost: SimDuration::from_ns(40),
-            layout_flatten_op_cost: SimDuration::from_ns(25),
-            dma_min_total: 128 * 1024,
-            dma_max_block: 256,
-            request_post_cost: SimDuration::ZERO,
-            progress_poll_cost: SimDuration::from_ns(50),
-            revoke_hop_cost: SimDuration::from_us(5),
-            agreement_sweeps: 3,
+            pack_engine: true,
             eager_credits_bytes: 4 * 1024 * 1024,
             eager_credit_slots: 256,
             overload_policy: OverloadPolicy::Stall,
-            window_budget_bytes: usize::MAX,
-            staging_budget_bytes: usize::MAX,
             max_inflight_requests: usize::MAX,
             collective_algo: CollectiveAlgo::Auto,
             coll_small_max: 4 * 1024,
             coll_ring_min: 256 * 1024,
             coll_bruck_max: 512,
-            coll_ring_chunk: 32 * 1024,
         }
     }
 }
@@ -339,23 +302,21 @@ impl Tuning {
     /// and issue unbatched per-leaf stores (the pre-cache behaviour the
     /// ablation benches compare against).
     pub fn without_pack_engine(mut self) -> Self {
-        self.layout_cache = false;
-        self.wc_batching = false;
+        self.pack_engine = false;
         self
     }
 
     /// Virtual-time cost to resolve `c`'s flattened layout at the start of
-    /// one typed transfer: a signature lookup when the layout cache is on,
-    /// a full re-flatten (proportional to the memoised
-    /// [`Committed::flatten_ops`]) when it is off. A pure function of the
+    /// one typed transfer: a signature lookup with the pack engine on, a
+    /// full re-flatten (proportional to the memoised
+    /// [`Committed::flatten_ops`]) with it off. A pure function of the
     /// tuning and the committed type, so simulated time stays deterministic
     /// regardless of what the process-wide layout memo already holds.
     pub fn layout_resolve_cost(&self, c: &Committed) -> SimDuration {
-        if self.layout_cache {
-            self.layout_lookup_cost
+        if self.pack_engine {
+            LAYOUT_LOOKUP_COST
         } else {
-            self.layout_flatten_op_cost
-                .saturating_mul(c.flatten_ops() as u64)
+            LAYOUT_FLATTEN_OP_COST.saturating_mul(c.flatten_ops() as u64)
         }
     }
 
@@ -373,8 +334,8 @@ impl Tuning {
             NoncontigMode::Auto => {
                 let density = c.density();
                 if dma_available
-                    && total >= self.dma_min_total
-                    && density.avg_block_len < self.dma_max_block as f64
+                    && total >= DMA_MIN_TOTAL
+                    && density.avg_block_len < DMA_MAX_BLOCK as f64
                 {
                     return PackPath::Dma;
                 }
@@ -412,32 +373,27 @@ impl Tuning {
         // `eager_threshold == 0` disables the eager path outright (the
         // rendezvous-only ablation), so the short/eager ordering only
         // binds when eager messages can exist at all.
-        if self.eager_threshold > 0 && self.short_threshold >= self.eager_threshold {
+        if self.eager_threshold > 0 && SHORT_THRESHOLD >= self.eager_threshold {
             return fail(format!(
-                "short_threshold ({}) must be below eager_threshold ({})",
-                self.short_threshold, self.eager_threshold
+                "short threshold ({SHORT_THRESHOLD}) must be below eager_threshold ({})",
+                self.eager_threshold
             ));
         }
-        if self.ring_slots < 1 {
-            return fail("ring_slots must be at least 1".into());
+        // A zero chunk never advances the rendezvous chunk loop.
+        if self.rendezvous_chunk < 1 {
+            return fail("rendezvous_chunk must be at least 1".into());
         }
-        if self.eager_threshold > self.rendezvous_chunk * self.ring_slots {
+        // The pair ring region is sized by this product.
+        let Some(ring) = self.rendezvous_chunk.checked_mul(RING_SLOTS) else {
             return fail(format!(
-                "eager_threshold ({}) must not exceed rendezvous_chunk * ring_slots ({})",
-                self.eager_threshold,
-                self.rendezvous_chunk * self.ring_slots
+                "rendezvous_chunk ({}) * ring slots ({RING_SLOTS}) overflows",
+                self.rendezvous_chunk
             ));
-        }
-        if self.ff_block_cost >= self.generic_visit_cost {
+        };
+        if self.eager_threshold > ring {
             return fail(format!(
-                "ff_block_cost ({:?}) must be below generic_visit_cost ({:?})",
-                self.ff_block_cost, self.generic_visit_cost
-            ));
-        }
-        if self.timeout_backoff < 1.0 {
-            return fail(format!(
-                "timeout_backoff ({}) must be at least 1.0 or the timeout schedule shrinks",
-                self.timeout_backoff
+                "eager_threshold ({}) must not exceed rendezvous_chunk * ring slots ({ring})",
+                self.eager_threshold
             ));
         }
         if self.eager_credits_bytes < self.eager_threshold {
@@ -448,9 +404,6 @@ impl Tuning {
         }
         if self.eager_credit_slots < 1 {
             return fail("eager_credit_slots must be at least 1".into());
-        }
-        if self.coll_ring_chunk == 0 {
-            return fail("coll_ring_chunk must be at least 1".into());
         }
         Ok(())
     }
@@ -463,9 +416,8 @@ mod tests {
     #[test]
     fn default_thresholds_ordered() {
         let t = Tuning::default();
-        assert!(t.short_threshold < t.eager_threshold);
-        assert!(t.eager_threshold < t.rendezvous_chunk * t.ring_slots);
-        assert!(t.ff_block_cost < t.generic_visit_cost);
+        assert!(SHORT_THRESHOLD < t.eager_threshold);
+        assert!(t.eager_threshold < t.rendezvous_chunk * RING_SLOTS);
         t.validate().expect("the default tuning is valid");
     }
 
@@ -484,7 +436,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_short_at_or_above_eager() {
-        assert_invalid(|t| t.short_threshold = t.eager_threshold, "short_threshold");
+        assert_invalid(|t| t.eager_threshold = SHORT_THRESHOLD, "short threshold");
     }
 
     #[test]
@@ -500,24 +452,28 @@ mod tests {
     #[test]
     fn validate_rejects_eager_above_ring_capacity() {
         assert_invalid(
-            |t| t.eager_threshold = t.rendezvous_chunk * t.ring_slots + 1,
-            "rendezvous_chunk * ring_slots",
+            |t| t.eager_threshold = t.rendezvous_chunk * RING_SLOTS + 1,
+            "rendezvous_chunk * ring slots",
         );
     }
 
     #[test]
-    fn validate_rejects_zero_ring_slots() {
-        assert_invalid(|t| t.ring_slots = 0, "ring_slots");
+    fn validate_rejects_zero_rendezvous_chunk() {
+        // With the eager path off every non-empty send is rendezvous, and
+        // a zero chunk would spin in the chunk loop.
+        assert_invalid(
+            |t| {
+                t.eager_threshold = 0;
+                t.rendezvous_chunk = 0;
+            },
+            "rendezvous_chunk must be at least 1",
+        );
     }
 
     #[test]
-    fn validate_rejects_ff_cost_at_or_above_generic() {
-        assert_invalid(|t| t.ff_block_cost = t.generic_visit_cost, "ff_block_cost");
-    }
-
-    #[test]
-    fn validate_rejects_shrinking_backoff() {
-        assert_invalid(|t| t.timeout_backoff = 0.5, "timeout_backoff");
+    fn validate_rejects_ring_size_overflow() {
+        assert_invalid(|t| t.rendezvous_chunk = usize::MAX / 2 + 1, "overflows");
+        assert_invalid(|t| t.rendezvous_chunk = usize::MAX, "overflows");
     }
 
     #[test]
@@ -534,18 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_ring_chunk() {
-        assert_invalid(|t| t.coll_ring_chunk = 0, "coll_ring_chunk");
-    }
-
-    #[test]
     fn default_collective_algo_is_auto() {
         assert_eq!(CollectiveAlgo::default(), CollectiveAlgo::Auto);
         let t = Tuning::default();
         assert_eq!(t.collective_algo, CollectiveAlgo::Auto);
         assert!(t.coll_bruck_max < t.coll_small_max);
         assert!(t.coll_small_max < t.coll_ring_min);
-        assert!(t.coll_ring_chunk > 0);
     }
 
     #[test]
@@ -570,14 +520,12 @@ mod tests {
     #[test]
     fn engine_presets_preserve_pack_engine_flags() {
         // The fig7 harness applies the engine presets on top of the
-        // caller's tuning; the pack-engine toggles must survive that.
+        // caller's tuning; the pack-engine switch must survive that.
         let t = Tuning::default().without_pack_engine();
-        assert!(!t.layout_cache && !t.wc_batching);
-        let ff = t.clone().full_ff_comparison();
-        assert!(!ff.layout_cache && !ff.wc_batching);
-        let gen = t.generic_only();
-        assert!(!gen.layout_cache && !gen.wc_batching);
-        assert!(Tuning::default().layout_cache && Tuning::default().wc_batching);
+        assert!(!t.pack_engine);
+        assert!(!t.clone().full_ff_comparison().pack_engine);
+        assert!(!t.generic_only().pack_engine);
+        assert!(Tuning::default().pack_engine);
     }
 
     #[test]
@@ -586,11 +534,10 @@ mod tests {
         let c = Committed::commit(&dt);
         let cached = Tuning::default();
         let cold = Tuning::default().without_pack_engine();
-        assert_eq!(cached.layout_resolve_cost(&c), cached.layout_lookup_cost);
+        assert_eq!(cached.layout_resolve_cost(&c), LAYOUT_LOOKUP_COST);
         assert_eq!(
             cold.layout_resolve_cost(&c),
-            cold.layout_flatten_op_cost
-                .saturating_mul(c.flatten_ops() as u64)
+            LAYOUT_FLATTEN_OP_COST.saturating_mul(c.flatten_ops() as u64)
         );
         assert!(cold.layout_resolve_cost(&c) > cached.layout_resolve_cost(&c));
     }

@@ -272,7 +272,7 @@ fn emulated_one_sided_sweep_under_link_failure() {
 /// deterministic timeout/backoff budget — no hang, no real-time dependence.
 #[test]
 fn dead_peer_is_detected_within_the_virtual_time_budget() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     run(chaos_spec(), move |r| {
         r.barrier();
         if r.rank() == 6 {
@@ -438,7 +438,7 @@ fn check_dying_outcomes(
 /// while the subtree served before the death completes bit-perfectly.
 #[test]
 fn dying_interior_rank_cuts_bcast_deterministically() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     // Binomial tree from root 0 over 8 ranks: 0→{4,2,1}, 2→3, 4→{6,5},
     // 6→7, and the root sends highest-mask-first. Victim 2: rank 0 serves
     // 4's subtree, then dies on the send to 2 (never reaching 1); rank 3
@@ -476,7 +476,7 @@ fn dying_interior_rank_cuts_bcast_deterministically() {
 /// rest finish the reduce but strand in the broadcast and get `Revoked`.
 #[test]
 fn dying_root_fails_allreduce_on_every_survivor() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     let a = dying_collective(0, 1, |r| {
         let mut buf = vec![1.0f64; F64_RDV];
         r.allreduce(&mut buf, ReduceOp::Sum)
@@ -496,7 +496,7 @@ fn dying_root_fails_allreduce_on_every_survivor() {
 /// the revocation instead of hanging on a live peer.
 #[test]
 fn dying_sender_mid_gather_strands_then_revokes() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     let a = dying_collective(3, 0, |r| {
         let mine = vec![r.rank() as u8; RDV];
         r.gatherv(0, &mine).map(|_| ())
@@ -516,7 +516,7 @@ fn dying_sender_mid_gather_strands_then_revokes() {
 /// must be released by the revocation.
 #[test]
 fn dying_contributor_fails_allgather_everywhere() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     let a = dying_collective(5, 0, |r| {
         let mine = vec![r.rank() as u8; RDV];
         r.allgather(&mine).map(|_| ())
@@ -535,7 +535,7 @@ fn dying_contributor_fails_allgather_everywhere() {
 /// and the tail of the chain is stranded until the revocation.
 #[test]
 fn dying_link_in_scan_chain_splits_outcomes() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     let a = dying_collective(4, 5, |r| {
         let me = r.rank();
         let mut out = vec![1.0f64; F64_RDV];
@@ -567,7 +567,7 @@ fn dying_link_in_scan_chain_splits_outcomes() {
 /// step-partners aborted earlier are stranded until the revocation.
 #[test]
 fn dying_rank_aborts_alltoall_pairwise_exchange() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     let a = dying_collective(6, 5, |r| {
         let me = r.rank();
         let blocks: Vec<Vec<u8>> = (0..8).map(|d| vec![(me * 8 + d) as u8; RDV]).collect();

@@ -223,7 +223,7 @@ fn dying_allreduce(algo: CollectiveAlgo, seed: u64) -> Vec<(String, SimDuration)
 
 #[test]
 fn dying_rank_error_maps_are_deterministic_per_algorithm() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     let bound = budget * 2 + SimDuration::from_ms(50);
     // Naive, Ring and RecursiveDoubling are the three distinct allreduce
     // schedules (Binomial aliases Naive, Bruck aliases RecursiveDoubling).

@@ -4,6 +4,7 @@
 //! if anything is off by one.
 
 use mpi_datatype::{Committed, Datatype};
+use scimpi::tuning::{RING_SLOTS, SHORT_THRESHOLD};
 use scimpi::{run, ClusterSpec, RecvBuf, SendData, Source, TagSel, Tuning};
 use simclock::SimTime;
 
@@ -29,15 +30,15 @@ fn messages_at_protocol_thresholds() {
     // Exactly at, one below, one above the short and eager thresholds.
     let t = Tuning::default();
     let sizes = [
-        t.short_threshold - 1,
-        t.short_threshold,
-        t.short_threshold + 1,
+        SHORT_THRESHOLD - 1,
+        SHORT_THRESHOLD,
+        SHORT_THRESHOLD + 1,
         t.eager_threshold - 1,
         t.eager_threshold,
         t.eager_threshold + 1,
         t.rendezvous_chunk,
         t.rendezvous_chunk + 1,
-        t.rendezvous_chunk * t.ring_slots + 7,
+        t.rendezvous_chunk * RING_SLOTS + 7,
     ];
     run(ClusterSpec::ringlet(2), move |r| {
         for (i, &len) in sizes.iter().enumerate() {

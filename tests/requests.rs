@@ -296,7 +296,7 @@ fn request_counters_balance_and_overlap_is_credited() {
 /// rank's error mode is consulted at the sync point.
 #[test]
 fn wait_surfaces_engine_detected_peer_death() {
-    let budget = death_delay(&Tuning::default());
+    let budget = death_delay();
     run(
         seeded(ClusterSpec::ringlet(2)).errors(ErrorMode::ErrorsReturn),
         move |r| {
