@@ -141,9 +141,13 @@ struct Queues {
     next_ticket: u64,
     /// Backlog event log for the deterministic peak-queue gauge
     /// (recorded only while obs is enabled): `(virtual time, Δmessages,
-    /// Δeager payload bytes)` at every post and removal. The runtime
-    /// sweeps it at teardown — see `runtime::run`.
+    /// Δeager payload bytes)` at arrival and at removal of each message
+    /// the queue held for non-zero virtual time. The runtime sweeps it at
+    /// teardown — see `runtime::run_report`.
     backlog_log: Vec<(SimTime, i64, i64)>,
+    /// Was an envelope posted while obs was enabled? Such a mailbox
+    /// reports a peak, zero if it never held a message.
+    backlog_seen: bool,
 }
 
 /// Eager payload bytes carried by an envelope (rendezvous RTS heads
@@ -156,21 +160,18 @@ fn eager_bytes(env: &Envelope) -> i64 {
 }
 
 impl Queues {
-    /// Log an envelope entering the message queue at its arrival time.
-    fn log_posted(&mut self, env: &Envelope) {
-        if obs::is_enabled() {
-            self.backlog_log.push((env.arrival, 1, eager_bytes(env)));
-        }
-    }
-
     /// Log an envelope leaving the message queue. A message is queued
-    /// until the *later* of its arrival and the receiver's match time:
-    /// a receive posted before the data lands holds it for zero
-    /// virtual time.
+    /// from its arrival until the *later* of its arrival and the
+    /// receiver's match time: a receive posted before the data lands
+    /// holds it for zero virtual time, and is not logged. That is exact:
+    /// the sweep orders removals before additions at equal times, so a
+    /// zero-length pair nets to zero inside its own time group and moves
+    /// no peak.
     fn log_removed(&mut self, env: &Envelope, now: SimTime) {
-        if obs::is_enabled() {
-            self.backlog_log
-                .push((now.max(env.arrival), -1, -eager_bytes(env)));
+        if now > env.arrival && obs::is_enabled() {
+            let bytes = eager_bytes(env);
+            self.backlog_log.push((env.arrival, 1, bytes));
+            self.backlog_log.push((now, -1, -bytes));
         }
     }
 
@@ -244,7 +245,7 @@ impl Mailbox {
     /// Deposit a message envelope (sender side).
     pub fn post(&self, env: Envelope) {
         let mut q = self.q.lock().unwrap();
-        q.log_posted(&env);
+        q.backlog_seen |= obs::is_enabled();
         q.msgs.push_back(env);
         drop(q);
         self.waiters.wake_all();
@@ -345,11 +346,19 @@ impl Mailbox {
         self.q.lock().unwrap().msgs.len()
     }
 
-    /// Drain the backlog event log (runtime teardown). Each entry is
-    /// `(virtual time, Δmessages, Δeager payload bytes)`; sorting by
-    /// time and sweeping yields the peak queue depth.
-    pub fn take_backlog_events(&self) -> Vec<(SimTime, i64, i64)> {
-        std::mem::take(&mut self.q.lock().unwrap().backlog_log)
+    /// Drain the backlog event log (runtime teardown), with an arrival
+    /// for each envelope still queued; `None` if no envelope was posted
+    /// while obs was enabled. Each entry is `(virtual time, Δmessages,
+    /// Δeager payload bytes)`; sorting by time and sweeping yields the
+    /// peak queue depth.
+    pub fn take_backlog_events(&self) -> Option<Vec<(SimTime, i64, i64)>> {
+        let mut q = self.q.lock().unwrap();
+        if !q.backlog_seen {
+            return None;
+        }
+        let mut log = std::mem::take(&mut q.backlog_log);
+        log.extend(q.msgs.iter().map(|env| (env.arrival, 1, eager_bytes(env))));
+        Some(log)
     }
 }
 
@@ -399,6 +408,42 @@ mod tests {
         assert_eq!(e.tag, 20);
         let e = recv(&mb, Source::Any, TagSel::Any);
         assert_eq!((e.src, e.tag), (1, 10));
+    }
+
+    #[test]
+    fn the_backlog_log_holds_only_messages_that_waited() {
+        let mb = Mailbox::new();
+        let _bound = obs::Recorder::new().bind(0);
+        let sized = |arrival, len| Envelope {
+            arrival: SimTime::from_ps(arrival),
+            head: Head::Eager {
+                data: vec![0; len],
+                blocks: 1,
+                crc: None,
+            },
+            ..env(1, 0)
+        };
+        let take_at = |now| {
+            let ticket = mb.post_recv(Source::Any, TagSel::Any);
+            mb.try_match_recv_posted(ticket, SimTime::from_ps(now))
+        };
+        mb.post(sized(10, 8));
+        assert!(take_at(5).is_some(), "matched as it lands: not held");
+        mb.post(sized(20, 16));
+        assert!(take_at(50).is_some(), "held from 20 to 50");
+        mb.post(sized(30, 4)); // never matched
+        let at = SimTime::from_ps;
+        assert_eq!(
+            mb.take_backlog_events(),
+            Some(vec![(at(20), 1, 16), (at(50), -1, -16), (at(30), 1, 4)])
+        );
+    }
+
+    #[test]
+    fn an_unrecorded_mailbox_reports_no_backlog() {
+        let mb = Mailbox::new();
+        mb.post(env(1, 0));
+        assert_eq!(mb.take_backlog_events(), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Host cost of the recorder, hook by hook: nanoseconds per call on an
 //! unbound thread (recording off) and on a bound, attributing one, at the
 //! size of one `pingpong_obs` repetition of `benchmark/` (about 150 000
-//! events and 86 404 waits), plus what teardown pays for them — dropping
-//! the events and extracting the critical path of a 2-rank ping-pong.
+//! spans and 86 404 waits), plus what teardown pays for them — dropping
+//! kept events and extracting the critical path of a 2-rank ping-pong.
 //!
 //! ```bash
 //! cargo run --release -p scimpi-obs --example hook_cost
@@ -10,14 +10,16 @@
 //!
 //! Every bound round starts from a fresh [`Recorder`], as every run does,
 //! so the event vector's growth and first-touch page faults are in the
-//! `span` row. Each cell is the median of [`ROUNDS`] rounds (the fastest
-//! round in brackets). docs/OBSERVABILITY.md, "Host cost of recording",
-//! keeps the readings.
+//! `span` row that keeps events; the row without events is what a run
+//! that asked for no trace pays. Each cell is the median of [`ROUNDS`]
+//! rounds (the fastest round in brackets). docs/OBSERVABILITY.md, "Host
+//! cost of recording", keeps the readings.
 
 use obs::attrib::{self, Bucket, WaitEvent, WaitKind};
 use obs::{Arg, Counter, Recorder};
 use simclock::{Clock, SimDuration, SimTime};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 const CALLS: u64 = 150_000;
@@ -41,15 +43,15 @@ fn timed(mut hook: impl FnMut(u64)) -> f64 {
 }
 
 /// One row: `hook` on this (unbound) thread, then bound to a fresh
-/// recorder and marked as attributing, in ns per call.
-fn row(name: &str, mut hook: impl FnMut(u64)) {
+/// `recorder()` and marked as attributing, in ns per call.
+fn row(name: &str, recorder: fn() -> Arc<Recorder>, mut hook: impl FnMut(u64)) {
     let ns = |(median, min): (f64, f64)| {
         let per_call = 1e9 / CALLS as f64;
         format!("{:7.1} ({:5.1})", median * per_call, min * per_call)
     };
     let unbound = rounds(|| timed(&mut hook));
     let bound = rounds(|| {
-        let rec = Recorder::new();
+        let rec = recorder();
         let _bound = rec.bind(0);
         attrib::set_thread_attrib(true);
         timed(&mut hook)
@@ -72,19 +74,19 @@ fn main() {
         "hook", "unbound ns/call", "bound ns/call"
     );
     let mut clock = Clock::new();
-    row("attrib::advance", |i| {
+    row("attrib::advance", Recorder::new, |i| {
         attrib::advance(
             &mut clock,
             Bucket::Transfer,
             SimDuration::from_ps(1 + (i & 7)),
         );
     });
-    row("attrib::wait", |i| {
+    row("attrib::wait", Recorder::new, |i| {
         let (start, end) = (SimTime::from_ps(10 * i), SimTime::from_ps(10 * i + 5));
         attrib::wait(WaitKind::LateSender, start, end, Some(1));
     });
-    row("inc", |_| obs::inc(Counter::EagerSends));
-    row("span, three args", |i| {
+    row("inc", Recorder::new, |_| obs::inc(Counter::EagerSends));
+    let span = |i| {
         // Call sites build their arguments only when recording is on.
         let args = match obs::is_enabled() {
             true => three_args(i),
@@ -96,10 +98,12 @@ fn main() {
             SimTime::from_ps(i + 9),
             args,
         );
-    });
+    };
+    row("span, three args, events", Recorder::with_events, span);
+    row("span, three args, no events", Recorder::new, span);
 
     let (median, min) = rounds(|| {
-        let rec = Recorder::new();
+        let rec = Recorder::with_events();
         let _bound = rec.bind(0);
         for i in 0..CALLS {
             obs::span(

@@ -19,6 +19,7 @@
 //! unmarked so forked clocks are not double-counted — their time shows
 //! up at rank level as a request-wait when the completion time merges).
 
+use crate::histogram::Histogram;
 use crate::recorder::{with_bound, with_lane};
 use simclock::{Clock, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -124,9 +125,12 @@ impl WaitEvent {
 }
 
 /// The attribution state of one run, owned by its
-/// [`Recorder`](crate::Recorder).
+/// [`Recorder`](crate::Recorder), with the span histograms the lanes
+/// folded in beside it.
 #[derive(Default)]
 pub(crate) struct AttribState {
+    /// Span durations by span name, every lane's merged.
+    pub(crate) spans: BTreeMap<&'static str, Histogram>,
     /// Per-rank busy sums in picoseconds, indexed by [`Bucket`].
     pub(crate) busy: BTreeMap<u32, [u64; BUCKET_COUNT]>,
     /// Every classified wait, lane by lane in the order the bindings
@@ -381,7 +385,33 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_that_attributed_nothing_takes_no_lock_on_drop() {
+    fn span_histograms_from_two_threads_of_one_rank_equal_one_histogram() {
+        let durations = [[0, 7, 512, 90_000], [3, 7, 1_000_000, 1]];
+        let rec = Recorder::new();
+        std::thread::scope(|s| {
+            for lane in durations {
+                let rec = &rec;
+                s.spawn(move || {
+                    let _bound = rec.bind(5);
+                    for ps in lane {
+                        crate::span("p2p.recv", SimTime::ZERO, SimTime::from_ps(ps), vec![]);
+                    }
+                    crate::span("p2p.send", SimTime::ZERO, SimTime::from_ps(lane[0]), vec![]);
+                });
+            }
+        });
+        let mut whole = Histogram::new();
+        durations.iter().flatten().for_each(|&ps| whole.record(ps));
+        let st = rec.attrib.lock().unwrap();
+        assert_eq!(st.spans["p2p.recv"], whole);
+        assert_eq!(st.spans["p2p.send"].count(), 2);
+        assert_eq!(st.spans.len(), 2);
+        // Neither lane attributed time: no busy row appears for them.
+        assert!(st.busy.is_empty());
+    }
+
+    #[test]
+    fn a_counters_only_lane_takes_no_lock_on_drop() {
         let rec = Recorder::new();
         let held = rec.attrib.lock().unwrap();
         let (done, dropped) = mpsc::channel();
@@ -390,7 +420,7 @@ mod tests {
                 let bound = rec.bind(0);
                 set_thread_attrib(true);
                 crate::inc(crate::Counter::EagerSends);
-                crate::span("x", SimTime::ZERO, SimTime::from_ps(10), vec![]);
+                crate::instant("x", SimTime::ZERO, vec![]);
                 busy(Bucket::Pack, SimDuration::ZERO);
                 wait(WaitKind::Lock, SimTime::ZERO, SimTime::ZERO, None);
                 drop(bound);
