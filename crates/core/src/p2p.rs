@@ -613,11 +613,13 @@ fn unpack_into(
     }
 }
 
-/// The receive protocol: claim an envelope through the posted-receive
-/// queue (`ticket` was registered by the caller at post time, in program
-/// order), then consume the eager payload or drive the rendezvous
-/// receiver side. Runs either on the rank's own thread
-/// ([`Rank::recv_into`]) or on an engine thread with a forked clock
+/// The receive protocol: resolve a typed layout, **claim** an envelope
+/// through the posted-receive queue (`ticket` was registered by the
+/// caller at post time, in program order) unless the caller already
+/// claimed it as `claimed`, then **consume** it. A blocking receive is
+/// claim + consume on the rank's own clock ([`Rank::recv_into`]). A
+/// nonblocking one claims at post: an eager claim is consumed there on
+/// the fork, an RTS claim or no claim hands the rest to an engine task
 /// ([`Rank::irecv`]).
 pub(crate) fn recv_into_inner(
     world: &Arc<WorldState>,
@@ -625,14 +627,32 @@ pub(crate) fn recv_into_inner(
     clock: &mut Clock,
     ticket: u64,
     src: Source,
-    mut into: RecvBuf<'_>,
+    claimed: Option<Envelope>,
+    into: RecvBuf<'_>,
 ) -> Result<RecvStatus, ScimpiError> {
     let recv_start = clock.now();
     if let RecvBuf::Typed { c, .. } = &into {
         // The receiver resolves the same committed layout to unpack.
         attrib::advance(clock, Bucket::Pack, world.tuning.layout_resolve_cost(c));
     }
-    let env = match src {
+    let env = match claimed {
+        Some(env) => env,
+        None => claim_recv(world, rank, clock, ticket, src)?,
+    };
+    consume_recv(world, rank, clock, recv_start, env, into)
+}
+
+/// Claim: wait for the posted receive `ticket` to match, checking
+/// revocation and (for a specific source) the peer's liveness between
+/// waits.
+fn claim_recv(
+    world: &Arc<WorldState>,
+    rank: usize,
+    clock: &mut Clock,
+    ticket: u64,
+    src: Source,
+) -> Result<Envelope, ScimpiError> {
+    Ok(match src {
         Source::Any => loop {
             if let Some(e) = world.mailboxes[rank].match_recv_posted(ticket, clock.now()) {
                 break e;
@@ -676,7 +696,20 @@ pub(crate) fn recv_into_inner(
             let err = world.declare_dead(clock, peer, "message");
             return Err(world.escalate(err));
         },
-    };
+    })
+}
+
+/// Consume a claimed envelope: merge its arrival, then unpack the eager
+/// payload (re-verifying its CRC, returning its credits) or drive the
+/// rendezvous receiver side. `recv_start` opens the `p2p.recv` span.
+fn consume_recv(
+    world: &Arc<WorldState>,
+    rank: usize,
+    clock: &mut Clock,
+    recv_start: SimTime,
+    env: Envelope,
+    mut into: RecvBuf<'_>,
+) -> Result<RecvStatus, ScimpiError> {
     attrib::merge_waited(
         clock,
         env.arrival,
@@ -1262,7 +1295,7 @@ impl Rank {
         let src = self.src_to_world(src);
         let ticket = self.world.mailboxes[self.rank].post_recv(src, tag);
         let world = Arc::clone(&self.world);
-        recv_into_inner(&world, self.rank, &mut self.clock, ticket, src, into)
+        recv_into_inner(&world, self.rank, &mut self.clock, ticket, src, None, into)
             .map(|st| self.status_to_logical(st))
     }
 
@@ -1312,7 +1345,7 @@ impl Rank {
         let rank = self.rank;
         if op.is_done() {
             // Eager sends already completed locally.
-            return recv_into_inner(&world, rank, &mut self.clock, ticket, src, rbuf)
+            return recv_into_inner(&world, rank, &mut self.clock, ticket, src, None, rbuf)
                 .map(|st| self.status_to_logical(st));
         }
         let mut send_clock = self.clock.clone();
@@ -1336,7 +1369,7 @@ impl Rank {
                     (res, send_clock)
                 }
             });
-            let status = recv_into_inner(&world, rank, &mut self.clock, ticket, src, rbuf);
+            let status = recv_into_inner(&world, rank, &mut self.clock, ticket, src, None, rbuf);
             sched::join_task(&task);
             let (send_res, send_clock) = sender.join().expect("send side panicked");
             // Joining the helper's forked clock: any jump is the rank
