@@ -4,17 +4,25 @@
 //!
 //! * **eager, posted after arrival**: the message is queued when `irecv`
 //!   is posted, so the receive completes at post and no engine task runs;
-//! * **eager, posted before arrival**: `irecv` finds nothing, an engine
-//!   task waits for the message and `wait` joins it;
+//! * **eager, posted before arrival**: `irecv` finds nothing and leaves
+//!   a delivery on its posted-queue entry; the send consumes the message
+//!   into it, and no engine task runs either;
 //! * **rendezvous** (20 000 B, one ring chunk), posted before the RTS:
-//!   the engine drives the CTS and chunk conversation —
+//!   the sender starts the receive's engine, which drives the CTS and
+//!   chunk conversation —
 //!
 //! the `core` protocol row beneath `hostbench`'s `halo_requests`, which
 //! mixes the first two with `isend`s, compute and an allreduce.
 //!
 //! ```bash
-//! cargo run --release -p scimpi --example request_cost
+//! taskset -c 0 cargo run --release -p scimpi --example request_cost
 //! ```
+//!
+//! Run it pinned to one CPU, as `hostbench` runs: unpinned, every
+//! handoff between rank tasks may cross cores, and the readings swing
+//! with where the threads land (the posted-before row read 18.8 µs
+//! unpinned against 5.45 µs pinned while an engine still waited for
+//! the message, on a 2-core Intel Xeon).
 //!
 //! Rank 1 sends [`BATCH`] messages to rank 0 per round, and a barrier
 //! separates the rounds. "After": rank 1 sends before the barrier, and
