@@ -12,10 +12,11 @@
 //! merges it into its clock, which is how causality and latency propagate
 //! between ranks.
 //!
-//! A nonblocking receive that finds nothing to claim when it is posted
-//! leaves a `Delivery` on its posted-queue entry instead of waiting:
-//! the envelope it matches then never enters the message queue, and the
-//! sender completes the receive.
+//! Matching has one rule, MPI's. A message goes to the earliest-posted
+//! receive it matches, or is queued if none does; a receive claims the
+//! first queued message it matches when it is posted, or is registered
+//! with a `Delivery`. A registered receive is completed by the send that
+//! matches it, so no queued message ever matches a posted receive.
 
 use crate::runtime::WorldState;
 use simclock::SimTime;
@@ -135,14 +136,8 @@ pub enum Ctrl {
 struct Queues {
     msgs: VecDeque<Envelope>,
     ctrl: HashMap<u64, VecDeque<Ctrl>>,
-    /// MPI's posted-receive queue, in posted (program) order. With
-    /// receives claiming from more than one task, two in-flight receives
-    /// whose patterns overlap would otherwise race for the message queue
-    /// and break determinism: a receive may only take an envelope no
-    /// *earlier-posted* unmatched receive also matches — exactly MPI's
-    /// arrival-time scan of the posted queue. Receives with disjoint
-    /// patterns (a halo exchange from distinct neighbours) proceed fully
-    /// concurrently.
+    /// MPI's posted-receive queue, in posted (program) order: the
+    /// receives no queued envelope matches.
     posted: Vec<PostedRecv>,
     next_ticket: u64,
     /// Backlog event log for the deterministic peak-queue gauge
@@ -181,29 +176,6 @@ impl Queues {
         }
     }
 
-    /// Try to match the posted receive `ticket` against the message
-    /// queue: first envelope (arrival order) that satisfies its pattern
-    /// and is not claimed by an earlier-posted unmatched receive. On
-    /// success the envelope and the posted entry both leave their queues.
-    fn gated_match(&mut self, ticket: u64) -> Option<Envelope> {
-        let &PostedRecv { src, tag, .. } = self.posted.iter().find(|p| p.ticket == ticket)?;
-        let idx = self.msgs.iter().position(|e| {
-            env_matches(e, src, tag)
-                && !self
-                    .posted
-                    .iter()
-                    .any(|p| p.ticket < ticket && env_matches(e, p.src, p.tag))
-        })?;
-        let env = self.msgs.remove(idx).expect("index valid under lock");
-        let pi = self
-            .posted
-            .iter()
-            .position(|p| p.ticket == ticket)
-            .expect("entry present");
-        self.posted.remove(pi);
-        Some(env)
-    }
-
     /// Take the oldest protocol packet queued for `handle`.
     fn pop_ctrl(&mut self, handle: u64) -> Option<Ctrl> {
         let dq = self.ctrl.get_mut(&handle)?;
@@ -220,31 +192,47 @@ struct PostedRecv {
     ticket: u64,
     src: Source,
     tag: TagSel,
-    /// Set when the sender completes this receive ([`Delivery`]); `None`
-    /// when the receive claims from the queue itself.
-    delivery: Option<Delivery>,
+    delivery: Delivery,
 }
 
-/// How the sender completes a posted nonblocking receive: the envelope
-/// the receive matches skips the message queue and is handed to `run`,
-/// on the sending task — the sender stores straight into the receive's
-/// buffer, as SCI's transparent remote writes let it (paper §2).
+/// How the send that matches a posted receive completes it: the envelope
+/// skips the message queue and is handed to `run`, on the sending task —
+/// the sender stores straight into memory the receiver set aside, as
+/// SCI's transparent remote writes let it (paper §2).
 pub(crate) struct Delivery {
-    /// Virtual time the receive's own match would run: the message's
-    /// stay in the queue, if any, is logged up to it.
+    /// Virtual time the receive was posted at (after any layout
+    /// resolve): the message's stay in the queue, if any, is logged up to
+    /// it.
     pub at: SimTime,
-    /// Consume the envelope into the receive. Runs outside the queue
-    /// lock and never parks.
+    /// Complete the receive. Runs outside the queue lock and never
+    /// parks.
     pub run: Consume,
 }
 
 /// The body of a [`Delivery`].
-pub(crate) type Consume = Box<dyn FnOnce(&Arc<WorldState>, Envelope) + Send>;
+pub(crate) type Consume = Box<dyn FnOnce(&Arc<WorldState>, Handed) + Send>;
 
-/// Could one envelope satisfy both receives?
-fn overlaps(a: &PostedRecv, b: &PostedRecv) -> bool {
-    !matches!((a.src, b.src), (Source::Rank(x), Source::Rank(y)) if x != y)
-        && !matches!((a.tag, b.tag), (TagSel::Value(x), TagSel::Value(y)) if x != y)
+/// What a posted receive is handed: the envelope it matched, or, when a
+/// shrink cancels it, the revocation front `(arrival at the receiver,
+/// revoker)` (see [`WorldState::revoke_arrival`]).
+pub(crate) type Handed = Result<Envelope, (SimTime, usize)>;
+
+/// What [`Mailbox::post_recv`] did with a receive.
+pub(crate) enum Posted {
+    /// It claimed this queued envelope.
+    Claimed(Envelope),
+    /// It is registered under this ticket, for a send to deliver into.
+    Registered(u64),
+}
+
+/// Where a delivery leaves what it hands a posted receive, and the queue
+/// the receiver parks on until it does.
+pub(crate) type Slot<T> = (Mutex<Option<T>>, sched::WaitQueue);
+
+/// Leave `value` in `slot` and wake the receiver.
+pub(crate) fn fill<T>(slot: &Slot<T>, value: T) {
+    *slot.0.lock().unwrap() = Some(value);
+    slot.1.wake_all();
 }
 
 /// Does this envelope satisfy the pattern?
@@ -262,7 +250,7 @@ fn env_matches(e: &Envelope, src: Source, tag: TagSel) -> bool {
 #[derive(Default)]
 pub struct Mailbox {
     q: Mutex<Queues>,
-    /// Whoever waits for a match or a protocol packet (`docs/SCHEDULER.md`).
+    /// Whoever waits for a protocol packet (`docs/SCHEDULER.md`).
     waiters: sched::WaitQueue,
 }
 
@@ -273,30 +261,23 @@ impl Mailbox {
     }
 
     /// Deposit a message envelope (sender side): MPI's arrival-time scan
-    /// of the posted queue. If the earliest-posted receive the envelope
-    /// matches carries a [`Delivery`], the envelope skips the queue and
-    /// comes back with it, for the sender to run.
+    /// of the posted queue. The earliest-posted receive the envelope
+    /// matches leaves the queue, and its [`Delivery`] comes back with the
+    /// envelope for the sender to run; with none, the envelope is queued.
     pub(crate) fn post(&self, env: Envelope) -> Option<(Delivery, Envelope)> {
         let mut q = self.q.lock().unwrap();
         q.backlog_seen |= obs::is_enabled();
-        let first = q
+        let Some(i) = q
             .posted
             .iter()
-            .position(|p| env_matches(&env, p.src, p.tag));
-        let delivery = match first {
-            Some(i) if q.posted[i].delivery.is_some() => q.posted.remove(i).delivery,
-            _ => None,
+            .position(|p| env_matches(&env, p.src, p.tag))
+        else {
+            q.msgs.push_back(env);
+            return None;
         };
-        if let Some(d) = delivery {
-            // No queued envelope matches a receive with a delivery, so
-            // its leaving makes none claimable: nobody here to wake.
-            q.log_removed(&env, d.at);
-            return Some((d, env));
-        }
-        q.msgs.push_back(env);
-        drop(q);
-        self.waiters.wake_all();
-        None
+        let delivery = q.posted.remove(i).delivery;
+        q.log_removed(&env, delivery.at);
+        Some((delivery, env))
     }
 
     /// Deposit a protocol packet for `handle`.
@@ -339,83 +320,47 @@ impl Mailbox {
         self.q.lock().unwrap().pop_ctrl(handle)
     }
 
-    /// Register a receive in the posted-receive queue. Must be called by
-    /// the posting rank itself so tickets reflect program order; the
-    /// matching itself ([`Self::match_recv_posted`]) may then run on an
-    /// engine task.
-    pub fn post_recv(&self, src: Source, tag: TagSel) -> u64 {
+    /// Post a receive. The posting rank calls this itself, so tickets
+    /// follow program order. The receive claims the first queued envelope
+    /// it matches, which leaves the queue at `at`; with none, it is
+    /// registered with the delivery `consume` builds, and
+    /// [`Self::post`] hands it the envelope it matches.
+    pub(crate) fn post_recv(
+        &self,
+        src: Source,
+        tag: TagSel,
+        at: SimTime,
+        consume: impl FnOnce() -> Consume,
+    ) -> Posted {
         let mut q = self.q.lock().unwrap();
+        if let Some(i) = q.msgs.iter().position(|e| env_matches(e, src, tag)) {
+            let env = q.msgs.remove(i).expect("index valid under lock");
+            q.log_removed(&env, at);
+            return Posted::Claimed(env);
+        }
         let ticket = q.next_ticket;
         q.next_ticket += 1;
+        let delivery = Delivery { at, run: consume() };
         q.posted.push(PostedRecv {
             ticket,
             src,
             tag,
-            delivery: None,
+            delivery,
         });
-        ticket
+        Posted::Registered(ticket)
     }
 
-    /// Does an earlier-posted receive that claims from the queue itself
-    /// overlap the pattern of the posted receive `ticket`? Such a receive
-    /// may leave an envelope both match queued for itself, where no later
-    /// [`Self::post`] would deliver it to `ticket`.
-    pub(crate) fn shadowed(&self, ticket: u64) -> bool {
-        let q = self.q.lock().unwrap();
-        let Some(me) = q.posted.iter().find(|p| p.ticket == ticket) else {
-            return false;
-        };
-        q.posted
-            .iter()
-            .any(|p| p.ticket < ticket && p.delivery.is_none() && overlaps(p, me))
+    /// Withdraw a posted receive and drop its delivery (a failed wait:
+    /// the monitored peer died, or a revocation arrived). Idempotent.
+    pub(crate) fn abandon_recv(&self, ticket: u64) {
+        self.q.lock().unwrap().posted.retain(|p| p.ticket != ticket);
     }
 
-    /// Let the sender complete the posted receive `ticket`, which claimed
-    /// nothing at post and is not [`Self::shadowed`]: from now on
-    /// [`Self::post`] hands it the envelope it matches. Then no queued
-    /// envelope matches `ticket`, and none ever will.
-    pub(crate) fn set_delivery(&self, ticket: u64, delivery: Delivery) {
-        let mut q = self.q.lock().unwrap();
-        let entry = q.posted.iter_mut().find(|p| p.ticket == ticket);
-        entry.expect("the receive is posted").delivery = Some(delivery);
-    }
-
-    /// Withdraw a posted receive without matching (error paths: the
-    /// monitored peer died), with its delivery if it has one. Idempotent;
-    /// unblocks later overlapping receives.
-    pub fn abandon_recv(&self, ticket: u64) {
-        let mut q = self.q.lock().unwrap();
-        if let Some(i) = q.posted.iter().position(|p| p.ticket == ticket) {
-            q.posted.remove(i);
-            drop(q);
-            self.waiters.wake_all();
-        }
-    }
-
-    /// Wait until the posted receive `ticket` can claim an envelope (no
-    /// earlier-posted unmatched receive also matches it) and remove it;
-    /// `None` when the wait stalls (see [`Self::wait_ctrl`] for the
-    /// virtual-time contract). The posted entry stays registered then.
-    /// `now` is the caller's virtual time at the call: the task parks at
-    /// it, and it feeds the backlog gauge (it never affects matching or
-    /// the clock).
-    pub fn match_recv_posted(&self, ticket: u64, now: SimTime) -> Option<Envelope> {
-        self.waiters
-            .take_or_wait(&self.q, Some(now), |q| self.claim(q, ticket, now))
-    }
-
-    /// [`Self::match_recv_posted`] that looks once and never parks.
-    pub fn try_match_recv_posted(&self, ticket: u64, now: SimTime) -> Option<Envelope> {
-        self.claim(&mut self.q.lock().unwrap(), ticket, now)
-    }
-
-    fn claim(&self, q: &mut Queues, ticket: u64, now: SimTime) -> Option<Envelope> {
-        let env = q.gated_match(ticket)?;
-        q.log_removed(&env, now);
-        // Our posted entry left the queue: later receives it was
-        // shadowing may now be eligible.
-        self.waiters.wake_all();
-        Some(env)
+    /// Withdraw every posted receive, for the caller to run each
+    /// delivery (a shrink cancelling them).
+    pub(crate) fn take_posted(&self) -> Vec<Delivery> {
+        let posted = std::mem::take(&mut self.q.lock().unwrap().posted);
+        posted.into_iter().map(|p| p.delivery).collect()
     }
 
     /// Number of queued (unmatched) messages — diagnostics only.
@@ -456,21 +401,32 @@ mod tests {
         }
     }
 
-    /// Receive an envelope that is already queued.
-    fn recv(mb: &Mailbox, src: Source, tag: TagSel) -> Envelope {
-        let ticket = mb.post_recv(src, tag);
-        mb.try_match_recv_posted(ticket, SimTime::ZERO)
-            .expect("a matching envelope is queued")
+    /// Post a receive, registered with a delivery these tests never run:
+    /// a receive is told apart by its post time `at`.
+    fn post_recv(mb: &Mailbox, src: Source, tag: TagSel, at: u64) -> Posted {
+        mb.post_recv(src, tag, SimTime::from_ps(at), || Box::new(|_, _| ()))
     }
 
-    /// Wait like the protocol code does: a stall is a reason to look again.
-    fn recv_blocking(mb: &Mailbox, src: Source, tag: TagSel) -> Envelope {
-        let ticket = mb.post_recv(src, tag);
-        loop {
-            if let Some(e) = mb.match_recv_posted(ticket, SimTime::ZERO) {
-                return e;
-            }
+    /// Receive an envelope that is already queued.
+    fn recv(mb: &Mailbox, src: Source, tag: TagSel) -> Envelope {
+        match post_recv(mb, src, tag, 0) {
+            Posted::Claimed(env) => env,
+            Posted::Registered(_) => panic!("a matching envelope is queued"),
         }
+    }
+
+    /// Register a receive that finds nothing queued.
+    fn register(mb: &Mailbox, src: Source, tag: TagSel, at: u64) -> u64 {
+        match post_recv(mb, src, tag, at) {
+            Posted::Registered(ticket) => ticket,
+            Posted::Claimed(env) => panic!("claimed {env:?}"),
+        }
+    }
+
+    /// Post an envelope: the post time of the receive it was handed to,
+    /// `None` if it was queued.
+    fn handed_to(mb: &Mailbox, env: Envelope) -> Option<u64> {
+        mb.post(env).map(|(d, _)| d.at.as_ps())
     }
 
     #[test]
@@ -485,6 +441,8 @@ mod tests {
         assert_eq!(e.tag, 20);
         let e = recv(&mb, Source::Any, TagSel::Any);
         assert_eq!((e.src, e.tag), (1, 10));
+        // Nothing queued matches: the receive is registered instead.
+        register(&mb, Source::Any, TagSel::Any, 1);
     }
 
     #[test]
@@ -500,19 +458,26 @@ mod tests {
             },
             ..env(1, 0)
         };
-        let take_at = |now| {
-            let ticket = mb.post_recv(Source::Any, TagSel::Any);
-            mb.try_match_recv_posted(ticket, SimTime::from_ps(now))
-        };
         mb.post(sized(10, 8));
-        assert!(take_at(5).is_some(), "matched as it lands: not held");
+        let taken = post_recv(&mb, Source::Any, TagSel::Any, 5);
+        assert!(matches!(taken, Posted::Claimed(_)), "matched as it lands");
         mb.post(sized(20, 16));
-        assert!(take_at(50).is_some(), "held from 20 to 50");
+        let taken = post_recv(&mb, Source::Any, TagSel::Any, 50);
+        assert!(matches!(taken, Posted::Claimed(_)), "held from 20 to 50");
+        // Handed to a receive posted at 60: held from 40 to 60.
+        register(&mb, Source::Rank(1), TagSel::Value(0), 60);
+        assert_eq!(handed_to(&mb, sized(40, 2)), Some(60));
         mb.post(sized(30, 4)); // never matched
         let at = SimTime::from_ps;
         assert_eq!(
             mb.take_backlog_events(),
-            Some(vec![(at(20), 1, 16), (at(50), -1, -16), (at(30), 1, 4)])
+            Some(vec![
+                (at(20), 1, 16),
+                (at(50), -1, -16),
+                (at(40), 1, 2),
+                (at(60), -1, -2),
+                (at(30), 1, 4),
+            ])
         );
     }
 
@@ -535,25 +500,6 @@ mod tests {
             let e = recv(&mb, Source::Rank(3), TagSel::Value(7));
             assert_eq!(e.arrival, SimTime::from_ps(i), "overtook at {i}");
         }
-    }
-
-    #[test]
-    fn blocking_recv_wakes_on_post() {
-        let mb = Mailbox::new();
-        let (tags, _) = sched::run_roots(2, |me, root| {
-            root.run(|| {
-                if me == 0 {
-                    // Dispatched first: parks on the empty mailbox.
-                    return recv_blocking(&mb, Source::Any, TagSel::Value(42)).tag;
-                }
-                mb.post(env(0, 41)); // wrong tag: wakes the receiver in vain
-                sched::park(SimTime::ZERO);
-                mb.post(env(0, 42));
-                0
-            })
-        });
-        assert_eq!(tags[0], 42);
-        assert_eq!(mb.backlog(), 1); // the tag-41 message still queued
     }
 
     #[test]
@@ -599,41 +545,47 @@ mod tests {
     #[test]
     fn posted_disjoint_patterns_match_concurrently() {
         let mb = Mailbox::new();
-        let a = mb.post_recv(Source::Rank(1), TagSel::Value(5));
-        let b = mb.post_recv(Source::Rank(2), TagSel::Value(5));
-        // b is later-posted but src-disjoint from a: an envelope from
-        // rank 2 goes to b even while a is still unmatched.
-        mb.post(env(2, 5));
-        let e = mb.try_match_recv_posted(b, SimTime::ZERO);
-        assert_eq!(e.expect("disjoint recv must match").src, 2);
-        mb.post(env(1, 5));
-        assert!(mb.try_match_recv_posted(a, SimTime::ZERO).is_some());
+        register(&mb, Source::Rank(1), TagSel::Value(5), 1);
+        register(&mb, Source::Rank(2), TagSel::Value(5), 2);
+        // The later-posted receive is src-disjoint from the earlier one:
+        // an envelope from rank 2 goes to it while the first still waits.
+        assert_eq!(handed_to(&mb, env(2, 5)), Some(2));
+        assert_eq!(handed_to(&mb, env(1, 5)), Some(1));
     }
 
     #[test]
-    fn posted_wildcard_shadows_later_overlapping_recv() {
+    fn the_earliest_posted_match_wins_the_envelope() {
         let mb = Mailbox::new();
-        let a = mb.post_recv(Source::Any, TagSel::Value(5));
-        let b = mb.post_recv(Source::Rank(2), TagSel::Value(5));
-        mb.post(env(2, 5));
-        // The earlier wildcard claims the envelope; b must not steal it.
-        assert!(mb.try_match_recv_posted(b, SimTime::ZERO).is_none());
-        let e = mb.try_match_recv_posted(a, SimTime::ZERO).unwrap();
-        assert_eq!(e.src, 2);
-        // With the wildcard gone, a fresh envelope satisfies b.
-        mb.post(env(2, 5));
-        assert!(mb.try_match_recv_posted(b, SimTime::ZERO).is_some());
+        register(&mb, Source::Any, TagSel::Value(5), 1);
+        register(&mb, Source::Rank(2), TagSel::Value(5), 2);
+        assert_eq!(handed_to(&mb, env(2, 4)), None, "no match: queued");
+        // The earlier wildcard gets the envelope, the later receive the
+        // next one.
+        assert_eq!(handed_to(&mb, env(2, 5)), Some(1));
+        assert_eq!(handed_to(&mb, env(2, 5)), Some(2));
+        assert_eq!(handed_to(&mb, env(2, 5)), None, "both receives are done");
+        assert_eq!(mb.backlog(), 2);
     }
 
     #[test]
-    fn abandoned_recv_unblocks_later_ones() {
+    fn an_abandoned_recv_passes_envelopes_to_later_ones() {
         let mb = Mailbox::new();
-        let a = mb.post_recv(Source::Any, TagSel::Any);
-        let b = mb.post_recv(Source::Rank(3), TagSel::Value(1));
-        mb.post(env(3, 1));
-        assert!(mb.try_match_recv_posted(b, SimTime::ZERO).is_none());
+        let a = register(&mb, Source::Any, TagSel::Any, 1);
+        register(&mb, Source::Rank(3), TagSel::Value(1), 2);
         mb.abandon_recv(a);
-        assert!(mb.try_match_recv_posted(b, SimTime::ZERO).is_some());
+        mb.abandon_recv(a); // idempotent
+        assert_eq!(handed_to(&mb, env(3, 1)), Some(2));
+        assert_eq!(handed_to(&mb, env(3, 1)), None, "both receives are gone");
+    }
+
+    #[test]
+    fn take_posted_withdraws_every_receive_in_posted_order() {
+        let mb = Mailbox::new();
+        register(&mb, Source::Any, TagSel::Any, 1);
+        register(&mb, Source::Rank(2), TagSel::Value(5), 2);
+        let at: Vec<u64> = mb.take_posted().iter().map(|d| d.at.as_ps()).collect();
+        assert_eq!(at, [1, 2]);
+        assert_eq!(handed_to(&mb, env(2, 5)), None, "nothing left posted");
     }
 
     #[test]
@@ -680,27 +632,22 @@ mod tests {
                 arrival: SimTime::ZERO,
             },
         );
-        let ticket = mb.post_recv(Source::Rank(2), TagSel::Any);
         let (_, stats) = sched::run_roots(1, |_, root| {
             root.run(|| {
-                // Nobody posts: each wait ends in a stall round.
-                let now = SimTime::from_ps(5);
-                assert!(mb.match_recv_posted(ticket, now).is_none());
-                assert!(mb.try_match_recv_posted(ticket, now).is_none());
+                // Nobody posts: the wait ends in a stall round.
+                register(&mb, Source::Rank(2), TagSel::Any, 5);
                 assert!(mb.wait_ctrl(8).is_none());
                 assert!(mb.try_ctrl(8).is_none());
             })
         });
         assert_eq!(
-            stats.stalls, 2,
-            "the two waits stall, the two looks never park"
+            stats.stalls, 1,
+            "the wait stalls; posting a receive and the look never park"
         );
         assert_eq!(mb.backlog(), 1);
         assert!(mb.probe(Source::Rank(1), TagSel::Value(10)).is_some());
         assert!(matches!(mb.try_ctrl(7), Some(Ctrl::Cts { .. })));
-        // The posted receive is still registered: it claims its envelope.
-        mb.post(env(2, 3));
-        let claimed = mb.try_match_recv_posted(ticket, SimTime::ZERO);
-        assert_eq!(claimed.unwrap().src, 2);
+        // The posted receive is still registered: it is handed its envelope.
+        assert_eq!(handed_to(&mb, env(2, 3)), Some(5));
     }
 }

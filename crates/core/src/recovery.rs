@@ -115,11 +115,11 @@ fn agree_handle(epoch: u64, sweep: u32, round: u32, src_world: usize) -> u64 {
         | src_world as u64
 }
 
-/// Wait for the partner's agreement signal, mirroring the liveness-guard
-/// idiom of `WorldState::await_ctrl` but *without* escalation and
-/// *without* revocation checks (agreement runs exempt): a dead partner
-/// charges the deterministic declared-dead schedule and returns `None`
-/// so the sweep continues with the partner recorded dead.
+/// Wait for the partner's agreement signal through
+/// `WorldState::await_ctrl`, *without* escalation; agreement runs
+/// exempt, so no revocation ends the wait. A dead partner charges the
+/// deterministic declared-dead schedule and returns `None` so the sweep
+/// continues with the partner recorded dead.
 fn await_agree_signal(rank: &mut Rank, handle: u64, partner_w: usize) -> Option<(SimTime, u64)> {
     let world = Arc::clone(&rank.world);
     let me_w = rank.world_rank();
@@ -136,21 +136,8 @@ fn await_agree_signal(rank: &mut Rank, handle: u64, partner_w: usize) -> Option<
         let bytes: [u8; 8] = data[..8].try_into().expect("bitmap is 8 bytes");
         (arrival, u64::from_le_bytes(bytes))
     };
-    loop {
-        if let Some(c) = world.mailboxes[me_w].wait_ctrl(handle) {
-            return Some(decode(c));
-        }
-        if !world.peer_dead(partner_w) {
-            continue;
-        }
-        // The partner is dead: drain once more to close the race where
-        // its last pre-death signal landed between the stall and the check.
-        if let Some(c) = world.mailboxes[me_w].try_ctrl(handle) {
-            return Some(decode(c));
-        }
-        let _ = world.declare_dead(&mut rank.clock, partner_w, "agreement signal");
-        return None;
-    }
+    let signal = world.await_ctrl(me_w, &mut rank.clock, handle, partner_w, "agreement signal");
+    signal.ok().map(decode)
 }
 
 /// Fault-tolerant agreement on the dead set (exempt callers only):
@@ -297,9 +284,12 @@ fn shrink_inner(
         // barrier. By the time the leader finishes agreement
         // every survivor has entered shrink (its final-sweep partners
         // must have posted), so no rank still needs the revocation to
-        // escape a blocked wait.
+        // escape a blocked wait — but a receive posted before the
+        // revocation and not yet waited on would miss it: fail those
+        // first.
         world.reclaim_credits(&dead);
         let barrier = Arc::new(TimeBarrier::new(members.len(), BARRIER_HOP));
+        world.revoke_posted();
         world.clear_revoke();
         world
             .epoch_barriers

@@ -601,6 +601,11 @@ impl WorldState {
         if crate::recovery::is_exempt() {
             return None;
         }
+        self.revoke_front(me)
+    }
+
+    /// [`Self::revoke_arrival`] for any caller, exempt or not.
+    fn revoke_front(&self, me: usize) -> Option<(SimTime, usize)> {
         let slot = self.revoke.lock().unwrap();
         slot.as_ref().map(|r| {
             let n = self.mailboxes.len();
@@ -615,19 +620,68 @@ impl WorldState {
     /// wait and return [`ScimpiError::Revoked`]. `None` when there is no
     /// revocation to observe (or the thread is exempt).
     pub fn check_revoked(&self, clock: &mut Clock, me: usize) -> Option<ScimpiError> {
-        let (arrival, by) = self.revoke_arrival(me)?;
-        obs::inc(obs::Counter::RevokesObserved);
-        obs::attrib::merge_waited(clock, arrival, obs::WaitKind::Recovery, Some(by as u32));
-        Some(ScimpiError::Revoked)
+        let front = self.revoke_arrival(me)?;
+        Some(observe_revoke(clock, front))
+    }
+
+    /// Recovery: fail every receive still posted with
+    /// [`ScimpiError::Revoked`], charged at the revocation front's
+    /// arrival at its rank. The shrink leader calls this just before it
+    /// lifts the revocation: concurrent revokers have merged the front by
+    /// then, and every survivor is inside the shrink, so nothing posts.
+    pub(crate) fn revoke_posted(self: &Arc<Self>) {
+        for (me, mailbox) in self.mailboxes.iter().enumerate() {
+            let Some(front) = self.revoke_front(me) else {
+                return;
+            };
+            for delivery in mailbox.take_posted() {
+                (delivery.run)(self, Err(front));
+            }
+        }
+    }
+
+    /// The one blocking loop (`docs/SCHEDULER.md`): `wait` parks until it
+    /// yields, and returns `None` on a scheduler stall round. A stall
+    /// round checks whether a revocation has reached world rank `me`
+    /// (never, for an exempt caller) and whether `peer`, if there is one
+    /// to watch, is dead; with neither, the wait resumes. Otherwise
+    /// `take` looks once more, since what landed between the stall and
+    /// the check still counts, and failing that the wait fails on
+    /// `clock`: [`ScimpiError::Revoked`] at the gossip front's arrival,
+    /// or [`ScimpiError::PeerDead`] after the declared-dead schedule,
+    /// whose span names the wait `what`. The error is not escalated.
+    ///
+    /// A healthy-but-slow peer costs no virtual time: liveness is only
+    /// checked at stall rounds, and only a confirmed death charges.
+    pub(crate) fn block_on<T>(
+        &self,
+        me: usize,
+        clock: &mut Clock,
+        peer: Option<(usize, &'static str)>,
+        mut wait: impl FnMut(&mut Clock) -> Option<T>,
+        mut take: impl FnMut(&mut Clock) -> Option<T>,
+    ) -> Result<T, ScimpiError> {
+        loop {
+            if let Some(got) = wait(clock) {
+                return Ok(got);
+            }
+            let revoked = self.revoke_arrival(me).is_some();
+            let dead = peer.filter(|&(p, _)| !revoked && self.peer_dead(p));
+            if !revoked && dead.is_none() {
+                continue;
+            }
+            if let Some(got) = take(clock) {
+                return Ok(got);
+            }
+            return Err(match dead {
+                Some((p, what)) => self.declare_dead(clock, p, what),
+                None => observe_revoke(clock, self.revoke_arrival(me).expect("revoked")),
+            });
+        }
     }
 
     /// Wait for a protocol packet for `handle` on `rank`'s mailbox,
-    /// guarding against `peer` dying mid-handshake.
-    ///
-    /// A healthy-but-slow peer costs no virtual time: liveness is
-    /// re-checked once per scheduler stall round, and only when `peer`'s
-    /// node is confirmed dead does the waiter charge the full
-    /// timeout/backoff schedule and report [`ScimpiError::PeerDead`].
+    /// guarding against `peer` dying mid-handshake (`WorldState::block_on`).
     pub fn await_ctrl(
         &self,
         rank: usize,
@@ -636,31 +690,14 @@ impl WorldState {
         peer: usize,
         what: &'static str,
     ) -> Result<crate::mailbox::Ctrl, ScimpiError> {
-        loop {
-            if let Some(c) = self.mailboxes[rank].wait_ctrl(handle) {
-                return Ok(c);
-            }
-            if self.revoke_arrival(rank).is_some() {
-                // Revoked: drain once more (the packet may have landed
-                // between the stall and the check), then error out at the
-                // gossip-front arrival time.
-                if let Some(c) = self.mailboxes[rank].try_ctrl(handle) {
-                    return Ok(c);
-                }
-                return Err(self
-                    .check_revoked(clock, rank)
-                    .expect("revocation installed"));
-            }
-            if !self.peer_dead(peer) {
-                continue;
-            }
-            // The peer is dead: drain once more to close the race where
-            // its last packet arrived between the stall and the check.
-            if let Some(c) = self.mailboxes[rank].try_ctrl(handle) {
-                return Ok(c);
-            }
-            return Err(self.declare_dead(clock, peer, what));
-        }
+        let mailbox = &self.mailboxes[rank];
+        self.block_on(
+            rank,
+            clock,
+            Some((peer, what)),
+            |_| mailbox.wait_ctrl(handle),
+            |_| mailbox.try_ctrl(handle),
+        )
     }
 
     /// Charge the deterministic timeout/backoff schedule for a peer that
@@ -752,6 +789,15 @@ pub struct Rank {
     /// stage chunks through, reused across collectives of the same
     /// membership epoch (see [`crate::collective`]).
     pub(crate) coll_win: Option<crate::collective::CollWin>,
+}
+
+/// Observe a revocation whose front reached a rank at `arrival`, from
+/// the revoker `by`: charge the wait for it on `clock` as a `recovery`
+/// wait and return [`ScimpiError::Revoked`].
+pub(crate) fn observe_revoke(clock: &mut Clock, (arrival, by): (SimTime, usize)) -> ScimpiError {
+    obs::inc(obs::Counter::RevokesObserved);
+    obs::attrib::merge_waited(clock, arrival, obs::WaitKind::Recovery, Some(by as u32));
+    ScimpiError::Revoked
 }
 
 /// Wait on the current epoch's barrier (disjoint-field helper so the

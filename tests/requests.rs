@@ -546,31 +546,96 @@ fn a_receive_shorter_than_its_message_fails_with_invalid_arg() {
     }
 }
 
+/// A typed receive whose layout holds less than its message
+/// (`MPI_ERR_TRUNCATE`), for an eager and a rendezvous message, by
+/// `recv_typed` and by `irecv_typed`, posted before the message and
+/// after: the layout takes what fits and the receive fails with
+/// `InvalidArg`, like a contiguous one. The pair then carries the next
+/// message intact.
+#[test]
+fn a_typed_receive_shorter_than_its_message_fails_with_invalid_arg() {
+    let eight = Committed::commit(&Datatype::contiguous(8, &Datatype::byte()));
+    for len in [64, 4096, RDV] {
+        let msg: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+        for receiver in [0, 1] {
+            for nonblocking in [false, true] {
+                let case = format!("len {len}, receiver {receiver}, nonblocking {nonblocking}");
+                let (sent, eight) = (msg.clone(), eight.clone());
+                let mut out = run(
+                    seeded(ClusterSpec::ringlet(2)).errors(ErrorMode::ErrorsReturn),
+                    move |r| {
+                        let peer = 1 - r.rank();
+                        if r.rank() != receiver {
+                            r.send(peer, 0, &sent).unwrap();
+                            r.send(peer, 1, &sent).unwrap();
+                            return None;
+                        }
+                        // Half the message: len / 16 instances of 8 bytes.
+                        let (from, count) = (Source::Rank(peer), len / 16);
+                        let (err, landed) = if nonblocking {
+                            let mut req = r.irecv_typed(from, TagSel::Value(0), &eight, count);
+                            (r.wait(req.as_mut().unwrap()).unwrap_err(), None)
+                        } else {
+                            let mut buf = vec![0u8; len / 2];
+                            let tag = TagSel::Value(0);
+                            let got = r.recv_typed(from, tag, &eight, count, &mut buf, 0);
+                            (got.unwrap_err(), Some(buf))
+                        };
+                        let mut next = vec![0u8; len];
+                        r.recv(from, TagSel::Value(1), &mut next).unwrap();
+                        Some((err, landed, next == sent))
+                    },
+                );
+                let (err, landed, next_intact) = out.swap_remove(receiver).unwrap();
+                let want = ScimpiError::InvalidArg {
+                    what: "receive buffer",
+                    got: len,
+                    limit: len / 2,
+                };
+                assert_eq!(err, want, "{case}");
+                if let Some(landed) = landed {
+                    assert_eq!(landed, msg[..len / 2], "{case}: what fits lands");
+                }
+                assert!(next_intact, "{case}: the next message");
+            }
+        }
+    }
+}
+
 /// A truncated receive is charged what a receive of the buffer's length
 /// is: receiving a queued 4 KiB message into 2 KiB takes as long as
-/// receiving a queued 2 KiB message.
+/// receiving a queued 2 KiB message, into a contiguous buffer and into a
+/// typed layout alike.
 #[test]
 fn a_truncated_receive_is_charged_for_what_fits() {
-    let out = run(
-        seeded(ClusterSpec::ringlet(2)).errors(ErrorMode::ErrorsReturn),
-        |r| {
-            if r.rank() == 0 {
-                r.send(1, 0, &[1u8; 4096]).unwrap();
-                r.send(1, 1, &[2u8; 2048]).unwrap();
-                return Vec::new();
-            }
-            r.compute(SimDuration::from_ms(1));
-            let mut buf = [0u8; 2048];
-            (0..2)
-                .map(|tag| {
-                    let t0 = r.now();
-                    let _ = r.recv(Source::Rank(0), TagSel::Value(tag), &mut buf);
-                    r.now() - t0
-                })
-                .collect()
-        },
-    );
-    assert_eq!(out[1][0], out[1][1], "truncated vs exact receive");
+    let eight = Committed::commit(&Datatype::contiguous(8, &Datatype::byte()));
+    for typed in [false, true] {
+        let eight = eight.clone();
+        let out = run(
+            seeded(ClusterSpec::ringlet(2)).errors(ErrorMode::ErrorsReturn),
+            move |r| {
+                if r.rank() == 0 {
+                    r.send(1, 0, &[1u8; 4096]).unwrap();
+                    r.send(1, 1, &[2u8; 2048]).unwrap();
+                    return Vec::new();
+                }
+                r.compute(SimDuration::from_ms(1));
+                let mut buf = [0u8; 2048];
+                (0..2)
+                    .map(|tag| {
+                        let (t0, from, tag) = (r.now(), Source::Rank(0), TagSel::Value(tag));
+                        let _ = if typed {
+                            r.recv_typed(from, tag, &eight, 256, &mut buf, 0)
+                        } else {
+                            r.recv(from, tag, &mut buf)
+                        };
+                        r.now() - t0
+                    })
+                    .collect()
+            },
+        );
+        assert_eq!(out[1][0], out[1][1], "typed {typed}: truncated vs exact");
+    }
 }
 
 /// An `irecv` that claims a rendezvous RTS at post hands it to an
