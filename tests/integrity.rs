@@ -321,3 +321,123 @@ fn lossy_end_to_end_is_deterministic() {
     let b = scenario(payload);
     assert_eq!(a, b, "same seed ⇒ same virtual-time trace, same payloads");
 }
+
+/// The seed the failure counts below were recorded at.
+const FAILURE_SEED: u64 = 20020415;
+
+/// Two ranks under `ErrorsReturn` on a fabric that flips bits at
+/// `corrupt` per 64-byte transaction, with a budget that fails a
+/// transfer at its first detection: `SequenceCheck`, or `EndToEnd` with
+/// no retransmission.
+fn failing_spec(mode: IntegrityMode, corrupt: f64) -> ClusterSpec {
+    let tuning = Tuning {
+        integrity_mode: mode,
+        max_retransmits: 0,
+        eager_credit_slots: 4,
+        ..Tuning::default()
+    };
+    ClusterSpec::ringlet(2)
+        .tuning(tuning)
+        .errors(ErrorMode::ErrorsReturn)
+        .faults(FaultConfig::silent(corrupt, 0.0))
+        .seed(seed())
+}
+
+/// Rank 0 sends 40 eager messages of 1 KiB over four credit slots, then
+/// an 8-byte terminator until one arrives; rank 1 receives until it sees
+/// the terminator. Every failed send must give its credits back: nothing
+/// was delivered, so no grant will ever return them, and a pair that
+/// kept them would stall its next send for good. Returns (sent, failed)
+/// and what rank 1 received.
+fn failed_eager_sends(mode: IntegrityMode) -> ((usize, usize), usize) {
+    let payload: Vec<u8> = (0..1024).map(|i| (i * 7) as u8).collect();
+    let out = run(failing_spec(mode, 0.02), move |r| {
+        if r.rank() == 0 {
+            let (mut sent, mut failed) = (0, 0);
+            for _ in 0..40 {
+                match r.send(1, 1, &payload) {
+                    Ok(()) => sent += 1,
+                    Err(ScimpiError::DataCorruption { .. }) => failed += 1,
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+            while r.send(1, 2, &[0xEE; 8]).is_err() {}
+            (sent, failed)
+        } else {
+            let mut received = 0;
+            let mut buf = vec![0u8; payload.len()];
+            loop {
+                let st = r.recv(Source::Rank(0), TagSel::Any, &mut buf).unwrap();
+                if st.tag == 2 {
+                    break (received, 0);
+                }
+                assert_eq!(buf, payload, "a delivered eager message is intact");
+                received += 1;
+            }
+        }
+    });
+    let ((sent, failed), (received, _)) = (out[0], out[1]);
+    assert_eq!(sent + failed, 40);
+    assert_eq!(received, sent, "every delivered message is received");
+    ((sent, failed), received)
+}
+
+#[test]
+fn failed_eager_sends_return_their_credits_under_sequence_check() {
+    let got = failed_eager_sends(IntegrityMode::SequenceCheck);
+    if seed() == FAILURE_SEED {
+        assert_eq!(got, ((29, 11), 29));
+    }
+}
+
+#[test]
+fn failed_eager_sends_return_their_credits_under_end_to_end() {
+    let got = failed_eager_sends(IntegrityMode::EndToEnd);
+    if seed() == FAILURE_SEED {
+        assert_eq!(got, ((29, 11), 29));
+    }
+}
+
+/// 24 rendezvous transfers of 100 000 B, each sent and received once.
+/// An aborted transfer must give its ring slot back: the pair has two,
+/// and a sender that kept them would wait for a free slot for good.
+/// Returns (ok, failed) per rank.
+fn aborted_rendezvous(mode: IntegrityMode) -> Vec<(usize, usize)> {
+    let payload: Vec<u8> = (0..100_000).map(|i| (i * 31) as u8).collect();
+    let out = run(failing_spec(mode, 5e-4), move |r| {
+        let (mut ok, mut failed) = (0, 0);
+        let mut buf = vec![0u8; payload.len()];
+        for _ in 0..24 {
+            let res = if r.rank() == 0 {
+                r.send(1, 1, &payload)
+            } else {
+                r.recv(Source::Rank(0), TagSel::Value(1), &mut buf)
+                    .map(|_| assert_eq!(buf, payload, "a delivered transfer is intact"))
+            };
+            match res {
+                Ok(()) => ok += 1,
+                Err(ScimpiError::DataCorruption { .. }) => failed += 1,
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        (ok, failed)
+    });
+    assert_eq!(out[0], out[1], "both ends agree on every transfer");
+    out
+}
+
+#[test]
+fn aborted_rendezvous_returns_its_ring_slot_under_sequence_check() {
+    let got = aborted_rendezvous(IntegrityMode::SequenceCheck);
+    if seed() == FAILURE_SEED {
+        assert_eq!(got, [(13, 11), (13, 11)]);
+    }
+}
+
+#[test]
+fn aborted_rendezvous_returns_its_ring_slot_under_end_to_end() {
+    let got = aborted_rendezvous(IntegrityMode::EndToEnd);
+    if seed() == FAILURE_SEED {
+        assert_eq!(got, [(13, 11), (13, 11)]);
+    }
+}
