@@ -43,6 +43,7 @@
 
 pub mod collective;
 pub mod error;
+mod integrity;
 pub mod mailbox;
 pub mod osc;
 pub mod p2p;

@@ -64,9 +64,6 @@ pub enum Head {
     Eager {
         /// Packed payload bytes.
         data: Vec<u8>,
-        /// Basic blocks the *sender* packed (receiver-side unpack pays a
-        /// matching per-block cost).
-        blocks: usize,
         /// CRC32 of `data` as computed by the sender, when the integrity
         /// mode frames payloads (`EndToEnd`); `None` otherwise.
         crc: Option<u32>,
@@ -94,8 +91,6 @@ pub enum Ctrl {
         slot: usize,
         /// Payload bytes in the slot.
         len: usize,
-        /// Basic blocks the sender wrote (drives receiver unpack cost).
-        blocks: usize,
         /// Arrival of the chunk data.
         arrival: SimTime,
         /// True on the final chunk.
@@ -395,7 +390,6 @@ mod tests {
             arrival: SimTime::ZERO,
             head: Head::Eager {
                 data: vec![],
-                blocks: 0,
                 crc: None,
             },
         }
@@ -453,7 +447,6 @@ mod tests {
             arrival: SimTime::from_ps(arrival),
             head: Head::Eager {
                 data: vec![0; len],
-                blocks: 1,
                 crc: None,
             },
             ..env(1, 0)
@@ -516,7 +509,6 @@ mod tests {
             Ctrl::Chunk {
                 slot: 0,
                 len: 10,
-                blocks: 1,
                 arrival: SimTime::ZERO,
                 last: true,
                 crc: None,
