@@ -4,9 +4,7 @@
 //! of different figures are mutually consistent.
 
 use mpi_datatype::{Committed, Datatype};
-use scimpi::{
-    run, run_report, ClusterSpec, Rank, RunReport, Source, TagSel, Tuning, WinMemory, Window,
-};
+use scimpi::{run, run_report, ClusterSpec, Rank, RunReport, Source, TagSel, WinMemory, Window};
 use simclock::{Bandwidth, SimDuration, SimTime};
 
 /// The paper's noncontig payload: 256 kiB of doubles per transfer.
@@ -283,12 +281,6 @@ pub fn intranode_spec() -> ClusterSpec {
     let mut spec = ClusterSpec::ringlet(1);
     spec.procs_per_node = 2;
     spec
-}
-
-/// Tuning preset used by the SCI figures (full ff comparison, paper
-/// footnote 1 in §3.4: `min_block_size = 0`).
-pub fn paper_tuning() -> Tuning {
-    Tuning::default()
 }
 
 /// Convert a virtual time to the µs scale the paper's latency plots use.

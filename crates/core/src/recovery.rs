@@ -399,11 +399,6 @@ impl Checkpointer {
         })
     }
 
-    /// The fixed image length.
-    pub fn image_len(&self) -> usize {
-        self.len
-    }
-
     /// Sequence number of the latest own checkpoint (0 = none yet).
     pub fn seq(&self) -> u64 {
         self.seq

@@ -6,7 +6,6 @@
 //! for one curve; [`Table`] renders aligned text tables so harness output
 //! matches the paper's row/column layout.
 
-use crate::time::SimDuration;
 use core::fmt::Write as _;
 
 /// Welford-style online mean/variance with min/max tracking.
@@ -39,11 +38,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Add a duration observation in microseconds.
-    pub fn push_duration_us(&mut self, d: SimDuration) {
-        self.push(d.as_us_f64());
     }
 
     /// Number of observations.
