@@ -441,3 +441,74 @@ fn aborted_rendezvous_returns_its_ring_slot_under_end_to_end() {
         assert_eq!(got, [(13, 11), (13, 11)]);
     }
 }
+
+/// A `sendrecv` whose eager send half fails still runs its receive half:
+/// the peer's message lands in the receive buffer instead of staying
+/// queued for whatever receive comes next, and the send-side error is
+/// what the call returns. Rank 0 exchanges 4 KiB messages, which the
+/// fabric refuses most of the time; rank 1 sends 64 bytes with a plain
+/// `send` (followed by an empty tombstone if refused) and then receives.
+/// A rank whose eager message was refused follows it with a tombstone.
+#[test]
+fn sendrecv_receives_when_its_eager_send_half_fails() {
+    const ROUNDS: u8 = 4;
+    let message = |who: usize, tag: u8, len: usize| vec![(who as u8) << 4 | tag; len];
+    let out = run(failing_spec(IntegrityMode::SequenceCheck, 0.05), move |r| {
+        let tag = |round: u8| 10 + round as i32;
+        let mut log = Vec::new();
+        for round in 0..ROUNDS {
+            if r.rank() == 0 {
+                let mut buf = vec![0u8; 64];
+                let res = r.sendrecv(
+                    1,
+                    tag(round),
+                    scimpi::SendData::Bytes(&message(0, round, 4096)),
+                    Source::Rank(1),
+                    TagSel::Value(tag(round)),
+                    scimpi::RecvBuf::Bytes(&mut buf),
+                );
+                let failed = matches!(res, Err(ScimpiError::DataCorruption { .. }));
+                assert!(failed || res.is_ok(), "unexpected {res:?}");
+                if failed {
+                    while r.send(1, tag(round), &[]).is_err() {}
+                }
+                log.push((failed, buf == message(1, round, 64)));
+            } else {
+                let sent = r.send(0, tag(round), &message(1, round, 64)).is_ok();
+                if !sent {
+                    while r.send(0, tag(round), &[]).is_err() {}
+                }
+                let mut buf = vec![0u8; 4096];
+                r.recv(Source::Rank(0), TagSel::Value(tag(round)), &mut buf)
+                    .expect("a message or its tombstone");
+                log.push((!sent, true));
+            }
+        }
+        r.barrier();
+        let left: Vec<u8> = (0..ROUNDS)
+            .filter(|&round| {
+                r.probe(Source::Rank(1 - r.rank()), TagSel::Value(tag(round)))
+                    .is_some()
+            })
+            .collect();
+        (log, left)
+    });
+    let (rank0, rank1) = (&out[0].0, &out[1].0);
+    for (rank, (_, left)) in out.iter().enumerate() {
+        assert!(
+            left.is_empty(),
+            "rank {rank} still has messages queued: {left:?}"
+        );
+    }
+    let mut checked = 0;
+    for (round, (&(failed, got), &(peer_failed, _))) in rank0.iter().zip(rank1).enumerate() {
+        if failed && !peer_failed {
+            assert!(got, "round {round}: the failed exchange did not receive");
+            checked += 1;
+        }
+    }
+    assert!(
+        checked > 0,
+        "no round failed rank 0's eager half alone: {rank0:?} {rank1:?}"
+    );
+}
