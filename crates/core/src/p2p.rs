@@ -1169,7 +1169,15 @@ impl Rank {
         rtag: TagSel,
         rbuf: RecvBuf<'_>,
     ) -> Result<RecvStatus, ScimpiError> {
-        let op = self.start_send(dst, stag, sdata)?;
+        let op = match self.start_send(dst, stag, sdata) {
+            Ok(op) => op,
+            Err(e) => {
+                // The receive half runs anyway: the peer's message must
+                // not stay queued for whatever receive comes next.
+                let _ = self.recv_into(src, rtag, rbuf);
+                return Err(e);
+            }
+        };
         if op.is_done() {
             // Eager sends already completed locally.
             return self.recv_into(src, rtag, rbuf);
