@@ -737,7 +737,7 @@ const NOISY: [u64; 36] = [
     0x533aa7795103fbc1, 0x4783225edd68d7d3, 0x83f750543097fce0,
     0x01ad1282cac3d0a8, 0xb91f4c0108c30b18, 0xaf3ce8bb613558fd,
     0x2cef69354af2f7b7, 0x9fb2c418bbe4e0a3, 0x36a1a6748658b500,
-    0x335d8fb072ddec16, 0x80d0ca8192dbbbe8, 0x5294482684c5b1c7,
+    0x335d8fb072ddec16, 0x6841412a765f38a9, 0x06ca82bb79907d92,
     0xcfb0443600c46356, 0x96ba07e6619d3dd8, 0x6f83815bca612cfa,
     0x9933a152fdd16813, 0xed65ba43c2a258f4, 0x0810e87ee2fe28b7,
     0xf8635d99373ba734, 0xc18d33bfd9c0d23b, 0xd7e3b6378c85598a,
