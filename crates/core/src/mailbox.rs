@@ -583,33 +583,31 @@ mod tests {
     #[test]
     fn cross_task_ctrl() {
         let mb = Mailbox::new();
-        let (got, _) = sched::run_roots(2, |me, root| {
-            root.run(|| {
-                if me == 1 {
-                    for i in 0..100u64 {
-                        let (arrival, data) = (SimTime::from_ps(i), vec![]);
-                        mb.post_ctrl(i % 4, Ctrl::Signal { arrival, data });
-                        // Hand the token over so the consumer really waits.
-                        sched::park(arrival);
-                    }
-                    return 0;
+        let (got, _) = sched::run_roots(2, |me| {
+            if me == 1 {
+                for i in 0..100u64 {
+                    let (arrival, data) = (SimTime::from_ps(i), vec![]);
+                    mb.post_ctrl(i % 4, Ctrl::Signal { arrival, data });
+                    // Hand the token over so the consumer really waits.
+                    sched::park(arrival);
                 }
-                let mut got = 0;
-                for h in 0..4u64 {
-                    for k in 0..25 {
-                        let c = loop {
-                            if let Some(c) = mb.wait_ctrl(h) {
-                                break c;
-                            }
-                        };
-                        // Per handle, packets come out in posted order.
-                        let want = SimTime::from_ps(4 * k + h);
-                        assert!(matches!(c, Ctrl::Signal { arrival, .. } if arrival == want));
-                        got += 1;
-                    }
+                return 0;
+            }
+            let mut got = 0;
+            for h in 0..4u64 {
+                for k in 0..25 {
+                    let c = loop {
+                        if let Some(c) = mb.wait_ctrl(h) {
+                            break c;
+                        }
+                    };
+                    // Per handle, packets come out in posted order.
+                    let want = SimTime::from_ps(4 * k + h);
+                    assert!(matches!(c, Ctrl::Signal { arrival, .. } if arrival == want));
+                    got += 1;
                 }
-                got
-            })
+            }
+            got
         });
         assert_eq!(got[0], 100);
     }
@@ -624,13 +622,11 @@ mod tests {
                 arrival: SimTime::ZERO,
             },
         );
-        let (_, stats) = sched::run_roots(1, |_, root| {
-            root.run(|| {
-                // Nobody posts: the wait ends in a stall round.
-                register(&mb, Source::Rank(2), TagSel::Any, 5);
-                assert!(mb.wait_ctrl(8).is_none());
-                assert!(mb.try_ctrl(8).is_none());
-            })
+        let (_, stats) = sched::run_roots(1, |_| {
+            // Nobody posts: the wait ends in a stall round.
+            register(&mb, Source::Rank(2), TagSel::Any, 5);
+            assert!(mb.wait_ctrl(8).is_none());
+            assert!(mb.try_ctrl(8).is_none());
         });
         assert_eq!(
             stats.stalls, 1,

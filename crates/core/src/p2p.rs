@@ -22,6 +22,7 @@
 use crate::error::ScimpiError;
 use crate::integrity::{self, Transfer};
 use crate::mailbox::{fill, Ctrl, Envelope, Handed, Head, Posted, Slot, Source, Tag, TagSel};
+use crate::request::{engine, OwnedSend};
 use crate::runtime::{observe_revoke, Rank, WorldState};
 use crate::sink::PioSink;
 use crate::tuning::{
@@ -169,6 +170,11 @@ pub(crate) fn reliable_section() -> ReliableGuard {
 /// Is this thread inside a reliable protocol section?
 fn is_reliable() -> bool {
     RELIABLE.with(|r| r.get())
+}
+
+/// Exchange the thread's [`RELIABLE`] flag with a switched-out task's.
+pub(crate) fn swap_reliable(flag: &mut bool) {
+    *flag = RELIABLE.replace(*flag);
 }
 
 /// Guard returned by [`reliable_section`].
@@ -1150,16 +1156,17 @@ impl Rank {
     /// Combined send+receive (`MPI_Sendrecv`): deadlock-free even when all
     /// ranks call it simultaneously with rendezvous-size messages.
     ///
-    /// Rendezvous sends are driven on a helper thread with a *forked
-    /// clock* while this thread services the receive — the two transfers
-    /// progress concurrently, exactly the semantics `MPI_Sendrecv`
-    /// promises (and the only way a symmetric exchange can avoid circular
-    /// waits without an asynchronous progress engine). On completion the
-    /// rank's clock merges the later of the two finish times.
+    /// A rendezvous send half is driven by a task of its own with a
+    /// *forked clock* while this task services the receive — the two
+    /// transfers progress concurrently, exactly the semantics
+    /// `MPI_Sendrecv` promises (and the only way a symmetric exchange can
+    /// avoid circular waits without an asynchronous progress engine). The
+    /// task works on a copy of the send data and is joined before this
+    /// returns; the rank's clock merges the later of the two finish times.
     ///
     /// If both halves fail, the send-side error wins (it is reported
     /// first in MPI practice too — the sendrecv completes as a unit
-    /// either way).
+    /// either way). A failed eager send half still runs the receive half.
     pub fn sendrecv(
         &mut self,
         dst: usize,
@@ -1178,48 +1185,32 @@ impl Rank {
                 return Err(e);
             }
         };
-        if op.is_done() {
+        let SendOpKind::Rendezvous { handle, ticket } = op.kind else {
             // Eager sends already completed locally.
             return self.recv_into(src, rtag, rbuf);
-        }
-        let dst = op.dst; // world rank (translated by start_send)
-        let world = Arc::clone(&self.world);
-        let rank = self.rank;
-        let mut send_clock = self.clock.clone();
-        // The send half runs as its own scheduler task so its blocking
-        // sites (ring slots, CTS waits) park in virtual time concurrently
-        // with the recv half below.
-        let task = sched::spawn_handle(rank as u32, send_clock.now())
-            .expect("sendrecv outside a task: a rank runs under the scheduler");
-        std::thread::scope(|scope| {
-            let sender = scope.spawn({
-                let (world, task) = (Arc::clone(&world), task.clone());
-                move || {
-                    // Bind the helper to the run's recorder and the rank's
-                    // trace lane but leave it out of attribution (its
-                    // clock is a fork; the rank accounts the join below
-                    // as a request-wait).
-                    let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
-                    let res = task.run(|| finish_send_inner(&world, rank, &mut send_clock, op));
-                    // Unwound: the run is aborting, and so does the join.
-                    let res = res.unwrap_or_else(|| std::panic::panic_any(sched::Aborted));
-                    (res, send_clock)
-                }
-            });
-            let status = self.recv_into(src, rtag, rbuf);
-            sched::join_task(&task);
-            let (send_res, send_clock) = sender.join().expect("send side panicked");
-            // Joining the helper's forked clock: any jump is the rank
-            // blocked on its own outstanding send half.
-            attrib::merge_waited(
-                &mut self.clock,
-                send_clock.now(),
-                WaitKind::RequestWait,
-                Some(dst as u32),
-            );
-            send_res?;
-            status
-        })
+        };
+        let (world, rank, dst) = (Arc::clone(&self.world), self.rank, op.dst);
+        let owned = OwnedSend::copy_of(op.data);
+        let send_half = move |clock: &mut Clock| {
+            let kind = SendOpKind::Rendezvous { handle, ticket };
+            let data = owned.as_data();
+            finish_send_inner(&world, rank, clock, SendOp { dst, data, kind })
+        };
+        let seq = sched::reserve_seq();
+        let (task, done) = engine(&self.world, rank, seq, self.clock.clone(), send_half);
+        let status = self.recv_into(src, rtag, rbuf);
+        sched::join_task(&task);
+        let (end, send_res) = done.lock().unwrap().take().expect("a joined send half");
+        // Joining the helper's forked clock: any jump is the rank
+        // blocked on its own outstanding send half.
+        attrib::merge_waited(
+            &mut self.clock,
+            end,
+            WaitKind::RequestWait,
+            Some(dst as u32),
+        );
+        send_res?;
+        status
     }
 
     /// Non-destructive probe for a matching message.

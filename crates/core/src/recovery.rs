@@ -45,7 +45,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 thread_local! {
-    /// Set while this rank thread runs recovery-internal protocol
+    /// Set while this rank's task runs recovery-internal protocol
     /// (agreement, shrink): revocation checks answer "no revocation"
     /// so the machinery that *handles* a revocation is not killed by it.
     static EXEMPT: Cell<bool> = const { Cell::new(false) };
@@ -54,6 +54,11 @@ thread_local! {
 /// Is the calling thread running revocation-exempt recovery protocol?
 pub(crate) fn is_exempt() -> bool {
     EXEMPT.with(|e| e.get())
+}
+
+/// Exchange the thread's [`EXEMPT`] flag with a switched-out task's.
+pub(crate) fn swap_exempt(flag: &mut bool) {
+    *flag = EXEMPT.replace(*flag);
 }
 
 /// Run `f` exempt from revocation checks, restoring the previous state

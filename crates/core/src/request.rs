@@ -136,7 +136,7 @@ pub struct RecvDone {
 
 /// What an in-flight isend owns (the engine needs `'static` data;
 /// borrowing the caller's buffer would tie the request to it).
-enum OwnedSend {
+pub(crate) enum OwnedSend {
     Bytes(Vec<u8>),
     Typed {
         c: Committed,
@@ -147,7 +147,25 @@ enum OwnedSend {
 }
 
 impl OwnedSend {
-    fn as_data(&self) -> SendData<'_> {
+    /// A copy of what `data` sends.
+    pub(crate) fn copy_of(data: SendData<'_>) -> OwnedSend {
+        match data {
+            SendData::Bytes(b) => OwnedSend::Bytes(b.to_vec()),
+            SendData::Typed {
+                c,
+                count,
+                buf,
+                origin,
+            } => OwnedSend::Typed {
+                c: c.clone(),
+                count,
+                buf: buf.to_vec(),
+                origin,
+            },
+        }
+    }
+
+    pub(crate) fn as_data(&self) -> SendData<'_> {
         match self {
             OwnedSend::Bytes(b) => SendData::Bytes(b),
             OwnedSend::Typed {
@@ -166,7 +184,7 @@ impl OwnedSend {
 }
 
 /// Where an engine leaves the fork's final time and the result.
-type Completion<T> = Arc<Mutex<Option<(SimTime, Result<T, ScimpiError>)>>>;
+pub(crate) type Completion<T> = Arc<Mutex<Option<(SimTime, Result<T, ScimpiError>)>>>;
 
 enum State<T> {
     /// A receive in the posted queue, waiting for the send that matches
@@ -187,10 +205,19 @@ enum State<T> {
 }
 
 /// Start an engine for world rank `id`: `f` drives the transfer on
-/// `clock` as a pooled scheduler task created at the clock's time under
-/// the sequence number `seq` ([`sched::reserve_seq`]), so its blocking
-/// sites park in virtual time like any rank's.
-fn start_engine<T, F>(world: &WorldState, id: usize, seq: u64, mut clock: Clock, f: F) -> State<T>
+/// `clock` as a scheduler task spawned at the clock's time under the
+/// sequence number `seq` ([`sched::reserve_seq`]), so its blocking sites
+/// park in virtual time like any rank's. The engine is bound to `id`'s
+/// trace lane and left out of attribution (its clock is a fork); the
+/// completion holds the fork's final time and the result once it has
+/// been joined.
+pub(crate) fn engine<T, F>(
+    world: &WorldState,
+    id: usize,
+    seq: u64,
+    mut clock: Clock,
+    f: F,
+) -> (sched::Handle, Completion<T>)
 where
     T: Send + 'static,
     F: FnOnce(&mut Clock) -> Result<T, ScimpiError> + Send + 'static,
@@ -203,7 +230,17 @@ where
         let res = f(&mut clock);
         *filled.lock().unwrap() = Some((clock.now(), res));
     });
-    State::Running(sched::spawn_reserved(id, at, seq, job), completion)
+    (sched::spawn_reserved(id, at, seq, job), completion)
+}
+
+/// [`engine`] as a request's `Running` state.
+fn start_engine<T, F>(world: &WorldState, id: usize, seq: u64, clock: Clock, f: F) -> State<T>
+where
+    T: Send + 'static,
+    F: FnOnce(&mut Clock) -> Result<T, ScimpiError> + Send + 'static,
+{
+    let (task, completion) = engine(world, id, seq, clock, f);
+    State::Running(task, completion)
 }
 
 /// A nonblocking communication request (`MPI_Request`).
@@ -430,7 +467,7 @@ impl Rank {
         tag: crate::mailbox::Tag,
         data: &[u8],
     ) -> Result<Request<()>, ScimpiError> {
-        self.isend_owned(dst, tag, OwnedSend::Bytes(data.to_vec()))
+        self.isend_owned(dst, tag, OwnedSend::copy_of(SendData::Bytes(data)))
     }
 
     /// Nonblocking send of a committed datatype (`MPI_Isend` with a
@@ -444,16 +481,13 @@ impl Rank {
         buf: &[u8],
         origin: usize,
     ) -> Result<Request<()>, ScimpiError> {
-        self.isend_owned(
-            dst,
-            tag,
-            OwnedSend::Typed {
-                c: c.clone(),
-                count,
-                buf: buf.to_vec(),
-                origin,
-            },
-        )
+        let data = SendData::Typed {
+            c,
+            count,
+            buf,
+            origin,
+        };
+        self.isend_owned(dst, tag, OwnedSend::copy_of(data))
     }
 
     /// Shared isend body over the owned payload.

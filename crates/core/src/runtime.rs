@@ -1025,6 +1025,23 @@ where
     run_report(spec, f).0
 }
 
+/// The thread-local state of a rank, engine or helper task, carried
+/// across switches: its recorder binding and whether it runs inside a
+/// reliable protocol section or revocation-exempt recovery protocol.
+#[derive(Default)]
+struct TaskLocals {
+    lane: obs::Binding,
+    reliable: bool,
+    exempt: bool,
+}
+
+impl sched::TaskLocal for TaskLocals {
+    fn swap(&mut self) {
+        self.lane.swap();
+        crate::p2p::swap_reliable(&mut self.reliable);
+        crate::recovery::swap_exempt(&mut self.exempt);
+    }
+}
 /// [`run`], also returning what the run observed about itself. The
 /// report is a function of this run alone: nothing else the process
 /// runs, before or concurrently, shows up in it.
@@ -1085,37 +1102,33 @@ where
     // One launch membership for every rank, not a `size`-long copy each.
     let launch_members: Arc<Vec<usize>> = Arc::new((0..size).collect());
     // Every rank is a root task of one scheduler (`docs/SCHEDULER.md`).
-    let (results, stats) = sched::run_roots(size, |rank, task| {
-        // Bound around the task, not inside it: the lane folds into the
-        // recorder once the rank has retired, off the run token.
+    let (results, stats) = sched::run_roots_with::<TaskLocals, _>(size, |rank| {
         let _bound = world.obs.as_ref().map(|o| o.bind(rank as u32));
         // Only ranks contribute to time attribution; engine and helper
         // tasks with forked clocks stay unmarked so no picosecond is
         // charged twice.
         obs::attrib::set_thread_attrib(true);
-        task.run(|| {
-            let mut r = Rank {
-                rank,
-                size,
-                clock: Clock::new(),
-                world: Arc::clone(&world),
-                coll_seq: 0,
-                drop_bin: Arc::new(crate::request::DropBin::default()),
-                pending_requests: 0,
-                members: Arc::clone(&launch_members),
-                my_index: rank,
-                epoch: 0,
-                epoch_barrier: None,
-                coll_win: None,
-            };
-            let out = f(&mut r);
-            // Teardown: requests dropped inside `f` completed on their
-            // engines; fold their virtual time in so a fire-and-forget
-            // isend is never lost.
-            r.reap_dropped();
-            obs::attrib::record_makespan(rank as u32, r.clock.now());
-            out
-        })
+        let mut r = Rank {
+            rank,
+            size,
+            clock: Clock::new(),
+            world: Arc::clone(&world),
+            coll_seq: 0,
+            drop_bin: Arc::new(crate::request::DropBin::default()),
+            pending_requests: 0,
+            members: Arc::clone(&launch_members),
+            my_index: rank,
+            epoch: 0,
+            epoch_barrier: None,
+            coll_win: None,
+        };
+        let out = f(&mut r);
+        // Teardown: requests dropped inside `f` completed on their
+        // engines; fold their virtual time in so a fire-and-forget
+        // isend is never lost.
+        r.reap_dropped();
+        obs::attrib::record_makespan(rank as u32, r.clock.now());
+        out
     });
     drop(bound);
     let mut report = RunReport {

@@ -70,7 +70,7 @@ pub use config::ObsConfig;
 pub use export::{chrome_trace_json, counters_jsonl};
 pub use histogram::Histogram;
 pub use recorder::{
-    add, count_layout_commit, inc, instant, is_enabled, max, span, thread_rank, Arg, Bound,
-    Counter, CounterTable, EventKind, LinkSnapshot, PeakBacklog, Recorder, TraceEvent,
+    add, count_layout_commit, inc, instant, is_enabled, max, span, thread_rank, Arg, Binding,
+    Bound, Counter, CounterTable, EventKind, LinkSnapshot, PeakBacklog, Recorder, TraceEvent,
 };
 pub use report::Profile;

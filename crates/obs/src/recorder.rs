@@ -420,6 +420,20 @@ impl Drop for Bound {
     }
 }
 
+/// A binding taken off the thread while the task that made it is
+/// switched out. Tasks share their thread, so the scheduler exchanges a
+/// task's `Binding` with the thread's at every switch ([`Binding::swap`]):
+/// a task records into its own lane and leaves the others' alone.
+#[derive(Default)]
+pub struct Binding(Option<Lane>);
+
+impl Binding {
+    /// Exchange the calling thread's binding with this one.
+    pub fn swap(&mut self) {
+        LANE.with_borrow_mut(|lane| std::mem::swap(lane, &mut self.0));
+    }
+}
+
 impl Recorder {
     /// A fresh, empty recorder that keeps what the profile needs and no
     /// trace events: a span feeds its name's histogram, an instant is
@@ -446,7 +460,7 @@ impl Recorder {
 
     /// Bind the calling thread to this recorder and to `rank`'s trace
     /// lane until the returned guard drops. `scimpi::run_report` does
-    /// this at the top of every rank and helper thread. The binding
+    /// this at the top of every rank, engine and helper task. The binding
     /// starts out not attributing; what it attributes and the spans it
     /// records reach the recorder when the guard drops.
     pub fn bind(self: &Arc<Self>, rank: u32) -> Bound {

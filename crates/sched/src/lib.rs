@@ -1,22 +1,20 @@
 //! # sched — deterministic discrete-event task scheduler
 //!
 //! The one way a rank runs: a **cooperative virtual-time scheduler**.
-//! Every rank (and every request-engine worker) is a *task* run by an OS
-//! thread, but exactly one task holds the **run token** at any moment. A
-//! task keeps the token until it reaches a blocking site (mailbox match,
-//! ring-slot acquisition, barrier, lock, request wait, backpressure
-//! stall) and parks; parking hands the token to the runnable task with
-//! the smallest `(virtual time, rank, sequence)` key. Dispatch order is
-//! therefore a pure function of the simulation state — same seed, same
-//! interleaving, bit for bit — and wall-clock cost per rank is one parked
-//! thread, not one spinning poll loop.
+//! Every rank, request engine and `sendrecv` send half is a *task*: a
+//! stackful coroutine on the thread that called [`run_roots`]. Exactly
+//! one task holds the **run token** at any moment. A task keeps the token
+//! until it reaches a blocking site (mailbox match, ring-slot
+//! acquisition, barrier, lock, request wait, backpressure stall) and
+//! parks; the token passes to the runnable task with the smallest
+//! `(virtual time, rank, sequence)` key. Dispatch order is therefore a
+//! pure function of the simulation state — same seed, same interleaving,
+//! bit for bit — and a handoff is two user-mode stack switches, not a
+//! system call.
 //!
-//! Ranks run on threads [`run_roots`] makes for them; a forked helper
-//! brings its own ([`Handle::run`]); request engines are handed over as a
-//! closure ([`spawn`]) and run on a pool of parked workers the scheduler
-//! owns. Such a task is created *ready*, under the key it would have had
-//! on a thread of its own, so which OS thread runs it changes nothing
-//! about the order.
+//! [`run_roots`] makes a task per rank; a task [`spawn`]s more (request
+//! engines, `sendrecv` send halves), each born *ready* under the key
+//! given at its spawn, and [`join_task`]s them.
 //!
 //! A blocking site holds a mutex and a [`WaitQueue`] and loops over its
 //! predicate around [`WaitQueue::wait`], which parks the calling task.
@@ -39,28 +37,49 @@
 //! and nothing is in flight the scheduler runs a **stall round**: all
 //! blocked tasks wake with [`Wake::Stalled`] and re-check liveness (dead
 //! peer? revoked epoch? cancelled barrier?). Progress is counted
-//! (unparks, adoptions, retirements); consecutive stall rounds without
+//! (unparks, spawns, retirements); consecutive stall rounds without
 //! progress mean a genuine deadlock and panic with a task-table dump
 //! instead of hanging CI.
 //!
 //! ## Handoff
 //!
-//! The successor is *chosen* under the scheduler mutex and the token is
-//! *granted* outside it: the chooser stores the grant in the successor's
-//! own flag and unparks its thread; a waiting task loops on that flag and
-//! never on the mutex. A task that chooses itself (after a stall round)
-//! keeps running without a syscall.
+//! A parking task marks itself blocked under the scheduler mutex,
+//! releases it and switches to the *driver*: the loop [`run_roots`] runs
+//! on the launching thread's own stack. The driver pops the successor
+//! under the mutex (after a stall round if everyone is blocked) and
+//! switches to it. A task with a wake pending returns from its park
+//! without switching. Thread-local state of the crates above that belongs
+//! to a task rather than to the thread follows it through [`TaskLocal`].
+//!
+//! ## Adopted threads
+//!
+//! [`Scheduler::new`], [`Scheduler::create_root`], [`Handle::adopt`] (or
+//! [`Handle::run`]), [`spawn_handle`] and [`retire`] run tasks as OS
+//! threads of their own that hand the token over with a futex wake. The
+//! host benchmark's scheduler probes measure that handoff; no runtime
+//! code uses it. [`spawn`] on such a thread panics.
 //!
 //! See `docs/SCHEDULER.md` for the full model.
 
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+compile_error!(
+    "sched runs every task as a coroutine with a hand-written x86_64 context \
+     switch and mmap'd stacks: x86_64 Linux is the one supported target"
+);
+
+mod coro;
+
 use simclock::SimTime;
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::panic::panic_any;
+use std::ffi::c_void;
+use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::{JoinHandle, Thread};
+use std::thread::Thread;
 
 /// Sentinel panic payload used to unwind tasks after another task has
 /// aborted the run. Wrappers around task bodies treat it as "shut down
@@ -82,10 +101,10 @@ pub enum Wake {
 /// [`Parker::grant`] while no grant is pending; otherwise a [`Wake`].
 const NO_GRANT: u8 = 0;
 
-/// One task's end of the handoff, created at adoption (a pooled task
-/// uses its worker's): the flag its thread waits on and the thread to
-/// poke. The task table holds it so a granter can reach it, the task's
-/// thread-local so the wait never takes the scheduler mutex.
+/// An adopted thread's end of the handoff: the flag its thread waits on
+/// and the thread to poke. The task table holds it so a granter can
+/// reach it, the thread's [`Current`] so the wait never takes the
+/// scheduler mutex.
 struct Parker {
     /// The [`Wake`] this task was granted the run token with, until the
     /// task consumes it. Stored (`Release`) by the granter after it chose
@@ -102,7 +121,7 @@ impl Parker {
     }
 }
 
-/// Outcome of [`Scheduler::choose`].
+/// Outcome of [`Scheduler::choose`] on an adopted thread.
 enum Next {
     /// No grant: the run aborted, the root gate is shut, or no live task
     /// remains.
@@ -113,78 +132,164 @@ enum Next {
     Task(Arc<Parker>, Wake),
 }
 
-/// The body of a pooled task ([`spawn`]).
+/// The body of a spawned task ([`spawn`]).
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// What a pool worker finds in its inbox.
-enum Order {
-    /// Run this task: wait for its first grant, then call the job.
-    Run(Current, Job),
-    /// The run is over.
-    Exit,
+/// Thread-local state of a crate above this one that belongs to the task
+/// running on the thread, not to the thread: a recorder binding, a
+/// protocol-section flag. The driver exchanges a task's value with the
+/// thread's when it switches to the task and again when the task switches
+/// back, so a task sees only its own and the launching thread, between
+/// tasks, its own. A task starts from `Default::default()`.
+pub trait TaskLocal: Send + 'static {
+    /// Exchange the calling thread's state with `self`.
+    fn swap(&mut self);
 }
 
-/// The scheduler's end of one pool thread: held by the task it runs
-/// while that is live, by [`Inner::idle`] in between.
-struct Worker {
-    parker: Arc<Parker>,
-    /// Filled under the scheduler lock; an unpark of the thread always
-    /// follows (the task's first grant, an abort, or teardown).
-    inbox: Arc<Mutex<Option<Order>>>,
-    thread: JoinHandle<()>,
+impl TaskLocal for () {
+    fn swap(&mut self) {}
 }
 
-impl Worker {
-    /// Start a parked worker. Its parker is built from the `JoinHandle`,
-    /// so nobody waits for the thread to come up.
-    fn start() -> Box<Worker> {
-        let inbox = Arc::new(Mutex::new(None));
-        let theirs = Arc::clone(&inbox);
-        let thread = std::thread::Builder::new()
-            .name("sched-worker".into())
-            .spawn(move || Worker::run(&theirs))
-            .expect("spawn pool worker");
-        let parker = Arc::new(Parker {
-            grant: AtomicU8::new(NO_GRANT),
-            thread: thread.thread().clone(),
-        });
-        Box::new(Worker {
-            parker,
-            inbox,
-            thread,
-        })
+/// Where a coroutine's and the driver's stack pointers wait while the
+/// other runs, and what the driver resumed the coroutine with.
+struct Context {
+    /// The coroutine's stack pointer while it is switched out.
+    sp: Cell<*mut u8>,
+    /// The driver's stack pointer while the coroutine runs.
+    back: Cell<*mut u8>,
+    wake: Cell<Wake>,
+    /// The coroutine retired: its last switch out has happened.
+    done: Cell<bool>,
+}
+
+impl Context {
+    /// Switch to the driver; returns when the driver resumes this
+    /// coroutine.
+    fn suspend(&self) {
+        debug_assert!(
+            !std::thread::panicking(),
+            "a coroutine switched while unwinding"
+        );
+        // SAFETY: `back` is where the driver switched from to resume this
+        // coroutine, and it has not been resumed since.
+        unsafe { coro::switch(self.sp.as_ptr(), self.back.get()) };
+    }
+}
+
+/// A coroutine task: its stack, its body until the first resumption, and
+/// its [`TaskLocal`] state. Boxed and reached by pointer ([`CoroPtr`]):
+/// its own frames hold references into it while it is switched out.
+struct Coroutine {
+    cur: Current,
+    stack: coro::Stack,
+    job: Cell<Option<Job>>,
+    /// The task's thread-local state while it is switched out, the
+    /// driver's while it runs.
+    locals: RefCell<Box<dyn TaskLocal>>,
+}
+
+impl Coroutine {
+    /// The record that runs `job` as `handle`'s task: `spare`'s, on the
+    /// stack its last task left, or a fresh one on a new stack.
+    fn make(
+        spare: Option<CoroPtr>,
+        handle: Handle,
+        job: Job,
+        locals: Box<dyn TaskLocal>,
+    ) -> CoroPtr {
+        let cur = Current {
+            handle,
+            runner: Runner::Coroutine(Context {
+                sp: Cell::new(std::ptr::null_mut()),
+                back: Cell::new(std::ptr::null_mut()),
+                wake: Cell::new(Wake::Woken),
+                done: Cell::new(false),
+            }),
+        };
+        let record = match spare {
+            Some(CoroPtr(p)) => {
+                // SAFETY: a spare record's coroutine made its last switch;
+                // nothing refers to the record any more.
+                let mut record = unsafe { Box::from_raw(p.as_ptr()) };
+                record.cur = cur;
+                record.job = Cell::new(Some(job));
+                record.locals = RefCell::new(locals);
+                record
+            }
+            None => Box::new(Coroutine {
+                cur,
+                stack: coro::Stack::new(),
+                job: Cell::new(Some(job)),
+                locals: RefCell::new(locals),
+            }),
+        };
+        let record = NonNull::from(Box::leak(record));
+        // SAFETY: just leaked; the driver frees it after its last switch.
+        let co = unsafe { record.as_ref() };
+        let sp = co
+            .stack
+            .start(coroutine_main, record.as_ptr() as *const c_void);
+        co.context().sp.set(sp);
+        CoroPtr(record)
     }
 
-    /// The worker thread: the one place a pooled task is adopted, run
-    /// and retired.
-    fn run(inbox: &Mutex<Option<Order>>) {
-        loop {
-            let order = relock(inbox.lock()).take();
-            let (cur, job) = match order {
-                // Park tokens are advisory: only the inbox counts.
-                None => {
-                    std::thread::park();
-                    continue;
-                }
-                Some(Order::Exit) => return,
-                Some(Order::Run(cur, job)) => (cur, job),
-            };
-            let (sched, mine) = (Arc::clone(&cur.handle.sched), Arc::clone(&cur.parker));
-            CURRENT.with(|c| *c.borrow_mut() = Some(cur));
-            // The first grant is awaited inside the catch, like `adopt` in
-            // a task thread's wrapper: a task queued but never granted
-            // when the run aborts retires without its job having run.
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sched.hand_over(Next::Nobody, &mine);
-                job()
-            }));
-            if let Err(p) = out {
-                sched.abort_with(p);
-            }
-            retire();
+    fn context(&self) -> &Context {
+        match &self.cur.runner {
+            Runner::Coroutine(ctx) => ctx,
+            Runner::Thread(_) => unreachable!("a coroutine's runner is its context"),
         }
     }
+
+    /// Run the coroutine until it parks or retires, as the current task
+    /// of the calling thread and with its thread-local state in place.
+    fn resume(&self, wake: Wake) {
+        let ctx = self.context();
+        ctx.wake.set(wake);
+        self.locals.borrow_mut().swap();
+        let outer = CURRENT.replace(&self.cur);
+        // SAFETY: `sp` is where the coroutine last switched out (or its
+        // start frame), not resumed since; its stack is this record's.
+        unsafe { coro::switch(ctx.back.as_ptr(), ctx.sp.get()) };
+        CURRENT.set(outer);
+        self.locals.borrow_mut().swap();
+    }
 }
+
+/// Where every coroutine starts, on its own stack: run the job (unless
+/// the run aborted first), store a panic as the run's, retire, and
+/// switch out for the last time.
+extern "C" fn coroutine_main(record: *const c_void) -> ! {
+    // SAFETY: the driver frees the record only after the last switch
+    // below.
+    let record = unsafe { &*(record as *const Coroutine) };
+    let handle = &record.cur.handle;
+    let job = record.job.take();
+    let out = catch_unwind(AssertUnwindSafe(move || {
+        if handle.sched.is_aborted() {
+            // Resumed only to unwind: the job is dropped unrun.
+            panic_any(Aborted);
+        }
+        job.expect("a coroutine runs its job once")()
+    }));
+    if let Err(p) = out {
+        handle.sched.abort_with(p);
+    }
+    handle.sched.retire_task(handle.id.0, false);
+    let ctx = record.context();
+    ctx.done.set(true);
+    ctx.suspend();
+    unreachable!("a retired coroutine was resumed")
+}
+
+/// A coroutine record in the task table.
+#[derive(Clone, Copy)]
+struct CoroPtr(NonNull<Coroutine>);
+
+// SAFETY: a record is dereferenced only on the thread that drives its
+// run (by the driver, the coroutine itself and the tasks that spawn);
+// another thread that locks the task table (a wake from outside the run)
+// never touches the pointer.
+unsafe impl Send for CoroPtr {}
 
 /// Identifies a task within its [`Scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -216,12 +321,11 @@ struct Task {
     /// The pending dispatch is a stall round, not a producer wake.
     stalled: bool,
     root: bool,
-    /// Set at adoption, dropped at retirement (with the thread handle
-    /// it holds): an exited task keeps only its plain fields.
+    /// An adopted task's parker, set at adoption and dropped at
+    /// retirement (with the thread handle it holds).
     parker: Option<Arc<Parker>>,
-    /// The pool worker running this task if it was [`spawn`]ed, until it
-    /// retires. Boxed: most tasks have none.
-    worker: Option<Box<Worker>>,
+    /// A coroutine task's record, until its last switch out.
+    coro: Option<CoroPtr>,
     /// Index of this task in [`Inner::live`] while it is live.
     live_slot: usize,
     /// Tasks parked in `join` on this task's exit.
@@ -246,16 +350,12 @@ struct Inner {
     /// order: what stall rounds and aborts walk, so neither pays for the
     /// tasks that have come and gone.
     live: Vec<usize>,
-    /// Pool workers between tasks: the pool grows to the peak number of
-    /// pooled tasks live at once and never shrinks within a run. The
-    /// boxes move between here and [`Task::worker`] unopened.
-    #[allow(clippy::vec_box)]
-    idle: Vec<Box<Worker>>,
-    /// [`Scheduler::join_workers`] ran: a retiring worker now exits.
-    closed: bool,
+    /// Records of retired coroutines: the next spawn reuses one and its
+    /// stack, so a run maps as many stacks as it had tasks live at once.
+    spare: Vec<CoroPtr>,
     next_seq: u64,
-    /// Unparks + adoptions + retirements — the progress measure that
-    /// separates productive stall rounds from deadlock.
+    /// Unparks + adoptions + spawns + retirements — the progress measure
+    /// that separates productive stall rounds from deadlock.
     progress: u64,
     progress_at_stall: u64,
     barren_stalls: u32,
@@ -285,7 +385,8 @@ pub struct Stats {
     pub stalls: u64,
 }
 
-/// A deterministic cooperative scheduler over OS-thread-backed tasks.
+/// A deterministic cooperative scheduler over coroutine tasks (a
+/// [`run_roots`] run) or adopted OS threads ([`Scheduler::new`]).
 pub struct Scheduler {
     inner: Mutex<Inner>,
     /// Signalled on adoption; choosers wait here while `incoming > 0`.
@@ -296,6 +397,9 @@ pub struct Scheduler {
     aborted: AtomicBool,
     /// First non-[`Aborted`] panic payload, re-thrown by the launcher.
     first_panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+    /// A fresh coroutine's [`TaskLocal`] state, for a [`run_roots`] run;
+    /// `None` for a scheduler of adopted threads.
+    locals: Option<fn() -> Box<dyn TaskLocal>>,
 }
 
 // Scheduler-internal locks tolerate poisoning: a panicking task unwinds
@@ -306,19 +410,22 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
 }
 
 impl Scheduler {
-    /// A scheduler expecting `roots` root tasks (one per rank). Dispatch
-    /// opens once all roots have been adopted.
+    /// A scheduler of adopted threads expecting `roots` root tasks (one
+    /// per rank). Dispatch opens once all roots have been adopted.
     pub fn new(roots: usize) -> Arc<Self> {
+        Self::create(roots, None)
+    }
+
+    fn create(roots: usize, locals: Option<fn() -> Box<dyn TaskLocal>>) -> Arc<Self> {
         Arc::new(Scheduler {
             inner: Mutex::new(Inner {
                 tasks: Vec::with_capacity(roots),
                 ready: BinaryHeap::with_capacity(roots),
                 running: None,
-                gate: roots,
+                gate: if locals.is_some() { 0 } else { roots },
                 incoming: 0,
                 live: Vec::with_capacity(roots),
-                idle: Vec::new(),
-                closed: false,
+                spare: Vec::new(),
                 next_seq: 0,
                 progress: 0,
                 progress_at_stall: 0,
@@ -328,6 +435,7 @@ impl Scheduler {
             adopt_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
             first_panic: Mutex::new(None),
+            locals,
         })
     }
 
@@ -351,10 +459,9 @@ impl Scheduler {
         }
     }
 
-    /// Create a dynamic task (sendrecv fork) starting at `time`, to be
-    /// adopted by a thread of its own. The creating task keeps running;
-    /// dispatch will not pop the heap again until that thread has adopted
-    /// it.
+    /// Create a dynamic task starting at `time`, to be adopted by a
+    /// thread of its own. The creating task keeps running; dispatch will
+    /// not pop the heap again until that thread has adopted it.
     pub fn create_task(self: &Arc<Self>, rank: u32, time: SimTime) -> Handle {
         let mut g = self.lock();
         g.incoming += 1;
@@ -365,65 +472,31 @@ impl Scheduler {
         }
     }
 
-    /// Create a dynamic task that runs `job` on a pool worker. Unlike
-    /// [`Scheduler::create_task`]'s it is born *ready*, in the lock hold
-    /// that creates it: no thread has to come up and adopt it. `seq` is
-    /// its creation sequence number, taken by [`reserve_seq`].
-    fn spawn_pooled(self: Arc<Self>, rank: u32, time: SimTime, seq: u64, job: Job) -> Handle {
+    /// Create a coroutine task that runs `job`, *ready* in the lock hold
+    /// that creates it, under `seq` ([`reserve_seq`]) or the next
+    /// sequence number. Panics on a scheduler of adopted threads.
+    fn spawn_coroutine(
+        self: &Arc<Self>,
+        (rank, time, seq): (u32, SimTime, Option<u64>),
+        root: bool,
+        job: Job,
+    ) -> Handle {
+        let locals = self.locals.expect(
+            "sched::spawn on an adopted thread: coroutine tasks run only under sched::run_roots",
+        );
         let mut g = self.lock();
-        let worker = match g.idle.pop() {
-            Some(w) => w,
-            None => {
-                // Only the run-token holder spawns, so nothing that
-                // decides order can happen while the lock is released.
-                drop(g);
-                let w = Worker::start();
-                g = self.lock();
-                w
-            }
+        let id = Self::create_in(&mut g, rank, time, seq, root);
+        let handle = Handle {
+            sched: Arc::clone(self),
+            id,
         };
-        let id = Self::create_in(&mut g, rank, time, Some(seq), false);
-        let cur = Current {
-            handle: Handle {
-                sched: Arc::clone(&self),
-                id,
-            },
-            parker: Arc::clone(&worker.parker),
-        };
-        *relock(worker.inbox.lock()) = Some(Order::Run(cur, job));
-        if self.is_aborted() {
-            // No grant will come: the worker has to see the flag.
-            worker.parker.thread.unpark();
+        let spare = g.spare.pop();
+        g.tasks[id.0].coro = Some(Coroutine::make(spare, handle.clone(), job, locals()));
+        if !root {
+            g.progress += 1;
         }
-        g.tasks[id.0].parker = Some(Arc::clone(&worker.parker));
-        g.tasks[id.0].worker = Some(worker);
-        g.progress += 1;
         g.push_ready(id.0);
-        drop(g);
-        Handle { sched: self, id }
-    }
-
-    /// End of the run, called by the launcher once the roots are joined:
-    /// tell the idle pool workers to exit and join them; returns how many
-    /// that was. A worker still inside a task (a request leaked past its
-    /// run, a straggler unwinding from an abort) is detached and exits
-    /// when that task retires.
-    pub fn join_workers(&self) -> usize {
-        let idle = {
-            let mut g = self.lock();
-            g.closed = true;
-            std::mem::take(&mut g.idle)
-        };
-        for w in &idle {
-            *relock(w.inbox.lock()) = Some(Order::Exit);
-            w.parker.thread.unpark();
-        }
-        let joined = idle.len();
-        for w in idle {
-            // Only a scheduler bug panics a worker outside its catch.
-            let _ = w.thread.join();
-        }
-        joined
+        handle
     }
 
     /// The next creation sequence number.
@@ -444,7 +517,7 @@ impl Scheduler {
             stalled: false,
             root,
             parker: None,
-            worker: None,
+            coro: None,
             live_slot: g.live.len(),
             exit_waiters: Vec::new(),
         });
@@ -456,7 +529,8 @@ impl Scheduler {
 
     /// Abort the run: store the first real panic payload and wake every
     /// task so it unwinds with the [`Aborted`] sentinel (a running task at
-    /// its next park, a waiting one now).
+    /// its next park, a waiting one now — an adopted thread at once, a
+    /// coroutine when the driver resumes it).
     pub fn abort_with(&self, payload: Box<dyn Any + Send + 'static>) {
         {
             let mut fp = relock(self.first_panic.lock());
@@ -480,7 +554,7 @@ impl Scheduler {
     }
 
     /// The stored first panic, if any task aborted. The launcher resumes
-    /// unwinding with it after joining all task threads.
+    /// unwinding with it after every task has finished.
     pub fn take_panic(&self) -> Option<Box<dyn Any + Send + 'static>> {
         relock(self.first_panic.lock()).take()
     }
@@ -519,15 +593,20 @@ impl Scheduler {
         }
     }
 
-    /// Choose the best ready task as the next holder of the run token
-    /// and release the lock; the caller delivers the grant. Called with
-    /// no task running, by `me` (parking, adopting or retiring). Blocks
-    /// (deterministically) while spawned tasks have not yet been adopted.
-    fn choose(&self, mut g: MutexGuard<'_, Inner>, me: usize) -> Next {
+    /// Pop the best ready task as the next holder of the run token and
+    /// mark it running; `None` if the run aborted, the root gate is shut
+    /// or no live task remains. Called with no task running. Waits
+    /// (deterministically) while spawned tasks have not yet been adopted,
+    /// and runs a stall round when every live task is blocked — which
+    /// panics on a deadlock.
+    fn pick<'a>(
+        &self,
+        mut g: MutexGuard<'a, Inner>,
+    ) -> (MutexGuard<'a, Inner>, Option<(usize, Wake)>) {
         debug_assert!(g.running.is_none());
         loop {
             if self.is_aborted() || g.gate > 0 || g.live.is_empty() {
-                return Next::Nobody;
+                return (g, None);
             }
             if g.incoming > 0 {
                 g = relock(self.adopt_cv.wait(g));
@@ -542,18 +621,25 @@ impl Scheduler {
                 } else {
                     Wake::Woken
                 };
-                if id == me {
-                    return Next::Me(wake);
-                }
-                let parker = g.tasks[id]
-                    .parker
-                    .as_ref()
-                    .expect("ready tasks are adopted");
-                return Next::Task(Arc::clone(parker), wake);
+                return (g, Some((id, wake)));
             }
             // Ready heap empty, nothing incoming, nothing running, yet
             // live tasks exist: everyone is blocked. Stall round.
             self.stall_round(&mut g);
+        }
+    }
+
+    /// [`Scheduler::pick`] for an adopted thread (`me`: parking, adopting
+    /// or retiring), releasing the lock; the caller delivers the grant.
+    fn choose(&self, g: MutexGuard<'_, Inner>, me: usize) -> Next {
+        let (g, picked) = self.pick(g);
+        match picked {
+            None => Next::Nobody,
+            Some((id, wake)) if id == me => Next::Me(wake),
+            Some((id, wake)) => {
+                let parker = g.tasks[id].parker.as_ref();
+                Next::Task(Arc::clone(parker.expect("ready tasks are adopted")), wake)
+            }
         }
     }
 
@@ -605,11 +691,62 @@ impl Scheduler {
         out
     }
 
-    /// Deliver `next`'s grant, then wait for this task's own: until its
-    /// flag holds one, or the run aborts. Never touches the scheduler
-    /// mutex. `thread::park` tokens are advisory — `thread::scope`, `mpsc`
-    /// and any other std primitive park and unpark the same threads — so
-    /// the loop trusts only the two flags.
+    /// The driver of a [`run_roots`] run: resume the task [`pick`] names
+    /// until no live task remains. Once the run has aborted, every live
+    /// task is resumed in turn to unwind with [`Aborted`] instead; a
+    /// deadlock panic from a stall round aborts the run like a task's
+    /// panic. Retired coroutines' records go to the spare list, and are
+    /// freed (their stacks unmapped) when the run ends.
+    ///
+    /// [`pick`]: Scheduler::pick
+    fn drive(&self) {
+        loop {
+            let next = catch_unwind(AssertUnwindSafe(|| self.next_coroutine()));
+            let (co, wake) = match next {
+                Ok(Some(next)) => next,
+                Ok(None) => break,
+                Err(p) => {
+                    self.abort_with(p);
+                    continue;
+                }
+            };
+            // SAFETY: records are freed only below, after their last
+            // switch out.
+            let record = unsafe { co.0.as_ref() };
+            record.resume(wake);
+            if record.context().done.get() {
+                let mut g = self.lock();
+                g.tasks[record.cur.handle.id.0].coro = None;
+                g.spare.push(co);
+            }
+        }
+        for CoroPtr(p) in std::mem::take(&mut self.lock().spare) {
+            // SAFETY: a spare record's coroutine made its last switch.
+            drop(unsafe { Box::from_raw(p.as_ptr()) });
+        }
+    }
+
+    /// The coroutine the driver resumes next, and with what.
+    fn next_coroutine(&self) -> Option<(CoroPtr, Wake)> {
+        let g = self.lock();
+        let (g, next) = if self.is_aborted() {
+            let first = g.live.first().map(|&id| (id, Wake::Woken));
+            (g, first)
+        } else {
+            self.pick(g)
+        };
+        let (id, wake) = next?;
+        let co = g.tasks[id]
+            .coro
+            .expect("a live task of a run_roots run is a coroutine");
+        Some((co, wake))
+    }
+
+    /// Deliver `next`'s grant, then wait for this adopted thread's own:
+    /// until its flag holds one, or the run aborts. Never touches the
+    /// scheduler mutex. `thread::park` tokens are advisory — `thread::scope`,
+    /// `mpsc` and any other std primitive park and unpark the same threads
+    /// — so the loop trusts only the two flags.
     fn hand_over(&self, next: Next, mine: &Parker) -> Wake {
         match next {
             Next::Me(wake) => return wake,
@@ -628,20 +765,35 @@ impl Scheduler {
         }
     }
 
-    /// Give up the run token held by `me` as a blocked task and wait to
-    /// be granted it again.
-    fn block(&self, mut g: MutexGuard<'_, Inner>, me: usize, mine: &Parker) -> Wake {
+    /// Give up the run token held by `cur` as a blocked task and wait to
+    /// be granted it again: an adopted thread chooses its successor and
+    /// waits on its flag, a coroutine switches to the driver.
+    fn block(&self, mut g: MutexGuard<'_, Inner>, cur: &Current) -> Wake {
+        let me = cur.handle.id.0;
         g.tasks[me].status = Status::Blocked;
         g.tasks[me].stalled = false;
         g.running = None;
-        let next = self.choose(g, me);
-        self.hand_over(next, mine)
+        match &cur.runner {
+            Runner::Thread(parker) => {
+                let next = self.choose(g, me);
+                self.hand_over(next, parker)
+            }
+            Runner::Coroutine(ctx) => {
+                drop(g);
+                ctx.suspend();
+                if self.is_aborted() {
+                    panic_any(Aborted);
+                }
+                ctx.wake.get()
+            }
+        }
     }
 
-    /// Park the current task (`me`) at virtual time `now` (or its last
+    /// Park the current task `cur` at virtual time `now` (or its last
     /// recorded time if `None`) and hand the token over. Returns when the
     /// task is granted the token again.
-    fn park_task(&self, me: usize, mine: &Parker, now: Option<SimTime>) -> Wake {
+    fn park_task(&self, cur: &Current, now: Option<SimTime>) -> Wake {
+        let me = cur.handle.id.0;
         let mut g = self.lock();
         g.stats.events += 1;
         debug_assert_eq!(g.running, Some(me));
@@ -655,13 +807,14 @@ impl Scheduler {
         if std::mem::take(&mut g.tasks[me].pending_wake) {
             return Wake::Woken;
         }
-        self.block(g, me, mine)
+        self.block(g, cur)
     }
 
-    /// Retire the current task (`me`): mark it exited, release what only
-    /// a live task needs, wake joiners, grant a successor. The task's
-    /// thread must not touch the scheduler afterwards.
-    fn retire_task(&self, me: usize) {
+    /// Retire task `me`: mark it exited, release what only a live task
+    /// needs, wake joiners. An adopted thread (`grant_next`) also grants
+    /// a successor; a coroutine leaves that to the driver it switches to.
+    /// The task must not touch the scheduler afterwards.
+    fn retire_task(&self, me: usize, grant_next: bool) {
         let mut g = self.lock();
         g.stats.events += 1;
         g.tasks[me].status = Status::Exited;
@@ -672,27 +825,23 @@ impl Scheduler {
             g.tasks[moved].live_slot = slot;
         }
         g.tasks[me].parker = None;
-        // Before the joiners wake: what they spawn next finds it idle.
-        if let Some(w) = g.tasks[me].worker.take() {
-            if g.closed {
-                *relock(w.inbox.lock()) = Some(Order::Exit);
-            } else {
-                g.idle.push(w);
-            }
-        }
         for w in std::mem::take(&mut g.tasks[me].exit_waiters) {
             Self::unpark_in(&mut g, w);
         }
         if g.running == Some(me) {
             g.running = None;
+            if !grant_next {
+                return;
+            }
             if let Next::Task(parker, wake) = self.choose(g, me) {
                 parker.grant(wake);
             }
         }
     }
 
-    /// Block the current task (`me`) until `target` exits.
-    fn join_task_inner(&self, me: usize, mine: &Parker, target: usize) {
+    /// Block the current task `cur` until `target` exits.
+    fn join_task_inner(&self, cur: &Current, target: usize) {
+        let me = cur.handle.id.0;
         loop {
             let mut g = self.lock();
             if self.is_aborted() {
@@ -712,7 +861,7 @@ impl Scheduler {
             }
             // Re-check the target after any wake (stall rounds wake
             // joiners too).
-            self.block(g, me, mine);
+            self.block(g, cur);
         }
     }
 
@@ -768,13 +917,12 @@ impl Handle {
             grant: AtomicU8::new(NO_GRANT),
             thread: std::thread::current(),
         });
-        CURRENT.with(|c| {
-            debug_assert!(c.borrow().is_none(), "thread already runs a task");
-            *c.borrow_mut() = Some(Current {
-                handle: self.clone(),
-                parker: Arc::clone(&parker),
-            });
+        debug_assert!(CURRENT.get().is_null(), "thread already runs a task");
+        let cur = Box::new(Current {
+            handle: self.clone(),
+            runner: Runner::Thread(Arc::clone(&parker)),
         });
+        CURRENT.set(Box::into_raw(cur));
         self.sched.adopt_task(self.id.0, &parker);
     }
 
@@ -785,7 +933,7 @@ impl Handle {
     /// the run (stored as its first panic unless it is the sentinel).
     /// `None` if either unwound.
     pub fn run<T>(&self, body: impl FnOnce() -> T) -> Option<T> {
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let out = catch_unwind(AssertUnwindSafe(|| {
             self.adopt();
             body()
         }));
@@ -800,47 +948,43 @@ impl Handle {
     }
 }
 
-/// Stack size of a root task's thread. Parked tasks touch only a few
-/// pages, so 10k roots cost ~10 GiB of *address space* but only the
-/// touched pages of RSS.
-const ROOT_STACK: usize = 1 << 20;
+/// Run a fresh scheduler's `roots` root tasks as coroutines on the
+/// calling thread: root `i` runs `body(i)`. Returns what the roots
+/// returned, indexed by `i`, with the run's statistics. A panic in any
+/// task aborts the run: every other task unwinds with [`Aborted`],
+/// running its destructors, and the panic comes out of this call.
+pub fn run_roots<T: Send>(roots: usize, body: impl Fn(usize) -> T + Sync) -> (Vec<T>, Stats) {
+    run_roots_with::<(), T>(roots, body)
+}
 
-/// Run a fresh scheduler's `roots` root tasks, each on a thread of its
-/// own (`rank-<i>`): `body(i, root)` runs on root `i`'s thread and must
-/// run the task — `root.run(..)`, whose result it returns. What it keeps
-/// around that call is the thread's, not the task's: a recorder binding
-/// made there folds its lane after the task has given the token up.
-/// Returns what the tasks returned, indexed by `i`, with the run's
-/// statistics. The pooled workers die with the run. A panic in any task
-/// aborts the run and comes out of this call as that panic.
-pub fn run_roots<T: Send>(
+/// [`run_roots`] with `L` as every task's [`TaskLocal`] state.
+pub fn run_roots_with<L: TaskLocal + Default, T: Send>(
     roots: usize,
-    body: impl Fn(usize, &Handle) -> Option<T> + Sync,
+    body: impl Fn(usize) -> T + Sync,
 ) -> (Vec<T>, Stats) {
-    let sched = Scheduler::new(roots);
-    let outs: Vec<Option<T>> = std::thread::scope(|scope| {
-        let joins: Vec<_> = (0..roots)
-            .map(|i| {
-                let (h, body) = (sched.create_root(i as u32), &body);
-                std::thread::Builder::new()
-                    .name(format!("rank-{i}"))
-                    .stack_size(ROOT_STACK)
-                    .spawn_scoped(scope, move || body(i, &h))
-                    .expect("spawn root task")
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().unwrap_or(None))
-            .collect()
-    });
+    let sched = Scheduler::create(roots, Some(|| Box::new(L::default())));
+    let outs: Vec<Mutex<Option<T>>> = (0..roots).map(|_| Mutex::new(None)).collect();
+    for (i, out) in outs.iter().enumerate() {
+        let body = &body;
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            *relock(out.lock()) = Some(body(i));
+        });
+        // SAFETY: the job borrows `body` and `outs`, which outlive every
+        // task of the run: `drive` returns only once no task is live, and
+        // a task has then run its job or dropped it unrun.
+        let job: Job = unsafe { std::mem::transmute(job) };
+        sched.spawn_coroutine((i as u32, SimTime::ZERO, None), true, job);
+    }
+    sched.drive();
     let stats = sched.stats();
-    sched.join_workers();
     if let Some(p) = sched.take_panic() {
         std::panic::resume_unwind(p);
     }
     let outs = outs.into_iter().enumerate();
-    let outs = outs.map(|(i, o)| o.unwrap_or_else(|| panic!("root {i} produced no result")));
+    let outs = outs.map(|(i, o)| {
+        let out = relock(o.into_inner());
+        out.unwrap_or_else(|| panic!("root {i} produced no result"))
+    });
     (outs.collect(), stats)
 }
 
@@ -850,23 +994,34 @@ impl std::fmt::Debug for Handle {
     }
 }
 
-/// The task a thread runs, from [`Handle::adopt`] (or a pool worker
-/// picking it up) to [`retire`].
+/// The task a thread runs, and how it gives the run token up.
 struct Current {
     handle: Handle,
-    parker: Arc<Parker>,
+    runner: Runner,
+}
+
+enum Runner {
+    /// An adopted OS thread, granted the token through its parker.
+    Thread(Arc<Parker>),
+    /// A coroutine of a [`run_roots`] run.
+    Coroutine(Context),
 }
 
 thread_local! {
-    static CURRENT: std::cell::RefCell<Option<Current>> = const { std::cell::RefCell::new(None) };
+    /// The task the thread runs: the coroutine the driver resumed, or an
+    /// adopted task's [`Current`], boxed by [`Handle::adopt`] and owned
+    /// by this binding until [`retire`].
+    static CURRENT: Cell<*const Current> = const { Cell::new(std::ptr::null()) };
 }
 
-/// Run `f` on the current thread's task, if it runs one, without cloning
-/// its handle. The borrow is held across a park: nothing re-enters
-/// `CURRENT` mutably before [`retire`], which runs after `f` returned or
-/// unwound.
+/// Run `f` on the current thread's task, if it runs one. `f` may park:
+/// a coroutine's `Current` lives in its record, which outlives every
+/// frame on its stack, and an adopted one lives until [`retire`], which
+/// runs after `f` returned or unwound.
 fn with_current<R>(f: impl FnOnce(&Current) -> R) -> Option<R> {
-    CURRENT.with(|c| c.borrow().as_ref().map(f))
+    let cur = CURRENT.get();
+    // SAFETY: see above — a non-null binding points at a live `Current`.
+    (!cur.is_null()).then(|| f(unsafe { &*cur }))
 }
 
 /// The current thread's task handle, if it runs under a scheduler.
@@ -888,35 +1043,47 @@ pub fn park_stale() -> Wake {
 }
 
 fn park_current(now: Option<SimTime>) -> Option<Wake> {
-    with_current(|cur| {
-        let h = &cur.handle;
-        h.sched.park_task(h.id.0, &cur.parker, now)
-    })
+    with_current(|cur| cur.handle.sched.park_task(cur, now))
 }
 
-/// Retire the current task and clear the thread-local binding. The
-/// thread may outlive the task (e.g. to return a value) but must not
-/// call back into the scheduler.
+/// Retire the adopted task of the current thread and clear the binding.
+/// The thread may outlive the task (e.g. to return a value) but must not
+/// call back into the scheduler. A coroutine retires when its body
+/// returns: calling this in one panics.
 pub fn retire() {
-    let cur = CURRENT.with(|c| c.borrow_mut().take());
-    if let Some(cur) = cur {
-        cur.handle.sched.retire_task(cur.handle.id.0);
+    match with_current(|cur| matches!(cur.runner, Runner::Thread(_))) {
+        None => {}
+        Some(false) => panic!("sched::retire in a coroutine: it retires when its body returns"),
+        Some(true) => {
+            let cur = CURRENT.replace(std::ptr::null());
+            // SAFETY: an adopted task's `Current`, boxed by `adopt` and
+            // owned by the binding just cleared.
+            let cur = unsafe { Box::from_raw(cur as *mut Current) };
+            cur.handle.sched.retire_task(cur.handle.id.0, true);
+        }
     }
 }
 
 /// Spawn a dynamic task for `rank` starting at `time` under the current
-/// task's scheduler. Returns `None` on a thread that runs no task. The
-/// new task's thread must take the returned handle up ([`Handle::run`])
-/// before the simulation can advance.
+/// adopted task's scheduler. Returns `None` on a thread that runs no
+/// task. The new task's thread must take the returned handle up
+/// ([`Handle::run`]) before the simulation can advance. Panics in a
+/// coroutine, which spawns with [`spawn`].
 pub fn spawn_handle(rank: u32, time: SimTime) -> Option<Handle> {
-    with_current(|cur| cur.handle.sched.create_task(rank, time))
+    with_current(|cur| {
+        assert!(
+            matches!(cur.runner, Runner::Thread(_)),
+            "sched::spawn_handle in a coroutine: a coroutine spawns with sched::spawn"
+        );
+        cur.handle.sched.create_task(rank, time)
+    })
 }
 
 /// Spawn a dynamic task for `rank` starting at `time` under the current
-/// task's scheduler, with `job` as its body on a pool worker. The task is
-/// ready at once, under the key [`spawn_handle`] would have given it; the
-/// scheduler adopts it, stores a panic of the job as the run's and
-/// retires it. Panics if the calling thread runs no task.
+/// task's scheduler, with `job` as its body: a coroutine, ready at once.
+/// A panic of the job aborts the run. Panics if the calling thread runs
+/// no task, or runs an adopted one (only a [`run_roots`] run has
+/// coroutines).
 pub fn spawn(rank: u32, time: SimTime, job: Job) -> Handle {
     spawn_reserved(rank, time, reserve_seq(), job)
 }
@@ -934,7 +1101,7 @@ pub fn reserve_seq() -> u64 {
 pub fn spawn_reserved(rank: u32, time: SimTime, seq: u64, job: Job) -> Handle {
     let sched = with_current(|cur| Arc::clone(&cur.handle.sched));
     let sched = sched.expect("sched::spawn outside a task: only a task spawns a task");
-    sched.spawn_pooled(rank, time, seq, job)
+    sched.spawn_coroutine((rank, time, Some(seq)), false, job)
 }
 
 /// Block the current task until `target` retires. No-op when the
@@ -942,9 +1109,8 @@ pub fn spawn_reserved(rank: u32, time: SimTime, seq: u64, job: Job) -> Handle {
 /// outlived its run).
 pub fn join_task(target: &Handle) {
     with_current(|cur| {
-        let me = &cur.handle;
-        if Arc::ptr_eq(&me.sched, &target.sched) {
-            me.sched.join_task_inner(me.id.0, &cur.parker, target.id.0);
+        if Arc::ptr_eq(&cur.handle.sched, &target.sched) {
+            cur.handle.sched.join_task_inner(cur, target.id.0);
         }
     });
 }
@@ -1014,11 +1180,11 @@ impl WaitQueue {
         let wake = with_current(|cur| {
             self.register(&cur.handle);
             drop(guard);
-            cur.handle.sched.park_task(cur.handle.id.0, &cur.parker, at)
+            cur.handle.sched.park_task(cur, at)
         });
         let wake = wake.expect(
             "WaitQueue::wait on a thread that runs no task: every blocking site \
-             runs under the scheduler (sched::run_roots, Handle::run, sched::spawn)",
+             runs under the scheduler (sched::run_roots, sched::spawn, Handle::run)",
         );
         (lock.lock().expect("wait-site mutex poisoned"), wake)
     }
@@ -1082,7 +1248,22 @@ mod tests {
     fn run_tasks(bodies: Vec<Box<dyn FnOnce() + Send>>) -> Stats {
         let bodies: Vec<_> = bodies.into_iter().map(|b| Mutex::new(Some(b))).collect();
         let once = |i: usize| bodies[i].lock().unwrap().take().expect("a root runs once");
-        run_roots(bodies.len(), |i, root| root.run(once(i))).1
+        run_roots(bodies.len(), |i| once(i)()).1
+    }
+
+    /// [`run_tasks`] with every root an adopted thread of its own.
+    fn run_adopted(bodies: Vec<Box<dyn FnOnce() + Send>>) -> Stats {
+        let sched = Scheduler::new(bodies.len());
+        std::thread::scope(|s| {
+            for (i, body) in bodies.into_iter().enumerate() {
+                let root = sched.create_root(i as u32);
+                s.spawn(move || root.run(body));
+            }
+        });
+        if let Some(p) = sched.take_panic() {
+            std::panic::resume_unwind(p);
+        }
+        sched.stats()
     }
 
     #[test]
@@ -1182,6 +1363,20 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = Arc::clone(&log);
         run_tasks(vec![Box::new(move || {
+            let lc = Arc::clone(&l);
+            let job = Box::new(move || lc.lock().unwrap().push("child"));
+            let child = spawn(0, SimTime::ZERO + SimDuration::from_ns(5), job);
+            join_task(&child);
+            l.lock().unwrap().push("parent-after-join");
+        })]);
+        assert_eq!(*log.lock().unwrap(), vec!["child", "parent-after-join"]);
+    }
+
+    #[test]
+    fn an_adopted_thread_spawns_a_thread_and_joins_it() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l = Arc::clone(&log);
+        run_adopted(vec![Box::new(move || {
             let child = spawn_handle(0, SimTime::ZERO + SimDuration::from_ns(5)).unwrap();
             let lc = Arc::clone(&l);
             let hc = child.clone();
@@ -1189,6 +1384,10 @@ mod tests {
             join_task(&child);
             l.lock().unwrap().push("parent-after-join");
             jh.join().unwrap();
+            // Coroutine tasks exist only under run_roots.
+            let r = catch_unwind(|| spawn(0, SimTime::ZERO, Box::new(|| {})));
+            let p = r.expect_err("sched::spawn on an adopted thread must panic");
+            assert!(p.downcast_ref::<String>().unwrap().contains("run_roots"));
         })]);
         assert_eq!(*log.lock().unwrap(), vec!["child", "parent-after-join"]);
     }
@@ -1220,14 +1419,18 @@ mod tests {
         let parkers = Arc::new(Mutex::new(Vec::<std::sync::Weak<Parker>>::new()));
         let sched_out = Arc::new(Mutex::new(None));
         let (p, so) = (Arc::clone(&parkers), Arc::clone(&sched_out));
-        let stats = run_tasks(vec![Box::new(move || {
+        let stats = run_adopted(vec![Box::new(move || {
             let sched = Arc::clone(current().unwrap().scheduler());
             for i in 0..CYCLES {
                 let child = spawn_handle(0, SimTime::ZERO).unwrap();
                 let (hc, pc) = (child.clone(), Arc::clone(&p));
                 let jh = std::thread::spawn(move || {
                     hc.run(|| {
-                        let mine = with_current(|cur| Arc::downgrade(&cur.parker)).unwrap();
+                        let mine = with_current(|cur| match &cur.runner {
+                            Runner::Thread(parker) => Arc::downgrade(parker),
+                            Runner::Coroutine(_) => unreachable!("an adopted thread"),
+                        });
+                        let mine = mine.unwrap();
                         pc.lock().unwrap().push(mine);
                     })
                 });
@@ -1260,10 +1463,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_tasks_reuse_their_workers() {
+    fn retired_coroutines_lend_their_stacks_to_the_next_spawn() {
         // `live` tasks at once, over and over — the shape of a rank with
-        // `live` requests in flight per iteration: the pool grows to the
-        // peak and no further, and teardown joins every worker it made.
+        // `live` requests in flight per iteration: the run keeps as many
+        // records (and stacks) as tasks were live at once, and no more.
         for (live, rounds) in [(1usize, 10_000usize), (5, 1_000)] {
             let sched_out = Arc::new(Mutex::new(None));
             let so = Arc::clone(&sched_out);
@@ -1285,14 +1488,14 @@ mod tests {
                     assert_eq!(done.load(Ordering::Relaxed), round * live);
                     let g = sched.lock();
                     assert_eq!(g.live, vec![0], "round {round}");
-                    assert_eq!(g.idle.len(), live, "round {round}");
+                    assert_eq!(g.spare.len(), live, "round {round}");
                 }
                 *so.lock().unwrap() = Some(Arc::clone(&sched));
             })]);
-            // One worker per simultaneously live task (above), and
-            // teardown took every one of them.
+            // The run's end freed every record, the root's too.
             let sched = sched_out.lock().unwrap().take().unwrap();
-            assert!(sched.lock().closed && sched.lock().idle.is_empty());
+            let g = sched.lock();
+            assert!(g.spare.is_empty() && g.tasks.iter().all(|t| t.coro.is_none()));
             assert_eq!(stats.tasks_high_water, 1 + live);
         }
     }
@@ -1316,7 +1519,7 @@ mod tests {
         let p = r.expect_err("the launcher re-throws the job's panic, not Aborted");
         assert_eq!(p.downcast_ref::<&str>(), Some(&"boom in a job"));
         assert!(!joined.load(Ordering::SeqCst), "the join unwinds instead");
-        // Its worker drops the second job unrun: the channel closes empty.
+        // Its coroutine drops the second job unrun: the channel closes empty.
         assert!(closed.recv().is_err());
     }
 
@@ -1441,5 +1644,90 @@ mod tests {
         assert!(r.is_err());
         // The guard went before the park: not held, not poisoned.
         assert!(site.0.try_lock().is_ok());
+    }
+
+    #[test]
+    fn every_task_runs_on_the_launching_thread() {
+        let launcher = std::thread::current().id();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let theirs = Arc::clone(&seen);
+        run_roots(4, move |rank| {
+            let seen = Arc::clone(&theirs);
+            seen.lock().unwrap().push(std::thread::current().id());
+            park(SimTime::ZERO + SimDuration::from_ns(rank as u64));
+            let mine = Arc::clone(&seen);
+            let job = Box::new(move || mine.lock().unwrap().push(std::thread::current().id()));
+            join_task(&spawn(rank as u32, SimTime::ZERO, job));
+            seen.lock().unwrap().push(std::thread::current().id());
+        });
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 12);
+        assert!(seen.iter().all(|&id| id == launcher));
+    }
+
+    thread_local! {
+        static TAG: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A test's thread-local state that follows its task.
+    #[derive(Default)]
+    struct Tag(u32);
+
+    impl TaskLocal for Tag {
+        fn swap(&mut self) {
+            self.0 = TAG.replace(self.0);
+        }
+    }
+
+    #[test]
+    fn task_locals_follow_their_task_across_switches() {
+        // Each root sets its tag, then wakes whoever waits and parks, three
+        // times over; a spawned task starts from the default.
+        TAG.set(99);
+        let queue = WaitQueue::new();
+        let (tags, _) = run_roots_with::<Tag, _>(6, |rank| {
+            let mut seen = vec![TAG.get()];
+            TAG.set(rank as u32 + 1);
+            for step in 0..3 {
+                queue.wake_all();
+                queue.register_current();
+                park(SimTime::ZERO + SimDuration::from_ns(step));
+                seen.push(TAG.get());
+            }
+            let job = Box::new(|| assert_eq!(TAG.get(), 0, "a spawned task starts fresh"));
+            join_task(&spawn(rank as u32, SimTime::ZERO, job));
+            seen.push(TAG.get());
+            seen
+        });
+        for (rank, seen) in tags.iter().enumerate() {
+            let mine = rank as u32 + 1;
+            assert_eq!(seen, &[0, mine, mine, mine, mine], "rank {rank}");
+        }
+        assert_eq!(TAG.get(), 99, "the launching thread's own value is back");
+    }
+
+    #[test]
+    fn a_backtrace_ends_at_the_coroutine_entry() {
+        let (frames, _) = run_roots(1, |_| {
+            let trace = std::backtrace::Backtrace::force_capture().to_string();
+            let frame = |l: &&str| {
+                l.trim_start()
+                    .split(':')
+                    .next()
+                    .unwrap()
+                    .parse::<u32>()
+                    .is_ok()
+            };
+            let frames: Vec<String> = trace.lines().filter(frame).map(str::to_string).collect();
+            frames
+        });
+        let frames = &frames[0];
+        let [.., entry, last] = &frames[..] else {
+            panic!("a short backtrace: {frames:#?}")
+        };
+        assert!(
+            entry.ends_with("coroutine_main") && last.ends_with("scimpi_sched_start"),
+            "the walk must end at the entry's trampoline: {frames:#?}"
+        );
     }
 }
