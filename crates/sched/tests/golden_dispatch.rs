@@ -1,20 +1,25 @@
 //! Golden pin of the scheduler's dispatch order.
 //!
-//! Two seeded many-task programs run under one [`Scheduler`] each and log
-//! every `(task, Wake)` a park returns, every first grant, join return
-//! and exit, in the order the run token visits them:
+//! Two seeded many-task programs log every `(task, Wake)` a park
+//! returns, every first grant, join return and exit, in the order the
+//! run token visits them:
 //!
 //! * [`main_program`] — twelve roots stepping through a seeded mix of
 //!   parks at equal and unequal virtual times, [`WaitQueue`] wakes with
 //!   duplicate registration, wakes that arrive before the park
 //!   (`pending_wake`, from a peer, from the task itself and from a
 //!   non-task thread), stall rounds and a stall round upgraded to a real
-//!   wake, `park_stale`, and dynamic children — `spawn_handle` /
-//!   `Handle::run` on a thread of their own in one pass, `sched::spawn` onto the
-//!   scheduler's pooled workers in a second: same tasks, same keys, so
-//!   the same log and `Stats`;
+//!   wake, `park_stale`, and dynamic children;
 //! * [`abort_program`] — eight roots and a dynamic child, one root
 //!   panicking while the rest are parked, ready or joining.
+//!
+//! Each program runs twice, through the scheduler's two handoffs: once
+//! on adopted OS threads (roots from `Scheduler::create_root`, children
+//! from `spawn_handle` on threads of their own, a futex wake per
+//! handoff) and once under `run_roots` (every task a coroutine on the
+//! launching thread, children from `sched::spawn`, a stack switch per
+//! handoff). Same tasks, same keys: both passes must leave the same log
+//! and `Stats`, which makes the pair a differential test of the two.
 //!
 //! The log is folded into a digest and compared, with the final
 //! [`Stats`], against constants recorded on the crate as of commit
@@ -29,8 +34,7 @@ use sched::{Aborted, Handle, Scheduler, Stats, WaitQueue, Wake};
 use simclock::{SimDuration, SimTime, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
-use std::thread::Scope;
+use std::sync::{Arc, Mutex, Once, OnceLock};
 
 const SEED: u64 = 20020415;
 const LOOPS: usize = 20;
@@ -38,8 +42,6 @@ const ROOTS: usize = 12;
 const QUEUES: usize = 3;
 const STEPS: usize = 48;
 const CHILDREN_PER_ROOT: u32 = 3;
-/// Children of [`main_program`] live at its busiest moment.
-const POOL_PEAK: usize = 7;
 const BOOM: &str = "golden boom";
 
 // Log record kinds beside the two `Wake`s.
@@ -61,7 +63,10 @@ struct Golden {
 }
 
 struct Shared {
-    roots: Vec<Handle>,
+    /// Every root's handle: made up front for adopted roots, set by each
+    /// coroutine root at its first grant (before any peer can wake it:
+    /// both programs start with every root parking).
+    roots: Vec<OnceLock<Handle>>,
     queues: [WaitQueue; QUEUES],
     /// Roots still stepping. Only the run-token holder touches it.
     active: Mutex<Vec<bool>>,
@@ -70,14 +75,32 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(sched: &std::sync::Arc<Scheduler>, roots: usize) -> Shared {
+    fn new(roots: usize) -> Shared {
         Shared {
-            roots: (0..roots).map(|i| sched.create_root(i as u32)).collect(),
+            roots: (0..roots).map(|_| OnceLock::new()).collect(),
             queues: [WaitQueue::new(), WaitQueue::new(), WaitQueue::new()],
             active: Mutex::new(vec![true; roots]),
             log: Mutex::new(Vec::new()),
             aborted_unwinds: AtomicUsize::new(0),
         }
+    }
+
+    fn root(&self, i: usize) -> &Handle {
+        self.roots[i].get().expect("every root has started")
+    }
+
+    /// Make adopted roots for every rank of `sched`.
+    fn adopted(sched: &Arc<Scheduler>, roots: usize) -> Shared {
+        let sh = Shared::new(roots);
+        for (i, slot) in sh.roots.iter().enumerate() {
+            let _ = slot.set(sched.create_root(i as u32));
+        }
+        sh
+    }
+
+    /// A coroutine root records its own handle.
+    fn started(&self, i: usize) {
+        let _ = self.roots[i].set(sched::current().expect("roots run as tasks"));
     }
 
     fn golden(&self, stats: Stats) -> Golden {
@@ -114,17 +137,19 @@ fn quiet_expected_panics() {
     });
 }
 
-/// Task thread wrapper: the runtime's ([`Handle::run`]), counting the
-/// bodies that unwound with `Aborted` on the way.
-fn run_task(sh: &Shared, h: Handle, body: impl FnOnce()) {
-    h.run(|| {
-        if let Err(p) = catch_unwind(AssertUnwindSafe(body)) {
-            if p.is::<Aborted>() {
-                sh.aborted_unwinds.fetch_add(1, Ordering::SeqCst);
-            }
-            std::panic::resume_unwind(p);
+/// A task body that counts an unwind with `Aborted` on its way out.
+fn counted(sh: &Shared, body: impl FnOnce()) {
+    if let Err(p) = catch_unwind(AssertUnwindSafe(body)) {
+        if p.is::<Aborted>() {
+            sh.aborted_unwinds.fetch_add(1, Ordering::SeqCst);
         }
-    });
+        std::panic::resume_unwind(p);
+    }
+}
+
+/// Task thread wrapper: adopt, run `body` [`counted`], retire.
+fn run_task(sh: &Shared, h: Handle, body: impl FnOnce()) {
+    h.run(|| counted(sh, body));
 }
 
 struct Actor<'a> {
@@ -189,18 +214,18 @@ fn child_body(sh: &Shared, label: u32, parent: usize, t: SimTime) {
         // `join_task` and every other root gone must not stall barren.
         match a.rng.next_below(3) {
             0 => {
-                sh.roots[parent].unpark();
+                sh.root(parent).unpark();
                 a.park();
             }
             1 => {
                 let q = a.queue();
                 q.register_current();
-                sh.roots[parent].unpark();
+                sh.root(parent).unpark();
                 a.park();
             }
             _ => {
                 a.queue().wake_all();
-                sh.roots[parent].unpark();
+                sh.root(parent).unpark();
                 a.park_stale();
             }
         }
@@ -208,12 +233,8 @@ fn child_body(sh: &Shared, label: u32, parent: usize, t: SimTime) {
     a.log(EXIT);
 }
 
-fn root_body<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    sh: &'scope Arc<Shared>,
-    me: usize,
-    pooled: bool,
-) {
+/// `coroutines`: children are `sched::spawn`ed, not threads.
+fn root_body(sh: &Arc<Shared>, me: usize, coroutines: bool) {
     let mut a = Actor::new(sh, me as u32, SimTime::ZERO);
     a.log(GRANTED);
 
@@ -224,7 +245,7 @@ fn root_body<'scope>(
     let w = sched::park(a.t);
     a.log_wake(w);
     if me == 0 {
-        sh.roots[2].unpark();
+        sh.root(2).unpark();
     }
 
     let mut children = 0;
@@ -235,7 +256,7 @@ fn root_body<'scope>(
         };
         match a.rng.next_below(8) {
             0 | 1 => {
-                sh.roots[peer].unpark();
+                sh.root(peer).unpark();
                 a.park();
             }
             2 => {
@@ -253,46 +274,44 @@ fn root_body<'scope>(
             }
             4 => {
                 // The second wake finds the peer ready: pending_wake.
-                sh.roots[peer].unpark();
-                sh.roots[peer].unpark();
+                sh.root(peer).unpark();
+                sh.root(peer).unpark();
                 a.park();
             }
             5 if children < CHILDREN_PER_ROOT => {
                 children += 1;
                 let label = 100 + me as u32 * 10 + children;
                 let at = a.t + SimDuration::from_ns(5);
-                let (child, thread) = if pooled {
-                    let sh = Arc::clone(sh);
-                    let body = Box::new(move || child_body(&sh, label, me, at));
-                    (sched::spawn(me as u32, at, body), None)
+                if coroutines {
+                    let theirs = Arc::clone(sh);
+                    let body = move || counted(&theirs, || child_body(&theirs, label, me, at));
+                    sched::join_task(&sched::spawn(me as u32, at, Box::new(body)));
+                    a.log(JOINED);
                 } else {
-                    let child = sched::spawn_handle(me as u32, at).expect("roots run as tasks");
-                    let theirs = child.clone();
-                    let body = move || run_task(sh, theirs, || child_body(sh, label, me, at));
-                    (child, Some(scope.spawn(body)))
-                };
-                sched::join_task(&child);
-                a.log(JOINED);
-                if let Some(thread) = thread {
-                    thread.join().expect("child thread");
+                    std::thread::scope(|s| {
+                        let child = sched::spawn_handle(me as u32, at).expect("roots run as tasks");
+                        let theirs = child.clone();
+                        s.spawn(move || run_task(sh, theirs, || child_body(sh, label, me, at)));
+                        sched::join_task(&child);
+                        a.log(JOINED);
+                    });
                 }
             }
             6 => {
                 // A wake from a thread that is no task: of a parked or
                 // ready peer, or of this (running) task itself.
                 let target = if a.rng.next_below(2) == 0 { me } else { peer };
-                let h = &sh.roots[target];
+                let h = sh.root(target);
                 let by_id = a.rng.next_below(2) == 0;
-                scope
-                    .spawn(move || {
+                std::thread::scope(|s| {
+                    s.spawn(move || {
                         if by_id {
                             h.scheduler().unpark(h.id());
                         } else {
                             h.unpark();
                         }
-                    })
-                    .join()
-                    .expect("waker thread");
+                    });
+                });
                 a.park();
             }
             _ => {
@@ -308,77 +327,110 @@ fn root_body<'scope>(
     a.log(EXIT);
 }
 
-/// `pooled` selects who runs the children: a thread of their own that
-/// adopts the task, or the scheduler's workers.
-fn main_program(pooled: bool) -> Golden {
-    let sched = Scheduler::new(ROOTS);
-    let sh = Arc::new(Shared::new(&sched, ROOTS));
-    std::thread::scope(|s| {
-        for i in 0..ROOTS {
-            let sh = &sh;
-            s.spawn(move || run_task(sh, sh.roots[i].clone(), || root_body(s, sh, i, pooled)));
-        }
-    });
-    // One worker per child live at the busiest moment, none for threads.
-    assert_eq!(sched.join_workers(), if pooled { POOL_PEAK } else { 0 });
-    assert!(
-        sched.take_panic().is_none(),
-        "main program must finish clean"
-    );
+/// `coroutines` selects the handoff: adopted threads, or `run_roots`.
+fn main_program(coroutines: bool) -> Golden {
+    let (sh, stats) = if coroutines {
+        let sh = Arc::new(Shared::new(ROOTS));
+        let (_, stats) = sched::run_roots(ROOTS, |i| {
+            sh.started(i);
+            counted(&sh, || root_body(&sh, i, true));
+        });
+        (sh, stats)
+    } else {
+        let sched = Scheduler::new(ROOTS);
+        let sh = Arc::new(Shared::adopted(&sched, ROOTS));
+        std::thread::scope(|s| {
+            for i in 0..ROOTS {
+                let sh = &sh;
+                s.spawn(move || run_task(sh, sh.root(i).clone(), || root_body(sh, i, false)));
+            }
+        });
+        assert!(
+            sched.take_panic().is_none(),
+            "main program must finish clean"
+        );
+        (sh, sched.stats())
+    };
     assert_eq!(sh.aborted_unwinds.load(Ordering::SeqCst), 0);
-    sh.golden(sched.stats())
+    sh.golden(stats)
 }
 
 const ABORT_ROOTS: usize = 8;
 
-fn abort_program() -> Golden {
-    let sched = Scheduler::new(ABORT_ROOTS);
-    let sh = Shared::new(&sched, ABORT_ROOTS);
-    std::thread::scope(|s| {
-        for i in 0..ABORT_ROOTS {
-            let sh = &sh;
-            s.spawn(move || {
-                run_task(sh, sh.roots[i].clone(), || {
-                    let mut a = Actor::new(sh, i as u32, SimTime::ZERO);
-                    let q = &sh.queues[0];
-                    a.log(GRANTED);
-                    if i == 0 {
-                        for _ in 0..12 {
-                            q.wake_all();
-                            a.park();
-                        }
-                        std::panic::panic_any(BOOM);
-                    }
-                    if i == 3 {
-                        // Joins a child that never exits: aborted inside
-                        // `join_task`, the child inside its park.
-                        let child = sched::spawn_handle(3, a.t).expect("roots run as tasks");
-                        let theirs = child.clone();
-                        s.spawn(move || {
-                            run_task(sh, theirs, || {
-                                let a = Actor::new(sh, 130, SimTime::ZERO);
-                                a.log(GRANTED);
-                                loop {
-                                    q.register_current();
-                                    let w = sched::park_stale();
-                                    a.log_wake(w);
-                                }
-                            })
-                        });
-                        sched::join_task(&child);
-                        unreachable!("the child never retires before the abort");
-                    }
-                    loop {
-                        q.register_current();
-                        q.register_current();
-                        a.park();
-                        sh.roots[0].unpark();
-                    }
-                })
-            });
+/// Root `i` of [`abort_program`]; `spawn_child(at)` starts root 3's
+/// child ([`abort_child`]) at `at` and returns its handle.
+fn abort_root(sh: &Shared, i: usize, spawn_child: impl FnOnce(SimTime) -> Handle) {
+    let mut a = Actor::new(sh, i as u32, SimTime::ZERO);
+    let q = &sh.queues[0];
+    a.log(GRANTED);
+    if i == 0 {
+        for _ in 0..12 {
+            q.wake_all();
+            a.park();
         }
-    });
-    let p = sched.take_panic().expect("the boom must be stored");
+        std::panic::panic_any(BOOM);
+    }
+    if i == 3 {
+        // Joins a child that never exits: aborted inside `join_task`,
+        // the child inside its park.
+        sched::join_task(&spawn_child(a.t));
+        unreachable!("the child never retires before the abort");
+    }
+    loop {
+        q.register_current();
+        q.register_current();
+        a.park();
+        sh.root(0).unpark();
+    }
+}
+
+fn abort_child(sh: &Shared) {
+    let a = Actor::new(sh, 130, SimTime::ZERO);
+    a.log(GRANTED);
+    loop {
+        sh.queues[0].register_current();
+        let w = sched::park_stale();
+        a.log_wake(w);
+    }
+}
+
+/// `coroutines` selects the handoff, as in [`main_program`].
+fn abort_program(coroutines: bool) -> Golden {
+    let (sh, p) = if coroutines {
+        let sh = Arc::new(Shared::new(ABORT_ROOTS));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            sched::run_roots(ABORT_ROOTS, |i| {
+                sh.started(i);
+                counted(&sh, || {
+                    abort_root(&sh, i, |at| {
+                        let theirs = Arc::clone(&sh);
+                        let body = move || counted(&theirs, || abort_child(&theirs));
+                        sched::spawn(3, at, Box::new(body))
+                    })
+                });
+            })
+        }));
+        (sh, run.expect_err("the run re-throws the boom"))
+    } else {
+        let sched = Scheduler::new(ABORT_ROOTS);
+        let sh = Arc::new(Shared::adopted(&sched, ABORT_ROOTS));
+        std::thread::scope(|s| {
+            for i in 0..ABORT_ROOTS {
+                let sh = &sh;
+                s.spawn(move || {
+                    run_task(sh, sh.root(i).clone(), || {
+                        abort_root(sh, i, |at| {
+                            let child = sched::spawn_handle(3, at).expect("roots run as tasks");
+                            let theirs = child.clone();
+                            s.spawn(move || run_task(sh, theirs, || abort_child(sh)));
+                            child
+                        })
+                    })
+                });
+            }
+        });
+        (sh, sched.take_panic().expect("the boom must be stored"))
+    };
     assert_eq!(
         p.downcast_ref::<&str>(),
         Some(&BOOM),
@@ -389,7 +441,7 @@ fn abort_program() -> Golden {
         ABORT_ROOTS, // seven surviving roots and the child
         "every other task unwinds with Aborted"
     );
-    sh.golden(sched.stats())
+    sh.golden(sh.root(0).scheduler().stats())
 }
 
 const MAIN: Golden = Golden {
@@ -410,25 +462,34 @@ fn main_program_dispatch_order_is_pinned() {
 }
 
 #[test]
-fn pooled_children_dispatch_in_the_pinned_order() {
+fn coroutine_tasks_dispatch_in_the_pinned_order() {
     quiet_expected_panics();
     for round in 0..LOOPS {
         assert_eq!(main_program(true), MAIN, "loop {round}");
     }
 }
 
+const ABORT: Golden = Golden {
+    log_len: 54,
+    log_digest: 6461103730703841385,
+    events: 63,
+    ready_high_water: 9,
+    tasks_high_water: 9,
+    stalls: 1,
+};
+
 #[test]
 fn abort_program_dispatch_order_is_pinned() {
     quiet_expected_panics();
-    let want = Golden {
-        log_len: 54,
-        log_digest: 6461103730703841385,
-        events: 63,
-        ready_high_water: 9,
-        tasks_high_water: 9,
-        stalls: 1,
-    };
     for round in 0..LOOPS {
-        assert_eq!(abort_program(), want, "loop {round}");
+        assert_eq!(abort_program(false), ABORT, "loop {round}");
+    }
+}
+
+#[test]
+fn coroutine_abort_program_dispatch_order_is_pinned() {
+    quiet_expected_panics();
+    for round in 0..LOOPS {
+        assert_eq!(abort_program(true), ABORT, "loop {round}");
     }
 }
