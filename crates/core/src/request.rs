@@ -874,6 +874,22 @@ mod tests {
     const RDV: usize = 150_000; // > eager threshold: rendezvous path
 
     #[test]
+    fn engines_run_on_the_launching_thread() {
+        // Request engines and sendrecv send halves are `engine` tasks.
+        let launcher = std::thread::current().id();
+        let ids = run(ClusterSpec::ringlet(2), |r| {
+            let (seq, clock) = (sched::reserve_seq(), r.clock.clone());
+            let (task, done) = engine(&r.world, r.rank, seq, clock, |_| {
+                Ok(std::thread::current().id())
+            });
+            sched::join_task(&task);
+            let (_, id) = done.lock().unwrap().take().expect("joined");
+            id.unwrap()
+        });
+        assert!(ids.iter().all(|&id| id == launcher));
+    }
+
+    #[test]
     fn isend_irecv_roundtrip_eager_and_rendezvous() {
         for len in [64usize, RDV] {
             let out = run(ClusterSpec::ringlet(2), move |r| {
