@@ -286,7 +286,7 @@ fn receiver_handle(h: u64) -> u64 {
 
 /// The sender side of the rendezvous protocol: wait for CTS, then stream
 /// the payload through the pair ring in chunks. Runs either on the rank's
-/// own thread ([`Rank::finish_send`]) or on an engine thread with a
+/// own task ([`Rank::finish_send`]) or on an engine task with a
 /// forked clock ([`Rank::sendrecv`], [`Rank::isend`] — the transfer
 /// progresses while the posting rank computes).
 pub(crate) fn finish_send_inner(
@@ -898,8 +898,8 @@ impl Rank {
             obs::inc(obs::Counter::RendezvousSends);
             let handle = self.world.handle();
             // Take the pair's send-turn ticket here, on the posting
-            // rank's own thread, so turn order is program order even when
-            // the chunk loop later runs on an engine thread.
+            // rank's own task, so turn order is program order even when
+            // the chunk loop later runs on an engine task.
             let ticket = self.world.ring(self.rank, dst).take_turn_ticket();
             attrib::advance(&mut self.clock, Bucket::Transfer, CTRL_SEND_COST);
             let arrival = self.clock.now() + self.world.ctrl_latency(self.rank, dst);
@@ -1185,16 +1185,19 @@ impl Rank {
                 return Err(e);
             }
         };
-        let SendOpKind::Rendezvous { handle, ticket } = op.kind else {
+        if op.is_done() {
             // Eager sends already completed locally.
             return self.recv_into(src, rtag, rbuf);
-        };
-        let (world, rank, dst) = (Arc::clone(&self.world), self.rank, op.dst);
+        }
+        let (world, rank, dst, kind) = (Arc::clone(&self.world), self.rank, op.dst, op.kind);
         let owned = OwnedSend::copy_of(op.data);
         let send_half = move |clock: &mut Clock| {
-            let kind = SendOpKind::Rendezvous { handle, ticket };
-            let data = owned.as_data();
-            finish_send_inner(&world, rank, clock, SendOp { dst, data, kind })
+            let op = SendOp {
+                dst,
+                data: owned.as_data(),
+                kind,
+            };
+            finish_send_inner(&world, rank, clock, op)
         };
         let seq = sched::reserve_seq();
         let (task, done) = engine(&self.world, rank, seq, self.clock.clone(), send_half);

@@ -6,9 +6,9 @@
 //! A nonblocking operation forks the posting rank's [`simclock::Clock`]
 //! at post time and drives the transfer protocol on an *engine* against
 //! the fork, while the rank's own clock keeps advancing through
-//! [`Rank::compute`]. The engine is a scheduler task run by one of the
-//! scheduler's pooled workers ([`sched::spawn`]: a request costs a
-//! handoff, not a thread). Only a rendezvous transfer or an `ialltoall`
+//! [`Rank::compute`]. The engine is a scheduler task, a coroutine on
+//! the launching thread ([`sched::spawn`]: a request costs a stack
+//! switch, not a thread). Only a rendezvous transfer or an `ialltoall`
 //! needs one. A transfer with nothing left to wait for runs to its end
 //! on the fork at post: an eager `isend` with credits in hand,
 //! `iput`/`iget`, and an `irecv` whose eager message is already queued.
@@ -191,7 +191,7 @@ enum State<T> {
     /// it to deliver into it; no task runs for it. Running the wait
     /// parks until the delivery.
     Posted(Box<dyn FnOnce() -> State<T> + Send + Sync>),
-    /// The transfer is being driven by an engine (a pooled scheduler
+    /// The transfer is being driven by an engine (a spawned scheduler
     /// task, joined in virtual time) against a forked clock; a joined
     /// engine has filled the completion. A panicking engine aborts the
     /// run, and the join unwinds with every other task.

@@ -14,8 +14,8 @@
 //! clock mutation the call site performed before and only *observe* the
 //! delta, so virtual time is bit-identical with attribution on or off.
 //!
-//! Only threads explicitly marked with [`set_thread_attrib`] contribute
-//! (the runtime marks rank threads; request-engine helper threads stay
+//! Only bindings explicitly marked with [`set_thread_attrib`] contribute
+//! (the runtime marks rank tasks; request-engine and helper tasks stay
 //! unmarked so forked clocks are not double-counted — their time shows
 //! up at rank level as a request-wait when the completion time merges).
 
@@ -142,8 +142,8 @@ pub(crate) struct AttribState {
 }
 
 /// Mark (or unmark) the calling thread's binding as contributing to
-/// attribution; no-op when unbound. The runtime marks rank threads;
-/// engine/helper threads with forked clocks must stay unmarked to keep
+/// attribution; no-op when unbound. The runtime marks rank tasks;
+/// engine/helper tasks with forked clocks must stay unmarked to keep
 /// the per-rank sums conservative.
 pub fn set_thread_attrib(on: bool) {
     with_lane(|lane| lane.attributing = on);
@@ -237,7 +237,7 @@ pub fn charged<R>(clock: &mut Clock, bucket: Bucket, f: impl FnOnce(&mut Clock) 
 }
 
 /// Record rank `rank`'s final clock value. The runtime calls this as
-/// each rank thread finishes; the report uses it as the makespan the
+/// each rank task finishes; the report uses it as the makespan the
 /// buckets must sum to. No-op when unbound.
 pub fn record_makespan(rank: u32, t: SimTime) {
     with_bound(|r| {

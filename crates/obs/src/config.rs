@@ -5,8 +5,8 @@ use std::path::PathBuf;
 
 /// Observability configuration for one simulated run.
 ///
-/// `scimpi::run_report` applies this before spawning rank threads: when
-/// enabled it creates the run's recorder and binds every thread of the
+/// `scimpi::run_report` applies this before starting the rank tasks:
+/// when enabled it creates the run's recorder and binds every task of the
 /// run to it, and at teardown it writes the requested export files
 /// (after recording an end-of-run per-link traffic snapshot).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -17,8 +17,10 @@
 //!   or [Perfetto](https://ui.perfetto.dev)) and a JSONL counter dump.
 //!
 //! A run returns its report: `scimpi::run_report` creates one
-//! [`Recorder`] per launch, binds every thread working for that run to it
-//! ([`Recorder::bind`]) and hands the recording back as the `RunReport`.
+//! [`Recorder`] per launch, binds every task working for that run to it
+//! ([`Recorder::bind`]; tasks share a thread, and the scheduler swaps
+//! each task's [`Binding`] in and out with it) and hands the recording
+//! back as the `RunReport`.
 //! Nothing is process-wide, so runs in one process — concurrent or not —
 //! never see each other's numbers. The instrumentation hooks deep in the
 //! pack/protocol code stay free functions ([`inc`], [`span`],
