@@ -150,13 +150,14 @@ impl TaskLocal for () {
     fn swap(&mut self) {}
 }
 
-/// Where a coroutine's and the driver's stack pointers wait while the
-/// other runs, and what the driver resumed the coroutine with.
+/// A coroutine's side of the switch: where its own and the driver's
+/// stack pointers wait while the other runs.
 struct Context {
     /// The coroutine's stack pointer while it is switched out.
     sp: Cell<*mut u8>,
     /// The driver's stack pointer while the coroutine runs.
     back: Cell<*mut u8>,
+    /// What the driver resumed the coroutine with.
     wake: Cell<Wake>,
     /// The coroutine retired: its last switch out has happened.
     done: Cell<bool>,
@@ -447,9 +448,8 @@ impl Scheduler {
         self.aborted.load(Ordering::Acquire)
     }
 
-    /// Create a root task for `rank` starting at virtual time zero.
-    /// Called by the launcher before spawning the rank's thread; the
-    /// thread itself must [`Handle::adopt`] the returned handle.
+    /// Create a root task for `rank` starting at virtual time zero, for
+    /// a thread of its own to [`Handle::adopt`].
     pub fn create_root(self: &Arc<Self>, rank: u32) -> Handle {
         let mut g = self.lock();
         let id = Self::create_in(&mut g, rank, SimTime::ZERO, None, true);
