@@ -190,40 +190,23 @@ struct Coroutine {
 }
 
 impl Coroutine {
-    /// The record that runs `job` as `handle`'s task: `spare`'s, on the
-    /// stack its last task left, or a fresh one on a new stack.
-    fn make(
-        spare: Option<CoroPtr>,
-        handle: Handle,
-        job: Job,
-        locals: Box<dyn TaskLocal>,
-    ) -> CoroPtr {
-        let cur = Current {
-            handle,
-            runner: Runner::Coroutine(Context {
-                sp: Cell::new(std::ptr::null_mut()),
-                back: Cell::new(std::ptr::null_mut()),
-                wake: Cell::new(Wake::Woken),
-                done: Cell::new(false),
-            }),
+    /// The record that runs `job` as `handle`'s task on `stack`.
+    fn make(stack: coro::Stack, handle: Handle, job: Job, locals: Box<dyn TaskLocal>) -> CoroPtr {
+        let context = Context {
+            sp: Cell::new(std::ptr::null_mut()),
+            back: Cell::new(std::ptr::null_mut()),
+            wake: Cell::new(Wake::Woken),
+            done: Cell::new(false),
         };
-        let record = match spare {
-            Some(CoroPtr(p)) => {
-                // SAFETY: a spare record's coroutine made its last switch;
-                // nothing refers to the record any more.
-                let mut record = unsafe { Box::from_raw(p.as_ptr()) };
-                record.cur = cur;
-                record.job = Cell::new(Some(job));
-                record.locals = RefCell::new(locals);
-                record
-            }
-            None => Box::new(Coroutine {
-                cur,
-                stack: coro::Stack::new(),
-                job: Cell::new(Some(job)),
-                locals: RefCell::new(locals),
-            }),
-        };
+        let record = Box::new(Coroutine {
+            cur: Current {
+                handle,
+                runner: Runner::Coroutine(context),
+            },
+            stack,
+            job: Cell::new(Some(job)),
+            locals: RefCell::new(locals),
+        });
         let record = NonNull::from(Box::leak(record));
         // SAFETY: just leaked; the driver frees it after its last switch.
         let co = unsafe { record.as_ref() };
@@ -351,9 +334,9 @@ struct Inner {
     /// order: what stall rounds and aborts walk, so neither pays for the
     /// tasks that have come and gone.
     live: Vec<usize>,
-    /// Records of retired coroutines: the next spawn reuses one and its
-    /// stack, so a run maps as many stacks as it had tasks live at once.
-    spare: Vec<CoroPtr>,
+    /// Stacks of retired coroutines: the next spawn reuses one, so a run
+    /// maps as many stacks as it had tasks live at once.
+    spare: Vec<coro::Stack>,
     next_seq: u64,
     /// Unparks + adoptions + spawns + retirements — the progress measure
     /// that separates productive stall rounds from deadlock.
@@ -490,8 +473,8 @@ impl Scheduler {
             sched: Arc::clone(self),
             id,
         };
-        let spare = g.spare.pop();
-        g.tasks[id.0].coro = Some(Coroutine::make(spare, handle.clone(), job, locals()));
+        let stack = g.spare.pop().unwrap_or_else(coro::Stack::new);
+        g.tasks[id.0].coro = Some(Coroutine::make(stack, handle.clone(), job, locals()));
         if !root {
             g.progress += 1;
         }
@@ -695,8 +678,8 @@ impl Scheduler {
     /// until no live task remains. Once the run has aborted, every live
     /// task is resumed in turn to unwind with [`Aborted`] instead; a
     /// deadlock panic from a stall round aborts the run like a task's
-    /// panic. Retired coroutines' records go to the spare list, and are
-    /// freed (their stacks unmapped) when the run ends.
+    /// panic. A retired coroutine's record is freed after its last switch
+    /// and its stack goes to the spare list, unmapped when the run ends.
     ///
     /// [`pick`]: Scheduler::pick
     fn drive(&self) {
@@ -715,15 +698,16 @@ impl Scheduler {
             let record = unsafe { co.0.as_ref() };
             record.resume(wake);
             if record.context().done.get() {
+                let id = record.cur.handle.id.0;
+                // SAFETY: its coroutine made its last switch; nothing
+                // refers to the record any more.
+                let record = unsafe { Box::from_raw(co.0.as_ptr()) };
                 let mut g = self.lock();
-                g.tasks[record.cur.handle.id.0].coro = None;
-                g.spare.push(co);
+                g.tasks[id].coro = None;
+                g.spare.push(record.stack);
             }
         }
-        for CoroPtr(p) in std::mem::take(&mut self.lock().spare) {
-            // SAFETY: a spare record's coroutine made its last switch.
-            drop(unsafe { Box::from_raw(p.as_ptr()) });
-        }
+        self.lock().spare.clear();
     }
 
     /// The coroutine the driver resumes next, and with what.
@@ -1492,7 +1476,7 @@ mod tests {
                 }
                 *so.lock().unwrap() = Some(Arc::clone(&sched));
             })]);
-            // The run's end freed every record, the root's too.
+            // The run's end freed every record and unmapped every stack.
             let sched = sched_out.lock().unwrap().take().unwrap();
             let g = sched.lock();
             assert!(g.spare.is_empty() && g.tasks.iter().all(|t| t.coro.is_none()));
