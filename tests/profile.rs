@@ -192,6 +192,12 @@ fn report_digest(report: &scimpi::RunReport) -> u64 {
 /// when every run kept every trace event (must not move).
 const KEPT_EVENTS_DIGEST: u64 = 0x4e8e_cf9c_076e_60cb;
 
+/// FNV-1a of the trace file and of `obs::counters_jsonl` for the kept-events
+/// run of [`workload_leaving_a_message_queued`] (must not move: they pin
+/// the exporters' bytes, layout included).
+const KEPT_TRACE_DIGEST: u64 = 0x3a6e_9f46_5ab7_a12c;
+const KEPT_COUNTERS_JSONL_DIGEST: u64 = 0x952e_cbf0_516c_1d54;
+
 /// Keeping the trace events is a view on the recording, not a different
 /// recording: the same run with its events kept (a trace file is
 /// written) and without reports the same profile, counters and peak
@@ -213,6 +219,18 @@ fn keeping_trace_events_changes_nothing_else_in_the_report() {
     assert_eq!(finished, again);
     assert!(!kept.events.is_empty() && trace.contains("p2p.recv"));
     assert_eq!(trace, obs::chrome_trace_json(&kept.events));
+    let jsonl = obs::counters_jsonl(&kept.counters, &kept.link_snapshots);
+    let digests = (
+        fnv(0xcbf2_9ce4_8422_2325, trace.as_bytes()),
+        fnv(0xcbf2_9ce4_8422_2325, jsonl.as_bytes()),
+    );
+    assert_eq!(
+        digests,
+        (KEPT_TRACE_DIGEST, KEPT_COUNTERS_JSONL_DIGEST),
+        "{:#x} {:#x}",
+        digests.0,
+        digests.1
+    );
     assert!(dropped.events.is_empty(), "no trace file, no events");
 
     assert_eq!(kept.profile_json(), dropped.profile_json());
