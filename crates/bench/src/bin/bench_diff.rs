@@ -17,7 +17,8 @@
 //! non-zero when any value differs, a document is missing, or a file
 //! fails to parse.
 
-use repro_bench::diff::{self, Json};
+use obs::json::{self, Json};
+use repro_bench::diff;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -52,7 +53,7 @@ fn parse_args() -> Args {
 
 fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    diff::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Resolve which baseline files to check: explicit names, or every

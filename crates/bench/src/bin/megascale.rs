@@ -21,7 +21,8 @@
 //!
 //! Run: `cargo run --release -p repro-bench --bin megascale`
 
-use obs::json::num;
+use obs::json::{self, Json};
+use repro_bench::jsonout::write_reported;
 use scimpi::{ClusterSpec, ReduceOp, Source, TagSel};
 use simclock::SimTime;
 
@@ -115,19 +116,17 @@ fn main() {
         "every rank must be a live task at the first barrier"
     );
 
-    let json = format!(
-        "{{\"bench\":\"megascale\",\"ranks\":{ranks},\
-         \"msg_bytes\":{MSG_BYTES},\"finish_us\":{},\"events\":{},\
-         \"ready_high_water\":{},\"tasks_high_water\":{},\"stalls\":{},\
-         \"deterministic\":true}}\n",
-        num(finish.as_ps() as f64 / 1e6),
-        stats.events,
-        stats.ready_high_water,
-        stats.tasks_high_water,
-        stats.stalls,
-    );
-    match std::fs::write("BENCH_megascale.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_megascale.json"),
-        Err(e) => eprintln!("BENCH_megascale.json not written: {e}"),
-    }
+    let doc = Json::obj([
+        ("bench", "megascale".into()),
+        ("ranks", ranks.into()),
+        ("msg_bytes", MSG_BYTES.into()),
+        ("finish_us", (finish.as_ps() as f64 / 1e6).into()),
+        ("events", stats.events.into()),
+        ("ready_high_water", stats.ready_high_water.into()),
+        ("tasks_high_water", stats.tasks_high_water.into()),
+        ("stalls", stats.stalls.into()),
+        ("deterministic", true.into()),
+    ]);
+    println!();
+    write_reported("BENCH_megascale.json", &json::render(&doc));
 }

@@ -19,8 +19,9 @@
 //!
 //! Run: `cargo run --release -p repro-bench --bin overlap_halo`
 
-use obs::json::num;
+use obs::json::{self, Json};
 use obs::{Counter, WaitKind};
+use repro_bench::jsonout::write_reported;
 use scimpi::{ClusterSpec, ObsConfig, RecvBuf, SendData, Source, TagSel};
 use simclock::stats::Table;
 use simclock::{SimDuration, SimTime};
@@ -195,18 +196,17 @@ fn main() {
             format!("{:.1}", nonblocking.wait_ps as f64 / 1e6),
             format!("{:.1}", credited_ns as f64 / 1e3),
         ]);
-        points.push(format!(
-            "{{\"compute_to_comm\":{},\"blocking_us\":{},\"nonblocking_us\":{},\
-             \"saving_pct\":{},\"wait_blocking_us\":{},\"wait_nonblocking_us\":{},\
-             \"request_wait_us\":{},\"overlap_saved_ns\":{credited_ns}}}",
-            num(grain),
-            num(t_blocking.as_ps() as f64 / 1e6),
-            num(t_nonblocking.as_ps() as f64 / 1e6),
-            num(saving * 100.0),
-            num(blocking.wait_ps as f64 / 1e6),
-            num(nonblocking.wait_ps as f64 / 1e6),
-            num(nonblocking.request_wait_ps as f64 / 1e6),
-        ));
+        let us = |ps: u64| Json::from(ps as f64 / 1e6);
+        points.push(Json::obj([
+            ("compute_to_comm", grain.into()),
+            ("blocking_us", us(t_blocking.as_ps())),
+            ("nonblocking_us", us(t_nonblocking.as_ps())),
+            ("saving_pct", (saving * 100.0).into()),
+            ("wait_blocking_us", us(blocking.wait_ps)),
+            ("wait_nonblocking_us", us(nonblocking.wait_ps)),
+            ("request_wait_us", us(nonblocking.request_wait_ps)),
+            ("overlap_saved_ns", credited_ns.into()),
+        ]));
 
         println!(
             "grain {grain:.2}: wait cut by {:.1} us, engine credited {:.1} us \
@@ -258,23 +258,25 @@ fn main() {
         once.finish
     );
 
-    let json = format!(
-        "{{\"bench\":\"overlap_halo\",\"ranks\":{RANKS},\"halo_bytes\":{HALO_BYTES},\
-         \"rows\":{ROWS},\"iters\":{ITERS},\"comm_per_iter_us\":{},\
-         \"saving_at_parity_pct\":{},\"deterministic\":true,\"points\":[\n{}\n]}}\n",
-        num(comm_per_iter.as_ps() as f64 / 1e6),
-        num(saving_at_parity * 100.0),
-        points.join(",\n")
-    );
-    match std::fs::write("BENCH_overlap_halo.json", &json) {
-        Ok(()) => println!("wrote BENCH_overlap_halo.json"),
-        Err(e) => eprintln!("BENCH_overlap_halo.json not written: {e}"),
-    }
+    let doc = Json::obj([
+        ("bench", "overlap_halo".into()),
+        ("ranks", RANKS.into()),
+        ("halo_bytes", HALO_BYTES.into()),
+        ("rows", ROWS.into()),
+        ("iters", ITERS.into()),
+        (
+            "comm_per_iter_us",
+            (comm_per_iter.as_ps() as f64 / 1e6).into(),
+        ),
+        ("saving_at_parity_pct", (saving_at_parity * 100.0).into()),
+        ("deterministic", true.into()),
+        ("points", Json::arr(points).lines()),
+    ]);
+    write_reported("BENCH_overlap_halo.json", &json::render(&doc));
     // The wait-state profile of the last (parity-grain) run travels next
     // to the bench document, like every BenchDoc-based binary.
-    let path = std::path::Path::new("PROFILE_overlap_halo.json");
-    match std::fs::write(path, obs::report::profile_json(&profile)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("{} not written: {e}", path.display()),
-    }
+    write_reported(
+        "PROFILE_overlap_halo.json",
+        &obs::report::profile_json(&profile),
+    );
 }

@@ -16,8 +16,9 @@
 //!
 //! Run: `cargo run --release -p repro-bench --bin recovery_cost`
 
-use obs::json::num;
+use obs::json::{self, Json};
 use obs::Counter;
+use repro_bench::jsonout::write_reported;
 use sci_fabric::death_schedule;
 use scimpi::{shrink, Checkpointer, ClusterSpec, ErrorMode, ObsConfig, ReduceOp, RunReport};
 use simclock::stats::Table;
@@ -136,12 +137,13 @@ fn build() -> (String, String, Table, Table) {
             format!("{taken}"),
             format!("{mib:.2}"),
         ]);
-        ckpt_points.push(format!(
-            "{{\"interval\":{interval},\"makespan_us\":{},\"overhead_pct\":{},\"checkpoints\":{taken},\"checkpoint_mib\":{}}}",
-            num(us),
-            num(overhead_pct),
-            num(mib)
-        ));
+        ckpt_points.push(Json::obj([
+            ("interval", interval.into()),
+            ("makespan_us", us.into()),
+            ("overhead_pct", overhead_pct.into()),
+            ("checkpoints", taken.into()),
+            ("checkpoint_mib", mib.into()),
+        ]));
     }
 
     let mut rec_table = Table::new(vec![
@@ -164,17 +166,21 @@ fn build() -> (String, String, Table, Table) {
             format!("{exchanges}"),
             format!("{declared}"),
         ]);
-        rec_points.push(format!(
-            "{{\"ranks\":{n},\"recover_us\":{},\"agreement_exchanges\":{exchanges},\"peers_declared_dead\":{declared}}}",
-            num(us)
-        ));
+        rec_points.push(Json::obj([
+            ("ranks", n.into()),
+            ("recover_us", us.into()),
+            ("agreement_exchanges", exchanges.into()),
+            ("peers_declared_dead", declared.into()),
+        ]));
     }
 
-    let json = format!(
-        "{{\"bench\":\"recovery_cost\",\"image_bytes\":{IMAGE},\"rounds\":{ROUNDS},\"checkpoint\":[\n{}\n],\"recover\":[\n{}\n]}}\n",
-        ckpt_points.join(",\n"),
-        rec_points.join(",\n")
-    );
+    let json = json::render(&Json::obj([
+        ("bench", "recovery_cost".into()),
+        ("image_bytes", IMAGE.into()),
+        ("rounds", ROUNDS.into()),
+        ("checkpoint", Json::arr(ckpt_points).lines()),
+        ("recover", Json::arr(rec_points).lines()),
+    ]));
     let last = last.expect("the sweep is not empty");
     assert!(last.profile.is_some(), "obs-enabled run builds a profile");
     (json, last.profile_json(), ckpt_table, rec_table)
@@ -196,12 +202,6 @@ fn main() {
     println!("{}", ckpt_table.render());
     println!("== Time to recover from one rank death ==\n");
     println!("{}", rec_table.render());
-    match std::fs::write("BENCH_recovery_cost.json", &json) {
-        Ok(()) => println!("wrote BENCH_recovery_cost.json"),
-        Err(e) => eprintln!("BENCH_recovery_cost.json not written: {e}"),
-    }
-    match std::fs::write("PROFILE_recovery_cost.json", &profile) {
-        Ok(()) => println!("wrote PROFILE_recovery_cost.json"),
-        Err(e) => eprintln!("PROFILE_recovery_cost.json not written: {e}"),
-    }
+    write_reported("BENCH_recovery_cost.json", &json);
+    write_reported("PROFILE_recovery_cost.json", &profile);
 }
