@@ -87,7 +87,10 @@ pub enum NoncontigMode {
     /// `direct_pack_ff`: pack straight into the remote ring buffer
     /// (Figure 4 bottom).
     DirectPackFf,
-    /// `DirectPackFf` when the committed type's smallest block is at least
+    /// Decided per transfer by [`Tuning::select_path`] from the committed
+    /// layout's mean block length (`density.avg_block_len`): DMA for a
+    /// large fine-grained transfer where the caller offers it,
+    /// `DirectPackFf` when the mean block is at least
     /// `Tuning::ff_min_block`, `Generic` otherwise (the production
     /// default; footnote 1 of §3.4).
     #[default]
@@ -202,7 +205,8 @@ pub struct Tuning {
     pub rendezvous_chunk: usize,
     /// Non-contiguous engine selection.
     pub noncontig: NoncontigMode,
-    /// Minimum basic-block size for which `Auto` picks `direct_pack_ff`.
+    /// Minimum mean block length of a committed layout
+    /// (`density.avg_block_len`) for which `Auto` picks `direct_pack_ff`.
     /// The paper sets this to 0 to compare the engines across the whole
     /// sweep; the default 16 avoids the 8-byte-granularity regime where
     /// the generic engine wins inter-node.

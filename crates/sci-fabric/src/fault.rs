@@ -215,9 +215,11 @@ struct InjectorState {
     /// One RNG stream per ordered (source node, destination node) pair,
     /// forked lazily off the master seed. Silent-fault draws come from
     /// these: transfers between one pair of nodes are ordered by the
-    /// protocol, so per-pair streams make silent faults reproducible even
-    /// when many rank threads transfer concurrently (unlike retry draws,
-    /// which share `rng` and interleave nondeterministically).
+    /// protocol, so per-pair streams make silent faults independent of
+    /// the order in which ranks' transfers run. Retry draws share `rng`
+    /// instead and interleave in dispatch order: deterministic, since
+    /// every task of a run runs on the launching thread, but dependent on
+    /// the scheduler's tie-break among equal-time tasks.
     pair_rngs: HashMap<(usize, usize), SplitMix64>,
 }
 
