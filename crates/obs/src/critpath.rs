@@ -71,7 +71,10 @@ const MAX_HOPS: usize = 4096;
 
 /// Extract the critical path from per-rank makespans and the classified
 /// waits. Returns an empty path when no makespans were recorded.
-pub fn extract(makespans: &[(u32, u64)], waits: &[WaitEvent]) -> CriticalPath {
+pub fn extract<'a>(
+    makespans: &[(u32, u64)],
+    waits: impl IntoIterator<Item = &'a WaitEvent>,
+) -> CriticalPath {
     let Some(&(origin, makespan)) = makespans
         .iter()
         .max_by_key(|&&(r, m)| (m, std::cmp::Reverse(r)))
@@ -80,7 +83,7 @@ pub fn extract(makespans: &[(u32, u64)], waits: &[WaitEvent]) -> CriticalPath {
     };
     let mut rank = origin;
 
-    let mut sorted: Vec<&WaitEvent> = waits.iter().collect();
+    let mut sorted: Vec<&WaitEvent> = waits.into_iter().collect();
     // Waits that compare equal under the key are equal structs.
     sorted.sort_unstable_by_key(|w| (w.rank, w.end_ps, w.start_ps, w.kind, w.peer));
     let mut used = vec![false; sorted.len()];

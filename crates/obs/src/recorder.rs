@@ -369,7 +369,7 @@ impl Lane {
     /// panic: a poisoned lock still holds sums that every update left
     /// valid. Histogram merges are exact and commutative, so the order
     /// lanes fold in never shows.
-    fn fold(mut self) {
+    fn fold(self) {
         if self.busy == [0; BUCKET_COUNT] && self.waits.is_empty() && self.spans.is_empty() {
             return;
         }
@@ -380,7 +380,9 @@ impl Lane {
                 *sum += ps;
             }
         }
-        st.waits.append(&mut self.waits);
+        if !self.waits.is_empty() {
+            st.lane_waits.push(self.waits);
+        }
         for (name, hist) in self.spans {
             st.spans.entry(name).or_default().merge(&hist);
         }
