@@ -19,7 +19,11 @@
 //! to the first completion; `barrier` is one full cycle after it — `n`
 //! resumes, `n` arrivals — and is subtracted from the two phases that
 //! follow, each of which is closed by a barrier of its own; teardown
-//! starts at the last completion and ends when the run returns. Each cell
+//! starts at the last completion and ends when the run returns. `faults`
+//! is the minor page faults the process took during the run, per rank:
+//! about one per rank while each rank's coroutine stack is touched for
+//! the first time, about none once the stacks of an earlier run in the
+//! process are reused (the first run in the process is cold). Each cell
 //! is the median of [`RUNS`] runs. docs/SCHEDULER.md, "Measured: where a
 //! megascale run spends its host time", keeps the readings.
 
@@ -54,9 +58,20 @@ impl Marks {
     }
 }
 
+/// Minor page faults the process has taken so far: `minflt`, the tenth
+/// field of `/proc/self/stat`.
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("reading /proc/self/stat");
+    // The fields after the parenthesised command name start at the third.
+    let rest = &stat[stat.rfind(')').expect("a command name") + 1..];
+    let minflt = rest.split_whitespace().nth(10 - 3);
+    minflt.and_then(|f| f.parse().ok()).expect("a minflt field")
+}
+
 /// One run at `ranks` ranks: host seconds per phase, in [`PHASES`] order,
-/// then of the whole run.
-fn one_run(ranks: usize) -> [f64; 7] {
+/// then of the whole run, then the minor page faults the run took.
+fn one_run(ranks: usize) -> [f64; 8] {
+    let faults = minor_faults();
     let marks = Marks {
         t0: Instant::now(),
         earliest: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
@@ -103,6 +118,7 @@ fn one_run(ranks: usize) -> [f64; 7] {
         at(4) - at(3) - barrier,
         end - at(4),
         end,
+        (minor_faults() - faults) as f64,
     ]
 }
 
@@ -122,15 +138,15 @@ fn ranks_from_args() -> Vec<usize> {
 fn main() {
     println!(
         "host us per rank, median of {RUNS} runs; ring round = one {RING_BYTES}-byte \
-         send + recv per rank\n"
+         send + recv per rank; faults = minor page faults per rank per run\n"
     );
     print!("{:>6}", "ranks");
     for name in PHASES {
         print!(" {name:>12}");
     }
-    println!(" {:>12}", "run, s");
+    println!(" {:>12} {:>12}", "run, s", "faults");
     for ranks in ranks_from_args() {
-        let runs: Vec<[f64; 7]> = (0..RUNS).map(|_| one_run(ranks)).collect();
+        let runs: Vec<[f64; 8]> = (0..RUNS).map(|_| one_run(ranks)).collect();
         let median = |column: usize| {
             let mut s: Vec<f64> = runs.iter().map(|r| r[column]).collect();
             s.sort_by(f64::total_cmp);
@@ -140,6 +156,7 @@ fn main() {
         for phase in 0..PHASES.len() {
             print!(" {:>12.2}", median(phase) * 1e6 / ranks as f64);
         }
-        println!(" {:>12.3}", median(PHASES.len()));
+        let faults = median(PHASES.len() + 1) / ranks as f64;
+        println!(" {:>12.3} {faults:>12.2}", median(PHASES.len()));
     }
 }

@@ -598,11 +598,7 @@ fn recv_into_inner(
     let recv_start = clock.now();
     resolve_layout(world, clock, &into);
     let at = clock.now();
-    let slot = Arc::<Slot<Handed>>::default();
-    let posted = world.mailboxes[rank].post_recv(src, tag, at, || {
-        let slot = Arc::clone(&slot);
-        Box::new(move |_, handed| fill(&slot, handed))
-    });
+    let (slot, posted) = post_blocking(world, rank, src, tag, at);
     let handed = match posted {
         Posted::Claimed(env) => Ok(env),
         Posted::Registered(ticket) => {
@@ -611,6 +607,53 @@ fn recv_into_inner(
     };
     let env = handed.map_err(|front| observe_revoke(clock, front))?;
     consume_recv(world, rank, clock, recv_start, env, into)
+}
+
+/// The receive half of a `sendrecv` whose send half failed. The peer may
+/// have failed too, its receive half waiting for the message this rank
+/// could not deliver, so the receive takes a message that arrives but is
+/// withdrawn at the first stall round that finds it unmatched. What it
+/// received is not reported: the send error is the call's.
+fn recv_unless_stalled(
+    world: &Arc<WorldState>,
+    rank: usize,
+    clock: &mut Clock,
+    src: Source,
+    tag: TagSel,
+    into: RecvBuf<'_>,
+) {
+    let recv_start = clock.now();
+    resolve_layout(world, clock, &into);
+    let at = clock.now();
+    let (slot, posted) = post_blocking(world, rank, src, tag, at);
+    let handed = match posted {
+        Posted::Claimed(env) => Ok(env),
+        Posted::Registered(ticket) => match slot.1.take_or_wait(&slot.0, Some(at), Option::take) {
+            Some(handed) => handed,
+            None => return world.mailboxes[rank].abandon_recv(ticket),
+        },
+    };
+    match handed {
+        Ok(env) => drop(consume_recv(world, rank, clock, recv_start, env, into)),
+        Err(front) => drop(observe_revoke(clock, front)),
+    }
+}
+
+/// Post a blocking receive of world rank `rank` at `at`: it claims a
+/// queued envelope, or registers for a send to leave one in the slot.
+fn post_blocking(
+    world: &WorldState,
+    rank: usize,
+    src: Source,
+    tag: TagSel,
+    at: SimTime,
+) -> (Arc<Slot<Handed>>, Posted) {
+    let slot = Arc::<Slot<Handed>>::default();
+    let posted = world.mailboxes[rank].post_recv(src, tag, at, || {
+        let slot = Arc::clone(&slot);
+        Box::new(move |_, handed| fill(&slot, handed))
+    });
+    (slot, posted)
 }
 
 /// Wait, parked on `slot` at `at`, for what the send matching the posted
@@ -1166,7 +1209,10 @@ impl Rank {
     ///
     /// If both halves fail, the send-side error wins (it is reported
     /// first in MPI practice too — the sendrecv completes as a unit
-    /// either way). A failed eager send half still runs the receive half.
+    /// either way). A failed eager send half still runs the receive half,
+    /// which takes the peer's message if it comes; if a stall round finds
+    /// it unmatched (the peer's send half may have failed as well), the
+    /// receive is withdrawn and the send error returned.
     pub fn sendrecv(
         &mut self,
         dst: usize,
@@ -1181,7 +1227,9 @@ impl Rank {
             Err(e) => {
                 // The receive half runs anyway: the peer's message must
                 // not stay queued for whatever receive comes next.
-                let _ = self.recv_into(src, rtag, rbuf);
+                let src = self.src_to_world(src);
+                let world = Arc::clone(&self.world);
+                recv_unless_stalled(&world, self.rank, &mut self.clock, src, rtag, rbuf);
                 return Err(e);
             }
         };

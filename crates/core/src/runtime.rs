@@ -1017,6 +1017,11 @@ impl Rank {
 /// per-rank results, indexed by rank.
 ///
 /// Panics in any rank are propagated (the run is torn down).
+///
+/// Every rank, request engine and `sendrecv` send half runs on a
+/// coroutine stack that outlives the run ([`sched::run_roots`]): the
+/// process keeps as many stacks mapped as its runs held at once, 1 MiB
+/// reserved plus the touched pages each, and a later run reuses them.
 pub fn run<F, T>(spec: ClusterSpec, f: F) -> Vec<T>
 where
     F: Fn(&mut Rank) -> T + Send + Sync,
@@ -1044,7 +1049,8 @@ impl sched::TaskLocal for TaskLocals {
 }
 /// [`run`], also returning what the run observed about itself. The
 /// report is a function of this run alone: nothing else the process
-/// runs, before or concurrently, shows up in it.
+/// runs, before or concurrently, shows up in it. The coroutine stacks
+/// the run leaves stay mapped for the process's next runs, as in [`run`].
 pub fn run_report<F, T>(spec: ClusterSpec, f: F) -> (Vec<T>, RunReport)
 where
     F: Fn(&mut Rank) -> T + Send + Sync,

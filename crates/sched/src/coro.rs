@@ -18,16 +18,31 @@
 //! Overflowing a stack runs into its guard page and the process dies of
 //! `SIGSEGV`: the standard library's "has overflowed its stack" message
 //! covers only the stacks of the threads it made.
+//!
+//! A stack outlives the run that mapped it: when a run ends its stacks go
+//! to one process-wide list, [`RETIRED`], and the next run's spawns take
+//! them from there before they map new ones. A stack is reused as it was
+//! left — guard page still `PROT_NONE`, touched pages still resident —
+//! and [`Stack::start`] lays a fresh frame over whatever ran on it.
 
 use std::arch::global_asm;
 use std::ffi::c_void;
 use std::ptr::{null_mut, NonNull};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Bytes of stack per coroutine. Reserved with `MAP_NORESERVE`: a task
 /// costs the pages it touches, not the reservation.
 const STACK_BYTES: usize = 1 << 20;
 /// The guard page below each stack (x86_64 Linux pages are 4 KiB).
 const GUARD_BYTES: usize = 4096;
+
+/// Stacks no run holds. Bounded by the most stacks the process's runs
+/// held at once: a run takes from it before it maps, and gives back only
+/// what it took or mapped.
+static RETIRED: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+/// Stacks mapped since the process started ([`crate::stacks_mapped`]).
+pub(crate) static MAPPED: AtomicU64 = AtomicU64::new(0);
 
 const PROT_NONE: i32 = 0;
 const PROT_READ: i32 = 1;
@@ -105,8 +120,20 @@ pub(crate) struct Stack {
 unsafe impl Send for Stack {}
 
 impl Stack {
+    /// A retired stack if the process has one, else a fresh one.
+    pub(crate) fn take() -> Stack {
+        let retired = crate::relock(RETIRED.lock()).pop();
+        retired.unwrap_or_else(Stack::new)
+    }
+
+    /// Keep `stacks` mapped for the process's next spawns, leaving
+    /// `stacks` empty.
+    pub(crate) fn retire(stacks: &mut Vec<Stack>) {
+        crate::relock(RETIRED.lock()).append(stacks);
+    }
+
     /// Map a fresh stack. Panics if the kernel refuses.
-    pub(crate) fn new() -> Stack {
+    fn new() -> Stack {
         let len = GUARD_BYTES + STACK_BYTES;
         let (prot, flags) = (
             PROT_READ | PROT_WRITE,
@@ -127,6 +154,7 @@ impl Stack {
                 std::io::Error::last_os_error()
             );
         }
+        MAPPED.fetch_add(1, Ordering::Relaxed);
         Stack {
             base: NonNull::new(base).expect("mmap returned a null mapping"),
         }

@@ -335,7 +335,7 @@ struct Inner {
     /// tasks that have come and gone.
     live: Vec<usize>,
     /// Stacks of retired coroutines: the next spawn reuses one, so a run
-    /// maps as many stacks as it had tasks live at once.
+    /// holds as many stacks as it had tasks live at once.
     spare: Vec<coro::Stack>,
     next_seq: u64,
     /// Unparks + adoptions + spawns + retirements — the progress measure
@@ -473,7 +473,7 @@ impl Scheduler {
             sched: Arc::clone(self),
             id,
         };
-        let stack = g.spare.pop().unwrap_or_else(coro::Stack::new);
+        let stack = g.spare.pop().unwrap_or_else(coro::Stack::take);
         g.tasks[id.0].coro = Some(Coroutine::make(stack, handle.clone(), job, locals()));
         if !root {
             g.progress += 1;
@@ -679,7 +679,8 @@ impl Scheduler {
     /// task is resumed in turn to unwind with [`Aborted`] instead; a
     /// deadlock panic from a stall round aborts the run like a task's
     /// panic. A retired coroutine's record is freed after its last switch
-    /// and its stack goes to the spare list, unmapped when the run ends.
+    /// and its stack goes to the spare list, which the process keeps
+    /// mapped for its next runs when this one ends.
     ///
     /// [`pick`]: Scheduler::pick
     fn drive(&self) {
@@ -707,7 +708,7 @@ impl Scheduler {
                 g.spare.push(record.stack);
             }
         }
-        self.lock().spare.clear();
+        coro::Stack::retire(&mut self.lock().spare);
     }
 
     /// The coroutine the driver resumes next, and with what.
@@ -937,6 +938,12 @@ impl Handle {
 /// returned, indexed by `i`, with the run's statistics. A panic in any
 /// task aborts the run: every other task unwinds with [`Aborted`],
 /// running its destructors, and the panic comes out of this call.
+///
+/// Each task runs on a 1 MiB stack taken from the stacks earlier runs in
+/// the process left, or mapped if none is left ([`stacks_mapped`]). The
+/// run's stacks stay mapped when it returns, for the process's next
+/// runs: a process keeps as many as its runs held at once, each costing
+/// the pages its tasks touched.
 pub fn run_roots<T: Send>(roots: usize, body: impl Fn(usize) -> T + Sync) -> (Vec<T>, Stats) {
     run_roots_with::<(), T>(roots, body)
 }
@@ -1006,6 +1013,13 @@ fn with_current<R>(f: impl FnOnce(&Current) -> R) -> Option<R> {
     let cur = CURRENT.get();
     // SAFETY: see above — a non-null binding points at a live `Current`.
     (!cur.is_null()).then(|| f(unsafe { &*cur }))
+}
+
+/// How many coroutine stacks the process has mapped since it started. A
+/// run maps a stack only when no earlier run left one to reuse, so a run
+/// no larger than one before it maps none.
+pub fn stacks_mapped() -> u64 {
+    coro::MAPPED.load(Ordering::Relaxed)
 }
 
 /// The current thread's task handle, if it runs under a scheduler.
@@ -1476,7 +1490,8 @@ mod tests {
                 }
                 *so.lock().unwrap() = Some(Arc::clone(&sched));
             })]);
-            // The run's end freed every record and unmapped every stack.
+            // The run's end freed every record and handed every stack to
+            // the process's list of retired stacks.
             let sched = sched_out.lock().unwrap().take().unwrap();
             let g = sched.lock();
             assert!(g.spare.is_empty() && g.tasks.iter().all(|t| t.coro.is_none()));

@@ -4,9 +4,15 @@
 //! scheduler statistics, byte for byte — and a run with recording off
 //! records nothing, neither in its own report nor in a recorder its
 //! launching thread is bound to, while recording runs are live beside it.
+//! Runs on four threads at once, each taking its coroutine stacks from
+//! and handing them back to the process's one list of retired stacks,
+//! deliver every payload and finish when they finish alone.
 
 use mpi_datatype::{Committed, Datatype};
-use scimpi::{run_report, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
+use scimpi::{
+    run, run_report, ClusterSpec, ObsConfig, Rank, RecvBuf, ReduceOp, SendData, Source, TagSel,
+    WinMemory,
+};
 use simclock::SimTime;
 use std::sync::Barrier;
 
@@ -189,6 +195,65 @@ fn concurrent_runs_report_what_they_report_alone() {
             assert_eq!(
                 t, a,
                 "round {round}: scenario {i} differs from its solo run"
+            );
+        }
+    }
+}
+
+/// Two rounds of a 256-rank ring of rendezvous `sendrecv`s, each send
+/// half a task of its own: 512 coroutine stacks live at once. Message
+/// length and contents depend on `variant`; every payload is checked.
+/// Returns each rank's finish time.
+fn rendezvous_ring(variant: usize) -> Vec<SimTime> {
+    run(ClusterSpec::ringlet(256), |r| {
+        let (me, n) = (r.rank(), r.size());
+        let (right, left) = ((me + 1) % n, (me + n - 1) % n);
+        let len = 20_000 + 1_000 * variant;
+        let row = |from: usize| {
+            ((from * THREADS + variant) as u32)
+                .to_le_bytes()
+                .repeat(len / 4)
+        };
+        let mut buf = vec![0u8; len];
+        for round in 0..2 {
+            r.sendrecv(
+                right,
+                round,
+                SendData::Bytes(&row(me)),
+                Source::Rank(left),
+                TagSel::Value(round),
+                RecvBuf::Bytes(&mut buf),
+            )
+            .unwrap();
+            assert!(buf == row(left), "rank {me}, round {round}: bad payload");
+        }
+        r.now()
+    })
+}
+
+const THREADS: usize = 4;
+
+#[test]
+fn concurrent_runs_share_the_retired_stacks() {
+    let alone: Vec<Vec<SimTime>> = (0..THREADS).map(rendezvous_ring).collect();
+    for round in 0..3 {
+        let start = Barrier::new(THREADS);
+        let together: Vec<Vec<SimTime>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|variant| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        rendezvous_ring(variant)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (variant, (t, a)) in together.iter().zip(&alone).enumerate() {
+            assert!(
+                t == a,
+                "round {round}: variant {variant}'s finish times differ from its solo run"
             );
         }
     }

@@ -512,3 +512,49 @@ fn sendrecv_receives_when_its_eager_send_half_fails() {
         "no round failed rank 0's eager half alone: {rank0:?} {rank1:?}"
     );
 }
+
+/// Both ranks of a symmetric exchange have their eager send halves
+/// refused: each receive half waits for a message the other could not
+/// deliver. At the stall round that finds both unmatched, each receive
+/// is withdrawn and `sendrecv` returns the send error, with the receive
+/// buffer untouched and no receive left posted for a later message.
+fn both_eager_halves_refused(mode: IntegrityMode) {
+    let out = run(failing_spec(mode, 1.0), |r| {
+        let peer = 1 - r.rank();
+        let mut buf = vec![0xEEu8; 4096];
+        let res = r.sendrecv(
+            peer,
+            5,
+            scimpi::SendData::Bytes(&[r.rank() as u8; 4096]),
+            Source::Rank(peer),
+            TagSel::Value(5),
+            scimpi::RecvBuf::Bytes(&mut buf),
+        );
+        let queued = r.probe(Source::Any, TagSel::Any).is_some();
+        (res, buf.iter().all(|&b| b == 0xEE), queued)
+    });
+    for (rank, (res, untouched, queued)) in out.into_iter().enumerate() {
+        assert!(
+            matches!(
+                res,
+                Err(ScimpiError::DataCorruption {
+                    what: "eager message",
+                    ..
+                })
+            ),
+            "rank {rank}: {res:?}"
+        );
+        assert!(untouched, "rank {rank}: the receive buffer was written");
+        assert!(!queued, "rank {rank}: a message is queued");
+    }
+}
+
+#[test]
+fn sendrecv_whose_eager_halves_both_fail_returns_under_sequence_check() {
+    both_eager_halves_refused(IntegrityMode::SequenceCheck);
+}
+
+#[test]
+fn sendrecv_whose_eager_halves_both_fail_returns_under_end_to_end() {
+    both_eager_halves_refused(IntegrityMode::EndToEnd);
+}
