@@ -12,12 +12,13 @@
 //! count against the reference engine's coalescing walker, which the
 //! generic cost mode is charged from. The last two hold the `gather` and
 //! `scatter` kernels against a byte loop and the run-taking sinks against
-//! the block-taking ones.
+//! the block-taking ones. A normal-form check holds every random `vector`
+//! and `indexed` against its byte-unit twin (`hvector` / `hindexed`).
 //!
 //! `PACK_ORACLE_SEED=<n>` re-seeds the random trees (CI runs three fixed
 //! seeds); the default seed is used otherwise.
 
-use mpi_datatype::{ff, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition};
+use mpi_datatype::{ff, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition, FlatLeaf};
 use simclock::SplitMix64;
 use std::ops::ControlFlow;
 
@@ -33,6 +34,19 @@ fn oracle_seed() -> u64 {
 /// zero-count blocks and zero-extent children (the degenerate shapes the
 /// commit-time leaf filter must absorb).
 fn random_datatype(rng: &mut SplitMix64, depth: usize) -> Datatype {
+    random_datatype_with(rng, depth, &mut Vec::new())
+}
+
+/// [`random_datatype`], also pushing onto `twins` every `vector` and
+/// `indexed` node it builds beside the same layout in byte units: the
+/// `hvector` with stride `stride * extent(child)` and the `hindexed` with
+/// displacements `disp * extent(child)`. Building a twin draws nothing from
+/// `rng`, so the trees are the ones [`random_datatype`] builds.
+fn random_datatype_with(
+    rng: &mut SplitMix64,
+    depth: usize,
+    twins: &mut Vec<(Datatype, Datatype)>,
+) -> Datatype {
     let leaf = |rng: &mut SplitMix64| match rng.next_below(4) {
         0 => Datatype::byte(),
         1 => Datatype::int(),
@@ -46,20 +60,20 @@ fn random_datatype(rng: &mut SplitMix64, depth: usize) -> Datatype {
         // Zero-extent child: contiguous(0, _) has no bytes at all.
         Datatype::contiguous(0, &leaf(rng))
     } else {
-        random_datatype(rng, depth - 1)
+        random_datatype_with(rng, depth - 1, twins)
     };
+    let ext = inner.extent() as i64;
     match rng.next_below(5) {
         0 => Datatype::contiguous(rng.next_range(1, 4) as usize, &inner),
         // vector with stride >= blocklen (no overlap)
         1 => {
             let bl = rng.next_range(1, 3) as usize;
             let extra = rng.next_below(4) as isize;
-            Datatype::vector(
-                rng.next_range(1, 4) as usize,
-                bl,
-                bl as isize + extra,
-                &inner,
-            )
+            let (n, stride) = (rng.next_range(1, 4) as usize, bl as isize + extra);
+            let dt = Datatype::vector(n, bl, stride, &inner);
+            let bytes = Datatype::hvector(n, bl, stride as i64 * ext, &inner);
+            twins.push((dt.clone(), bytes));
+            dt
         }
         // hvector with byte stride >= blocklen * extent
         2 => {
@@ -89,13 +103,17 @@ fn random_datatype(rng: &mut SplitMix64, depth: usize) -> Datatype {
                     b
                 })
                 .collect();
-            Datatype::indexed(&blocks, &inner)
+            let dt = Datatype::indexed(&blocks, &inner);
+            let in_bytes: Vec<(usize, i64)> =
+                blocks.iter().map(|&(bl, d)| (bl, d as i64 * ext)).collect();
+            twins.push((dt.clone(), Datatype::hindexed(&in_bytes, &inner)));
+            dt
         }
         // struct of two fields at ascending displacements; field A may be
         // zero-count
         _ => {
             let a = inner;
-            let b = random_datatype(rng, depth - 1);
+            let b = random_datatype_with(rng, depth - 1, twins);
             let gap = rng.next_below(8) as i64;
             let bl = if rng.chance(0.15) {
                 0
@@ -155,6 +173,64 @@ fn oracle_ff_equals_reference() {
         // A second commit of the identical tree (served from the layout
         // memo) must behave identically too.
         assert_ff_matches_reference(&dt, count);
+    }
+}
+
+/// What committing `dt` yields: its leaves, the flattening work it books,
+/// and the adjacent-leaf merges it credits to a run that commits it first.
+fn commit_facts(dt: &Datatype) -> (Vec<FlatLeaf>, usize, u64) {
+    let recorder = obs::Recorder::new();
+    let _bound = recorder.bind(0);
+    let c = Committed::commit(dt);
+    let merges = recorder.counters()[obs::Counter::FfLeafMerges];
+    (c.leaves().to_vec(), c.flatten_ops(), merges)
+}
+
+/// Normal form: a `vector` or `indexed` and its byte-unit twin are one
+/// layout. They commit to the same leaves with the same flattening work
+/// and merges, pack the same bytes, walk the same segments and report the
+/// same run stats, at every count. Only their signatures differ, so the
+/// layout cache keeps counting them as distinct types.
+#[test]
+fn vector_and_indexed_equal_their_byte_unit_twins() {
+    let mut rng = SplitMix64::new(oracle_seed());
+    let mut twins = Vec::new();
+    for _ in 0..300 {
+        random_datatype_with(&mut rng, 3, &mut twins);
+    }
+    assert!(twins.len() > 100, "only {} twins", twins.len());
+    let segments = |dt: &Datatype, count| {
+        let mut v = Vec::new();
+        let visits = tree::for_each_segment(dt, count, |d, l| {
+            v.push((d, l));
+            ControlFlow::Continue(())
+        });
+        (v, visits)
+    };
+    for (dt, bytes) in &twins {
+        assert_ne!(dt.signature(), bytes.signature(), "{dt}");
+        assert_eq!(
+            (dt.size(), dt.lb(), dt.ub(), dt.ordered_dense()),
+            (bytes.size(), bytes.lb(), bytes.ub(), bytes.ordered_dense()),
+            "bounds of {dt}"
+        );
+        assert_eq!(commit_facts(dt), commit_facts(bytes), "commit of {dt}");
+        let (c, cb) = (Committed::commit(dt), Committed::commit(bytes));
+        for count in 1..=3 {
+            assert_eq!(segments(dt, count), segments(bytes, count), "{dt} x{count}");
+            let src = source_buffer(dt, count);
+            let total = c.size() * count;
+            for (skip, max) in [(0, usize::MAX), (total / 3, total / 2 + 1)] {
+                let (mut a, mut b) = (ff::VecSink::default(), ff::VecSink::default());
+                let sa = ff::pack_ff(&c, count, &src, 0, skip, max, &mut a).unwrap();
+                let sb = ff::pack_ff(&cb, count, &src, 0, skip, max, &mut b).unwrap();
+                assert_eq!(
+                    (sa, &a.data),
+                    (sb, &b.data),
+                    "{dt} x{count} at ({skip}, {max})"
+                );
+            }
+        }
     }
 }
 
