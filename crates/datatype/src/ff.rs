@@ -20,10 +20,32 @@
 //! run, not once per block.
 
 use crate::flat::Committed;
-use crate::tree::PackStats;
 use core::convert::Infallible;
 use core::mem::MaybeUninit;
 use core::ops::ControlFlow;
+
+/// Cost-model observables of one pack/unpack operation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PackStats {
+    /// Payload bytes moved.
+    pub bytes: usize,
+    /// Basic blocks of the committed leaves copied: one stack operation
+    /// each for `direct_pack_ff`.
+    pub blocks: usize,
+    /// Maximal stretches of bytes that lie back to back in the buffer, in
+    /// pack order — what the blocks coalesce into, and what the generic
+    /// cost mode charges one tree traversal for.
+    pub segments: usize,
+}
+
+impl PackStats {
+    /// Accumulate another operation's stats.
+    pub fn merge(&mut self, other: PackStats) {
+        self.bytes += other.bytes;
+        self.blocks += other.blocks;
+        self.segments += other.segments;
+    }
+}
 
 /// A run of equally long, equally spaced basic blocks: block `i` of `n`
 /// covers `len` bytes at displacement `disp + i * stride` — relative to the
@@ -268,11 +290,11 @@ impl UnpackSource for SliceSource<'_> {
 /// the stack resolved to a displacement once per run instead of an
 /// odometer walked once per block.
 ///
-/// The returned stats count one block and one stack visit per basic block
-/// handed to `f`, and one segment per maximal stretch of blocks that lie
-/// back to back in the buffer (a run starting where the previous one ended
-/// continues its stretch) — the copies the generic engine's coalescing
-/// walker makes over the same byte range. A run `f` breaks on is included
+/// The returned stats count one block per basic block handed to `f`, and
+/// one segment per maximal stretch of blocks that lie back to back in the
+/// buffer (a run starting where the previous one ended continues its
+/// stretch) — the segments [`crate::tree::for_each_segment`]'s coalescing
+/// walk yields over the same byte range. A run `f` breaks on is included
 /// whole.
 pub fn for_each_run(
     c: &Committed,
@@ -348,7 +370,6 @@ pub fn for_each_run(
                 remaining -= run.n * run.len;
                 stats.bytes += run.n * run.len;
                 stats.blocks += run.n;
-                stats.visits += run.n;
                 // Commit folds an innermost level whose extent is its block
                 // length into the block, so a run's blocks never lie back
                 // to back: each opens a segment, except the first where it
@@ -486,12 +507,6 @@ mod tests {
             .collect()
     }
 
-    fn generic_pack(dt: &Datatype, count: usize, src: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        tree::pack(dt, count, src, 0, &mut out);
-        out
-    }
-
     #[test]
     fn full_pack_matches_generic() {
         let chars = Datatype::contiguous(3, &Datatype::byte());
@@ -504,9 +519,11 @@ mod tests {
                 (2, 0, Datatype::int()),
                 (1, 16, Datatype::vector(3, 1, 2, &Datatype::double())),
             ]),
+            // An empty type packs nothing, at any count.
+            Datatype::contiguous(0, &Datatype::double()),
         ];
         for dt in &cases {
-            for count in [1usize, 2, 5] {
+            for count in [0usize, 1, 2, 5] {
                 let src = buffer_for(dt, count);
                 let c = commit(dt);
                 let mut sink = VecSink::default();
@@ -514,7 +531,7 @@ mod tests {
                 assert_eq!(stats.bytes, dt.size() * count);
                 assert_eq!(
                     sink.data,
-                    generic_pack(dt, count, &src),
+                    tree::reference_pack(dt, count, &src),
                     "type {dt} count {count}"
                 );
             }
@@ -527,7 +544,7 @@ mod tests {
         let count = 3;
         let src = buffer_for(&dt, count);
         let c = commit(&dt);
-        let whole = generic_pack(&dt, count, &src);
+        let whole = tree::reference_pack(&dt, count, &src);
         for chunk in [1usize, 2, 3, 5, 7, 11, 16, 64, 1000] {
             let mut pieced = Vec::new();
             let mut skip = 0;
@@ -559,10 +576,23 @@ mod tests {
         let stats = unpack_ff(&c, count, &mut dst, 0, 0, usize::MAX, &mut source).unwrap();
         assert_eq!(stats.bytes, dt.size() * count);
 
-        // Compare against the generic unpack of the same stream.
+        // Compare against the reference unpack of the same stream.
         let mut dst2 = vec![0u8; dt.extent() * count];
-        tree::unpack(&dt, count, &mut dst2, 0, &sink.data);
+        tree::reference_unpack(&dt, count, &mut dst2, &sink.data);
         assert_eq!(dst, dst2);
+
+        // A negative displacement, with displacement 0 at byte 8 of the
+        // buffer.
+        let neg = commit(&Datatype::hindexed(&[(1, -8), (1, 8)], &Datatype::double()));
+        let src: Vec<u8> = (0..32).collect();
+        let mut sink = VecSink::default();
+        pack_ff(&neg, 1, &src, 8, 0, usize::MAX, &mut sink).unwrap();
+        assert_eq!(sink.data, [&src[0..8], &src[16..24]].concat());
+        let mut dst = vec![0u8; 32];
+        let mut source = SliceSource::new(&sink.data);
+        unpack_ff(&neg, 1, &mut dst, 8, 0, 16, &mut source).unwrap();
+        let kept = |i: usize| i < 8 || (16..24).contains(&i);
+        assert!((0..32).all(|i| dst[i] == if kept(i) { src[i] } else { 0 }));
     }
 
     #[test]
@@ -582,24 +612,18 @@ mod tests {
             off += chunk.len();
         }
         let mut dst2 = vec![0u8; dt.extent() * count];
-        tree::unpack(&dt, count, &mut dst2, 0, &sink.data);
+        tree::reference_unpack(&dt, count, &mut dst2, &sink.data);
         assert_eq!(dst, dst2);
     }
 
     #[test]
-    fn stats_count_blocks_not_visits() {
+    fn stats_count_blocks_and_segments() {
         let dt = Datatype::vector(64, 1, 2, &Datatype::double());
         let src = buffer_for(&dt, 1);
         let c = commit(&dt);
         let mut sink = VecSink::default();
         let ff = pack_ff(&c, 1, &src, 0, 0, usize::MAX, &mut sink).unwrap();
-        let mut out = Vec::new();
-        let generic = tree::pack(&dt, 1, &src, 0, &mut out);
-        assert_eq!(ff.bytes, generic.bytes);
-        assert_eq!(ff.blocks, 64);
-        // The ff loop does one stack operation per block; the generic
-        // engine additionally walks the tree.
-        assert!(ff.visits <= generic.visits);
+        assert_eq!((ff.bytes, ff.blocks, ff.segments), (dt.size(), 64, 64));
     }
 
     #[test]
@@ -666,6 +690,13 @@ mod tests {
         }));
         assert!(past_the_end.is_err(), "block 4 ends at byte 76 of 64");
         assert_eq!(sink.data, before);
+
+        // A whole pack over a buffer too small panics the same way.
+        let c = commit(&Datatype::vector(4, 1, 4, &Datatype::double()));
+        let too_small = std::panic::catch_unwind(|| {
+            pack_ff(&c, 1, &[0u8; 8], 0, 0, usize::MAX, &mut VecSink::default())
+        });
+        assert!(too_small.is_err(), "block 1 starts at byte 32 of 8");
     }
 
     #[test]
@@ -674,7 +705,7 @@ mod tests {
         let dt = Datatype::vector(4, 2, 4, &Datatype::double()); // 16B blocks
         let c = commit(&dt);
         let src = buffer_for(&dt, 1);
-        let whole = generic_pack(&dt, 1, &src);
+        let whole = tree::reference_pack(&dt, 1, &src);
         let mut sink = VecSink::default();
         pack_ff(&c, 1, &src, 0, 24, 16, &mut sink).unwrap();
         assert_eq!(sink.data, &whole[24..40]);

@@ -4,7 +4,7 @@
 //! leaves**: each leaf is a contiguous basic block (`len` bytes at
 //! displacement `first`) plus a **stack** describing its repeat pattern —
 //! one `(count, extent)` entry per tree level that replicates it (paper
-//! §3.3.1, Figure 5). Two merge optimisations shrink the representation:
+//! §3.3.1, Figure 5). Three merge optimisations shrink the representation:
 //!
 //! * stack entries with a replication count of 1 are deleted;
 //! * a leaf whose innermost stack level strides by exactly the leaf length
@@ -76,9 +76,6 @@ pub struct FfPosition {
 /// DMA transfer paths.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LayoutDensity {
-    /// `size / extent` — the fraction of the instance footprint that is
-    /// payload. 1.0 means gap-free.
-    pub contiguity: f64,
     /// Mean contiguous run length in bytes (`size / blocks`). 0.0 for an
     /// empty type.
     pub avg_block_len: f64,
@@ -258,11 +255,6 @@ fn build_layout(dt: &Datatype) -> Layout {
     let size = dt.size();
     let extent = dt.extent();
     let density = LayoutDensity {
-        contiguity: if extent == 0 {
-            1.0
-        } else {
-            size as f64 / extent as f64
-        },
         avg_block_len: if blocks == 0 {
             0.0
         } else {
@@ -361,16 +353,6 @@ fn collect(dt: &Datatype, disp: i64, ops: &mut usize) -> Vec<FlatLeaf> {
             let inner = collect(child, 0, ops);
             replicate(inner, *count, child.extent() as i64, disp, ops)
         }
-        TypeKind::Vector {
-            count,
-            blocklen,
-            stride,
-            child,
-        } => {
-            let cext = child.extent() as i64;
-            let block = replicate(collect(child, 0, ops), *blocklen, cext, 0, ops);
-            replicate(block, *count, *stride as i64 * cext, disp, ops)
-        }
         TypeKind::Hvector {
             count,
             blocklen,
@@ -380,22 +362,6 @@ fn collect(dt: &Datatype, disp: i64, ops: &mut usize) -> Vec<FlatLeaf> {
             let cext = child.extent() as i64;
             let block = replicate(collect(child, 0, ops), *blocklen, cext, 0, ops);
             replicate(block, *count, *stride_bytes, disp, ops)
-        }
-        TypeKind::Indexed { blocks, child } => {
-            let cext = child.extent() as i64;
-            let inner = collect(child, 0, ops);
-            let mut out = Vec::new();
-            for &(bl, d) in blocks {
-                *ops += 1;
-                out.extend(replicate(
-                    inner.clone(),
-                    bl,
-                    cext,
-                    disp + d as i64 * cext,
-                    ops,
-                ));
-            }
-            out
         }
         TypeKind::Hindexed { blocks, child } => {
             let cext = child.extent() as i64;
@@ -553,8 +519,8 @@ fn finalise(leaf: &mut FlatLeaf) {
     leaf.total = below;
 }
 
-/// Verify a committed type expands to exactly the same byte stream as the
-/// generic tree walk (diagnostic used by tests and debug assertions).
+/// True if a committed type expands to exactly the segments of the
+/// reference tree walk (a check for tests).
 pub fn expansion_matches_tree(c: &Committed, count: usize) -> bool {
     let mut tree_segs: Vec<(i64, usize)> = Vec::new();
     tree::for_each_segment(c.datatype(), count, |d, l| {
@@ -818,17 +784,14 @@ mod tests {
         let c = Committed::commit(&t);
         assert!(!c.cache_hit() || Committed::commit(&t).cache_hit());
         assert!(c.flatten_ops() > 0);
-        let d = c.density();
-        // 9 blocks of 8 bytes, extent 8*7*8 + ... — payload fraction < 1.
-        assert!(d.contiguity > 0.0 && d.contiguity < 1.0);
-        assert!((d.avg_block_len - 8.0).abs() < 1e-9);
+        // 9 blocks of 8 bytes.
+        assert!((c.density().avg_block_len - 8.0).abs() < 1e-9);
     }
 
     #[test]
-    fn density_of_contiguous_type_is_full() {
+    fn density_of_contiguous_type_is_one_block() {
         let t = Datatype::contiguous(64, &Datatype::double());
         let c = Committed::commit(&t);
-        assert_eq!(c.density().contiguity, 1.0);
         assert_eq!(c.density().avg_block_len, 512.0);
         // Empty types report a harmless density.
         let e = Committed::commit(&Datatype::contiguous(0, &Datatype::int()));

@@ -4,18 +4,19 @@
 //! for communicating **non-contiguous data** described by MPI derived
 //! datatypes (§3). This crate implements:
 //!
-//! * the datatype constructors and their size/extent semantics
-//!   ([`types`]);
-//! * the *generic* pack/unpack path — a recursive tree traversal exactly
-//!   like stock MPICH's, including its per-block overhead accounting
-//!   ([`tree`]);
+//! * the datatype constructors and their size/extent semantics, held in
+//!   byte units: `vector` and `indexed` lower to `hvector` and `hindexed`
+//!   when they are built ([`types`]);
 //! * the **committed flattened representation** — a list of basic-block
 //!   leaves, each with a repeat-pattern stack, merged and optimised at
 //!   commit time ([`flat`]);
 //! * **`direct_pack_ff`** — flattening-on-the-fly packing through a
 //!   pluggable [`ff::PackSink`], so the same loop packs into a local
 //!   buffer *or streams straight into remote SCI memory*, eliminating the
-//!   intermediate copies of the generic path ([`ff`]).
+//!   intermediate copies of the generic path ([`ff`]). It is the one
+//!   engine: the generic baseline is a cost mode over the same runs;
+//! * a small **reference walker** — the recursive tree traversal of stock
+//!   MPICH, kept for the oracles to hold the engine against ([`tree`]).
 //!
 //! ```
 //! use mpi_datatype::{Datatype, Committed, ff};
@@ -41,8 +42,7 @@ pub mod tree;
 pub mod typed;
 pub mod types;
 
-pub use ff::{pack_ff, unpack_ff, PackSink, SliceSource, UnpackSource, VecSink};
+pub use ff::{pack_ff, unpack_ff, PackSink, PackStats, SliceSource, UnpackSource, VecSink};
 pub use flat::{Committed, FfPosition, FlatLeaf, LayoutDensity, StackLevel};
 pub use subarray::{subarray, ArrayOrder};
-pub use tree::{pack, pack_range, unpack, unpack_range, PackStats};
 pub use types::{BasicType, Datatype, TypeKind};

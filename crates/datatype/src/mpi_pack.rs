@@ -2,11 +2,10 @@
 //!
 //! Technique 2 of the paper's §3 list: applications can pack
 //! non-contiguous data themselves and send the contiguous result. The
-//! library's own engines (and the paper's point that letting the library
-//! choose — technique 3 — is better) are in [`crate::tree`] and
-//! [`crate::ff`]; this module provides the standard position-cursor
-//! interface on committed types, implemented on the `direct_pack_ff`
-//! machinery.
+//! library's own engine (and the paper's point that letting the library
+//! choose — technique 3 — is better) is [`crate::ff`]; this module
+//! provides the standard position-cursor interface on committed types,
+//! implemented on the `direct_pack_ff` machinery.
 
 use crate::ff::{self, SliceSource, VecSink};
 use crate::flat::Committed;
@@ -126,11 +125,8 @@ mod tests {
         assert_eq!(rpos, pos);
 
         // Data bytes round-tripped.
-        let mut generic = Vec::new();
-        crate::tree::pack(c.datatype(), 1, &dst, 0, &mut generic);
-        let mut expect = Vec::new();
-        crate::tree::pack(c.datatype(), 1, &src, 0, &mut expect);
-        assert_eq!(generic, expect);
+        let packed = |buf: &[u8]| crate::tree::reference_pack(c.datatype(), 1, buf);
+        assert_eq!(packed(&dst), packed(&src));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The ocean-model decomposition of the paper's Figure 2 describes its
 //! boundary exchanges most naturally as subarrays of the local grid:
 //! an n-dimensional array with a smaller n-dimensional window into it.
-//! This module builds the equivalent nested vector/hvector tree, which
+//! This module builds the equivalent nested hvector tree, which
 //! then flattens through the ordinary commit path — a 2-D boundary plane
 //! of a 3-D grid becomes exactly the "double-strided data" of Figure 2.
 
@@ -193,9 +193,7 @@ mod tests {
         let src: Vec<u8> = (0..t.extent() * 2).map(|i| i as u8).collect();
         let mut sink = ff::VecSink::default();
         ff::pack_ff(&c, 2, &src, 0, 0, usize::MAX, &mut sink).unwrap();
-        let mut generic = Vec::new();
-        tree::pack(&t, 2, &src, 0, &mut generic);
-        assert_eq!(sink.data, generic);
+        assert_eq!(sink.data, tree::reference_pack(&t, 2, &src));
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! constructors (`contiguous`, `vector`, `hvector`, `indexed`, `hindexed`,
 //! `struct`), with MPI's size / extent / lb / ub semantics.
 //!
-//! A datatype is an immutable tree shared by `Arc`; committing one
-//! (see [`crate::flat`]) derives the flattened representation used by
-//! `direct_pack_ff`.
+//! A datatype is an immutable tree shared by `Arc`, held in byte units:
+//! `vector` and `indexed` scale their element strides and displacements
+//! by the child's extent once, at construction, and build the `Hvector` /
+//! `Hindexed` node. Committing one (see [`crate::flat`]) derives the
+//! flattened representation used by `direct_pack_ff`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -38,7 +40,8 @@ impl BasicType {
     }
 }
 
-/// The constructor that built a (sub)type.
+/// A (sub)type's node, in byte units: five shapes for the seven MPI
+/// constructors.
 #[derive(Clone, Debug)]
 pub enum TypeKind {
     /// A predefined scalar.
@@ -50,19 +53,8 @@ pub enum TypeKind {
         /// Element type.
         child: Datatype,
     },
-    /// `count` blocks of `blocklen` children, block starts `stride`
-    /// children apart (stride in units of the child's extent).
-    Vector {
-        /// Number of blocks.
-        count: usize,
-        /// Children per block.
-        blocklen: usize,
-        /// Distance between block starts, in child extents.
-        stride: isize,
-        /// Element type.
-        child: Datatype,
-    },
-    /// Like `Vector` but the stride is in bytes.
+    /// `count` blocks of `blocklen` children, block starts `stride_bytes`
+    /// apart (`MPI_Type_vector` arrives here with its stride in bytes).
     Hvector {
         /// Number of blocks.
         count: usize,
@@ -73,15 +65,8 @@ pub enum TypeKind {
         /// Element type.
         child: Datatype,
     },
-    /// Blocks of varying length at varying displacements (displacements in
-    /// child extents).
-    Indexed {
-        /// `(blocklen, displacement)` pairs, displacement in child extents.
-        blocks: Vec<(usize, isize)>,
-        /// Element type.
-        child: Datatype,
-    },
-    /// Like `Indexed` but displacements are in bytes.
+    /// Blocks of varying length at varying byte displacements
+    /// (`MPI_Type_indexed` arrives here with its displacements in bytes).
     Hindexed {
         /// `(blocklen, displacement_bytes)` pairs.
         blocks: Vec<(usize, i64)>,
@@ -95,13 +80,27 @@ pub enum TypeKind {
     },
 }
 
+/// The MPI combiner that built a type (`MPI_Type_get_envelope`). Only the
+/// signature reads it: `vector` lowers to an `Hvector` node and `indexed`
+/// to an `Hindexed` one, yet each stays a type of its own to the layout
+/// cache.
+#[derive(Clone, Copy)]
+enum Combiner {
+    Named = 1,
+    Contiguous,
+    Vector,
+    Hvector,
+    Indexed,
+    Hindexed,
+    Struct,
+}
+
 #[derive(Debug)]
 pub(crate) struct TypeNode {
     pub(crate) kind: TypeKind,
     size: usize,
     lb: i64,
     ub: i64,
-    depth: usize,
     /// True if packing this type touches a single gap-free, strictly
     /// ascending byte range — i.e. a pack is exactly one `memcpy`. Stronger
     /// than `size == extent`: an `indexed` type listing adjacent blocks in
@@ -123,137 +122,38 @@ pub struct Datatype {
 }
 
 impl Datatype {
-    fn build(kind: TypeKind) -> Datatype {
-        let (size, lb, ub, depth) = match &kind {
-            TypeKind::Basic(b) => (b.size(), 0, b.size() as i64, 1),
-            TypeKind::Contiguous { count, child } => {
-                let ext = child.extent() as i64;
-                (
-                    child.size() * count,
-                    if *count == 0 { 0 } else { child.lb() },
-                    if *count == 0 {
-                        0
-                    } else {
-                        child.lb() + ext * (*count as i64 - 1) + child.true_span()
-                    },
-                    child.depth() + 1,
-                )
-            }
-            TypeKind::Vector {
-                count,
-                blocklen,
-                stride,
-                child,
-            } => span_of_blocks(
-                child,
-                (0..*count).map(|i| (*blocklen, i as i64 * *stride as i64 * child.extent() as i64)),
-            ),
-            TypeKind::Hvector {
-                count,
-                blocklen,
-                stride_bytes,
-                child,
-            } => span_of_blocks(
-                child,
-                (0..*count).map(|i| (*blocklen, i as i64 * *stride_bytes)),
-            ),
-            TypeKind::Indexed { blocks, child } => span_of_blocks(
-                child,
-                blocks
-                    .iter()
-                    .map(|&(bl, d)| (bl, d as i64 * child.extent() as i64)),
-            ),
-            TypeKind::Hindexed { blocks, child } => {
-                span_of_blocks(child, blocks.iter().map(|&(bl, d)| (bl, d)))
-            }
-            TypeKind::Struct { fields } => {
-                let mut size = 0usize;
-                let mut lb = i64::MAX;
-                let mut ub = i64::MIN;
-                let mut depth = 0usize;
-                for (bl, disp, t) in fields {
-                    size += t.size() * bl;
-                    if *bl > 0 {
-                        lb = lb.min(*disp + t.lb());
-                        ub = ub.max(
-                            *disp + t.lb() + t.extent() as i64 * (*bl as i64 - 1) + t.true_span(),
-                        );
-                    }
-                    depth = depth.max(t.depth());
+    fn build(combiner: Combiner, kind: TypeKind) -> Datatype {
+        let (mut size, mut lb, mut ub) = (0usize, i64::MAX, i64::MIN);
+        // Every non-empty block is one ascending run and starts where the
+        // previous one ended.
+        let (mut chained, mut cursor) = (true, None);
+        match &kind {
+            TypeKind::Basic(b) => (size, lb, ub) = (b.size(), 0, b.size() as i64),
+            _ => kind.for_each_block(|bl, disp, t| {
+                size += t.size() * bl;
+                if bl == 0 {
+                    return;
                 }
-                if lb == i64::MAX {
-                    lb = 0;
-                    ub = 0;
+                let start = disp + t.lb();
+                lb = lb.min(start);
+                ub = ub.max(start + t.extent() as i64 * (bl as i64 - 1) + t.true_span());
+                if t.size() > 0 {
+                    chained &= t.ordered_dense() && cursor.is_none_or(|c| c == start);
+                    cursor = Some(start + (bl * t.extent()) as i64);
                 }
-                (size, lb, ub, depth + 1)
-            }
-        };
-        let ordered_dense = if size == 0 {
-            true
-        } else if size as i64 != ub - lb {
-            false
-        } else {
-            match &kind {
-                TypeKind::Basic(_) => true,
-                TypeKind::Contiguous { child, .. } => child.ordered_dense(),
-                TypeKind::Vector {
-                    count,
-                    blocklen,
-                    stride,
-                    child,
-                } => child.ordered_dense() && (*count <= 1 || *stride == *blocklen as isize),
-                TypeKind::Hvector {
-                    count,
-                    blocklen,
-                    stride_bytes,
-                    child,
-                } => {
-                    child.ordered_dense()
-                        && (*count <= 1 || *stride_bytes == (*blocklen * child.extent()) as i64)
-                }
-                TypeKind::Indexed { blocks, child } => {
-                    child.ordered_dense()
-                        && adjacent_ascending(
-                            blocks.iter().map(|&(bl, d)| (bl, d as i64)),
-                            child.extent() as i64,
-                            child.extent() as i64,
-                        )
-                }
-                TypeKind::Hindexed { blocks, child } => {
-                    child.ordered_dense()
-                        && adjacent_ascending(blocks.iter().copied(), 1, child.extent() as i64)
-                }
-                TypeKind::Struct { fields } => {
-                    let mut cursor: Option<i64> = None;
-                    let mut ok = true;
-                    for (bl, disp, t) in fields {
-                        if *bl == 0 || t.size() == 0 {
-                            continue;
-                        }
-                        if !t.ordered_dense() {
-                            ok = false;
-                            break;
-                        }
-                        if let Some(c) = cursor {
-                            if *disp + t.lb() != c {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        cursor = Some(*disp + t.lb() + (*bl * t.extent()) as i64);
-                    }
-                    ok
-                }
-            }
-        };
-        let signature = signature_of(&kind);
+            }),
+        }
+        if lb == i64::MAX {
+            (lb, ub) = (0, 0);
+        }
+        let ordered_dense = size == 0 || (size as i64 == ub - lb && chained);
+        let signature = signature_of(combiner, &kind);
         Datatype {
             node: Arc::new(TypeNode {
                 kind,
                 size,
                 lb,
                 ub,
-                depth,
                 ordered_dense,
                 signature,
             }),
@@ -262,7 +162,7 @@ impl Datatype {
 
     /// A basic scalar type.
     pub fn basic(b: BasicType) -> Datatype {
-        Datatype::build(TypeKind::Basic(b))
+        Datatype::build(Combiner::Named, TypeKind::Basic(b))
     }
 
     /// `MPI_BYTE`.
@@ -287,57 +187,79 @@ impl Datatype {
 
     /// `MPI_Type_contiguous`.
     pub fn contiguous(count: usize, child: &Datatype) -> Datatype {
-        Datatype::build(TypeKind::Contiguous {
-            count,
-            child: child.clone(),
-        })
+        Datatype::build(
+            Combiner::Contiguous,
+            TypeKind::Contiguous {
+                count,
+                child: child.clone(),
+            },
+        )
     }
 
     /// `MPI_Type_vector`: `count` blocks of `blocklen` elements, starts
-    /// `stride` elements apart.
+    /// `stride` elements apart. Built as the `Hvector` with the stride in
+    /// bytes.
     pub fn vector(count: usize, blocklen: usize, stride: isize, child: &Datatype) -> Datatype {
-        Datatype::build(TypeKind::Vector {
-            count,
-            blocklen,
-            stride,
-            child: child.clone(),
-        })
+        let stride_bytes = stride as i64 * child.extent() as i64;
+        Datatype::build(
+            Combiner::Vector,
+            TypeKind::Hvector {
+                count,
+                blocklen,
+                stride_bytes,
+                child: child.clone(),
+            },
+        )
     }
 
     /// `MPI_Type_hvector`: like [`Datatype::vector`] with a byte stride.
     pub fn hvector(count: usize, blocklen: usize, stride_bytes: i64, child: &Datatype) -> Datatype {
-        Datatype::build(TypeKind::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
-            child: child.clone(),
-        })
+        Datatype::build(
+            Combiner::Hvector,
+            TypeKind::Hvector {
+                count,
+                blocklen,
+                stride_bytes,
+                child: child.clone(),
+            },
+        )
     }
 
     /// `MPI_Type_indexed`: `(blocklen, displacement)` pairs, displacements
-    /// in element extents.
+    /// in element extents. Built as the `Hindexed` with the displacements
+    /// in bytes.
     pub fn indexed(blocks: &[(usize, isize)], child: &Datatype) -> Datatype {
-        Datatype::build(TypeKind::Indexed {
-            blocks: blocks.to_vec(),
-            child: child.clone(),
-        })
+        let ext = child.extent() as i64;
+        Datatype::build(
+            Combiner::Indexed,
+            TypeKind::Hindexed {
+                blocks: blocks.iter().map(|&(bl, d)| (bl, d as i64 * ext)).collect(),
+                child: child.clone(),
+            },
+        )
     }
 
     /// `MPI_Type_hindexed`: like [`Datatype::indexed`] with byte
     /// displacements.
     pub fn hindexed(blocks: &[(usize, i64)], child: &Datatype) -> Datatype {
-        Datatype::build(TypeKind::Hindexed {
-            blocks: blocks.to_vec(),
-            child: child.clone(),
-        })
+        Datatype::build(
+            Combiner::Hindexed,
+            TypeKind::Hindexed {
+                blocks: blocks.to_vec(),
+                child: child.clone(),
+            },
+        )
     }
 
     /// `MPI_Type_struct`: heterogeneous `(blocklen, byte displacement,
     /// type)` fields.
     pub fn structure(fields: &[(usize, i64, Datatype)]) -> Datatype {
-        Datatype::build(TypeKind::Struct {
-            fields: fields.to_vec(),
-        })
+        Datatype::build(
+            Combiner::Struct,
+            TypeKind::Struct {
+                fields: fields.to_vec(),
+            },
+        )
     }
 
     /// Total payload bytes of one instance (`MPI_Type_size`).
@@ -367,13 +289,8 @@ impl Datatype {
         self.node.ub - self.node.lb
     }
 
-    /// Depth of the constructor tree (the paper's `D` in the
-    /// `find_position` complexity bound).
-    pub fn depth(&self) -> usize {
-        self.node.depth
-    }
-
-    /// The constructor of the root node.
+    /// The root node in byte units: a `vector` reads back as its
+    /// `Hvector`, an `indexed` as its `Hindexed`.
     pub fn kind(&self) -> &TypeKind {
         &self.node.kind
     }
@@ -401,33 +318,42 @@ impl Datatype {
     }
 }
 
+impl TypeKind {
+    /// Visit the `(blocklen, byte displacement, element type)` blocks of a
+    /// derived type in pack order; a `Basic` has none.
+    fn for_each_block(&self, mut f: impl FnMut(usize, i64, &Datatype)) {
+        match self {
+            TypeKind::Basic(_) => {}
+            TypeKind::Contiguous { count, child } => f(*count, 0, child),
+            TypeKind::Hvector {
+                count,
+                blocklen,
+                stride_bytes,
+                child,
+            } => (0..*count).for_each(|i| f(*blocklen, i as i64 * *stride_bytes, child)),
+            TypeKind::Hindexed { blocks, child } => {
+                blocks.iter().for_each(|&(bl, d)| f(bl, d, child));
+            }
+            TypeKind::Struct { fields } => fields.iter().for_each(|(bl, d, t)| f(*bl, *d, t)),
+        }
+    }
+}
+
 /// One FNV-1a step over a 64-bit word.
 fn sig_word(acc: u64, word: u64) -> u64 {
     (acc ^ word).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-/// Fold a structural fingerprint of `kind`: a constructor tag, the
-/// constructor's own parameters, and the children's already-computed
-/// signatures. Children fold in O(1), so building a depth-`D` tree costs
-/// O(total constructor arguments), not O(tree size).
-fn signature_of(kind: &TypeKind) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// Fold a structural fingerprint: the combiner tag, the node's own
+/// parameters in bytes, and the children's already-computed signatures.
+/// Children fold in O(1), so building a depth-`D` tree costs O(total
+/// constructor arguments), not O(tree size).
+fn signature_of(combiner: Combiner, kind: &TypeKind) -> u64 {
+    let acc = sig_word(0xcbf2_9ce4_8422_2325, combiner as u64);
     match kind {
-        TypeKind::Basic(b) => sig_word(sig_word(BASIS, 1), b.size() as u64),
+        TypeKind::Basic(b) => sig_word(acc, b.size() as u64),
         TypeKind::Contiguous { count, child } => {
-            let acc = sig_word(sig_word(BASIS, 2), *count as u64);
-            sig_word(acc, child.signature())
-        }
-        TypeKind::Vector {
-            count,
-            blocklen,
-            stride,
-            child,
-        } => {
-            let mut acc = sig_word(sig_word(BASIS, 3), *count as u64);
-            acc = sig_word(acc, *blocklen as u64);
-            acc = sig_word(acc, *stride as u64);
-            sig_word(acc, child.signature())
+            sig_word(sig_word(acc, *count as u64), child.signature())
         }
         TypeKind::Hvector {
             count,
@@ -435,27 +361,20 @@ fn signature_of(kind: &TypeKind) -> u64 {
             stride_bytes,
             child,
         } => {
-            let mut acc = sig_word(sig_word(BASIS, 4), *count as u64);
+            let mut acc = sig_word(acc, *count as u64);
             acc = sig_word(acc, *blocklen as u64);
             acc = sig_word(acc, *stride_bytes as u64);
             sig_word(acc, child.signature())
         }
-        TypeKind::Indexed { blocks, child } => {
-            let mut acc = sig_word(sig_word(BASIS, 5), blocks.len() as u64);
-            for &(bl, d) in blocks {
-                acc = sig_word(sig_word(acc, bl as u64), d as u64);
-            }
-            sig_word(acc, child.signature())
-        }
         TypeKind::Hindexed { blocks, child } => {
-            let mut acc = sig_word(sig_word(BASIS, 6), blocks.len() as u64);
+            let mut acc = sig_word(acc, blocks.len() as u64);
             for &(bl, d) in blocks {
                 acc = sig_word(sig_word(acc, bl as u64), d as u64);
             }
             sig_word(acc, child.signature())
         }
         TypeKind::Struct { fields } => {
-            let mut acc = sig_word(sig_word(BASIS, 7), fields.len() as u64);
+            let mut acc = sig_word(acc, fields.len() as u64);
             for (bl, disp, t) in fields {
                 acc = sig_word(sig_word(acc, *bl as u64), *disp as u64);
                 acc = sig_word(acc, t.signature());
@@ -465,81 +384,23 @@ fn signature_of(kind: &TypeKind) -> u64 {
     }
 }
 
-/// True if `(blocklen, displacement)` blocks are adjacent in ascending
-/// pack order: each block begins where the previous ended.
-/// `disp_unit` scales displacements to bytes; `ext` is the child extent in
-/// bytes. Zero-length blocks are skipped.
-fn adjacent_ascending(
-    blocks: impl Iterator<Item = (usize, i64)>,
-    disp_unit: i64,
-    ext: i64,
-) -> bool {
-    let mut cursor: Option<i64> = None;
-    for (bl, disp) in blocks {
-        if bl == 0 {
-            continue;
-        }
-        let start = disp * disp_unit;
-        if let Some(c) = cursor {
-            if start != c {
-                return false;
-            }
-        }
-        cursor = Some(start + bl as i64 * ext);
-    }
-    true
-}
-
 impl fmt::Display for Datatype {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind() {
             TypeKind::Basic(b) => write!(f, "{b:?}"),
             TypeKind::Contiguous { count, child } => write!(f, "contig({count}, {child})"),
-            TypeKind::Vector {
-                count,
-                blocklen,
-                stride,
-                child,
-            } => write!(f, "vector({count}, {blocklen}, {stride}, {child})"),
             TypeKind::Hvector {
                 count,
                 blocklen,
                 stride_bytes,
                 child,
             } => write!(f, "hvector({count}, {blocklen}, {stride_bytes}B, {child})"),
-            TypeKind::Indexed { blocks, child } => {
-                write!(f, "indexed({} blocks, {child})", blocks.len())
-            }
             TypeKind::Hindexed { blocks, child } => {
                 write!(f, "hindexed({} blocks, {child})", blocks.len())
             }
             TypeKind::Struct { fields } => write!(f, "struct({} fields)", fields.len()),
         }
     }
-}
-
-/// Compute `(size, lb, ub, depth)` of a type made of `(blocklen, byte
-/// displacement)` blocks of `child`.
-fn span_of_blocks(
-    child: &Datatype,
-    blocks: impl Iterator<Item = (usize, i64)>,
-) -> (usize, i64, i64, usize) {
-    let mut size = 0usize;
-    let mut lb = i64::MAX;
-    let mut ub = i64::MIN;
-    let ext = child.extent() as i64;
-    for (bl, disp) in blocks {
-        size += child.size() * bl;
-        if bl > 0 {
-            lb = lb.min(disp + child.lb());
-            ub = ub.max(disp + child.lb() + ext * (bl as i64 - 1) + child.true_span());
-        }
-    }
-    if lb == i64::MAX {
-        lb = 0;
-        ub = 0;
-    }
-    (size, lb, ub, child.depth() + 1)
 }
 
 #[cfg(test)]
@@ -561,7 +422,6 @@ mod tests {
         assert_eq!(t.size(), 80);
         assert_eq!(t.extent(), 80);
         assert!(t.is_contiguous());
-        assert_eq!(t.depth(), 2);
     }
 
     #[test]
@@ -625,7 +485,6 @@ mod tests {
         let v = Datatype::hvector(4, 1, 16, &s); // 16-byte stride: 9-byte gap
         assert_eq!(v.size(), 28);
         assert_eq!(v.extent(), 3 * 16 + 7);
-        assert_eq!(v.depth(), s.depth() + 1);
     }
 
     #[test]
@@ -658,8 +517,9 @@ mod tests {
 
     #[test]
     fn display_is_readable() {
+        // A vector reads back in byte units.
         let t = Datatype::vector(4, 2, 4, &Datatype::double());
-        assert_eq!(format!("{t}"), "vector(4, 2, 4, Double)");
+        assert_eq!(format!("{t}"), "hvector(4, 2, 32B, Double)");
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Randomized differential testing of the two pack engines.
+//! Randomized differential testing of `direct_pack_ff` against the
+//! reference tree walker.
 //!
 //! The core correctness claim of `direct_pack_ff` is that it produces
-//! *exactly* the byte stream of the generic recursive engine, for any
+//! *exactly* the byte stream of the recursive tree traversal, for any
 //! datatype, any instance count, and any partial-pack split. These tests
-//! drive randomly constructed datatype trees through both engines and
+//! drive randomly constructed datatype trees through the engine and the
+//! reference walker (`tree::reference_pack`/`reference_unpack`) and
 //! compare. Deterministic seeded randomness (`SplitMix64`) replaces an
 //! external property-testing framework.
 
@@ -80,7 +82,7 @@ fn source_buffer(dt: &Datatype, count: usize) -> Vec<u8> {
         .collect()
 }
 
-/// ff full pack == generic full pack.
+/// ff full pack == reference full pack.
 #[test]
 fn ff_pack_equals_generic() {
     let mut rng = SplitMix64::new(0xF1A6);
@@ -88,8 +90,7 @@ fn ff_pack_equals_generic() {
         let dt = random_datatype(&mut rng, 3);
         let count = rng.next_range(1, 3) as usize;
         let src = source_buffer(&dt, count);
-        let mut generic = Vec::new();
-        tree::pack(&dt, count, &src, 0, &mut generic);
+        let generic = tree::reference_pack(&dt, count, &src);
 
         let c = Committed::commit(&dt);
         let mut sink = ff::VecSink::default();
@@ -120,8 +121,7 @@ fn ff_partial_packs_reassemble() {
         let count = rng.next_range(1, 2) as usize;
         let chunk = rng.next_range(1, 63) as usize;
         let src = source_buffer(&dt, count);
-        let mut whole = Vec::new();
-        tree::pack(&dt, count, &src, 0, &mut whole);
+        let whole = tree::reference_pack(&dt, count, &src);
 
         let c = Committed::commit(&dt);
         let mut pieced = Vec::new();
@@ -137,7 +137,8 @@ fn ff_partial_packs_reassemble() {
     }
 }
 
-/// Pack then unpack (both engines crossed) restores the data bytes.
+/// Pack then unpack (engine and reference crossed) restores the data
+/// bytes.
 #[test]
 fn cross_engine_roundtrip() {
     let mut rng = SplitMix64::new(0xF1A9);
@@ -147,15 +148,14 @@ fn cross_engine_roundtrip() {
         let src = source_buffer(&dt, count);
         let c = Committed::commit(&dt);
 
-        // Pack with ff, unpack with generic.
+        // Pack with ff, unpack with the reference.
         let mut sink = ff::VecSink::default();
         ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
         let mut dst1 = vec![0u8; src.len()];
-        tree::unpack(&dt, count, &mut dst1, 0, &sink.data);
+        tree::reference_unpack(&dt, count, &mut dst1, &sink.data);
 
-        // Pack with generic, unpack with ff.
-        let mut generic = Vec::new();
-        tree::pack(&dt, count, &src, 0, &mut generic);
+        // Pack with the reference, unpack with ff.
+        let generic = tree::reference_pack(&dt, count, &src);
         let mut dst2 = vec![0u8; src.len()];
         let mut source = ff::SliceSource::new(&generic);
         ff::unpack_ff(&c, count, &mut dst2, 0, 0, usize::MAX, &mut source).unwrap();
@@ -163,9 +163,7 @@ fn cross_engine_roundtrip() {
         assert_eq!(&dst1, &dst2);
 
         // Re-packing the unpacked buffer yields the same stream.
-        let mut repacked = Vec::new();
-        tree::pack(&dt, count, &dst1, 0, &mut repacked);
-        assert_eq!(repacked, generic);
+        assert_eq!(tree::reference_pack(&dt, count, &dst1), generic);
     }
 }
 
@@ -186,8 +184,7 @@ fn find_position_consistent() {
         let skip = ((total - 1) as f64 * frac) as usize;
         let src = source_buffer(&dt, count);
 
-        let mut whole = Vec::new();
-        tree::pack(&dt, count, &src, 0, &mut whole);
+        let whole = tree::reference_pack(&dt, count, &src);
         let mut sink = ff::VecSink::default();
         ff::pack_ff(&c, count, &src, 0, skip, usize::MAX, &mut sink).unwrap();
         assert_eq!(&sink.data[..], &whole[skip..]);

@@ -2,14 +2,14 @@
 //!
 //! Random datatype trees — including zero-count and zero-extent
 //! degenerate shapes that the ordinary constructors allow — are driven
-//! through `direct_pack_ff` and compared bit-for-bit against the naive
-//! generic engine, on the commit that flattens each tree and on one
+//! through `direct_pack_ff` and compared bit-for-bit against the
+//! reference tree walker, on the commit that flattens each tree and on one
 //! served from the layout memo. A second suite sweeps *every* byte-offset boundary of the
 //! datatype-gallery types through `find_position`, checking that resumed
 //! partial packs splice back into the full stream bit-identically. A third
 //! holds the run-granular pack loop, for every `(skip, max)`, against a
 //! block-by-block expansion of the committed leaves — and its segment
-//! count against the reference engine's coalescing walker, which the
+//! count against the reference walker's coalesced segments, which the
 //! generic cost mode is charged from. The last two hold the `gather` and
 //! `scatter` kernels against a byte loop and the run-taking sinks against
 //! the block-taking ones. A normal-form check holds every random `vector`
@@ -136,18 +136,11 @@ fn source_buffer(dt: &Datatype, count: usize) -> Vec<u8> {
         .collect()
 }
 
-/// The naive reference: the generic recursive tree engine.
-fn reference_pack(dt: &Datatype, count: usize, src: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    tree::pack(dt, count, src, 0, &mut out);
-    out
-}
-
 /// ff pack over one commit == reference, and the packed stream is the
 /// right length even for degenerate (zero-size) types.
 fn assert_ff_matches_reference(dt: &Datatype, count: usize) {
     let src = source_buffer(dt, count);
-    let reference = reference_pack(dt, count, &src);
+    let reference = tree::reference_pack(dt, count, &src);
     assert_eq!(reference.len(), dt.size() * count);
 
     let c = Committed::commit(dt);
@@ -266,7 +259,7 @@ fn resume_splices_bit_identically_at_every_offset() {
         let c = Committed::commit(&dt);
         let total = c.size() * count;
         let src = source_buffer(&dt, count);
-        let whole = reference_pack(&dt, count, &src);
+        let whole = tree::reference_pack(&dt, count, &src);
         assert_eq!(whole.len(), total);
 
         for split in 0..=total {
@@ -305,7 +298,7 @@ fn degenerate_types_pack_to_empty_or_exact_streams() {
     for dt in &cases {
         for count in [0usize, 1, 3] {
             let src = source_buffer(dt, count.max(1));
-            let reference = reference_pack(dt, count, &src);
+            let reference = tree::reference_pack(dt, count, &src);
             let c = Committed::commit(dt);
             let mut sink = ff::VecSink::default();
             ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
@@ -351,7 +344,7 @@ fn reference_blocks(c: &Committed, count: usize) -> Vec<(i64, usize)> {
 }
 
 /// The bytes `[skip, skip + max)` of the stream `blocks` spell out, as
-/// (possibly split) blocks.
+/// (possibly split) blocks. Clips segments the same way.
 fn reference_range(blocks: &[(i64, usize)], skip: usize, max: usize) -> Vec<(i64, usize)> {
     let end = skip.saturating_add(max);
     let mut out = Vec::new();
@@ -407,8 +400,8 @@ fn run_sweep_types() -> Vec<(Datatype, usize)> {
 
 /// Run emission against the block-by-block reference, for every
 /// `(skip, max)`: the same (split) blocks in the same order, whole blocks
-/// only inside multi-block runs, and `PackStats` counting one block and
-/// one visit per emitted block — virtual pack cost is charged from them.
+/// only inside multi-block runs, and `PackStats` counting one block per
+/// emitted block — virtual pack cost is charged from them.
 #[test]
 fn runs_spell_out_the_reference_blocks_for_every_skip_and_max() {
     for (dt, count) in run_sweep_types() {
@@ -428,12 +421,8 @@ fn runs_spell_out_the_reference_blocks_for_every_skip_and_max() {
             });
             assert_eq!(by_block, expect, "blocks of {dt} at ({skip}, {max})");
             assert_eq!(
-                (stats.bytes, stats.blocks, stats.visits),
-                (
-                    expect.iter().map(|b| b.1).sum::<usize>(),
-                    expect.len(),
-                    expect.len()
-                ),
+                (stats.bytes, stats.blocks),
+                (expect.iter().map(|b| b.1).sum::<usize>(), expect.len()),
                 "stats of {dt} at ({skip}, {max})"
             );
 
@@ -479,14 +468,19 @@ fn whole_rows_are_single_runs() {
 }
 
 /// `for_each_run`'s segment and byte counts at `(skip, max)` against the
-/// reference engine's, which coalesces adjacent blocks as it walks the
-/// tree: the generic cost mode charges one traversal per segment.
-fn assert_segments_match_reference(dt: &Datatype, c: &Committed, count: usize, src: &[u8]) {
+/// reference walker's segments, which coalesce adjacent blocks as it walks
+/// the tree, clipped to the range: the generic cost mode charges one
+/// traversal per segment.
+fn assert_segments_match_reference(dt: &Datatype, c: &Committed, count: usize) {
     let total = c.size() * count;
+    let mut segments = Vec::new();
+    tree::for_each_segment(dt, count, |disp, len| {
+        segments.push((disp, len));
+        ControlFlow::Continue(())
+    });
     // Every (skip, max) of a short stream; every skip and the maxes around
-    // both ends of a long one. Not `max == 0`: the reference books an empty
-    // copy there when `skip` falls inside a segment, and nothing packs zero
-    // bytes of a stream.
+    // both ends of a long one. Not `max == 0`: nothing packs zero bytes of
+    // a stream.
     let maxes = |skip: usize| {
         let rest = total - skip;
         let ends = [1, 2, 3, 5, 8, 13, rest.saturating_sub(1), rest, rest + 1];
@@ -501,11 +495,11 @@ fn assert_segments_match_reference(dt: &Datatype, c: &Committed, count: usize, s
     };
     for skip in 0..=total {
         for max in maxes(skip) {
-            let reference = tree::pack_range(dt, count, src, 0, skip, max, &mut Vec::new());
+            let reference = reference_range(&segments, skip, max);
             let runs = ff::for_each_run(c, count, skip, max, |_| ControlFlow::Continue(()));
             assert_eq!(
                 (runs.segments, runs.bytes),
-                (reference.blocks, reference.bytes),
+                (reference.len(), reference.iter().map(|s| s.1).sum()),
                 "segments of {dt} x{count} at ({skip}, {max})"
             );
         }
@@ -527,9 +521,7 @@ fn run_segments_equal_the_reference_block_count() {
         .chain([(abutting, 3)])
         .collect::<Vec<_>>()
     {
-        let c = Committed::commit(&dt);
-        let src = source_buffer(&dt, count);
-        assert_segments_match_reference(&dt, &c, count, &src);
+        assert_segments_match_reference(&dt, &Committed::commit(&dt), count);
     }
 }
 

@@ -140,9 +140,13 @@ fn case(tuning: Tuning, faults: FaultConfig, layout: &Layout) -> u64 {
     // Where nothing corrupts silently the digest must pin the right bytes:
     // the reference engine's pack and unpack of the same buffer.
     let exact = (faults.corrupt_rate == 0.0 && faults.drop_rate == 0.0).then(|| {
-        let (mut packed, mut image) = (Vec::new(), vec![0xEEu8; span]);
-        tree::pack(&dt, count, &src, 0, &mut packed);
-        tree::unpack(&dt, count, &mut image, 0, &packed);
+        let mut image = vec![0xEEu8; span];
+        tree::reference_unpack(
+            &dt,
+            count,
+            &mut image,
+            &tree::reference_pack(&dt, count, &src),
+        );
         fnv1a(&image)
     });
     let spec = spec.faults(faults);
