@@ -13,8 +13,9 @@
 //!
 //! Fields that a benchmark does not measure are `null`. `mbps` carries
 //! the MiB/s value the tables print (the paper's unit); `mean_us` is the
-//! mean virtual time in microseconds; `stddev` is the sample standard
-//! deviation of that time where repetitions are measured individually.
+//! mean virtual time in microseconds. Virtual time repeats exactly, so no
+//! benchmark has a spread to report: `stddev` is always `null`, kept so
+//! every document keeps its shape.
 
 use obs::json::{self, Json};
 use scimpi::RunReport;
@@ -28,8 +29,6 @@ pub struct BenchPoint {
     pub x: f64,
     /// Mean virtual latency in microseconds, if measured.
     pub mean_us: Option<f64>,
-    /// Sample standard deviation of the latency, if measured.
-    pub stddev: Option<f64>,
     /// Bandwidth in MiB/s, if measured.
     pub mbps: Option<f64>,
 }
@@ -49,12 +48,6 @@ impl BenchPoint {
         self
     }
 
-    /// Set the latency standard deviation \[µs\].
-    pub fn stddev(mut self, v: f64) -> Self {
-        self.stddev = Some(v);
-        self
-    }
-
     /// Set the bandwidth [MiB/s].
     pub fn mbps(mut self, v: f64) -> Self {
         self.mbps = Some(v);
@@ -65,7 +58,7 @@ impl BenchPoint {
         Json::obj([
             ("x", self.x.into()),
             ("mean_us", self.mean_us.into()),
-            ("stddev", self.stddev.into()),
+            ("stddev", Json::Null),
             ("mbps", self.mbps.into()),
         ])
     }
@@ -103,13 +96,6 @@ impl BenchDoc {
     pub fn push_bw_series(&mut self, s: &Series) {
         for &(x, y) in &s.points {
             self.push(&s.label, BenchPoint::at(x).mbps(y));
-        }
-    }
-
-    /// Copy a whole latency [`Series`] (y = µs).
-    pub fn push_lat_series(&mut self, s: &Series) {
-        for &(x, y) in &s.points {
-            self.push(&s.label, BenchPoint::at(x).mean_us(y));
         }
     }
 
@@ -196,13 +182,13 @@ mod tests {
         let mut doc = BenchDoc::new("unit");
         doc.push("a", BenchPoint::at(8.0).mbps(12.5).mean_us(3.0));
         doc.push("a", BenchPoint::at(16.0).mbps(25.0));
-        doc.push("b", BenchPoint::at(8.0).stddev(0.25));
+        doc.push("b", BenchPoint::at(8.0));
         assert_eq!(
             doc.to_json(),
             "{\"bench\":\"unit\",\"series\":[\n\
              {\"label\":\"a\",\"points\":[{\"x\":8,\"mean_us\":3,\"stddev\":null,\"mbps\":12.500000},\
              {\"x\":16,\"mean_us\":null,\"stddev\":null,\"mbps\":25}]},\n\
-             {\"label\":\"b\",\"points\":[{\"x\":8,\"mean_us\":null,\"stddev\":0.250000,\"mbps\":null}]}\n\
+             {\"label\":\"b\",\"points\":[{\"x\":8,\"mean_us\":null,\"stddev\":null,\"mbps\":null}]}\n\
              ]}\n"
         );
     }
@@ -242,11 +228,10 @@ mod tests {
         s.push(16.0, 200.0);
         let mut doc = BenchDoc::new("unit");
         doc.push_bw_series(&s);
-        doc.push_lat_series(&s);
+        doc.push_bw_series(&s);
         let j = doc.to_json();
-        // Both copies land in the same labelled series, bandwidth first.
+        // Both copies land in the same labelled series.
         assert_eq!(j.matches("\"label\":\"bw\"").count(), 1);
-        assert!(j.contains("\"mbps\":200"));
-        assert!(j.contains("\"mean_us\":200"));
+        assert_eq!(j.matches("\"mbps\":200").count(), 2);
     }
 }

@@ -18,7 +18,7 @@
 //!   conversion, used by all fabric cost models.
 //! * [`rng`] — a small deterministic RNG (SplitMix64) so simulations do not
 //!   depend on external RNG crates in their hot paths.
-//! * [`stats`] — online statistics and series collection for the benchmark
+//! * [`stats`] — series collection and text tables for the benchmark
 //!   harnesses.
 
 pub mod bandwidth;

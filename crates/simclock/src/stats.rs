@@ -1,91 +1,11 @@
-//! Online statistics and benchmark series collection.
+//! Benchmark series collection.
 //!
 //! The figure/table harnesses sweep a parameter (block size, access size,
-//! node count, ...) and report latency/bandwidth per point. [`OnlineStats`]
-//! accumulates repetitions at one point; [`Series`] collects `(x, y)` pairs
-//! for one curve; [`Table`] renders aligned text tables so harness output
-//! matches the paper's row/column layout.
+//! node count, ...) and report latency/bandwidth per point. [`Series`]
+//! collects `(x, y)` pairs for one curve; [`Table`] renders aligned text
+//! tables so harness output matches the paper's row/column layout.
 
 use core::fmt::Write as _;
-
-/// Welford-style online mean/variance with min/max tracking.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
 
 /// One labelled curve of `(x, y)` points, e.g. "direct_pack_ff inter-node"
 /// bandwidth over block size.
@@ -236,36 +156,6 @@ pub fn fmt_bytes(bytes: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.138).abs() < 0.01);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn stats_single_observation() {
-        let mut s = OnlineStats::new();
-        s.push(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.variance(), 0.0);
-    }
 
     #[test]
     fn series_lookup() {
