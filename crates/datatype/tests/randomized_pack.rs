@@ -8,9 +8,22 @@
 //! reference walker (`tree::reference_pack`/`reference_unpack`) and
 //! compare. Deterministic seeded randomness (`SplitMix64`) replaces an
 //! external property-testing framework.
+//!
+//! `PACK_ORACLE_SEED=<n>` re-seeds every test (each folds its own salt
+//! into it); unset, each test keeps its own fixed seed.
 
 use mpi_datatype::{ff, flat, tree, Committed, Datatype};
 use simclock::SplitMix64;
+
+/// The generator for the test whose fixed seed is `default`: that seed
+/// unless `PACK_ORACLE_SEED` is set, else the variable folded with it.
+fn rng(default: u64) -> SplitMix64 {
+    let seed = std::env::var("PACK_ORACLE_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .map_or(default, |s| s ^ default.rotate_left(32));
+    SplitMix64::new(seed)
+}
 
 /// A random (small) datatype tree, recursing at most `depth` levels.
 fn random_datatype(rng: &mut SplitMix64, depth: usize) -> Datatype {
@@ -85,7 +98,7 @@ fn source_buffer(dt: &Datatype, count: usize) -> Vec<u8> {
 /// ff full pack == reference full pack.
 #[test]
 fn ff_pack_equals_generic() {
-    let mut rng = SplitMix64::new(0xF1A6);
+    let mut rng = rng(0xF1A6);
     for _ in 0..256 {
         let dt = random_datatype(&mut rng, 3);
         let count = rng.next_range(1, 3) as usize;
@@ -103,7 +116,7 @@ fn ff_pack_equals_generic() {
 /// The committed expansion covers exactly the tree segments.
 #[test]
 fn flat_expansion_matches_tree() {
-    let mut rng = SplitMix64::new(0xF1A7);
+    let mut rng = rng(0xF1A7);
     for _ in 0..256 {
         let dt = random_datatype(&mut rng, 3);
         let count = rng.next_range(1, 3) as usize;
@@ -115,7 +128,7 @@ fn flat_expansion_matches_tree() {
 /// Partial ff packs of arbitrary chunk size reassemble to the whole.
 #[test]
 fn ff_partial_packs_reassemble() {
-    let mut rng = SplitMix64::new(0xF1A8);
+    let mut rng = rng(0xF1A8);
     for _ in 0..256 {
         let dt = random_datatype(&mut rng, 3);
         let count = rng.next_range(1, 2) as usize;
@@ -141,7 +154,7 @@ fn ff_partial_packs_reassemble() {
 /// bytes.
 #[test]
 fn cross_engine_roundtrip() {
-    let mut rng = SplitMix64::new(0xF1A9);
+    let mut rng = rng(0xF1A9);
     for _ in 0..256 {
         let dt = random_datatype(&mut rng, 3);
         let count = rng.next_range(1, 2) as usize;
@@ -171,7 +184,7 @@ fn cross_engine_roundtrip() {
 /// stream (find_position agrees with linear stream arithmetic).
 #[test]
 fn find_position_consistent() {
-    let mut rng = SplitMix64::new(0xF1AA);
+    let mut rng = rng(0xF1AA);
     for _ in 0..256 {
         let dt = random_datatype(&mut rng, 3);
         let count = rng.next_range(1, 2) as usize;
@@ -195,7 +208,7 @@ fn find_position_consistent() {
 /// loses bytes, and committed metadata is consistent.
 #[test]
 fn committed_metadata_consistent() {
-    let mut rng = SplitMix64::new(0xF1AB);
+    let mut rng = rng(0xF1AB);
     for _ in 0..256 {
         let dt = random_datatype(&mut rng, 3);
         let c = Committed::commit(&dt);
