@@ -4,7 +4,7 @@
 //! leaves**: each leaf is a contiguous basic block (`len` bytes at
 //! displacement `first`) plus a **stack** describing its repeat pattern —
 //! one `(count, extent)` entry per tree level that replicates it (paper
-//! §3.3.1, Figure 5). Three merge optimisations shrink the representation:
+//! §3.3.1, Figure 5). Two merge optimisations shrink the representation:
 //!
 //! * stack entries with a replication count of 1 are deleted;
 //! * a leaf whose innermost stack level strides by exactly the leaf length
