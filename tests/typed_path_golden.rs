@@ -13,15 +13,16 @@
 //! ranks' finish times in picoseconds and every non-zero counter into one
 //! digest.
 //!
-//! The constants were recorded at commit ff688ac (PR 16), before
-//! `ff::Run` crossed the crate boundary. They pin that handing the sinks
-//! and the fabric whole runs, pricing equal bursts in closed form and
-//! driving the generic engine's cost model over the same runs leave
-//! virtual time, the counter table and every landed byte — silent faults
-//! included — exactly where the block-by-block code put them. A
-//! deliberate model change must re-record them (a mismatch prints the
-//! table) and say so.
+//! It is a model table (`golden/mod.rs`), recorded at commit ff688ac,
+//! before `ff::Run` crossed the crate boundary: handing the sinks and the
+//! fabric whole runs, pricing equal bursts in closed form and driving the
+//! generic engine's cost model over the same runs leave virtual time,
+//! the counter table and every landed byte — silent faults included —
+//! exactly where the block-by-block code put them.
 
+mod golden;
+
+use golden::Log;
 use mpi_datatype::{subarray, tree, ArrayOrder, Committed, Datatype};
 use sci_fabric::{fnv1a, FaultConfig};
 use scimpi::{run_report, ClusterSpec, ErrorMode, IntegrityMode, Source, TagSel, Tuning};
@@ -120,10 +121,6 @@ fn tunings() -> [(&'static str, Tuning); 4] {
     ]
 }
 
-fn fold(h: &mut u64, v: u64) {
-    *h = (*h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-}
-
 /// One message through a two-rank ringlet; the digest of what it left.
 fn case(tuning: Tuning, faults: FaultConfig, layout: &Layout) -> u64 {
     let eager = layout.dt.size() * layout.count <= tuning.eager_threshold;
@@ -164,28 +161,19 @@ fn case(tuning: Tuning, faults: FaultConfig, layout: &Layout) -> u64 {
         } else {
             let mut buf = vec![0xEEu8; span];
             let got = r.recv_typed(Source::Rank(0), TagSel::Value(0), &c, count, &mut buf, 0);
-            let mut verdict = fnv1a(&buf);
-            assert!(exact.is_none_or(|image| image == verdict), "wrong bytes");
-            fold(&mut verdict, got.map_or(u64::MAX, |st| st.len as u64));
-            (verdict, r.now().as_ps())
+            let mut verdict = Log(fnv1a(&buf));
+            assert!(exact.is_none_or(|image| image == verdict.0), "wrong bytes");
+            verdict.word(got.map_or(u64::MAX, |st| st.len as u64));
+            (verdict.0, r.now().as_ps())
         }
     });
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for (verdict, finish_ps) in ranks {
-        fold(&mut h, verdict);
-        fold(&mut h, finish_ps);
-    }
-    for (name, value) in report.counters.iter().filter(|c| c.1 != 0) {
-        fold(&mut h, fnv1a(name.as_bytes()));
-        fold(&mut h, value);
-    }
-    h
+    let ranks = ranks.into_iter().flat_map(|(verdict, ps)| [verdict, ps]);
+    golden::digest(ranks, report.counters.iter().filter(|c| c.1 != 0), None)
 }
 
 /// Every case of one fabric, in tuning × size × layout order.
 fn check(fabric: &str, faults: FaultConfig, integrity_mode: IntegrityMode, expect: &[u64]) {
-    let mut names = Vec::new();
-    let mut got = Vec::new();
+    let mut table = golden::Table::default();
     for (tuning_name, tuning) in tunings() {
         let tuning = Tuning {
             integrity_mode,
@@ -193,32 +181,12 @@ fn check(fabric: &str, faults: FaultConfig, integrity_mode: IntegrityMode, expec
         };
         for target in SIZES {
             for layout in layouts(target) {
-                names.push(format!("{tuning_name} / {target} B / {}", layout.name));
-                got.push(case(tuning.clone(), faults.clone(), &layout));
+                let name = format!("{tuning_name} / {target} B / {}", layout.name);
+                table.push(name, case(tuning.clone(), faults.clone(), &layout));
             }
         }
     }
-    if got != expect {
-        let moved: Vec<&String> = names
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| expect.get(i) != Some(&got[i]))
-            .map(|(_, name)| name)
-            .collect();
-        let table: Vec<String> = got
-            .chunks(4)
-            .map(|row| {
-                let row: Vec<String> = row.iter().map(|d| format!("{d:#018x}")).collect();
-                format!("    {},", row.join(", "))
-            })
-            .collect();
-        panic!(
-            "{fabric}: {} of {} cases moved: {moved:#?}\nthe table as run:\n{}",
-            moved.len(),
-            got.len(),
-            table.join("\n")
-        );
-    }
+    table.check(fabric, 4, expect, None);
 }
 
 #[test]
