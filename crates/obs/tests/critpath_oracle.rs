@@ -18,17 +18,27 @@
 //! makespan, zero and missing makespans — plus the empty inputs and
 //! 2-rank mutual chains long enough to run into the hop cap.
 //!
+//! One family takes the recorder's road instead of `extract`'s: seeded
+//! runs whose ranks each record their waits through `attrib::wait` on
+//! their own lane, in their clock's order, and whose profile
+//! (`report::build`) must carry the reference path and, per rank, wait
+//! sums equal to plain sums over the waits the lanes kept.
+//!
 //! At the default seed every family's paths also fold into a digest that
 //! is compared with constants recorded on the linear walk (commit
-//! bd5097d, PR 19), the same table in debug and release. They pin that a
+//! bd5097d, PR 19; `recorded` on the indexed walk of commit f6349b0),
+//! the same table in debug and release. They pin that a
 //! faster walk returns the same hops byte for byte, the capped paths and
 //! the number of hops they keep included. A deliberate change of the
 //! path's definition must re-record them (a mismatch prints the table as
 //! run) and say so.
 
-use obs::attrib::{WaitEvent, WaitKind};
+use obs::attrib::{self, WaitEvent, WaitKind, WAIT_KIND_COUNT};
 use obs::critpath::{extract, CriticalPath, Hop};
-use simclock::SplitMix64;
+use obs::report::{self, Profile};
+use obs::Recorder;
+use simclock::{SimTime, SplitMix64};
+use std::collections::BTreeMap;
 
 const DEFAULT_SEED: u64 = 0x0C21_7FA7_2002;
 
@@ -452,11 +462,12 @@ fn check(family: &str, cases: Vec<Case>) -> (u64, Walked) {
 }
 
 /// Digests recorded on the linear walk at the default seed.
-const GOLDEN: [(&str, u64); 4] = [
+const GOLDEN: [(&str, u64); 5] = [
     ("edges", 0x09ee_ecce_12d6_0dce),
     ("small", 0xd798_c44e_5c89_072a),
     ("large", 0x32c0_80e8_94c1_c365),
     ("chains", 0x4498_aad7_8a80_8cc9),
+    ("recorded", 0x7fcc_0f55_eb47_0bff),
 ];
 
 /// Compare a family's digest with its recorded constant (default seed
@@ -617,4 +628,192 @@ fn mutual_chains_run_into_the_hop_cap_like_the_reference() {
     let (digest, walked) = check("chains", cases);
     assert_eq!(walked.capped, 4, "{walked:?}");
     pin("chains", digest, &walked);
+}
+
+/// A run as its recorder sees it: per rank, the `attrib::wait` calls the
+/// rank's lane makes, in the order of the rank's clock, and the makespans
+/// recorded at teardown.
+struct Recorded {
+    name: String,
+    makespans: Vec<(u32, u64)>,
+    lanes: Vec<Vec<WaitEvent>>,
+}
+
+/// A seeded run of `ranks` ranks and `steps` steps. Each rank's clock
+/// only moves forward: a wait starts where the clock stands after some
+/// busy time and leaves the clock at its end. A barrier releases a subset
+/// of the ranks at the latest arrival, so their waits tie at one
+/// `end_ps` and, the clock being coarse, often on `start_ps` too; the
+/// last arriver's wait has zero length, which the lane drops. A wait
+/// blames another rank, itself, nobody, or a rank outside the makespan
+/// table, and a rank is now and then missing from that table.
+fn recorded_run(
+    rng: &mut SplitMix64,
+    name: String,
+    ranks: u32,
+    steps: usize,
+    strays: bool,
+) -> Recorded {
+    let grain = pick(rng, &[1, 10, 1_000, 1_000_000_000]);
+    let busy = |rng: &mut SplitMix64| grain * rng.next_below(4);
+    let mut clock = vec![0u64; ranks as usize];
+    let mut lanes: Vec<Vec<WaitEvent>> = vec![Vec::new(); ranks as usize];
+    for _ in 0..steps {
+        if rng.next_below(10) < 2 {
+            let members: Vec<u32> = (0..ranks).filter(|_| rng.chance(0.7)).collect();
+            let arrivals: Vec<u64> = members
+                .iter()
+                .map(|&r| clock[r as usize] + busy(rng))
+                .collect();
+            let Some(&release) = arrivals.iter().max() else {
+                continue;
+            };
+            for (&r, &arrival) in members.iter().zip(&arrivals) {
+                let blamed = rng.chance(0.1).then_some(r / 2);
+                lanes[r as usize].push(wait(
+                    r,
+                    WaitKind::Barrier,
+                    release,
+                    release - arrival,
+                    blamed,
+                ));
+                clock[r as usize] = release;
+            }
+            continue;
+        }
+        let r = rng.next_below(ranks as u64) as u32;
+        let start = clock[r as usize] + busy(rng);
+        let peer = match rng.next_below(20) {
+            0 => None,
+            1 => Some(r),
+            2 if strays => Some(ranks + rng.next_below(3) as u32),
+            _ => Some(rng.next_below(ranks as u64) as u32),
+        };
+        // The blamed rank's event lands at its clock or later.
+        let event = match peer {
+            Some(p) if p < ranks => clock[p as usize].max(start),
+            _ => start,
+        };
+        let end = event + grain * rng.next_below(3);
+        lanes[r as usize].push(wait(r, pick(rng, &KINDS), end, end - start, peer));
+        clock[r as usize] = end;
+    }
+    let mut makespans = Vec::new();
+    for r in 0..ranks {
+        if rng.next_below(8) != 0 {
+            makespans.push((r, clock[r as usize] + busy(rng)));
+        }
+    }
+    Recorded {
+        name,
+        makespans,
+        lanes,
+    }
+}
+
+/// Feed `run` through a recorder the way a run does, one lane per rank
+/// bound in turn and marked attributing, and build its profile.
+fn record(run: &Recorded) -> Profile {
+    let rec = Recorder::new();
+    for (rank, lane) in run.lanes.iter().enumerate() {
+        let _bound = rec.bind(rank as u32);
+        attrib::set_thread_attrib(true);
+        for w in lane {
+            let (start, end) = (SimTime::from_ps(w.start_ps), SimTime::from_ps(w.end_ps));
+            attrib::wait(w.kind, start, end, w.peer);
+        }
+        if let Some(&(_, m)) = run.makespans.iter().find(|(r, _)| *r == rank as u32) {
+            attrib::record_makespan(rank as u32, SimTime::from_ps(m));
+        }
+    }
+    report::build(&rec)
+}
+
+#[test]
+fn waits_recorded_through_lanes_give_the_reference_path_and_sums() {
+    let mut rng = SplitMix64::new(seed() ^ 0x002E_C02D);
+    let mut runs: Vec<Recorded> = (0..60)
+        .map(|i| {
+            let ranks = pick(&mut rng, &[1, 2, 3, 5, 8]);
+            let steps = pick(&mut rng, &[0, 10, 200, 2_000]);
+            recorded_run(
+                &mut rng,
+                format!("#{i} ({ranks} ranks)"),
+                ranks,
+                steps,
+                true,
+            )
+        })
+        .collect();
+    // Long enough for the walk to run into the hop cap.
+    runs.push(recorded_run(
+        &mut rng,
+        "long, 2 ranks".into(),
+        2,
+        12_000,
+        false,
+    ));
+
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut walked = Walked::default();
+    for run in &runs {
+        let kept: Vec<WaitEvent> = run
+            .lanes
+            .iter()
+            .flatten()
+            .filter(|w| w.end_ps > w.start_ps)
+            .cloned()
+            .collect();
+        let profile = record(run);
+        let want = reference_extract(&run.makespans, &kept);
+        let got = parts(profile.critical_path.clone());
+        assert!(
+            got == want,
+            "recorded/{} (CRITPATH_SEED={}): the recorder's path differs from the reference walk \
+             (hops {} / {}, first differing hop {:?})",
+            run.name,
+            seed(),
+            got.2.len(),
+            want.2.len(),
+            got.2.iter().zip(&want.2).position(|(a, b)| a != b),
+        );
+
+        let mut sums: BTreeMap<u32, [u64; WAIT_KIND_COUNT]> = BTreeMap::new();
+        for w in &kept {
+            sums.entry(w.rank).or_default()[w.kind as usize] += w.dur_ps();
+        }
+        for p in &profile.ranks {
+            let want = sums.remove(&p.rank).unwrap_or_default();
+            assert_eq!(
+                p.wait_ps, want,
+                "recorded/{}: rank {}'s wait breakdown",
+                run.name, p.rank
+            );
+            for &ps in &p.wait_ps {
+                fold(&mut digest, ps);
+            }
+        }
+        assert!(
+            sums.is_empty(),
+            "recorded/{}: ranks missing from the profile: {sums:?}",
+            run.name
+        );
+
+        let hops = &want.2;
+        walked.cases += 1;
+        walked.hops += hops.len();
+        walked.capped += (hops.len() >= MAX_HOPS) as usize;
+        walked.rank_changes += hops.windows(2).filter(|w| w[0].rank != w[1].rank).count();
+        walked.barrier_hops += hops
+            .iter()
+            .filter(|h| h.wait == Some(WaitKind::Barrier) && h.peer.is_none())
+            .count();
+        fold_parts(&mut digest, &want);
+    }
+    if seed() == DEFAULT_SEED {
+        assert!(walked.capped >= 1, "{walked:?}");
+        assert!(walked.barrier_hops > 100, "{walked:?}");
+        assert!(walked.rank_changes > 1_000, "{walked:?}");
+    }
+    pin("recorded", digest, &walked);
 }
