@@ -2,7 +2,9 @@
 //! unbound thread (recording off) and on a bound, attributing one, at the
 //! size of one `pingpong_obs` repetition of `benchmark/` (about 150 000
 //! spans and 86 404 waits), plus what teardown pays for them — dropping
-//! kept events and extracting the critical path of a 2-rank ping-pong.
+//! kept events and walking the critical path of a 2-rank ping-pong in its
+//! wait logs — and the bytes a recorded wait takes. It fails if a wait
+//! takes more than [`MAX_BYTES_PER_WAIT`].
 //!
 //! ```bash
 //! cargo run --release -p scimpi-obs --example hook_cost
@@ -15,9 +17,10 @@
 //! rounds (the fastest round in brackets). docs/OBSERVABILITY.md, "Host
 //! cost of recording", keeps the readings.
 
-use obs::attrib::{self, Bucket, WaitEvent, WaitKind};
+use obs::attrib::{self, Bucket, WaitKind, WaitLog};
 use obs::{Arg, Counter, Recorder};
 use simclock::{Clock, SimDuration, SimTime};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,6 +28,9 @@ use std::time::Instant;
 const CALLS: u64 = 150_000;
 const CHAIN_WAITS: u64 = 86_404;
 const ROUNDS: usize = 9;
+/// What a recorded wait may take in its rank's log; a 40-byte
+/// `WaitEvent` per wait is what the logs replaced.
+const MAX_BYTES_PER_WAIT: f64 = 12.0;
 
 /// Median and minimum over the rounds of `round`, which returns seconds.
 fn rounds(mut round: impl FnMut() -> f64) -> (f64, f64) {
@@ -128,28 +134,36 @@ fn main() {
     );
 
     // The wait graph of a 2-rank ping-pong: each rank waits for the other
-    // in turn, so the critical path changes rank at every wait.
-    let chain: Vec<WaitEvent> = (0..CHAIN_WAITS)
-        .map(|k| WaitEvent {
-            rank: (k % 2) as u32,
-            kind: WaitKind::LateSender,
-            start_ps: 40_000 * k + 10_000,
-            end_ps: 40_000 * (k + 1),
-            peer: Some(1 - (k % 2) as u32),
-        })
-        .collect();
+    // in turn, so the critical path changes rank at every wait. Each rank
+    // logs its waits in clock order, as its lane does.
+    let mut logs: BTreeMap<u32, WaitLog> = BTreeMap::new();
+    for k in 0..CHAIN_WAITS {
+        let rank = (k % 2) as u32;
+        let log = logs.entry(rank).or_insert_with(|| WaitLog::new(rank));
+        let (start, end) = (40_000 * k + 10_000, 40_000 * (k + 1));
+        log.push(WaitKind::LateSender, start, end, Some(1 - rank));
+    }
+    let bytes: usize = logs.values().map(WaitLog::byte_len).sum();
+    let per_wait = bytes as f64 / CHAIN_WAITS as f64;
     let makespans = [(0, 40_000 * CHAIN_WAITS + 5_000), (1, 40_000 * CHAIN_WAITS)];
     let mut hops = 0;
     let (median, min) = rounds(|| {
         let t0 = Instant::now();
-        hops = black_box(obs::critpath::extract(&makespans, black_box(&chain)))
+        hops = black_box(obs::critpath::walk(&makespans, black_box(&logs)))
             .hops
             .len();
         t0.elapsed().as_secs_f64()
     });
     println!(
-        "\ncritpath::extract, 2-rank chain of {CHAIN_WAITS} waits ({hops} hops kept): {:.2} ms ({:.2})",
+        "\nwait logs, 2-rank chain of {CHAIN_WAITS} waits: {bytes} bytes, {per_wait:.2} bytes per wait"
+    );
+    println!(
+        "critpath::walk over them ({hops} hops kept): {:.3} ms ({:.3})",
         median * 1e3,
         min * 1e3
+    );
+    assert!(
+        per_wait <= MAX_BYTES_PER_WAIT,
+        "a recorded wait takes {per_wait:.2} bytes, more than {MAX_BYTES_PER_WAIT}"
     );
 }

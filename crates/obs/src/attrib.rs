@@ -18,6 +18,10 @@
 //! (the runtime marks rank tasks; request-engine and helper tasks stay
 //! unmarked so forked clocks are not double-counted — their time shows
 //! up at rank level as a request-wait when the completion time merges).
+//!
+//! A wait is summed by kind as it is recorded, and kept for the critical
+//! path in its rank's [`WaitLog`]: about 10 bytes a wait, in the order
+//! the rank's clock produced them, which is the order the walk reads.
 
 use crate::histogram::Histogram;
 use crate::recorder::{with_bound, with_lane};
@@ -84,6 +88,17 @@ pub enum WaitKind {
 pub const WAIT_KIND_COUNT: usize = 7;
 
 impl WaitKind {
+    /// Every kind, indexable by `WaitKind as usize`.
+    pub const ALL: [WaitKind; WAIT_KIND_COUNT] = [
+        WaitKind::LateSender,
+        WaitKind::LateReceiver,
+        WaitKind::Barrier,
+        WaitKind::Lock,
+        WaitKind::RequestWait,
+        WaitKind::Recovery,
+        WaitKind::Backpressure,
+    ];
+
     /// Stable export names, indexable by `WaitKind as usize`.
     pub const NAMES: [&'static str; WAIT_KIND_COUNT] = [
         "late_sender",
@@ -124,6 +139,225 @@ impl WaitEvent {
     }
 }
 
+/// The key the critical path orders one rank's waits by.
+fn walk_key(w: &WaitEvent) -> (u64, u64, WaitKind, Option<u32>) {
+    (w.end_ps, w.start_ps, w.kind, w.peer)
+}
+
+/// One rank's classified waits as a compact append-only log.
+///
+/// A record is three or four LEB128 varints: the end as a wrapping delta
+/// from the previous record's end (0 before the first), the end minus the
+/// start (wrapping too, so any `u64` pair round-trips), the peer when
+/// there is one, and a tag byte holding the kind and a peer-present bit.
+/// The tag is below 0x80, a one-byte varint. A varint's last byte is the
+/// only one below 0x80, so the log reads backwards from its end, record
+/// by record, without an index. That is the direction
+/// the critical path walks a rank's timeline, so it reads the log in
+/// place ([`crate::critpath::walk`]). A wait of a few microseconds of
+/// virtual time takes about 10 bytes, where a [`WaitEvent`] takes 40.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WaitLog {
+    rank: u32,
+    bytes: Vec<u8>,
+    len: usize,
+    /// The last record's end: where a backward read starts.
+    last_end: u64,
+    /// How many records are [`WaitKind::Barrier`] waits.
+    barriers: usize,
+    /// Every record came in the walk's order: `(end, start, kind, peer)`
+    /// never decreased.
+    ordered: bool,
+}
+
+/// A position between two records of a [`WaitLog`]: `idx` records, which
+/// take `pos` bytes and the last of which ends at `end_ps`, lie before
+/// it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LogCursor {
+    pub(crate) idx: usize,
+    pos: usize,
+    end_ps: u64,
+}
+
+/// The tag bit saying a peer varint precedes the tag.
+const PEER: u8 = 0x08;
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The varint that ends at byte `end` of `bytes`, and where it starts.
+fn varint_before(bytes: &[u8], end: usize) -> (u64, usize) {
+    let mut start = end - 1;
+    while start > 0 && bytes[start - 1] >= 0x80 {
+        start -= 1;
+    }
+    let v = bytes[start..end]
+        .iter()
+        .enumerate()
+        .fold(0, |v, (i, &b)| v | u64::from(b & 0x7f) << (7 * i));
+    (v, start)
+}
+
+impl WaitLog {
+    /// An empty log of `rank`'s waits.
+    pub fn new(rank: u32) -> WaitLog {
+        WaitLog {
+            rank,
+            bytes: Vec::new(),
+            len: 0,
+            last_end: 0,
+            barriers: 0,
+            ordered: true,
+        }
+    }
+
+    /// Number of waits recorded.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Has no wait been recorded?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the records take (not counting the vector's spare capacity).
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Did every wait arrive in the critical path's order, by
+    /// `(end, start, kind, peer)`? A rank's own clock records them so.
+    pub fn is_ordered(&self) -> bool {
+        self.ordered
+    }
+
+    /// The end of the log's last record, 0 when empty.
+    pub(crate) fn last_end(&self) -> u64 {
+        self.last_end
+    }
+
+    /// How many records are barrier waits.
+    pub(crate) fn barriers(&self) -> usize {
+        self.barriers
+    }
+
+    /// Append one wait over `[start_ps, end_ps)`, blamed on `peer`.
+    pub fn push(&mut self, kind: WaitKind, start_ps: u64, end_ps: u64, peer: Option<u32>) {
+        if self.ordered && self.len > 0 && end_ps <= self.last_end {
+            let w = WaitEvent {
+                rank: self.rank,
+                kind,
+                start_ps,
+                end_ps,
+                peer,
+            };
+            let last = self.before(self.end()).expect("a non-empty log").0;
+            self.ordered = walk_key(&last) <= walk_key(&w);
+        }
+        put_varint(&mut self.bytes, end_ps.wrapping_sub(self.last_end));
+        put_varint(&mut self.bytes, end_ps.wrapping_sub(start_ps));
+        if let Some(p) = peer {
+            put_varint(&mut self.bytes, p.into());
+        }
+        self.bytes
+            .push(kind as u8 | if peer.is_some() { PEER } else { 0 });
+        self.len += 1;
+        self.last_end = end_ps;
+        self.barriers += (kind == WaitKind::Barrier) as usize;
+    }
+
+    /// The position after the last record.
+    pub(crate) fn end(&self) -> LogCursor {
+        LogCursor {
+            idx: self.len,
+            pos: self.bytes.len(),
+            end_ps: self.last_end,
+        }
+    }
+
+    /// The record just before `at`, and the position before that record
+    /// (whose `idx` is the record's index); `None` at the log's start.
+    pub(crate) fn before(&self, at: LogCursor) -> Option<(WaitEvent, LogCursor)> {
+        if at.idx == 0 {
+            return None;
+        }
+        let tag = self.bytes[at.pos - 1];
+        let mut pos = at.pos - 1;
+        let peer = (tag & PEER != 0).then(|| {
+            let (p, start) = varint_before(&self.bytes, pos);
+            pos = start;
+            p as u32
+        });
+        let (dur, start) = varint_before(&self.bytes, pos);
+        let (delta, start) = varint_before(&self.bytes, start);
+        let wait = WaitEvent {
+            rank: self.rank,
+            kind: WaitKind::ALL[(tag & !PEER) as usize],
+            start_ps: at.end_ps.wrapping_sub(dur),
+            end_ps: at.end_ps,
+            peer,
+        };
+        let prev = LogCursor {
+            idx: at.idx - 1,
+            pos: start,
+            end_ps: at.end_ps.wrapping_sub(delta),
+        };
+        Some((wait, prev))
+    }
+
+    /// Every record, newest first, each with its index.
+    pub(crate) fn iter_back(&self) -> impl Iterator<Item = (usize, WaitEvent)> + '_ {
+        let mut at = self.end();
+        std::iter::from_fn(move || {
+            let (w, prev) = self.before(at)?;
+            at = prev;
+            Some((prev.idx, w))
+        })
+    }
+
+    /// Every record decoded, oldest first.
+    pub(crate) fn events(&self) -> Vec<WaitEvent> {
+        let mut out: Vec<WaitEvent> = self.iter_back().map(|(_, w)| w).collect();
+        out.reverse();
+        out
+    }
+
+    /// This log's records in the walk's order.
+    pub(crate) fn sorted(&self) -> WaitLog {
+        let mut waits = self.events();
+        waits.sort_by_key(walk_key);
+        let mut log = WaitLog::new(self.rank);
+        for w in waits {
+            log.push(w.kind, w.start_ps, w.end_ps, w.peer);
+        }
+        log
+    }
+
+    /// Take in `other`'s records (the same rank's), leaving this log in
+    /// the walk's order. Moving the bytes is the rule: a rank records on
+    /// one lane, in order. Anything else is re-encoded sorted.
+    pub(crate) fn absorb(&mut self, other: WaitLog) {
+        debug_assert_eq!(self.rank, other.rank);
+        if self.is_empty() {
+            *self = other;
+        } else {
+            for w in other.events() {
+                self.push(w.kind, w.start_ps, w.end_ps, w.peer);
+            }
+        }
+        if !self.ordered {
+            *self = self.sorted();
+        }
+    }
+}
+
 /// The attribution state of one run, owned by its
 /// [`Recorder`](crate::Recorder), with the span histograms the lanes
 /// folded in beside it.
@@ -133,19 +367,20 @@ pub(crate) struct AttribState {
     pub(crate) spans: BTreeMap<&'static str, Histogram>,
     /// Per-rank busy sums in picoseconds, indexed by [`Bucket`].
     pub(crate) busy: BTreeMap<u32, [u64; BUCKET_COUNT]>,
-    /// Every classified wait: each lane's table as it was recorded, in
-    /// the order the bindings dropped (consumers must sort). Kept per
-    /// lane so a fold moves the lane's table: one shared table would hold
-    /// every wait twice while the last lane folds in.
-    pub(crate) lane_waits: Vec<Vec<WaitEvent>>,
+    /// Per-rank wait sums in picoseconds, indexed by [`WaitKind`].
+    pub(crate) wait_ps: BTreeMap<u32, [u64; WAIT_KIND_COUNT]>,
+    /// Per-rank classified waits in the walk's order, moved here from the
+    /// lane that recorded them.
+    pub(crate) waits: BTreeMap<u32, WaitLog>,
     /// Per-rank final clock value at teardown, ps.
     pub(crate) makespans: BTreeMap<u32, u64>,
 }
 
 impl AttribState {
-    /// Every classified wait, lane by lane.
-    pub(crate) fn waits(&self) -> impl Iterator<Item = &WaitEvent> {
-        self.lane_waits.iter().flatten()
+    /// Every classified wait, rank by rank, decoded.
+    #[cfg(test)]
+    pub(crate) fn wait_events(&self) -> Vec<WaitEvent> {
+        self.waits.values().flat_map(WaitLog::events).collect()
     }
 }
 
@@ -191,17 +426,24 @@ pub fn busy(bucket: Bucket, dur: SimDuration) {
 }
 
 /// Record a classified wait over `[start, end)` on the calling thread's
-/// rank. Zero-length waits are dropped. No-op unless bound and marked.
+/// rank: its length goes to the lane's sum for `kind`, the wait to the
+/// lane's [`WaitLog`]. Zero-length waits are dropped. No-op unless bound
+/// and marked.
 pub fn wait(kind: WaitKind, start: SimTime, end: SimTime, peer: Option<u32>) {
     with_lane(|lane| {
         if lane.attributing && end > start {
-            lane.waits.push(WaitEvent {
-                rank: lane.rank,
-                kind,
-                start_ps: start.as_ps(),
-                end_ps: end.as_ps(),
-                peer,
-            });
+            let (start, end) = (start.as_ps(), end.as_ps());
+            // A rank's clock only moves forward, so its waits arrive in
+            // the walk's order; a lane that breaks this is sorted when it
+            // folds.
+            debug_assert!(
+                end >= lane.waits.last_end(),
+                "rank {}: a wait ending at {end} ps recorded after one ending at {} ps",
+                lane.rank,
+                lane.waits.last_end()
+            );
+            lane.wait_ps[kind as usize] += end - start;
+            lane.waits.push(kind, start, end, peer);
         }
     });
 }
@@ -307,7 +549,7 @@ mod tests {
         assert_eq!(st.busy.len(), 1);
         assert_eq!(st.busy[&0][Bucket::Compute as usize], 15_000);
         assert_eq!(st.busy[&0][Bucket::Transfer as usize], 2_000);
-        let waits: Vec<_> = st.waits().collect();
+        let waits = st.wait_events();
         assert_eq!(waits.len(), 1);
         assert_eq!(waits[0].kind, WaitKind::Barrier);
         assert_eq!(waits[0].start_ps, 17_000);
@@ -364,13 +606,15 @@ mod tests {
         attribute(20);
         {
             let st = rec.attrib.lock().unwrap();
-            assert!(st.busy.is_empty() && st.waits().next().is_none());
+            assert!(st.busy.is_empty() && st.waits.is_empty());
         }
         drop(bound);
         let st = rec.attrib.lock().unwrap();
         assert_eq!(st.busy[&4], [30_000, 0, 0]);
-        assert_eq!(st.waits().count(), 2);
-        assert!(st.waits().all(|w| w.rank == 4 && w.dur_ps() == 1_000));
+        assert_eq!(st.wait_ps[&4][WaitKind::Lock as usize], 2_000);
+        let waits = st.wait_events();
+        assert_eq!(waits.len(), 2);
+        assert!(waits.iter().all(|w| w.rank == 4 && w.dur_ps() == 1_000));
     }
 
     #[test]
@@ -389,7 +633,7 @@ mod tests {
         let st = rec.attrib.lock().unwrap();
         assert_eq!(st.busy.len(), 1);
         assert_eq!(st.busy[&5], [7_000, 0, 0]);
-        assert_eq!(st.waits().count(), 2);
+        assert_eq!(st.wait_events().len(), 2);
     }
 
     #[test]
@@ -457,13 +701,13 @@ mod tests {
         }
         assert_eq!(inner.attrib.lock().unwrap().busy[&2], [7_000, 0, 0]);
         assert!(thread_attrib());
-        attribute(5);
+        attribute(15);
         assert!(outer.attrib.lock().unwrap().busy.is_empty());
         drop(o);
         let st = outer.attrib.lock().unwrap();
         assert_eq!(st.busy.len(), 1);
-        assert_eq!(st.busy[&1], [15_000, 0, 0]);
-        assert_eq!(st.waits().count(), 2);
+        assert_eq!(st.busy[&1], [25_000, 0, 0]);
+        assert_eq!(st.wait_events().len(), 2);
     }
 
     #[test]
@@ -506,6 +750,131 @@ mod tests {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         assert_eq!(st.busy[&3], [9_000, 0, 0]);
-        assert_eq!(st.waits().count(), 1);
+        assert_eq!(st.wait_events().len(), 1);
+    }
+
+    #[test]
+    fn a_wait_log_round_trips_extreme_values_read_either_way() {
+        let mut want = Vec::new();
+        // Equal ends, which only `critpath::extract` feeds a log, and
+        // durations longer than the end (the start wraps) included.
+        for end in [0, 1, u64::MAX] {
+            for dur in [0, 1, u64::MAX] {
+                for peer in [None, Some(0), Some(u32::MAX)] {
+                    for kind in WaitKind::ALL {
+                        want.push(WaitEvent {
+                            rank: 9,
+                            kind,
+                            start_ps: end.wrapping_sub(dur),
+                            end_ps: end,
+                            peer,
+                        });
+                    }
+                }
+            }
+        }
+        let mut log = WaitLog::new(9);
+        for w in &want {
+            log.push(w.kind, w.start_ps, w.end_ps, w.peer);
+        }
+        assert_eq!((log.len(), log.barriers()), (want.len(), want.len() / 7));
+        assert_eq!(log.events(), want);
+        let back: Vec<(usize, WaitEvent)> = log.iter_back().collect();
+        let want_back = want.iter().cloned().enumerate().rev();
+        assert!(back.into_iter().eq(want_back));
+        assert_eq!(log.before(log.end()).unwrap().1.idx, want.len() - 1);
+    }
+
+    #[test]
+    fn a_wait_log_record_takes_its_varints_and_a_tag() {
+        let mut log = WaitLog::new(0);
+        // 40 000 and 30 000 take three bytes each, peer 1 one, the tag one.
+        log.push(WaitKind::LateSender, 10_000, 40_000, Some(1));
+        assert_eq!(log.byte_len(), 8);
+        log.push(WaitKind::Barrier, 40_000, 80_000, None);
+        assert_eq!(log.byte_len(), 15);
+        // A full `u64` takes ten bytes.
+        log.push(WaitKind::Lock, 0, u64::MAX, None);
+        assert_eq!(log.byte_len(), 15 + 10 + 10 + 1);
+        assert!(log.is_ordered());
+    }
+
+    #[test]
+    fn a_wait_log_out_of_the_walks_order_is_sorted_when_absorbed() {
+        let sorted = |log: &WaitLog| {
+            let mut waits = log.events();
+            waits.sort_by_key(walk_key);
+            waits
+        };
+        let mut log = WaitLog::new(3);
+        log.push(WaitKind::Barrier, 25, 40, None);
+        log.push(WaitKind::Barrier, 30, 40, None);
+        assert!(log.is_ordered());
+        // An equal end with an earlier start, then an earlier end.
+        log.push(WaitKind::Barrier, 20, 40, None);
+        assert!(!log.is_ordered());
+        log.push(WaitKind::Lock, 5, 15, Some(1));
+
+        let mut folded = WaitLog::new(3);
+        folded.absorb(log.clone());
+        assert!(folded.is_ordered());
+        assert_eq!(folded.events(), sorted(&log));
+
+        // A second lane of the rank whose waits all come later appends in
+        // order; one that goes back in time is sorted in.
+        let mut later = WaitLog::new(3);
+        later.push(WaitKind::RequestWait, 50, 60, None);
+        folded.absorb(later);
+        assert!(folded.is_ordered());
+        let mut earlier = WaitLog::new(3);
+        earlier.push(WaitKind::LateSender, 1, 2, Some(0));
+        folded.absorb(earlier);
+        assert!(folded.is_ordered());
+        assert_eq!(folded.len(), 6);
+        assert_eq!(folded.events(), sorted(&folded));
+        assert_eq!(folded.events()[0].end_ps, 2);
+    }
+
+    #[test]
+    fn two_lanes_of_one_rank_fold_into_one_ordered_log() {
+        let rec = Recorder::new();
+        for at in [[30, 40], [10, 20]] {
+            let _bound = rec.bind(7);
+            set_thread_attrib(true);
+            for ns in at {
+                let start = SimTime::from_ps(ns * 1_000);
+                wait(
+                    WaitKind::LateSender,
+                    start,
+                    start + SimDuration::from_ns(1),
+                    Some(0),
+                );
+            }
+        }
+        let st = rec.attrib.lock().unwrap();
+        assert!(st.waits[&7].is_ordered());
+        let ends: Vec<u64> = st.wait_events().iter().map(|w| w.end_ps).collect();
+        assert_eq!(ends, [11_000, 21_000, 31_000, 41_000]);
+        assert_eq!(st.wait_ps[&7][WaitKind::LateSender as usize], 4_000);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "recorded after one ending at")]
+    fn a_lane_whose_waits_go_back_in_time_fails_the_order_check() {
+        recorded(|| {
+            wait(
+                WaitKind::Lock,
+                SimTime::from_ps(10),
+                SimTime::from_ps(20),
+                None,
+            );
+            wait(
+                WaitKind::Lock,
+                SimTime::from_ps(5),
+                SimTime::from_ps(15),
+                None,
+            );
+        });
     }
 }

@@ -9,15 +9,23 @@
 //! its duration as *slack*: the time the makespan would shrink if that
 //! one dependency were satisfied instantly (to first order).
 //!
-//! Extraction is deterministic: waits are sorted by
-//! `(rank, end, start, kind, peer)` before the walk and every selection
-//! is a maximum under that total order, so same-seed runs produce the
-//! same path byte for byte. The walk costs O(waits · log waits + hops):
-//! each rank owns one range of the sorted table and a pick is a binary
-//! search in it (`tests/critpath_oracle.rs` keeps the scan-per-hop walk
-//! this replaced and holds the two equal).
+//! Extraction is deterministic: each rank's waits are in
+//! `(end, start, kind, peer)` order, ranks in rank order, and every
+//! selection is a maximum under that total order, so same-seed runs
+//! produce the same path byte for byte. The walk reads each rank's
+//! [`WaitLog`] in place, backwards from a per-rank cursor that only ever
+//! moves back, and keeps beside the logs one bit per wait (used or not)
+//! and an index of the barrier waits. Setting up costs the zeroed bits
+//! and one pass over each log that holds barrier waits, then a sort of
+//! those alone; the walk decodes each record its cursors pass at most
+//! twice, about two records per hop on a ping-pong. [`extract`] first
+//! sorts arbitrary waits into logs, O(waits · log waits)
+//! (`tests/critpath_oracle.rs` keeps the scan-per-hop walk this replaced
+//! and holds the two equal).
 
-use crate::attrib::{WaitEvent, WaitKind};
+use crate::attrib::{LogCursor, WaitEvent, WaitKind, WaitLog};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// One step of the critical path (oldest first in the report).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,11 +78,58 @@ pub struct CriticalPath {
 const MAX_HOPS: usize = 4096;
 
 /// Extract the critical path from per-rank makespans and the classified
-/// waits. Returns an empty path when no makespans were recorded.
+/// waits, in any order, duplicates and equal ends included. Returns an
+/// empty path when no makespans were recorded.
 pub fn extract<'a>(
     makespans: &[(u32, u64)],
     waits: impl IntoIterator<Item = &'a WaitEvent>,
 ) -> CriticalPath {
+    let mut sorted: Vec<&WaitEvent> = waits.into_iter().collect();
+    sorted.sort_unstable_by_key(|w| (w.rank, w.end_ps, w.start_ps, w.kind, w.peer));
+    let mut logs: BTreeMap<u32, WaitLog> = BTreeMap::new();
+    for w in sorted {
+        let log = logs.entry(w.rank).or_insert_with(|| WaitLog::new(w.rank));
+        log.push(w.kind, w.start_ps, w.end_ps, w.peer);
+    }
+    walk(makespans, &logs)
+}
+
+/// A set of bits, one per wait.
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(n: usize) -> Bits {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+}
+
+/// Where the walk stands in one rank's log. A wait's position in the
+/// whole table (what `used` is indexed by) is `base` plus its index in
+/// the log.
+struct Cursor<'a> {
+    rank: u32,
+    log: Cow<'a, WaitLog>,
+    base: usize,
+    /// At or past it every wait is used or ends after `t` — for good,
+    /// because `t` never increases along the walk: every arm below sets
+    /// it to the start or end of a wait that ended at or before it (a
+    /// recorded wait starts before it ends).
+    at: LogCursor,
+}
+
+/// The critical path over `logs`, each rank's waits (keyed by rank), read
+/// in place: [`extract`] without the sort. A log not in the walk's order
+/// (see [`WaitLog::is_ordered`]) is walked as a sorted copy; the
+/// recorder's are always in order.
+pub fn walk(makespans: &[(u32, u64)], logs: &BTreeMap<u32, WaitLog>) -> CriticalPath {
     let Some(&(origin, makespan)) = makespans
         .iter()
         .max_by_key(|&&(r, m)| (m, std::cmp::Reverse(r)))
@@ -83,29 +138,37 @@ pub fn extract<'a>(
     };
     let mut rank = origin;
 
-    let mut sorted: Vec<&WaitEvent> = waits.into_iter().collect();
-    // Waits that compare equal under the key are equal structs.
-    sorted.sort_unstable_by_key(|w| (w.rank, w.end_ps, w.start_ps, w.kind, w.peer));
-    let mut used = vec![false; sorted.len()];
-
-    // `(rank, lo, cursor)`: the range of `sorted` each rank owns. At or
-    // past a rank's cursor every wait is used or ends after `t` — for
-    // good, because `t` never increases along the walk: every arm below
-    // sets it to the start or end of a wait that ended at or before it
-    // (a recorded wait starts before it ends).
-    let mut owned: Vec<(u32, usize, usize)> = Vec::new();
-    for (i, w) in sorted.iter().enumerate() {
-        match owned.last_mut() {
-            Some(range) if range.0 == w.rank => range.2 = i + 1,
-            _ => owned.push((w.rank, i, i + 1)),
-        }
-    }
-    // Barrier waits by `(end, start, rank, position)`: the waits one
-    // barrier released are adjacent, the latest arriver last.
-    let mut barriers: Vec<usize> = (0..sorted.len())
-        .filter(|&i| sorted[i].kind == WaitKind::Barrier)
+    let mut total = 0;
+    let mut cursors: Vec<Cursor> = logs
+        .iter()
+        .filter(|(_, log)| !log.is_empty())
+        .map(|(&rank, log)| {
+            let log = match log.is_ordered() {
+                true => Cow::Borrowed(log),
+                false => Cow::Owned(log.sorted()),
+            };
+            let base = total;
+            total += log.len();
+            let at = log.end();
+            Cursor {
+                rank,
+                log,
+                base,
+                at,
+            }
+        })
         .collect();
-    barriers.sort_unstable_by_key(|&i| (sorted[i].end_ps, sorted[i].start_ps, sorted[i].rank, i));
+    let mut used = Bits::new(total);
+    // Barrier waits as `(end, start, rank, position)`, in that order: the
+    // waits one barrier released are adjacent, the latest arriver last.
+    let mut barriers: Vec<(u64, u64, u32, usize)> =
+        Vec::with_capacity(cursors.iter().map(|c| c.log.barriers()).sum());
+    for c in cursors.iter().filter(|c| c.log.barriers() > 0) {
+        let waits = c.log.iter_back();
+        let found = waits.filter(|(_, w)| w.kind == WaitKind::Barrier);
+        barriers.extend(found.map(|(i, w)| (w.end_ps, w.start_ps, c.rank, c.base + i)));
+    }
+    barriers.sort_unstable();
 
     let mut t = makespan;
     let mut rev: Vec<Hop> = Vec::new();
@@ -116,19 +179,22 @@ pub fn extract<'a>(
             // dropped.
             break true;
         }
-        // Latest unused wait on `rank` ending at or before `t`; the sort
-        // order makes the last one the deterministic maximum.
-        let range = owned.binary_search_by_key(&rank, |range| range.0).ok();
-        let pick = range.and_then(|r| {
-            let (_, lo, cursor) = &mut owned[r];
-            *cursor = *lo + sorted[*lo..*cursor].partition_point(|w| w.end_ps <= t);
-            while *cursor > *lo && used[*cursor - 1] {
-                *cursor -= 1;
+        // Latest unused wait on `rank` ending at or before `t`; the order
+        // makes the last one the deterministic maximum.
+        let cursor = cursors.binary_search_by_key(&rank, |c| c.rank).ok();
+        let pick = cursor.and_then(|k| {
+            let c = &mut cursors[k];
+            while let Some((w, before)) = c.log.before(c.at) {
+                let i = c.base + before.idx;
+                if w.end_ps <= t && !used.get(i) {
+                    return Some((i, w));
+                }
+                c.at = before;
             }
-            (*cursor > *lo).then(|| *cursor - 1)
+            None
         });
 
-        let Some(i) = pick else {
+        let Some((i, w)) = pick else {
             // No earlier dependency on this timeline: everything back to
             // the epoch is local work.
             if t > 0 {
@@ -142,8 +208,7 @@ pub fn extract<'a>(
             }
             break false;
         };
-        used[i] = true;
-        let w = sorted[i];
+        used.set(i);
 
         if w.end_ps < t {
             rev.push(Hop {
@@ -175,16 +240,16 @@ pub fn extract<'a>(
                 // wait with the latest start is the closest proxy for
                 // the last arriver (which itself waited zero time and
                 // left no event).
-                let released = barriers.partition_point(|&j| sorted[j].end_ps <= w.end_ps);
+                let released = barriers.partition_point(|&(end, ..)| end <= w.end_ps);
                 let co = barriers[..released]
                     .iter()
                     .rev()
-                    .take_while(|&&j| sorted[j].end_ps == w.end_ps)
-                    .find(|&&j| !used[j]);
-                if let Some(&j) = co {
-                    used[j] = true;
-                    rank = sorted[j].rank;
-                    t = sorted[j].start_ps;
+                    .take_while(|&&(end, ..)| end == w.end_ps)
+                    .find(|&&(.., j)| !used.get(j));
+                if let Some(&(_, start, r, j)) = co {
+                    used.set(j);
+                    rank = r;
+                    t = start;
                 } else {
                     t = w.start_ps;
                 }

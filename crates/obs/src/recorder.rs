@@ -14,7 +14,7 @@
 //! events; there an event is also one lock and one push on the run's
 //! shared event vector.
 
-use crate::attrib::{AttribState, WaitEvent, BUCKET_COUNT};
+use crate::attrib::{AttribState, WaitLog, BUCKET_COUNT, WAIT_KIND_COUNT};
 use crate::histogram::Histogram;
 use simclock::SimTime;
 use std::cell::RefCell;
@@ -357,7 +357,10 @@ pub(crate) struct Lane {
     pub(crate) attributing: bool,
     /// Busy picoseconds by [`crate::attrib::Bucket`].
     pub(crate) busy: [u64; BUCKET_COUNT],
-    pub(crate) waits: Vec<WaitEvent>,
+    /// Wait picoseconds by [`crate::attrib::WaitKind`].
+    pub(crate) wait_ps: [u64; WAIT_KIND_COUNT],
+    /// The waits themselves, for the critical path.
+    pub(crate) waits: WaitLog,
     /// Span durations by span name, in first-recorded order.
     spans: Vec<(&'static str, Histogram)>,
 }
@@ -381,7 +384,13 @@ impl Lane {
             }
         }
         if !self.waits.is_empty() {
-            st.lane_waits.push(self.waits);
+            let row = st.wait_ps.entry(self.rank).or_default();
+            for (sum, ps) in row.iter_mut().zip(self.wait_ps) {
+                *sum += ps;
+            }
+            let log = st.waits.entry(self.rank);
+            log.or_insert_with(|| WaitLog::new(self.rank))
+                .absorb(self.waits);
         }
         for (name, hist) in self.spans {
             st.spans.entry(name).or_default().merge(&hist);
@@ -401,15 +410,16 @@ impl Lane {
 }
 
 thread_local! {
-    /// The calling thread's binding, if any.
-    static LANE: RefCell<Option<Lane>> = const { RefCell::new(None) };
+    /// The calling thread's binding, if any. Boxed: the scheduler swaps
+    /// it at every task switch, so it stays one pointer wide.
+    static LANE: RefCell<Option<Box<Lane>>> = const { RefCell::new(None) };
 }
 
 /// Keeps the calling thread bound to a [`Recorder`]; dropping it hands
 /// what the thread attributed to the recorder and restores whatever
 /// binding (or none) the thread had before.
 pub struct Bound {
-    prev: Option<Lane>,
+    prev: Option<Box<Lane>>,
     /// The binding lives in this thread's locals.
     _not_send: PhantomData<*const ()>,
 }
@@ -417,7 +427,7 @@ pub struct Bound {
 impl Drop for Bound {
     fn drop(&mut self) {
         if let Some(lane) = LANE.replace(self.prev.take()) {
-            lane.fold();
+            (*lane).fold();
         }
     }
 }
@@ -427,7 +437,7 @@ impl Drop for Bound {
 /// task's `Binding` with the thread's at every switch ([`Binding::swap`]):
 /// a task records into its own lane and leaves the others' alone.
 #[derive(Default)]
-pub struct Binding(Option<Lane>);
+pub struct Binding(Option<Box<Lane>>);
 
 impl Binding {
     /// Exchange the calling thread's binding with this one.
@@ -471,11 +481,12 @@ impl Recorder {
             rank,
             attributing: false,
             busy: [0; BUCKET_COUNT],
-            waits: Vec::new(),
+            wait_ps: [0; WAIT_KIND_COUNT],
+            waits: WaitLog::new(rank),
             spans: Vec::new(),
         };
         Bound {
-            prev: LANE.replace(Some(lane)),
+            prev: LANE.replace(Some(Box::new(lane))),
             _not_send: PhantomData,
         }
     }
@@ -502,7 +513,7 @@ impl Recorder {
 /// call back into a hook.
 #[inline]
 pub(crate) fn with_lane<R>(f: impl FnOnce(&mut Lane) -> R) -> Option<R> {
-    LANE.with_borrow_mut(|lane| lane.as_mut().map(f))
+    LANE.with_borrow_mut(|lane| lane.as_deref_mut().map(f))
 }
 
 /// Run `f` on the calling thread's recorder, if it is bound to one.

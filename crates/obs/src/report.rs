@@ -97,8 +97,8 @@ pub fn build(rec: &Recorder) -> Profile {
     for (r, b) in &st.busy {
         touch(&mut ranks, *r).busy_ps = *b;
     }
-    for w in st.waits() {
-        touch(&mut ranks, w.rank).wait_ps[w.kind as usize] += w.dur_ps();
+    for (r, w) in &st.wait_ps {
+        touch(&mut ranks, *r).wait_ps = *w;
     }
     for (r, m) in &makespans {
         touch(&mut ranks, *r).makespan_ps = *m;
@@ -130,7 +130,7 @@ pub fn build(rec: &Recorder) -> Profile {
                 hist: hist.clone(),
             })
             .collect(),
-        critical_path: critpath::extract(&makespans, st.waits()),
+        critical_path: critpath::walk(&makespans, &st.waits),
     }
 }
 
