@@ -9,20 +9,26 @@
 //! compare. Deterministic seeded randomness (`SplitMix64`) replaces an
 //! external property-testing framework.
 //!
-//! `PACK_ORACLE_SEED=<n>` re-seeds every test (each folds its own salt
-//! into it); unset, each test keeps its own fixed seed.
+//! Each test runs at its own fixed seed, then at every seed of [`SEEDS`]
+//! folded with it.
 
 use mpi_datatype::{ff, flat, tree, Committed, Datatype};
 use simclock::SplitMix64;
 
-/// The generator for the test whose fixed seed is `default`: that seed
-/// unless `PACK_ORACLE_SEED` is set, else the variable folded with it.
-fn rng(default: u64) -> SplitMix64 {
-    let seed = std::env::var("PACK_ORACLE_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map_or(default, |s| s ^ default.rotate_left(32));
-    SplitMix64::new(seed)
+/// The seeds every test also runs at, each folded with the test's own.
+const SEEDS: [u64; 3] = [1, 42, 20260805];
+
+/// Run `test` with a generator at the fixed seed `own`, then at each seed
+/// of [`SEEDS`] folded with it; a red cell is the last one printed before
+/// the failure.
+fn each_rng(own: u64, test: impl Fn(SplitMix64)) {
+    for seed in [own]
+        .into_iter()
+        .chain(SEEDS.map(|s| s ^ own.rotate_left(32)))
+    {
+        println!("cell seed {seed:#x}");
+        test(SplitMix64::new(seed));
+    }
 }
 
 /// A random (small) datatype tree, recursing at most `depth` levels.
@@ -98,128 +104,134 @@ fn source_buffer(dt: &Datatype, count: usize) -> Vec<u8> {
 /// ff full pack == reference full pack.
 #[test]
 fn ff_pack_equals_generic() {
-    let mut rng = rng(0xF1A6);
-    for _ in 0..256 {
-        let dt = random_datatype(&mut rng, 3);
-        let count = rng.next_range(1, 3) as usize;
-        let src = source_buffer(&dt, count);
-        let generic = tree::reference_pack(&dt, count, &src);
+    each_rng(0xF1A6, |mut rng| {
+        for _ in 0..256 {
+            let dt = random_datatype(&mut rng, 3);
+            let count = rng.next_range(1, 3) as usize;
+            let src = source_buffer(&dt, count);
+            let generic = tree::reference_pack(&dt, count, &src);
 
-        let c = Committed::commit(&dt);
-        let mut sink = ff::VecSink::default();
-        ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
-        assert_eq!(&sink.data, &generic);
-        assert_eq!(generic.len(), dt.size() * count);
-    }
+            let c = Committed::commit(&dt);
+            let mut sink = ff::VecSink::default();
+            ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
+            assert_eq!(&sink.data, &generic);
+            assert_eq!(generic.len(), dt.size() * count);
+        }
+    });
 }
 
 /// The committed expansion covers exactly the tree segments.
 #[test]
 fn flat_expansion_matches_tree() {
-    let mut rng = rng(0xF1A7);
-    for _ in 0..256 {
-        let dt = random_datatype(&mut rng, 3);
-        let count = rng.next_range(1, 3) as usize;
-        let c = Committed::commit(&dt);
-        assert!(flat::expansion_matches_tree(&c, count));
-    }
+    each_rng(0xF1A7, |mut rng| {
+        for _ in 0..256 {
+            let dt = random_datatype(&mut rng, 3);
+            let count = rng.next_range(1, 3) as usize;
+            let c = Committed::commit(&dt);
+            assert!(flat::expansion_matches_tree(&c, count));
+        }
+    });
 }
 
 /// Partial ff packs of arbitrary chunk size reassemble to the whole.
 #[test]
 fn ff_partial_packs_reassemble() {
-    let mut rng = rng(0xF1A8);
-    for _ in 0..256 {
-        let dt = random_datatype(&mut rng, 3);
-        let count = rng.next_range(1, 2) as usize;
-        let chunk = rng.next_range(1, 63) as usize;
-        let src = source_buffer(&dt, count);
-        let whole = tree::reference_pack(&dt, count, &src);
+    each_rng(0xF1A8, |mut rng| {
+        for _ in 0..256 {
+            let dt = random_datatype(&mut rng, 3);
+            let count = rng.next_range(1, 2) as usize;
+            let chunk = rng.next_range(1, 63) as usize;
+            let src = source_buffer(&dt, count);
+            let whole = tree::reference_pack(&dt, count, &src);
 
-        let c = Committed::commit(&dt);
-        let mut pieced = Vec::new();
-        let mut skip = 0usize;
-        while skip < whole.len() {
-            let mut sink = ff::VecSink::default();
-            ff::pack_ff(&c, count, &src, 0, skip, chunk, &mut sink).unwrap();
-            assert!(!sink.data.is_empty(), "pack stalled at {}", skip);
-            skip += sink.data.len();
-            pieced.extend_from_slice(&sink.data);
+            let c = Committed::commit(&dt);
+            let mut pieced = Vec::new();
+            let mut skip = 0usize;
+            while skip < whole.len() {
+                let mut sink = ff::VecSink::default();
+                ff::pack_ff(&c, count, &src, 0, skip, chunk, &mut sink).unwrap();
+                assert!(!sink.data.is_empty(), "pack stalled at {}", skip);
+                skip += sink.data.len();
+                pieced.extend_from_slice(&sink.data);
+            }
+            assert_eq!(pieced, whole);
         }
-        assert_eq!(pieced, whole);
-    }
+    });
 }
 
 /// Pack then unpack (engine and reference crossed) restores the data
 /// bytes.
 #[test]
 fn cross_engine_roundtrip() {
-    let mut rng = rng(0xF1A9);
-    for _ in 0..256 {
-        let dt = random_datatype(&mut rng, 3);
-        let count = rng.next_range(1, 2) as usize;
-        let src = source_buffer(&dt, count);
-        let c = Committed::commit(&dt);
+    each_rng(0xF1A9, |mut rng| {
+        for _ in 0..256 {
+            let dt = random_datatype(&mut rng, 3);
+            let count = rng.next_range(1, 2) as usize;
+            let src = source_buffer(&dt, count);
+            let c = Committed::commit(&dt);
 
-        // Pack with ff, unpack with the reference.
-        let mut sink = ff::VecSink::default();
-        ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
-        let mut dst1 = vec![0u8; src.len()];
-        tree::reference_unpack(&dt, count, &mut dst1, &sink.data);
+            // Pack with ff, unpack with the reference.
+            let mut sink = ff::VecSink::default();
+            ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
+            let mut dst1 = vec![0u8; src.len()];
+            tree::reference_unpack(&dt, count, &mut dst1, &sink.data);
 
-        // Pack with the reference, unpack with ff.
-        let generic = tree::reference_pack(&dt, count, &src);
-        let mut dst2 = vec![0u8; src.len()];
-        let mut source = ff::SliceSource::new(&generic);
-        ff::unpack_ff(&c, count, &mut dst2, 0, 0, usize::MAX, &mut source).unwrap();
+            // Pack with the reference, unpack with ff.
+            let generic = tree::reference_pack(&dt, count, &src);
+            let mut dst2 = vec![0u8; src.len()];
+            let mut source = ff::SliceSource::new(&generic);
+            ff::unpack_ff(&c, count, &mut dst2, 0, 0, usize::MAX, &mut source).unwrap();
 
-        assert_eq!(&dst1, &dst2);
+            assert_eq!(&dst1, &dst2);
 
-        // Re-packing the unpacked buffer yields the same stream.
-        assert_eq!(tree::reference_pack(&dt, count, &dst1), generic);
-    }
+            // Re-packing the unpacked buffer yields the same stream.
+            assert_eq!(tree::reference_pack(&dt, count, &dst1), generic);
+        }
+    });
 }
 
 /// Packing from an arbitrary offset must equal the tail of the full
 /// stream (find_position agrees with linear stream arithmetic).
 #[test]
 fn find_position_consistent() {
-    let mut rng = rng(0xF1AA);
-    for _ in 0..256 {
-        let dt = random_datatype(&mut rng, 3);
-        let count = rng.next_range(1, 2) as usize;
-        let frac = rng.next_f64();
-        let c = Committed::commit(&dt);
-        let total = dt.size() * count;
-        if total == 0 {
-            continue;
-        }
-        let skip = ((total - 1) as f64 * frac) as usize;
-        let src = source_buffer(&dt, count);
+    each_rng(0xF1AA, |mut rng| {
+        for _ in 0..256 {
+            let dt = random_datatype(&mut rng, 3);
+            let count = rng.next_range(1, 2) as usize;
+            let frac = rng.next_f64();
+            let c = Committed::commit(&dt);
+            let total = dt.size() * count;
+            if total == 0 {
+                continue;
+            }
+            let skip = ((total - 1) as f64 * frac) as usize;
+            let src = source_buffer(&dt, count);
 
-        let whole = tree::reference_pack(&dt, count, &src);
-        let mut sink = ff::VecSink::default();
-        ff::pack_ff(&c, count, &src, 0, skip, usize::MAX, &mut sink).unwrap();
-        assert_eq!(&sink.data[..], &whole[skip..]);
-    }
+            let whole = tree::reference_pack(&dt, count, &src);
+            let mut sink = ff::VecSink::default();
+            ff::pack_ff(&c, count, &src, 0, skip, usize::MAX, &mut sink).unwrap();
+            assert_eq!(&sink.data[..], &whole[skip..]);
+        }
+    });
 }
 
 /// Merging never changes the block count seen by a sink in a way that
 /// loses bytes, and committed metadata is consistent.
 #[test]
 fn committed_metadata_consistent() {
-    let mut rng = rng(0xF1AB);
-    for _ in 0..256 {
-        let dt = random_datatype(&mut rng, 3);
-        let c = Committed::commit(&dt);
-        let leaf_total: usize = c.leaves().iter().map(|l| l.total).sum();
-        assert_eq!(leaf_total, dt.size());
-        for leaf in c.leaves() {
-            let blocks = leaf.block_count();
-            assert_eq!(leaf.total, blocks * leaf.len);
-            for level in &leaf.stack {
-                assert!(level.count > 1, "count-1 level survived merge");
+    each_rng(0xF1AB, |mut rng| {
+        for _ in 0..256 {
+            let dt = random_datatype(&mut rng, 3);
+            let c = Committed::commit(&dt);
+            let leaf_total: usize = c.leaves().iter().map(|l| l.total).sum();
+            assert_eq!(leaf_total, dt.size());
+            for leaf in c.leaves() {
+                let blocks = leaf.block_count();
+                assert_eq!(leaf.total, blocks * leaf.len);
+                for level in &leaf.stack {
+                    assert!(level.count > 1, "count-1 level survived merge");
+                }
             }
         }
-    }
+    });
 }

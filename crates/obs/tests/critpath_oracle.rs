@@ -7,8 +7,8 @@
 //! order and shuffled, and must give the same makespan, bounding rank,
 //! hops and slack.
 //!
-//! The cases come from a seeded generator (`CRITPATH_SEED=<n>` re-seeds
-//! it; CI runs three): random wait graphs of 1–16 ranks and 0–20 000
+//! The cases come from a seeded generator, run at every seed of
+//! [`SEEDS`]: random wait graphs of 1–16 ranks and 0–20 000
 //! waits over all seven kinds — blamed peers that recorded no waits, that
 //! are the waiter itself or that are missing from the makespan table,
 //! barriers releasing several ranks at one `end_ps` with ties on
@@ -41,6 +41,9 @@ use simclock::{SimTime, SplitMix64};
 use std::collections::BTreeMap;
 
 const DEFAULT_SEED: u64 = 0x0C21_7FA7_2002;
+
+/// Every test runs once per seed; the digests hold at the first.
+const SEEDS: [u64; 4] = [DEFAULT_SEED, 1, 42, 20020415];
 
 /// The walk's hop cap, as in `critpath.rs`.
 const MAX_HOPS: usize = 4096;
@@ -173,15 +176,6 @@ struct Case {
     name: String,
     makespans: Vec<(u32, u64)>,
     waits: Vec<WaitEvent>,
-}
-
-fn seed() -> u64 {
-    match std::env::var("CRITPATH_SEED") {
-        Ok(s) => s
-            .parse()
-            .expect("CRITPATH_SEED must be an unsigned integer"),
-        Err(_) => DEFAULT_SEED,
-    }
 }
 
 fn pick<T: Copy>(rng: &mut SplitMix64, from: &[T]) -> T {
@@ -409,8 +403,8 @@ struct Walked {
 
 /// Run every case through both walkers, in generated and in shuffled
 /// order; return the family's digest and what was walked.
-fn check(family: &str, cases: Vec<Case>) -> (u64, Walked) {
-    let mut rng = SplitMix64::new(seed() ^ 0x05AF_F1E5);
+fn check(family: &str, seed: u64, cases: Vec<Case>) -> (u64, Walked) {
+    let mut rng = SplitMix64::new(seed ^ 0x05AF_F1E5);
     let mut digest = 0xcbf2_9ce4_8422_2325;
     let mut walked = Walked::default();
     for mut case in cases {
@@ -418,10 +412,10 @@ fn check(family: &str, cases: Vec<Case>) -> (u64, Walked) {
         let got = parts(extract(&case.makespans, &case.waits));
         assert!(
             got == want,
-            "{family}/{} (CRITPATH_SEED={}): extract differs from the reference walk\n\
+            "{family}/{} (seed {}): extract differs from the reference walk\n\
              makespan {} / {}, bound rank {} / {}, hops {} / {}, slack {} / {}, first differing hop {:?}",
             case.name,
-            seed(),
+            seed,
             got.0,
             want.0,
             got.1,
@@ -438,9 +432,9 @@ fn check(family: &str, cases: Vec<Case>) -> (u64, Walked) {
         let shuffled = parts(extract(&case.makespans, &case.waits));
         assert!(
             shuffled == want,
-            "{family}/{} (CRITPATH_SEED={}): the path depends on the input order",
+            "{family}/{} (seed {}): the path depends on the input order",
             case.name,
-            seed(),
+            seed,
         );
 
         let hops = &want.2;
@@ -472,11 +466,11 @@ const GOLDEN: [(&str, u64); 5] = [
 
 /// Compare a family's digest with its recorded constant (default seed
 /// only: another seed generates other graphs).
-fn pin(family: &str, digest: u64, walked: &Walked) {
-    println!("(\"{family}\", {digest:#018x}),   // {walked:?}");
-    if seed() != DEFAULT_SEED {
+fn pin(family: &str, seed: u64, digest: u64, walked: &Walked) {
+    if seed != DEFAULT_SEED {
         return;
     }
+    println!("(\"{family}\", {digest:#018x}),   // {walked:?}");
     let want = GOLDEN.iter().find(|(f, _)| *f == family).expect("family").1;
     assert!(
         digest == want,
@@ -488,146 +482,158 @@ fn pin(family: &str, digest: u64, walked: &Walked) {
 
 #[test]
 fn empty_zero_and_degenerate_inputs_match_the_reference() {
-    let mut rng = SplitMix64::new(seed() ^ 0xED6E);
-    let w = |rank, kind, start_ps, end_ps, peer| WaitEvent {
-        rank,
-        kind,
-        start_ps,
-        end_ps,
-        peer,
-    };
-    let some_waits = random_case(&mut rng, String::new(), 200, false).waits;
-    let cases = vec![
-        Case {
-            name: "nothing".into(),
-            makespans: vec![],
-            waits: vec![],
-        },
-        Case {
-            name: "waits without makespans".into(),
-            makespans: vec![],
-            waits: some_waits.clone(),
-        },
-        Case {
-            name: "makespans without waits".into(),
-            makespans: vec![(0, 500), (1, 900), (2, 900), (7, 3)],
-            waits: vec![],
-        },
-        Case {
-            name: "all makespans zero".into(),
-            makespans: (0..16).map(|r| (r, 0)).collect(),
-            waits: some_waits.clone(),
-        },
-        Case {
-            name: "zero makespans, waits ending at the epoch".into(),
-            makespans: vec![(0, 0), (1, 0)],
-            waits: vec![
-                w(0, WaitKind::LateSender, 0, 0, Some(1)),
-                w(1, WaitKind::Barrier, 0, 0, None),
-                w(0, WaitKind::Barrier, 0, 0, None),
-            ],
-        },
-        Case {
-            name: "the bounding rank recorded no waits".into(),
-            makespans: vec![(0, 10), (99, u64::MAX)],
-            waits: some_waits,
-        },
-        Case {
-            name: "a rank that only blames itself".into(),
-            makespans: vec![(3, 10_000)],
-            waits: (1..=300)
-                .map(|k| w(3, pick(&mut rng, &KINDS), 30 * k - 20, 30 * k, Some(3)))
-                .collect(),
-        },
-        Case {
-            name: "one barrier, every arrival tied".into(),
-            makespans: (0..12).map(|r| (r, 1000 + (r as u64 % 3))).collect(),
-            waits: (0..12)
-                .flat_map(|r| {
-                    let b = w(r, WaitKind::Barrier, 400 + 100 * (r as u64 % 2), 900, None);
-                    [b.clone(), b]
-                })
-                .collect(),
-        },
-        Case {
-            name: "zero-length barrier waits revisit their group".into(),
-            makespans: vec![(0, 50), (1, 50), (2, 50)],
-            waits: (0..90)
-                .map(|k| w(k % 3, WaitKind::Barrier, 50, 50, None))
-                .collect(),
-        },
-        Case {
-            name: "mutual waits at one instant".into(),
-            makespans: vec![(0, 100), (1, 100)],
-            waits: (0..400)
-                .map(|k| w(k % 2, WaitKind::LateSender, 50, 100, Some(1 - k % 2)))
-                .collect(),
-        },
-    ];
-    let (digest, walked) = check("edges", cases);
-    pin("edges", digest, &walked);
+    for seed in SEEDS {
+        println!("cell seed {seed}");
+        let mut rng = SplitMix64::new(seed ^ 0xED6E);
+        let w = |rank, kind, start_ps, end_ps, peer| WaitEvent {
+            rank,
+            kind,
+            start_ps,
+            end_ps,
+            peer,
+        };
+        let some_waits = random_case(&mut rng, String::new(), 200, false).waits;
+        let cases = vec![
+            Case {
+                name: "nothing".into(),
+                makespans: vec![],
+                waits: vec![],
+            },
+            Case {
+                name: "waits without makespans".into(),
+                makespans: vec![],
+                waits: some_waits.clone(),
+            },
+            Case {
+                name: "makespans without waits".into(),
+                makespans: vec![(0, 500), (1, 900), (2, 900), (7, 3)],
+                waits: vec![],
+            },
+            Case {
+                name: "all makespans zero".into(),
+                makespans: (0..16).map(|r| (r, 0)).collect(),
+                waits: some_waits.clone(),
+            },
+            Case {
+                name: "zero makespans, waits ending at the epoch".into(),
+                makespans: vec![(0, 0), (1, 0)],
+                waits: vec![
+                    w(0, WaitKind::LateSender, 0, 0, Some(1)),
+                    w(1, WaitKind::Barrier, 0, 0, None),
+                    w(0, WaitKind::Barrier, 0, 0, None),
+                ],
+            },
+            Case {
+                name: "the bounding rank recorded no waits".into(),
+                makespans: vec![(0, 10), (99, u64::MAX)],
+                waits: some_waits,
+            },
+            Case {
+                name: "a rank that only blames itself".into(),
+                makespans: vec![(3, 10_000)],
+                waits: (1..=300)
+                    .map(|k| w(3, pick(&mut rng, &KINDS), 30 * k - 20, 30 * k, Some(3)))
+                    .collect(),
+            },
+            Case {
+                name: "one barrier, every arrival tied".into(),
+                makespans: (0..12).map(|r| (r, 1000 + (r as u64 % 3))).collect(),
+                waits: (0..12)
+                    .flat_map(|r| {
+                        let b = w(r, WaitKind::Barrier, 400 + 100 * (r as u64 % 2), 900, None);
+                        [b.clone(), b]
+                    })
+                    .collect(),
+            },
+            Case {
+                name: "zero-length barrier waits revisit their group".into(),
+                makespans: vec![(0, 50), (1, 50), (2, 50)],
+                waits: (0..90)
+                    .map(|k| w(k % 3, WaitKind::Barrier, 50, 50, None))
+                    .collect(),
+            },
+            Case {
+                name: "mutual waits at one instant".into(),
+                makespans: vec![(0, 100), (1, 100)],
+                waits: (0..400)
+                    .map(|k| w(k % 2, WaitKind::LateSender, 50, 100, Some(1 - k % 2)))
+                    .collect(),
+            },
+        ];
+        let (digest, walked) = check("edges", seed, cases);
+        pin("edges", seed, digest, &walked);
+    }
 }
 
 #[test]
 fn small_random_graphs_match_the_reference() {
-    let mut rng = SplitMix64::new(seed() ^ 0x5A11);
-    let cases = (0..400)
-        .map(|i| {
-            let max = pick(&mut rng, &[4, 40, 400, 1_500]);
-            random_case(
-                &mut rng,
-                format!("#{i} (at most {max} waits)"),
-                max,
-                i % 8 == 0,
-            )
-        })
-        .collect();
-    let (digest, walked) = check("small", cases);
-    if seed() == DEFAULT_SEED {
-        assert!(walked.hops > 15_000, "{walked:?}");
-        assert!(walked.rank_changes > 4_000, "{walked:?}");
-        assert!(walked.barrier_hops > 2_000, "{walked:?}");
+    for seed in SEEDS {
+        println!("cell seed {seed}");
+        let mut rng = SplitMix64::new(seed ^ 0x5A11);
+        let cases = (0..400)
+            .map(|i| {
+                let max = pick(&mut rng, &[4, 40, 400, 1_500]);
+                random_case(
+                    &mut rng,
+                    format!("#{i} (at most {max} waits)"),
+                    max,
+                    i % 8 == 0,
+                )
+            })
+            .collect();
+        let (digest, walked) = check("small", seed, cases);
+        if seed == DEFAULT_SEED {
+            assert!(walked.hops > 15_000, "{walked:?}");
+            assert!(walked.rank_changes > 4_000, "{walked:?}");
+            assert!(walked.barrier_hops > 2_000, "{walked:?}");
+        }
+        pin("small", seed, digest, &walked);
     }
-    pin("small", digest, &walked);
 }
 
 #[test]
 fn large_random_graphs_match_the_reference() {
-    let mut rng = SplitMix64::new(seed() ^ 0x1A26E);
-    let cases = (0..12)
-        .map(|i| {
-            let max = if i < 3 { 20_000 } else { 8_000 };
-            random_case(
-                &mut rng,
-                format!("#{i} (at most {max} waits)"),
-                max,
-                i % 3 == 0,
-            )
-        })
-        .collect();
-    let (digest, walked) = check("large", cases);
-    if seed() == DEFAULT_SEED {
-        assert!(walked.capped >= 2, "{walked:?}");
-        assert!(walked.barrier_hops > 1_000, "{walked:?}");
+    for seed in SEEDS {
+        println!("cell seed {seed}");
+        let mut rng = SplitMix64::new(seed ^ 0x1A26E);
+        let cases = (0..12)
+            .map(|i| {
+                let max = if i < 3 { 20_000 } else { 8_000 };
+                random_case(
+                    &mut rng,
+                    format!("#{i} (at most {max} waits)"),
+                    max,
+                    i % 3 == 0,
+                )
+            })
+            .collect();
+        let (digest, walked) = check("large", seed, cases);
+        if seed == DEFAULT_SEED {
+            assert!(walked.capped >= 2, "{walked:?}");
+            assert!(walked.barrier_hops > 1_000, "{walked:?}");
+        }
+        pin("large", seed, digest, &walked);
     }
-    pin("large", digest, &walked);
 }
 
 #[test]
 fn mutual_chains_run_into_the_hop_cap_like_the_reference() {
-    let mut rng = SplitMix64::new(seed() ^ 0xC4A1);
-    let cases = vec![
-        // Two hops per wait: 2 048 waits fill the cap.
-        mutual_chain(&mut rng, "busy gaps", 2_200, 150, false),
-        mutual_chain(&mut rng, "back to back", 5_000, 0, false),
-        mutual_chain(&mut rng, "busy gaps, salted", 3_000, 90, true),
-        mutual_chain(&mut rng, "back to back, salted", 14_000, 0, true),
-        // Short of the cap: the walk reaches the epoch.
-        mutual_chain(&mut rng, "busy gaps, short", 1_900, 150, false),
-    ];
-    let (digest, walked) = check("chains", cases);
-    assert_eq!(walked.capped, 4, "{walked:?}");
-    pin("chains", digest, &walked);
+    for seed in SEEDS {
+        println!("cell seed {seed}");
+        let mut rng = SplitMix64::new(seed ^ 0xC4A1);
+        let cases = vec![
+            // Two hops per wait: 2 048 waits fill the cap.
+            mutual_chain(&mut rng, "busy gaps", 2_200, 150, false),
+            mutual_chain(&mut rng, "back to back", 5_000, 0, false),
+            mutual_chain(&mut rng, "busy gaps, salted", 3_000, 90, true),
+            mutual_chain(&mut rng, "back to back, salted", 14_000, 0, true),
+            // Short of the cap: the walk reaches the epoch.
+            mutual_chain(&mut rng, "busy gaps, short", 1_900, 150, false),
+        ];
+        let (digest, walked) = check("chains", seed, cases);
+        assert_eq!(walked.capped, 4, "{walked:?}");
+        pin("chains", seed, digest, &walked);
+    }
 }
 
 /// A run as its recorder sees it: per rank, the `attrib::wait` calls the
@@ -731,89 +737,92 @@ fn record(run: &Recorded) -> Profile {
 
 #[test]
 fn waits_recorded_through_lanes_give_the_reference_path_and_sums() {
-    let mut rng = SplitMix64::new(seed() ^ 0x002E_C02D);
-    let mut runs: Vec<Recorded> = (0..60)
-        .map(|i| {
-            let ranks = pick(&mut rng, &[1, 2, 3, 5, 8]);
-            let steps = pick(&mut rng, &[0, 10, 200, 2_000]);
-            recorded_run(
-                &mut rng,
-                format!("#{i} ({ranks} ranks)"),
-                ranks,
-                steps,
-                true,
-            )
-        })
-        .collect();
-    // Long enough for the walk to run into the hop cap.
-    runs.push(recorded_run(
-        &mut rng,
-        "long, 2 ranks".into(),
-        2,
-        12_000,
-        false,
-    ));
-
-    let mut digest = 0xcbf2_9ce4_8422_2325;
-    let mut walked = Walked::default();
-    for run in &runs {
-        let kept: Vec<WaitEvent> = run
-            .lanes
-            .iter()
-            .flatten()
-            .filter(|w| w.end_ps > w.start_ps)
-            .cloned()
+    for seed in SEEDS {
+        println!("cell seed {seed}");
+        let mut rng = SplitMix64::new(seed ^ 0x002E_C02D);
+        let mut runs: Vec<Recorded> = (0..60)
+            .map(|i| {
+                let ranks = pick(&mut rng, &[1, 2, 3, 5, 8]);
+                let steps = pick(&mut rng, &[0, 10, 200, 2_000]);
+                recorded_run(
+                    &mut rng,
+                    format!("#{i} ({ranks} ranks)"),
+                    ranks,
+                    steps,
+                    true,
+                )
+            })
             .collect();
-        let profile = record(run);
-        let want = reference_extract(&run.makespans, &kept);
-        let got = parts(profile.critical_path.clone());
-        assert!(
-            got == want,
-            "recorded/{} (CRITPATH_SEED={}): the recorder's path differs from the reference walk \
+        // Long enough for the walk to run into the hop cap.
+        runs.push(recorded_run(
+            &mut rng,
+            "long, 2 ranks".into(),
+            2,
+            12_000,
+            false,
+        ));
+
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        let mut walked = Walked::default();
+        for run in &runs {
+            let kept: Vec<WaitEvent> = run
+                .lanes
+                .iter()
+                .flatten()
+                .filter(|w| w.end_ps > w.start_ps)
+                .cloned()
+                .collect();
+            let profile = record(run);
+            let want = reference_extract(&run.makespans, &kept);
+            let got = parts(profile.critical_path.clone());
+            assert!(
+                got == want,
+                "recorded/{} (seed {}): the recorder's path differs from the reference walk \
              (hops {} / {}, first differing hop {:?})",
-            run.name,
-            seed(),
-            got.2.len(),
-            want.2.len(),
-            got.2.iter().zip(&want.2).position(|(a, b)| a != b),
-        );
-
-        let mut sums: BTreeMap<u32, [u64; WAIT_KIND_COUNT]> = BTreeMap::new();
-        for w in &kept {
-            sums.entry(w.rank).or_default()[w.kind as usize] += w.dur_ps();
-        }
-        for p in &profile.ranks {
-            let want = sums.remove(&p.rank).unwrap_or_default();
-            assert_eq!(
-                p.wait_ps, want,
-                "recorded/{}: rank {}'s wait breakdown",
-                run.name, p.rank
+                run.name,
+                seed,
+                got.2.len(),
+                want.2.len(),
+                got.2.iter().zip(&want.2).position(|(a, b)| a != b),
             );
-            for &ps in &p.wait_ps {
-                fold(&mut digest, ps);
-            }
-        }
-        assert!(
-            sums.is_empty(),
-            "recorded/{}: ranks missing from the profile: {sums:?}",
-            run.name
-        );
 
-        let hops = &want.2;
-        walked.cases += 1;
-        walked.hops += hops.len();
-        walked.capped += (hops.len() >= MAX_HOPS) as usize;
-        walked.rank_changes += hops.windows(2).filter(|w| w[0].rank != w[1].rank).count();
-        walked.barrier_hops += hops
-            .iter()
-            .filter(|h| h.wait == Some(WaitKind::Barrier) && h.peer.is_none())
-            .count();
-        fold_parts(&mut digest, &want);
+            let mut sums: BTreeMap<u32, [u64; WAIT_KIND_COUNT]> = BTreeMap::new();
+            for w in &kept {
+                sums.entry(w.rank).or_default()[w.kind as usize] += w.dur_ps();
+            }
+            for p in &profile.ranks {
+                let want = sums.remove(&p.rank).unwrap_or_default();
+                assert_eq!(
+                    p.wait_ps, want,
+                    "recorded/{}: rank {}'s wait breakdown",
+                    run.name, p.rank
+                );
+                for &ps in &p.wait_ps {
+                    fold(&mut digest, ps);
+                }
+            }
+            assert!(
+                sums.is_empty(),
+                "recorded/{}: ranks missing from the profile: {sums:?}",
+                run.name
+            );
+
+            let hops = &want.2;
+            walked.cases += 1;
+            walked.hops += hops.len();
+            walked.capped += (hops.len() >= MAX_HOPS) as usize;
+            walked.rank_changes += hops.windows(2).filter(|w| w[0].rank != w[1].rank).count();
+            walked.barrier_hops += hops
+                .iter()
+                .filter(|h| h.wait == Some(WaitKind::Barrier) && h.peer.is_none())
+                .count();
+            fold_parts(&mut digest, &want);
+        }
+        if seed == DEFAULT_SEED {
+            assert!(walked.capped >= 1, "{walked:?}");
+            assert!(walked.barrier_hops > 100, "{walked:?}");
+            assert!(walked.rank_changes > 1_000, "{walked:?}");
+        }
+        pin("recorded", seed, digest, &walked);
     }
-    if seed() == DEFAULT_SEED {
-        assert!(walked.capped >= 1, "{walked:?}");
-        assert!(walked.barrier_hops > 100, "{walked:?}");
-        assert!(walked.rank_changes > 1_000, "{walked:?}");
-    }
-    pin("recorded", digest, &walked);
 }

@@ -10,10 +10,10 @@
 //! at barrier-separated points) with `error_rate == 0`: random injection
 //! draws from one shared RNG whose interleaving across rank threads is not
 //! deterministic, while admin faults are. Silent corruption is the one
-//! exception — its per-pair RNG streams are deterministic — so CI also
-//! runs this binary with `CHAOS_CORRUPT_RATE` set, layering bit flips and
-//! dropped stores under `EndToEnd` integrity on top of every admin
-//! schedule; all the bit-perfect assertions must keep holding.
+//! exception — its per-pair RNG streams are deterministic — so one cell
+//! of [`CELLS`] layers bit flips and dropped stores under `EndToEnd`
+//! integrity on top of every admin schedule; all the bit-perfect
+//! assertions must keep holding.
 
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::LinkId;
@@ -23,12 +23,49 @@ use scimpi::{
 };
 use simclock::SimDuration;
 
-/// CI sweeps `CHAOS_SEED` to exercise the fault schedules under several
-/// RNG streams; the scenarios themselves are seed-independent. When
-/// `CHAOS_CORRUPT_RATE` is set, silent bit flips (plus dropped stores at a
-/// quarter of the rate) ride under `EndToEnd` integrity, so every
-/// bit-perfect assertion doubles as a corruption-recovery check.
-fn chaos_spec() -> ClusterSpec {
+/// One run configuration of the suite: the cluster seed, and the silent
+/// corruption rate (0 for none).
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    seed: u64,
+    corrupt_rate: f64,
+}
+
+const fn seed(seed: u64) -> Cell {
+    Cell {
+        seed,
+        corrupt_rate: 0.0,
+    }
+}
+
+/// Every test runs once per cell: the fault schedules under several RNG
+/// streams (the scenarios themselves are seed-independent), and one cell
+/// with silent bit flips (plus dropped stores at a quarter of the rate)
+/// under `EndToEnd` integrity, so every bit-perfect assertion doubles as
+/// a corruption-recovery check.
+const CELLS: [Cell; 7] = [
+    seed(0xC0FFEE),
+    seed(1),
+    seed(7),
+    seed(42),
+    seed(1234),
+    seed(20020415),
+    Cell {
+        seed: 99,
+        corrupt_rate: 1e-4,
+    },
+];
+
+/// Run `test` once per cell of [`CELLS`]; a red cell is the last one
+/// printed before the failure.
+fn each_cell(test: impl Fn(Cell)) {
+    for cell in CELLS {
+        println!("cell {cell:?}");
+        test(cell);
+    }
+}
+
+fn chaos_spec(cell: Cell) -> ClusterSpec {
     // The dying-collective scenarios assert rank-by-rank outcomes against
     // the naive schedules, so pin the algorithm rather than letting the
     // engine's Auto selection reshape who talks to whom.
@@ -36,14 +73,12 @@ fn chaos_spec() -> ClusterSpec {
         collective_algo: CollectiveAlgo::Naive,
         ..Tuning::default()
     };
-    let mut spec = ClusterSpec::multi_ring(2, 4).errors(ErrorMode::ErrorsReturn);
-    if let Ok(seed) = std::env::var("CHAOS_SEED") {
-        spec.seed = seed.parse().expect("CHAOS_SEED must be an integer");
-    }
-    if let Ok(rate) = std::env::var("CHAOS_CORRUPT_RATE") {
-        let rate: f64 = rate.parse().expect("CHAOS_CORRUPT_RATE must be a float");
-        spec.faults.corrupt_rate = rate;
-        spec.faults.drop_rate = rate / 4.0;
+    let mut spec = ClusterSpec::multi_ring(2, 4)
+        .errors(ErrorMode::ErrorsReturn)
+        .seed(cell.seed);
+    if cell.corrupt_rate > 0.0 {
+        spec.faults.corrupt_rate = cell.corrupt_rate;
+        spec.faults.drop_rate = cell.corrupt_rate / 4.0;
         tuning.integrity_mode = IntegrityMode::EndToEnd;
         tuning.max_retransmits = 64;
     }
@@ -54,70 +89,74 @@ fn chaos_spec() -> ClusterSpec {
 /// traffic over the alternate ring direction, bit-perfectly.
 #[test]
 fn link_failure_reroutes_rendezvous_traffic() {
-    let payload: Vec<u8> = (0..200_000).map(|i| (i * 37) as u8).collect();
-    let expect = payload.clone();
-    let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    let (_, report) = run_report(spec, move |r| {
-        // Sever node1→node2, the middle of the primary route 0→2.
-        if r.rank() == 0 {
-            r.fabric().faults().fail_link(LinkId(1));
-        }
-        r.barrier();
-        if r.rank() == 0 {
-            r.send(2, 7, &payload)
-                .expect("failover should absorb the cable pull");
-        } else if r.rank() == 2 {
-            let mut buf = vec![0u8; 200_000];
-            let st = r
-                .recv(Source::Rank(0), TagSel::Value(7), &mut buf)
-                .expect("delivery over the alternate route");
-            assert_eq!(st.len, 200_000);
-            assert_eq!(buf, expect, "payload must be bit-perfect after reroute");
-        }
-        r.barrier();
-        if r.rank() == 0 {
-            r.fabric().faults().restore_link(LinkId(1));
-        }
-        r.barrier();
+    each_cell(|cell| {
+        let payload: Vec<u8> = (0..200_000).map(|i| (i * 37) as u8).collect();
+        let expect = payload.clone();
+        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+        let (_, report) = run_report(spec, move |r| {
+            // Sever node1→node2, the middle of the primary route 0→2.
+            if r.rank() == 0 {
+                r.fabric().faults().fail_link(LinkId(1));
+            }
+            r.barrier();
+            if r.rank() == 0 {
+                r.send(2, 7, &payload)
+                    .expect("failover should absorb the cable pull");
+            } else if r.rank() == 2 {
+                let mut buf = vec![0u8; 200_000];
+                let st = r
+                    .recv(Source::Rank(0), TagSel::Value(7), &mut buf)
+                    .expect("delivery over the alternate route");
+                assert_eq!(st.len, 200_000);
+                assert_eq!(buf, expect, "payload must be bit-perfect after reroute");
+            }
+            r.barrier();
+            if r.rank() == 0 {
+                r.fabric().faults().restore_link(LinkId(1));
+            }
+            r.barrier();
+        });
+        assert!(
+            report.counters[obs::Counter::RouteFailovers] > 0,
+            "the reroute must be visible in the failover counter"
+        );
     });
-    assert!(
-        report.counters[obs::Counter::RouteFailovers] > 0,
-        "the reroute must be visible in the failover counter"
-    );
 }
 
 /// A persistent one-sided window stream fails over when the cable is
 /// pulled and heals back to the primary route once it is restored.
 #[test]
 fn window_stream_fails_over_and_heals() {
-    let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    let (_, report) = run_report(spec, move |r| {
-        let mem = r.alloc_mem(1 << 16).unwrap();
-        let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
-        win.fence(r).unwrap();
-        if r.rank() == 0 {
-            r.fabric().faults().fail_link(LinkId(1));
-            // First put rides the alternate (degraded) route.
-            win.put(r, 2, 0, &[0xAA; 4096]).expect("failover");
-            r.fabric().faults().restore_link(LinkId(1));
-            // The stream notices the healthy primary and switches back.
-            win.put(r, 2, 4096, &[0xBB; 4096]).expect("healed");
-        }
-        win.fence(r).unwrap();
-        if r.rank() == 2 {
-            let mut buf = vec![0u8; 4096];
-            win.read_local(r, 0, &mut buf);
-            assert!(buf.iter().all(|&b| b == 0xAA), "degraded-route put landed");
-            win.read_local(r, 4096, &mut buf);
-            assert!(buf.iter().all(|&b| b == 0xBB), "post-heal put landed");
-        }
-        win.fence(r).unwrap();
+    each_cell(|cell| {
+        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+        let (_, report) = run_report(spec, move |r| {
+            let mem = r.alloc_mem(1 << 16).unwrap();
+            let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
+            win.fence(r).unwrap();
+            if r.rank() == 0 {
+                r.fabric().faults().fail_link(LinkId(1));
+                // First put rides the alternate (degraded) route.
+                win.put(r, 2, 0, &[0xAA; 4096]).expect("failover");
+                r.fabric().faults().restore_link(LinkId(1));
+                // The stream notices the healthy primary and switches back.
+                win.put(r, 2, 4096, &[0xBB; 4096]).expect("healed");
+            }
+            win.fence(r).unwrap();
+            if r.rank() == 2 {
+                let mut buf = vec![0u8; 4096];
+                win.read_local(r, 0, &mut buf);
+                assert!(buf.iter().all(|&b| b == 0xAA), "degraded-route put landed");
+                win.read_local(r, 4096, &mut buf);
+                assert!(buf.iter().all(|&b| b == 0xBB), "post-heal put landed");
+            }
+            win.fence(r).unwrap();
+        });
+        assert!(report.counters[obs::Counter::RouteFailovers] > 0);
+        assert!(
+            report.counters[obs::Counter::RouteHeals] > 0,
+            "restoring the link must heal the stream back to the primary route"
+        );
     });
-    assert!(report.counters[obs::Counter::RouteFailovers] > 0);
-    assert!(
-        report.counters[obs::Counter::RouteHeals] > 0,
-        "restoring the link must heal the stream back to the primary route"
-    );
 }
 
 /// With both ring directions severed the direct one-sided path is
@@ -125,173 +164,179 @@ fn window_stream_fails_over_and_heals() {
 /// delivering, and re-promotes at the fence after the links come back.
 #[test]
 fn one_sided_falls_back_to_emulation_and_repromotes() {
-    let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    let (_, report) = run_report(spec, move |r| {
-        let mem = r.alloc_mem(1 << 16).unwrap();
-        let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
-        win.fence(r).unwrap();
-        if r.rank() == 0 {
-            // Primary 0→2 is [0,1]; the alternate rides [3,2]. Severing
-            // one link of each leaves no direct route at all.
-            r.fabric().faults().fail_link(LinkId(1));
-            r.fabric().faults().fail_link(LinkId(2));
-            // Default threshold is 2 consecutive failures: the first put
-            // errors out, the retry demotes the target and is served by
-            // the emulation path.
-            let first = win.put(r, 2, 0, &[0x11; 2048]);
-            assert!(first.is_err(), "no route: first direct put must fail");
-            win.put(r, 2, 0, &[0x22; 2048])
-                .expect("fallback must serve the retry via emulation");
-            // Still under fallback: a get is emulated, not direct.
-            let mut back = [0u8; 16];
-            win.get(r, 2, 0, &mut back).expect("emulated get");
-            assert_eq!(back, [0x22; 16]);
-            r.fabric().faults().restore_link(LinkId(1));
-            r.fabric().faults().restore_link(LinkId(2));
-        }
-        win.fence(r).unwrap(); // fence probes the healed primary and re-promotes
-        if r.rank() == 0 {
-            win.put(r, 2, 4096, &[0x33; 64]).expect("direct again");
-        }
-        win.fence(r).unwrap();
-        if r.rank() == 2 {
-            let mut buf = [0u8; 64];
-            win.read_local(r, 0, &mut buf[..16]);
-            assert_eq!(&buf[..16], &[0x22; 16]);
-            win.read_local(r, 4096, &mut buf);
-            assert_eq!(buf, [0x33; 64]);
-        }
-        win.fence(r).unwrap();
+    each_cell(|cell| {
+        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+        let (_, report) = run_report(spec, move |r| {
+            let mem = r.alloc_mem(1 << 16).unwrap();
+            let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
+            win.fence(r).unwrap();
+            if r.rank() == 0 {
+                // Primary 0→2 is [0,1]; the alternate rides [3,2]. Severing
+                // one link of each leaves no direct route at all.
+                r.fabric().faults().fail_link(LinkId(1));
+                r.fabric().faults().fail_link(LinkId(2));
+                // Default threshold is 2 consecutive failures: the first put
+                // errors out, the retry demotes the target and is served by
+                // the emulation path.
+                let first = win.put(r, 2, 0, &[0x11; 2048]);
+                assert!(first.is_err(), "no route: first direct put must fail");
+                win.put(r, 2, 0, &[0x22; 2048])
+                    .expect("fallback must serve the retry via emulation");
+                // Still under fallback: a get is emulated, not direct.
+                let mut back = [0u8; 16];
+                win.get(r, 2, 0, &mut back).expect("emulated get");
+                assert_eq!(back, [0x22; 16]);
+                r.fabric().faults().restore_link(LinkId(1));
+                r.fabric().faults().restore_link(LinkId(2));
+            }
+            win.fence(r).unwrap(); // fence probes the healed primary and re-promotes
+            if r.rank() == 0 {
+                win.put(r, 2, 4096, &[0x33; 64]).expect("direct again");
+            }
+            win.fence(r).unwrap();
+            if r.rank() == 2 {
+                let mut buf = [0u8; 64];
+                win.read_local(r, 0, &mut buf[..16]);
+                assert_eq!(&buf[..16], &[0x22; 16]);
+                win.read_local(r, 4096, &mut buf);
+                assert_eq!(buf, [0x33; 64]);
+            }
+            win.fence(r).unwrap();
+        });
+        assert!(
+            report.counters[obs::Counter::OscFallbacks] > 0,
+            "the demotion must be counted"
+        );
+        assert!(
+            report.counters[obs::Counter::OscRepromotions] > 0,
+            "the fence-time probe must re-promote the healed target"
+        );
     });
-    assert!(
-        report.counters[obs::Counter::OscFallbacks] > 0,
-        "the demotion must be counted"
-    );
-    assert!(
-        report.counters[obs::Counter::OscRepromotions] > 0,
-        "the fence-time probe must re-promote the healed target"
-    );
 }
 
 /// Sustained one-sided traffic over the *emulated* path: with both ring
 /// directions severed, a multi-round put/get/accumulate/typed-put sweep
 /// keeps delivering bit-perfect data via control-message emulation, then
-/// re-promotes once the cables are back. CI also runs this binary under
-/// `CHAOS_CORRUPT_RATE`, layering silent corruption (absorbed by
-/// `EndToEnd` retransmission) on top of the severed-route emulation.
+/// re-promotes once the cables are back. The corrupting cell layers
+/// silent corruption (absorbed by `EndToEnd` retransmission) on top of
+/// the severed-route emulation.
 #[test]
 fn emulated_one_sided_sweep_under_link_failure() {
-    let spec = chaos_spec().obs(obs::ObsConfig::enabled());
-    let (_, report) = run_report(spec, move |r| {
-        let mem = r.alloc_mem(1 << 16).unwrap();
-        let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
-        win.fence(r).unwrap();
-        if r.rank() == 0 {
-            // No direct route 0→2 at all (see the fallback test above).
-            r.fabric().faults().fail_link(LinkId(1));
-            r.fabric().faults().fail_link(LinkId(2));
-            let first = win.put(r, 2, 0, &[0x01; 512]);
-            assert!(first.is_err(), "no route: first direct put must fail");
-            win.put(r, 2, 0, &[0x01; 512]).expect("demoted retry");
-            // Multi-round emulated put/get round trips, each bit-checked.
-            for round in 0..4usize {
-                let off = round * 4096;
-                let pattern: Vec<u8> = (0..2048)
-                    .map(|i: usize| (i * 13 + round * 7) as u8)
-                    .collect();
-                win.put(r, 2, off, &pattern).expect("emulated put");
-                let mut back = vec![0u8; 2048];
-                win.get(r, 2, off, &mut back).expect("emulated get");
-                assert_eq!(back, pattern, "round {round}: emulated round trip");
+    each_cell(|cell| {
+        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+        let (_, report) = run_report(spec, move |r| {
+            let mem = r.alloc_mem(1 << 16).unwrap();
+            let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
+            win.fence(r).unwrap();
+            if r.rank() == 0 {
+                // No direct route 0→2 at all (see the fallback test above).
+                r.fabric().faults().fail_link(LinkId(1));
+                r.fabric().faults().fail_link(LinkId(2));
+                let first = win.put(r, 2, 0, &[0x01; 512]);
+                assert!(first.is_err(), "no route: first direct put must fail");
+                win.put(r, 2, 0, &[0x01; 512]).expect("demoted retry");
+                // Multi-round emulated put/get round trips, each bit-checked.
+                for round in 0..4usize {
+                    let off = round * 4096;
+                    let pattern: Vec<u8> = (0..2048)
+                        .map(|i: usize| (i * 13 + round * 7) as u8)
+                        .collect();
+                    win.put(r, 2, off, &pattern).expect("emulated put");
+                    let mut back = vec![0u8; 2048];
+                    win.get(r, 2, off, &mut back).expect("emulated get");
+                    assert_eq!(back, pattern, "round {round}: emulated round trip");
+                }
+                // Emulated read-modify-write: ordered accumulates in one epoch.
+                let ones: Vec<u8> = (0..8).flat_map(|_| 1i64.to_le_bytes()).collect();
+                win.accumulate(r, 2, 16384, AccumulateOp::Replace, &[0u8; 64])
+                    .expect("emulated replace");
+                win.accumulate(r, 2, 16384, AccumulateOp::SumI64, &ones)
+                    .expect("emulated sum");
+                win.accumulate(r, 2, 16384, AccumulateOp::SumI64, &ones)
+                    .expect("emulated sum");
+                // Emulated non-contiguous put: strided doubles.
+                let dt = Datatype::vector(4, 1, 2, &Datatype::double());
+                let c = Committed::commit(&dt);
+                let src: Vec<u8> = (0..c.extent()).map(|i| (i + 1) as u8).collect();
+                win.put_typed(r, 2, 20480, &c, 1, &src, 0)
+                    .expect("emulated typed put");
+                r.fabric().faults().restore_link(LinkId(1));
+                r.fabric().faults().restore_link(LinkId(2));
             }
-            // Emulated read-modify-write: ordered accumulates in one epoch.
-            let ones: Vec<u8> = (0..8).flat_map(|_| 1i64.to_le_bytes()).collect();
-            win.accumulate(r, 2, 16384, AccumulateOp::Replace, &[0u8; 64])
-                .expect("emulated replace");
-            win.accumulate(r, 2, 16384, AccumulateOp::SumI64, &ones)
-                .expect("emulated sum");
-            win.accumulate(r, 2, 16384, AccumulateOp::SumI64, &ones)
-                .expect("emulated sum");
-            // Emulated non-contiguous put: strided doubles.
-            let dt = Datatype::vector(4, 1, 2, &Datatype::double());
-            let c = Committed::commit(&dt);
-            let src: Vec<u8> = (0..c.extent()).map(|i| (i + 1) as u8).collect();
-            win.put_typed(r, 2, 20480, &c, 1, &src, 0)
-                .expect("emulated typed put");
-            r.fabric().faults().restore_link(LinkId(1));
-            r.fabric().faults().restore_link(LinkId(2));
-        }
-        win.fence(r).unwrap(); // fence probes the healed primary and re-promotes
-        if r.rank() == 0 {
-            win.put(r, 2, 24576, &[0x44; 64]).expect("direct again");
-        }
-        win.fence(r).unwrap();
-        if r.rank() == 2 {
-            for round in 0..4usize {
-                let off = round * 4096;
-                let expect: Vec<u8> = (0..2048)
-                    .map(|i: usize| (i * 13 + round * 7) as u8)
-                    .collect();
-                let mut buf = vec![0u8; 2048];
-                win.read_local(r, off, &mut buf);
-                assert_eq!(buf, expect, "round {round}: put landed in backing memory");
+            win.fence(r).unwrap(); // fence probes the healed primary and re-promotes
+            if r.rank() == 0 {
+                win.put(r, 2, 24576, &[0x44; 64]).expect("direct again");
             }
-            let mut acc = [0u8; 64];
-            win.read_local(r, 16384, &mut acc);
-            for (i, chunk) in acc.chunks(8).enumerate() {
-                assert_eq!(
-                    i64::from_le_bytes(chunk.try_into().unwrap()),
-                    2,
-                    "accumulate word {i}"
-                );
+            win.fence(r).unwrap();
+            if r.rank() == 2 {
+                for round in 0..4usize {
+                    let off = round * 4096;
+                    let expect: Vec<u8> = (0..2048)
+                        .map(|i: usize| (i * 13 + round * 7) as u8)
+                        .collect();
+                    let mut buf = vec![0u8; 2048];
+                    win.read_local(r, off, &mut buf);
+                    assert_eq!(buf, expect, "round {round}: put landed in backing memory");
+                }
+                let mut acc = [0u8; 64];
+                win.read_local(r, 16384, &mut acc);
+                for (i, chunk) in acc.chunks(8).enumerate() {
+                    assert_eq!(
+                        i64::from_le_bytes(chunk.try_into().unwrap()),
+                        2,
+                        "accumulate word {i}"
+                    );
+                }
+                let mut typed = [0u8; 56];
+                win.read_local(r, 20480, &mut typed);
+                for blk in 0..4 {
+                    let at = blk * 16;
+                    let expect: Vec<u8> = (at..at + 8).map(|i| (i + 1) as u8).collect();
+                    assert_eq!(&typed[at..at + 8], &expect[..], "typed block {blk}");
+                }
+                let mut direct = [0u8; 64];
+                win.read_local(r, 24576, &mut direct);
+                assert_eq!(direct, [0x44; 64]);
             }
-            let mut typed = [0u8; 56];
-            win.read_local(r, 20480, &mut typed);
-            for blk in 0..4 {
-                let at = blk * 16;
-                let expect: Vec<u8> = (at..at + 8).map(|i| (i + 1) as u8).collect();
-                assert_eq!(&typed[at..at + 8], &expect[..], "typed block {blk}");
-            }
-            let mut direct = [0u8; 64];
-            win.read_local(r, 24576, &mut direct);
-            assert_eq!(direct, [0x44; 64]);
-        }
-        win.fence(r).unwrap();
+            win.fence(r).unwrap();
+        });
+        assert!(
+            report.counters[obs::Counter::OscFallbacks] > 0,
+            "the severed routes must demote the target"
+        );
+        assert!(
+            report.counters[obs::Counter::OscRepromotions] > 0,
+            "the healed fence must re-promote"
+        );
     });
-    assert!(
-        report.counters[obs::Counter::OscFallbacks] > 0,
-        "the severed routes must demote the target"
-    );
-    assert!(
-        report.counters[obs::Counter::OscRepromotions] > 0,
-        "the healed fence must re-promote"
-    );
 }
 
 /// A receive from a crashed peer returns `PeerDead` after exactly the
 /// deterministic timeout/backoff budget — no hang, no real-time dependence.
 #[test]
 fn dead_peer_is_detected_within_the_virtual_time_budget() {
-    let budget = death_delay();
-    run(chaos_spec(), move |r| {
-        r.barrier();
-        if r.rank() == 6 {
-            r.fabric().faults().kill_node(7);
-            let t0 = r.now();
-            let mut buf = [0u8; 8];
-            let err = r
-                .recv(Source::Rank(7), TagSel::Value(1), &mut buf)
-                .expect_err("rank 7 is dead and never sent");
-            assert_eq!(err, ScimpiError::PeerDead { peer: 7 });
-            assert_eq!(
-                r.now() - t0,
-                budget,
-                "the declared-dead wait must charge exactly the schedule"
-            );
-            r.fabric().faults().revive_node(7);
-        }
-        // Rank 7 idles (it crashed); everyone just meets at the barrier.
-        r.barrier();
+    each_cell(|cell| {
+        let budget = death_delay();
+        run(chaos_spec(cell), move |r| {
+            r.barrier();
+            if r.rank() == 6 {
+                r.fabric().faults().kill_node(7);
+                let t0 = r.now();
+                let mut buf = [0u8; 8];
+                let err = r
+                    .recv(Source::Rank(7), TagSel::Value(1), &mut buf)
+                    .expect_err("rank 7 is dead and never sent");
+                assert_eq!(err, ScimpiError::PeerDead { peer: 7 });
+                assert_eq!(
+                    r.now() - t0,
+                    budget,
+                    "the declared-dead wait must charge exactly the schedule"
+                );
+                r.fabric().faults().revive_node(7);
+            }
+            // Rank 7 idles (it crashed); everyone just meets at the barrier.
+            r.barrier();
+        });
     });
 }
 
@@ -299,43 +344,45 @@ fn dead_peer_is_detected_within_the_virtual_time_budget() {
 /// per-rank virtual times and payload digests across two same-seed runs.
 #[test]
 fn chaos_outcome_is_deterministic() {
-    let payload = vec![0x5A; 100_000];
-    let scenario = || {
-        run(chaos_spec(), |r| {
-            if r.rank() == 0 {
-                r.fabric().faults().fail_link(LinkId(1));
-            }
-            r.barrier();
-            let mut digest = 0u64;
-            if r.rank() == 0 {
-                r.send(2, 7, &payload).expect("failover");
-            } else if r.rank() == 2 {
-                let mut buf = vec![0u8; 100_000];
-                r.recv(Source::Rank(0), TagSel::Value(7), &mut buf)
-                    .expect("delivery");
-                digest = buf.iter().map(|&b| u64::from(b)).sum();
-            }
-            r.barrier();
-            if r.rank() == 0 {
-                r.fabric().faults().restore_link(LinkId(1));
-            }
-            r.barrier();
-            if r.rank() == 6 {
-                r.fabric().faults().kill_node(7);
-                let mut buf = [0u8; 8];
-                let err = r
-                    .recv(Source::Rank(7), TagSel::Value(1), &mut buf)
-                    .expect_err("dead peer");
-                assert_eq!(err, ScimpiError::PeerDead { peer: 7 });
-                r.fabric().faults().revive_node(7);
-            }
-            r.barrier();
-            (r.now(), digest)
-        })
-    };
-    let a = scenario();
-    let b = scenario();
-    assert_eq!(a, b, "same seed, same faults ⇒ same virtual-time outcome");
+    each_cell(|cell| {
+        let payload = vec![0x5A; 100_000];
+        let scenario = || {
+            run(chaos_spec(cell), |r| {
+                if r.rank() == 0 {
+                    r.fabric().faults().fail_link(LinkId(1));
+                }
+                r.barrier();
+                let mut digest = 0u64;
+                if r.rank() == 0 {
+                    r.send(2, 7, &payload).expect("failover");
+                } else if r.rank() == 2 {
+                    let mut buf = vec![0u8; 100_000];
+                    r.recv(Source::Rank(0), TagSel::Value(7), &mut buf)
+                        .expect("delivery");
+                    digest = buf.iter().map(|&b| u64::from(b)).sum();
+                }
+                r.barrier();
+                if r.rank() == 0 {
+                    r.fabric().faults().restore_link(LinkId(1));
+                }
+                r.barrier();
+                if r.rank() == 6 {
+                    r.fabric().faults().kill_node(7);
+                    let mut buf = [0u8; 8];
+                    let err = r
+                        .recv(Source::Rank(7), TagSel::Value(1), &mut buf)
+                        .expect_err("dead peer");
+                    assert_eq!(err, ScimpiError::PeerDead { peer: 7 });
+                    r.fabric().faults().revive_node(7);
+                }
+                r.barrier();
+                (r.now(), digest)
+            })
+        };
+        let a = scenario();
+        let b = scenario();
+        assert_eq!(a, b, "same seed, same faults ⇒ same virtual-time outcome");
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -367,12 +414,17 @@ const F64_RDV: usize = 20_000;
 ///
 /// Returns per-rank `(outcome, virtual elapsed since the barrier)`, the
 /// same from two same-seed runs.
-fn dying_collective<F>(victim: usize, revoker: usize, op: F) -> Vec<(String, SimDuration)>
+fn dying_collective<F>(
+    cell: Cell,
+    victim: usize,
+    revoker: usize,
+    op: F,
+) -> Vec<(String, SimDuration)>
 where
     F: Fn(&mut Rank) -> Result<(), ScimpiError> + Send + Sync,
 {
     let scenario = || {
-        run(chaos_spec(), |r| {
+        run(chaos_spec(cell), |r| {
             r.barrier();
             let t0 = r.now();
             if r.rank() == victim {
@@ -438,37 +490,39 @@ fn check_dying_outcomes(
 /// while the subtree served before the death completes bit-perfectly.
 #[test]
 fn dying_interior_rank_cuts_bcast_deterministically() {
-    let budget = death_delay();
-    // Binomial tree from root 0 over 8 ranks: 0→{4,2,1}, 2→3, 4→{6,5},
-    // 6→7, and the root sends highest-mask-first. Victim 2: rank 0 serves
-    // 4's subtree, then dies on the send to 2 (never reaching 1); rank 3
-    // dies on the recv from its parent 2.
-    let a = dying_collective(2, 3, |r| {
-        let mut buf = vec![0u8; RDV];
-        if r.rank() == 0 {
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = (i * 31) as u8;
+    each_cell(|cell| {
+        let budget = death_delay();
+        // Binomial tree from root 0 over 8 ranks: 0→{4,2,1}, 2→3, 4→{6,5},
+        // 6→7, and the root sends highest-mask-first. Victim 2: rank 0 serves
+        // 4's subtree, then dies on the send to 2 (never reaching 1); rank 3
+        // dies on the recv from its parent 2.
+        let a = dying_collective(cell, 2, 3, |r| {
+            let mut buf = vec![0u8; RDV];
+            if r.rank() == 0 {
+                for (i, b) in buf.iter_mut().enumerate() {
+                    *b = (i * 31) as u8;
+                }
             }
-        }
-        r.bcast(0, &mut buf)?;
-        for (i, b) in buf.iter().enumerate() {
-            assert_eq!(*b, (i * 31) as u8, "completed bcast must be bit-perfect");
-        }
-        Ok(())
+            r.bcast(0, &mut buf)?;
+            for (i, b) in buf.iter().enumerate() {
+                assert_eq!(*b, (i * 31) as u8, "completed bcast must be bit-perfect");
+            }
+            Ok(())
+        });
+        check_dying_outcomes(
+            "bcast",
+            2,
+            &["pd", "rev", "dead", "pd", "ok", "ok", "ok", "ok"],
+            &a,
+            budget,
+        );
+        // Rank 3's first action is the recv from its dead parent, so its
+        // clock charges exactly the death schedule — nothing more.
+        assert_eq!(
+            a[3].1, budget,
+            "child of the corpse pays exactly the schedule"
+        );
     });
-    check_dying_outcomes(
-        "bcast",
-        2,
-        &["pd", "rev", "dead", "pd", "ok", "ok", "ok", "ok"],
-        &a,
-        budget,
-    );
-    // Rank 3's first action is the recv from its dead parent, so its
-    // clock charges exactly the death schedule — nothing more.
-    assert_eq!(
-        a[3].1, budget,
-        "child of the corpse pays exactly the schedule"
-    );
 }
 
 /// All-reduce with the dying rank being the reduce root: every survivor
@@ -476,18 +530,20 @@ fn dying_interior_rank_cuts_bcast_deterministically() {
 /// rest finish the reduce but strand in the broadcast and get `Revoked`.
 #[test]
 fn dying_root_fails_allreduce_on_every_survivor() {
-    let budget = death_delay();
-    let a = dying_collective(0, 1, |r| {
-        let mut buf = vec![1.0f64; F64_RDV];
-        r.allreduce(&mut buf, ReduceOp::Sum)
+    each_cell(|cell| {
+        let budget = death_delay();
+        let a = dying_collective(cell, 0, 1, |r| {
+            let mut buf = vec![1.0f64; F64_RDV];
+            r.allreduce(&mut buf, ReduceOp::Sum)
+        });
+        check_dying_outcomes(
+            "allreduce",
+            0,
+            &["dead", "pd", "pd", "rev", "pd", "rev", "rev", "rev"],
+            &a,
+            budget,
+        );
     });
-    check_dying_outcomes(
-        "allreduce",
-        0,
-        &["dead", "pd", "pd", "rev", "pd", "rev", "rev", "rev"],
-        &a,
-        budget,
-    );
 }
 
 /// Gatherv with a dying contributor: the root collects the ranks before
@@ -496,18 +552,20 @@ fn dying_root_fails_allreduce_on_every_survivor() {
 /// the revocation instead of hanging on a live peer.
 #[test]
 fn dying_sender_mid_gather_strands_then_revokes() {
-    let budget = death_delay();
-    let a = dying_collective(3, 0, |r| {
-        let mine = vec![r.rank() as u8; RDV];
-        r.gatherv(0, &mine).map(|_| ())
+    each_cell(|cell| {
+        let budget = death_delay();
+        let a = dying_collective(cell, 3, 0, |r| {
+            let mine = vec![r.rank() as u8; RDV];
+            r.gatherv(0, &mine).map(|_| ())
+        });
+        check_dying_outcomes(
+            "gatherv",
+            3,
+            &["pd", "ok", "ok", "dead", "rev", "rev", "rev", "rev"],
+            &a,
+            budget,
+        );
     });
-    check_dying_outcomes(
-        "gatherv",
-        3,
-        &["pd", "ok", "ok", "dead", "rev", "rev", "rev", "rev"],
-        &a,
-        budget,
-    );
 }
 
 /// All-gather with a dying contributor: the gather phase dies at the
@@ -516,18 +574,20 @@ fn dying_sender_mid_gather_strands_then_revokes() {
 /// must be released by the revocation.
 #[test]
 fn dying_contributor_fails_allgather_everywhere() {
-    let budget = death_delay();
-    let a = dying_collective(5, 0, |r| {
-        let mine = vec![r.rank() as u8; RDV];
-        r.allgather(&mine).map(|_| ())
+    each_cell(|cell| {
+        let budget = death_delay();
+        let a = dying_collective(cell, 5, 0, |r| {
+            let mine = vec![r.rank() as u8; RDV];
+            r.allgather(&mine).map(|_| ())
+        });
+        check_dying_outcomes(
+            "allgather",
+            5,
+            &["pd", "rev", "rev", "rev", "rev", "dead", "rev", "rev"],
+            &a,
+            budget,
+        );
     });
-    check_dying_outcomes(
-        "allgather",
-        5,
-        &["pd", "rev", "rev", "rev", "rev", "dead", "rev", "rev"],
-        &a,
-        budget,
-    );
 }
 
 /// Prefix-sum chain with a dying middle link: ranks before the corpse
@@ -535,31 +595,33 @@ fn dying_contributor_fails_allgather_everywhere() {
 /// and the tail of the chain is stranded until the revocation.
 #[test]
 fn dying_link_in_scan_chain_splits_outcomes() {
-    let budget = death_delay();
-    let a = dying_collective(4, 5, |r| {
-        let me = r.rank();
-        let mut out = vec![1.0f64; F64_RDV];
-        r.scan(&mut out, ReduceOp::Sum)?;
-        assert_eq!(
-            out[0],
-            (me + 1) as f64,
-            "completed scan must hold the exact prefix"
+    each_cell(|cell| {
+        let budget = death_delay();
+        let a = dying_collective(cell, 4, 5, |r| {
+            let me = r.rank();
+            let mut out = vec![1.0f64; F64_RDV];
+            r.scan(&mut out, ReduceOp::Sum)?;
+            assert_eq!(
+                out[0],
+                (me + 1) as f64,
+                "completed scan must hold the exact prefix"
+            );
+            Ok(())
+        });
+        check_dying_outcomes(
+            "scan",
+            4,
+            &["ok", "ok", "ok", "pd", "dead", "pd", "rev", "rev"],
+            &a,
+            budget,
         );
-        Ok(())
+        // Rank 5's first action is the recv from its dead predecessor, so
+        // its clock charges exactly the death schedule.
+        assert_eq!(
+            a[5].1, budget,
+            "successor of the corpse pays exactly the schedule"
+        );
     });
-    check_dying_outcomes(
-        "scan",
-        4,
-        &["ok", "ok", "ok", "pd", "dead", "pd", "rev", "rev"],
-        &a,
-        budget,
-    );
-    // Rank 5's first action is the recv from its dead predecessor, so
-    // its clock charges exactly the death schedule.
-    assert_eq!(
-        a[5].1, budget,
-        "successor of the corpse pays exactly the schedule"
-    );
 }
 
 /// Pairwise all-to-all with a dying rank: each step's partner of the
@@ -567,17 +629,19 @@ fn dying_link_in_scan_chain_splits_outcomes() {
 /// step-partners aborted earlier are stranded until the revocation.
 #[test]
 fn dying_rank_aborts_alltoall_pairwise_exchange() {
-    let budget = death_delay();
-    let a = dying_collective(6, 5, |r| {
-        let me = r.rank();
-        let blocks: Vec<Vec<u8>> = (0..8).map(|d| vec![(me * 8 + d) as u8; RDV]).collect();
-        r.alltoall(&blocks).map(|_| ())
+    each_cell(|cell| {
+        let budget = death_delay();
+        let a = dying_collective(cell, 6, 5, |r| {
+            let me = r.rank();
+            let blocks: Vec<Vec<u8>> = (0..8).map(|d| vec![(me * 8 + d) as u8; RDV]).collect();
+            r.alltoall(&blocks).map(|_| ())
+        });
+        check_dying_outcomes(
+            "alltoall",
+            6,
+            &["pd", "rev", "rev", "rev", "pd", "pd", "dead", "pd"],
+            &a,
+            budget,
+        );
     });
-    check_dying_outcomes(
-        "alltoall",
-        6,
-        &["pd", "rev", "rev", "rev", "pd", "pd", "dead", "pd"],
-        &a,
-        budget,
-    );
 }

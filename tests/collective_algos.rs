@@ -12,7 +12,8 @@
 //! and finish time in picoseconds. At 20 000 B the broadcast, the
 //! recursive-doubling allreduce and the equal-block allgather and
 //! alltoall cross the eager threshold (16 KiB), so the rendezvous
-//! `sendrecv` is pinned too. The table holds under every `COLL_SEED`.
+//! `sendrecv` is pinned too. The fabric is healthy, so the seed draws
+//! nothing there and the table is run at the clusters' default seed.
 //!
 //! A second family kills one rank mid-allreduce and asserts the per-rank
 //! PeerDead/Revoked error-site map is a deterministic function of the
@@ -25,15 +26,6 @@ use sci_fabric::fnv1a;
 use scimpi::prelude::*;
 use scimpi::{death_delay, revoke, Tuning};
 use simclock::SimDuration;
-
-/// CI sweeps `COLL_SEED` to vary the fabric RNG streams; the
-/// equivalence property and the error-site determinism are
-/// seed-independent, so every seed must pass identically.
-fn env_seed() -> Option<u64> {
-    std::env::var("COLL_SEED")
-        .ok()
-        .map(|s| s.parse().expect("COLL_SEED must be an integer"))
-}
 
 /// All algorithm knobs the engine accepts, `Auto` included.
 const ALGOS: [CollectiveAlgo; 6] = [
@@ -142,16 +134,13 @@ const SIZES: [usize; 3] = [64, 8192, 20_000];
 /// check the runs against `recorded`: per size, one cell per algorithm
 /// in [`ALGOS`] order.
 fn equivalence(name: &str, base: fn() -> ClusterSpec, recorded: &[u64]) {
-    let seeded = |algo| {
-        let mut s = base().tuning(tuned(algo));
-        if let Some(seed) = env_seed() {
-            s.seed = seed;
-        }
-        s
-    };
     let mut table = golden::Table::default();
     for len in SIZES {
-        let run = |algo| scimpi::run(seeded(algo), move |r| (workload(r, len), r.now().as_ps()));
+        let run = |algo| {
+            scimpi::run(base().tuning(tuned(algo)), move |r| {
+                (workload(r, len), r.now().as_ps())
+            })
+        };
         let reference = run(CollectiveAlgo::Naive);
         for algo in ALGOS {
             let got = if algo == CollectiveAlgo::Naive {
@@ -274,7 +263,7 @@ fn dying_allreduce(algo: CollectiveAlgo, seed: u64) -> Vec<(String, SimDuration)
 
 /// Rank 2's death, per rank: the outcome of the allreduce and the
 /// virtual time (ps) it took. Naive, Ring and RecursiveDoubling, in that
-/// order; seeds 11 and 23 record the same map.
+/// order; every seed of [`DYING_SEEDS`] records the same map.
 const PD: &str = "PeerDead { peer: 2 }";
 const RV: &str = "Revoked";
 #[rustfmt::skip]
@@ -286,6 +275,10 @@ const ERROR_SITES: [[(&str, u64); 8]; 3] = [
     [(RV, 6_235_900_000), (RV, 6_235_900_000), ("dead", 0), (PD, 6_220_900_000),
      (RV, 6_225_900_000), (RV, 6_230_900_000), (RV, 6_230_900_000), (RV, 6_235_900_000)],
 ];
+
+/// The seeds the dying-rank test runs under: the seed moves the death
+/// schedule and the chaos determinism check.
+const DYING_SEEDS: [u64; 5] = [11, 23, 1, 42, 20020415];
 
 #[test]
 fn dying_rank_error_maps_are_deterministic_per_algorithm() {
@@ -301,18 +294,15 @@ fn dying_rank_error_maps_are_deterministic_per_algorithm() {
     .into_iter()
     .zip(ERROR_SITES)
     {
-        for seed in [11u64, env_seed().unwrap_or(23)] {
+        for seed in DYING_SEEDS {
             let a = dying_allreduce(algo, seed);
             let b = dying_allreduce(algo, seed);
             assert_eq!(a, b, "{algo:?} seed {seed}: error-site map must replay");
-            if seed == 11 || env_seed().is_none() {
-                let got: Vec<(&str, u64)> =
-                    a.iter().map(|(o, t)| (o.as_str(), t.as_ps())).collect();
-                assert_eq!(
-                    got, pinned,
-                    "{algo:?} seed {seed}: the recorded error-site map"
-                );
-            }
+            let got: Vec<(&str, u64)> = a.iter().map(|(o, t)| (o.as_str(), t.as_ps())).collect();
+            assert_eq!(
+                got, pinned,
+                "{algo:?} seed {seed}: the recorded error-site map"
+            );
             assert_eq!(a[2].0, "dead", "{algo:?}: victim records its death");
             let pd = format!("{:?}", ScimpiError::PeerDead { peer: 2 });
             let rv = format!("{:?}", ScimpiError::Revoked);

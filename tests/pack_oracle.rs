@@ -15,18 +15,22 @@
 //! the block-taking ones. A normal-form check holds every random `vector`
 //! and `indexed` against its byte-unit twin (`hvector` / `hindexed`).
 //!
-//! `PACK_ORACLE_SEED=<n>` re-seeds the random trees (CI runs three fixed
-//! seeds); the default seed is used otherwise.
+//! The random trees are drawn at every seed of [`SEEDS`].
 
 use mpi_datatype::{ff, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition, FlatLeaf};
 use simclock::SplitMix64;
 use std::ops::ControlFlow;
 
-fn oracle_seed() -> u64 {
-    std::env::var("PACK_ORACLE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0AC1E)
+/// The seeds every random-tree test runs at.
+const SEEDS: [u64; 4] = [0x0AC1E, 1, 42, 20260805];
+
+/// Run `test` once per seed of [`SEEDS`]; a red cell is the last one
+/// printed before the failure.
+fn each_seed(test: impl Fn(u64)) {
+    for seed in SEEDS {
+        println!("cell seed {seed}");
+        test(seed);
+    }
 }
 
 /// A random datatype tree of at most `depth` nested levels. Unlike the
@@ -158,15 +162,17 @@ fn assert_ff_matches_reference(dt: &Datatype, count: usize) {
 /// Differential oracle over fresh random trees.
 #[test]
 fn oracle_ff_equals_reference() {
-    let mut rng = SplitMix64::new(oracle_seed());
-    for _ in 0..300 {
-        let dt = random_datatype(&mut rng, 3);
-        let count = rng.next_range(1, 3) as usize;
-        assert_ff_matches_reference(&dt, count);
-        // A second commit of the identical tree (served from the layout
-        // memo) must behave identically too.
-        assert_ff_matches_reference(&dt, count);
-    }
+    each_seed(|seed| {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..300 {
+            let dt = random_datatype(&mut rng, 3);
+            let count = rng.next_range(1, 3) as usize;
+            assert_ff_matches_reference(&dt, count);
+            // A second commit of the identical tree (served from the layout
+            // memo) must behave identically too.
+            assert_ff_matches_reference(&dt, count);
+        }
+    });
 }
 
 /// What committing `dt` yields: its leaves, the flattening work it books,
@@ -186,45 +192,47 @@ fn commit_facts(dt: &Datatype) -> (Vec<FlatLeaf>, usize, u64) {
 /// layout cache keeps counting them as distinct types.
 #[test]
 fn vector_and_indexed_equal_their_byte_unit_twins() {
-    let mut rng = SplitMix64::new(oracle_seed());
-    let mut twins = Vec::new();
-    for _ in 0..300 {
-        random_datatype_with(&mut rng, 3, &mut twins);
-    }
-    assert!(twins.len() > 100, "only {} twins", twins.len());
-    let segments = |dt: &Datatype, count| {
-        let mut v = Vec::new();
-        let visits = tree::for_each_segment(dt, count, |d, l| {
-            v.push((d, l));
-            ControlFlow::Continue(())
-        });
-        (v, visits)
-    };
-    for (dt, bytes) in &twins {
-        assert_ne!(dt.signature(), bytes.signature(), "{dt}");
-        assert_eq!(
-            (dt.size(), dt.lb(), dt.ub(), dt.ordered_dense()),
-            (bytes.size(), bytes.lb(), bytes.ub(), bytes.ordered_dense()),
-            "bounds of {dt}"
-        );
-        assert_eq!(commit_facts(dt), commit_facts(bytes), "commit of {dt}");
-        let (c, cb) = (Committed::commit(dt), Committed::commit(bytes));
-        for count in 1..=3 {
-            assert_eq!(segments(dt, count), segments(bytes, count), "{dt} x{count}");
-            let src = source_buffer(dt, count);
-            let total = c.size() * count;
-            for (skip, max) in [(0, usize::MAX), (total / 3, total / 2 + 1)] {
-                let (mut a, mut b) = (ff::VecSink::default(), ff::VecSink::default());
-                let sa = ff::pack_ff(&c, count, &src, 0, skip, max, &mut a).unwrap();
-                let sb = ff::pack_ff(&cb, count, &src, 0, skip, max, &mut b).unwrap();
-                assert_eq!(
-                    (sa, &a.data),
-                    (sb, &b.data),
-                    "{dt} x{count} at ({skip}, {max})"
-                );
+    each_seed(|seed| {
+        let mut rng = SplitMix64::new(seed);
+        let mut twins = Vec::new();
+        for _ in 0..300 {
+            random_datatype_with(&mut rng, 3, &mut twins);
+        }
+        assert!(twins.len() > 100, "only {} twins", twins.len());
+        let segments = |dt: &Datatype, count| {
+            let mut v = Vec::new();
+            let visits = tree::for_each_segment(dt, count, |d, l| {
+                v.push((d, l));
+                ControlFlow::Continue(())
+            });
+            (v, visits)
+        };
+        for (dt, bytes) in &twins {
+            assert_ne!(dt.signature(), bytes.signature(), "{dt}");
+            assert_eq!(
+                (dt.size(), dt.lb(), dt.ub(), dt.ordered_dense()),
+                (bytes.size(), bytes.lb(), bytes.ub(), bytes.ordered_dense()),
+                "bounds of {dt}"
+            );
+            assert_eq!(commit_facts(dt), commit_facts(bytes), "commit of {dt}");
+            let (c, cb) = (Committed::commit(dt), Committed::commit(bytes));
+            for count in 1..=3 {
+                assert_eq!(segments(dt, count), segments(bytes, count), "{dt} x{count}");
+                let src = source_buffer(dt, count);
+                let total = c.size() * count;
+                for (skip, max) in [(0, usize::MAX), (total / 3, total / 2 + 1)] {
+                    let (mut a, mut b) = (ff::VecSink::default(), ff::VecSink::default());
+                    let sa = ff::pack_ff(&c, count, &src, 0, skip, max, &mut a).unwrap();
+                    let sb = ff::pack_ff(&cb, count, &src, 0, skip, max, &mut b).unwrap();
+                    assert_eq!(
+                        (sa, &a.data),
+                        (sb, &b.data),
+                        "{dt} x{count} at ({skip}, {max})"
+                    );
+                }
             }
         }
-    }
+    });
 }
 
 /// The datatype-gallery types: every committed shape the worked example
@@ -508,21 +516,23 @@ fn assert_segments_match_reference(dt: &Datatype, c: &Committed, count: usize) {
 
 #[test]
 fn run_segments_equal_the_reference_block_count() {
-    let mut rng = SplitMix64::new(oracle_seed());
-    let random = (0..300).map(|_| {
-        let dt = random_datatype(&mut rng, 3);
-        (dt, rng.next_range(1, 3) as usize)
+    each_seed(|seed| {
+        let mut rng = SplitMix64::new(seed);
+        let random = (0..300).map(|_| {
+            let dt = random_datatype(&mut rng, 3);
+            (dt, rng.next_range(1, 3) as usize)
+        });
+        // `count = 3` of a type that ends where its next instance begins: the
+        // junction between instances merges.
+        let abutting = Datatype::hindexed(&[(4, 8), (2, 20), (6, 26)], &Datatype::byte());
+        for (dt, count) in random
+            .chain(run_sweep_types())
+            .chain([(abutting, 3)])
+            .collect::<Vec<_>>()
+        {
+            assert_segments_match_reference(&dt, &Committed::commit(&dt), count);
+        }
     });
-    // `count = 3` of a type that ends where its next instance begins: the
-    // junction between instances merges.
-    let abutting = Datatype::hindexed(&[(4, 8), (2, 20), (6, 26)], &Datatype::byte());
-    for (dt, count) in random
-        .chain(run_sweep_types())
-        .chain([(abutting, 3)])
-        .collect::<Vec<_>>()
-    {
-        assert_segments_match_reference(&dt, &Committed::commit(&dt), count);
-    }
 }
 
 /// The two copy kernels against a byte loop, for block lengths on both
@@ -607,35 +617,37 @@ impl ff::UnpackSource for ByBlock {
 /// default per-block loop delivers, whole and from every resume point.
 #[test]
 fn run_sinks_receive_the_stream_block_sinks_do() {
-    let mut rng = SplitMix64::new(oracle_seed());
-    let random = (0..100).map(|_| (random_datatype(&mut rng, 3), 2));
-    for (dt, count) in random.chain(run_sweep_types()).collect::<Vec<_>>() {
-        let c = Committed::commit(&dt);
-        let src = source_buffer(&dt, count);
-        let total = c.size() * count;
-        for (skip, max) in [
-            (0, usize::MAX),
-            (total / 3, total / 2),
-            (1, 7),
-            (total / 2, usize::MAX),
-        ] {
-            let mut by_block = ByBlock::default();
-            let mut by_run = ff::VecSink::default();
-            let a = ff::pack_ff(&c, count, &src, 0, skip, max, &mut by_block).unwrap();
-            let b = ff::pack_ff(&c, count, &src, 0, skip, max, &mut by_run).unwrap();
-            assert_eq!(a, b, "pack stats of {dt} at ({skip}, {max})");
-            assert_eq!(
-                by_block.data, by_run.data,
-                "stream of {dt} at ({skip}, {max})"
-            );
+    each_seed(|seed| {
+        let mut rng = SplitMix64::new(seed);
+        let random = (0..100).map(|_| (random_datatype(&mut rng, 3), 2));
+        for (dt, count) in random.chain(run_sweep_types()).collect::<Vec<_>>() {
+            let c = Committed::commit(&dt);
+            let src = source_buffer(&dt, count);
+            let total = c.size() * count;
+            for (skip, max) in [
+                (0, usize::MAX),
+                (total / 3, total / 2),
+                (1, 7),
+                (total / 2, usize::MAX),
+            ] {
+                let mut by_block = ByBlock::default();
+                let mut by_run = ff::VecSink::default();
+                let a = ff::pack_ff(&c, count, &src, 0, skip, max, &mut by_block).unwrap();
+                let b = ff::pack_ff(&c, count, &src, 0, skip, max, &mut by_run).unwrap();
+                assert_eq!(a, b, "pack stats of {dt} at ({skip}, {max})");
+                assert_eq!(
+                    by_block.data, by_run.data,
+                    "stream of {dt} at ({skip}, {max})"
+                );
 
-            let (mut into_a, mut into_b) = (vec![0xEEu8; src.len()], vec![0xEEu8; src.len()]);
-            let len = by_run.data.len();
-            let mut source = ff::SliceSource::new(&by_run.data);
-            ff::unpack_ff(&c, count, &mut into_a, 0, skip, len, &mut by_block).unwrap();
-            ff::unpack_ff(&c, count, &mut into_b, 0, skip, len, &mut source).unwrap();
-            assert_eq!(into_a, into_b, "unpack of {dt} at ({skip}, {max})");
-            assert_eq!((by_block.pos, source.consumed()), (len, len));
+                let (mut into_a, mut into_b) = (vec![0xEEu8; src.len()], vec![0xEEu8; src.len()]);
+                let len = by_run.data.len();
+                let mut source = ff::SliceSource::new(&by_run.data);
+                ff::unpack_ff(&c, count, &mut into_a, 0, skip, len, &mut by_block).unwrap();
+                ff::unpack_ff(&c, count, &mut into_b, 0, skip, len, &mut source).unwrap();
+                assert_eq!(into_a, into_b, "unpack of {dt} at ({skip}, {max})");
+                assert_eq!((by_block.pos, source.consumed()), (len, len));
+            }
         }
-    }
+    });
 }

@@ -4,10 +4,10 @@
 //! and — just as load-bearing — a fault-free run with recovery enabled
 //! charges zero recovery virtual time beyond the checkpoints themselves.
 //!
-//! CI sweeps `RECOVERY_SEED` × `RECOVERY_DEATHS` ∈ {0,1,2} through
-//! `seeded_death_sweep_recovers_within_one_epoch`, drawing victims from
-//! the pure `sci_fabric::death_schedule` (which never kills node 0, the
-//! shrink leader).
+//! `seeded_death_sweep_recovers_within_one_epoch` runs every seed of
+//! [`SEEDS`] × deaths ∈ {0,1,2}, drawing victims from the pure
+//! `sci_fabric::death_schedule` (which never kills node 0, the shrink
+//! leader).
 //!
 //! All state arithmetic stays in the integers-and-halves f64 domain
 //! (exactly representable, order-independent), so "bit-identical" is a
@@ -161,19 +161,25 @@ fn kill_one_rank_shrink_restore_matches_fault_free_run() {
     );
 }
 
-/// Env-swept recovery scenario (CI: `RECOVERY_SEED` × `RECOVERY_DEATHS`
-/// ∈ {{0,1,2}}): victims come from the pure `death_schedule`; the first
-/// dies before the shrink, the second dies *during* the agreement
+/// The seeds of the death sweep.
+const SEEDS: [u64; 5] = [1, 7, 42, 1234, 20020415];
+
+/// Seeded recovery scenario, one cell per seed of [`SEEDS`] × deaths ∈
+/// {0,1,2}: victims come from the pure `death_schedule`; the first dies
+/// before the shrink, the second dies *during* the agreement
 /// (`shrink_with_fault` after one sweep) — survivors must still agree in
 /// one epoch, restore their checkpoints, and keep computing.
 #[test]
 fn seeded_death_sweep_recovers_within_one_epoch() {
-    let seed: u64 = std::env::var("RECOVERY_SEED")
-        .map(|v| v.parse().expect("RECOVERY_SEED must be an integer"))
-        .unwrap_or(20020415);
-    let deaths: usize = std::env::var("RECOVERY_DEATHS")
-        .map(|v| v.parse().expect("RECOVERY_DEATHS must be an integer"))
-        .unwrap_or(1);
+    for seed in SEEDS {
+        for deaths in 0..=2 {
+            println!("cell seed {seed}, deaths {deaths}");
+            death_sweep_cell(seed, deaths);
+        }
+    }
+}
+
+fn death_sweep_cell(seed: u64, deaths: usize) {
     let mut spec = ClusterSpec::ringlet(4).errors(ErrorMode::ErrorsReturn);
     spec.seed = seed;
     let events = death_schedule(seed, 4, deaths, SimDuration::from_ms(10));
