@@ -11,7 +11,7 @@
 //! 3. **rendezvous chunk size** — chunks beyond L2 thrash the cache;
 //! 4. **remote-put for large gets** — without it, get bandwidth is pinned
 //!    at the PIO-read rate;
-//! 5. **ff_min_block auto threshold** — the Auto mode picks the better
+//! 5. **`FF_MIN_BLOCK` auto threshold** — the Auto mode picks the better
 //!    engine on each side of the 8..16 B crossover.
 //!
 //! Run: `cargo run --release -p repro-bench --bin ablations`

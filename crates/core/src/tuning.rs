@@ -53,6 +53,12 @@ pub(crate) const LAYOUT_LOOKUP_COST: SimDuration = SimDuration::from_ns(40);
 /// to re-derive the layout with the pack engine off. Multiplied by
 /// `Committed::flatten_ops`.
 pub(crate) const LAYOUT_FLATTEN_OP_COST: SimDuration = SimDuration::from_ns(25);
+/// Minimum mean block length of a committed layout
+/// (`density.avg_block_len`) for which `Auto` picks `direct_pack_ff`.
+/// It avoids the 8-byte-granularity regime where the generic engine wins
+/// inter-node; the paper's Figure 7 comparison forces `direct_pack_ff`
+/// for every block size instead ([`Tuning::full_ff_comparison`]).
+pub(crate) const FF_MIN_BLOCK: usize = 16;
 /// Smallest typed one-sided transfer the adaptive selector will route
 /// to DMA (descriptor posting is expensive; below this PIO always wins).
 pub(crate) const DMA_MIN_TOTAL: usize = 128 * 1024;
@@ -90,8 +96,8 @@ pub enum NoncontigMode {
     /// Decided per transfer by [`Tuning::select_path`] from the committed
     /// layout's mean block length (`density.avg_block_len`): DMA for a
     /// large fine-grained transfer where the caller offers it,
-    /// `DirectPackFf` when the mean block is at least
-    /// `Tuning::ff_min_block`, `Generic` otherwise (the production
+    /// `DirectPackFf` when the mean block is at least 16 bytes,
+    /// `Generic` otherwise (the production
     /// default; footnote 1 of §3.4).
     #[default]
     Auto,
@@ -205,12 +211,6 @@ pub struct Tuning {
     pub rendezvous_chunk: usize,
     /// Non-contiguous engine selection.
     pub noncontig: NoncontigMode,
-    /// Minimum mean block length of a committed layout
-    /// (`density.avg_block_len`) for which `Auto` picks `direct_pack_ff`.
-    /// The paper sets this to 0 to compare the engines across the whole
-    /// sweep; the default 16 avoids the 8-byte-granularity regime where
-    /// the generic engine wins inter-node.
-    pub ff_min_block: usize,
     /// `MPI_Get` requests at or above this size are converted to a
     /// *remote-put* executed by the target (§4.2); below it the origin
     /// reads directly (reads are slow but low-latency for small data).
@@ -269,7 +269,6 @@ impl Default for Tuning {
             eager_threshold: 16 * 1024,
             rendezvous_chunk: 64 * 1024,
             noncontig: NoncontigMode::Auto,
-            ff_min_block: 16,
             get_remote_put_threshold: 512,
             osc_fallback_threshold: 2,
             integrity_mode: IntegrityMode::Off,
@@ -289,10 +288,9 @@ impl Default for Tuning {
 
 impl Tuning {
     /// The configuration used for the paper's Figure 7 comparison:
-    /// `ff_min_block = 0` so `direct_pack_ff` is used for every block size.
+    /// `direct_pack_ff` for every block size.
     pub fn full_ff_comparison(mut self) -> Self {
         self.noncontig = NoncontigMode::DirectPackFf;
-        self.ff_min_block = 0;
         self
     }
 
@@ -329,7 +327,7 @@ impl Tuning {
     /// `DirectPackFf` → direct ff); `Auto` decides from the commit-time
     /// density metrics: fine-grained large transfers convert to DMA when
     /// the caller offers it (`dma_available` — shared windows with aligned
-    /// layouts), layouts whose mean block clears `ff_min_block` stream
+    /// layouts), layouts whose mean block clears `FF_MIN_BLOCK` (16 bytes) stream
     /// directly, and the rest stage through a pack buffer.
     pub fn select_path(&self, c: &Committed, total: usize, dma_available: bool) -> PackPath {
         match self.noncontig {
@@ -343,7 +341,7 @@ impl Tuning {
                 {
                     return PackPath::Dma;
                 }
-                if density.avg_block_len >= self.ff_min_block as f64 {
+                if density.avg_block_len >= FF_MIN_BLOCK as f64 {
                     PackPath::DirectFf
                 } else {
                     PackPath::Staged
@@ -514,11 +512,32 @@ mod tests {
             Tuning::default().full_ff_comparison().noncontig,
             NoncontigMode::DirectPackFf
         );
-        assert_eq!(Tuning::default().full_ff_comparison().ff_min_block, 0);
         assert_eq!(
             Tuning::default().generic_only().noncontig,
             NoncontigMode::Generic
         );
+    }
+
+    #[test]
+    fn forced_ff_streams_blocks_below_the_auto_threshold() {
+        // Blocks of 1 and 8 bytes: below FF_MIN_BLOCK, where Auto stages.
+        for block in [
+            mpi_datatype::Datatype::byte(),
+            mpi_datatype::Datatype::double(),
+        ] {
+            let c = Committed::commit(&mpi_datatype::Datatype::vector(64, 1, 2, &block));
+            assert!(c.density().avg_block_len < FF_MIN_BLOCK as f64);
+            let auto = Tuning::default();
+            assert_eq!(auto.select_path(&c, c.size(), false), PackPath::Staged);
+            for dma in [false, true] {
+                assert_eq!(
+                    auto.clone()
+                        .full_ff_comparison()
+                        .select_path(&c, c.size(), dma),
+                    PackPath::DirectFf
+                );
+            }
+        }
     }
 
     #[test]
@@ -566,11 +585,11 @@ mod tests {
         );
         // Auto: fine-grained large transfer converts to DMA when offered…
         assert_eq!(auto.select_path(&c, total, true), PackPath::Dma);
-        // …but not without DMA, where the 64 B blocks clear ff_min_block.
+        // …but not without DMA, where the 64 B blocks clear FF_MIN_BLOCK.
         assert_eq!(auto.select_path(&c, total, false), PackPath::DirectFf);
         // Small transfers never convert.
         assert_eq!(auto.select_path(&c, 4096, true), PackPath::DirectFf);
-        // Tiny blocks below ff_min_block stage through a pack buffer.
+        // Tiny blocks below FF_MIN_BLOCK stage through a pack buffer.
         let tiny = Committed::commit(&mpi_datatype::Datatype::vector(
             16,
             1,

@@ -135,7 +135,7 @@ fn get_program(win: &mut Window, r: &mut Rank, log: &mut Log, len: usize) {
 
 fn put_typed_program(win: &mut Window, r: &mut Rank, log: &mut Log, mem: Mem) {
     let byte = Datatype::byte();
-    // 64-byte blocks clear `ff_min_block`: DirectFf. Two instances.
+    // 64-byte blocks clear `FF_MIN_BLOCK`: DirectFf. Two instances.
     let direct = Committed::commit(&Datatype::vector(32, 64, 96, &byte));
     log.verdict(win.put_typed(r, TARGET, 1024, &direct, 2, &pattern(6080, 2), 0));
     // 8-byte blocks do not: Staged.

@@ -117,7 +117,7 @@ fn contiguous(r: &mut Rank, log: &mut Log) {
     }
 }
 
-/// 64-byte blocks clear `ff_min_block`: DirectFf.
+/// 64-byte blocks clear `FF_MIN_BLOCK`: DirectFf.
 fn wide_blocks(count: usize) -> Committed {
     Committed::commit(&Datatype::vector(count, 64, 96, &Datatype::byte()))
 }
