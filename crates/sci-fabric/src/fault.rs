@@ -92,18 +92,19 @@ impl fmt::Display for FailedTransaction {
 
 impl std::error::Error for FailedTransaction {}
 
+/// Extra latency per retry (timeout + resend).
+const RETRY_PENALTY: SimDuration = SimDuration::from_us(5);
+/// Maximum delivery jitter applied to retried transactions (models
+/// reordering; a store barrier waits past all jitter).
+const REORDER_JITTER: SimDuration = SimDuration::from_us(2);
+
 /// Configuration of the fault injector.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultConfig {
     /// Probability that one SCI transaction needs a retry.
     pub error_rate: f64,
-    /// Extra latency per retry (timeout + resend).
-    pub retry_penalty: SimDuration,
     /// Maximum retries before the transaction errors out hard.
     pub max_retries: u32,
-    /// Maximum delivery jitter applied to retried transactions (models
-    /// reordering; a store barrier waits past all jitter).
-    pub reorder_jitter: SimDuration,
     /// Probability that one SCI transaction *succeeds* at the protocol
     /// level yet delivers a flipped bit — the silent corruption real
     /// Dolphin adapters are exposed to and the reason SISCI ships
@@ -120,9 +121,7 @@ impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
             error_rate: 0.0,
-            retry_penalty: SimDuration::from_us(5),
             max_retries: 8,
-            reorder_jitter: SimDuration::from_us(2),
             corrupt_rate: 0.0,
             drop_rate: 0.0,
         }
@@ -312,7 +311,7 @@ impl FaultInjector {
     /// transfer size, as on the real wire.
     ///
     /// On hard failure the returned [`FailedTransaction`] carries the
-    /// virtual time the failed attempts burned (`retry_penalty` each), so
+    /// virtual time the failed attempts burned (`RETRY_PENALTY` each), so
     /// an unrecoverable transfer is not free.
     pub fn transact_bulk(&self, route: &Route, txns: u64) -> Result<TxnOutcome, FailedTransaction> {
         self.check_route(route)?;
@@ -334,7 +333,7 @@ impl FaultInjector {
                     obs::add(obs::Counter::LinkTxnRetries, retries as u64);
                     return Err(FailedTransaction {
                         error: SciError::LinkDown(link),
-                        wasted: self.config.retry_penalty.saturating_mul(retries as u64),
+                        wasted: RETRY_PENALTY.saturating_mul(retries as u64),
                         retries,
                     });
                 }
@@ -344,9 +343,9 @@ impl FaultInjector {
             return Ok(TxnOutcome::CLEAN);
         }
         obs::add(obs::Counter::LinkTxnRetries, retries as u64);
-        let jitter_ps = st.rng.next_below(self.config.reorder_jitter.as_ps().max(1));
+        let jitter_ps = st.rng.next_below(REORDER_JITTER.as_ps().max(1));
         Ok(TxnOutcome {
-            extra_latency: self.config.retry_penalty.saturating_mul(retries as u64),
+            extra_latency: RETRY_PENALTY.saturating_mul(retries as u64),
             jitter: SimDuration::from_ps(jitter_ps),
             retries,
         })
@@ -587,7 +586,7 @@ mod tests {
             let out = inj.transact(&route()).unwrap();
             if out.retries > 0 {
                 retried += 1;
-                assert!(out.extra_latency >= FaultConfig::default().retry_penalty);
+                assert!(out.extra_latency >= RETRY_PENALTY);
             }
         }
         // ~20% of transactions should see at least one retry.
@@ -642,7 +641,7 @@ mod tests {
 
     /// Regression: a transaction that errors out hard must still charge
     /// the virtual time its failed attempts consumed — a dead link is not
-    /// a free path, the adapter spent `retry_penalty` per attempt before
+    /// a free path, the adapter spent `RETRY_PENALTY` per attempt before
     /// giving up.
     #[test]
     fn hard_failure_charges_wasted_retry_time() {
@@ -651,12 +650,11 @@ mod tests {
             max_retries: 3,
             ..FaultConfig::default()
         };
-        let penalty = cfg.retry_penalty;
         let inj = FaultInjector::new(cfg, 9);
         let err = inj.transact(&route()).unwrap_err();
-        // max_retries + 1 attempts burned a retry_penalty each.
+        // max_retries + 1 attempts burned a RETRY_PENALTY each.
         assert_eq!(err.retries, 4);
-        assert_eq!(err.wasted, penalty.saturating_mul(4));
+        assert_eq!(err.wasted, RETRY_PENALTY.saturating_mul(4));
         // An administratively severed route fails instantly and free.
         inj.fail_link(LinkId(0));
         let err = inj.transact(&route()).unwrap_err();
