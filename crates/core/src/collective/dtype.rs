@@ -96,9 +96,8 @@ impl Rank {
         while mask > 0 {
             if vrank + mask < size {
                 let dst = (vrank + mask + root) % size;
-                let copy = buf.to_vec();
                 note_edge(self, c, count);
-                self.send_typed(dst, COLL_TAG + 10, c, count, &copy, origin)?;
+                self.send_typed(dst, COLL_TAG + 10, c, count, buf, origin)?;
             }
             mask >>= 1;
         }

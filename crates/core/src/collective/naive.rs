@@ -41,8 +41,7 @@ pub(crate) fn bcast(r: &mut Rank, root: usize, buf: &mut [u8]) -> Result<(), Sci
     while mask > 0 {
         if vrank + mask < size {
             let dst = (vrank + mask + root) % size;
-            let copy = buf.to_vec();
-            r.send(dst, COLL_TAG, &copy)?;
+            r.send(dst, COLL_TAG, buf)?;
         }
         mask >>= 1;
     }
