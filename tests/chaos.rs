@@ -23,49 +23,31 @@ use scimpi::{
 };
 use simclock::SimDuration;
 
-/// One run configuration of the suite: the cluster seed, and the silent
-/// corruption rate (0 for none).
-#[derive(Clone, Copy, Debug)]
-struct Cell {
-    seed: u64,
-    corrupt_rate: f64,
-}
-
-const fn seed(seed: u64) -> Cell {
-    Cell {
-        seed,
-        corrupt_rate: 0.0,
-    }
-}
-
-/// Every test runs once per cell: the fault schedules under several RNG
-/// streams (the scenarios themselves are seed-independent), and one cell
-/// with silent bit flips (plus dropped stores at a quarter of the rate)
-/// under `EndToEnd` integrity, so every bit-perfect assertion doubles as
-/// a corruption-recovery check.
-const CELLS: [Cell; 7] = [
-    seed(0xC0FFEE),
-    seed(1),
-    seed(7),
-    seed(42),
-    seed(1234),
-    seed(20020415),
-    Cell {
-        seed: 99,
-        corrupt_rate: 1e-4,
-    },
+/// Every test runs once per cell, `(seed, silent corruption rate)`: the
+/// fault schedules under several RNG streams (the scenarios themselves
+/// are seed-independent), and one cell with silent bit flips (plus
+/// dropped stores at a quarter of the rate) under `EndToEnd` integrity,
+/// so every bit-perfect assertion doubles as a corruption-recovery check.
+const CELLS: [(u64, f64); 7] = [
+    (0xC0FFEE, 0.0),
+    (1, 0.0),
+    (7, 0.0),
+    (42, 0.0),
+    (1234, 0.0),
+    (20020415, 0.0),
+    (99, 1e-4),
 ];
 
 /// Run `test` once per cell of [`CELLS`]; a red cell is the last one
 /// printed before the failure.
-fn each_cell(test: impl Fn(Cell)) {
-    for cell in CELLS {
-        println!("cell {cell:?}");
-        test(cell);
+fn each_cell(test: impl Fn(u64, f64)) {
+    for (seed, corrupt_rate) in CELLS {
+        println!("cell seed {seed}, corrupt rate {corrupt_rate}");
+        test(seed, corrupt_rate);
     }
 }
 
-fn chaos_spec(cell: Cell) -> ClusterSpec {
+fn chaos_spec(seed: u64, corrupt_rate: f64) -> ClusterSpec {
     // The dying-collective scenarios assert rank-by-rank outcomes against
     // the naive schedules, so pin the algorithm rather than letting the
     // engine's Auto selection reshape who talks to whom.
@@ -75,10 +57,10 @@ fn chaos_spec(cell: Cell) -> ClusterSpec {
     };
     let mut spec = ClusterSpec::multi_ring(2, 4)
         .errors(ErrorMode::ErrorsReturn)
-        .seed(cell.seed);
-    if cell.corrupt_rate > 0.0 {
-        spec.faults.corrupt_rate = cell.corrupt_rate;
-        spec.faults.drop_rate = cell.corrupt_rate / 4.0;
+        .seed(seed);
+    if corrupt_rate > 0.0 {
+        spec.faults.corrupt_rate = corrupt_rate;
+        spec.faults.drop_rate = corrupt_rate / 4.0;
         tuning.integrity_mode = IntegrityMode::EndToEnd;
         tuning.max_retransmits = 64;
     }
@@ -89,10 +71,10 @@ fn chaos_spec(cell: Cell) -> ClusterSpec {
 /// traffic over the alternate ring direction, bit-perfectly.
 #[test]
 fn link_failure_reroutes_rendezvous_traffic() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let payload: Vec<u8> = (0..200_000).map(|i| (i * 37) as u8).collect();
         let expect = payload.clone();
-        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+        let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, move |r| {
             // Sever node1→node2, the middle of the primary route 0→2.
             if r.rank() == 0 {
@@ -127,8 +109,8 @@ fn link_failure_reroutes_rendezvous_traffic() {
 /// pulled and heals back to the primary route once it is restored.
 #[test]
 fn window_stream_fails_over_and_heals() {
-    each_cell(|cell| {
-        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+    each_cell(|seed, corrupt_rate| {
+        let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, move |r| {
             let mem = r.alloc_mem(1 << 16).unwrap();
             let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
@@ -164,8 +146,8 @@ fn window_stream_fails_over_and_heals() {
 /// delivering, and re-promotes at the fence after the links come back.
 #[test]
 fn one_sided_falls_back_to_emulation_and_repromotes() {
-    each_cell(|cell| {
-        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+    each_cell(|seed, corrupt_rate| {
+        let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, move |r| {
             let mem = r.alloc_mem(1 << 16).unwrap();
             let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
@@ -222,8 +204,8 @@ fn one_sided_falls_back_to_emulation_and_repromotes() {
 /// the severed-route emulation.
 #[test]
 fn emulated_one_sided_sweep_under_link_failure() {
-    each_cell(|cell| {
-        let spec = chaos_spec(cell).obs(obs::ObsConfig::enabled());
+    each_cell(|seed, corrupt_rate| {
+        let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, move |r| {
             let mem = r.alloc_mem(1 << 16).unwrap();
             let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
@@ -315,9 +297,9 @@ fn emulated_one_sided_sweep_under_link_failure() {
 /// deterministic timeout/backoff budget — no hang, no real-time dependence.
 #[test]
 fn dead_peer_is_detected_within_the_virtual_time_budget() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let budget = death_delay();
-        run(chaos_spec(cell), move |r| {
+        run(chaos_spec(seed, corrupt_rate), move |r| {
             r.barrier();
             if r.rank() == 6 {
                 r.fabric().faults().kill_node(7);
@@ -344,10 +326,10 @@ fn dead_peer_is_detected_within_the_virtual_time_budget() {
 /// per-rank virtual times and payload digests across two same-seed runs.
 #[test]
 fn chaos_outcome_is_deterministic() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let payload = vec![0x5A; 100_000];
         let scenario = || {
-            run(chaos_spec(cell), |r| {
+            run(chaos_spec(seed, corrupt_rate), |r| {
                 if r.rank() == 0 {
                     r.fabric().faults().fail_link(LinkId(1));
                 }
@@ -415,7 +397,8 @@ const F64_RDV: usize = 20_000;
 /// Returns per-rank `(outcome, virtual elapsed since the barrier)`, the
 /// same from two same-seed runs.
 fn dying_collective<F>(
-    cell: Cell,
+    seed: u64,
+    corrupt_rate: f64,
     victim: usize,
     revoker: usize,
     op: F,
@@ -424,7 +407,7 @@ where
     F: Fn(&mut Rank) -> Result<(), ScimpiError> + Send + Sync,
 {
     let scenario = || {
-        run(chaos_spec(cell), |r| {
+        run(chaos_spec(seed, corrupt_rate), |r| {
             r.barrier();
             let t0 = r.now();
             if r.rank() == victim {
@@ -490,13 +473,13 @@ fn check_dying_outcomes(
 /// while the subtree served before the death completes bit-perfectly.
 #[test]
 fn dying_interior_rank_cuts_bcast_deterministically() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let budget = death_delay();
         // Binomial tree from root 0 over 8 ranks: 0→{4,2,1}, 2→3, 4→{6,5},
         // 6→7, and the root sends highest-mask-first. Victim 2: rank 0 serves
         // 4's subtree, then dies on the send to 2 (never reaching 1); rank 3
         // dies on the recv from its parent 2.
-        let a = dying_collective(cell, 2, 3, |r| {
+        let a = dying_collective(seed, corrupt_rate, 2, 3, |r| {
             let mut buf = vec![0u8; RDV];
             if r.rank() == 0 {
                 for (i, b) in buf.iter_mut().enumerate() {
@@ -530,9 +513,9 @@ fn dying_interior_rank_cuts_bcast_deterministically() {
 /// rest finish the reduce but strand in the broadcast and get `Revoked`.
 #[test]
 fn dying_root_fails_allreduce_on_every_survivor() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let budget = death_delay();
-        let a = dying_collective(cell, 0, 1, |r| {
+        let a = dying_collective(seed, corrupt_rate, 0, 1, |r| {
             let mut buf = vec![1.0f64; F64_RDV];
             r.allreduce(&mut buf, ReduceOp::Sum)
         });
@@ -552,9 +535,9 @@ fn dying_root_fails_allreduce_on_every_survivor() {
 /// the revocation instead of hanging on a live peer.
 #[test]
 fn dying_sender_mid_gather_strands_then_revokes() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let budget = death_delay();
-        let a = dying_collective(cell, 3, 0, |r| {
+        let a = dying_collective(seed, corrupt_rate, 3, 0, |r| {
             let mine = vec![r.rank() as u8; RDV];
             r.gatherv(0, &mine).map(|_| ())
         });
@@ -574,9 +557,9 @@ fn dying_sender_mid_gather_strands_then_revokes() {
 /// must be released by the revocation.
 #[test]
 fn dying_contributor_fails_allgather_everywhere() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let budget = death_delay();
-        let a = dying_collective(cell, 5, 0, |r| {
+        let a = dying_collective(seed, corrupt_rate, 5, 0, |r| {
             let mine = vec![r.rank() as u8; RDV];
             r.allgather(&mine).map(|_| ())
         });
@@ -595,9 +578,9 @@ fn dying_contributor_fails_allgather_everywhere() {
 /// and the tail of the chain is stranded until the revocation.
 #[test]
 fn dying_link_in_scan_chain_splits_outcomes() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let budget = death_delay();
-        let a = dying_collective(cell, 4, 5, |r| {
+        let a = dying_collective(seed, corrupt_rate, 4, 5, |r| {
             let me = r.rank();
             let mut out = vec![1.0f64; F64_RDV];
             r.scan(&mut out, ReduceOp::Sum)?;
@@ -629,9 +612,9 @@ fn dying_link_in_scan_chain_splits_outcomes() {
 /// step-partners aborted earlier are stranded until the revocation.
 #[test]
 fn dying_rank_aborts_alltoall_pairwise_exchange() {
-    each_cell(|cell| {
+    each_cell(|seed, corrupt_rate| {
         let budget = death_delay();
-        let a = dying_collective(cell, 6, 5, |r| {
+        let a = dying_collective(seed, corrupt_rate, 6, 5, |r| {
             let me = r.rank();
             let blocks: Vec<Vec<u8>> = (0..8).map(|d| vec![(me * 8 + d) as u8; RDV]).collect();
             r.alltoall(&blocks).map(|_| ())
