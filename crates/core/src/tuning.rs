@@ -96,9 +96,8 @@ pub enum NoncontigMode {
     /// Decided per transfer by [`Tuning::select_path`] from the committed
     /// layout's mean block length (`density.avg_block_len`): DMA for a
     /// large fine-grained transfer where the caller offers it,
-    /// `DirectPackFf` when the mean block is at least 16 bytes,
-    /// `Generic` otherwise (the production
-    /// default; footnote 1 of §3.4).
+    /// `DirectPackFf` when the mean block is at least 16 bytes, `Generic`
+    /// otherwise (the production default; footnote 1 of §3.4).
     #[default]
     Auto,
 }
@@ -327,8 +326,8 @@ impl Tuning {
     /// `DirectPackFf` → direct ff); `Auto` decides from the commit-time
     /// density metrics: fine-grained large transfers convert to DMA when
     /// the caller offers it (`dma_available` — shared windows with aligned
-    /// layouts), layouts whose mean block clears `FF_MIN_BLOCK` (16 bytes) stream
-    /// directly, and the rest stage through a pack buffer.
+    /// layouts), layouts whose mean block clears `FF_MIN_BLOCK` (16 bytes)
+    /// stream directly, and the rest stage through a pack buffer.
     pub fn select_path(&self, c: &Committed, total: usize, dma_available: bool) -> PackPath {
         match self.noncontig {
             NoncontigMode::Generic => PackPath::Staged,
