@@ -15,6 +15,8 @@
 //! integrity on top of every admin schedule; all the bit-perfect
 //! assertions must keep holding.
 
+mod cells;
+
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::LinkId;
 use scimpi::{
@@ -37,15 +39,6 @@ const CELLS: [(u64, f64); 7] = [
     (20020415, 0.0),
     (99, 1e-4),
 ];
-
-/// Run `test` once per cell of [`CELLS`]; a red cell is the last one
-/// printed before the failure.
-fn each_cell(test: impl Fn(u64, f64)) {
-    for (seed, corrupt_rate) in CELLS {
-        println!("cell seed {seed}, corrupt rate {corrupt_rate}");
-        test(seed, corrupt_rate);
-    }
-}
 
 fn chaos_spec(seed: u64, corrupt_rate: f64) -> ClusterSpec {
     // The dying-collective scenarios assert rank-by-rank outcomes against
@@ -71,7 +64,7 @@ fn chaos_spec(seed: u64, corrupt_rate: f64) -> ClusterSpec {
 /// traffic over the alternate ring direction, bit-perfectly.
 #[test]
 fn link_failure_reroutes_rendezvous_traffic() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let payload: Vec<u8> = (0..200_000).map(|i| (i * 37) as u8).collect();
         let expect = payload.clone();
         let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
@@ -109,7 +102,7 @@ fn link_failure_reroutes_rendezvous_traffic() {
 /// pulled and heals back to the primary route once it is restored.
 #[test]
 fn window_stream_fails_over_and_heals() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, move |r| {
             let mem = r.alloc_mem(1 << 16).unwrap();
@@ -146,7 +139,7 @@ fn window_stream_fails_over_and_heals() {
 /// delivering, and re-promotes at the fence after the links come back.
 #[test]
 fn one_sided_falls_back_to_emulation_and_repromotes() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, move |r| {
             let mem = r.alloc_mem(1 << 16).unwrap();
@@ -204,7 +197,7 @@ fn one_sided_falls_back_to_emulation_and_repromotes() {
 /// the severed-route emulation.
 #[test]
 fn emulated_one_sided_sweep_under_link_failure() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let spec = chaos_spec(seed, corrupt_rate).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, move |r| {
             let mem = r.alloc_mem(1 << 16).unwrap();
@@ -297,7 +290,7 @@ fn emulated_one_sided_sweep_under_link_failure() {
 /// deterministic timeout/backoff budget — no hang, no real-time dependence.
 #[test]
 fn dead_peer_is_detected_within_the_virtual_time_budget() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let budget = death_delay();
         run(chaos_spec(seed, corrupt_rate), move |r| {
             r.barrier();
@@ -326,7 +319,7 @@ fn dead_peer_is_detected_within_the_virtual_time_budget() {
 /// per-rank virtual times and payload digests across two same-seed runs.
 #[test]
 fn chaos_outcome_is_deterministic() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let payload = vec![0x5A; 100_000];
         let scenario = || {
             run(chaos_spec(seed, corrupt_rate), |r| {
@@ -473,7 +466,7 @@ fn check_dying_outcomes(
 /// while the subtree served before the death completes bit-perfectly.
 #[test]
 fn dying_interior_rank_cuts_bcast_deterministically() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let budget = death_delay();
         // Binomial tree from root 0 over 8 ranks: 0→{4,2,1}, 2→3, 4→{6,5},
         // 6→7, and the root sends highest-mask-first. Victim 2: rank 0 serves
@@ -513,7 +506,7 @@ fn dying_interior_rank_cuts_bcast_deterministically() {
 /// rest finish the reduce but strand in the broadcast and get `Revoked`.
 #[test]
 fn dying_root_fails_allreduce_on_every_survivor() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let budget = death_delay();
         let a = dying_collective(seed, corrupt_rate, 0, 1, |r| {
             let mut buf = vec![1.0f64; F64_RDV];
@@ -535,7 +528,7 @@ fn dying_root_fails_allreduce_on_every_survivor() {
 /// the revocation instead of hanging on a live peer.
 #[test]
 fn dying_sender_mid_gather_strands_then_revokes() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let budget = death_delay();
         let a = dying_collective(seed, corrupt_rate, 3, 0, |r| {
             let mine = vec![r.rank() as u8; RDV];
@@ -557,7 +550,7 @@ fn dying_sender_mid_gather_strands_then_revokes() {
 /// must be released by the revocation.
 #[test]
 fn dying_contributor_fails_allgather_everywhere() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let budget = death_delay();
         let a = dying_collective(seed, corrupt_rate, 5, 0, |r| {
             let mine = vec![r.rank() as u8; RDV];
@@ -578,7 +571,7 @@ fn dying_contributor_fails_allgather_everywhere() {
 /// and the tail of the chain is stranded until the revocation.
 #[test]
 fn dying_link_in_scan_chain_splits_outcomes() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let budget = death_delay();
         let a = dying_collective(seed, corrupt_rate, 4, 5, |r| {
             let me = r.rank();
@@ -612,7 +605,7 @@ fn dying_link_in_scan_chain_splits_outcomes() {
 /// step-partners aborted earlier are stranded until the revocation.
 #[test]
 fn dying_rank_aborts_alltoall_pairwise_exchange() {
-    each_cell(|seed, corrupt_rate| {
+    cells::each(&CELLS, |(seed, corrupt_rate)| {
         let budget = death_delay();
         let a = dying_collective(seed, corrupt_rate, 6, 5, |r| {
             let me = r.rank();

@@ -12,6 +12,8 @@
 //!   deliver bit-identical payloads on every p2p, collective, and
 //!   one-sided path.
 
+mod cells;
+
 use sci_fabric::FaultConfig;
 use scimpi::{
     run, run_report, AccumulateOp, ClusterSpec, ErrorMode, IntegrityMode, ScimpiError, Source,
@@ -22,15 +24,6 @@ use scimpi::{
 /// (the assertions themselves are seed-independent). The first is the
 /// seed the recorded failure counts below hold at.
 const SEEDS: [u64; 4] = [20020415, 1, 7, 42];
-
-/// Run `test` once per seed of [`SEEDS`]; a red cell is the last one
-/// printed before the failure.
-fn each_seed(test: impl Fn(u64)) {
-    for seed in SEEDS {
-        println!("cell seed {seed}");
-        test(seed);
-    }
-}
 
 /// A ringlet with silent faults at the given rates and a retransmission
 /// budget generous enough that `EndToEnd` delivery never exhausts it at
@@ -58,7 +51,7 @@ fn lossy_spec(
 /// (per-chunk CRC handshake with retransmission).
 #[test]
 fn end_to_end_delivers_bit_identical_p2p() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec =
             lossy_spec(seed, 2, IntegrityMode::EndToEnd, 3e-4, 1e-4).obs(obs::ObsConfig::enabled());
         let eager: Vec<u8> = (0..4096).map(|i| (i * 13) as u8).collect();
@@ -96,7 +89,7 @@ fn end_to_end_delivers_bit_identical_p2p() {
 /// broadcast tree with no collective-specific code.
 #[test]
 fn end_to_end_collective_delivers() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = lossy_spec(seed, 4, IntegrityMode::EndToEnd, 3e-4, 1e-4);
         let expect: Vec<u8> = (0..100_000).map(|i| (i * 17) as u8).collect();
         run(spec, move |r| {
@@ -116,7 +109,7 @@ fn end_to_end_collective_delivers() {
 /// emulated path of a private window — delivers exactly under faults.
 #[test]
 fn end_to_end_one_sided_paths_deliver() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = lossy_spec(seed, 2, IntegrityMode::EndToEnd, 3e-4, 1e-4);
         run(spec, |r| {
             let mem = r.alloc_mem(1 << 16).unwrap();
@@ -186,7 +179,7 @@ fn end_to_end_one_sided_paths_deliver() {
 /// and the `UndetectedAtOff` counter records the exposure.
 #[test]
 fn off_mode_observably_corrupts() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = lossy_spec(seed, 2, IntegrityMode::Off, 1.0, 0.0).obs(obs::ObsConfig::enabled());
         let payload: Vec<u8> = (0..4096).map(|i| (i * 11) as u8).collect();
         let (_, report) = run_report(spec, move |r| {
@@ -234,7 +227,7 @@ fn off_mode_observably_corrupts() {
 /// ends, and the one-sided epoch guard trips at the fence.
 #[test]
 fn sequence_check_detects_and_errors() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = lossy_spec(seed, 2, IntegrityMode::SequenceCheck, 1.0, 0.0)
             .errors(ErrorMode::ErrorsReturn)
             .obs(obs::ObsConfig::enabled());
@@ -295,7 +288,7 @@ fn sequence_check_detects_and_errors() {
 /// detections, and — the contract the bench relies on — zero retransmits.
 #[test]
 fn zero_fault_rate_end_to_end_never_retransmits() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec =
             lossy_spec(seed, 2, IntegrityMode::EndToEnd, 0.0, 0.0).obs(obs::ObsConfig::enabled());
         let (_, report) = run_report(spec, |r| {
@@ -325,7 +318,7 @@ fn zero_fault_rate_end_to_end_never_retransmits() {
 /// are injected, detected, and retransmitted.
 #[test]
 fn lossy_end_to_end_is_deterministic() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let payload: Vec<u8> = (0..150_000).map(|i| (i * 3) as u8).collect();
         let scenario = |payload: Vec<u8>| {
             run(
@@ -412,7 +405,7 @@ fn failed_eager_sends(seed: u64, mode: IntegrityMode) -> ((usize, usize), usize)
 
 #[test]
 fn failed_eager_sends_return_their_credits_under_sequence_check() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let got = failed_eager_sends(seed, IntegrityMode::SequenceCheck);
         if seed == FAILURE_SEED {
             assert_eq!(got, ((29, 11), 29));
@@ -422,7 +415,7 @@ fn failed_eager_sends_return_their_credits_under_sequence_check() {
 
 #[test]
 fn failed_eager_sends_return_their_credits_under_end_to_end() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let got = failed_eager_sends(seed, IntegrityMode::EndToEnd);
         if seed == FAILURE_SEED {
             assert_eq!(got, ((29, 11), 29));
@@ -460,7 +453,7 @@ fn aborted_rendezvous(seed: u64, mode: IntegrityMode) -> Vec<(usize, usize)> {
 
 #[test]
 fn aborted_rendezvous_returns_its_ring_slot_under_sequence_check() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let got = aborted_rendezvous(seed, IntegrityMode::SequenceCheck);
         if seed == FAILURE_SEED {
             assert_eq!(got, [(13, 11), (13, 11)]);
@@ -470,7 +463,7 @@ fn aborted_rendezvous_returns_its_ring_slot_under_sequence_check() {
 
 #[test]
 fn aborted_rendezvous_returns_its_ring_slot_under_end_to_end() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let got = aborted_rendezvous(seed, IntegrityMode::EndToEnd);
         if seed == FAILURE_SEED {
             assert_eq!(got, [(13, 11), (13, 11)]);
@@ -487,7 +480,7 @@ fn aborted_rendezvous_returns_its_ring_slot_under_end_to_end() {
 /// A rank whose eager message was refused follows it with a tombstone.
 #[test]
 fn sendrecv_receives_when_its_eager_send_half_fails() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         const ROUNDS: u8 = 4;
         let message = |who: usize, tag: u8, len: usize| vec![(who as u8) << 4 | tag; len];
         let out = run(
@@ -592,14 +585,14 @@ fn both_eager_halves_refused(seed: u64, mode: IntegrityMode) {
 
 #[test]
 fn sendrecv_whose_eager_halves_both_fail_returns_under_sequence_check() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         both_eager_halves_refused(seed, IntegrityMode::SequenceCheck);
     });
 }
 
 #[test]
 fn sendrecv_whose_eager_halves_both_fail_returns_under_end_to_end() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         both_eager_halves_refused(seed, IntegrityMode::EndToEnd);
     });
 }

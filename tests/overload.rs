@@ -11,6 +11,8 @@
 //! runs every policy of [`POLICIES`], so every policy is exercised
 //! against rank death.
 
+mod cells;
+
 use scimpi::{
     revoke, run, run_report, shrink, ClusterSpec, ErrorMode, OverloadPolicy, ReduceOp, RunReport,
     ScimpiError, Source, TagSel, Tuning,
@@ -35,15 +37,6 @@ const POLICIES: [OverloadPolicy; 4] = [
     OverloadPolicy::Shed,
     OverloadPolicy::Error,
 ];
-
-/// Run `test` once per seed of [`SEEDS`]; a red cell is the last one
-/// printed before the failure.
-fn each_seed(test: impl Fn(u64)) {
-    for seed in SEEDS {
-        println!("cell seed {seed}");
-        test(seed);
-    }
-}
 
 fn governed(policy: OverloadPolicy) -> Tuning {
     Tuning {
@@ -104,7 +97,7 @@ fn receiver_peak_eager_bytes(report: &RunReport) -> u64 {
 /// it), and the governed outcome is bit-deterministic across runs.
 #[test]
 fn stall_flood_bounds_backlog_and_delivers_identically() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = || {
             ClusterSpec::ringlet(2)
                 .seed(seed)
@@ -154,7 +147,7 @@ fn stall_flood_bounds_backlog_and_delivers_identically() {
 /// byte-identical, and the degradations are counted.
 #[test]
 fn degrade_flood_bounds_backlog_via_rendezvous() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = || {
             ClusterSpec::ringlet(2)
                 .seed(seed)
@@ -190,7 +183,7 @@ fn degrade_flood_bounds_backlog_via_rendezvous() {
 /// the new key.
 #[test]
 fn stall_wait_time_is_conserved_in_backpressure_bucket() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let profile_path = std::env::temp_dir().join(format!(
             "scimpi_overload_profile_{}.json",
             std::process::id()
@@ -234,7 +227,7 @@ fn stall_wait_time_is_conserved_in_backpressure_bucket() {
 /// delivered, the rest are counted as shed, and nothing blocks.
 #[test]
 fn shed_policy_drops_overflow_deterministically() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         const SLOTS: usize = 4;
         const TOTAL: usize = 12;
         let tuning = Tuning {
@@ -283,7 +276,7 @@ fn shed_policy_drops_overflow_deterministically() {
 /// is whole again.
 #[test]
 fn error_policy_surfaces_resource_exhausted_and_recovers() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let tuning = Tuning {
             eager_credit_slots: 2,
             eager_credits_bytes: BUDGET,
@@ -346,7 +339,7 @@ fn error_policy_surfaces_resource_exhausted_and_recovers() {
 /// snaps back to the full budget at the next sync point.
 #[test]
 fn credit_gauge_tracks_consumption_and_barrier_return() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         run(
             ClusterSpec::ringlet(2)
                 .seed(seed)
@@ -382,7 +375,7 @@ fn credit_gauge_tracks_consumption_and_barrier_return() {
 /// drop-bin reaper at the next sync point returns the capacity.
 #[test]
 fn drop_bin_reaper_returns_inflight_budget() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let tuning = Tuning {
             max_inflight_requests: 2,
             ..Tuning::default()

@@ -17,21 +17,14 @@
 //!
 //! The random trees are drawn at every seed of [`SEEDS`].
 
+mod cells;
+
 use mpi_datatype::{ff, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition, FlatLeaf};
 use simclock::SplitMix64;
 use std::ops::ControlFlow;
 
 /// The seeds every random-tree test runs at.
 const SEEDS: [u64; 4] = [0x0AC1E, 1, 42, 20260805];
-
-/// Run `test` once per seed of [`SEEDS`]; a red cell is the last one
-/// printed before the failure.
-fn each_seed(test: impl Fn(u64)) {
-    for seed in SEEDS {
-        println!("cell seed {seed}");
-        test(seed);
-    }
-}
 
 /// A random datatype tree of at most `depth` nested levels. Unlike the
 /// in-crate randomized suite, this generator deliberately mixes in
@@ -162,7 +155,7 @@ fn assert_ff_matches_reference(dt: &Datatype, count: usize) {
 /// Differential oracle over fresh random trees.
 #[test]
 fn oracle_ff_equals_reference() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let mut rng = SplitMix64::new(seed);
         for _ in 0..300 {
             let dt = random_datatype(&mut rng, 3);
@@ -192,7 +185,7 @@ fn commit_facts(dt: &Datatype) -> (Vec<FlatLeaf>, usize, u64) {
 /// layout cache keeps counting them as distinct types.
 #[test]
 fn vector_and_indexed_equal_their_byte_unit_twins() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let mut rng = SplitMix64::new(seed);
         let mut twins = Vec::new();
         for _ in 0..300 {
@@ -516,7 +509,7 @@ fn assert_segments_match_reference(dt: &Datatype, c: &Committed, count: usize) {
 
 #[test]
 fn run_segments_equal_the_reference_block_count() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let mut rng = SplitMix64::new(seed);
         let random = (0..300).map(|_| {
             let dt = random_datatype(&mut rng, 3);
@@ -617,7 +610,7 @@ impl ff::UnpackSource for ByBlock {
 /// default per-block loop delivers, whole and from every resume point.
 #[test]
 fn run_sinks_receive_the_stream_block_sinks_do() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let mut rng = SplitMix64::new(seed);
         let random = (0..100).map(|_| (random_datatype(&mut rng, 3), 2));
         for (dt, count) in random.chain(run_sweep_types()).collect::<Vec<_>>() {

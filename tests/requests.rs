@@ -5,6 +5,8 @@
 //! fault injection. Every test that builds a cluster runs once per seed
 //! of [`SEEDS`].
 
+mod cells;
+
 use mpi_datatype::{Committed, Datatype};
 use scimpi::{
     death_delay, run, run_report, ClusterSpec, ErrorMode, IntegrityMode, RecvBuf, ScimpiError,
@@ -19,15 +21,6 @@ const RDV: usize = 150_000;
 /// The cluster seeds every test runs under.
 const SEEDS: [u64; 4] = [0xC0FFEE, 1, 42, 20020415];
 
-/// Run `test` once per seed of [`SEEDS`]; a red cell is the last one
-/// printed before the failure.
-fn each_seed(test: impl Fn(u64)) {
-    for seed in SEEDS {
-        println!("cell seed {seed}");
-        test(seed);
-    }
-}
-
 /// The message of a panic payload, as `panic!` produces them.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     p.downcast_ref::<String>()
@@ -38,7 +31,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 
 #[test]
 fn wait_after_complete_is_idempotent() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let out = run(ClusterSpec::ringlet(2).seed(seed), |r| {
             if r.rank() == 0 {
                 let mut req = r.irecv(Source::Rank(1), TagSel::Value(3), 64).unwrap();
@@ -66,7 +59,7 @@ fn wait_after_complete_is_idempotent() {
 
 #[test]
 fn waitany_returns_earliest_virtual_completion() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         run(ClusterSpec::ringlet(3).seed(seed), |r| {
             if r.rank() == 0 {
                 // Two receives: rank 2's small eager message drains long
@@ -94,7 +87,7 @@ fn waitany_returns_earliest_virtual_completion() {
 
 #[test]
 fn persistent_restart_matches_fresh_requests() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         // N iterations through persistent handles must be bit-identical in
         // virtual time to N fresh isend/irecv posts of the same arguments.
         let spec = || ClusterSpec::ringlet(2).seed(seed);
@@ -213,7 +206,7 @@ fn lossy_halo_spec(seed: u64) -> ClusterSpec {
 
 #[test]
 fn nonblocking_delivers_blocking_payloads_under_end_to_end_integrity() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         // Same payloads as the blocking arm, bit for bit, with CRC framing
         // verifying every byte and silent faults flipping bits underneath.
         let nb = halo_exchange(lossy_halo_spec(seed), true);
@@ -231,7 +224,7 @@ fn nonblocking_delivers_blocking_payloads_under_end_to_end_integrity() {
 // finish times are a function of the seed alone.
 #[test]
 fn nonblocking_halo_is_deterministic_across_same_seed_runs() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let a = halo_exchange(lossy_halo_spec(seed), true);
         let b = halo_exchange(lossy_halo_spec(seed), true);
         assert_eq!(a, b, "same seed must give bit-identical times and bytes");
@@ -240,7 +233,7 @@ fn nonblocking_halo_is_deterministic_across_same_seed_runs() {
 
 #[test]
 fn iget_overlap_composes_with_integrity_checking() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         // The clock-swap fork in iget must not disturb the one-sided epoch
         // ledger: bytes verified end-to-end, stall hidden behind compute.
         let spec = {
@@ -278,7 +271,7 @@ fn iget_overlap_composes_with_integrity_checking() {
 
 #[test]
 fn request_counters_balance_and_overlap_is_credited() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = ClusterSpec::ringlet(2)
             .seed(seed)
             .obs(obs::ObsConfig::enabled());
@@ -318,7 +311,7 @@ fn request_counters_balance_and_overlap_is_credited() {
 /// rank's error mode is consulted at the sync point.
 #[test]
 fn wait_surfaces_engine_detected_peer_death() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let budget = death_delay();
         run(
             ClusterSpec::ringlet(2)
@@ -354,7 +347,7 @@ fn wait_surfaces_engine_detected_peer_death() {
 /// computed before waiting.
 #[test]
 fn an_irecv_posted_before_its_sender_dies_returns_peer_dead_at_wait() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         run(
             ClusterSpec::ringlet(2)
                 .seed(seed)
@@ -382,7 +375,7 @@ fn an_irecv_posted_before_its_sender_dies_returns_peer_dead_at_wait() {
 /// not silently swallowed in the drop bin).
 #[test]
 fn dropped_failing_request_routes_through_error_handler() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         // Only a run that writes a trace file keeps its events.
         let trace =
             std::env::temp_dir().join(format!("scimpi_dropped_{}.json", std::process::id()));
@@ -421,7 +414,7 @@ fn dropped_failing_request_routes_through_error_handler() {
 /// in-flight slot `account_post` gave it.
 #[test]
 fn refused_isend_leaves_nothing_in_flight() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = ClusterSpec::ringlet(2)
             .seed(seed)
             .errors(ErrorMode::ErrorsReturn)
@@ -460,7 +453,7 @@ fn refused_isend_leaves_nothing_in_flight() {
 /// with the `Aborted` sentinel the other tasks unwind with, not hung.
 #[test]
 fn fatal_engine_error_comes_out_of_run_as_the_original_panic() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = ClusterSpec::ringlet(2).seed(seed);
         let outcome = std::panic::catch_unwind(|| {
             run(spec, |r| {
@@ -514,7 +507,7 @@ fn eager_irecv(seed: u64, receiver: usize) -> (scimpi::RecvDone, SimTime, usize)
 /// the same.
 #[test]
 fn an_eager_irecv_needs_no_engine_posted_before_or_after_its_message() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let (after, after_finish, after_tasks) = eager_irecv(seed, 1);
         let (before, before_finish, before_tasks) = eager_irecv(seed, 0);
         assert_eq!((after.status.src, before.status.src), (0, 1));
@@ -539,7 +532,7 @@ fn an_eager_irecv_needs_no_engine_posted_before_or_after_its_message() {
 /// completes, and the pair carries the next message intact.
 #[test]
 fn a_receive_shorter_than_its_message_fails_with_invalid_arg() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         for len in [4096, RDV] {
             let msg: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
             // Rank 0 runs first at equal virtual times: receiver 0 posts
@@ -598,7 +591,7 @@ fn a_receive_shorter_than_its_message_fails_with_invalid_arg() {
 /// message intact.
 #[test]
 fn a_typed_receive_shorter_than_its_message_fails_with_invalid_arg() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let eight = Committed::commit(&Datatype::contiguous(8, &Datatype::byte()));
         for len in [64, 4096, RDV] {
             let msg: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
@@ -656,7 +649,7 @@ fn a_typed_receive_shorter_than_its_message_fails_with_invalid_arg() {
 /// typed layout alike.
 #[test]
 fn a_truncated_receive_is_charged_for_what_fits() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let eight = Committed::commit(&Datatype::contiguous(8, &Datatype::byte()));
         for typed in [false, true] {
             let eight = eight.clone();
@@ -696,7 +689,7 @@ fn a_truncated_receive_is_charged_for_what_fits() {
 /// progress rule).
 #[test]
 fn an_rts_claimed_at_post_progresses_while_its_rank_is_in_a_barrier() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let out = run(ClusterSpec::ringlet(2).seed(seed), |r| {
             if r.rank() == 0 {
                 // Runs first: the RTS is queued before rank 1 posts.
@@ -719,7 +712,7 @@ fn an_rts_claimed_at_post_progresses_while_its_rank_is_in_a_barrier() {
 /// resolve cost; a claim logged at post time would read a peak of 1.
 #[test]
 fn irecv_typed_claims_after_the_layout_resolve() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let sender = |r: &mut scimpi::Rank| {
             r.send(1, 1, &[1u8; 64]).unwrap(); // A
             r.send(1, 2, &[2u8; 64]).unwrap(); // B
@@ -774,7 +767,7 @@ fn irecv_typed_claims_after_the_layout_resolve() {
 /// and the typed bytes does: displacement 0 at byte `max(-lb, 0)`.
 #[test]
 fn irecv_typed_places_a_nonzero_lower_bound_like_recv_typed() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let mut landed = [0u8; 16];
         landed[8..].fill(0xC3);
         // (displacement of the one 8-byte block, the data irecv_typed returns)
@@ -814,7 +807,7 @@ fn irecv_typed_places_a_nonzero_lower_bound_like_recv_typed() {
 /// `c.extent() * count`.
 #[test]
 fn irecv_typed_of_zero_instances_returns_no_bytes() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let c = Committed::commit(&Datatype::vector(2, 4, 8, &Datatype::byte()));
         let out = run(ClusterSpec::ringlet(2).seed(seed), move |r| {
             if r.rank() == 0 {
@@ -837,7 +830,7 @@ fn irecv_typed_of_zero_instances_returns_no_bytes() {
 /// the abort broadcast retires the pooled engine task.
 #[test]
 fn request_dropped_during_unwind_does_not_double_panic() {
-    each_seed(|seed| {
+    cells::each(&SEEDS, |seed| {
         let spec = ClusterSpec::ringlet(2).seed(seed);
         let outcome = std::panic::catch_unwind(|| {
             run(spec, |r| {
