@@ -15,13 +15,19 @@
 //! `sendrecv` is pinned too. The fabric is healthy, so the seed draws
 //! nothing there and the table is run at the clusters' default seed.
 //!
-//! A second family kills one rank mid-allreduce and asserts the per-rank
+//! A second family pins the typed collectives (`bcast_typed`,
+//! `allreduce_typed`, `allgatherv_typed`) the same way, per cluster,
+//! layout and instance count, with the counters and the profile folded
+//! in.
+//!
+//! A third family kills one rank mid-allreduce and asserts the per-rank
 //! PeerDead/Revoked error-site map is a deterministic function of the
 //! (seed, algorithm) pair — re-running the identical spec must reproduce
 //! the map bit-for-bit, including virtual timestamps.
 
 mod golden;
 
+use mpi_datatype::{Committed, Datatype};
 use sci_fabric::fnv1a;
 use scimpi::prelude::*;
 use scimpi::{death_delay, revoke, Tuning};
@@ -219,6 +225,91 @@ const MULTI8: [u64; 18] = [
     0xbf7c1324a1fddba7, 0xb9ce03f704180a2a, 0x7f51984df87bd617,
     0x5265b9cc683e839f, 0x95cf13c000a93eee, 0x7d5210650c194517,
     0x49793ddcd6cc20ee, 0xda313cba28cab864, 0x5fb390dcdbcd0b83,
+];
+
+// --- typed collectives ---------------------------------------------------
+
+/// The layouts the typed family runs: a strided vector (8 blocks of 2
+/// doubles, stride 4; 128 B in a 240 B extent) and a layout that reaches
+/// below its origin (`[-16, 0)` and `[8, 16)`, lb −16; 24 B in 32 B).
+fn typed_layouts() -> [(&'static str, Committed); 2] {
+    let double = Datatype::double();
+    [
+        ("vector", Datatype::vector(8, 2, 4, &double)),
+        (
+            "negative lb",
+            Datatype::hindexed(&[(2, -16), (1, 8)], &double),
+        ),
+    ]
+    .map(|(name, dt)| (name, Committed::commit(&dt)))
+}
+
+/// Instance counts per layout: none, eager (512 and 192 B) and past the
+/// eager threshold (20 480 and 24 000 B).
+const TYPED_COUNTS: [[usize; 3]; 2] = [[0, 4, 160], [0, 8, 1000]];
+
+/// `bcast_typed` from rank 1, `allreduce_typed::<u64>` and
+/// `allgatherv_typed` over `count` instances of `c`, displacement 0 at
+/// byte 24; the transcript holds each result buffer and every image.
+fn typed_workload(r: &mut Rank, c: &Committed, count: usize) -> Vec<u8> {
+    let (me, n) = (r.rank(), r.size());
+    let origin = 24;
+    let len = (origin as i64 + c.datatype().lb()) as usize + count * c.extent() + 8;
+    let fill = |seed: usize| -> Vec<u8> { (0..len).map(|i| (i * 13 + seed) as u8).collect() };
+    let mut out = Vec::new();
+    let mut buf = if me == 1 % n { fill(7) } else { vec![0u8; len] };
+    r.bcast_typed(1 % n, c, count, &mut buf, origin).done();
+    out.extend_from_slice(&buf);
+    let mut buf = fill(me * 5 + 1);
+    r.allreduce_typed::<u64>(c, count, &mut buf, origin, ReduceOp::Sum)
+        .done();
+    out.extend_from_slice(&buf);
+    for (k, img) in r.allgatherv_typed(c, count, &fill(me), origin).done() {
+        out.extend((k as u64).to_le_bytes());
+        out.extend(img);
+    }
+    out
+}
+
+/// Every cluster [`equivalence`] runs, each layout at each of its
+/// [`TYPED_COUNTS`]: one cell per run, digesting every rank's transcript
+/// and finish time, the counters and the profile (which names each span
+/// the typed collectives emit).
+#[test]
+fn typed_collectives_match_the_recorded_runs() {
+    let mut table = golden::Table::default();
+    for (cluster, base) in [
+        ("ringlet4", ringlet4 as fn() -> ClusterSpec),
+        ("ringlet5", ringlet5),
+        ("multi8", multi8),
+    ] {
+        for ((layout, c), counts) in typed_layouts().into_iter().zip(TYPED_COUNTS) {
+            for count in counts {
+                let spec = base().obs(obs::ObsConfig::enabled());
+                let (per_rank, report) =
+                    scimpi::run_report(spec, |r| (typed_workload(r, &c, count), r.now().as_ps()));
+                let ranks = per_rank.iter().flat_map(|(bytes, ps)| [fnv1a(bytes), *ps]);
+                let profile = report.profile_json();
+                table.push(
+                    format!("{cluster} / {layout} x {count}"),
+                    golden::digest(ranks, report.counters.iter(), Some(&profile)),
+                );
+            }
+        }
+    }
+    table.check("typed", 3, &TYPED, None);
+}
+
+// One row per cluster and layout (ringlet4, ringlet5, multi8; vector,
+// then negative lb): count 0, eager, rendezvous.
+#[rustfmt::skip]
+const TYPED: [u64; 18] = [
+    0x2dd89a171dd173ac, 0xe3b9d875d36b50ff, 0x335f88e0a5dff6e9,
+    0x28c468f0bfd3348c, 0xed036432c3d38a39, 0xd9e07363dfc1263c,
+    0x2918fddd902a43c9, 0x9eb91cd72c73b14d, 0xdf74c92aa19fd88b,
+    0xc32df94d319bfd11, 0xf094f73930ef6ce6, 0x219a9b998d9c143f,
+    0xb25838b29025863d, 0x251e03d304f16245, 0xd65b499fb617e678,
+    0x1cc52b7c2f54628d, 0x206ab9575ed54f8f, 0x761cf1cb58a3db3d,
 ];
 
 // --- seeded chaos sweep -------------------------------------------------
