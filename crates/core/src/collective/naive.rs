@@ -247,7 +247,9 @@ pub(crate) fn scan<T: Typed>(
 }
 
 /// Pairwise-exchange all-to-all over equal-or-ragged byte blocks (the
-/// legacy `alltoall` body). Aborts at the first failed step: a dead
+/// legacy `alltoall` body). Blocks must be ragged the same way on every
+/// rank, so the block each peer sends here is as long as the one this
+/// rank keeps, `sendblocks[me]`. Aborts at the first failed step: a dead
 /// partner surfaces as [`ScimpiError::PeerDead`] instead of hanging.
 pub(crate) fn alltoall_pairwise(
     r: &mut Rank,
@@ -263,7 +265,7 @@ pub(crate) fn alltoall_pairwise(
     for step in 1..n {
         let dst = (me + step) % n;
         let src = (me + n - step) % n;
-        let mut buf = vec![0u8; sendblocks[dst].len().max(1 << 20)];
+        let mut buf = vec![0u8; sendblocks[me].len()];
         let st = r.sendrecv(
             dst,
             COLL_TAG + 2,

@@ -312,6 +312,31 @@ const TYPED: [u64; 18] = [
     0x1cc52b7c2f54628d, 0x206ab9575ed54f8f, 0x761cf1cb58a3db3d,
 ];
 
+// --- pairwise all-to-all --------------------------------------------------
+
+/// `Rank::alltoall` takes blocks ragged the same way on every rank: the
+/// block to rank 3 is 1.5 MB everywhere, the others ~100 B, so rank 3
+/// receives three blocks larger than a mebibyte through the pairwise
+/// exchange.
+#[test]
+fn pairwise_alltoall_receives_ragged_blocks_over_a_mebibyte() {
+    let size = |d: usize| if d == 3 { 1_500_000 } else { 100 + d };
+    let out = scimpi::run(ClusterSpec::ringlet(4), move |r| {
+        let me = r.rank();
+        let blocks: Vec<Vec<u8>> = (0..4).map(|d| vec![(me * 4 + d) as u8; size(d)]).collect();
+        r.alltoall(&blocks).done()
+    });
+    for (me, got) in out.iter().enumerate() {
+        for (src, block) in got.iter().enumerate() {
+            assert_eq!(
+                block,
+                &vec![(src * 4 + me) as u8; size(me)],
+                "{src} to {me}"
+            );
+        }
+    }
+}
+
 // --- seeded chaos sweep -------------------------------------------------
 
 /// Rendezvous-sized payload in f64 elements; eager sends to a corpse
