@@ -12,10 +12,13 @@
 //! [`ScimpiError::PeerDead`] instead of hanging.
 
 use super::plan::{
-    binomial_children, binomial_parent, bruck_rounds, pow2_floor, recdbl_rank_of, recdbl_role,
-    ring_segment, RecDblRole,
+    binomial_tree, bruck_rounds, hillis_steele_rounds, linear_peers, pairwise_steps,
+    recdbl_partners, recdbl_role, ring_neighbours, ring_segment, ring_steps, RecDblRole,
 };
-use super::{coll_span, naive, AlltoallvParts, ReduceOp, Typed, COLL_TAG};
+use super::{
+    coll_span, combine_after, combine_into, naive, parse_stream, push_block, recv_sized,
+    send_sized, AlltoallvParts, ReduceOp, Typed, COLL_TAG, GATHER_TAGS, SCATTER_TAGS,
+};
 use crate::error::ScimpiError;
 use crate::mailbox::{Source, TagSel};
 use crate::p2p::RecvBuf;
@@ -24,37 +27,25 @@ use crate::tuning::COLL_RING_CHUNK;
 use crate::SendData;
 use mpi_datatype::typed;
 
-/// Serialise `values[lo..hi]` to little-endian bytes.
-fn seg_bytes<T: Typed>(values: &[T], lo: usize, hi: usize) -> Vec<u8> {
-    typed::to_bytes(&values[lo..hi])
-}
-
-/// Element-wise `acc[lo..hi] = combine(acc, other)` with `acc` as the
-/// left operand (matching the naive chain's operand order).
-fn combine_into<T: Typed>(op: ReduceOp, acc: &mut [T], lo: usize, other: &[u8]) {
-    for (i, b) in typed::from_bytes::<T>(other).into_iter().enumerate() {
-        acc[lo + i] = T::combine(op, acc[lo + i], b);
-    }
-}
-
-/// Symmetric exchange of `send` for an equal-role partner's buffer of
-/// known size, used by every pairwise round below.
+/// One `sendrecv` round: `send` to `to`, and a message of `recv_len`
+/// bytes (or what arrives, if shorter) from `from`, on `tag` both ways.
 fn exchange(
     r: &mut Rank,
-    partner: usize,
+    (to, from): (usize, usize),
     tag: i32,
     send: &[u8],
     recv_len: usize,
 ) -> Result<Vec<u8>, ScimpiError> {
     let mut buf = vec![0u8; recv_len];
-    r.sendrecv(
-        partner,
+    let st = r.sendrecv(
+        to,
         tag,
         SendData::Bytes(send),
-        Source::Rank(partner),
+        Source::Rank(from),
         TagSel::Value(tag),
         RecvBuf::Bytes(&mut buf),
     )?;
+    buf.truncate(st.len);
     Ok(buf)
 }
 
@@ -94,23 +85,16 @@ pub(crate) fn recdbl_allreduce<T: Typed>(
                 r.recv(Source::Rank(f), TagSel::Value(COLL_TAG + 8), &mut bytes)?;
                 // The folded partner is the lower rank: it combines on
                 // the left, mirroring ascending-rank reduction order.
-                for (i, b) in typed::from_bytes::<T>(&bytes).into_iter().enumerate() {
-                    values[i] = T::combine(op, b, values[i]);
-                }
+                combine_after(op, values, &bytes);
             }
-            let p2 = pow2_floor(n);
-            let mut mask = 1usize;
-            while mask < p2 {
-                let partner = recdbl_rank_of(newrank ^ mask, n);
-                let got = exchange(r, partner, COLL_TAG + 8, &typed::to_bytes(values), nbytes)?;
+            for partner in recdbl_partners(newrank, n) {
+                let mine = typed::to_bytes(values);
+                let got = exchange(r, (partner, partner), COLL_TAG + 8, &mine, nbytes)?;
                 if partner < me {
-                    for (i, b) in typed::from_bytes::<T>(&got).into_iter().enumerate() {
-                        values[i] = T::combine(op, b, values[i]);
-                    }
+                    combine_after(op, values, &got);
                 } else {
                     combine_into(op, values, 0, &got);
                 }
-                mask <<= 1;
             }
             if let Some(f) = folded {
                 r.send(f, COLL_TAG + 8, &typed::to_bytes(values))?;
@@ -138,39 +122,21 @@ pub(crate) fn ring_allreduce<T: Typed>(
     }
     let start = r.clock.now();
     let len = values.len();
-    let succ = (me + 1) % n;
-    let pred = (me + n - 1) % n;
+    let neighbours = ring_neighbours(me, n);
     // Reduce-scatter: after step t every rank has combined t+1
-    // contributions into segment (me - t - 1) mod n.
-    for t in 0..n - 1 {
-        let (slo, shi) = ring_segment((me + n - t) % n, len, n);
-        let (rlo, rhi) = ring_segment((me + n - t - 1) % n, len, n);
-        let mut buf = vec![0u8; (rhi - rlo) * T::SIZE];
-        r.sendrecv(
-            succ,
-            COLL_TAG + 8,
-            SendData::Bytes(&seg_bytes(values, slo, shi)),
-            Source::Rank(pred),
-            TagSel::Value(COLL_TAG + 8),
-            RecvBuf::Bytes(&mut buf),
-        )?;
-        combine_into(op, values, rlo, &buf);
-    }
-    // Allgather: circulate the finished segments.
-    for t in 0..n - 1 {
-        let (slo, shi) = ring_segment((me + 1 + n - t) % n, len, n);
-        let (rlo, rhi) = ring_segment((me + n - t) % n, len, n);
-        let mut buf = vec![0u8; (rhi - rlo) * T::SIZE];
-        r.sendrecv(
-            succ,
-            COLL_TAG + 8,
-            SendData::Bytes(&seg_bytes(values, slo, shi)),
-            Source::Rank(pred),
-            TagSel::Value(COLL_TAG + 8),
-            RecvBuf::Bytes(&mut buf),
-        )?;
-        for (i, b) in typed::from_bytes::<T>(&buf).into_iter().enumerate() {
-            values[rlo + i] = b;
+    // contributions into segment (me - t - 1) mod n; then the allgather
+    // circulates the finished segments, one step ahead.
+    for (phase, lead) in [(0, me), (1, (me + 1) % n)] {
+        for (sent, recvd) in ring_steps(lead, n) {
+            let (slo, shi) = ring_segment(sent, len, n);
+            let (rlo, rhi) = ring_segment(recvd, len, n);
+            let mine = typed::to_bytes(&values[slo..shi]);
+            let got = exchange(r, neighbours, COLL_TAG + 8, &mine, (rhi - rlo) * T::SIZE)?;
+            if phase == 0 {
+                combine_into(op, values, rlo, &got);
+            } else {
+                values[rlo..rhi].copy_from_slice(&typed::from_bytes::<T>(&got));
+            }
         }
     }
     coll_span(r, "coll.allreduce", start, len * T::SIZE);
@@ -190,40 +156,27 @@ pub(crate) fn hillis_steele_scan<T: Typed>(
     op: ReduceOp,
 ) -> Result<(), ScimpiError> {
     let _reliable = crate::p2p::reliable_section();
-    let n = r.size();
-    let me = r.rank();
     let nbytes = values.len() * T::SIZE;
-    let mut d = 1usize;
-    while d < n {
-        let up = me + d < n;
-        let down = me >= d;
-        match (up, down) {
-            (true, true) => {
-                let mut buf = vec![0u8; nbytes];
-                r.sendrecv(
-                    me + d,
-                    COLL_TAG + 3,
-                    SendData::Bytes(&typed::to_bytes(values)),
-                    Source::Rank(me - d),
-                    TagSel::Value(COLL_TAG + 3),
-                    RecvBuf::Bytes(&mut buf),
-                )?;
-                // The incoming prefix covers lower ranks: left operand.
-                for (i, b) in typed::from_bytes::<T>(&buf).into_iter().enumerate() {
-                    values[i] = T::combine(op, b, values[i]);
-                }
+    let tag = COLL_TAG + 3;
+    for round in hillis_steele_rounds(r.rank(), r.size()) {
+        let mine = typed::to_bytes(values);
+        let got = match round {
+            (Some(to), Some(from)) => Some(exchange(r, (to, from), tag, &mine, nbytes)?),
+            (Some(to), None) => {
+                r.send(to, tag, &mine)?;
+                None
             }
-            (true, false) => r.send(me + d, COLL_TAG + 3, &typed::to_bytes(values))?,
-            (false, true) => {
+            (None, Some(from)) => {
                 let mut buf = vec![0u8; nbytes];
-                r.recv(Source::Rank(me - d), TagSel::Value(COLL_TAG + 3), &mut buf)?;
-                for (i, b) in typed::from_bytes::<T>(&buf).into_iter().enumerate() {
-                    values[i] = T::combine(op, b, values[i]);
-                }
+                r.recv(Source::Rank(from), TagSel::Value(tag), &mut buf)?;
+                Some(buf)
             }
-            (false, false) => {}
+            (None, None) => None,
+        };
+        // The incoming prefix covers lower ranks: left operand.
+        if let Some(got) = got {
+            combine_after(op, values, &got);
         }
-        d <<= 1;
     }
     Ok(())
 }
@@ -231,26 +184,6 @@ pub(crate) fn hillis_steele_scan<T: Typed>(
 // ---------------------------------------------------------------------
 // Gather/scatter: binomial trees over length-prefixed subtree streams.
 // ---------------------------------------------------------------------
-
-/// Parse a `(u64 len, bytes)*` stream into its blocks.
-fn parse_stream(stream: &[u8], expect: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(expect);
-    let mut at = 0usize;
-    for _ in 0..expect {
-        let len = u64::from_le_bytes(stream[at..at + 8].try_into().expect("8 bytes")) as usize;
-        at += 8;
-        out.push(stream[at..at + len].to_vec());
-        at += len;
-    }
-    debug_assert_eq!(at, stream.len());
-    out
-}
-
-/// Append `(u64 len, bytes)` to a stream.
-fn push_block(stream: &mut Vec<u8>, block: &[u8]) {
-    stream.extend_from_slice(&(block.len() as u64).to_le_bytes());
-    stream.extend_from_slice(block);
-}
 
 /// Binomial gatherv: each subtree aggregates its members' blocks into
 /// one length-prefixed stream, so the root receives `log2 n` streams
@@ -263,24 +196,16 @@ pub(crate) fn binomial_gatherv(
     let _reliable = crate::p2p::reliable_section();
     let n = r.size();
     let start = r.clock.now();
-    let vrank = (r.rank() + n - root) % n;
+    let tree = binomial_tree(r.rank(), root, n);
     // Stream for my subtree, vrank-ascending: my block, then each
     // child's aggregated stream (children cover contiguous vrank spans).
     let mut stream = Vec::new();
     push_block(&mut stream, mine);
-    for (child, _span) in binomial_children(vrank, n) {
-        let src = (child + root) % n;
-        let mut len_buf = [0u8; 8];
-        r.recv(Source::Rank(src), TagSel::Value(COLL_TAG + 1), &mut len_buf)?;
-        let len = u64::from_le_bytes(len_buf) as usize;
-        let mut sub = vec![0u8; len];
-        r.recv(Source::Rank(src), TagSel::Value(COLL_TAG), &mut sub)?;
-        stream.extend_from_slice(&sub);
+    for (child, _) in tree.children {
+        stream.extend(recv_sized(r, child, GATHER_TAGS)?);
     }
-    if vrank != 0 {
-        let dst = (binomial_parent(vrank) + root) % n;
-        r.send(dst, COLL_TAG + 1, &(stream.len() as u64).to_le_bytes())?;
-        r.send(dst, COLL_TAG, &stream)?;
+    if let Some(parent) = tree.parent {
+        send_sized(r, parent, GATHER_TAGS, &stream)?;
         coll_span(r, "coll.gatherv", start, mine.len());
         return Ok(None);
     }
@@ -304,37 +229,29 @@ pub(crate) fn binomial_scatterv(
     let _reliable = crate::p2p::reliable_section();
     let n = r.size();
     let start = r.clock.now();
-    let vrank = (r.rank() + n - root) % n;
+    let tree = binomial_tree(r.rank(), root, n);
     // My subtree's stream, vrank-ascending (my own block first).
-    let stream = if vrank == 0 {
-        let parts = parts.expect("validated by the dispatcher");
-        let mut s = Vec::new();
-        for v in 0..n {
-            push_block(&mut s, &parts[(v + root) % n]);
+    let stream = match tree.parent {
+        None => {
+            let parts = parts.expect("validated by the dispatcher");
+            let mut s = Vec::new();
+            for v in 0..n {
+                push_block(&mut s, &parts[(v + root) % n]);
+            }
+            s
         }
-        s
-    } else {
-        let src = (binomial_parent(vrank) + root) % n;
-        let mut len_buf = [0u8; 8];
-        r.recv(Source::Rank(src), TagSel::Value(COLL_TAG + 4), &mut len_buf)?;
-        let len = u64::from_le_bytes(len_buf) as usize;
-        let mut s = vec![0u8; len];
-        r.recv(Source::Rank(src), TagSel::Value(COLL_TAG + 5), &mut s)?;
-        s
+        Some(parent) => recv_sized(r, parent, SCATTER_TAGS)?,
     };
     // Split the stream back into per-vrank blocks of my subtree, then
     // forward each child its contiguous span (largest subtree first,
     // mirroring the broadcast send phase).
-    let span = super::plan::subtree_span(vrank, n);
-    let blocks = parse_stream(&stream, span);
-    for (child, child_span) in binomial_children(vrank, n).into_iter().rev() {
+    let blocks = parse_stream(&stream, tree.span);
+    for (child, vranks) in tree.children.into_iter().rev() {
         let mut sub = Vec::new();
-        for v in child..child + child_span {
-            push_block(&mut sub, &blocks[v - vrank]);
+        for v in vranks {
+            push_block(&mut sub, &blocks[v - tree.vrank]);
         }
-        let dst = (child + root) % n;
-        r.send(dst, COLL_TAG + 4, &(sub.len() as u64).to_le_bytes())?;
-        r.send(dst, COLL_TAG + 5, &sub)?;
+        send_sized(r, child, SCATTER_TAGS, &sub)?;
     }
     let mine = blocks.into_iter().next().expect("own block present");
     coll_span(r, "coll.scatterv", start, mine.len());
@@ -349,29 +266,13 @@ pub(crate) fn binomial_scatterv(
 /// `COLL_TAG+7` (the receiver cannot size its buffer otherwise).
 fn ragged_exchange(
     r: &mut Rank,
-    dst: usize,
-    src: usize,
+    peers: (usize, usize),
     send: &[u8],
 ) -> Result<Vec<u8>, ScimpiError> {
-    let mut len_buf = [0u8; 8];
-    r.sendrecv(
-        dst,
-        COLL_TAG + 6,
-        SendData::Bytes(&(send.len() as u64).to_le_bytes()),
-        Source::Rank(src),
-        TagSel::Value(COLL_TAG + 6),
-        RecvBuf::Bytes(&mut len_buf),
-    )?;
-    let mut buf = vec![0u8; u64::from_le_bytes(len_buf) as usize];
-    r.sendrecv(
-        dst,
-        COLL_TAG + 7,
-        SendData::Bytes(send),
-        Source::Rank(src),
-        TagSel::Value(COLL_TAG + 7),
-        RecvBuf::Bytes(&mut buf),
-    )?;
-    Ok(buf)
+    let len = (send.len() as u64).to_le_bytes();
+    let len = exchange(r, peers, COLL_TAG + 6, &len, 8)?;
+    let len = u64::from_le_bytes(len.try_into().expect("8 bytes")) as usize;
+    exchange(r, peers, COLL_TAG + 7, send, len)
 }
 
 /// Ring allgather: `n-1` neighbour steps, each forwarding the block
@@ -383,18 +284,14 @@ pub(crate) fn ring_allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>, 
     let me = r.rank();
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
     out[me] = mine.to_vec();
-    let succ = (me + 1) % n;
-    let pred = (me + n - 1) % n;
-    for t in 0..n - 1 {
-        let fwd = (me + n - t) % n;
-        let got = ragged_exchange(r, succ, pred, &out[fwd].clone())?;
-        out[(me + n - t - 1) % n] = got;
+    for (fwd, rcv) in ring_steps(me, n) {
+        out[rcv] = ragged_exchange(r, ring_neighbours(me, n), &out[fwd].clone())?;
     }
     Ok(out)
 }
 
-/// Recursive-doubling allgather (power-of-two member counts): at round
-/// `mask` partners `vrank ^ mask` swap their full accumulated sets.
+/// Recursive-doubling allgather (power-of-two member counts): in each
+/// round partners swap their full accumulated sets.
 /// Non-power-of-two counts fall back to [`bruck_allgather`].
 pub(crate) fn recdbl_allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>, ScimpiError> {
     let n = r.size();
@@ -405,9 +302,7 @@ pub(crate) fn recdbl_allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>
     let me = r.rank();
     let mut have: Vec<Option<Vec<u8>>> = vec![None; n];
     have[me] = Some(mine.to_vec());
-    let mut mask = 1usize;
-    while mask < n {
-        let partner = me ^ mask;
+    for partner in recdbl_partners(me, n) {
         // Serialise my set as (u64 rank, u64 len, bytes)* in rank order.
         let mut stream = Vec::new();
         for (rank, block) in have.iter().enumerate() {
@@ -416,7 +311,7 @@ pub(crate) fn recdbl_allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>
                 push_block(&mut stream, b);
             }
         }
-        let got = ragged_exchange(r, partner, partner, &stream)?;
+        let got = ragged_exchange(r, (partner, partner), &stream)?;
         let mut at = 0usize;
         while at < got.len() {
             let rank = u64::from_le_bytes(got[at..at + 8].try_into().expect("8 bytes")) as usize;
@@ -425,7 +320,6 @@ pub(crate) fn recdbl_allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>
             have[rank] = Some(got[at + 16..at + 16 + len].to_vec());
             at += 16 + len;
         }
-        mask <<= 1;
     }
     Ok(have
         .into_iter()
@@ -442,15 +336,13 @@ pub(crate) fn bruck_allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>,
     // have[d] = block of rank (me + d) % n.
     let mut have: Vec<Vec<u8>> = Vec::with_capacity(n);
     have.push(mine.to_vec());
-    for d in bruck_rounds(n) {
+    for (d, up, down) in bruck_rounds(me, n) {
         let cnt = d.min(n - d);
         let mut stream = Vec::new();
         for block in have.iter().take(cnt) {
             push_block(&mut stream, block);
         }
-        let dst = (me + n - d) % n;
-        let src = (me + d) % n;
-        let got = ragged_exchange(r, dst, src, &stream)?;
+        let got = ragged_exchange(r, (down, up), &stream)?;
         have.extend(parse_stream(&got, cnt));
     }
     let mut out = vec![Vec::new(); n];
@@ -480,7 +372,7 @@ pub(crate) fn bruck_alltoall(
     // Phase 1: local rotation so index i holds the block for (me+i)%n.
     let mut tmp: Vec<Vec<u8>> = (0..n).map(|i| sendblocks[(me + i) % n].clone()).collect();
     // Phase 2: for each bit, ship every block whose index has it set.
-    for d in bruck_rounds(n) {
+    for (d, up, down) in bruck_rounds(me, n) {
         let idxs: Vec<usize> = (0..n).filter(|i| i & d != 0).collect();
         let mut packed = Vec::with_capacity(idxs.len() * b);
         for &i in &idxs {
@@ -488,15 +380,7 @@ pub(crate) fn bruck_alltoall(
         }
         // Send to rank me+d, receive from rank me-d (asymmetric pair);
         // equal blocks mean both directions carry `idxs.len() * b` bytes.
-        let mut got = vec![0u8; idxs.len() * b];
-        r.sendrecv(
-            (me + d) % n,
-            COLL_TAG + 2,
-            SendData::Bytes(&packed),
-            Source::Rank((me + n - d) % n),
-            TagSel::Value(COLL_TAG + 2),
-            RecvBuf::Bytes(&mut got),
-        )?;
+        let got = exchange(r, (up, down), COLL_TAG + 2, &packed, idxs.len() * b)?;
         for (slot, &i) in idxs.iter().enumerate() {
             tmp[i] = got[slot * b..(slot + 1) * b].to_vec();
         }
@@ -528,32 +412,18 @@ pub(crate) fn alltoallv_requests(
     // Count exchange (pairwise, 8 bytes per step).
     let mut rcounts = vec![0usize; n];
     rcounts[me] = counts[me];
-    for step in 1..n {
-        let dst = (me + step) % n;
-        let src = (me + n - step) % n;
-        let mut cbuf = [0u8; 8];
-        r.sendrecv(
-            dst,
-            COLL_TAG + 9,
-            SendData::Bytes(&(counts[dst] as u64).to_le_bytes()),
-            Source::Rank(src),
-            TagSel::Value(COLL_TAG + 9),
-            RecvBuf::Bytes(&mut cbuf),
-        )?;
-        rcounts[src] = u64::from_le_bytes(cbuf) as usize;
+    for (dst, src) in pairwise_steps(me, n) {
+        let count = (counts[dst] as u64).to_le_bytes();
+        let got = exchange(r, (dst, src), COLL_TAG + 9, &count, 8)?;
+        rcounts[src] = u64::from_le_bytes(got.try_into().expect("8 bytes")) as usize;
     }
     // Pre-post every receive, ascending source order (deterministic
     // matching), then drive the sends blocking in pairwise step order.
-    let mut reqs = Vec::new();
-    let mut req_src = Vec::new();
-    for (src, &rc) in rcounts.iter().enumerate() {
-        if src != me && rc > 0 {
-            reqs.push(r.irecv(Source::Rank(src), TagSel::Value(COLL_TAG + 2), rc)?);
-            req_src.push(src);
-        }
-    }
-    for step in 1..n {
-        let dst = (me + step) % n;
+    let req_src: Vec<usize> = linear_peers(me, n).filter(|&s| rcounts[s] > 0).collect();
+    let mut reqs = (req_src.iter())
+        .map(|&src| r.irecv(Source::Rank(src), TagSel::Value(COLL_TAG + 2), rcounts[src]))
+        .collect::<Result<Vec<_>, _>>()?;
+    for (dst, _) in pairwise_steps(me, n) {
         let sl = &sendbuf[displs[dst]..displs[dst] + counts[dst]];
         if !sl.is_empty() {
             r.send(dst, COLL_TAG + 2, sl)?;
@@ -597,8 +467,7 @@ pub(crate) fn ring_bcast_onesided(
     let chunk = COLL_RING_CHUNK;
     let start = r.clock.now();
     let v = (me + n - root) % n;
-    let pred = (root + v + n - 1) % n;
-    let succ = (root + v + 1) % n;
+    let (succ, pred) = ring_neighbours(me, n);
     let mut cw = r.coll_win.take().expect("collective window ensured");
     let res = (|| {
         // Pipelined store-and-forward: expose the window for chunk k+1

@@ -12,20 +12,21 @@
 //! collective — the `coll_sweep` bench asserts it stays at zero for
 //! pack-friendly layouts, which is the "never loses to pack+send" bar.
 
-use super::{coll_span, ReduceOp, Typed, COLL_TAG};
+use super::plan::{ring_neighbours, ring_steps};
+use super::{coll_span, naive, ReduceOp, Shape, Typed, COLL_TAG};
 use crate::error::ScimpiError;
 use crate::mailbox::{Source, TagSel};
 use crate::p2p::RecvBuf;
 use crate::runtime::Rank;
 use crate::tuning::PackPath;
 use crate::SendData;
-use mpi_datatype::{ff, Committed};
+use mpi_datatype::Committed;
 
 /// Account a typed collective edge: mirror the selector's verdict and
 /// record staged-path bytes (the selector inside `send_typed` ticks the
 /// `path_selected_*` counters itself; this one only answers "did a typed
 /// collective fall back to packing?").
-fn note_edge(r: &Rank, c: &Committed, count: usize) {
+pub(super) fn note_edge(r: &Rank, c: &Committed, count: usize) {
     let total = c.size() * count;
     if r.world.tuning.select_path(c, total, false) == PackPath::Staged {
         obs::add(obs::Counter::CollPackedBytes, total as u64);
@@ -56,9 +57,9 @@ fn check_span(
 
 impl Rank {
     /// Broadcast `count` instances of `c` (displacement 0 at byte
-    /// `origin` of `buf`) from `root`, binomial tree with a typed edge
-    /// per hop. Every rank must pass the same `c` and `count`; `buf` and
-    /// `origin` are per-rank.
+    /// `origin` of `buf`) from `root`: the binomial tree of
+    /// [`Rank::bcast`], with a typed edge per hop. Every rank must pass
+    /// the same `c` and `count`; `buf` and `origin` are per-rank.
     pub fn bcast_typed(
         &mut self,
         root: usize,
@@ -70,46 +71,21 @@ impl Rank {
         self.check_arg("bcast root", root, self.size())?;
         check_span(self, c, count, origin, buf.len())?;
         let _reliable = crate::p2p::reliable_section();
-        let size = self.size();
-        if size == 1 || count == 0 {
+        if self.size() == 1 || count == 0 {
             return Ok(());
         }
         let start = self.clock.now();
-        let vrank = (self.rank() + size - root) % size;
-        let mut mask = 1usize;
-        while mask < size {
-            if vrank & mask != 0 {
-                let src = (vrank - mask + root) % size;
-                self.recv_typed(
-                    Source::Rank(src),
-                    TagSel::Value(COLL_TAG + 10),
-                    c,
-                    count,
-                    buf,
-                    origin,
-                )?;
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank + mask < size {
-                let dst = (vrank + mask + root) % size;
-                note_edge(self, c, count);
-                self.send_typed(dst, COLL_TAG + 10, c, count, buf, origin)?;
-            }
-            mask >>= 1;
-        }
+        let shape = Shape::Typed { c, count, origin };
+        naive::bcast_walk(self, root, COLL_TAG + 10, buf, shape)?;
         coll_span(self, "coll.bcast", start, c.size() * count);
         Ok(())
     }
 
     /// All-reduce `count` instances of `c` in place, combining the
     /// `T`-typed elements the layout addresses (each basic block of `c`
-    /// must be a whole number of `T`s). Binomial reduce onto rank 0 with
-    /// typed edges, then a typed rebroadcast — no caller-side packing
-    /// anywhere.
+    /// must be a whole number of `T`s). The binomial reduce onto rank 0
+    /// and the broadcast back of the naive [`Rank::allreduce`], with
+    /// typed edges — no caller-side packing anywhere.
     pub fn allreduce_typed<T: Typed>(
         &mut self,
         c: &Committed,
@@ -120,45 +96,12 @@ impl Rank {
     ) -> Result<(), ScimpiError> {
         check_span(self, c, count, origin, buf.len())?;
         let _reliable = crate::p2p::reliable_section();
-        let size = self.size();
-        if size == 1 || count == 0 {
+        if self.size() == 1 || count == 0 {
             return Ok(());
         }
         let start = self.clock.now();
-        let vrank = self.rank(); // reduction root is rank 0
-        let mut mask = 1usize;
-        while mask < size {
-            if vrank & mask != 0 {
-                note_edge(self, c, count);
-                self.send_typed(vrank - mask, COLL_TAG + 10, c, count, buf, origin)?;
-                break;
-            }
-            if vrank + mask < size {
-                let src = vrank + mask;
-                let mut scratch = vec![0u8; buf.len()];
-                self.recv_typed(
-                    Source::Rank(src),
-                    TagSel::Value(COLL_TAG + 10),
-                    c,
-                    count,
-                    &mut scratch,
-                    origin,
-                )?;
-                ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
-                    let at = (origin as i64 + disp) as usize;
-                    debug_assert_eq!(len % T::SIZE, 0, "datatype blocks must be whole elements");
-                    let mut o = 0usize;
-                    while o < len {
-                        let a = T::read_le(&buf[at + o..at + o + T::SIZE]);
-                        let b = T::read_le(&scratch[at + o..at + o + T::SIZE]);
-                        T::combine(op, a, b).write_le(&mut buf[at + o..at + o + T::SIZE]);
-                        o += T::SIZE;
-                    }
-                    core::ops::ControlFlow::Continue(())
-                });
-            }
-            mask <<= 1;
-        }
+        let shape = Shape::Typed { c, count, origin };
+        naive::reduce_walk::<T>(self, 0, COLL_TAG + 10, buf, shape, op)?;
         self.bcast_typed(0, c, count, buf, origin)?;
         coll_span(self, "coll.allreduce", start, c.size() * count);
         Ok(())
@@ -195,11 +138,8 @@ impl Rank {
         if n == 1 {
             return Ok(vec![(count, images[0].take().expect("own image"))]);
         }
-        let succ = (me + 1) % n;
-        let pred = (me + n - 1) % n;
-        for t in 0..n - 1 {
-            let fwd = (me + n - t) % n;
-            let rcv = (me + n - t - 1) % n;
+        let (succ, pred) = ring_neighbours(me, n);
+        for (fwd, rcv) in ring_steps(me, n) {
             let send_img = images[fwd].clone().expect("forwarded image present");
             let mut rbuf = vec![0u8; counts[rcv] * ext];
             note_edge(self, c, counts[fwd]);

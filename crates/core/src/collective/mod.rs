@@ -4,9 +4,13 @@
 //! of point-to-point messages. The reproduction grew the same way — one
 //! linear/binomial schedule per operation — and this module generalises
 //! that into an *engine*: every collective is a rank-symmetric
-//! communication plan (`plan`) walked by an executor (`algos`) over
-//! the runtime's primitives — symmetric sendrecv exchanges, nonblocking
-//! requests, and one-sided PSCW windows.
+//! communication plan (`plan`, the home of every peer a schedule talks
+//! to) walked by an executor over the runtime's primitives — symmetric
+//! sendrecv exchanges, nonblocking requests, and one-sided PSCW windows.
+//! The executors are the reference schedules (`naive`), the engine's
+//! algorithms (`algos`) and the typed collectives (`dtype`), which run
+//! the binomial broadcast and reduce walks of `naive` with a typed edge
+//! per hop.
 //!
 //! ## Algorithm selection
 //!
@@ -57,10 +61,14 @@ pub(crate) mod naive;
 pub(crate) mod plan;
 
 use crate::error::ScimpiError;
+use crate::mailbox::{Source, TagSel};
 use crate::osc::{WinMemory, Window};
+use crate::p2p::RecvBuf;
 use crate::runtime::Rank;
 use crate::tuning::{CollectiveAlgo, COLL_RING_CHUNK};
-use mpi_datatype::typed;
+use crate::SendData;
+use core::ops::ControlFlow;
+use mpi_datatype::{ff, typed, Committed};
 use sci_fabric::Topology;
 use simclock::SimTime;
 
@@ -69,7 +77,7 @@ use simclock::SimTime;
 /// Offsets: `+0` tree data, `+1` gather lengths, `+2` all-to-all blocks,
 /// `+3` scan prefixes, `+4`/`+5` scatterv lengths/data, `+6`/`+7`
 /// allgather stream lengths/data, `+8` allreduce exchanges, `+9`
-/// all-to-all-v counts, `+10`/`+11` typed-collective lengths/elements.
+/// all-to-all-v counts, `+10` typed tree edges, `+11` typed ring images.
 pub(crate) const COLL_TAG: i32 = i32::MIN + 7;
 
 /// What [`Rank::alltoallv`] hands back: the received bytes flattened in
@@ -89,6 +97,153 @@ pub(crate) fn coll_span(rank: &Rank, name: &'static str, start: SimTime, bytes: 
             rank.clock.now(),
             vec![("bytes", obs::Arg::U64(bytes as u64))],
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// What the executors share: edges, length-prefixed messages and
+// streams, element-wise combines, and the buffer a tree walk reads.
+// ---------------------------------------------------------------------
+
+/// The length and data tags of the gather streams and of the scatter
+/// streams, for [`send_sized`]/[`recv_sized`].
+const GATHER_TAGS: (i32, i32) = (COLL_TAG + 1, COLL_TAG);
+const SCATTER_TAGS: (i32, i32) = (COLL_TAG + 4, COLL_TAG + 5);
+
+/// Send `data` to `dst` on `tag`; a typed layout notes its edge first
+/// (see `dtype::note_edge`).
+fn send_edge(r: &mut Rank, dst: usize, tag: i32, data: SendData<'_>) -> Result<(), ScimpiError> {
+    if let SendData::Typed { c, count, .. } = data {
+        dtype::note_edge(r, c, count);
+    }
+    let op = r.start_send(dst, tag, data)?;
+    r.finish_send(op)
+}
+
+/// Send `data` to `dst` as its length (a `u64`, on the first tag), then,
+/// unless it is empty, its bytes (on the second): the receiver cannot
+/// size its buffer otherwise.
+fn send_sized(
+    r: &mut Rank,
+    dst: usize,
+    (len_tag, tag): (i32, i32),
+    data: &[u8],
+) -> Result<(), ScimpiError> {
+    r.send(dst, len_tag, &(data.len() as u64).to_le_bytes())?;
+    if !data.is_empty() {
+        r.send(dst, tag, data)?;
+    }
+    Ok(())
+}
+
+/// Receive what [`send_sized`] sends.
+fn recv_sized(
+    r: &mut Rank,
+    src: usize,
+    (len_tag, tag): (i32, i32),
+) -> Result<Vec<u8>, ScimpiError> {
+    let mut len = [0u8; 8];
+    r.recv(Source::Rank(src), TagSel::Value(len_tag), &mut len)?;
+    let mut data = vec![0u8; u64::from_le_bytes(len) as usize];
+    if !data.is_empty() {
+        r.recv(Source::Rank(src), TagSel::Value(tag), &mut data)?;
+    }
+    Ok(data)
+}
+
+/// Append `(u64 len, bytes)` to a stream.
+fn push_block(stream: &mut Vec<u8>, block: &[u8]) {
+    stream.extend_from_slice(&(block.len() as u64).to_le_bytes());
+    stream.extend_from_slice(block);
+}
+
+/// Parse a `(u64 len, bytes)*` stream into its blocks.
+fn parse_stream(stream: &[u8], expect: usize) -> Vec<Vec<u8>> {
+    let mut out = Vec::with_capacity(expect);
+    let mut at = 0usize;
+    for _ in 0..expect {
+        let len = u64::from_le_bytes(stream[at..at + 8].try_into().expect("8 bytes")) as usize;
+        at += 8;
+        out.push(stream[at..at + len].to_vec());
+        at += len;
+    }
+    debug_assert_eq!(at, stream.len());
+    out
+}
+
+/// `acc[lo..] = acc ⊕ other` element-wise, `acc` as the left operand.
+fn combine_into<T: Typed>(op: ReduceOp, acc: &mut [T], lo: usize, other: &[u8]) {
+    for (a, b) in acc[lo..].iter_mut().zip(typed::from_bytes::<T>(other)) {
+        *a = T::combine(op, *a, b);
+    }
+}
+
+/// `acc = other ⊕ acc` element-wise: `other` holds the lower ranks'
+/// contribution, so it is the left operand.
+fn combine_after<T: Typed>(op: ReduceOp, acc: &mut [T], other: &[u8]) {
+    for (a, b) in acc.iter_mut().zip(typed::from_bytes::<T>(other)) {
+        *a = T::combine(op, b, *a);
+    }
+}
+
+/// How a tree walk reads its buffer: as plain bytes, or as `count`
+/// instances of a committed layout with displacement 0 at `origin`.
+#[derive(Clone, Copy)]
+enum Shape<'a> {
+    Bytes,
+    Typed {
+        c: &'a Committed,
+        count: usize,
+        origin: usize,
+    },
+}
+
+impl<'a> Shape<'a> {
+    /// `buf` read this way, as a send.
+    fn send(self, buf: &'a [u8]) -> SendData<'a> {
+        match self {
+            Shape::Bytes => SendData::Bytes(buf),
+            Shape::Typed { c, count, origin } => SendData::Typed {
+                c,
+                count,
+                buf,
+                origin,
+            },
+        }
+    }
+
+    /// `buf` read this way, as a receive.
+    fn recv(self, buf: &'a mut [u8]) -> RecvBuf<'a> {
+        match self {
+            Shape::Bytes => RecvBuf::Bytes(buf),
+            Shape::Typed { c, count, origin } => RecvBuf::Typed {
+                c,
+                count,
+                buf,
+                origin,
+            },
+        }
+    }
+
+    /// `acc ⊕= other` element-wise over each block this shape reads (a
+    /// byte buffer is one block), `acc` as the left operand.
+    fn combine<T: Typed>(self, op: ReduceOp, acc: &mut [u8], other: &[u8]) {
+        let mut fold = |at: usize, len: usize| {
+            debug_assert_eq!(len % T::SIZE, 0, "datatype blocks must be whole elements");
+            for o in (at..at + len).step_by(T::SIZE) {
+                let (a, b) = (&mut acc[o..o + T::SIZE], &other[o..o + T::SIZE]);
+                T::combine(op, T::read_le(a), T::read_le(b)).write_le(a);
+            }
+        };
+        match self {
+            Shape::Bytes => fold(0, other.len()),
+            Shape::Typed { c, count, origin } => {
+                ff::for_each_block(c, count, 0, usize::MAX, |disp, len| {
+                    fold((origin as i64 + disp) as usize, len);
+                    ControlFlow::Continue(())
+                });
+            }
+        }
     }
 }
 
@@ -332,12 +487,8 @@ impl Rank {
             forced => forced,
         };
         match algo {
-            CollectiveAlgo::Naive => {
-                tick(CollectiveAlgo::Naive);
-                naive::allreduce(self, values, op)
-            }
-            CollectiveAlgo::Binomial => {
-                tick(CollectiveAlgo::Binomial);
+            CollectiveAlgo::Naive | CollectiveAlgo::Binomial => {
+                tick(algo);
                 naive::allreduce(self, values, op)
             }
             CollectiveAlgo::Ring => {
@@ -398,15 +549,10 @@ impl Rank {
     ) -> Result<Option<Vec<Vec<u8>>>, ScimpiError> {
         self.check_arg("gather root", root, self.size())?;
         let algo = self.rooted_tree_algo();
+        tick(algo);
         match algo {
-            CollectiveAlgo::Naive => {
-                tick(CollectiveAlgo::Naive);
-                naive::gatherv(self, root, mine)
-            }
-            _ => {
-                tick(CollectiveAlgo::Binomial);
-                algos::binomial_gatherv(self, root, mine)
-            }
+            CollectiveAlgo::Naive => naive::gatherv(self, root, mine),
+            _ => algos::binomial_gatherv(self, root, mine),
         }
     }
 
@@ -435,15 +581,11 @@ impl Rank {
             tick(CollectiveAlgo::Naive);
             return Ok(parts.expect("validated above")[0].clone());
         }
-        match self.rooted_tree_algo() {
-            CollectiveAlgo::Naive => {
-                tick(CollectiveAlgo::Naive);
-                naive::scatterv(self, root, parts)
-            }
-            _ => {
-                tick(CollectiveAlgo::Binomial);
-                algos::binomial_scatterv(self, root, parts)
-            }
+        let algo = self.rooted_tree_algo();
+        tick(algo);
+        match algo {
+            CollectiveAlgo::Naive => naive::scatterv(self, root, parts),
+            _ => algos::binomial_scatterv(self, root, parts),
         }
     }
 

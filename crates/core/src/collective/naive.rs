@@ -8,8 +8,16 @@
 //! (`tests/chaos.rs`) and the committed bench baselines encode exactly
 //! these conversations. Every other algorithm in [`super::algos`] is
 //! differentially tested against this module.
+//!
+//! The binomial broadcast and reduce walks read their buffer through a
+//! [`Shape`], bytes or a committed layout, so the typed collectives
+//! (`dtype.rs`) run the same trees with a typed edge per hop.
 
-use super::{coll_span, ReduceOp, Typed, COLL_TAG};
+use super::plan::{binomial_tree, chain, linear_peers, pairwise_steps};
+use super::{
+    coll_span, combine_into, parse_stream, push_block, recv_sized, send_edge, send_sized, ReduceOp,
+    Shape, Typed, COLL_TAG, GATHER_TAGS, SCATTER_TAGS,
+};
 use crate::error::ScimpiError;
 use crate::mailbox::{Source, TagSel};
 use crate::p2p::RecvBuf;
@@ -17,35 +25,62 @@ use crate::runtime::Rank;
 use crate::SendData;
 use mpi_datatype::typed;
 
+/// The binomial broadcast walk from `root` on `tag`: receive `buf` from
+/// the parent, then send it to each child, largest subtree first.
+pub(super) fn bcast_walk(
+    r: &mut Rank,
+    root: usize,
+    tag: i32,
+    buf: &mut [u8],
+    shape: Shape<'_>,
+) -> Result<(), ScimpiError> {
+    let tree = binomial_tree(r.rank(), root, r.size());
+    if let Some(parent) = tree.parent {
+        r.recv_into(Source::Rank(parent), TagSel::Value(tag), shape.recv(buf))?;
+    }
+    for (child, _) in tree.children.into_iter().rev() {
+        send_edge(r, child, tag, shape.send(buf))?;
+    }
+    Ok(())
+}
+
 /// Binomial-tree broadcast (the legacy `bcast` body).
 pub(crate) fn bcast(r: &mut Rank, root: usize, buf: &mut [u8]) -> Result<(), ScimpiError> {
     let _reliable = crate::p2p::reliable_section();
-    let size = r.size();
-    if size == 1 {
+    if r.size() == 1 {
         return Ok(());
     }
     let start = r.clock.now();
-    let vrank = (r.rank() + size - root) % size;
-    // Receive phase.
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask != 0 {
-            let src = (vrank - mask + root) % size;
-            r.recv(Source::Rank(src), TagSel::Value(COLL_TAG), buf)?;
-            break;
-        }
-        mask <<= 1;
+    let len = buf.len();
+    bcast_walk(r, root, COLL_TAG, buf, Shape::Bytes)?;
+    coll_span(r, "coll.bcast", start, len);
+    Ok(())
+}
+
+/// The binomial fan-in walk onto `root` on `tag`: fold each child's
+/// partial result into `acc`, ascending, with the child's on the right,
+/// then send `acc` to the parent.
+pub(super) fn reduce_walk<T: Typed>(
+    r: &mut Rank,
+    root: usize,
+    tag: i32,
+    acc: &mut [u8],
+    shape: Shape<'_>,
+    op: ReduceOp,
+) -> Result<(), ScimpiError> {
+    let tree = binomial_tree(r.rank(), root, r.size());
+    for (child, _) in tree.children {
+        let mut other = vec![0u8; acc.len()];
+        r.recv_into(
+            Source::Rank(child),
+            TagSel::Value(tag),
+            shape.recv(&mut other),
+        )?;
+        shape.combine::<T>(op, acc, &other);
     }
-    // Send phase.
-    mask >>= 1;
-    while mask > 0 {
-        if vrank + mask < size {
-            let dst = (vrank + mask + root) % size;
-            r.send(dst, COLL_TAG, buf)?;
-        }
-        mask >>= 1;
+    if let Some(parent) = tree.parent {
+        send_edge(r, parent, tag, shape.send(acc))?;
     }
-    coll_span(r, "coll.bcast", start, buf.len());
     Ok(())
 }
 
@@ -58,32 +93,11 @@ pub(crate) fn reduce<T: Typed>(
     op: ReduceOp,
 ) -> Result<Option<Vec<T>>, ScimpiError> {
     let _reliable = crate::p2p::reliable_section();
-    let size = r.size();
     let start = r.clock.now();
-    let vrank = (r.rank() + size - root) % size;
-    let mut acc = values.to_vec();
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask != 0 {
-            let dst = (vrank - mask + root) % size;
-            let bytes = typed::to_bytes(&acc);
-            r.send(dst, COLL_TAG, &bytes)?;
-            coll_span(r, "coll.reduce", start, values.len() * T::SIZE);
-            return Ok(None);
-        }
-        if vrank + mask < size {
-            let src = (vrank + mask + root) % size;
-            let mut bytes = vec![0u8; acc.len() * T::SIZE];
-            r.recv(Source::Rank(src), TagSel::Value(COLL_TAG), &mut bytes)?;
-            let other: Vec<T> = typed::from_bytes(&bytes);
-            for (a, b) in acc.iter_mut().zip(other) {
-                *a = T::combine(op, *a, b);
-            }
-        }
-        mask <<= 1;
-    }
-    coll_span(r, "coll.reduce", start, values.len() * T::SIZE);
-    Ok(if r.rank() == root { Some(acc) } else { None })
+    let mut acc = typed::to_bytes(values);
+    reduce_walk::<T>(r, root, COLL_TAG, &mut acc, Shape::Bytes, op)?;
+    coll_span(r, "coll.reduce", start, acc.len());
+    Ok((r.rank() == root).then(|| typed::from_bytes(&acc)))
 }
 
 /// Reduce-to-0 plus broadcast (the legacy `allreduce_f64` composition).
@@ -104,17 +118,6 @@ pub(crate) fn allreduce<T: Typed>(
     Ok(())
 }
 
-/// The sender side of [`gatherv`]'s two-message protocol.
-pub(crate) fn gather_send(r: &mut Rank, root: usize, mine: &[u8]) -> Result<(), ScimpiError> {
-    let _reliable = crate::p2p::reliable_section();
-    let len = (mine.len() as u64).to_le_bytes();
-    r.send(root, COLL_TAG + 1, &len)?;
-    if !mine.is_empty() {
-        r.send(root, COLL_TAG, mine)?;
-    }
-    Ok(())
-}
-
 /// Linear gather with variable sizes (the legacy `gatherv` body).
 pub(crate) fn gatherv(
     r: &mut Rank,
@@ -124,27 +127,14 @@ pub(crate) fn gatherv(
     let _reliable = crate::p2p::reliable_section();
     let start = r.clock.now();
     if r.rank() != root {
-        gather_send(r, root, mine)?;
+        send_sized(r, root, GATHER_TAGS, mine)?;
         coll_span(r, "coll.gatherv", start, mine.len());
         return Ok(None);
     }
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); r.size()];
     out[root] = mine.to_vec();
-    // Indexed loop: the body needs `&mut r` for recv, which rules out
-    // iterating `out` directly.
-    #[allow(clippy::needless_range_loop)]
-    for src in 0..r.size() {
-        if src == root {
-            continue;
-        }
-        let mut len_buf = [0u8; 8];
-        r.recv(Source::Rank(src), TagSel::Value(COLL_TAG + 1), &mut len_buf)?;
-        let len = u64::from_le_bytes(len_buf) as usize;
-        let mut data = vec![0u8; len];
-        if len > 0 {
-            r.recv(Source::Rank(src), TagSel::Value(COLL_TAG), &mut data)?;
-        }
-        out[src] = data;
+    for src in linear_peers(root, r.size()) {
+        out[src] = recv_sized(r, src, GATHER_TAGS)?;
     }
     coll_span(r, "coll.gatherv", start, mine.len());
     Ok(Some(out))
@@ -161,62 +151,31 @@ pub(crate) fn scatterv(
     let start = r.clock.now();
     let mine = if r.rank() == root {
         let parts = parts.expect("validated by the dispatcher");
-        for (dst, part) in parts.iter().enumerate() {
-            if dst == root {
-                continue;
-            }
-            let len = (part.len() as u64).to_le_bytes();
-            r.send(dst, COLL_TAG + 4, &len)?;
-            if !part.is_empty() {
-                r.send(dst, COLL_TAG + 5, part)?;
-            }
+        for dst in linear_peers(root, r.size()) {
+            send_sized(r, dst, SCATTER_TAGS, &parts[dst])?;
         }
         parts[root].clone()
     } else {
-        let mut len_buf = [0u8; 8];
-        r.recv(
-            Source::Rank(root),
-            TagSel::Value(COLL_TAG + 4),
-            &mut len_buf,
-        )?;
-        let len = u64::from_le_bytes(len_buf) as usize;
-        let mut data = vec![0u8; len];
-        if len > 0 {
-            r.recv(Source::Rank(root), TagSel::Value(COLL_TAG + 5), &mut data)?;
-        }
-        data
+        recv_sized(r, root, SCATTER_TAGS)?
     };
     coll_span(r, "coll.scatterv", start, mine.len());
     Ok(mine)
 }
 
 /// Gather-to-0 plus double broadcast (the legacy `allgather` body —
-/// MPICH's small-message strategy).
+/// MPICH's small-message strategy): the blocks travel as one
+/// length-prefixed stream, its length broadcast first.
 pub(crate) fn allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>, ScimpiError> {
     let gathered = gatherv(r, 0, mine)?;
-    // Serialise as length-prefixed stream and broadcast.
     let mut stream = Vec::new();
-    if let Some(parts) = gathered {
-        for p in &parts {
-            stream.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            stream.extend_from_slice(p);
-        }
+    for p in gathered.iter().flatten() {
+        push_block(&mut stream, p);
     }
     let mut len_buf = (stream.len() as u64).to_le_bytes();
     bcast(r, 0, &mut len_buf)?;
-    let total = u64::from_le_bytes(len_buf) as usize;
-    stream.resize(total, 0);
+    stream.resize(u64::from_le_bytes(len_buf) as usize, 0);
     bcast(r, 0, &mut stream)?;
-    // Deserialise.
-    let mut out = Vec::with_capacity(r.size());
-    let mut at = 0usize;
-    for _ in 0..r.size() {
-        let len = u64::from_le_bytes(stream[at..at + 8].try_into().expect("8 bytes")) as usize;
-        at += 8;
-        out.push(stream[at..at + len].to_vec());
-        at += len;
-    }
-    Ok(out)
+    Ok(parse_stream(&stream, r.size()))
 }
 
 /// Linear inclusive-scan chain (the legacy `scan_sum_f64` body,
@@ -227,21 +186,14 @@ pub(crate) fn scan<T: Typed>(
     op: ReduceOp,
 ) -> Result<(), ScimpiError> {
     let _reliable = crate::p2p::reliable_section();
-    if r.rank() > 0 {
+    let (next, prev) = chain(r.rank(), r.size());
+    if let Some(prev) = prev {
         let mut bytes = vec![0u8; values.len() * T::SIZE];
-        r.recv(
-            Source::Rank(r.rank() - 1),
-            TagSel::Value(COLL_TAG + 3),
-            &mut bytes,
-        )?;
-        let prev: Vec<T> = typed::from_bytes(&bytes);
-        for (a, p) in values.iter_mut().zip(prev) {
-            *a = T::combine(op, *a, p);
-        }
+        r.recv(Source::Rank(prev), TagSel::Value(COLL_TAG + 3), &mut bytes)?;
+        combine_into(op, values, 0, &bytes);
     }
-    if r.rank() + 1 < r.size() {
-        let bytes = typed::to_bytes(values);
-        r.send(r.rank() + 1, COLL_TAG + 3, &bytes)?;
+    if let Some(next) = next {
+        r.send(next, COLL_TAG + 3, &typed::to_bytes(values))?;
     }
     Ok(())
 }
@@ -259,12 +211,9 @@ pub(crate) fn alltoall_pairwise(
     let start = r.clock.now();
     let total: usize = sendblocks.iter().map(Vec::len).sum();
     let me = r.rank();
-    let n = r.size();
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
+    let mut out: Vec<Vec<u8>> = vec![Vec::new(); r.size()];
     out[me] = sendblocks[me].clone();
-    for step in 1..n {
-        let dst = (me + step) % n;
-        let src = (me + n - step) % n;
+    for (dst, src) in pairwise_steps(me, r.size()) {
         let mut buf = vec![0u8; sendblocks[me].len()];
         let st = r.sendrecv(
             dst,

@@ -1,10 +1,15 @@
-//! Rank-symmetric communication plans for the collective engine.
+//! Rank-symmetric communication plans for the collective engine: every
+//! peer a collective hands to `send`, `recv`, `sendrecv` or a window verb
+//! comes from here.
 //!
 //! Every schedule here is a pure function of `(rank, size)` — no clocks,
 //! no transport — so each member of a collective derives the *same* plan
 //! independently and the wire conversation is symmetric by construction.
-//! The executors in [`super::algos`] walk these plans over the actual
-//! primitives (sendrecv, nonblocking requests, one-sided windows).
+//! The executors in [`super::naive`], [`super::algos`] and the typed
+//! collectives (`dtype.rs`) walk these plans over the actual primitives
+//! (sendrecv, nonblocking requests, one-sided windows).
+
+use std::ops::Range;
 
 /// Lowest set bit of `v` (`v` must be non-zero).
 pub(crate) fn lowest_set_bit(v: usize) -> usize {
@@ -20,31 +25,49 @@ pub(crate) fn pow2_floor(n: usize) -> usize {
     p
 }
 
-/// Parent of `vrank` in the binomial tree rooted at vrank 0: the vrank
-/// with the lowest set bit cleared. `vrank` must be non-zero.
-pub(crate) fn binomial_parent(vrank: usize) -> usize {
-    vrank & (vrank - 1)
+/// The doubling distances below `n`: 1, 2, 4, ...
+fn doublings(n: usize) -> impl Iterator<Item = usize> {
+    (0..usize::BITS)
+        .map(|k| 1usize << k)
+        .take_while(move |&d| d < n)
 }
 
-/// Children of `vrank` in the binomial tree over `n` vranks, ascending:
-/// `vrank + m` for each power of two `m` below `vrank`'s lowest set bit
-/// (unbounded for the root) that stays inside the tree. Each child is
-/// returned with the size of the subtree hanging off it.
-pub(crate) fn binomial_children(vrank: usize, n: usize) -> Vec<(usize, usize)> {
-    let cap = if vrank == 0 { n } else { lowest_set_bit(vrank) };
-    let mut out = Vec::new();
-    let mut m = 1usize;
-    while m < cap && vrank + m < n {
-        out.push((vrank + m, subtree_span(vrank + m, n)));
-        m <<= 1;
-    }
-    out
+/// A rank's edges in the binomial tree over `n` ranks rooted at `root`,
+/// where vrank `v` is rank `(v + root) % n`.
+pub(crate) struct Tree {
+    /// This rank's vrank.
+    pub(crate) vrank: usize,
+    /// The vranks in this rank's subtree, itself included.
+    pub(crate) span: usize,
+    /// The parent's rank; `None` at the root.
+    pub(crate) parent: Option<usize>,
+    /// Each child's rank with the vranks of its subtree, ascending.
+    pub(crate) children: Vec<(usize, Range<usize>)>,
 }
 
-/// Number of vranks in the subtree rooted at `vrank` (itself included).
-pub(crate) fn subtree_span(vrank: usize, n: usize) -> usize {
+/// `rank`'s edges in the binomial tree over `n` ranks rooted at `root`.
+/// A vrank's parent clears its lowest set bit; its children add each
+/// power of two below that bit (every one, at the root) that stays
+/// inside the tree.
+pub(crate) fn binomial_tree(rank: usize, root: usize, n: usize) -> Tree {
+    let vrank = (rank + n - root) % n;
+    let rank_of = |v: usize| (v + root) % n;
     let reach = if vrank == 0 { n } else { lowest_set_bit(vrank) };
-    reach.min(n - vrank)
+    Tree {
+        vrank,
+        span: reach.min(n - vrank),
+        parent: (vrank != 0).then(|| rank_of(vrank & (vrank - 1))),
+        children: doublings(reach)
+            .take_while(|&m| vrank + m < n)
+            .map(|m| (rank_of(vrank + m), vrank + m..(vrank + 2 * m).min(n)))
+            .collect(),
+    }
+}
+
+/// Every rank but `rank`, ascending: the children of a linear (flat)
+/// tree rooted at `rank`.
+pub(crate) fn linear_peers(rank: usize, n: usize) -> impl Iterator<Item = usize> {
+    (0..n).filter(move |&p| p != rank)
 }
 
 /// A rank's role in the non-power-of-two recursive-doubling fold
@@ -100,15 +123,69 @@ pub(crate) fn recdbl_rank_of(newrank: usize, n: usize) -> usize {
     }
 }
 
-/// Bruck round distances for `n` ranks: the powers of two below `n`.
-pub(crate) fn bruck_rounds(n: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut d = 1usize;
-    while d < n {
-        out.push(d);
-        d <<= 1;
-    }
-    out
+/// The real rank core rank `newrank` exchanges with in each round of the
+/// recursive-doubling core, `log2 pow2_floor(n)` rounds: core rank
+/// `newrank ^ d` for each doubling distance `d`. With `n` a power of two
+/// every rank is core and its own `newrank`.
+pub(crate) fn recdbl_partners(newrank: usize, n: usize) -> Vec<usize> {
+    doublings(pow2_floor(n))
+        .map(|d| recdbl_rank_of(newrank ^ d, n))
+        .collect()
+}
+
+/// Hillis–Steele scan rounds at `rank` over `n` ranks, `ceil(log2 n)` of
+/// them: at each doubling distance `d`, the rank `rank + d` it sends its
+/// prefix to and the rank `rank - d` it receives one from, where they
+/// exist.
+pub(crate) fn hillis_steele_rounds(rank: usize, n: usize) -> Vec<(Option<usize>, Option<usize>)> {
+    doublings(n).map(|d| line_shift(rank, n, d)).collect()
+}
+
+/// The linear chain's neighbours of `rank`: the next rank and the
+/// previous one, where they exist (the first Hillis–Steele round).
+pub(crate) fn chain(rank: usize, n: usize) -> (Option<usize>, Option<usize>) {
+    line_shift(rank, n, 1)
+}
+
+fn line_shift(rank: usize, n: usize, d: usize) -> (Option<usize>, Option<usize>) {
+    ((rank + d < n).then_some(rank + d), rank.checked_sub(d))
+}
+
+/// `(rank + d, rank - d)` modulo `n`, for `d <= n`.
+fn ring_shift(rank: usize, n: usize, d: usize) -> (usize, usize) {
+    ((rank + d) % n, (rank + n - d) % n)
+}
+
+/// The ring neighbours of `rank`: its successor and its predecessor.
+pub(crate) fn ring_neighbours(rank: usize, n: usize) -> (usize, usize) {
+    ring_shift(rank, n, 1)
+}
+
+/// The `n - 1` steps of a ring pass at `rank` (which sends to its
+/// successor and receives from its predecessor every step): step `t`
+/// sends the block of rank `rank - t` — its own, then each block it
+/// received the step before — and receives the block of `rank - t - 1`.
+pub(crate) fn ring_steps(rank: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n.saturating_sub(1)).map(move |t| ((rank + n - t) % n, (rank + n - t - 1) % n))
+}
+
+/// The `n - 1` steps of the pairwise exchange at `rank`: step `s` sends to
+/// `rank + s` and receives from `rank - s` (mod `n`), so every step pairs
+/// each rank with a distinct peer and the steps meet every peer once.
+pub(crate) fn pairwise_steps(rank: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (1..n).map(move |s| ring_shift(rank, n, s))
+}
+
+/// Bruck rounds at `rank` over `n` ranks, `ceil(log2 n)` of them: each
+/// doubling distance `d` below `n`, with the ranks `rank + d` and
+/// `rank - d` (mod `n`).
+pub(crate) fn bruck_rounds(rank: usize, n: usize) -> Vec<(usize, usize, usize)> {
+    doublings(n)
+        .map(|d| {
+            let (up, down) = ring_shift(rank, n, d);
+            (d, up, down)
+        })
+        .collect()
 }
 
 /// Element range `[lo, hi)` of ring-allreduce segment `s` over `len`
@@ -122,29 +199,87 @@ pub(crate) fn ring_segment(s: usize, len: usize, n: usize) -> (usize, usize) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn binomial_tree_is_consistent_for_all_sizes() {
-        for n in 1..=17 {
-            // Every non-root vrank appears exactly once as a child of its
-            // parent, and subtree spans tile the tree.
-            let mut seen = vec![false; n];
-            seen[0] = true;
-            for v in 0..n {
-                for (c, span) in binomial_children(v, n) {
-                    assert_eq!(binomial_parent(c), v, "n={n} child {c}");
-                    assert_eq!(span, subtree_span(c, n));
-                    assert!(!seen[c], "n={n} vrank {c} reached twice");
-                    seen[c] = true;
+    /// Every rank count the plan properties are checked at.
+    const SIZES: std::ops::RangeInclusive<usize> = 1..=64;
+
+    fn ceil_log2(n: usize) -> usize {
+        n.next_power_of_two().trailing_zeros() as usize
+    }
+
+    /// One `(to, from)` pair per round and rank.
+    type Rounds = Vec<(Option<usize>, Option<usize>)>;
+
+    /// Every rank has the same number of rounds, and each round's send
+    /// meets the receive its peer posts in that round (and the other way
+    /// round). Returns the round count.
+    fn matched(what: &str, n: usize, rounds: impl Fn(usize) -> Rounds) -> usize {
+        let all: Vec<Rounds> = (0..n).map(&rounds).collect();
+        let count = all[0].len();
+        for (rank, mine) in all.iter().enumerate() {
+            assert_eq!(mine.len(), count, "{what} n={n} rank {rank}: round count");
+            for (k, &(to, from)) in mine.iter().enumerate() {
+                if let Some(p) = to {
+                    assert_eq!(
+                        all[p][k].1,
+                        Some(rank),
+                        "{what} n={n} round {k}: {rank} -> {p}"
+                    );
+                }
+                if let Some(q) = from {
+                    assert_eq!(
+                        all[q][k].0,
+                        Some(rank),
+                        "{what} n={n} round {k}: {q} -> {rank}"
+                    );
                 }
             }
-            assert!(seen.iter().all(|&s| s), "n={n} unreached vranks");
-            assert_eq!(subtree_span(0, n), n);
+        }
+        count
+    }
+
+    /// The ranks a rank sends to, each once, are every other rank.
+    fn meets_every_peer_once(rank: usize, n: usize, peers: impl Iterator<Item = usize>) {
+        let mut peers: Vec<usize> = peers.collect();
+        peers.sort_unstable();
+        assert_eq!(
+            peers,
+            linear_peers(rank, n).collect::<Vec<_>>(),
+            "n={n} rank {rank}"
+        );
+    }
+
+    #[test]
+    fn binomial_tree_reaches_every_rank_once_within_log_depth() {
+        for n in SIZES {
+            for root in [0, n / 2, n - 1] {
+                let trees: Vec<Tree> = (0..n).map(|r| binomial_tree(r, root, n)).collect();
+                let mut reached = vec![0; n];
+                for (rank, tree) in trees.iter().enumerate() {
+                    assert_eq!(tree.parent.is_none(), rank == root, "n={n} root {root}");
+                    let mut span = 1;
+                    for (child, vranks) in &tree.children {
+                        let sub = &trees[*child];
+                        assert_eq!(sub.parent, Some(rank), "n={n} child {child}");
+                        assert_eq!(*vranks, sub.vrank..sub.vrank + sub.span);
+                        reached[*child] += 1;
+                        span += sub.span;
+                    }
+                    assert_eq!(tree.span, span, "n={n} rank {rank}: spans tile");
+                    let (mut depth, mut at) = (0, rank);
+                    while let Some(p) = trees[at].parent {
+                        (depth, at) = (depth + 1, p);
+                    }
+                    assert!(depth <= ceil_log2(n), "n={n} rank {rank}: depth {depth}");
+                }
+                reached[root] += 1;
+                assert!(reached.iter().all(|&k| k == 1), "n={n}: {reached:?}");
+            }
         }
     }
 
     #[test]
     fn recdbl_fold_partitions_ranks() {
-        for n in 1..=17 {
+        for n in SIZES {
             let p2 = pow2_floor(n);
             let mut core_seen = vec![false; p2];
             for rank in 0..n {
@@ -170,11 +305,56 @@ mod tests {
     }
 
     #[test]
-    fn bruck_rounds_cover_all_distances() {
-        assert_eq!(bruck_rounds(1), Vec::<usize>::new());
-        assert_eq!(bruck_rounds(2), vec![1]);
-        assert_eq!(bruck_rounds(8), vec![1, 2, 4]);
-        assert_eq!(bruck_rounds(10), vec![1, 2, 4, 8]);
+    fn round_plans_match_their_peers_and_take_their_stated_rounds() {
+        for n in SIZES {
+            let recdbl = matched("recursive doubling", n, |rank| match recdbl_role(rank, n) {
+                RecDblRole::Fold { .. } => {
+                    vec![(None, None); pow2_floor(n).trailing_zeros() as usize]
+                }
+                RecDblRole::Core { newrank, .. } => recdbl_partners(newrank, n)
+                    .into_iter()
+                    .map(|p| (Some(p), Some(p)))
+                    .collect(),
+            });
+            assert_eq!(recdbl, pow2_floor(n).trailing_zeros() as usize, "n={n}");
+            let bruck = matched("bruck", n, |rank| {
+                let rounds = bruck_rounds(rank, n);
+                rounds
+                    .iter()
+                    .map(|&(_, up, down)| (Some(up), Some(down)))
+                    .collect()
+            });
+            assert_eq!(bruck, ceil_log2(n), "n={n}");
+            let hs = matched("hillis-steele", n, |rank| hillis_steele_rounds(rank, n));
+            assert_eq!(hs, ceil_log2(n), "n={n}");
+            matched("chain", n, |rank| vec![chain(rank, n)]);
+        }
+    }
+
+    #[test]
+    fn ring_and_pairwise_take_n_minus_1_steps_and_meet_every_peer_once() {
+        for n in SIZES {
+            let pairwise = matched("pairwise", n, |rank| {
+                let steps = pairwise_steps(rank, n);
+                steps.map(|(to, from)| (Some(to), Some(from))).collect()
+            });
+            assert_eq!(pairwise, n - 1, "n={n}");
+            for rank in 0..n {
+                meets_every_peer_once(rank, n, pairwise_steps(rank, n).map(|(to, _)| to));
+                meets_every_peer_once(rank, n, pairwise_steps(rank, n).map(|(_, from)| from));
+                // Each step's block is the one the successor receives; the
+                // blocks received are every other rank's, once each.
+                let (succ, pred) = ring_neighbours(rank, n);
+                assert_eq!(ring_neighbours(succ, n).1, rank);
+                assert_eq!(ring_neighbours(pred, n).0, rank);
+                let steps: Vec<_> = ring_steps(rank, n).collect();
+                assert_eq!(steps.len(), n - 1, "n={n}");
+                for (t, (sent, _)) in steps.iter().enumerate() {
+                    assert_eq!(ring_steps(succ, n).nth(t).map(|s| s.1), Some(*sent));
+                }
+                meets_every_peer_once(rank, n, steps.iter().map(|s| s.1));
+            }
+        }
     }
 
     #[test]
@@ -199,5 +379,7 @@ mod tests {
         assert_eq!(pow2_floor(1), 1);
         assert_eq!(pow2_floor(9), 8);
         assert_eq!(pow2_floor(16), 16);
+        assert_eq!(doublings(10).collect::<Vec<_>>(), [1, 2, 4, 8]);
+        assert_eq!(doublings(1).count(), 0);
     }
 }
