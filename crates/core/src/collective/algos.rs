@@ -124,15 +124,15 @@ pub(crate) fn ring_allreduce<T: Typed>(
     let len = values.len();
     let neighbours = ring_neighbours(me, n);
     // Reduce-scatter: after step t every rank has combined t+1
-    // contributions into segment (me - t - 1) mod n; then the allgather
-    // circulates the finished segments, one step ahead.
-    for (phase, lead) in [(0, me), (1, (me + 1) % n)] {
+    // contributions into segment (me - t - 1) mod n. Then the allgather
+    // circulates the finished segments, one segment ahead.
+    for (reducing, lead) in [(true, me), (false, (me + 1) % n)] {
         for (sent, recvd) in ring_steps(lead, n) {
             let (slo, shi) = ring_segment(sent, len, n);
             let (rlo, rhi) = ring_segment(recvd, len, n);
             let mine = typed::to_bytes(&values[slo..shi]);
             let got = exchange(r, neighbours, COLL_TAG + 8, &mine, (rhi - rlo) * T::SIZE)?;
-            if phase == 0 {
+            if reducing {
                 combine_into(op, values, rlo, &got);
             } else {
                 values[rlo..rhi].copy_from_slice(&typed::from_bytes::<T>(&got));
@@ -159,11 +159,13 @@ pub(crate) fn hillis_steele_scan<T: Typed>(
     let nbytes = values.len() * T::SIZE;
     let tag = COLL_TAG + 3;
     for round in hillis_steele_rounds(r.rank(), r.size()) {
-        let mine = typed::to_bytes(values);
         let got = match round {
-            (Some(to), Some(from)) => Some(exchange(r, (to, from), tag, &mine, nbytes)?),
+            (Some(to), Some(from)) => {
+                let mine = typed::to_bytes(values);
+                Some(exchange(r, (to, from), tag, &mine, nbytes)?)
+            }
             (Some(to), None) => {
-                r.send(to, tag, &mine)?;
+                r.send(to, tag, &typed::to_bytes(values))?;
                 None
             }
             (None, Some(from)) => {
@@ -201,10 +203,10 @@ pub(crate) fn binomial_gatherv(
     // child's aggregated stream (children cover contiguous vrank spans).
     let mut stream = Vec::new();
     push_block(&mut stream, mine);
-    for (child, _) in tree.children {
+    for (child, _) in tree.children() {
         stream.extend(recv_sized(r, child, GATHER_TAGS)?);
     }
-    if let Some(parent) = tree.parent {
+    if let Some(parent) = tree.parent() {
         send_sized(r, parent, GATHER_TAGS, &stream)?;
         coll_span(r, "coll.gatherv", start, mine.len());
         return Ok(None);
@@ -231,7 +233,7 @@ pub(crate) fn binomial_scatterv(
     let start = r.clock.now();
     let tree = binomial_tree(r.rank(), root, n);
     // My subtree's stream, vrank-ascending (my own block first).
-    let stream = match tree.parent {
+    let stream = match tree.parent() {
         None => {
             let parts = parts.expect("validated by the dispatcher");
             let mut s = Vec::new();
@@ -246,7 +248,7 @@ pub(crate) fn binomial_scatterv(
     // forward each child its contiguous span (largest subtree first,
     // mirroring the broadcast send phase).
     let blocks = parse_stream(&stream, tree.span);
-    for (child, vranks) in tree.children.into_iter().rev() {
+    for (child, vranks) in tree.children().rev() {
         let mut sub = Vec::new();
         for v in vranks {
             push_block(&mut sub, &blocks[v - tree.vrank]);

@@ -16,10 +16,8 @@ use super::plan::{ring_neighbours, ring_steps};
 use super::{coll_span, naive, ReduceOp, Shape, Typed, COLL_TAG};
 use crate::error::ScimpiError;
 use crate::mailbox::{Source, TagSel};
-use crate::p2p::RecvBuf;
 use crate::runtime::Rank;
 use crate::tuning::PackPath;
-use crate::SendData;
 use mpi_datatype::Committed;
 
 /// Account a typed collective edge: mirror the selector's verdict and
@@ -139,27 +137,22 @@ impl Rank {
             return Ok(vec![(count, images[0].take().expect("own image"))]);
         }
         let (succ, pred) = ring_neighbours(me, n);
+        let shape = |count| Shape::Typed {
+            c,
+            count,
+            origin: img_origin,
+        };
         for (fwd, rcv) in ring_steps(me, n) {
-            let send_img = images[fwd].clone().expect("forwarded image present");
+            let send_img = images[fwd].as_deref().expect("forwarded image present");
             let mut rbuf = vec![0u8; counts[rcv] * ext];
             note_edge(self, c, counts[fwd]);
             self.sendrecv(
                 succ,
                 COLL_TAG + 11,
-                SendData::Typed {
-                    c,
-                    count: counts[fwd],
-                    buf: &send_img,
-                    origin: img_origin,
-                },
+                shape(counts[fwd]).send(send_img),
                 Source::Rank(pred),
                 TagSel::Value(COLL_TAG + 11),
-                RecvBuf::Typed {
-                    c,
-                    count: counts[rcv],
-                    buf: &mut rbuf,
-                    origin: img_origin,
-                },
+                shape(counts[rcv]).recv(&mut rbuf),
             )?;
             images[rcv] = Some(rbuf);
         }

@@ -35,10 +35,10 @@ pub(super) fn bcast_walk(
     shape: Shape<'_>,
 ) -> Result<(), ScimpiError> {
     let tree = binomial_tree(r.rank(), root, r.size());
-    if let Some(parent) = tree.parent {
+    if let Some(parent) = tree.parent() {
         r.recv_into(Source::Rank(parent), TagSel::Value(tag), shape.recv(buf))?;
     }
-    for (child, _) in tree.children.into_iter().rev() {
+    for (child, _) in tree.children().rev() {
         send_edge(r, child, tag, shape.send(buf))?;
     }
     Ok(())
@@ -69,7 +69,7 @@ pub(super) fn reduce_walk<T: Typed>(
     op: ReduceOp,
 ) -> Result<(), ScimpiError> {
     let tree = binomial_tree(r.rank(), root, r.size());
-    for (child, _) in tree.children {
+    for (child, _) in tree.children() {
         let mut other = vec![0u8; acc.len()];
         r.recv_into(
             Source::Rank(child),
@@ -78,7 +78,7 @@ pub(super) fn reduce_walk<T: Typed>(
         )?;
         shape.combine::<T>(op, acc, &other);
     }
-    if let Some(parent) = tree.parent {
+    if let Some(parent) = tree.parent() {
         send_edge(r, parent, tag, shape.send(acc))?;
     }
     Ok(())

@@ -11,56 +11,65 @@
 
 use std::ops::Range;
 
-/// Lowest set bit of `v` (`v` must be non-zero).
-pub(crate) fn lowest_set_bit(v: usize) -> usize {
-    v & v.wrapping_neg()
-}
-
 /// Largest power of two at or below `n` (`n` must be non-zero).
 pub(crate) fn pow2_floor(n: usize) -> usize {
-    let mut p = 1usize;
-    while p * 2 <= n {
-        p *= 2;
-    }
-    p
+    1 << n.ilog2()
 }
 
 /// The doubling distances below `n`: 1, 2, 4, ...
-fn doublings(n: usize) -> impl Iterator<Item = usize> {
-    (0..usize::BITS)
-        .map(|k| 1usize << k)
-        .take_while(move |&d| d < n)
+fn doublings(n: usize) -> impl DoubleEndedIterator<Item = usize> {
+    (0..usize::BITS - n.saturating_sub(1).leading_zeros()).map(|k| 1usize << k)
 }
 
-/// A rank's edges in the binomial tree over `n` ranks rooted at `root`,
+/// A rank's place in the binomial tree over `n` ranks rooted at `root`,
 /// where vrank `v` is rank `(v + root) % n`.
+#[derive(Clone, Copy)]
 pub(crate) struct Tree {
     /// This rank's vrank.
     pub(crate) vrank: usize,
     /// The vranks in this rank's subtree, itself included.
     pub(crate) span: usize,
-    /// The parent's rank; `None` at the root.
-    pub(crate) parent: Option<usize>,
-    /// Each child's rank with the vranks of its subtree, ascending.
-    pub(crate) children: Vec<(usize, Range<usize>)>,
+    root: usize,
+    n: usize,
 }
 
-/// `rank`'s edges in the binomial tree over `n` ranks rooted at `root`.
-/// A vrank's parent clears its lowest set bit; its children add each
-/// power of two below that bit (every one, at the root) that stays
-/// inside the tree.
+/// `rank`'s place in the binomial tree over `n` ranks rooted at `root`.
 pub(crate) fn binomial_tree(rank: usize, root: usize, n: usize) -> Tree {
     let vrank = (rank + n - root) % n;
-    let rank_of = |v: usize| (v + root) % n;
-    let reach = if vrank == 0 { n } else { lowest_set_bit(vrank) };
+    // A vrank's subtree reaches as far as its lowest set bit.
+    let reach = if vrank == 0 {
+        n
+    } else {
+        vrank & vrank.wrapping_neg()
+    };
+    let span = reach.min(n - vrank);
     Tree {
         vrank,
-        span: reach.min(n - vrank),
-        parent: (vrank != 0).then(|| rank_of(vrank & (vrank - 1))),
-        children: doublings(reach)
-            .take_while(|&m| vrank + m < n)
-            .map(|m| (rank_of(vrank + m), vrank + m..(vrank + 2 * m).min(n)))
-            .collect(),
+        span,
+        root,
+        n,
+    }
+}
+
+impl Tree {
+    fn rank_of(self, vrank: usize) -> usize {
+        (vrank + self.root) % self.n
+    }
+
+    /// The parent's rank, whose vrank is this one with its lowest set bit
+    /// cleared; `None` at the root.
+    pub(crate) fn parent(self) -> Option<usize> {
+        let v = self.vrank;
+        (v != 0).then(|| self.rank_of(v & (v - 1)))
+    }
+
+    /// Each child's rank, ascending, with the vranks of its subtree: the
+    /// children are this vrank plus each power of two below the span.
+    pub(crate) fn children(self) -> impl DoubleEndedIterator<Item = (usize, Range<usize>)> {
+        doublings(self.span).map(move |m| {
+            let c = self.vrank + m;
+            (self.rank_of(c), c..(c + m).min(self.n))
+        })
     }
 }
 
@@ -127,18 +136,19 @@ pub(crate) fn recdbl_rank_of(newrank: usize, n: usize) -> usize {
 /// recursive-doubling core, `log2 pow2_floor(n)` rounds: core rank
 /// `newrank ^ d` for each doubling distance `d`. With `n` a power of two
 /// every rank is core and its own `newrank`.
-pub(crate) fn recdbl_partners(newrank: usize, n: usize) -> Vec<usize> {
-    doublings(pow2_floor(n))
-        .map(|d| recdbl_rank_of(newrank ^ d, n))
-        .collect()
+pub(crate) fn recdbl_partners(newrank: usize, n: usize) -> impl Iterator<Item = usize> {
+    doublings(pow2_floor(n)).map(move |d| recdbl_rank_of(newrank ^ d, n))
 }
 
 /// Hillis–Steele scan rounds at `rank` over `n` ranks, `ceil(log2 n)` of
 /// them: at each doubling distance `d`, the rank `rank + d` it sends its
 /// prefix to and the rank `rank - d` it receives one from, where they
 /// exist.
-pub(crate) fn hillis_steele_rounds(rank: usize, n: usize) -> Vec<(Option<usize>, Option<usize>)> {
-    doublings(n).map(|d| line_shift(rank, n, d)).collect()
+pub(crate) fn hillis_steele_rounds(
+    rank: usize,
+    n: usize,
+) -> impl Iterator<Item = (Option<usize>, Option<usize>)> {
+    doublings(n).map(move |d| line_shift(rank, n, d))
 }
 
 /// The linear chain's neighbours of `rank`: the next rank and the
@@ -179,13 +189,11 @@ pub(crate) fn pairwise_steps(rank: usize, n: usize) -> impl Iterator<Item = (usi
 /// Bruck rounds at `rank` over `n` ranks, `ceil(log2 n)` of them: each
 /// doubling distance `d` below `n`, with the ranks `rank + d` and
 /// `rank - d` (mod `n`).
-pub(crate) fn bruck_rounds(rank: usize, n: usize) -> Vec<(usize, usize, usize)> {
-    doublings(n)
-        .map(|d| {
-            let (up, down) = ring_shift(rank, n, d);
-            (d, up, down)
-        })
-        .collect()
+pub(crate) fn bruck_rounds(rank: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    doublings(n).map(move |d| {
+        let (up, down) = ring_shift(rank, n, d);
+        (d, up, down)
+    })
 }
 
 /// Element range `[lo, hi)` of ring-allreduce segment `s` over `len`
@@ -255,18 +263,18 @@ mod tests {
                 let trees: Vec<Tree> = (0..n).map(|r| binomial_tree(r, root, n)).collect();
                 let mut reached = vec![0; n];
                 for (rank, tree) in trees.iter().enumerate() {
-                    assert_eq!(tree.parent.is_none(), rank == root, "n={n} root {root}");
+                    assert_eq!(tree.parent().is_none(), rank == root, "n={n} root {root}");
                     let mut span = 1;
-                    for (child, vranks) in &tree.children {
-                        let sub = &trees[*child];
-                        assert_eq!(sub.parent, Some(rank), "n={n} child {child}");
-                        assert_eq!(*vranks, sub.vrank..sub.vrank + sub.span);
-                        reached[*child] += 1;
+                    for (child, vranks) in tree.children() {
+                        let sub = &trees[child];
+                        assert_eq!(sub.parent(), Some(rank), "n={n} child {child}");
+                        assert_eq!(vranks, sub.vrank..sub.vrank + sub.span);
+                        reached[child] += 1;
                         span += sub.span;
                     }
                     assert_eq!(tree.span, span, "n={n} rank {rank}: spans tile");
                     let (mut depth, mut at) = (0, rank);
-                    while let Some(p) = trees[at].parent {
+                    while let Some(p) = trees[at].parent() {
                         (depth, at) = (depth + 1, p);
                     }
                     assert!(depth <= ceil_log2(n), "n={n} rank {rank}: depth {depth}");
@@ -312,20 +320,18 @@ mod tests {
                     vec![(None, None); pow2_floor(n).trailing_zeros() as usize]
                 }
                 RecDblRole::Core { newrank, .. } => recdbl_partners(newrank, n)
-                    .into_iter()
                     .map(|p| (Some(p), Some(p)))
                     .collect(),
             });
             assert_eq!(recdbl, pow2_floor(n).trailing_zeros() as usize, "n={n}");
             let bruck = matched("bruck", n, |rank| {
                 let rounds = bruck_rounds(rank, n);
-                rounds
-                    .iter()
-                    .map(|&(_, up, down)| (Some(up), Some(down)))
-                    .collect()
+                rounds.map(|(_, up, down)| (Some(up), Some(down))).collect()
             });
             assert_eq!(bruck, ceil_log2(n), "n={n}");
-            let hs = matched("hillis-steele", n, |rank| hillis_steele_rounds(rank, n));
+            let hs = matched("hillis-steele", n, |rank| {
+                hillis_steele_rounds(rank, n).collect()
+            });
             assert_eq!(hs, ceil_log2(n), "n={n}");
             matched("chain", n, |rank| vec![chain(rank, n)]);
         }
@@ -374,8 +380,6 @@ mod tests {
 
     #[test]
     fn bit_helpers() {
-        assert_eq!(lowest_set_bit(12), 4);
-        assert_eq!(lowest_set_bit(7), 1);
         assert_eq!(pow2_floor(1), 1);
         assert_eq!(pow2_floor(9), 8);
         assert_eq!(pow2_floor(16), 16);
