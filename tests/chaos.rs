@@ -26,19 +26,12 @@ use scimpi::{
 use simclock::SimDuration;
 
 /// Every test runs once per cell, `(seed, silent corruption rate)`: the
-/// fault schedules under several RNG streams (the scenarios themselves
-/// are seed-independent), and one cell with silent bit flips (plus
-/// dropped stores at a quarter of the rate) under `EndToEnd` integrity,
-/// so every bit-perfect assertion doubles as a corruption-recovery check.
-const CELLS: [(u64, f64); 7] = [
-    (0xC0FFEE, 0.0),
-    (1, 0.0),
-    (7, 0.0),
-    (42, 0.0),
-    (1234, 0.0),
-    (20020415, 0.0),
-    (99, 1e-4),
-];
+/// fault schedules on a fabric with no random faults, where the seed
+/// draws nothing (so one seed stands for every seed), and one cell with
+/// silent bit flips (plus dropped stores at a quarter of the rate) under
+/// `EndToEnd` integrity, so every bit-perfect assertion doubles as a
+/// corruption-recovery check.
+const CELLS: [(u64, f64); 2] = [(0xC0FFEE, 0.0), (99, 1e-4)];
 
 fn chaos_spec(seed: u64, corrupt_rate: f64) -> ClusterSpec {
     // The dying-collective scenarios assert rank-by-rank outcomes against

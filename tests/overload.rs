@@ -6,9 +6,10 @@
 //! and the whole machinery must stay deadlock-free and deterministic
 //! when a rank dies holding credits (see `docs/BACKPRESSURE.md`).
 //!
-//! Every test that builds a cluster runs once per seed of [`SEEDS`]: the
-//! flood tests pin their own policy, while the composed chaos test also
-//! runs every policy of [`POLICIES`], so every policy is exercised
+//! Every fabric here is healthy (the rank death is administrative), so
+//! the cluster seed draws nothing and each test runs once at the default
+//! seed: the flood tests pin their own policy, while the composed chaos
+//! test runs every policy of [`POLICIES`], so every policy is exercised
 //! against rank death.
 
 mod cells;
@@ -27,10 +28,7 @@ const MSG: usize = 4096;
 /// Flood length: `COUNT * MSG` is 8× the budget, so governance binds.
 const COUNT: usize = 32;
 
-/// The cluster seeds every test runs under.
-const SEEDS: [u64; 6] = [0xC0FFEE, 1, 7, 42, 1234, 20020415];
-
-/// The policies the composed chaos test runs under, at every seed.
+/// The policies the composed chaos test runs under.
 const POLICIES: [OverloadPolicy; 4] = [
     OverloadPolicy::Stall,
     OverloadPolicy::Degrade,
@@ -97,48 +95,44 @@ fn receiver_peak_eager_bytes(report: &RunReport) -> u64 {
 /// it), and the governed outcome is bit-deterministic across runs.
 #[test]
 fn stall_flood_bounds_backlog_and_delivers_identically() {
-    cells::each(&SEEDS, |seed| {
-        let spec = || {
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(governed(OverloadPolicy::Stall))
-                .obs(obs::ObsConfig::enabled())
-        };
-        let (a, report) = flood(spec());
-        let peak_a = receiver_peak_eager_bytes(&report);
-        assert!(
-            peak_a <= BUDGET as u64,
-            "stall: peak queued eager bytes {peak_a} exceed the {BUDGET}-byte budget"
-        );
-        assert!(
-            report.counters[obs::Counter::EagerCreditStalls] > 0,
-            "an 8×-oversubscribed flood must actually stall"
-        );
-        let credit_peak = report.counters[obs::Counter::CreditBytesPeak];
-        assert!(
-            credit_peak > 0 && credit_peak <= BUDGET as u64,
-            "credit high-water mark {credit_peak} must be within the budget"
-        );
+    let spec = || {
+        ClusterSpec::ringlet(2)
+            .tuning(governed(OverloadPolicy::Stall))
+            .obs(obs::ObsConfig::enabled())
+    };
+    let (a, report) = flood(spec());
+    let peak_a = receiver_peak_eager_bytes(&report);
+    assert!(
+        peak_a <= BUDGET as u64,
+        "stall: peak queued eager bytes {peak_a} exceed the {BUDGET}-byte budget"
+    );
+    assert!(
+        report.counters[obs::Counter::EagerCreditStalls] > 0,
+        "an 8×-oversubscribed flood must actually stall"
+    );
+    let credit_peak = report.counters[obs::Counter::CreditBytesPeak];
+    assert!(
+        credit_peak > 0 && credit_peak <= BUDGET as u64,
+        "credit high-water mark {credit_peak} must be within the budget"
+    );
 
-        // Same seed, same governed run: bit-identical times, digests, peak.
-        let (b, report_b) = flood(spec());
-        assert_eq!(a, b, "governed flood must be deterministic");
-        assert_eq!(peak_a, receiver_peak_eager_bytes(&report_b));
+    // Same seed, same governed run: bit-identical times, digests, peak.
+    let (b, report_b) = flood(spec());
+    assert_eq!(a, b, "governed flood must be deterministic");
+    assert_eq!(peak_a, receiver_peak_eager_bytes(&report_b));
 
-        // Unbounded baseline (default 4 MiB budget): same bytes delivered,
-        // but the queue grows far past the governed bound — the budget binds.
-        let (base, base_report) = flood(
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(Tuning::default())
-                .obs(obs::ObsConfig::enabled()),
-        );
-        assert_eq!(a[1].1, base[1].1, "flow control must not change one byte");
-        assert!(
-            receiver_peak_eager_bytes(&base_report) > BUDGET as u64,
-            "the ungoverned flood must overrun the governed bound, else the test proves nothing"
-        );
-    });
+    // Unbounded baseline (default 4 MiB budget): same bytes delivered,
+    // but the queue grows far past the governed bound — the budget binds.
+    let (base, base_report) = flood(
+        ClusterSpec::ringlet(2)
+            .tuning(Tuning::default())
+            .obs(obs::ObsConfig::enabled()),
+    );
+    assert_eq!(a[1].1, base[1].1, "flow control must not change one byte");
+    assert!(
+        receiver_peak_eager_bytes(&base_report) > BUDGET as u64,
+        "the ungoverned flood must overrun the governed bound, else the test proves nothing"
+    );
 }
 
 /// Under `Degrade` exhausted credits switch the message to the
@@ -147,33 +141,26 @@ fn stall_flood_bounds_backlog_and_delivers_identically() {
 /// byte-identical, and the degradations are counted.
 #[test]
 fn degrade_flood_bounds_backlog_via_rendezvous() {
-    cells::each(&SEEDS, |seed| {
-        let spec = || {
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(governed(OverloadPolicy::Degrade))
-                .obs(obs::ObsConfig::enabled())
-        };
-        let (a, report) = flood(spec());
-        let peak = receiver_peak_eager_bytes(&report);
-        assert!(
-            peak <= BUDGET as u64,
-            "degrade: peak queued eager bytes {peak} exceed the {BUDGET}-byte budget"
-        );
-        assert!(
-            report.counters[obs::Counter::DegradedPaths] > 0,
-            "the oversubscribed flood must take the degraded path"
-        );
-        let (b, _) = flood(spec());
-        assert_eq!(a, b, "degraded flood must be deterministic");
+    let spec = || {
+        ClusterSpec::ringlet(2)
+            .tuning(governed(OverloadPolicy::Degrade))
+            .obs(obs::ObsConfig::enabled())
+    };
+    let (a, report) = flood(spec());
+    let peak = receiver_peak_eager_bytes(&report);
+    assert!(
+        peak <= BUDGET as u64,
+        "degrade: peak queued eager bytes {peak} exceed the {BUDGET}-byte budget"
+    );
+    assert!(
+        report.counters[obs::Counter::DegradedPaths] > 0,
+        "the oversubscribed flood must take the degraded path"
+    );
+    let (b, _) = flood(spec());
+    assert_eq!(a, b, "degraded flood must be deterministic");
 
-        let (base, _) = flood(
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .obs(obs::ObsConfig::enabled()),
-        );
-        assert_eq!(a[1].1, base[1].1, "degradation must not change one byte");
-    });
+    let (base, _) = flood(ClusterSpec::ringlet(2).obs(obs::ObsConfig::enabled()));
+    assert_eq!(a[1].1, base[1].1, "degradation must not change one byte");
 }
 
 /// Backpressure is a first-class wait state: the stalled flood's
@@ -183,43 +170,40 @@ fn degrade_flood_bounds_backlog_via_rendezvous() {
 /// the new key.
 #[test]
 fn stall_wait_time_is_conserved_in_backpressure_bucket() {
-    cells::each(&SEEDS, |seed| {
-        let profile_path = std::env::temp_dir().join(format!(
-            "scimpi_overload_profile_{}.json",
-            std::process::id()
-        ));
-        let (finish, report) = flood(
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(governed(OverloadPolicy::Stall))
-                .obs(obs::ObsConfig::enabled().and_profile(&profile_path)),
+    let profile_path = std::env::temp_dir().join(format!(
+        "scimpi_overload_profile_{}.json",
+        std::process::id()
+    ));
+    let (finish, report) = flood(
+        ClusterSpec::ringlet(2)
+            .tuning(governed(OverloadPolicy::Stall))
+            .obs(obs::ObsConfig::enabled().and_profile(&profile_path)),
+    );
+    let profile = report.profile.expect("profile built at teardown");
+    for p in &profile.ranks {
+        assert_eq!(
+            p.total_busy_ps() + p.total_wait_ps() + p.other_ps,
+            p.makespan_ps,
+            "rank {}: decomposition must sum exactly to the makespan",
+            p.rank
         );
-        let profile = report.profile.expect("profile built at teardown");
-        for p in &profile.ranks {
-            assert_eq!(
-                p.total_busy_ps() + p.total_wait_ps() + p.other_ps,
-                p.makespan_ps,
-                "rank {}: decomposition must sum exactly to the makespan",
-                p.rank
-            );
-            assert_eq!(
-                p.makespan_ps,
-                finish[p.rank as usize].0.as_ps(),
-                "rank {}: profiled makespan disagrees with its clock",
-                p.rank
-            );
-        }
-        assert!(
-            profile.ranks[0].wait_ps[obs::WaitKind::Backpressure as usize] > 0,
-            "the stalled sender's wait must be classified as backpressure"
+        assert_eq!(
+            p.makespan_ps,
+            finish[p.rank as usize].0.as_ps(),
+            "rank {}: profiled makespan disagrees with its clock",
+            p.rank
         );
-        let doc = std::fs::read_to_string(&profile_path).expect("profile written");
-        let _ = std::fs::remove_file(&profile_path);
-        assert!(
-            doc.contains("\"backpressure_ps\":"),
-            "the PROFILE wait breakdown must export the backpressure bucket"
-        );
-    });
+    }
+    assert!(
+        profile.ranks[0].wait_ps[obs::WaitKind::Backpressure as usize] > 0,
+        "the stalled sender's wait must be classified as backpressure"
+    );
+    let doc = std::fs::read_to_string(&profile_path).expect("profile written");
+    let _ = std::fs::remove_file(&profile_path);
+    assert!(
+        doc.contains("\"backpressure_ps\":"),
+        "the PROFILE wait breakdown must export the backpressure bucket"
+    );
 }
 
 /// Under `Shed` a sender that outruns its slot budget drops the
@@ -227,48 +211,45 @@ fn stall_wait_time_is_conserved_in_backpressure_bucket() {
 /// delivered, the rest are counted as shed, and nothing blocks.
 #[test]
 fn shed_policy_drops_overflow_deterministically() {
-    cells::each(&SEEDS, |seed| {
-        const SLOTS: usize = 4;
-        const TOTAL: usize = 12;
-        let tuning = Tuning {
-            eager_credit_slots: SLOTS,
-            eager_credits_bytes: 64 * 1024,
-            overload_policy: OverloadPolicy::Shed,
-            ..Tuning::default()
-        };
-        let (_, report) = run_report(
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(tuning)
-                .obs(obs::ObsConfig::enabled()),
-            |r| {
-                if r.rank() == 0 {
-                    // Credits only return at sync points, so exactly the
-                    // first SLOTS sends of the burst are delivered.
-                    for i in 0..TOTAL {
-                        r.send(1, 5, &[i as u8; 512])
-                            .expect("shed send completes locally");
-                    }
-                } else {
-                    for i in 0..SLOTS {
-                        let mut buf = [0u8; 512];
-                        r.recv(Source::Rank(0), TagSel::Value(5), &mut buf)
-                            .expect("delivered prefix");
-                        assert!(
-                            buf.iter().all(|&b| b == i as u8),
-                            "message {i} of the prefix must arrive intact and in order"
-                        );
-                    }
+    const SLOTS: usize = 4;
+    const TOTAL: usize = 12;
+    let tuning = Tuning {
+        eager_credit_slots: SLOTS,
+        eager_credits_bytes: 64 * 1024,
+        overload_policy: OverloadPolicy::Shed,
+        ..Tuning::default()
+    };
+    let (_, report) = run_report(
+        ClusterSpec::ringlet(2)
+            .tuning(tuning)
+            .obs(obs::ObsConfig::enabled()),
+        |r| {
+            if r.rank() == 0 {
+                // Credits only return at sync points, so exactly the
+                // first SLOTS sends of the burst are delivered.
+                for i in 0..TOTAL {
+                    r.send(1, 5, &[i as u8; 512])
+                        .expect("shed send completes locally");
                 }
-                r.barrier();
-            },
-        );
-        assert_eq!(
-            report.counters[obs::Counter::MessagesShed],
-            (TOTAL - SLOTS) as u64,
-            "everything past the slot budget is shed"
-        );
-    });
+            } else {
+                for i in 0..SLOTS {
+                    let mut buf = [0u8; 512];
+                    r.recv(Source::Rank(0), TagSel::Value(5), &mut buf)
+                        .expect("delivered prefix");
+                    assert!(
+                        buf.iter().all(|&b| b == i as u8),
+                        "message {i} of the prefix must arrive intact and in order"
+                    );
+                }
+            }
+            r.barrier();
+        },
+    );
+    assert_eq!(
+        report.counters[obs::Counter::MessagesShed],
+        (TOTAL - SLOTS) as u64,
+        "everything past the slot budget is shed"
+    );
 }
 
 /// Under `Error` exhaustion surfaces as `ResourceExhausted` through the
@@ -276,98 +257,91 @@ fn shed_policy_drops_overflow_deterministically() {
 /// is whole again.
 #[test]
 fn error_policy_surfaces_resource_exhausted_and_recovers() {
-    cells::each(&SEEDS, |seed| {
-        let tuning = Tuning {
-            eager_credit_slots: 2,
-            eager_credits_bytes: BUDGET,
-            overload_policy: OverloadPolicy::Error,
-            ..Tuning::default()
-        };
-        let (_, report) = run_report(
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(tuning)
-                .errors(ErrorMode::ErrorsReturn)
-                .obs(obs::ObsConfig::enabled()),
-            |r| {
-                if r.rank() == 0 {
-                    r.send(1, 3, &[1u8; 64]).expect("first slot");
-                    r.send(1, 3, &[2u8; 64]).expect("second slot");
-                    let err = r
-                        .send(1, 3, &[3u8; 64])
-                        .expect_err("no slots left: the policy must refuse");
-                    assert!(
-                        matches!(
-                            err,
-                            ScimpiError::ResourceExhausted {
-                                what: "eager credits",
-                                ..
-                            }
-                        ),
-                        "unexpected error: {err:?}"
-                    );
-                } else {
-                    for want in [1u8, 2] {
-                        let mut buf = [0u8; 64];
-                        r.recv(Source::Rank(0), TagSel::Value(3), &mut buf).unwrap();
-                        assert!(buf.iter().all(|&b| b == want));
-                    }
-                }
-                r.barrier(); // the barrier hands the matched credits back
-                if r.rank() == 0 {
-                    assert_eq!(
-                        r.eager_credits_available(1),
-                        (BUDGET, 2),
-                        "a sync point restores the full pair budget"
-                    );
-                    r.send(1, 4, &[4u8; 64]).expect("capacity restored");
-                } else {
+    let tuning = Tuning {
+        eager_credit_slots: 2,
+        eager_credits_bytes: BUDGET,
+        overload_policy: OverloadPolicy::Error,
+        ..Tuning::default()
+    };
+    let (_, report) = run_report(
+        ClusterSpec::ringlet(2)
+            .tuning(tuning)
+            .errors(ErrorMode::ErrorsReturn)
+            .obs(obs::ObsConfig::enabled()),
+        |r| {
+            if r.rank() == 0 {
+                r.send(1, 3, &[1u8; 64]).expect("first slot");
+                r.send(1, 3, &[2u8; 64]).expect("second slot");
+                let err = r
+                    .send(1, 3, &[3u8; 64])
+                    .expect_err("no slots left: the policy must refuse");
+                assert!(
+                    matches!(
+                        err,
+                        ScimpiError::ResourceExhausted {
+                            what: "eager credits",
+                            ..
+                        }
+                    ),
+                    "unexpected error: {err:?}"
+                );
+            } else {
+                for want in [1u8, 2] {
                     let mut buf = [0u8; 64];
-                    r.recv(Source::Rank(0), TagSel::Value(4), &mut buf).unwrap();
+                    r.recv(Source::Rank(0), TagSel::Value(3), &mut buf).unwrap();
+                    assert!(buf.iter().all(|&b| b == want));
                 }
-                r.barrier();
-            },
-        );
-        assert!(
-            report.counters[obs::Counter::BudgetDenials] > 0,
-            "the refusal must be counted"
-        );
-    });
+            }
+            r.barrier(); // the barrier hands the matched credits back
+            if r.rank() == 0 {
+                assert_eq!(
+                    r.eager_credits_available(1),
+                    (BUDGET, 2),
+                    "a sync point restores the full pair budget"
+                );
+                r.send(1, 4, &[4u8; 64]).expect("capacity restored");
+            } else {
+                let mut buf = [0u8; 64];
+                r.recv(Source::Rank(0), TagSel::Value(4), &mut buf).unwrap();
+            }
+            r.barrier();
+        },
+    );
+    assert!(
+        report.counters[obs::Counter::BudgetDenials] > 0,
+        "the refusal must be counted"
+    );
 }
 
 /// `Rank::eager_credits_available` tracks consumption send-by-send and
 /// snaps back to the full budget at the next sync point.
 #[test]
 fn credit_gauge_tracks_consumption_and_barrier_return() {
-    cells::each(&SEEDS, |seed| {
-        run(
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(governed(OverloadPolicy::Stall)),
-            |r| {
-                if r.rank() == 0 {
-                    assert_eq!(r.eager_credits_available(1), (BUDGET, 256));
-                    r.send(1, 6, &[7u8; 512]).unwrap();
-                    assert_eq!(
-                        r.eager_credits_available(1),
-                        (BUDGET - 512, 255),
-                        "a posted eager message holds bytes and a slot"
-                    );
-                } else {
-                    let mut buf = [0u8; 512];
-                    r.recv(Source::Rank(0), TagSel::Value(6), &mut buf).unwrap();
-                }
-                r.barrier();
-                if r.rank() == 0 {
-                    assert_eq!(
-                        r.eager_credits_available(1),
-                        (BUDGET, 256),
-                        "matched credits are folded back in at the barrier"
-                    );
-                }
-            },
-        );
-    });
+    run(
+        ClusterSpec::ringlet(2).tuning(governed(OverloadPolicy::Stall)),
+        |r| {
+            if r.rank() == 0 {
+                assert_eq!(r.eager_credits_available(1), (BUDGET, 256));
+                r.send(1, 6, &[7u8; 512]).unwrap();
+                assert_eq!(
+                    r.eager_credits_available(1),
+                    (BUDGET - 512, 255),
+                    "a posted eager message holds bytes and a slot"
+                );
+            } else {
+                let mut buf = [0u8; 512];
+                r.recv(Source::Rank(0), TagSel::Value(6), &mut buf).unwrap();
+            }
+            r.barrier();
+            if r.rank() == 0 {
+                assert_eq!(
+                    r.eager_credits_available(1),
+                    (BUDGET, 256),
+                    "matched credits are folded back in at the barrier"
+                );
+            }
+        },
+    );
 }
 
 /// Dropping `isend` handles must not leak in-flight budget: the posts
@@ -375,64 +349,61 @@ fn credit_gauge_tracks_consumption_and_barrier_return() {
 /// drop-bin reaper at the next sync point returns the capacity.
 #[test]
 fn drop_bin_reaper_returns_inflight_budget() {
-    cells::each(&SEEDS, |seed| {
-        let tuning = Tuning {
-            max_inflight_requests: 2,
-            ..Tuning::default()
-        };
-        let (_, report) = run_report(
-            ClusterSpec::ringlet(2)
-                .seed(seed)
-                .tuning(tuning)
-                .errors(ErrorMode::ErrorsReturn)
-                .obs(obs::ObsConfig::enabled()),
-            |r| {
-                if r.rank() == 0 {
-                    // Two fire-and-forget posts fill the in-flight set.
-                    drop(r.isend(1, 0, &[1u8; 16]).expect("first post"));
-                    drop(r.isend(1, 1, &[2u8; 16]).expect("second post"));
-                    match r.isend(1, 2, &[3u8; 16]) {
-                        Ok(_) => panic!("the in-flight cap must refuse the third post"),
-                        Err(err) => assert_eq!(
-                            err,
-                            ScimpiError::ResourceExhausted {
-                                what: "in-flight requests",
-                                needed: 3,
-                                limit: 2,
-                            }
-                        ),
-                    }
-                } else {
-                    for tag in [0i32, 1] {
-                        let mut buf = [0u8; 16];
-                        r.recv(Source::Rank(0), TagSel::Value(tag), &mut buf)
-                            .unwrap();
-                    }
+    let tuning = Tuning {
+        max_inflight_requests: 2,
+        ..Tuning::default()
+    };
+    let (_, report) = run_report(
+        ClusterSpec::ringlet(2)
+            .tuning(tuning)
+            .errors(ErrorMode::ErrorsReturn)
+            .obs(obs::ObsConfig::enabled()),
+        |r| {
+            if r.rank() == 0 {
+                // Two fire-and-forget posts fill the in-flight set.
+                drop(r.isend(1, 0, &[1u8; 16]).expect("first post"));
+                drop(r.isend(1, 1, &[2u8; 16]).expect("second post"));
+                match r.isend(1, 2, &[3u8; 16]) {
+                    Ok(_) => panic!("the in-flight cap must refuse the third post"),
+                    Err(err) => assert_eq!(
+                        err,
+                        ScimpiError::ResourceExhausted {
+                            what: "in-flight requests",
+                            needed: 3,
+                            limit: 2,
+                        }
+                    ),
                 }
-                r.barrier(); // reaps the drop bin
-                if r.rank() == 0 {
-                    assert_eq!(r.pending_requests(), 0, "both dropped requests retired");
-                    let mut req = r
-                        .isend(1, 3, &[4u8; 16])
-                        .expect("budget returned by the reaper");
-                    r.wait(&mut req).unwrap();
-                } else {
+            } else {
+                for tag in [0i32, 1] {
                     let mut buf = [0u8; 16];
-                    r.recv(Source::Rank(0), TagSel::Value(3), &mut buf).unwrap();
+                    r.recv(Source::Rank(0), TagSel::Value(tag), &mut buf)
+                        .unwrap();
                 }
-                r.barrier();
-            },
-        );
-        assert!(
-            report.counters[obs::Counter::BudgetDenials] > 0,
-            "the refused post must be counted"
-        );
-        assert_eq!(
-            report.counters[obs::Counter::RequestsCompletedByDrop],
-            2,
-            "both unwaited isends complete through the drop bin"
-        );
-    });
+            }
+            r.barrier(); // reaps the drop bin
+            if r.rank() == 0 {
+                assert_eq!(r.pending_requests(), 0, "both dropped requests retired");
+                let mut req = r
+                    .isend(1, 3, &[4u8; 16])
+                    .expect("budget returned by the reaper");
+                r.wait(&mut req).unwrap();
+            } else {
+                let mut buf = [0u8; 16];
+                r.recv(Source::Rank(0), TagSel::Value(3), &mut buf).unwrap();
+            }
+            r.barrier();
+        },
+    );
+    assert!(
+        report.counters[obs::Counter::BudgetDenials] > 0,
+        "the refused post must be counted"
+    );
+    assert_eq!(
+        report.counters[obs::Counter::RequestsCompletedByDrop],
+        2,
+        "both unwaited isends complete through the drop bin"
+    );
 }
 
 /// A `Tuning` that violates its invariants must be refused when the
@@ -452,19 +423,13 @@ fn invalid_tuning_is_refused_at_build() {
 /// surface an error within the deterministic detection budget (never
 /// deadlock), the survivors must revoke + shrink — which reclaims the
 /// corpse's credit pairs — and the shrunk world must keep
-/// communicating. One cell per seed of [`SEEDS`] × policy of
-/// [`POLICIES`].
+/// communicating. One cell per policy of [`POLICIES`].
 #[test]
 fn rank_dying_with_held_credits_never_deadlocks() {
-    for seed in SEEDS {
-        for policy in POLICIES {
-            println!("cell seed {seed}, {policy:?}");
-            dying_cell(seed, policy);
-        }
-    }
+    cells::each(&POLICIES, dying_cell);
 }
 
-fn dying_cell(seed: u64, policy: OverloadPolicy) {
+fn dying_cell(policy: OverloadPolicy) {
     let scenario = move || {
         let tuning = Tuning {
             eager_credit_slots: 2,
@@ -474,7 +439,6 @@ fn dying_cell(seed: u64, policy: OverloadPolicy) {
         };
         run(
             ClusterSpec::ringlet(4)
-                .seed(seed)
                 .tuning(tuning)
                 .errors(ErrorMode::ErrorsReturn),
             move |r| {
@@ -558,5 +522,5 @@ fn dying_cell(seed: u64, policy: OverloadPolicy) {
     let outcomes: Vec<&str> = a.iter().map(|(o, _)| o.as_str()).collect();
     assert_eq!(outcomes, ["ok", "ok", "dead", "ok"]);
     let b = scenario();
-    assert_eq!(a, b, "same seed ⇒ identical error sites and virtual times");
+    assert_eq!(a, b, "same spec ⇒ identical error sites and virtual times");
 }
