@@ -287,7 +287,7 @@ pub(crate) fn ring_allgather(r: &mut Rank, mine: &[u8]) -> Result<Vec<Vec<u8>>, 
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
     out[me] = mine.to_vec();
     for (fwd, rcv) in ring_steps(me, n) {
-        out[rcv] = ragged_exchange(r, ring_neighbours(me, n), &out[fwd].clone())?;
+        out[rcv] = ragged_exchange(r, ring_neighbours(me, n), &out[fwd])?;
     }
     Ok(out)
 }
