@@ -12,7 +12,7 @@
 use std::ops::Range;
 
 /// Largest power of two at or below `n` (`n` must be non-zero).
-pub(crate) fn pow2_floor(n: usize) -> usize {
+fn pow2_floor(n: usize) -> usize {
     1 << n.ilog2()
 }
 
@@ -123,7 +123,7 @@ pub(crate) fn recdbl_role(rank: usize, n: usize) -> RecDblRole {
 }
 
 /// Inverse of the core mapping: the real rank holding dense `newrank`.
-pub(crate) fn recdbl_rank_of(newrank: usize, n: usize) -> usize {
+fn recdbl_rank_of(newrank: usize, n: usize) -> usize {
     let rem = n - pow2_floor(n);
     if newrank < rem {
         2 * newrank + 1
