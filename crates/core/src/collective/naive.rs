@@ -201,8 +201,11 @@ pub(crate) fn scan<T: Typed>(
 /// Pairwise-exchange all-to-all over equal-or-ragged byte blocks (the
 /// legacy `alltoall` body). Blocks must be ragged the same way on every
 /// rank, so the block each peer sends here is as long as the one this
-/// rank keeps, `sendblocks[me]`. Aborts at the first failed step: a dead
-/// partner surfaces as [`ScimpiError::PeerDead`] instead of hanging.
+/// rank keeps, `sendblocks[me]`. A longer one fails its receive with the
+/// truncation [`ScimpiError::InvalidArg`]; the rank still runs its
+/// remaining steps, so no partner waits for it, and then returns the first
+/// such error. Any other failed step aborts at once: a dead partner
+/// surfaces as [`ScimpiError::PeerDead`] instead of hanging.
 pub(crate) fn alltoall_pairwise(
     r: &mut Rank,
     sendblocks: &[Vec<u8>],
@@ -213,18 +216,35 @@ pub(crate) fn alltoall_pairwise(
     let me = r.rank();
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); r.size()];
     out[me] = sendblocks[me].clone();
+    let mut truncated = None;
     for (dst, src) in pairwise_steps(me, r.size()) {
         let mut buf = vec![0u8; sendblocks[me].len()];
-        let st = r.sendrecv(
+        let step = r.sendrecv(
             dst,
             COLL_TAG + 2,
             SendData::Bytes(&sendblocks[dst]),
             Source::Rank(src),
             TagSel::Value(COLL_TAG + 2),
             RecvBuf::Bytes(&mut buf),
-        )?;
-        buf.truncate(st.len);
-        out[src] = buf;
+        );
+        match step {
+            Ok(st) => {
+                buf.truncate(st.len);
+                out[src] = buf;
+            }
+            Err(
+                e @ ScimpiError::InvalidArg {
+                    what: "receive buffer",
+                    ..
+                },
+            ) => {
+                truncated.get_or_insert(e);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    if let Some(e) = truncated {
+        return Err(e);
     }
     coll_span(r, "coll.alltoall", start, total);
     Ok(out)

@@ -337,6 +337,46 @@ fn pairwise_alltoall_receives_ragged_blocks_over_a_mebibyte() {
     }
 }
 
+/// Blocks that break that contract — rank 0 sends 200 B to rank 1, every
+/// other block is 100 B — fail the one receive that is too short, with
+/// `InvalidArg`, after the rank has finished its steps: every rank returns,
+/// none is left waiting for a partner that gave up.
+#[test]
+fn pairwise_alltoall_returns_a_truncation_after_finishing_its_steps() {
+    let spec = ClusterSpec::ringlet(4)
+        .errors(ErrorMode::ErrorsReturn)
+        .tuning(Tuning {
+            collective_algo: CollectiveAlgo::Naive,
+            ..Tuning::default()
+        });
+    let size = |from: usize, to: usize| if (from, to) == (0, 1) { 200 } else { 100 };
+    let out = scimpi::run(spec, move |r| {
+        let me = r.rank();
+        let blocks: Vec<Vec<u8>> = (0..4)
+            .map(|d| vec![(me * 4 + d) as u8; size(me, d)])
+            .collect();
+        r.alltoall(&blocks)
+    });
+    for (me, got) in out.into_iter().enumerate() {
+        if me == 1 {
+            let err = got.expect_err("rank 1's receive from rank 0 truncates");
+            assert_eq!(
+                err,
+                ScimpiError::InvalidArg {
+                    what: "receive buffer",
+                    got: 200,
+                    limit: 100
+                }
+            );
+            continue;
+        }
+        let got = got.unwrap_or_else(|e| panic!("rank {me}: {e}"));
+        for (src, block) in got.iter().enumerate() {
+            assert_eq!(block, &vec![(src * 4 + me) as u8; 100], "{src} to {me}");
+        }
+    }
+}
+
 // --- dying-rank error maps ---------------------------------------------
 
 /// Rendezvous-sized payload in f64 elements; eager sends to a corpse
