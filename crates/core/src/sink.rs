@@ -17,7 +17,7 @@ use simclock::Clock;
 
 /// A [`PackSink`] that streams blocks into remote memory through a
 /// [`PioStream`] at consecutive ascending offsets, one
-/// [`PioStream::write_run`] per run of the datatype.
+/// [`PioStream::write_run`] per batch of runs of the datatype.
 pub struct PioSink<'a> {
     stream: &'a mut PioStream,
     clock: &'a mut Clock,
@@ -67,23 +67,23 @@ impl PackSink for PioSink<'_> {
     }
 
     #[inline]
-    fn put_run(&mut self, src: &[u8], run: Run) -> Result<(), SciError> {
+    fn put_runs(&mut self, src: &[u8], runs: &[Run]) -> Result<(), SciError> {
         self.stream.write_run(
             self.clock,
             self.offset,
-            run.len,
-            run.n,
+            runs,
             self.batching,
-            |i| &src[run.at(i)..][..run.len],
-            |stores, dst| {
-                let (disp, n) = (run.at(stores.start) as i64, stores.len());
+            |run| (run.len, run.n),
+            |run, i| &src[run.at(i)..][..run.len],
+            |run, blocks, dst| {
+                let (disp, n) = (run.at(blocks.start) as i64, blocks.len());
                 // SAFETY: `u8` and `MaybeUninit<u8>` share a layout, and
                 // `gather` only ever writes initialised bytes.
                 let dst = unsafe { &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>]) };
-                gather(src, Run { disp, n, ..run }, dst)
+                gather(src, Run { disp, n, ..*run }, dst)
             },
         )?;
-        self.offset += run.n * run.len;
+        self.offset += runs.iter().map(|run| run.n * run.len).sum::<usize>();
         Ok(())
     }
 }

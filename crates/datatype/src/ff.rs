@@ -15,9 +15,9 @@
 //! stream — the "split blocks" handling of Figure 6: `find_position`
 //! locates the resume point in O(N)+O(D), then `copy_leaf_basic` emits
 //! whole blocks (partial at the boundaries) — as [`Run`]s of equal blocks,
-//! which a sink takes whole ([`PackSink::put_run`]): the [`gather`] and
-//! [`scatter`] kernels check their ranges and pick their copy once per
-//! run, not once per block.
+//! which a sink takes a batch at a time ([`PackSink::put_runs`]): the
+//! [`gather`] and [`scatter`] kernels check their ranges and pick their
+//! copy once per run, not once per block.
 
 use crate::flat::Committed;
 use core::convert::Infallible;
@@ -105,10 +105,11 @@ pub trait PackSink {
     type Error;
     /// Consume the next `src.len()` bytes of the stream.
     fn put(&mut self, src: &[u8]) -> Result<(), Self::Error>;
-    /// Consume the blocks of `run` in `src`. Unless overridden, one
-    /// [`Self::put`] per block.
-    fn put_run(&mut self, src: &[u8], run: Run) -> Result<(), Self::Error> {
-        (0..run.n).try_for_each(|i| self.put(&src[run.at(i)..][..run.len]))
+    /// Consume the blocks of `runs`, run after run, in `src`. Unless
+    /// overridden, one [`Self::put`] per block.
+    fn put_runs(&mut self, src: &[u8], runs: &[Run]) -> Result<(), Self::Error> {
+        runs.iter()
+            .try_for_each(|run| (0..run.n).try_for_each(|i| self.put(&src[run.at(i)..][..run.len])))
     }
 }
 
@@ -170,6 +171,13 @@ pub fn gather(src: &[u8], run: Run, dst: &mut [MaybeUninit<u8>]) {
     if run.n == 0 {
         return;
     }
+    if run.n == 1 {
+        // One block: slicing it out is the range check.
+        let block = &src[run.at(0)..][..run.len];
+        // SAFETY: `u8` and `MaybeUninit<u8>` share a layout.
+        dst.copy_from_slice(unsafe { &*(block as *const [u8] as *const [MaybeUninit<u8>]) });
+        return;
+    }
     run.check_inside(src.len());
     // SAFETY: `check_inside` proved every source block inside `src`, the
     // length assert proved every destination block inside `dst`, and a `&`
@@ -229,13 +237,18 @@ impl PackSink for VecSink {
     }
 
     #[inline]
-    fn put_run(&mut self, src: &[u8], run: Run) -> Result<(), Infallible> {
-        let bytes = run.n * run.len;
+    fn put_runs(&mut self, src: &[u8], runs: &[Run]) -> Result<(), Infallible> {
+        let bytes = runs.iter().map(|run| run.n * run.len).sum();
         self.data.reserve(bytes);
         // Straight into the spare capacity: zero-filling it first would
         // write every byte twice.
-        gather(src, run, &mut self.data.spare_capacity_mut()[..bytes]);
-        // SAFETY: `gather` initialised the first `bytes` spare bytes.
+        let mut spare = &mut self.data.spare_capacity_mut()[..bytes];
+        for &run in runs {
+            let (to, rest) = spare.split_at_mut(run.n * run.len);
+            gather(src, run, to);
+            spare = rest;
+        }
+        // SAFETY: the gathers initialised the first `bytes` spare bytes.
         unsafe { self.data.set_len(self.data.len() + bytes) };
         Ok(())
     }
@@ -438,9 +451,13 @@ fn count_ff_call(skip: usize) {
     }
 }
 
-/// [`pack_ff`] without its counters: one [`PackSink::put_run`] per
-/// [`Run`]. For callers that book the traversal under another engine's
-/// name (the generic baseline is a cost mode over the same runs).
+/// Runs [`pack_runs`] hands a sink at once, held on the stack.
+const RUNS_PER_PUT: usize = 64;
+
+/// [`pack_ff`] without its counters: the [`Run`]s go to
+/// [`PackSink::put_runs`] in batches of up to [`RUNS_PER_PUT`]. For callers
+/// that book the traversal under another engine's name (the generic
+/// baseline is a cost mode over the same runs).
 pub fn pack_runs<S: PackSink>(
     c: &Committed,
     count: usize,
@@ -450,18 +467,29 @@ pub fn pack_runs<S: PackSink>(
     max: usize,
     sink: &mut S,
 ) -> Result<PackStats, S::Error> {
-    let mut res = Ok(());
+    let mut held = [Run {
+        disp: 0,
+        len: 0,
+        stride: 0,
+        n: 0,
+    }; RUNS_PER_PUT];
+    let (mut n, mut res) = (0, Ok(()));
     let stats = for_each_run(c, count, skip, max, |run| {
-        let run = run.in_buffer(origin);
-        res = match run.n {
-            1 => sink.put(&src[run.at(0)..][..run.len]),
-            _ => sink.put_run(src, run),
-        };
+        held[n] = run.in_buffer(origin);
+        n += 1;
+        if n < RUNS_PER_PUT {
+            return ControlFlow::Continue(());
+        }
+        n = 0;
+        res = sink.put_runs(src, &held);
         match res {
             Ok(()) => ControlFlow::Continue(()),
             Err(_) => ControlFlow::Break(()),
         }
     });
+    if res.is_ok() && n > 0 {
+        res = sink.put_runs(src, &held[..n]);
+    }
     res.map(|()| stats)
 }
 
@@ -681,12 +709,12 @@ mod tests {
             n,
         };
         let mut sink = VecSink::default();
-        sink.put_run(&src, run(3)).unwrap();
+        sink.put_runs(&src, &[run(3)]).unwrap();
         assert_eq!(sink.data[..8], src[4..12]);
         assert_eq!(sink.data[16..], src[36..44]);
         let before = sink.data.clone();
         let past_the_end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = sink.put_run(&src, run(5));
+            let _ = sink.put_runs(&src, &[run(5)]);
         }));
         assert!(past_the_end.is_err(), "block 4 ends at byte 76 of 64");
         assert_eq!(sink.data, before);

@@ -161,23 +161,20 @@ impl LinkRegistry {
     /// Account traffic for a transfer of `payload` bytes over `route`:
     /// payload on the request path, flow-control echoes on the echo path.
     pub fn account(&self, params: &SciParams, route: &Route, payload: u64) {
-        self.account_bursts(params, route, payload, 1);
+        self.account_bursts(route, payload, fc_bytes(params, payload));
     }
 
-    /// [`Self::account`] for `bursts` transfers of `payload` bytes each:
-    /// the flow-control share is truncated to whole bytes per transfer, as
-    /// accounting them one by one would.
-    pub fn account_bursts(&self, params: &SciParams, route: &Route, payload: u64, bursts: u64) {
-        let fc = (payload as f64 * params.flow_control_overhead) as u64;
+    /// [`Self::account`] for a batch of transfers: `payload` bytes in all,
+    /// `fc` the sum of their [`fc_bytes`] (each truncated to whole bytes
+    /// per transfer, as accounting them one by one would).
+    pub(crate) fn account_bursts(&self, route: &Route, payload: u64, fc: u64) {
         for l in &route.links {
             self.links[l.0]
                 .data_bytes
-                .fetch_add(payload * bursts, Ordering::Relaxed);
+                .fetch_add(payload, Ordering::Relaxed);
         }
         for l in &route.echo_links {
-            self.links[l.0]
-                .fc_bytes
-                .fetch_add(fc * bursts, Ordering::Relaxed);
+            self.links[l.0].fc_bytes.fetch_add(fc, Ordering::Relaxed);
         }
     }
 
@@ -202,6 +199,12 @@ impl LinkRegistry {
             l.fc_bytes.store(0, Ordering::Relaxed);
         }
     }
+}
+
+/// Flow-control echo bytes of one transfer of `payload` bytes, truncated
+/// to whole bytes.
+pub(crate) fn fc_bytes(params: &SciParams, payload: u64) -> u64 {
+    (payload as f64 * params.flow_control_overhead) as u64
 }
 
 /// RAII registration of one stream on a set of segments.

@@ -26,7 +26,7 @@
 //! *consecutive ascending* remote addresses.
 
 use crate::fault::{write_with_faults, SciError, SeqStatus, TxnOutcome};
-use crate::link::StreamGuard;
+use crate::link::{fc_bytes, StreamGuard};
 use crate::segment::Mapping;
 use crate::Fabric;
 use simclock::{Clock, SimDuration, SimTime};
@@ -88,6 +88,42 @@ struct Priced {
     bw: simclock::Bandwidth,
     len: usize,
     cost: SimDuration,
+}
+
+/// What one burst costs the issuing CPU, and the SCI transactions it
+/// rolls fault dice for (`txns` of `txn_bytes` each: 8 for write-combine-
+/// thrashed stores, the stream-buffer size otherwise).
+#[derive(Clone, Copy, Debug)]
+struct Burst {
+    cost: SimDuration,
+    txns: u64,
+    txn_bytes: usize,
+}
+
+/// The bookings of the bursts of one [`PioStream::write_run`] walk,
+/// made once at its end.
+#[derive(Default)]
+struct Booked {
+    /// Clock advance of the whole walk so far.
+    cost: SimDuration,
+    /// Clock advance up to the end of the last burst, if any burst issued.
+    last_burst: Option<SimDuration>,
+    /// Payload and flow-control bytes of the bursts.
+    payload: u64,
+    fc: u64,
+    /// Stores that merged into an open write-combining window.
+    coalesced: u64,
+}
+
+impl Booked {
+    /// `k` more bursts of `len` bytes, `fc` flow-control bytes and `cost`
+    /// each.
+    fn bursts(&mut self, cost: SimDuration, len: usize, fc: u64, k: usize) {
+        self.cost += cost.saturating_mul(k as u64);
+        self.last_burst = Some(self.cost);
+        self.payload += (len * k) as u64;
+        self.fc += fc * k as u64;
+    }
 }
 
 impl PioStream {
@@ -310,52 +346,48 @@ impl PioStream {
         // A degraded stream returns to its primary route the moment that
         // route is healthy again.
         self.maybe_heal();
-        let params = self.fabric.params();
-        let continues = self.next_offset == Some(offset);
-        let misaligned_thrash = !continues
-            && !offset.is_multiple_of(params.write_combine_bytes)
-            && params.wc_misalign_factor > 1.0;
-        if misaligned_thrash {
-            // The write-combine buffers never fill in phase: every 8-byte
-            // store flushes partially and becomes its own (padded) SCI
-            // transaction. This is the §4.3 misaligned-stride cliff.
-            let stores = data.len().div_ceil(8) as u64;
-            let mut cost =
-                params.txn_overhead + params.uncombined_store_cost.saturating_mul(stores);
-            if self.mapping.route.degraded {
-                cost += params.degraded_route_latency;
-            }
-            let outcome = self.transact_with_failover(clock, stores)?;
-            self.land(offset, data, 8)?;
-            clock.advance(cost + outcome.extra_latency);
-            self.posted(clock, offset, data.len(), 1, outcome.jitter);
-            return Ok(());
-        }
-        let mut cost = self.burst_cost(continues, data.len());
-
+        let burst = self.burst_cost(offset, data.len());
         // Fault injection: retries add latency and delivery jitter, one
         // die roll per SCI transaction.
-        let stream_buffer_bytes = self.fabric.params().stream_buffer_bytes;
-        let txns = data.len().div_ceil(stream_buffer_bytes) as u64;
-        let outcome = self.transact_with_failover(clock, txns)?;
-        self.land(offset, data, stream_buffer_bytes)?;
-        cost += outcome.extra_latency;
-
-        clock.advance(cost);
-        self.posted(clock, offset, data.len(), 1, outcome.jitter);
+        let outcome = self.transact_with_failover(clock, burst.txns)?;
+        self.land(offset, data, burst.txn_bytes)?;
+        clock.advance(burst.cost + outcome.extra_latency);
+        let params = self.fabric.params();
+        self.next_offset = Some(offset + data.len());
+        self.posted(
+            clock.now() + outcome.jitter,
+            data.len() as u64,
+            fc_bytes(params, data.len() as u64),
+        );
         Ok(())
     }
 
-    /// Issue cost of one burst of `len` bytes off the misaligned-thrash
-    /// path: the route and (re)start penalties plus the memoised streaming
-    /// term. This is the one place a burst is priced — [`Self::write`]
-    /// charges it burst by burst, [`Self::write_run`] once for a stretch
-    /// of equal continuing bursts.
-    fn burst_cost(&mut self, continues: bool, len: usize) -> SimDuration {
+    /// Price one burst of `len` bytes at `offset` on the current route:
+    /// the issue cost and the SCI transactions it rolls fault dice for.
+    /// This is the one place a burst is priced — [`Self::write`] charges it
+    /// burst by burst, [`Self::write_run`] for every burst of a batch.
+    fn burst_cost(&mut self, offset: usize, len: usize) -> Burst {
         let params = self.fabric.params();
+        let continues = self.next_offset == Some(offset);
         let mut cost = SimDuration::ZERO;
         if self.mapping.route.degraded {
             cost += params.degraded_route_latency;
+        }
+        if !continues
+            && !offset.is_multiple_of(params.write_combine_bytes)
+            && params.wc_misalign_factor > 1.0
+        {
+            // The write-combine buffers never fill in phase: every 8-byte
+            // store flushes partially and becomes its own (padded) SCI
+            // transaction. This is the §4.3 misaligned-stride cliff.
+            let stores = len.div_ceil(8) as u64;
+            return Burst {
+                cost: cost
+                    + params.txn_overhead
+                    + params.uncombined_store_cost.saturating_mul(stores),
+                txns: stores,
+                txn_bytes: 8,
+            };
         }
         if !continues {
             cost += params.txn_overhead;
@@ -393,28 +425,23 @@ impl PioStream {
             priced.cost = priced.bw.cost(len as u64);
         }
         self.priced = Some(priced);
-        cost + priced.cost
+        Burst {
+            cost: cost + priced.cost,
+            txns: len.div_ceil(params.stream_buffer_bytes) as u64,
+            txn_bytes: params.stream_buffer_bytes,
+        }
     }
 
-    /// Book `bursts` back-to-back bursts of `len` bytes from `offset` on,
-    /// the last of them issued and landed just now: its arrival time on
-    /// the (possibly just switched) route, the offset a continuing store
-    /// would start at, and the traffic of each.
-    fn posted(
-        &mut self,
-        clock: &Clock,
-        offset: usize,
-        len: usize,
-        bursts: usize,
-        jitter: SimDuration,
-    ) {
+    /// Book bursts issued on the (possibly just switched) route: the last
+    /// of them left at `issued`, and together they carry `payload` bytes
+    /// and `fc` flow-control bytes.
+    fn posted(&mut self, issued: SimTime, payload: u64, fc: u64) {
         let params = self.fabric.params();
-        let arrival = clock.now() + params.wire_latency(self.mapping.route.hops()) + jitter;
+        let arrival = issued + params.wire_latency(self.mapping.route.hops());
         self.outstanding = self.outstanding.max(arrival);
-        self.next_offset = Some(offset + len * bursts);
         self.fabric
             .links()
-            .account_bursts(params, &self.mapping.route, len as u64, bursts as u64);
+            .account_bursts(&self.mapping.route, payload, fc);
     }
 
     /// Issue stores of `data` to `offset` through the **write-combining
@@ -520,94 +547,233 @@ impl PioStream {
         self.wc_len
     }
 
-    /// Issue `n` stores of `len` bytes landing back to back from `offset`
-    /// on, store `i` carrying `store(i)`, through [`Self::write_batched`]
-    /// if `batched` and [`Self::write`] otherwise; `gather(stores, dst)`
-    /// must copy the stores `stores` back to back into `dst`.
+    /// Issue a batch of stores landing back to back from `offset` on,
+    /// through [`Self::write_batched`] if `batched` and [`Self::write`]
+    /// otherwise. The stores are the blocks of `runs`: a run `run` holds
+    /// `n` stores of `len` bytes, `(len, n) = shape(run)`, store `i`
+    /// carrying `store(run, i)`; `gather(run, blocks, dst)` must copy the
+    /// stores `blocks` of `run` back to back into `dst`.
     ///
     /// This *is* that loop — same clock, arrival, byte and traffic counts,
     /// write-combining window, `WcCoalescedStores` ticks, landed bytes and
-    /// first error — but where no burst can differ from the next (a quiet
-    /// fabric, the primary route, the range in bounds, stores that divide
-    /// the batch) only the *head* is walked, until the stream continues
-    /// and the window is empty on a batch boundary. The *interior* of `k`
-    /// equal continuing bursts is priced as `k` times the one burst price
-    /// [`Self::write`] charges, booked once and moved by one `gather` into
-    /// segment memory; the *tail* is walked again. Everywhere else every
-    /// store takes the calls above, which stay the only definition of what
-    /// a store costs (`docs/PACK_ENGINE.md` §4).
+    /// first error. Where no store can fail or roll dice (a quiet fabric,
+    /// the primary route, a remote mapping, the whole range inside the
+    /// segment) the loop is replayed on integers: a *head* takes the calls
+    /// above until the window is empty or ends where the batch goes on;
+    /// the *walk* then follows their write-combining state machine store
+    /// by store, pricing every burst with [`Self::burst_cost`], and prices
+    /// a stretch of equal stores that fill whole batches (or go out one
+    /// continuing burst each) as `k` times one burst. The bursts are then
+    /// *booked* once: one `gather` per run into segment memory, one clock
+    /// advance, one arrival (the last burst's), one traffic booking, one
+    /// `WcCoalescedStores` add; the stores past the last burst are copied
+    /// into the window. Everywhere else every store takes the calls above,
+    /// which stay the only definition of what a store costs
+    /// (`docs/PACK_ENGINE.md` §4).
     #[allow(clippy::too_many_arguments)]
-    pub fn write_run<'a>(
+    pub fn write_run<'a, R>(
         &mut self,
         clock: &mut Clock,
         offset: usize,
-        len: usize,
-        n: usize,
+        runs: &[R],
         batched: bool,
-        store: impl Fn(usize) -> &'a [u8],
-        gather: impl FnOnce(core::ops::Range<usize>, &mut [u8]),
+        shape: impl Fn(&R) -> (usize, usize),
+        store: impl Fn(&R, usize) -> &'a [u8],
+        mut gather: impl FnMut(&R, core::ops::Range<usize>, &mut [u8]),
     ) -> Result<(), SciError> {
-        let one = |s: &mut Self, clock: &mut Clock, i: usize| {
+        let one = |s: &mut Self, clock: &mut Clock, at: usize, data: &[u8]| {
             if batched {
-                s.write_batched(clock, offset + i * len, store(i))
+                s.write_batched(clock, at, data)
             } else {
-                s.write(clock, offset + i * len, store(i))
+                s.write(clock, at, data)
             }
         };
-        let batch = self.fabric.params().wc_batch_bytes.max(1);
-        // Small stores stage in the window and leave it as whole batches;
-        // the rest are one burst each.
-        let staged = batched && len < batch;
-        let uniform = n > 1
-            && len > 0
-            && (!staged || batch.is_multiple_of(len))
-            && !self.mapping.is_local()
+        let total = runs.iter().try_fold(0usize, |sum, run| {
+            let (len, n) = shape(run);
+            len.checked_mul(n).and_then(|bytes| sum.checked_add(bytes))
+        });
+        let replayable = !self.mapping.is_local()
             && !self.mapping.route.degraded
             && self.fabric.faults().is_quiet()
-            && n.checked_mul(len).is_some_and(|bytes| {
-                let mem = self.mapping.segment.mem();
-                mem.check_range(offset, bytes).is_ok()
+            && total.is_some_and(|bytes| {
+                bytes > 0
+                    && self
+                        .mapping
+                        .segment
+                        .mem()
+                        .check_range(offset, bytes)
+                        .is_ok()
             });
-        if !uniform {
-            return (0..n).try_for_each(|i| one(self, clock, i));
-        }
-        // Head: until the next store opens a continuing burst of its own
-        // (and, if it stages, a fresh window on a batch boundary).
-        let interior_starts = |s: &Self, at: usize| {
-            s.next_offset == Some(at)
-                && (!batched || s.wc_len == 0)
-                && (!staged || at.is_multiple_of(batch))
-        };
-        let mut i = 0;
-        while i < n && !interior_starts(self, offset + i * len) {
-            one(self, clock, i)?;
-            i += 1;
-        }
-        let per_burst = if staged { batch / len } else { 1 };
-        let bursts = (n - i) / per_burst;
-        if bursts > 0 {
-            let (at, stores) = (offset + i * len, bursts * per_burst);
-            let mut cost = self
-                .burst_cost(true, per_burst * len)
-                .saturating_mul(bursts as u64);
-            if staged {
-                // Every store pays the staging cost; all but the one that
-                // opens its batch's window merge into it.
-                let store_cost = self.fabric.params().wc_store_cost;
-                cost += store_cost.saturating_mul(stores as u64);
-                obs::add(obs::Counter::WcCoalescedStores, (stores - bursts) as u64);
+        // Head: store by store until the window is empty or ends at `at`
+        // (all of the batch where it cannot be replayed).
+        let mut first = (runs.len(), 0);
+        let mut at = offset;
+        'head: for (r, run) in runs.iter().enumerate() {
+            let (len, n) = shape(run);
+            for i in 0..n {
+                if replayable && (!batched || self.wc_len == 0 || self.wc_start + self.wc_len == at)
+                {
+                    first = (r, i);
+                    break 'head;
+                }
+                one(self, clock, at, store(run, i))?;
+                at += len;
             }
-            let mem = self.mapping.segment.mem();
-            mem.with_bytes_mut(at, stores * len, |dst| gather(i..i + stores, dst))?;
-            self.bytes += (stores * len) as u64;
-            clock.advance(cost);
-            // Arrivals only grow along the run: the last burst's is the
-            // one `outstanding` keeps.
-            self.posted(clock, at, per_burst * len, bursts, SimDuration::ZERO);
-            i += stores;
         }
-        // Tail: the stores short of a whole batch.
-        (i..n).try_for_each(|i| one(self, clock, i))
+        if !replayable {
+            return Ok(());
+        }
+        let blocks = |r: usize, n: usize| if r == first.0 { first.1..n } else { 0..n };
+
+        // Walk.
+        let params = self.fabric.params();
+        let (batch, store_cost) = (params.wc_batch_bytes.max(1), params.wc_store_cost);
+        let (start, window) = (at, (self.wc_start, self.wc_len));
+        let mut booked = Booked::default();
+        for (r, run) in runs.iter().enumerate().skip(first.0) {
+            let (len, n) = shape(run);
+            let staged = batched && len < batch;
+            let per_burst = if staged { batch / len.max(1) } else { 1 };
+            let mut i = blocks(r, n).start;
+            while i < n && len > 0 {
+                // Equal bursts: the stream continues at `at` and, if the
+                // stores stage, they fill batches from an empty window on
+                // a batch boundary.
+                let equal = self.next_offset == Some(at)
+                    && (!batched || self.wc_len == 0)
+                    && (!staged || at.is_multiple_of(batch) && batch.is_multiple_of(len));
+                let bursts = if equal { (n - i) / per_burst } else { 0 };
+                if bursts == 0 {
+                    self.walk_store(&mut booked, at, len, batched, batch, store_cost);
+                    at += len;
+                    i += 1;
+                    continue;
+                }
+                let stores = bursts * per_burst;
+                let burst = self.burst_cost(at, per_burst * len).cost;
+                if staged {
+                    // Every store pays the staging cost; all but the one
+                    // that opens its batch's window merge into it.
+                    booked.cost += store_cost.saturating_mul(stores as u64);
+                    booked.coalesced += (stores - bursts) as u64;
+                }
+                let fc = fc_bytes(self.fabric.params(), (per_burst * len) as u64);
+                booked.bursts(burst, per_burst * len, fc, bursts);
+                at += stores * len;
+                i += stores;
+                self.next_offset = Some(at);
+            }
+        }
+
+        // Book: the bursts land, the rest stays staged in the window.
+        let mut tail = (first.0, first.1, 0);
+        let mut tail_start = start;
+        if let Some(last_burst) = booked.last_burst {
+            let landed = self.next_offset.expect("a burst was walked");
+            tail_start = landed;
+            let mem = self.mapping.segment.mem();
+            if batched && window.1 > 0 {
+                // The window the batch found open went out in its first
+                // burst.
+                mem.write(window.0, &self.wc_buf[..window.1])?;
+            }
+            tail = mem.with_bytes_mut(start, landed - start, |dst| {
+                let mut pos = 0;
+                for (r, run) in runs.iter().enumerate().skip(first.0) {
+                    let (len, n) = shape(run);
+                    let from = blocks(r, n).start;
+                    let whole = (n - from).min((dst.len() - pos) / len.max(1));
+                    if whole > 0 && len > 0 {
+                        gather(run, from..from + whole, &mut dst[pos..][..whole * len]);
+                        pos += whole * len;
+                    }
+                    if from + whole < n && len > 0 {
+                        // A store split by the last burst.
+                        let part = dst.len() - pos;
+                        dst[pos..].copy_from_slice(&store(run, from + whole)[..part]);
+                        return (r, from + whole, part);
+                    }
+                }
+                (runs.len(), 0, 0)
+            })?;
+            self.posted(clock.now() + last_burst, booked.payload, booked.fc);
+        }
+        if batched && self.wc_len > 0 {
+            if self.wc_buf.len() != batch {
+                self.wc_buf.resize(batch, 0);
+            }
+            let mut rel = tail_start - self.wc_start;
+            for (r, run) in runs.iter().enumerate().skip(tail.0) {
+                let from = if r == tail.0 { tail.1 } else { 0 };
+                for i in from..shape(run).1 {
+                    let skip = if (r, i) == (tail.0, tail.1) {
+                        tail.2
+                    } else {
+                        0
+                    };
+                    let bytes = &store(run, i)[skip..];
+                    self.wc_buf[rel..][..bytes.len()].copy_from_slice(bytes);
+                    rel += bytes.len();
+                }
+            }
+        }
+        self.bytes += booked.payload;
+        clock.advance(booked.cost);
+        if booked.coalesced > 0 {
+            obs::add(obs::Counter::WcCoalescedStores, booked.coalesced);
+        }
+        Ok(())
+    }
+
+    /// The walk of [`Self::write_run`] through one store of `len > 0`
+    /// bytes at `at`: where the window is open, it ends at `at`.
+    fn walk_store(
+        &mut self,
+        booked: &mut Booked,
+        at: usize,
+        len: usize,
+        batched: bool,
+        batch: usize,
+        store_cost: SimDuration,
+    ) {
+        if !batched {
+            return self.walk_burst(booked, at, len);
+        }
+        if self.wc_len > 0 {
+            booked.coalesced += 1;
+            booked.cost += store_cost;
+        } else if len >= batch {
+            return self.walk_burst(booked, at, len);
+        } else {
+            booked.cost += store_cost;
+            self.wc_start = at;
+            self.wc_boundary = (at / batch + 1) * batch;
+        }
+        // The window grows to the store's end, going out each time it
+        // reaches the boundary: first as it is, then as whole batches, each
+        // continuing the last.
+        let end = at + len;
+        if self.wc_boundary <= end {
+            self.walk_burst(booked, self.wc_start, self.wc_boundary - self.wc_start);
+            let whole = (end - self.wc_boundary) / batch;
+            if whole > 0 {
+                let cost = self.burst_cost(self.wc_boundary, batch).cost;
+                let fc = fc_bytes(self.fabric.params(), batch as u64);
+                booked.bursts(cost, batch, fc, whole);
+            }
+            self.wc_start = self.wc_boundary + whole * batch;
+            self.wc_boundary = self.wc_start + batch;
+            self.next_offset = Some(self.wc_start);
+        }
+        self.wc_len = end - self.wc_start;
+    }
+
+    /// The walk of [`Self::write_run`] through one burst.
+    fn walk_burst(&mut self, booked: &mut Booked, at: usize, len: usize) {
+        let cost = self.burst_cost(at, len).cost;
+        let fc = fc_bytes(self.fabric.params(), len as u64);
+        booked.bursts(cost, len, fc, 1);
+        self.next_offset = Some(at + len);
     }
 
     /// Convenience: a strided series of equal-sized writes starting at

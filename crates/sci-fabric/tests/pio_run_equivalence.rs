@@ -1,22 +1,24 @@
 //! `PioStream::write_run` against the loop it stands for.
 //!
-//! Two identical fabrics, two streams, one seeded sequence of runs: one
-//! side gets each run as a `write_run` call, the other the same stores
-//! spelled out through `write` / `write_batched`. After every run the
-//! clocks, the outstanding arrival, the byte count, the write-combining
-//! window, the route state and the verdict must agree; at the end so must
-//! the traffic counters, `WcCoalescedStores`, the silent faults applied
-//! and every byte of the segment.
+//! Two identical fabrics, two streams, one seeded sequence of batches of
+//! stores: one side gets each batch as a `write_run` call, the other the
+//! same stores spelled out through `write` / `write_batched`. After every
+//! batch the clocks, the outstanding arrival, the byte count, the
+//! write-combining window, the route state, the verdict and the segment
+//! bytes around the batch must agree; at the end so must the traffic
+//! counters, `WcCoalescedStores`, the silent faults applied and every byte
+//! of the segment.
 //!
-//! The sequence covers what can make the closed form of the interior
-//! differ from the loop: store lengths that divide the batch, that do not,
-//! and that exceed it; runs of 1 to 600 stores, batched and not; starts on
-//! a batch boundary, off the write-combine boundary, continuing the last
-//! burst, and right behind a window the previous run left half full;
-//! competitors opening and closing between runs (the contention
-//! generation), a demand cap, a cable pulled and plugged back in, a fresh
-//! stream, a run that leaves the segment in its middle — on a healthy, a
-//! lossy and a silently faulty fabric, for three batch sizes.
+//! Two families of batches: one run of equal stores, and lists of unequal
+//! stores — runs of one interleaved with runs of equal stores. The store
+//! lengths divide the batch, do not, and exceed it; a batch starts on a
+//! batch boundary, off the write-combine boundary (the misaligned-thrash
+//! first burst), continuing the last burst, behind a window the previous
+//! batch left half full, or on a fresh stream; it may leave the segment in
+//! its middle. Between batches competitors open and close (the contention
+//! generation), a demand cap applies, a cable is pulled and plugged back
+//! in — on a healthy, a lossy and a silently faulty fabric, for three
+//! batch sizes.
 //!
 //! Every scenario runs at every seed of [`SEEDS`].
 
@@ -89,20 +91,26 @@ impl Side {
     }
 }
 
-/// A run as the sequence draws it.
-#[derive(Debug)]
-struct Run {
-    offset: usize,
+/// A run of a batch as the sequence draws it: `n` stores of `len` bytes,
+/// store `i` is `source[first + i * stride..][..len]`.
+#[derive(Clone, Copy, Debug)]
+struct Stores {
     len: usize,
     n: usize,
-    batched: bool,
-    /// Store `i` is `source[first + i * stride..][..len]`.
     first: usize,
     stride: usize,
 }
 
-fn draw_run(rng: &mut SplitMix64, batch: usize, source_len: usize, cursor: usize) -> Run {
-    let len = match rng.next_below(10) {
+/// A batch of stores landing back to back from `offset` on.
+#[derive(Debug)]
+struct Batch {
+    offset: usize,
+    runs: Vec<Stores>,
+    batched: bool,
+}
+
+fn draw_len(rng: &mut SplitMix64, batch: usize) -> usize {
+    match rng.next_below(10) {
         // Divides the batch (when the batch is a power of two; 24 takes 1, 2, 4, 8 too).
         0..=3 => 1 << rng.next_below(4),
         4 => batch / 2,
@@ -112,16 +120,62 @@ fn draw_run(rng: &mut SplitMix64, batch: usize, source_len: usize, cursor: usize
         7 => batch,
         8 => rng.next_range(batch as u64 + 1, 512) as usize,
         _ => rng.next_range(513, 4096) as usize,
-    };
-    let n = match rng.next_below(10) {
-        0 => 1,
-        1..=4 => rng.next_range(2, 40) as usize,
-        5..=8 => rng.next_range(41, 600) as usize,
-        _ => 600,
     }
-    .min((96 * 1024 / len).max(1));
+}
+
+fn draw_stores(rng: &mut SplitMix64, len: usize, n: usize, source_len: usize) -> Stores {
+    let stride = match rng.next_below(3) {
+        0 => len,
+        1 => 0,
+        _ => len + rng.next_range(1, 64) as usize,
+    };
+    let span = (n - 1) * stride + len;
+    // Spans longer than the source fold back onto a stride of zero.
+    let stride = if span > source_len { 0 } else { stride };
+    let span = (n - 1) * stride + len;
+    Stores {
+        len,
+        n,
+        first: rng.next_below((source_len - span + 1) as u64) as usize,
+        stride,
+    }
+}
+
+fn draw_batch(rng: &mut SplitMix64, batch: usize, source_len: usize, cursor: usize) -> Batch {
+    const MAX_BYTES: usize = 96 * 1024;
+    let runs = if rng.chance(0.5) {
+        // One run of equal stores.
+        let len = draw_len(rng, batch);
+        let n = match rng.next_below(10) {
+            0 => 1,
+            1..=4 => rng.next_range(2, 40) as usize,
+            5..=8 => rng.next_range(41, 600) as usize,
+            _ => 600,
+        }
+        .min((MAX_BYTES / len).max(1));
+        vec![draw_stores(rng, len, n, source_len)]
+    } else {
+        // Unequal stores: runs of one between runs of equal stores.
+        let mut runs = Vec::new();
+        let mut bytes = 0;
+        for _ in 0..rng.next_range(1, 48) {
+            let len = draw_len(rng, batch);
+            let n = if rng.chance(0.6) {
+                1
+            } else {
+                rng.next_range(2, 40) as usize
+            };
+            if bytes + len * n > MAX_BYTES {
+                break;
+            }
+            bytes += len * n;
+            runs.push(draw_stores(rng, len, n, source_len));
+        }
+        runs
+    };
+    let total: usize = runs.iter().map(|r| r.len * r.n).sum();
     let offset = match rng.next_below(10) {
-        // Continues the previous run (and inherits whatever window it left).
+        // Continues the previous batch (and inherits whatever window it left).
         0..=3 => cursor,
         // A fresh burst on a batch boundary.
         4..=5 => (cursor + rng.next_range(1, 900) as usize).next_multiple_of(batch),
@@ -133,24 +187,12 @@ fn draw_run(rng: &mut SplitMix64, batch: usize, source_len: usize, cursor: usize
                 + rng.next_range(1, 31) as usize
         }
         // Leaves the segment somewhere in its middle.
-        _ => SEG_LEN - (n * len) / 2 - rng.next_below(64) as usize,
+        _ => SEG_LEN - total / 2 - rng.next_below(64) as usize,
     };
-    let stride = match rng.next_below(3) {
-        0 => len,
-        1 => 0,
-        _ => len + rng.next_range(1, 64) as usize,
-    };
-    let span = (n - 1) * stride + len;
-    // Spans longer than the source fold back onto a stride of zero.
-    let stride = if span > source_len { 0 } else { stride };
-    let span = (n - 1) * stride + len;
-    Run {
+    Batch {
         offset,
-        len,
-        n,
+        runs,
         batched: rng.chance(0.7),
-        first: rng.next_below((source_len - span + 1) as u64) as usize,
-        stride,
     }
 }
 
@@ -199,22 +241,24 @@ fn scenario(seed: u64, faults: FaultConfig, batch: usize) {
             cable_pulled ^= event == 6;
         }
 
-        let run = draw_run(&mut rng, batch, source.len(), cursor);
-        let store = |i: usize| &source[run.first + i * run.stride..][..run.len];
+        let b = draw_batch(&mut rng, batch, source.len(), cursor);
+        let store = |r: &Stores, i: usize| &source[r.first + i * r.stride..][..r.len];
+        let total: usize = b.runs.iter().map(|r| r.len * r.n).sum();
 
         let ran = {
             let side = &mut by_run;
             let _bound = side.recorder.bind(0);
             let verdict = side.stream.write_run(
                 &mut side.clock,
-                run.offset,
-                run.len,
-                run.n,
-                run.batched,
+                b.offset,
+                &b.runs,
+                b.batched,
+                |r| (r.len, r.n),
                 store,
-                |stores, dst| {
-                    for (i, to) in stores.zip(dst.chunks_exact_mut(run.len)) {
-                        to.copy_from_slice(store(i));
+                |r, blocks, dst| {
+                    assert_eq!(dst.len(), blocks.len() * r.len, "gather of {r:?}");
+                    for (i, to) in blocks.zip(dst.chunks_exact_mut(r.len)) {
+                        to.copy_from_slice(store(r, i));
                     }
                 },
             );
@@ -223,19 +267,36 @@ fn scenario(seed: u64, faults: FaultConfig, batch: usize) {
         let spelled_out = {
             let side = &mut by_store;
             let _bound = side.recorder.bind(0);
-            let verdict = (0..run.n).try_for_each(|i| {
-                let at = run.offset + i * run.len;
-                if run.batched {
-                    side.stream.write_batched(&mut side.clock, at, store(i))
-                } else {
-                    side.stream.write(&mut side.clock, at, store(i))
-                }
+            let mut at = b.offset;
+            let verdict = b.runs.iter().try_for_each(|r| {
+                (0..r.n).try_for_each(|i| {
+                    let data = store(r, i);
+                    let res = if b.batched {
+                        side.stream.write_batched(&mut side.clock, at, data)
+                    } else {
+                        side.stream.write(&mut side.clock, at, data)
+                    };
+                    at += r.len;
+                    res
+                })
             });
             side.state(verdict)
         };
-        assert_eq!(ran, spelled_out, "batch {batch}, step {step}: {run:?}");
+        assert_eq!(ran, spelled_out, "batch {batch}, step {step}: {b:?}");
+        // What landed around the batch, and nothing staged ahead of time.
+        let lo = b.offset.saturating_sub(2 * batch).min(SEG_LEN);
+        let hi = (b.offset + total + 2 * batch).min(SEG_LEN);
+        let landed = |side: &Side| {
+            let mut bytes = vec![0u8; hi - lo];
+            side.seg.mem().read(lo, &mut bytes).unwrap();
+            bytes
+        };
+        assert!(
+            landed(&by_run) == landed(&by_store),
+            "batch {batch}, step {step}: segment bytes differ in {lo}..{hi}"
+        );
 
-        cursor = run.offset + run.n * run.len;
+        cursor = b.offset + total;
         if cursor + 128 * 1024 > SEG_LEN {
             cursor %= 4096;
         }

@@ -606,10 +606,52 @@ impl ff::UnpackSource for ByBlock {
     }
 }
 
+/// A sink that takes its runs a batch at a time, as `PioSink` does, and
+/// records the length of every batch `pack_ff` handed it.
+#[derive(Default)]
+struct ByBatch {
+    data: Vec<u8>,
+    batches: Vec<usize>,
+}
+
+impl ff::PackSink for ByBatch {
+    type Error = std::convert::Infallible;
+    fn put(&mut self, _: &[u8]) -> Result<(), Self::Error> {
+        unreachable!("pack_ff hands its runs to put_runs")
+    }
+    fn put_runs(&mut self, src: &[u8], runs: &[ff::Run]) -> Result<(), Self::Error> {
+        self.batches.push(runs.len());
+        for run in runs {
+            (0..run.n).for_each(|i| self.data.extend_from_slice(&src[run.at(i)..][..run.len]));
+        }
+        Ok(())
+    }
+}
+
+/// Panic unless every batch but the last fills the buffer (is as long as
+/// the first) and none is empty; the number of batches.
+fn check_splits(batches: &[usize], what: &str) -> usize {
+    if let Some((&last, full)) = batches.split_last() {
+        let cap = batches[0];
+        assert!(last >= 1 && last <= cap, "{what}: batches {batches:?}");
+        assert!(
+            full.iter().all(|&b| b == cap),
+            "{what}: batches {batches:?}"
+        );
+    }
+    batches.len()
+}
+
 /// Sinks and sources that override the run methods see the stream the
-/// default per-block loop delivers, whole and from every resume point.
+/// default per-block loop delivers, whole and from every resume point; a
+/// sink that takes runs in batches sees it across every split of the
+/// batch buffer, whole and packed in chunks that resume mid-stream.
 #[test]
 fn run_sinks_receive_the_stream_block_sinks_do() {
+    let most_batches = std::cell::Cell::new(0);
+    let split = |batches: &[usize], what: String| {
+        most_batches.set(most_batches.get().max(check_splits(batches, &what)));
+    };
     cells::each(&SEEDS, |seed| {
         let mut rng = SplitMix64::new(seed);
         let random = (0..100).map(|_| (random_datatype(&mut rng, 3), 2));
@@ -640,7 +682,34 @@ fn run_sinks_receive_the_stream_block_sinks_do() {
                 ff::unpack_ff(&c, count, &mut into_b, 0, skip, len, &mut source).unwrap();
                 assert_eq!(into_a, into_b, "unpack of {dt} at ({skip}, {max})");
                 assert_eq!((by_block.pos, source.consumed()), (len, len));
+
+                let mut by_batch = ByBatch::default();
+                let c_stats = ff::pack_ff(&c, count, &src, 0, skip, max, &mut by_batch).unwrap();
+                assert_eq!(
+                    c_stats, a,
+                    "pack stats of {dt} at ({skip}, {max}), in batches"
+                );
+                assert_eq!(
+                    by_batch.data, by_block.data,
+                    "stream of {dt} at ({skip}, {max}), in batches"
+                );
+                split(&by_batch.batches, format!("{dt} at ({skip}, {max})"));
+            }
+            // The whole stream in chunks, each resuming where the last
+            // one stopped.
+            let mut whole = ByBlock::default();
+            ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut whole).unwrap();
+            for chunk in [7, 64, 1000] {
+                let mut by_batch = ByBatch::default();
+                for skip in (0..total).step_by(chunk) {
+                    let before = by_batch.batches.len();
+                    ff::pack_ff(&c, count, &src, 0, skip, chunk, &mut by_batch).unwrap();
+                    let what = format!("{dt} in {chunk}-byte chunks at {skip}");
+                    split(&by_batch.batches[before..], what);
+                }
+                assert_eq!(by_batch.data, whole.data, "{dt} in {chunk}-byte chunks");
             }
         }
     });
+    assert!(most_batches.get() > 1, "no pack filled the batch buffer");
 }
