@@ -171,13 +171,6 @@ pub fn gather(src: &[u8], run: Run, dst: &mut [MaybeUninit<u8>]) {
     if run.n == 0 {
         return;
     }
-    if run.n == 1 {
-        // One block: slicing it out is the range check.
-        let block = &src[run.at(0)..][..run.len];
-        // SAFETY: `u8` and `MaybeUninit<u8>` share a layout.
-        dst.copy_from_slice(unsafe { &*(block as *const [u8] as *const [MaybeUninit<u8>]) });
-        return;
-    }
     run.check_inside(src.len());
     // SAFETY: `check_inside` proved every source block inside `src`, the
     // length assert proved every destination block inside `dst`, and a `&`
