@@ -566,7 +566,7 @@ impl PioStream {
     /// continuing burst each) as `k` times one burst. The bursts are then
     /// *booked* once: one `gather` per run into segment memory, one clock
     /// advance, one arrival (the last burst's), one traffic booking, one
-    /// `WcCoalescedStores` add; the stores past the last burst are copied
+    /// `WcCoalescedStores` add; the bytes past the last burst are swapped
     /// into the window. Everywhere else every store takes the calls above,
     /// which stay the only definition of what a store costs
     /// (`docs/PACK_ENGINE.md` §4).
@@ -665,57 +665,46 @@ impl PioStream {
             }
         }
 
-        // Book: the bursts land, the rest stays staged in the window.
-        let mut tail = (first.0, first.1, 0);
-        let mut tail_start = start;
-        if let Some(last_burst) = booked.last_burst {
-            let landed = self.next_offset.expect("a burst was walked");
-            tail_start = landed;
-            let mem = self.mapping.segment.mem();
-            if batched && window.1 > 0 {
-                // The window the batch found open went out in its first
-                // burst.
-                mem.write(window.0, &self.wc_buf[..window.1])?;
-            }
-            tail = mem.with_bytes_mut(start, landed - start, |dst| {
-                let mut pos = 0;
-                for (r, run) in runs.iter().enumerate().skip(first.0) {
-                    let (len, n) = shape(run);
-                    let from = blocks(r, n).start;
-                    let whole = (n - from).min((dst.len() - pos) / len.max(1));
-                    if whole > 0 && len > 0 {
-                        gather(run, from..from + whole, &mut dst[pos..][..whole * len]);
-                        pos += whole * len;
-                    }
-                    if from + whole < n && len > 0 {
-                        // A store split by the last burst.
-                        let part = dst.len() - pos;
-                        dst[pos..].copy_from_slice(&store(run, from + whole)[..part]);
-                        return (r, from + whole, part);
-                    }
-                }
-                (runs.len(), 0, 0)
-            })?;
-            self.posted(clock.now() + last_burst, booked.payload, booked.fc);
+        // Book: the bursts land, the stores past the last one stay staged
+        // in the window.
+        let mem = self.mapping.segment.mem();
+        if booked.last_burst.is_some() && batched && window.1 > 0 {
+            // The window the batch found open went out in its first burst.
+            mem.write(window.0, &self.wc_buf[..window.1])?;
         }
-        if batched && self.wc_len > 0 {
+        let tail = if batched {
+            self.wc_len.min(at - start)
+        } else {
+            0
+        };
+        let rel = if tail > 0 {
+            at - tail - self.wc_start
+        } else {
+            0
+        };
+        if tail > 0 {
             if self.wc_buf.len() != batch {
                 self.wc_buf.resize(batch, 0);
             }
-            let mut rel = tail_start - self.wc_start;
-            for (r, run) in runs.iter().enumerate().skip(tail.0) {
-                let from = if r == tail.0 { tail.1 } else { 0 };
-                for i in from..shape(run).1 {
-                    let skip = if (r, i) == (tail.0, tail.1) {
-                        tail.2
-                    } else {
-                        0
-                    };
-                    let bytes = &store(run, i)[skip..];
-                    self.wc_buf[rel..][..bytes.len()].copy_from_slice(bytes);
-                    rel += bytes.len();
+            // Keep what the segment holds where the staged stores go...
+            mem.read(at - tail, &mut self.wc_buf[rel..][..tail])?;
+        }
+        mem.with_bytes_mut(start, at - start, |dst| {
+            let mut pos = 0;
+            for (r, run) in runs.iter().enumerate().skip(first.0) {
+                let (len, n) = shape(run);
+                let blocks = blocks(r, n);
+                let bytes = blocks.len() * len;
+                if bytes > 0 {
+                    gather(run, blocks, &mut dst[pos..][..bytes]);
                 }
+                pos += bytes;
             }
+            // ...and swap it back in for them.
+            dst[pos - tail..].swap_with_slice(&mut self.wc_buf[rel..][..tail]);
+        })?;
+        if let Some(last_burst) = booked.last_burst {
+            self.posted(clock.now() + last_burst, booked.payload, booked.fc);
         }
         self.bytes += booked.payload;
         clock.advance(booked.cost);
